@@ -2,9 +2,9 @@
 
 The enumeration walks an in-tree over the maximal cliques rooted at the
 lexicographically greatest one, generating children of whole batches of
-cliques in one shot (via a rectangular matrix product or packed set
-intersections) and optionally smoothing output through a bounded-delay
-queue scheduler.
+cliques in one shot (via a rectangular Boolean matrix product or a
+direct bitset formula) and optionally smoothing output through a
+bounded-delay queue scheduler.
 """
 
 from .batch_dfs import (
@@ -15,7 +15,6 @@ from .batch_dfs import (
     StepEvent,
     TraversalStats,
     batch_dfs,
-    pop_from_top,
     step_events,
 )
 from .delay_scheduler import (
@@ -41,7 +40,6 @@ from .graph import (
 )
 from .kernels import (
     ChildSpec,
-    GoodTable,
     build_batch_matrices,
     children_batch,
     children_naive,
@@ -71,7 +69,6 @@ __all__ = [
     "EMPTY",
     "Emission",
     "EmissionQueue",
-    "GoodTable",
     "Graph",
     "OpCounter",
     "StepEvent",
@@ -98,7 +95,6 @@ __all__ = [
     "list_mc",
     "neighborhood",
     "parent",
-    "pop_from_top",
     "prefix_neighbors",
     "restrict_below",
     "root",

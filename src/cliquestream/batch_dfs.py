@@ -99,12 +99,6 @@ class BacktrackStack:
         return VertexSet(_lc_bits(g, base, counter))
 
 
-def pop_from_top(g: Graph, stack: BacktrackStack, counter: OpCounter | None = None) -> VertexSet:
-    """Pop one clique: consume the first index of the top spec (dropping the
-    spec once its list empties) and build the child by completion."""
-    return stack.pop(g, counter)
-
-
 def step_events(
     g: Graph,
     root_clique: VertexSet,

@@ -249,15 +249,13 @@ def _strict_emissions(g: Graph, cfg: RunConfig, stats: TraversalStats):
 def _verify(g: Graph, emitted: list[VertexSet], prefix_only: bool, err) -> bool:
     reference = oracle.all_maximal_cliques(g)
     ref_set = {c.bits for c in reference}
-    emitted_bits = [c.bits for c in emitted]
-    duplicates = len(emitted_bits) - len(set(emitted_bits))
+    emitted_set = {c.bits for c in emitted}
+    duplicates = len(emitted) - len(emitted_set)
     not_maximal = sum(
         1 for c in emitted if not rs_tree.is_maximal_clique(g, c)
     )
-    extra = sum(1 for b in set(emitted_bits) if b not in ref_set)
-    missing = 0 if prefix_only else sum(
-        1 for b in ref_set if b not in set(emitted_bits)
-    )
+    extra = len(emitted_set - ref_set)
+    missing = 0 if prefix_only else len(ref_set - emitted_set)
     ok = duplicates == 0 and not_maximal == 0 and extra == 0 and missing == 0
     scope = f"first {len(emitted)}" if prefix_only else f"all {len(reference)}"
     if ok:

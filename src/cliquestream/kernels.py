@@ -1,16 +1,17 @@
 """Children generation for batches of maximal cliques.
 
 A pair ``(i, j)`` is *good* for a parent ``P`` when some vertex of
-``P_{<i} & N(i)`` is a non-neighbor of ``j``.  The good-pair table for a
-whole batch can be read off one rectangular matrix product: stack the
-parents' characteristic vectors into ``M_B`` (|B| x n), put the
-characteristic vector of ``A_i \\ N(j)`` with ``A_i = V_{<i} & N(i)`` into
-column ``(i, j)`` of ``M_G`` (n x n^2), and test entries of ``M_B @ M_G``
-for positivity.  An equivalent bitset kernel answers the same queries with
-packed AND tests, materializing the ``A_i \\ N(j)`` family one i-row at a
-time so memory stays at O(n^2) bits.
+``P_{<i} & N(i)`` is a non-neighbor of ``j``.  A parent's good row for
+``i`` is a bitmask over ``j``, and a batch's good rows can be computed two
+ways.  The paper's reduction reads them off one rectangular Boolean
+product: stack the parents' characteristic vectors into ``M_B`` (|B| x n),
+put the characteristic vector of ``A_i \\ N(j)`` with
+``A_i = V_{<i} & N(i)`` into column ``(i, j)`` of ``M_G`` (n x n^2), and
+test entries of ``M_B @ M_G`` for positivity.  The bitset kernel computes
+the same rows directly: row ``i`` is the union of ``V \\ N(u)`` over the
+members ``u`` of ``P_{<i} & N(i)``.
 
-From the good table, an index ``i`` yields a child of ``P`` exactly when no
+From its good rows, an index ``i`` yields a child of ``P`` exactly when no
 ``j < i`` witnesses a violation of either reconstructability direction;
 ``filter_children`` encodes that test, and ``children_naive`` re-derives it
 from first principles with direct completion calls for differential
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matmul
-from .graph import Graph, VertexSet, below_mask, vbit
+from .graph import Graph, VertexSet, below_mask, iter_bits, vbit
 from .rs_tree import (
     OpCounter,
     clique_index,
@@ -45,32 +46,6 @@ class ChildSpec:
 
     def __len__(self) -> int:
         return len(self.indices)
-
-
-@dataclass
-class GoodTable:
-    """Good-pair tensor for a batch, stored as per-(k, i) bitmasks over j."""
-
-    n: int
-    rows: list[list[int]]
-
-    def is_good(self, k: int, i: int, j: int) -> bool:
-        """Entry for batch position ``k`` (0-based) and vertices ``i, j``."""
-        return (self.rows[k][i - 1] >> (j - 1)) & 1 == 1
-
-    def row(self, k: int) -> list[int]:
-        return self.rows[k]
-
-    def to_array(self) -> np.ndarray:
-        """Dense boolean tensor of shape (|B|, n, n)."""
-        out = np.zeros((len(self.rows), self.n, self.n), dtype=bool)
-        for k, masks in enumerate(self.rows):
-            for i0, mask in enumerate(masks):
-                while mask:
-                    low = mask & -mask
-                    out[k, i0, low.bit_length() - 1] = True
-                    mask ^= low
-        return out
 
 
 def _mask_to_row(mask: int, n: int) -> np.ndarray:
@@ -107,7 +82,7 @@ def build_batch_matrices(g: Graph, cliques) -> tuple[np.ndarray, np.ndarray]:
 
 def _pack_good_rows(thresh: np.ndarray, batch_size: int, n: int) -> list[list[int]]:
     cube = thresh.reshape(batch_size, n, n)
-    packed = np.packbits(cube.astype(np.uint8), axis=2, bitorder="little")
+    packed = np.packbits(cube, axis=2, bitorder="little")
     rows: list[list[int]] = []
     for k in range(batch_size):
         rows.append([int.from_bytes(packed[k, i].tobytes(), "little") for i in range(n)])
@@ -115,62 +90,55 @@ def _pack_good_rows(thresh: np.ndarray, batch_size: int, n: int) -> list[list[in
 
 
 def good_table_rectangular(
-    g: Graph,
-    cliques,
-    backend: str = matmul.BITPACKED,
-    counter: OpCounter | None = None,
-) -> GoodTable:
-    """Good table via the |B| x n by n x n^2 matrix product."""
+    g: Graph, cliques, counter: OpCounter | None = None
+) -> list[list[int]]:
+    """Good rows via the |B| x n by n x n^2 Boolean product."""
     n = g.n
     mb, mg = build_batch_matrices(g, cliques)
-    thresh = matmul.multiply_boolean_threshold(mb, mg, backend=backend)
+    thresh = matmul.multiply_boolean_threshold(mb, mg)
     if counter is not None:
         w = words(n)
         counter.add(len(cliques) * w + n * n * 2 * w + len(cliques) * n * n * w)
-    return GoodTable(n=n, rows=_pack_good_rows(thresh, len(cliques), n))
+    return _pack_good_rows(thresh, len(cliques), n)
 
 
 def good_table_bitset(
     g: Graph, cliques, counter: OpCounter | None = None
-) -> GoodTable:
-    """Good table via packed set intersections, one i-row of the
-    ``A_i \\ N(j)`` family in memory at a time."""
+) -> list[list[int]]:
+    """Good rows by the direct formula: row i of ``P`` is the union of
+    ``V \\ N(u)`` over the members u of ``P_{<i} & N(i)``."""
     _assert_batch(g, cliques)
     n = g.n
     adj = g.adj
-    pbits = [c.bits for c in cliques]
-    rows: list[list[int]] = [[0] * n for _ in cliques]
-    live_rows = 0
-    for i in range(1, n + 1):
-        a_i = adj[i - 1] & below_mask(i)
-        if a_i == 0:
-            continue  # no witness can exist for this i, row stays all-false
-        live_rows += 1
-        family = [a_i & ~adj[j - 1] for j in range(1, n + 1)]
-        for k, pb in enumerate(pbits):
+    non_adj = [g.full_mask & ~a for a in adj]
+    rows: list[list[int]] = []
+    unions = 0
+    for c in cliques:
+        pb = c.bits
+        row = []
+        for i in range(1, n + 1):
+            witnesses = pb & below_mask(i) & adj[i - 1]
             mask = 0
-            bit = 1
-            for s in family:
-                if pb & s:
-                    mask |= bit
-                bit <<= 1
-            rows[k][i - 1] = mask
+            while witnesses:
+                low = witnesses & -witnesses
+                mask |= non_adj[low.bit_length() - 1]
+                witnesses ^= low
+                unions += 1
+            row.append(mask)
+        rows.append(row)
     if counter is not None:
         w = words(n)
-        counter.add(n * w + live_rows * n * 2 * w + len(cliques) * live_rows * n * w)
-    return GoodTable(n=n, rows=rows)
+        counter.add((n + len(cliques) * n * 2 + unions) * w)
+    return rows
 
 
 def adjacent_to_own_prefix(g: Graph, p: VertexSet) -> int:
     """Mask of vertices j adjacent to every member of ``P_{<j}``."""
-    pb = p.bits
-    out = 0
-    bit = 1
-    for j in range(1, g.n + 1):
-        if pb & below_mask(j) & ~g.adj[j - 1] == 0:
-            out |= bit
-        bit <<= 1
-    return out
+    adj = g.adj
+    missed = 0
+    for u in iter_bits(p.bits):
+        missed |= ~(adj[u - 1] | below_mask(u + 1))
+    return g.full_mask & ~missed
 
 
 def filter_children(
@@ -247,18 +215,16 @@ def children_batch(
     """One ChildSpec per batch element, in batch order.
 
     ``kernel`` picks how good pairs are decided: "rect" goes through the
-    matrix product, "bitset" through packed intersections, "naive" through
+    Boolean product, "bitset" through the direct row formula, "naive" through
     per-parent completion calls.  All three agree extensionally.
     """
     _assert_batch(g, cliques)
     if kernel == "naive":
         return [children_naive(g, p, counter) for p in cliques]
     if kernel == "rect":
-        table = good_table_rectangular(g, cliques, counter=counter)
+        rows = good_table_rectangular(g, cliques, counter=counter)
     elif kernel == "bitset":
-        table = good_table_bitset(g, cliques, counter=counter)
+        rows = good_table_bitset(g, cliques, counter=counter)
     else:
         raise ValueError(f"unknown kernel {kernel!r}")
-    return [
-        filter_children(g, p, table.rows[k], counter) for k, p in enumerate(cliques)
-    ]
+    return [filter_children(g, p, rows[k], counter) for k, p in enumerate(cliques)]

@@ -1,24 +1,15 @@
-"""Dense integer matrix products with swappable backends.
+"""Matrix products for the rectangular reduction.
 
-Three interchangeable implementations of the exact product: a pure-Python
-triple loop (the differential reference), a cache-blocked numpy product,
-and a bit-packed popcount path restricted to 0/1 operands.  Only positivity
-of the product is consumed downstream, so a thresholded variant with a
-packed AND fast path is exposed as well.  Backend choice never changes
-results.
+The children-generation kernel consumes only the positivity of the product
+of two 0/1 matrices, so :func:`multiply_boolean_threshold` computes it as
+one Boolean product: numpy ANDs and ORs ``bool`` operands, which is exact
+at any inner dimension.  :func:`multiply` is the exact integer product as a
+pure-Python triple loop, kept as the differential reference.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-DenseMatrix = np.ndarray
-
-NAIVE = "naive"
-BLOCKED = "blocked"
-BITPACKED = "bitpacked"
-
-_BLOCK = 64
 
 
 def _as_matrix(a) -> np.ndarray:
@@ -38,24 +29,19 @@ def _check_dims(a: np.ndarray, b: np.ndarray) -> None:
 
 
 def _check_binary(m: np.ndarray, name: str) -> None:
-    if m.size and (m.min() < 0 or m.max() > 1):
-        raise ValueError(f"{name} must be a 0/1 matrix for the bit-packed backend")
+    if m.min() < 0 or m.max() > 1:
+        raise ValueError(f"{name} must be a 0/1 matrix")
 
 
-def pack_rows(m: np.ndarray) -> list[int]:
-    """Pack each row of a 0/1 matrix into an int bitmask (column j -> bit j)."""
-    out = []
-    for row in np.ascontiguousarray(m, dtype=np.uint8):
-        packed = np.packbits(row, bitorder="little").tobytes()
-        out.append(int.from_bytes(packed, "little"))
-    return out
-
-
-def _multiply_naive(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    r, s = a.shape
-    c = b.shape[1]
-    al = a.tolist()
-    bl = b.tolist()
+def multiply(a, b) -> np.ndarray:
+    """Exact integer product ``a @ b`` by the naive triple loop."""
+    am = _as_matrix(a)
+    bm = _as_matrix(b)
+    _check_dims(am, bm)
+    r, s = am.shape
+    c = bm.shape[1]
+    al = am.tolist()
+    bl = bm.tolist()
     out = [[0] * c for _ in range(r)]
     for i in range(r):
         ai = al[i]
@@ -69,71 +55,11 @@ def _multiply_naive(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.array(out, dtype=np.int64).reshape(r, c)
 
 
-def _multiply_blocked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    r, s = a.shape
-    c = b.shape[1]
-    bound = s * int(max(a.max(initial=0), 1)) * int(max(b.max(initial=0), 1))
-    acc_dtype = np.int32 if bound < 2**31 else np.int64
-    aa = a.astype(acc_dtype)
-    bb = b.astype(acc_dtype)
-    out = np.zeros((r, c), dtype=acc_dtype)
-    for i0 in range(0, r, _BLOCK):
-        i1 = min(i0 + _BLOCK, r)
-        for k0 in range(0, s, _BLOCK):
-            k1 = min(k0 + _BLOCK, s)
-            tile = aa[i0:i1, k0:k1]
-            for j0 in range(0, c, _BLOCK):
-                j1 = min(j0 + _BLOCK, c)
-                out[i0:i1, j0:j1] += tile @ bb[k0:k1, j0:j1]
-    return out.astype(np.int64)
-
-
-def _multiply_bitpacked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    _check_binary(a, "left operand")
-    _check_binary(b, "right operand")
-    rows = pack_rows(a)
-    cols = pack_rows(b.T)
-    out = np.empty((len(rows), len(cols)), dtype=np.int64)
-    for i, ra in enumerate(rows):
-        oi = out[i]
-        for j, cb in enumerate(cols):
-            oi[j] = (ra & cb).bit_count()
-    return out
-
-
-_EXACT = {NAIVE: _multiply_naive, BLOCKED: _multiply_blocked, BITPACKED: _multiply_bitpacked}
-
-
-def multiply(a, b, backend: str = BLOCKED) -> np.ndarray:
-    """Exact integer product ``a @ b`` using the chosen backend."""
+def multiply_boolean_threshold(a, b) -> np.ndarray:
+    """Entrywise ``(a @ b) > 0`` for 0/1 matrices, as a bool array."""
     am = _as_matrix(a)
     bm = _as_matrix(b)
     _check_dims(am, bm)
-    try:
-        impl = _EXACT[backend]
-    except KeyError:
-        raise ValueError(f"unknown backend {backend!r}") from None
-    return impl(am, bm)
-
-
-def multiply_boolean_threshold(a, b, backend: str = BITPACKED) -> np.ndarray:
-    """Entrywise ``(a @ b) > 0``.
-
-    The bit-packed path skips the popcount and tests the packed AND for
-    zero, which is all the children-generation kernel needs.
-    """
-    am = _as_matrix(a)
-    bm = _as_matrix(b)
-    _check_dims(am, bm)
-    if backend == BITPACKED:
-        _check_binary(am, "left operand")
-        _check_binary(bm, "right operand")
-        rows = pack_rows(am)
-        cols = pack_rows(bm.T)
-        out = np.empty((len(rows), len(cols)), dtype=bool)
-        for i, ra in enumerate(rows):
-            oi = out[i]
-            for j, cb in enumerate(cols):
-                oi[j] = (ra & cb) != 0
-        return out
-    return multiply(am, bm, backend=backend) > 0
+    _check_binary(am, "left operand")
+    _check_binary(bm, "right operand")
+    return am.astype(bool) @ bm.astype(bool)

@@ -166,7 +166,7 @@ def test_criterion_4_good_table_cross_validation():
         ok = ok and rect == bitset
         for k, p in enumerate(batch):
             for i in range(1, g.n + 1):
-                row = rect.rows[k][i - 1]
+                row = rect[k][i - 1]
                 for j in range(1, g.n + 1):
                     expect = oracle.good_pair_oracle(g, p, i, j)
                     ok = ok and ((row >> (j - 1)) & 1 == 1) == expect
@@ -260,15 +260,14 @@ def test_criterion_8_matmul_differential():
     for r, s, c in shapes:
         a = (np.frombuffer(rng.randbytes(r * s), dtype=np.uint8) & 1).reshape(r, s)
         b = (np.frombuffer(rng.randbytes(s * c), dtype=np.uint8) & 1).reshape(s, c)
-        ref = matmul.multiply(a, b, backend=matmul.NAIVE)
-        ok = ok and (matmul.multiply(a, b, backend=matmul.BLOCKED) == ref).all()
-        ok = ok and (matmul.multiply(a, b, backend=matmul.BITPACKED) == ref).all()
+        ref = matmul.multiply(a, b) > 0
+        ok = ok and (matmul.multiply_boolean_threshold(a, b) == ref).all()
         if not ok:
             break
     elapsed = time.perf_counter() - t0
     report(
         8,
-        "bit-packed and blocked products equal the naive reference",
+        "Boolean product equals the thresholded naive reference",
         ok,
         f"{len(shapes)} instances up to 64x4096 in {elapsed:.1f}s",
     )

@@ -31,7 +31,7 @@ class TestPopFromTop:
     def test_consumes_first_index_and_keeps_spec(self, bridged):
         stack = BacktrackStack()
         stack.push(ChildSpec(parent=K5_SIDE, indices=(6, 7, 8)))
-        got = cs.pop_from_top(bridged, stack)
+        got = stack.pop(bridged)
         assert got == BRIDGE_16
         assert stack.pending == 2
         assert len(stack) == 1
@@ -39,18 +39,18 @@ class TestPopFromTop:
     def test_removes_spec_when_list_empties(self, bridged):
         stack = BacktrackStack()
         stack.push(ChildSpec(parent=BRIDGE_16, indices=(7,)))
-        assert cs.pop_from_top(bridged, stack) == TRIANGLE
+        assert stack.pop(bridged) == TRIANGLE
         assert not stack and stack.pending == 0
 
     def test_seeded_root_pops_to_empty(self, bridged):
         stack = BacktrackStack()
         stack.seed(K5_SIDE)
-        assert cs.pop_from_top(bridged, stack) == K5_SIDE
+        assert stack.pop(bridged) == K5_SIDE
         assert not stack
 
     def test_empty_stack_raises(self, bridged):
         with pytest.raises(IndexError):
-            cs.pop_from_top(bridged, BacktrackStack())
+            BacktrackStack().pop(bridged)
 
     def test_empty_specs_are_not_pushed(self):
         stack = BacktrackStack()

@@ -1,8 +1,11 @@
+import random
+
 import pytest
 
 import cliquestream as cs
 from cliquestream import matmul, oracle
 from cliquestream.graph import below_mask
+from cliquestream.kernels import adjacent_to_own_prefix
 
 from conftest import (
     BRIDGE_16,
@@ -18,6 +21,11 @@ from conftest import (
 def col(i: int, j: int, n: int) -> int:
     """Flat M_G column index for the pair (i, j), i outermost."""
     return (i - 1) * n + (j - 1)
+
+
+def is_good(rows: list[list[int]], k: int, i: int, j: int) -> bool:
+    """Good-table entry for batch position ``k`` and vertices ``i, j``."""
+    return (rows[k][i - 1] >> (j - 1)) & 1 == 1
 
 
 class TestChildrenNaive:
@@ -53,7 +61,7 @@ class TestBatchMatrices:
         for g in random_graphs(6, seed0=950, n_hi=10):
             batch = oracle.all_maximal_cliques(g)
             mb, mg = cs.build_batch_matrices(g, batch)
-            prod = matmul.multiply(mb, mg, backend=matmul.BLOCKED)
+            prod = matmul.multiply(mb, mg)
             for k, p in enumerate(batch):
                 for i in range(1, g.n + 1):
                     a_i = g.adj[i - 1] & below_mask(i)
@@ -64,23 +72,23 @@ class TestBatchMatrices:
 
 class TestGoodTables:
     def test_bridged_entries(self, bridged):
-        table = cs.good_table_rectangular(bridged, [K5_SIDE])
-        assert table.is_good(0, 6, 7) is True
-        assert table.is_good(0, 6, 2) is False
-        assert table.is_good(0, 8, 1) is False
-        assert all(not table.is_good(0, 1, j) for j in range(1, 9))
+        rows = cs.good_table_rectangular(bridged, [K5_SIDE])
+        assert is_good(rows, 0, 6, 7) is True
+        assert is_good(rows, 0, 6, 2) is False
+        assert is_good(rows, 0, 8, 1) is False
+        assert all(not is_good(rows, 0, 1, j) for j in range(1, 9))
         tri = cs.good_table_bitset(bridged, [TRIANGLE])
-        assert tri.is_good(0, 8, 1) is True
+        assert is_good(tri, 0, 8, 1) is True
 
     def test_row_i_equals_1_always_false(self):
         for g in random_graphs(5, seed0=1000, n_hi=10):
             batch = oracle.all_maximal_cliques(g)
-            for table in (
+            for rows in (
                 cs.good_table_rectangular(g, batch),
                 cs.good_table_bitset(g, batch),
             ):
                 for k in range(len(batch)):
-                    assert table.rows[k][0] == 0
+                    assert rows[k][0] == 0
 
     def test_kernels_and_oracle_agree(self):
         for g in random_graphs(12, seed0=1100, n_hi=12):
@@ -91,40 +99,38 @@ class TestGoodTables:
             for k, p in enumerate(batch):
                 for i in range(1, g.n + 1):
                     for j in range(1, g.n + 1):
-                        assert rect.is_good(k, i, j) == oracle.good_pair_oracle(
+                        assert is_good(rect, k, i, j) == oracle.good_pair_oracle(
                             g, p, i, j
                         )
 
-    def test_rect_backends_agree(self, bridged):
-        batch = BRIDGED_CLIQUES
-        tables = [
-            cs.good_table_rectangular(bridged, batch, backend=b)
-            for b in (matmul.NAIVE, matmul.BLOCKED, matmul.BITPACKED)
-        ]
-        assert tables[0] == tables[1] == tables[2]
 
-    def test_to_array_matches_is_good(self, bridged):
-        table = cs.good_table_bitset(bridged, BRIDGED_CLIQUES)
-        arr = table.to_array()
-        assert arr.shape == (5, 8, 8)
-        for k in range(5):
-            for i in range(1, 9):
-                for j in range(1, 9):
-                    assert arr[k, i - 1, j - 1] == table.is_good(k, i, j)
+class TestAdjacentToOwnPrefix:
+    def test_matches_definition(self):
+        rng = random.Random(1700)
+        for g in random_graphs(30, seed0=1700, n_hi=14):
+            sets = oracle.all_maximal_cliques(g)
+            sets += [cs.VertexSet(rng.getrandbits(g.n)) for _ in range(10)]
+            for p in sets:
+                expect = 0
+                for j in range(1, g.n + 1):
+                    members_below = [u for u in range(1, j) if u in p]
+                    if all(g.has_edge(u, j) for u in members_below):
+                        expect |= 1 << (j - 1)
+                assert adjacent_to_own_prefix(g, p) == expect
 
 
 class TestFilterChildren:
     def test_bridged_root_and_leaf(self, bridged):
-        table = cs.good_table_bitset(bridged, [K5_SIDE, TRIANGLE])
-        assert cs.filter_children(bridged, K5_SIDE, table.rows[0]).indices == (6, 7, 8)
-        assert cs.filter_children(bridged, TRIANGLE, table.rows[1]).indices == ()
+        rows = cs.good_table_bitset(bridged, [K5_SIDE, TRIANGLE])
+        assert cs.filter_children(bridged, K5_SIDE, rows[0]).indices == (6, 7, 8)
+        assert cs.filter_children(bridged, TRIANGLE, rows[1]).indices == ()
 
     def test_matches_children_naive(self):
         for g in random_graphs(20, seed0=1200, n_hi=12):
             batch = oracle.all_maximal_cliques(g)
-            table = cs.good_table_bitset(g, batch)
+            rows = cs.good_table_bitset(g, batch)
             for k, p in enumerate(batch):
-                got = cs.filter_children(g, p, table.rows[k])
+                got = cs.filter_children(g, p, rows[k])
                 assert got == cs.children_naive(g, p)
 
 

@@ -10,41 +10,26 @@ def rand_binary(rng, r, c):
     return np.array([[rng.randint(0, 1) for _ in range(c)] for _ in range(r)], dtype=np.uint8)
 
 
-BACKENDS = (matmul.NAIVE, matmul.BLOCKED, matmul.BITPACKED)
-
-
 class TestMultiply:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_identity(self, backend):
+    def test_identity(self):
         rng = random.Random(1)
         b = rand_binary(rng, 7, 13)
         eye = np.eye(7, dtype=np.uint8)
-        assert (matmul.multiply(eye, b, backend=backend) == b).all()
+        assert (matmul.multiply(eye, b) == b).all()
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_characteristic_inner_product_counts_intersection(self, backend):
+    def test_characteristic_inner_product_counts_intersection(self):
         p = np.array([[1, 0, 1, 1, 0, 1]], dtype=np.uint8)
         s = np.array([[1], [1], [1], [0], [0], [1]], dtype=np.uint8)
         # {1,3,4,6} meets {1,2,3,6} in {1,3,6}
-        assert matmul.multiply(p, s, backend=backend)[0, 0] == 3
+        assert matmul.multiply(p, s)[0, 0] == 3
 
-    def test_backends_match_naive_on_random_binary(self):
-        rng = random.Random(2)
-        for _ in range(40):
-            r, s, c = rng.randint(1, 24), rng.randint(1, 24), rng.randint(1, 64)
-            a, b = rand_binary(rng, r, s), rand_binary(rng, s, c)
-            ref = matmul.multiply(a, b, backend=matmul.NAIVE)
-            for backend in (matmul.BLOCKED, matmul.BITPACKED):
-                assert (matmul.multiply(a, b, backend=backend) == ref).all()
-
-    def test_blocked_matches_naive_on_wider_integers(self):
+    def test_matches_numpy_on_wider_integers(self):
         rng = random.Random(3)
         for _ in range(10):
             r, s, c = rng.randint(1, 10), rng.randint(1, 10), rng.randint(1, 10)
             a = np.array([[rng.randint(0, 9) for _ in range(s)] for _ in range(r)])
             b = np.array([[rng.randint(0, 9) for _ in range(c)] for _ in range(s)])
-            ref = matmul.multiply(a, b, backend=matmul.NAIVE)
-            assert (matmul.multiply(a, b, backend=matmul.BLOCKED) == ref).all()
+            assert (matmul.multiply(a, b) == a.astype(np.int64) @ b.astype(np.int64)).all()
 
     def test_associativity_spot_check(self):
         rng = random.Random(4)
@@ -61,34 +46,42 @@ class TestMultiply:
         b = np.ones((4, 2), dtype=np.uint8)
         with pytest.raises(ValueError):
             matmul.multiply(a, b)
-
-    def test_bitpacked_rejects_non_binary(self):
-        a = np.array([[2, 0]], dtype=np.int64)
-        b = np.array([[1], [1]], dtype=np.int64)
         with pytest.raises(ValueError):
-            matmul.multiply(a, b, backend=matmul.BITPACKED)
+            matmul.multiply_boolean_threshold(a, b)
 
     def test_non_2d_rejected(self):
         with pytest.raises(ValueError):
             matmul.multiply(np.ones(3), np.ones(3))
 
-    def test_unknown_backend(self):
-        a = np.ones((1, 1), dtype=np.uint8)
-        with pytest.raises(ValueError):
-            matmul.multiply(a, a, backend="quantum")
-
 
 class TestBooleanThreshold:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_equals_thresholded_product(self, backend):
+    def test_equals_thresholded_product(self):
         rng = random.Random(5)
         for _ in range(25):
             r, s, c = rng.randint(1, 16), rng.randint(1, 16), rng.randint(1, 48)
             a, b = rand_binary(rng, r, s), rand_binary(rng, s, c)
-            ref = matmul.multiply(a, b, backend=matmul.NAIVE) > 0
-            got = matmul.multiply_boolean_threshold(a, b, backend=backend)
+            ref = matmul.multiply(a, b) > 0
+            got = matmul.multiply_boolean_threshold(a, b)
+            assert got.dtype == np.bool_ and got.shape == (r, c)
             assert (got == ref).all()
 
-    def test_pack_rows_round_trip(self):
-        m = np.array([[1, 0, 1], [0, 0, 1]], dtype=np.uint8)
-        assert matmul.pack_rows(m) == [0b101, 0b100]
+    @pytest.mark.parametrize("inner", [256, 1024])
+    def test_exact_past_8_bit_inner_dimension(self, inner):
+        # a uint8 accumulator would wrap 256 witnesses around to 0
+        a = np.ones((1, inner), dtype=np.uint8)
+        b = np.ones((inner, 1), dtype=np.uint8)
+        assert matmul.multiply_boolean_threshold(a, b).tolist() == [[True]]
+        b[:, 0] = 0
+        b[inner - 1, 0] = 1
+        assert matmul.multiply_boolean_threshold(a, b).tolist() == [[True]]
+        b[inner - 1, 0] = 0
+        assert matmul.multiply_boolean_threshold(a, b).tolist() == [[False]]
+
+    def test_rejects_non_binary(self):
+        ok = np.array([[1], [1]], dtype=np.int64)
+        for bad in (2, -1):
+            a = np.array([[bad, 0]], dtype=np.int64)
+            with pytest.raises(ValueError):
+                matmul.multiply_boolean_threshold(a, ok)
+            with pytest.raises(ValueError):
+                matmul.multiply_boolean_threshold(ok.T, a.T)
