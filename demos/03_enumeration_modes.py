@@ -39,9 +39,12 @@ print(f"\nbounds at capacity 2: stack {stats.max_stack_cliques} <= "
 seen = []
 
 
-def children_fn(cliques):
+def children_fn(cliques, indices):
+    # indices[k] is the reverse-search index of cliques[k] (0 for the root),
+    # read off the stack entry it was popped from
     counter = cs.OpCounter()
-    return cs.children_batch(g, cliques, counter=counter), counter.ops
+    specs = cs.children_batch(g, cliques, counter=counter, indices=indices)
+    return specs, counter.ops
 
 
 cs.batch_dfs(g, cs.root(g), children_fn, g.n * g.n, seen.append)

@@ -5,7 +5,9 @@ entries rather than expanded cliques, so a batch of B parents costs O(nB)
 stack space.  Each outer iteration pops up to ``capacity`` cliques (each
 pop expands one index into a clique via lexicographic completion and emits
 it), asks ``children_fn`` for all their child specs in one shot, and pushes
-the non-empty specs back on top.
+the non-empty specs back on top.  A clique popped from spec ``(P, i)`` has
+reverse-search index ``i`` by definition (the root has 0), so the pop hands
+that index to ``children_fn`` with the clique and no index is recomputed.
 
 The traversal is exposed both as a resumable event stream
 (:func:`step_events`) carrying per-event work-unit costs, and as the plain
@@ -27,7 +29,9 @@ CLIQUE_COLLECTED = "clique-collected"
 BATCH_COMPLETED = "batch-completed"
 TRAVERSAL_ENDED = "traversal-ended"
 
-ChildrenFn = Callable[[list[VertexSet]], tuple[list[ChildSpec], int]]
+# children_fn(cliques, indices) -> (specs, work units); indices[k] is the
+# index of cliques[k], 0 for the root
+ChildrenFn = Callable[[list[VertexSet], list[int]], tuple[list[ChildSpec], int]]
 
 
 @dataclass(frozen=True)
@@ -54,12 +58,14 @@ class BacktrackStack:
     """LIFO stack of pending child specs (plus the seeded root clique).
 
     ``pending`` counts cliques still to be expanded, i.e. the sum of the
-    remaining index-list lengths.
+    remaining index-list lengths.  ``last_index`` is the index of the clique
+    the latest :meth:`pop` returned (0 for the seeded root).
     """
 
     def __init__(self) -> None:
         self._entries: list = []
         self.pending = 0
+        self.last_index = 0
 
     def __bool__(self) -> bool:
         return bool(self._entries)
@@ -88,9 +94,10 @@ class BacktrackStack:
         self.pending -= 1
         if isinstance(top, VertexSet):
             self._entries.pop()
+            self.last_index = 0
             return top
         spec, pos = top
-        i = spec.indices[pos]
+        i = self.last_index = spec.indices[pos]
         if pos + 1 == len(spec.indices):
             self._entries.pop()
         else:
@@ -126,10 +133,12 @@ def step_events(
     pending_cost = root_cost
     while stack:
         batch: list[VertexSet] = []
+        indices: list[int] = []
         while len(batch) < capacity and stack:
             before = counter.ops
             clique = stack.pop(g, counter)
             batch.append(clique)
+            indices.append(stack.last_index)
             stats.cliques_emitted += 1
             stats.stack_cliques = stack.pending
             cost = counter.delta(before) + pending_cost
@@ -139,7 +148,7 @@ def step_events(
         stats.batches_total += 1
         if len(batch) < capacity:
             stats.batches_undersized += 1
-        specs, cost = children_fn(batch)
+        specs, cost = children_fn(batch, indices)
         stack.push_all(specs)
         stats.max_stack_cliques = max(stats.max_stack_cliques, stack.pending)
         stats.stack_cliques = stack.pending

@@ -3,17 +3,21 @@
 Graphs come from edge-list files (``u v`` per line, optional ``n N``
 header, ``#`` comments), DIMACS files (``p edge N M`` then ``e u v``
 lines), or generator specs passed straight to ``--input``:
-``gnp:N:P`` (seeded by ``--seed``), ``moon-moser:N``, ``complete:N``.
+``gnp:N:P`` (seeded by ``--seed``), ``moon-moser:N``, ``complete:N``, with
+``N >= 1`` and ``P`` in [0, 1].
 
 Cliques stream to stdout one per line as ascending 1-based vertex ids;
-diagnostics go to stderr.  Emission order is deterministic given
-(graph, kernel, capacity, mode).  ``--trace`` writes one CSV row per
-printed clique: print_ordinal, cost_units, queue_size, stack_cliques.
+diagnostics go to stderr.  A reader that closes stdout early (``| head``)
+stops the listing quietly with exit status 0.  Emission order is
+deterministic given (graph, kernel, capacity, mode).  ``--trace`` writes
+one CSV row per printed clique: print_ordinal, cost_units, queue_size,
+stack_cliques.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass, field
 
@@ -192,17 +196,44 @@ class RunConfig:
             raise ValueError("--boot-target must be at least 1")
 
 
+GENERATORS = {"gnp": "N:P", "moon-moser": "N", "complete": "N"}
+
+
+def generator_graph(spec: str, seed: int | None) -> Graph | None:
+    """Graph of a generator spec such as ``gnp:N:P`` (shapes in
+    :data:`GENERATORS`); ``None`` when ``spec`` names no generator.  Every
+    generator refuses ``N < 1`` and ``P`` outside [0, 1] with ``ValueError``.
+    """
+    name, sep, rest = spec.partition(":")
+    if name not in GENERATORS or not sep:
+        return None
+    shape = GENERATORS[name]
+    fields = rest.split(":")
+    usage = f"generator spec must be {name}:{shape}, got {spec!r}"
+    if len(fields) != len(shape.split(":")):
+        raise ValueError(usage)
+    try:
+        n = int(fields[0])
+        probs = [float(f) for f in fields[1:]]
+    except ValueError:
+        raise ValueError(usage) from None
+    if n < 1:
+        raise ValueError(f"{spec}: vertex count must be at least 1")
+    if not all(0.0 <= p <= 1.0 for p in probs):
+        raise ValueError(f"{spec}: edge probability must be in [0, 1]")
+    if name == "gnp":
+        return Graph.gnp(n, probs[0], seed=seed)
+    if name == "moon-moser":
+        return Graph.complete_multipartite_triples(n)
+    return Graph.complete(n)
+
+
 def load_graph(cfg: RunConfig, report: IngestReport) -> Graph:
     """Read the input path, or build a generator graph from a spec string."""
-    spec = cfg.input
-    if spec.startswith("gnp:"):
-        _, n, p = spec.split(":")
-        return Graph.gnp(int(n), float(p), seed=cfg.seed)
-    if spec.startswith("moon-moser:"):
-        return Graph.complete_multipartite_triples(int(spec.split(":")[1]))
-    if spec.startswith("complete:"):
-        return Graph.complete(int(spec.split(":")[1]))
-    with open(spec, "r", encoding="utf-8") as fh:
+    g = generator_graph(cfg.input, cfg.seed)
+    if g is not None:
+        return g
+    with open(cfg.input, "r", encoding="utf-8") as fh:
         text = fh.read()
     if cfg.fmt == "dimacs":
         return parse_dimacs(text, report)
@@ -368,7 +399,16 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return run(cfg)
+    try:
+        status = run(cfg)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (``| head``): stop listing without a
+        # traceback, and point stdout at devnull so the interpreter's final
+        # flush does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
+    return status
 
 
 if __name__ == "__main__":

@@ -31,7 +31,7 @@ from .batch_dfs import (
     step_events,
 )
 from .graph import Graph, VertexSet
-from .kernels import children_batch
+from .kernels import children_batch, graph_matrix
 from .rs_tree import OpCounter, root
 
 
@@ -109,13 +109,21 @@ def list_mc(
     stats: TraversalStats | None = None,
 ) -> Iterator[StepEvent]:
     """Event stream of the full listing: construct the root, then batch-DFS
-    with the chosen children kernel.  Default capacity is n^2."""
+    with the chosen children kernel.  Default capacity is n^2.  Each batch
+    carries its cliques' indices from the stack; the "rect" kernel's graph
+    matrix is built (and charged) once, with the first batch."""
     cap = capacity if capacity is not None else max(1, g.n * g.n)
     counter = OpCounter()
+    mg = None
 
-    def children_fn(cliques: list[VertexSet]):
+    def children_fn(cliques: list[VertexSet], indices: list[int]):
+        nonlocal mg
         before = counter.ops
-        specs = children_batch(g, cliques, kernel=kernel, counter=counter)
+        if kernel == "rect" and mg is None:
+            mg = graph_matrix(g, counter)
+        specs = children_batch(
+            g, cliques, kernel=kernel, counter=counter, indices=indices, mg=mg
+        )
         return specs, counter.delta(before)
 
     root_counter = OpCounter()

@@ -7,15 +7,22 @@ ways.  The paper's reduction reads them off one rectangular Boolean
 product: stack the parents' characteristic vectors into ``M_B`` (|B| x n),
 put the characteristic vector of ``A_i \\ N(j)`` with
 ``A_i = V_{<i} & N(i)`` into column ``(i, j)`` of ``M_G`` (n x n^2), and
-test entries of ``M_B @ M_G`` for positivity.  The bitset kernel computes
-the same rows directly: row ``i`` is the union of ``V \\ N(u)`` over the
-members ``u`` of ``P_{<i} & N(i)``.
+test entries of ``M_B @ M_G`` for positivity.  ``M_G`` depends only on the
+graph, so a traversal builds it once and hands it to every batch.  The
+bitset kernel uses the direct formula: row ``i`` is the union of
+``V \\ N(u)`` over the members ``u`` of ``P_{<i} & N(i)``.
+:func:`good_table_bitset` materializes those rows; :func:`filter_children`
+never does, and tests each candidate against the complement of the row
+(the common neighborhood of ``P_{<i} & N(i)``) only as far as it needs to.
 
 From its good rows, an index ``i`` yields a child of ``P`` exactly when no
 ``j < i`` witnesses a violation of either reconstructability direction;
 ``filter_children`` encodes that test, and ``children_naive`` re-derives it
 from first principles with direct completion calls for differential
-testing.
+testing.  Only indices above the parent's own index are candidates.  The
+traversal knows that index (a child popped from spec ``(P, i)`` has index
+``i``, the root 0) and passes it in; callers that hand in arbitrary
+batches leave it ``None`` and it is recomputed with :func:`clique_index`.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matmul
-from .graph import Graph, VertexSet, below_mask, iter_bits, vbit
+from .graph import Graph, VertexSet, below_mask, vbit
 from .rs_tree import (
     OpCounter,
     clique_index,
@@ -58,17 +65,11 @@ def _assert_batch(g: Graph, cliques) -> None:
     assert len({c.bits for c in cliques}) == len(cliques), "batch elements must be distinct"
 
 
-def build_batch_matrices(g: Graph, cliques) -> tuple[np.ndarray, np.ndarray]:
-    """Characteristic matrices (M_B, M_G) for the rectangular reduction.
-
-    ``M_B`` is |B| x n with row k the characteristic vector of the k-th
-    parent.  ``M_G`` is n x n^2; its column for the pair ``(i, j)`` sits at
-    flat position ``(i-1)*n + (j-1)`` (row-major, i outermost) and holds the
-    characteristic vector of ``A_i \\ N(j)``.
-    """
-    _assert_batch(g, cliques)
+def graph_matrix(g: Graph, counter: OpCounter | None = None) -> np.ndarray:
+    """``M_G`` (n x n^2): the column for the pair ``(i, j)`` sits at flat
+    position ``(i-1)*n + (j-1)`` (row-major, i outermost) and holds the
+    characteristic vector of ``A_i \\ N(j)``."""
     n = g.n
-    mb = np.stack([_mask_to_row(c.bits, n) for c in cliques])
     a_rows = np.stack(
         [_mask_to_row(g.adj[i - 1] & below_mask(i), n) for i in range(1, n + 1)]
     )
@@ -76,8 +77,23 @@ def build_batch_matrices(g: Graph, cliques) -> tuple[np.ndarray, np.ndarray]:
         [1 - _mask_to_row(g.adj[j - 1], n) for j in range(1, n + 1)]
     ).astype(np.uint8)
     cols = np.einsum("iv,jv->ijv", a_rows, non_adj)
-    mg = cols.reshape(n * n, n).T.copy()
-    return mb, mg
+    if counter is not None:
+        counter.add(n * n * 2 * words(n))
+    return cols.reshape(n * n, n).T.copy()
+
+
+def build_batch_matrices(
+    g: Graph, cliques, mg: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Characteristic matrices (M_B, M_G) for the rectangular reduction.
+
+    ``M_B`` is |B| x n with row k the characteristic vector of the k-th
+    parent.  ``M_G`` is :func:`graph_matrix`, built here unless ``mg``
+    passes in one already built for ``g``.
+    """
+    _assert_batch(g, cliques)
+    mb = np.stack([_mask_to_row(c.bits, g.n) for c in cliques])
+    return mb, graph_matrix(g) if mg is None else mg
 
 
 def _pack_good_rows(thresh: np.ndarray, batch_size: int, n: int) -> list[list[int]]:
@@ -90,15 +106,19 @@ def _pack_good_rows(thresh: np.ndarray, batch_size: int, n: int) -> list[list[in
 
 
 def good_table_rectangular(
-    g: Graph, cliques, counter: OpCounter | None = None
+    g: Graph, cliques, counter: OpCounter | None = None, mg: np.ndarray | None = None
 ) -> list[list[int]]:
-    """Good rows via the |B| x n by n x n^2 Boolean product."""
+    """Good rows via the |B| x n by n x n^2 Boolean product.  ``mg`` is a
+    prebuilt :func:`graph_matrix` of ``g``; without it, ``M_G`` is built and
+    charged here."""
     n = g.n
-    mb, mg = build_batch_matrices(g, cliques)
+    if mg is None:
+        mg = graph_matrix(g, counter)
+    mb, mg = build_batch_matrices(g, cliques, mg)
     thresh = matmul.multiply_boolean_threshold(mb, mg)
     if counter is not None:
         w = words(n)
-        counter.add(len(cliques) * w + n * n * 2 * w + len(cliques) * n * n * w)
+        counter.add(len(cliques) * w + len(cliques) * n * n * w)
     return _pack_good_rows(thresh, len(cliques), n)
 
 
@@ -136,63 +156,84 @@ def adjacent_to_own_prefix(g: Graph, p: VertexSet) -> int:
     """Mask of vertices j adjacent to every member of ``P_{<j}``."""
     adj = g.adj
     missed = 0
-    for u in iter_bits(p.bits):
-        missed |= ~(adj[u - 1] | below_mask(u + 1))
+    rest = p.bits
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        # j misses u when j > u is not a neighbor of u
+        missed |= ~(adj[low.bit_length() - 1] | ((low << 1) - 1))
     return g.full_mask & ~missed
 
 
 def filter_children(
     g: Graph,
     p: VertexSet,
-    good_row: list[int],
+    good_row: list[int] | None = None,
     counter: OpCounter | None = None,
+    index: int | None = None,
 ) -> ChildSpec:
-    """Accept the indices above ``i(p)`` that no ``j`` disqualifies.
+    """Accept the candidate indices that no ``j`` disqualifies.
 
-    ``good_row`` is the parent's slice of the good table.  An index ``i`` is
-    rejected when some ``j < i`` has a non-good pair together with either a
-    neighbor-of-i outside ``P_{<i} & N(i)`` (child-side reconstruction
-    breaks) or a non-member adjacent to its own prefix of ``P``
-    (parent-side reconstruction breaks).
+    Candidates are the non-members of ``p`` above ``index``, the parent's
+    own index (0 for the root; ``None`` recomputes it).  An index ``i`` is
+    rejected when some ``j < i`` outside the good row of ``i`` is either a
+    neighbor of ``i`` outside ``P`` (child-side reconstruction breaks) or a
+    non-member adjacent to its own prefix of ``P`` (parent-side
+    reconstruction breaks).  ``good_row`` is the parent's slice of a good
+    table; without it, the complement of row ``i`` is folded lazily as the
+    common neighborhood of ``P_{<i} & N(i)``, stopping once no ``j`` is left.
     """
     n = g.n
     adj = g.adj
     pb = p.bits
-    i_p = clique_index(g, p, counter)
-    start = 1 if i_p is None else i_p + 1
-    jp = adjacent_to_own_prefix(g, p)
+    if index is None:
+        index = clique_index(g, p, counter) or 0  # None for the root
+    outside = adjacent_to_own_prefix(g, p) & ~pb
+    cand = g.full_mask & ~pb & ~below_mask(index + 1)
     indices = []
     scanned = 0
-    for i in range(start, n + 1):
-        if (pb >> (i - 1)) & 1:
-            continue
+    folds = 0
+    while cand:
+        low = cand & -cand
+        cand ^= low
+        i = low.bit_length()
         scanned += 1
-        bel = below_mask(i)
+        bel = low - 1
         ai = adj[i - 1]
-        pig = pb & bel & ai
-        bad = ~good_row[i - 1] & ((ai & ~pig) | (jp & ~pb)) & bel
+        bad = ((ai & ~pb) | outside) & bel
+        if good_row is not None:
+            bad &= ~good_row[i - 1]
+        else:
+            pig = pb & bel & ai
+            while bad and pig:
+                u = pig & -pig
+                pig ^= u
+                bad &= adj[u.bit_length() - 1]
+                folds += 1
         if bad == 0:
             indices.append(i)
     if counter is not None:
-        w = words(n)
-        counter.add(n * 2 * w + scanned * 6 * w)
+        counter.add((n * 2 + scanned * 6 + folds) * words(n))
     return ChildSpec(parent=p, indices=tuple(indices))
 
 
-def children_naive(g: Graph, p: VertexSet, counter: OpCounter | None = None) -> ChildSpec:
+def children_naive(
+    g: Graph, p: VertexSet, counter: OpCounter | None = None, index: int | None = None
+) -> ChildSpec:
     """Child indices of ``p`` by direct completion calls.
 
-    For each candidate ``i`` above the parent's index, checks both
-    reconstructability equations with explicit lexicographic completions.
-    Slow but independent of the good-table machinery.
+    For each candidate ``i`` above the parent's index (``index``, 0 for the
+    root; ``None`` recomputes it), checks both reconstructability equations
+    with explicit lexicographic completions.  Slow but independent of the
+    good-row machinery.
     """
     assert is_maximal_clique(g, p), "parent must be a maximal clique"
     n = g.n
     pb = p.bits
-    i_p = clique_index(g, p, counter)
-    start = 1 if i_p is None else i_p + 1
+    if index is None:
+        index = clique_index(g, p, counter) or 0  # None for the root
     indices = []
-    for i in range(start, n + 1):
+    for i in range(index + 1, n + 1):
         if (pb >> (i - 1)) & 1:
             continue
         bel = below_mask(i)
@@ -211,20 +252,30 @@ def children_batch(
     cliques,
     kernel: str = "bitset",
     counter: OpCounter | None = None,
+    indices=None,
+    mg: np.ndarray | None = None,
 ) -> list[ChildSpec]:
     """One ChildSpec per batch element, in batch order.
 
     ``kernel`` picks how good pairs are decided: "rect" goes through the
-    Boolean product, "bitset" through the direct row formula, "naive" through
-    per-parent completion calls.  All three agree extensionally.
+    Boolean product, "bitset" through the lazy candidate test of
+    :func:`filter_children`, "naive" through per-parent completion calls.
+    All three agree extensionally.  ``indices`` holds each clique's own
+    index (0 for the root) when the caller knows it; ``mg`` is a prebuilt
+    :func:`graph_matrix` of ``g`` for "rect".
     """
     _assert_batch(g, cliques)
+    if indices is None:
+        indices = [None] * len(cliques)
     if kernel == "naive":
-        return [children_naive(g, p, counter) for p in cliques]
+        return [children_naive(g, p, counter, i) for p, i in zip(cliques, indices)]
     if kernel == "rect":
-        rows = good_table_rectangular(g, cliques, counter=counter)
+        rows = good_table_rectangular(g, cliques, counter=counter, mg=mg)
     elif kernel == "bitset":
-        rows = good_table_bitset(g, cliques, counter=counter)
+        rows = [None] * len(cliques)
     else:
         raise ValueError(f"unknown kernel {kernel!r}")
-    return [filter_children(g, p, rows[k], counter) for k, p in enumerate(cliques)]
+    return [
+        filter_children(g, p, row, counter, index=i)
+        for p, row, i in zip(cliques, rows, indices)
+    ]

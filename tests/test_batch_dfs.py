@@ -1,7 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cliquestream as cs
-from cliquestream import oracle
+from cliquestream import delay_scheduler, oracle
 from cliquestream.batch_dfs import BacktrackStack
 from cliquestream.kernels import ChildSpec
 
@@ -11,6 +13,7 @@ from conftest import (
     BRIDGE_58,
     K5_SIDE,
     TRIANGLE,
+    bridged_cliques_graph,
     collect_plain,
     oracle_bits,
     random_graphs,
@@ -122,9 +125,9 @@ class TestSinkDriver:
     def test_batch_dfs_delivers_via_sink(self, bridged):
         seen = []
 
-        def children_fn(cliques):
+        def children_fn(cliques, indices):
             counter = cs.OpCounter()
-            specs = cs.children_batch(bridged, cliques, counter=counter)
+            specs = cs.children_batch(bridged, cliques, counter=counter, indices=indices)
             return specs, counter.ops
 
         stats = cs.batch_dfs(bridged, cs.root(bridged), children_fn, 2, seen.append)
@@ -134,4 +137,61 @@ class TestSinkDriver:
 
     def test_capacity_must_be_positive(self, bridged):
         with pytest.raises(ValueError):
-            list(cs.step_events(bridged, cs.root(bridged), lambda b: ([], 0), 0))
+            list(cs.step_events(bridged, cs.root(bridged), lambda b, i: ([], 0), 0))
+
+
+class TestCarriedIndex:
+    """The traversal hands each popped clique's index to the children step,
+    so nothing recomputes it; it must equal the definitional index."""
+
+    @pytest.mark.parametrize("kernel", ["bitset", "rect"])
+    def test_popped_index_is_clique_index(self, kernel, monkeypatch):
+        seen = []
+        real = delay_scheduler.children_batch
+
+        def checked(g, cliques, **kwargs):
+            # check before the children step: a wrong index can make the
+            # traversal revisit cliques and never end
+            for c, i in zip(cliques, kwargs["indices"]):
+                assert (cs.clique_index(g, c) or 0) == i
+                seen.append(c)
+            return real(g, cliques, **kwargs)
+
+        monkeypatch.setattr(delay_scheduler, "children_batch", checked)
+        graphs = list(random_graphs(6, seed0=2100, n_hi=12))
+        graphs += [cs.Graph.complete_multipartite_triples(12), bridged_cliques_graph()]
+        for g in graphs:
+            for cap in (1, 7, g.n * g.n):
+                seen.clear()
+                assert collect_plain(g, kernel=kernel, capacity=cap) == seen
+                assert cs.clique_index(g, seen[0]) is None
+
+    def test_stack_records_popped_index(self, bridged):
+        stack = BacktrackStack()
+        stack.seed(K5_SIDE)
+        stack.pop(bridged)
+        assert stack.last_index == 0
+        stack.push(ChildSpec(parent=K5_SIDE, indices=(6, 7)))
+        assert stack.pop(bridged) == BRIDGE_16 and stack.last_index == 6
+        assert stack.pop(bridged) == BRIDGE_27 and stack.last_index == 7
+
+
+@st.composite
+def graphs(draw, max_n=14):
+    n = draw(st.integers(1, max_n))
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    picks = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return cs.Graph.from_edges(n, [e for e, keep in zip(pairs, picks) if keep])
+
+
+class TestOracleProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        g=graphs(),
+        kernel=st.sampled_from(cs.kernels.KERNELS),
+        capacity=st.integers(1, 200),
+    )
+    def test_list_mc_yields_the_oracle_set(self, g, kernel, capacity):
+        got = [c.bits for c in collect_plain(g, kernel=kernel, capacity=capacity)]
+        assert len(got) == len(set(got)), "duplicate emission"
+        assert set(got) == oracle_bits(g)

@@ -1,4 +1,8 @@
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -152,6 +156,32 @@ class TestRun:
         rc2, out2, _ = run_cli(input="gnp:10:0.5", seed=4)
         assert rc1 == rc2 == 0 and out1 == out2
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("complete:0", "at least 1"),
+            ("gnp:0:.5", "at least 1"),
+            ("moon-moser:0", "at least 1"),
+            ("complete:-3", "at least 1"),
+            ("gnp:5:1.5", "[0, 1]"),
+            ("gnp:5:-0.1", "[0, 1]"),
+            ("gnp:5:nan", "[0, 1]"),
+            ("gnp:5", "gnp:N:P"),
+            ("gnp:x:.5", "gnp:N:P"),
+            ("complete:3:1", "complete:N"),
+            ("moon-moser:", "moon-moser:N"),
+        ],
+    )
+    def test_bad_generator_spec_exit_code(self, spec, message):
+        rc, out, err = run_cli(input=spec)
+        assert rc == 2 and out == ""
+        assert err.startswith("error:") and message in err
+
+    def test_generator_bounds_are_inclusive(self):
+        assert run_cli(input="complete:1")[:2] == (0, "1\n")
+        assert run_cli(input="gnp:3:0", seed=1)[1].splitlines() == ["1", "2", "3"]
+        assert run_cli(input="gnp:3:1", seed=1)[1] == "1 2 3\n"
+
     def test_parse_error_exit_code(self, tmp_path):
         path = tmp_path / "bad.edges"
         path.write_text("1 zebra\n")
@@ -216,3 +246,25 @@ class TestMain:
     def test_bad_first_value(self, capsys):
         rc = cli.main(["--input", "complete:3", "--first", "0"])
         assert rc == 2
+
+
+class TestClosedPipe:
+    def test_reader_closing_early_is_quiet(self):
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(root / "src"), env.get("PYTHONPATH")])
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "cliquestream", "--input", "moon-moser:27"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        head = [proc.stdout.readline() for _ in range(2)]
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 0
+        assert head == [b"1 4 7 10 13 16 19 22 25\n", b"2 4 7 10 13 16 19 22 25\n"]
+        assert err == ""

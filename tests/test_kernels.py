@@ -133,6 +133,30 @@ class TestFilterChildren:
                 got = cs.filter_children(g, p, rows[k])
                 assert got == cs.children_naive(g, p)
 
+    def test_lazy_rows_with_given_index_match_rows_and_naive(self):
+        rng = random.Random(1250)
+        for g in random_graphs(40, seed0=1250, n_hi=14):
+            cliques = oracle.all_maximal_cliques(g)
+            batch = rng.sample(cliques, rng.randint(1, len(cliques)))
+            rows = cs.good_table_bitset(g, batch)
+            for k, p in enumerate(batch):
+                index = cs.clique_index(g, p) or 0
+                lazy = cs.filter_children(g, p, None, index=index)
+                assert lazy == cs.filter_children(g, p, rows[k])
+                assert lazy == cs.children_naive(g, p)
+                assert lazy == cs.children_naive(g, p, index=index)
+
+    def test_lazy_rows_never_read_more_than_the_table(self):
+        counter_lazy, counter_rows = cs.OpCounter(), cs.OpCounter()
+        for g in random_graphs(10, seed0=1270, n_hi=14):
+            batch = oracle.all_maximal_cliques(g)
+            rows = cs.good_table_bitset(g, batch, counter=counter_rows)
+            for k, p in enumerate(batch):
+                index = cs.clique_index(g, p) or 0
+                cs.filter_children(g, p, None, counter_lazy, index=index)
+                cs.filter_children(g, p, rows[k], counter_rows, index=index)
+        assert 0 < counter_lazy.ops < counter_rows.ops
+
 
 class TestChildrenBatch:
     def test_bridged_batches(self, bridged):
@@ -189,6 +213,29 @@ class TestChildrenBatch:
             cs.children_batch(bridged, [K5_SIDE, K5_SIDE])
         with pytest.raises(ValueError):
             cs.children_batch(bridged, [K5_SIDE], kernel="fft")
+
+    def test_given_indices_match_recomputed(self):
+        for g in random_graphs(30, seed0=1650, n_hi=12):
+            batch = oracle.all_maximal_cliques(g)
+            indices = [cs.clique_index(g, p) or 0 for p in batch]
+            for kernel in ("naive", "rect", "bitset"):
+                assert cs.children_batch(
+                    g, batch, kernel=kernel, indices=indices
+                ) == cs.children_batch(g, batch, kernel=kernel)
+
+    def test_prebuilt_graph_matrix_matches(self):
+        for g in random_graphs(10, seed0=1660, n_hi=12):
+            batch = oracle.all_maximal_cliques(g)
+            mg = cs.kernels.graph_matrix(g)
+            assert cs.children_batch(g, batch, kernel="rect", mg=mg) == (
+                cs.children_batch(g, batch, kernel="rect")
+            )
+            c_built, c_given = cs.OpCounter(), cs.OpCounter()
+            cs.good_table_rectangular(g, batch, c_built)
+            cs.good_table_rectangular(g, batch, c_given, mg=mg)
+            graph_units = cs.OpCounter()
+            cs.kernels.graph_matrix(g, graph_units)
+            assert c_built.ops == c_given.ops + graph_units.ops
 
     def test_counter_charges_work(self, bridged):
         counter = cs.OpCounter()
