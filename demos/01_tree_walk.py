@@ -40,7 +40,7 @@ print("\nparent -> accepted child indices -> children")
 
 
 def show_children(p: cs.VertexSet) -> None:
-    spec = cs.children_naive(g, p)
+    spec = cs.children_naive(g, p, cs.clique_index(g, p) or 0)  # root: 0
     kids = [cs.child(g, p, i) for i in spec.indices]
     print(f"  {str(p):24} {spec.indices} -> {kids}")
 

@@ -35,7 +35,7 @@ list(cs.list_mc(g, capacity=2, stats=stats))
 print(f"\nbounds at capacity 2: stack {stats.max_stack_cliques} <= "
       f"{g.n * g.n * 2}, undersized {stats.batches_undersized} <= {g.n}")
 
-# The sink-driven wrapper is the compact way to consume the traversal.
+# step_events is the traversal itself: any children step can drive it.
 seen = []
 
 
@@ -47,5 +47,7 @@ def children_fn(cliques, indices):
     return specs, counter.ops
 
 
-cs.batch_dfs(g, cs.root(g), children_fn, g.n * g.n, seen.append)
-print(f"batch_dfs delivered {len(seen)} cliques, root first: {seen[0]}")
+for event in cs.step_events(g, cs.root(g), children_fn, g.n * g.n):
+    if event.kind == cs.CLIQUE_COLLECTED:
+        seen.append(event.clique)
+print(f"step_events delivered {len(seen)} cliques, root first: {seen[0]}")

@@ -14,13 +14,11 @@ from .batch_dfs import (
     BacktrackStack,
     StepEvent,
     TraversalStats,
-    batch_dfs,
     step_events,
 )
 from .delay_scheduler import (
     DelayConfig,
     Emission,
-    EmissionQueue,
     StrictRunReport,
     boot,
     calibrate,
@@ -28,14 +26,9 @@ from .delay_scheduler import (
     run_strict,
 )
 from .graph import (
-    EMPTY,
     Graph,
     VertexSet,
     lex_compare,
-    lex_greater,
-    neighborhood,
-    prefix_neighbors,
-    restrict_below,
     sort_lex_descending,
 )
 from .kernels import (
@@ -66,16 +59,13 @@ __all__ = [
     "BacktrackStack",
     "ChildSpec",
     "DelayConfig",
-    "EMPTY",
     "Emission",
-    "EmissionQueue",
     "Graph",
     "OpCounter",
     "StepEvent",
     "StrictRunReport",
     "TraversalStats",
     "VertexSet",
-    "batch_dfs",
     "boot",
     "build_batch_matrices",
     "calibrate",
@@ -91,12 +81,8 @@ __all__ = [
     "is_maximal_clique",
     "lex_compare",
     "lex_completion",
-    "lex_greater",
     "list_mc",
-    "neighborhood",
     "parent",
-    "prefix_neighbors",
-    "restrict_below",
     "root",
     "run_strict",
     "sort_lex_descending",

@@ -9,11 +9,10 @@ the non-empty specs back on top.  A clique popped from spec ``(P, i)`` has
 reverse-search index ``i`` by definition (the root has 0), so the pop hands
 that index to ``children_fn`` with the clique and no index is recomputed.
 
-The traversal is exposed both as a resumable event stream
-(:func:`step_events`) carrying per-event work-unit costs, and as the plain
-sink-driven loop (:func:`batch_dfs`).  Index lists are consumed in
-ascending order and child specs are pushed in batch order, so emission
-order is deterministic for a given (graph, kernel, capacity).
+The traversal is exposed as a resumable event stream
+(:func:`step_events`) carrying per-event work-unit costs.  Index lists are
+consumed in ascending order and child specs are pushed in batch order, so
+emission order is deterministic for a given (graph, kernel, capacity).
 """
 
 from __future__ import annotations
@@ -156,18 +155,3 @@ def step_events(
         yield StepEvent(BATCH_COMPLETED, None, cost)
     yield StepEvent(TRAVERSAL_ENDED, None, 0)
 
-
-def batch_dfs(
-    g: Graph,
-    root_clique: VertexSet,
-    children_fn: ChildrenFn,
-    capacity: int,
-    sink: Callable[[VertexSet], None],
-) -> TraversalStats:
-    """Drive the traversal, delivering every maximal clique to ``sink``
-    exactly once (root first)."""
-    stats = TraversalStats()
-    for event in step_events(g, root_clique, children_fn, capacity, stats):
-        if event.kind == CLIQUE_COLLECTED:
-            sink(event.clique)
-    return stats

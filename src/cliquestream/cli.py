@@ -10,8 +10,9 @@ Cliques stream to stdout one per line as ascending 1-based vertex ids;
 diagnostics go to stderr.  A reader that closes stdout early (``| head``)
 stops the listing quietly with exit status 0.  Emission order is
 deterministic given (graph, kernel, capacity, mode).  ``--trace`` writes
-one CSV row per printed clique: print_ordinal, cost_units, queue_size,
-stack_cliques.
+one CSV row per clique as it is printed: print_ordinal, cost_units,
+queue_size, stack_cliques.  Memory grows with the traversal stack, not
+with the output; ``--verify`` alone keeps the printed cliques' bitmasks.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ import sys
 from dataclasses import dataclass, field
 
 from . import delay_scheduler, oracle, rs_tree
-from .batch_dfs import CLIQUE_COLLECTED, TRAVERSAL_ENDED, TraversalStats
+from .batch_dfs import CLIQUE_COLLECTED, TraversalStats
 from .graph import Graph, VertexSet
-from .oracle import OracleLimitError
+from .kernels import KERNELS
 
 TRACE_SCHEMA = "# cliquestream trace v1"
 TRACE_HEADER = "print_ordinal,cost_units,queue_size,stack_cliques"
@@ -247,17 +248,13 @@ def _format_clique(c: VertexSet) -> str:
 def _plain_emissions(g: Graph, cfg: RunConfig, stats: TraversalStats):
     """(clique, cost-since-last-print, queue_size, stack) tuples for plain mode."""
     cost = 0
-    ordinal = 0
     for event in delay_scheduler.list_mc(
         g, kernel=cfg.kernel, capacity=cfg.capacity, stats=stats
     ):
         cost += event.cost
         if event.kind == CLIQUE_COLLECTED:
-            ordinal += 1
             yield event.clique, cost, 0, stats.stack_cliques
             cost = 0
-        elif event.kind == TRAVERSAL_ENDED:
-            return
 
 
 def _strict_emissions(g: Graph, cfg: RunConfig, stats: TraversalStats):
@@ -277,18 +274,18 @@ def _strict_emissions(g: Graph, cfg: RunConfig, stats: TraversalStats):
         yield em.clique, em.cost_units, em.queue_size, em.stack_cliques
 
 
-def _verify(g: Graph, emitted: list[VertexSet], prefix_only: bool, err) -> bool:
-    reference = oracle.all_maximal_cliques(g)
-    ref_set = {c.bits for c in reference}
-    emitted_set = {c.bits for c in emitted}
-    duplicates = len(emitted) - len(emitted_set)
+def _verify(g: Graph, emitted: set[int], count: int, prefix_only: bool, err) -> bool:
+    """Check the ``count`` printed cliques, whose distinct bitmasks are
+    ``emitted``, against the oracle."""
+    ref_set = {c.bits for c in oracle.all_maximal_cliques(g)}
+    duplicates = count - len(emitted)
     not_maximal = sum(
-        1 for c in emitted if not rs_tree.is_maximal_clique(g, c)
+        1 for bits in emitted if not rs_tree.is_maximal_clique(g, VertexSet(bits))
     )
-    extra = len(emitted_set - ref_set)
-    missing = 0 if prefix_only else len(ref_set - emitted_set)
+    extra = len(emitted - ref_set)
+    missing = 0 if prefix_only else len(ref_set - emitted)
     ok = duplicates == 0 and not_maximal == 0 and extra == 0 and missing == 0
-    scope = f"first {len(emitted)}" if prefix_only else f"all {len(reference)}"
+    scope = f"first {count}" if prefix_only else f"all {len(ref_set)}"
     if ok:
         print(f"VERIFY PASS: {scope} cliques match the oracle", file=err)
     else:
@@ -311,6 +308,9 @@ def run(cfg: RunConfig, out=None, err=None) -> int:
     except (ParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=err)
         return 2
+    if cfg.verify and g.n > oracle.ORACLE_LIMIT:
+        print(f"error: --verify refuses n={g.n} > {oracle.ORACLE_LIMIT}", file=err)
+        return 2
     for warning in report.warnings:
         print(f"warning: {warning}", file=err)
     if report.self_loops_dropped or report.duplicates_dropped:
@@ -321,32 +321,32 @@ def run(cfg: RunConfig, out=None, err=None) -> int:
         )
     stats = TraversalStats()
     emit = _plain_emissions if cfg.mode == "plain" else _strict_emissions
-    emitted: list[VertexSet] = []
-    trace_rows: list[tuple[int, int, int, int]] = []
+    emitted: set[int] = set()  # filled only under --verify
+    count = 0
+    trace = None
     try:
         for clique, cost, queue_size, stack_cliques in emit(g, cfg, stats):
-            emitted.append(clique)
             print(_format_clique(clique), file=out)
-            trace_rows.append((len(emitted), cost, queue_size, stack_cliques))
-            if cfg.first is not None and len(emitted) >= cfg.first:
+            count += 1
+            if cfg.verify:
+                emitted.add(clique.bits)
+            if cfg.trace:
+                if trace is None:
+                    # opened once the first clique is out, so it waits for no file
+                    try:
+                        trace = open(cfg.trace, "w", encoding="utf-8")
+                    except OSError as exc:
+                        print(f"error: {exc}", file=err)
+                        return 2
+                    trace.write(f"{TRACE_SCHEMA}\n{TRACE_HEADER}\n")
+                trace.write(f"{count},{cost},{queue_size},{stack_cliques}\n")
+            if cfg.first is not None and count >= cfg.first:
                 break
-    except OracleLimitError as exc:
-        print(f"error: {exc}", file=err)
-        return 2
-    if cfg.trace:
-        with open(cfg.trace, "w", encoding="utf-8") as fh:
-            fh.write(TRACE_SCHEMA + "\n")
-            fh.write(TRACE_HEADER + "\n")
-            for row in trace_rows:
-                fh.write(",".join(map(str, row)) + "\n")
-    if cfg.verify:
-        try:
-            ok = _verify(g, emitted, prefix_only=cfg.first is not None, err=err)
-        except OracleLimitError as exc:
-            print(f"error: {exc}", file=err)
-            return 2
-        if not ok:
-            return 1
+    finally:
+        if trace is not None:
+            trace.close()
+    if cfg.verify and not _verify(g, emitted, count, cfg.first is not None, err):
+        return 1
     return 0
 
 
@@ -362,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="graph file path, or generator spec gnp:N:P | moon-moser:N | complete:N",
     )
     p.add_argument("--format", dest="fmt", choices=["edges", "dimacs"], default="edges")
-    p.add_argument("--kernel", choices=["naive", "rect", "bitset"], default="bitset")
+    p.add_argument("--kernel", choices=KERNELS, default="bitset")
     p.add_argument("--batch", type=int, default=None, help="batch capacity (default n^2)")
     p.add_argument("--mode", choices=["plain", "strict"], default="plain")
     p.add_argument("--first", type=int, default=None, help="stop after X cliques")

@@ -11,9 +11,9 @@ empties the queue once the traversal ends.
 Work units are the operation counts charged by the kernels: every
 children invocation reports its word-op/multiply-add count and every pop
 reports its completion cost.  Default configs come from a calibration
-pass that measures the first batch; the c0/c1 multipliers default to 2 so
-the printing rate stays safely below the collection rate and the queue
-never starves between boot and drain.
+pass that measures the first batch; both derived quantities carry a factor
+of :data:`CALIBRATION_MARGIN` so the printing rate stays safely below the
+collection rate and the queue never starves between boot and drain.
 """
 
 from __future__ import annotations
@@ -35,46 +35,25 @@ from .kernels import children_batch, graph_matrix
 from .rs_tree import OpCounter, root
 
 
+CALIBRATION_MARGIN = 2
+
+
 def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
 @dataclass
 class DelayConfig:
-    """Scheduler knobs: work units per guaranteed print, boot queue target,
-    and the calibration multipliers that produced them."""
+    """Scheduler knobs: work units per guaranteed print, boot queue target."""
 
     tau_delay: int
     boot_target: int
-    c0: int = 2
-    c1: int = 2
 
     def __post_init__(self) -> None:
         if self.tau_delay < 1:
             raise ValueError("tau_delay must be at least 1")
         if self.boot_target < 1:
             raise ValueError("boot_target must be at least 1")
-
-
-class EmissionQueue:
-    """FIFO of cliques with a high-water mark."""
-
-    __slots__ = ("_items", "high_water")
-
-    def __init__(self) -> None:
-        self._items: deque[VertexSet] = deque()
-        self.high_water = 0
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def append(self, clique: VertexSet) -> None:
-        self._items.append(clique)
-        if len(self._items) > self.high_water:
-            self.high_water = len(self._items)
-
-    def popleft(self) -> VertexSet:
-        return self._items.popleft()
 
 
 @dataclass(frozen=True)
@@ -134,19 +113,15 @@ def list_mc(
 
 
 def calibrate(
-    g: Graph,
-    kernel: str = "bitset",
-    capacity: int | None = None,
-    c0: int = 2,
-    c1: int = 2,
+    g: Graph, kernel: str = "bitset", capacity: int | None = None
 ) -> DelayConfig:
     """Derive a DelayConfig by measuring the first batch of a throwaway run.
 
-    tau_delay = c0 * ceil(first-batch cost / first-batch size) and
-    boot_target = c1 * n * ceil(first-batch cost / tau_delay).  The first
-    batch holds only the root, whose children computation carries the full
-    per-batch overhead, so the resulting tau_delay upper-bounds the
-    per-clique cost of later batches.
+    With c = :data:`CALIBRATION_MARGIN`, tau_delay = c * ceil(first-batch
+    cost / first-batch size) and boot_target = c * n * ceil(first-batch
+    cost / tau_delay).  The first batch holds only the root, whose children
+    computation carries the full per-batch overhead, so the resulting
+    tau_delay upper-bounds the per-clique cost of later batches.
     """
     batch_cost = 0
     batch_size = 0
@@ -160,12 +135,12 @@ def calibrate(
             break
     batch_cost = max(1, batch_cost)
     batch_size = max(1, batch_size)
-    tau = max(1, c0 * _ceil_div(batch_cost, batch_size))
-    boot_target = max(1, c1 * g.n * _ceil_div(batch_cost, tau))
-    return DelayConfig(tau_delay=tau, boot_target=boot_target, c0=c0, c1=c1)
+    tau = max(1, CALIBRATION_MARGIN * _ceil_div(batch_cost, batch_size))
+    boot_target = max(1, CALIBRATION_MARGIN * g.n * _ceil_div(batch_cost, tau))
+    return DelayConfig(tau_delay=tau, boot_target=boot_target)
 
 
-def boot(events: Iterator[StepEvent], q: EmissionQueue, boot_target: int) -> bool:
+def boot(events: Iterator[StepEvent], q: deque[VertexSet], boot_target: int) -> bool:
     """Bank cliques into ``q`` until it holds ``boot_target`` of them and the
     current batch iteration has completed.  Prints nothing.  Returns True
     when the stream ran out first (the queue then holds every clique).
@@ -204,10 +179,10 @@ def run_strict(
     report.config = cfg
     stats = report.stats
     events = list_mc(g, kernel=kernel, capacity=capacity, stats=stats)
-    q = EmissionQueue()
+    q: deque[VertexSet] = deque()
     exhausted = boot(events, q, cfg.boot_target)
     report.boot_exhausted = exhausted
-    report.boot_collected = len(q)
+    report.boot_collected = peak = len(q)
     overflow = cfg.boot_target + g.n * g.n
     counter = 0
     ordinal = 0
@@ -218,6 +193,8 @@ def run_strict(
                 report.max_event_cost = event.cost
             if event.kind == CLIQUE_COLLECTED:
                 q.append(event.clique)
+                if len(q) > peak:
+                    peak = len(q)
             if (len(q) > 0 and counter >= cfg.tau_delay) or len(q) > overflow:
                 clique = q.popleft()
                 ordinal += 1
@@ -235,5 +212,5 @@ def run_strict(
         ordinal += 1
         yield Emission(clique, ordinal, counter, len(q), stats.stack_cliques)
         counter = 0
-    report.queue_peak = q.high_water
+    report.queue_peak = peak
     report.emitted = ordinal

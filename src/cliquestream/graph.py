@@ -62,10 +62,6 @@ class VertexSet:
     def of(cls, *vertices: int) -> "VertexSet":
         return cls(mask_of(vertices))
 
-    @classmethod
-    def from_iterable(cls, vertices: Iterable[int]) -> "VertexSet":
-        return cls(mask_of(vertices))
-
     def __iter__(self) -> Iterator[int]:
         return iter_bits(self.bits)
 
@@ -114,14 +110,6 @@ class VertexSet:
         return f"VertexSet{{{', '.join(map(str, self))}}}"
 
 
-EMPTY = VertexSet(0)
-
-
-def restrict_below(s: VertexSet, i: int) -> VertexSet:
-    """Members of ``s`` strictly smaller than vertex ``i``."""
-    return VertexSet(s.bits & below_mask(i))
-
-
 def lex_compare(a: VertexSet, b: VertexSet) -> int:
     """Three-way lexicographic comparison of vertex sets.
 
@@ -133,10 +121,6 @@ def lex_compare(a: VertexSet, b: VertexSet) -> int:
     if diff == 0:
         return 0
     return 1 if a.bits & (diff & -diff) else -1
-
-
-def lex_greater(a: VertexSet, b: VertexSet) -> bool:
-    return lex_compare(a, b) == 1
 
 
 def lex_sort_key(s: VertexSet) -> tuple:
@@ -235,9 +219,6 @@ class Graph:
         ]
         return cls.from_edges(n, edges)
 
-    def degree(self, v: int) -> int:
-        return self.adj[v - 1].bit_count()
-
     def has_edge(self, u: int, v: int) -> bool:
         return (self.adj[u - 1] >> (v - 1)) & 1 == 1
 
@@ -258,16 +239,3 @@ class Graph:
                 assert (self.adj[u - 1] >> (v - 1)) & 1, "adjacency must be symmetric"
         assert self.m == sum(a.bit_count() for a in self.adj) // 2
 
-
-def neighborhood(g: Graph, v: int) -> VertexSet:
-    """All neighbors of ``v``."""
-    if not 1 <= v <= g.n:
-        raise ValueError(f"vertex {v} out of range 1..{g.n}")
-    return VertexSet(g.adj[v - 1])
-
-
-def prefix_neighbors(g: Graph, i: int) -> VertexSet:
-    """Neighbors of ``i`` smaller than ``i``."""
-    if not 1 <= i <= g.n:
-        raise ValueError(f"vertex {i} out of range 1..{g.n}")
-    return VertexSet(g.adj[i - 1] & below_mask(i))

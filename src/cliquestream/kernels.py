@@ -21,8 +21,8 @@ From its good rows, an index ``i`` yields a child of ``P`` exactly when no
 from first principles with direct completion calls for differential
 testing.  Only indices above the parent's own index are candidates.  The
 traversal knows that index (a child popped from spec ``(P, i)`` has index
-``i``, the root 0) and passes it in; callers that hand in arbitrary
-batches leave it ``None`` and it is recomputed with :func:`clique_index`.
+``i``, the root 0) and passes it in; :func:`children_batch` recomputes it
+with :func:`clique_index` for callers that hand in arbitrary batches.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from . import matmul
 from .graph import Graph, VertexSet, below_mask, vbit
 from .rs_tree import (
     OpCounter,
+    adjacent_to_own_prefix,
     clique_index,
     is_maximal_clique,
     lex_completion,
@@ -152,42 +153,27 @@ def good_table_bitset(
     return rows
 
 
-def adjacent_to_own_prefix(g: Graph, p: VertexSet) -> int:
-    """Mask of vertices j adjacent to every member of ``P_{<j}``."""
-    adj = g.adj
-    missed = 0
-    rest = p.bits
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        # j misses u when j > u is not a neighbor of u
-        missed |= ~(adj[low.bit_length() - 1] | ((low << 1) - 1))
-    return g.full_mask & ~missed
-
-
 def filter_children(
     g: Graph,
     p: VertexSet,
+    index: int,
     good_row: list[int] | None = None,
     counter: OpCounter | None = None,
-    index: int | None = None,
 ) -> ChildSpec:
     """Accept the candidate indices that no ``j`` disqualifies.
 
     Candidates are the non-members of ``p`` above ``index``, the parent's
-    own index (0 for the root; ``None`` recomputes it).  An index ``i`` is
-    rejected when some ``j < i`` outside the good row of ``i`` is either a
-    neighbor of ``i`` outside ``P`` (child-side reconstruction breaks) or a
-    non-member adjacent to its own prefix of ``P`` (parent-side
-    reconstruction breaks).  ``good_row`` is the parent's slice of a good
-    table; without it, the complement of row ``i`` is folded lazily as the
-    common neighborhood of ``P_{<i} & N(i)``, stopping once no ``j`` is left.
+    own index (0 for the root).  An index ``i`` is rejected when some
+    ``j < i`` outside the good row of ``i`` is either a neighbor of ``i``
+    outside ``P`` (child-side reconstruction breaks) or a non-member
+    adjacent to its own prefix of ``P`` (parent-side reconstruction
+    breaks).  ``good_row`` is the parent's slice of a good table; without
+    it, the complement of row ``i`` is folded lazily as the common
+    neighborhood of ``P_{<i} & N(i)``, stopping once no ``j`` is left.
     """
     n = g.n
     adj = g.adj
     pb = p.bits
-    if index is None:
-        index = clique_index(g, p, counter) or 0  # None for the root
     outside = adjacent_to_own_prefix(g, p) & ~pb
     cand = g.full_mask & ~pb & ~below_mask(index + 1)
     indices = []
@@ -218,20 +204,18 @@ def filter_children(
 
 
 def children_naive(
-    g: Graph, p: VertexSet, counter: OpCounter | None = None, index: int | None = None
+    g: Graph, p: VertexSet, index: int, counter: OpCounter | None = None
 ) -> ChildSpec:
     """Child indices of ``p`` by direct completion calls.
 
     For each candidate ``i`` above the parent's index (``index``, 0 for the
-    root; ``None`` recomputes it), checks both reconstructability equations
-    with explicit lexicographic completions.  Slow but independent of the
-    good-row machinery.
+    root), checks both reconstructability equations with explicit
+    lexicographic completions.  Slow but independent of the good-row
+    machinery.
     """
     assert is_maximal_clique(g, p), "parent must be a maximal clique"
     n = g.n
     pb = p.bits
-    if index is None:
-        index = clique_index(g, p, counter) or 0  # None for the root
     indices = []
     for i in range(index + 1, n + 1):
         if (pb >> (i - 1)) & 1:
@@ -261,14 +245,15 @@ def children_batch(
     Boolean product, "bitset" through the lazy candidate test of
     :func:`filter_children`, "naive" through per-parent completion calls.
     All three agree extensionally.  ``indices`` holds each clique's own
-    index (0 for the root) when the caller knows it; ``mg`` is a prebuilt
+    index (0 for the root) when the caller knows it; without it, each index
+    is recomputed with :func:`clique_index`.  ``mg`` is a prebuilt
     :func:`graph_matrix` of ``g`` for "rect".
     """
     _assert_batch(g, cliques)
     if indices is None:
-        indices = [None] * len(cliques)
+        indices = [clique_index(g, p, counter) or 0 for p in cliques]
     if kernel == "naive":
-        return [children_naive(g, p, counter, i) for p, i in zip(cliques, indices)]
+        return [children_naive(g, p, i, counter) for p, i in zip(cliques, indices)]
     if kernel == "rect":
         rows = good_table_rectangular(g, cliques, counter=counter, mg=mg)
     elif kernel == "bitset":
@@ -276,6 +261,6 @@ def children_batch(
     else:
         raise ValueError(f"unknown kernel {kernel!r}")
     return [
-        filter_children(g, p, row, counter, index=i)
+        filter_children(g, p, i, row, counter)
         for p, row, i in zip(cliques, rows, indices)
     ]

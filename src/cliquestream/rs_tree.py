@@ -48,9 +48,12 @@ def is_clique(g: Graph, s: VertexSet) -> bool:
 
 def common_neighbors(g: Graph, bits: int) -> int:
     """Mask of vertices adjacent to every member of ``bits``."""
+    adj = g.adj
     cand = g.full_mask
-    for v in iter_bits(bits):
-        cand &= g.adj[v - 1]
+    while bits:
+        low = bits & -bits
+        bits ^= low
+        cand &= adj[low.bit_length() - 1]
     return cand
 
 
@@ -107,51 +110,51 @@ def root(g: Graph, counter: OpCounter | None = None) -> VertexSet:
     return VertexSet(_lc_bits(g, 0, counter))
 
 
+def adjacent_to_own_prefix(g: Graph, p: VertexSet) -> int:
+    """Mask of vertices j adjacent to every member of ``P_{<j}``."""
+    adj = g.adj
+    missed = 0
+    rest = p.bits
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        # j misses u when j > u is not a neighbor of u
+        missed |= ~(adj[low.bit_length() - 1] | ((low << 1) - 1))
+    return g.full_mask & ~missed
+
+
 def clique_index(g: Graph, c: VertexSet, counter: OpCounter | None = None) -> int | None:
     """Index of the maximal clique ``c``; ``None`` for the root.
 
-    Runs the descending degree-counter scan: keep ``d[z] = |N(z) & C_{<v}|``
-    up to date while sweeping ``v`` from ``n`` down to 1, and report ``v``
-    as soon as some smaller non-member is adjacent to the whole current
-    prefix.  When the prefix below ``v`` is empty the witness condition
-    degenerates to "any vertex below v exists"; that case is live (isolated
-    vertices, cliques whose index equals their own minimum) and must report
-    ``v`` rather than fall through.
+    The completion of ``C_{<m}`` leaves ``C`` at its first deviation: a
+    non-member below ``m`` adjacent to all of ``C_{<m}``, or else the first
+    non-member above ``m`` adjacent to its own prefix of ``C``.  The index
+    is the greatest member ``m`` with such a witness; a non-member never
+    is the index, since its prefix is that of the next member (or all of
+    ``C``).  One ascending pass keeps the common neighborhood of the
+    members below ``m``.
     """
     assert is_maximal_clique(g, c), "input must be a maximal clique"
     adj = g.adj
     cbits = c.bits
-    n = g.n
-    d = [0] * (n + 1)
-    work = n
-    for z in range(1, n + 1):
-        d[z] = (adj[z - 1] & cbits).bit_count()
-    size = cbits.bit_count()
-    for v in range(n, 0, -1):
-        if not (cbits >> (v - 1)) & 1:
-            continue
-        outside = adj[v - 1] & ~cbits
-        for u in iter_bits(outside):
-            d[u] -= 1
-            work += 1
-        size -= 1
-        prefix_members = cbits & below_mask(v)
-        if prefix_members == 0:
-            if v > 1:
-                if counter is not None:
-                    counter.add(work)
-                return v
-            continue
-        uhat = prefix_members.bit_length()
-        for z in iter_bits(adj[uhat - 1] & ~cbits):
-            work += 1
-            if z < v and d[z] >= size:
-                if counter is not None:
-                    counter.add(work)
-                return v
+    # every member below the last non-member adjacent to its own prefix
+    # has a witness above it
+    top = (adjacent_to_own_prefix(g, c) & ~cbits).bit_length()
+    common = g.full_mask
+    index = None
+    rest = cbits
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        m = low.bit_length()
+        # members below m are not their own neighbors, so common & (low - 1)
+        # holds only non-members
+        if m < top or common & (low - 1):
+            index = m
+        common &= adj[m - 1]
     if counter is not None:
-        counter.add(work)
-    return None
+        counter.add(3 * cbits.bit_count() * words(g.n))
+    return index
 
 
 def clique_index_scan(g: Graph, c: VertexSet) -> int | None:

@@ -191,7 +191,7 @@ def test_criterion_5_structural_properties():
             recon_ok = recon_ok and (
                 c.bits & below_mask(i) == p.bits & below_mask(i) & g.adj[i - 1]
             )
-            dom_ok = dom_ok and cs.lex_greater(p, c)
+            dom_ok = dom_ok and cs.lex_compare(p, c) == 1
         for k in every:
             lc = cs.lex_completion(g, k)
             # membership characterization for every vertex

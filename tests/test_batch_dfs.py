@@ -130,7 +130,10 @@ class TestSinkDriver:
             specs = cs.children_batch(bridged, cliques, counter=counter, indices=indices)
             return specs, counter.ops
 
-        stats = cs.batch_dfs(bridged, cs.root(bridged), children_fn, 2, seen.append)
+        stats = cs.TraversalStats()
+        for event in cs.step_events(bridged, cs.root(bridged), children_fn, 2, stats):
+            if event.kind == cs.CLIQUE_COLLECTED:
+                seen.append(event.clique)
         assert seen == ORDER_CAP2
         assert stats.cliques_emitted == 5
         assert stats.batches_total == 3

@@ -198,6 +198,25 @@ class TestRun:
         rc, _, err = run_cli(input=str(path), verify=True)
         assert rc == 2 and "refuses" in err
 
+    def test_oracle_limit_refused_before_listing(self):
+        rc, out, err = run_cli(input="gnp:30:0.5", seed=1, verify=True)
+        assert rc == 2 and out == ""
+        assert err.startswith("error:") and "refuses" in err
+
+    def test_unwritable_trace_path(self, tmp_path, capsys):
+        trace = tmp_path / "missing" / "t.csv"
+        assert cli.main(["--input", "complete:3", "--trace", str(trace)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(trace) in err
+
+    def test_trace_with_first_has_one_row_per_line(self, tmp_path):
+        trace = tmp_path / "trace.csv"
+        rc, out, _ = run_cli(input="moon-moser:9", first=3, trace=str(trace))
+        assert rc == 0 and len(out.splitlines()) == 3
+        lines = trace.read_text().splitlines()
+        assert lines[:2] == [cli.TRACE_SCHEMA, cli.TRACE_HEADER]
+        assert [int(row.split(",")[0]) for row in lines[2:]] == [1, 2, 3]
+
     def test_strict_output_matches_plain_set(self, tmp_path):
         g = cs.Graph.gnp(12, 0.6, seed=31)
         path = tmp_path / "g.edges"
@@ -224,15 +243,15 @@ class TestRun:
 class TestVerifyHelper:
     def test_fail_reports_counts(self, bridged):
         err = io.StringIO()
-        emitted = [cs.VertexSet.of(1, 2, 3, 4, 5)]  # everything else missing
-        ok = cli._verify(bridged, emitted, prefix_only=False, err=err)
+        emitted = {cs.VertexSet.of(1, 2, 3, 4, 5).bits}  # everything else missing
+        ok = cli._verify(bridged, emitted, 1, prefix_only=False, err=err)
         assert not ok
         assert "missing=4" in err.getvalue()
 
     def test_duplicates_detected(self, bridged):
         err = io.StringIO()
-        full = oracle.all_maximal_cliques(bridged)
-        ok = cli._verify(bridged, full + [full[0]], prefix_only=False, err=err)
+        full = {c.bits for c in oracle.all_maximal_cliques(bridged)}
+        ok = cli._verify(bridged, full, len(full) + 1, prefix_only=False, err=err)
         assert not ok
         assert "duplicates=1" in err.getvalue()
 

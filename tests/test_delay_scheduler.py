@@ -1,4 +1,5 @@
 import itertools
+from collections import deque
 
 import pytest
 
@@ -42,19 +43,19 @@ class TestListMc:
 
 class TestBoot:
     def test_banks_at_least_target_without_printing(self, bridged):
-        q = ds.EmissionQueue()
+        q = deque()
         events = cs.list_mc(bridged)
         exhausted = ds.boot(events, q, 3)
         assert len(q) >= 3
         assert not exhausted
 
     def test_target_one_fills_after_first_batch(self, bridged):
-        q = ds.EmissionQueue()
+        q = deque()
         ds.boot(cs.list_mc(bridged), q, 1)
         assert len(q) >= 1
 
     def test_oversized_target_exhausts_stream(self, bridged):
-        q = ds.EmissionQueue()
+        q = deque()
         exhausted = ds.boot(cs.list_mc(bridged), q, 10**6)
         assert exhausted
         assert len(q) == 5
@@ -62,7 +63,7 @@ class TestBoot:
     def test_stops_at_batch_boundary(self, bridged):
         # with capacity 1 the queue grows one clique per iteration, so the
         # boundary stop leaves exactly the target amount banked
-        q = ds.EmissionQueue()
+        q = deque()
         stats = cs.TraversalStats()
         events = cs.list_mc(bridged, capacity=1, stats=stats)
         ds.boot(events, q, 2)

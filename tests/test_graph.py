@@ -18,53 +18,52 @@ def ref_lex_compare(a: cs.VertexSet, b: cs.VertexSet) -> int:
     return 1 if diff[0] in sa else -1
 
 
+def prefix(g: cs.Graph, v: int) -> cs.VertexSet:
+    """Neighbors of ``v`` below ``v``."""
+    return cs.VertexSet(g.adj[v - 1] & below_mask(v))
+
+
 class TestNeighborhood:
     def test_bridged_vertex_6(self, bridged):
-        assert cs.neighborhood(bridged, 6) == cs.VertexSet.of(1, 7, 8)
+        assert cs.VertexSet(bridged.adj[5]) == cs.VertexSet.of(1, 7, 8)
 
     def test_single_vertex(self):
         g = cs.Graph.edgeless(1)
-        assert cs.neighborhood(g, 1) == cs.VertexSet()
+        assert g.adj == (0,)
 
     def test_complete_graph(self):
         g = cs.Graph.complete(4)
-        assert cs.neighborhood(g, 2) == cs.VertexSet.of(1, 3, 4)
-
-    def test_out_of_range(self, bridged):
-        with pytest.raises(ValueError):
-            cs.neighborhood(bridged, 0)
-        with pytest.raises(ValueError):
-            cs.neighborhood(bridged, 9)
+        assert cs.VertexSet(g.adj[1]) == cs.VertexSet.of(1, 3, 4)
 
 
 class TestPrefixNeighbors:
     def test_bridged_vertex_6(self, bridged):
-        assert cs.prefix_neighbors(bridged, 6) == cs.VertexSet.of(1)
+        assert prefix(bridged, 6) == cs.VertexSet.of(1)
 
     def test_vertex_1_always_empty(self, bridged):
-        assert cs.prefix_neighbors(bridged, 1) == cs.VertexSet()
-        assert cs.prefix_neighbors(cs.Graph.complete(5), 1) == cs.VertexSet()
+        assert prefix(bridged, 1) == cs.VertexSet()
+        assert prefix(cs.Graph.complete(5), 1) == cs.VertexSet()
 
     def test_bridged_vertex_8(self, bridged):
-        assert cs.prefix_neighbors(bridged, 8) == cs.VertexSet.of(5, 6, 7)
+        assert prefix(bridged, 8) == cs.VertexSet.of(5, 6, 7)
 
     def test_subset_of_neighborhood_and_below(self):
         for g in random_graphs(30, seed0=100):
             for v in range(1, g.n + 1):
-                pre = cs.prefix_neighbors(g, v)
-                assert pre.bits & ~cs.neighborhood(g, v).bits == 0
+                pre = prefix(g, v)
+                assert pre.bits & ~g.adj[v - 1] == 0
                 assert all(u < v for u in pre)
 
 
 class TestRestrictBelow:
     def test_prefix(self):
-        assert cs.restrict_below(K5_SIDE, 4) == cs.VertexSet.of(1, 2, 3)
+        assert K5_SIDE.bits & below_mask(4) == cs.VertexSet.of(1, 2, 3).bits
 
     def test_below_one_is_empty(self):
-        assert cs.restrict_below(cs.VertexSet.of(3, 9), 1) == cs.VertexSet()
+        assert cs.VertexSet.of(3, 9).bits & below_mask(1) == 0
 
     def test_mid_prefix(self):
-        assert cs.restrict_below(cs.VertexSet.of(6, 7, 8), 7) == cs.VertexSet.of(6)
+        assert cs.VertexSet.of(6, 7, 8).bits & below_mask(7) == cs.VertexSet.of(6).bits
 
 
 class TestLexCompare:
@@ -125,7 +124,7 @@ class TestConstruction:
         g = cs.Graph.from_edges(5, [(1, 2)])
         g.validate()
         assert g.n == 5 and g.m == 1
-        assert cs.neighborhood(g, 4) == cs.VertexSet()
+        assert g.adj[3] == 0
 
     def test_out_of_range_edge_rejected(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import pytest
 import cliquestream as cs
 from cliquestream import matmul, oracle
 from cliquestream.graph import below_mask
-from cliquestream.kernels import adjacent_to_own_prefix
+from cliquestream.rs_tree import adjacent_to_own_prefix
 
 from conftest import (
     BRIDGE_16,
@@ -30,13 +30,13 @@ def is_good(rows: list[list[int]], k: int, i: int, j: int) -> bool:
 
 class TestChildrenNaive:
     def test_root_children(self, bridged):
-        assert cs.children_naive(bridged, K5_SIDE).indices == (6, 7, 8)
+        assert cs.children_naive(bridged, K5_SIDE, 0).indices == (6, 7, 8)
 
     def test_triangle_is_leaf(self, bridged):
-        assert cs.children_naive(bridged, TRIANGLE).indices == ()
+        assert cs.children_naive(bridged, TRIANGLE, 7).indices == ()
 
     def test_bridge_16(self, bridged):
-        assert cs.children_naive(bridged, BRIDGE_16).indices == (7,)
+        assert cs.children_naive(bridged, BRIDGE_16, 6).indices == (7,)
 
 
 class TestBatchMatrices:
@@ -122,16 +122,17 @@ class TestAdjacentToOwnPrefix:
 class TestFilterChildren:
     def test_bridged_root_and_leaf(self, bridged):
         rows = cs.good_table_bitset(bridged, [K5_SIDE, TRIANGLE])
-        assert cs.filter_children(bridged, K5_SIDE, rows[0]).indices == (6, 7, 8)
-        assert cs.filter_children(bridged, TRIANGLE, rows[1]).indices == ()
+        assert cs.filter_children(bridged, K5_SIDE, 0, rows[0]).indices == (6, 7, 8)
+        assert cs.filter_children(bridged, TRIANGLE, 7, rows[1]).indices == ()
 
     def test_matches_children_naive(self):
         for g in random_graphs(20, seed0=1200, n_hi=12):
             batch = oracle.all_maximal_cliques(g)
             rows = cs.good_table_bitset(g, batch)
             for k, p in enumerate(batch):
-                got = cs.filter_children(g, p, rows[k])
-                assert got == cs.children_naive(g, p)
+                index = cs.clique_index(g, p) or 0
+                got = cs.filter_children(g, p, index, rows[k])
+                assert got == cs.children_naive(g, p, index)
 
     def test_lazy_rows_with_given_index_match_rows_and_naive(self):
         rng = random.Random(1250)
@@ -141,10 +142,9 @@ class TestFilterChildren:
             rows = cs.good_table_bitset(g, batch)
             for k, p in enumerate(batch):
                 index = cs.clique_index(g, p) or 0
-                lazy = cs.filter_children(g, p, None, index=index)
-                assert lazy == cs.filter_children(g, p, rows[k])
-                assert lazy == cs.children_naive(g, p)
-                assert lazy == cs.children_naive(g, p, index=index)
+                lazy = cs.filter_children(g, p, index)
+                assert lazy == cs.filter_children(g, p, index, rows[k])
+                assert lazy == cs.children_naive(g, p, index)
 
     def test_lazy_rows_never_read_more_than_the_table(self):
         counter_lazy, counter_rows = cs.OpCounter(), cs.OpCounter()
@@ -153,8 +153,8 @@ class TestFilterChildren:
             rows = cs.good_table_bitset(g, batch, counter=counter_rows)
             for k, p in enumerate(batch):
                 index = cs.clique_index(g, p) or 0
-                cs.filter_children(g, p, None, counter_lazy, index=index)
-                cs.filter_children(g, p, rows[k], counter_rows, index=index)
+                cs.filter_children(g, p, index, None, counter_lazy)
+                cs.filter_children(g, p, index, rows[k], counter_rows)
         assert 0 < counter_lazy.ops < counter_rows.ops
 
 

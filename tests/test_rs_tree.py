@@ -11,6 +11,7 @@ from conftest import (
     K5_SIDE,
     TRIANGLE,
     all_cliques,
+    collect_plain,
     random_graphs,
     small_family,
 )
@@ -18,7 +19,7 @@ from conftest import (
 
 class TestLexCompletion:
     def test_empty_gives_root(self, bridged):
-        assert cs.lex_completion(bridged, cs.EMPTY) == K5_SIDE
+        assert cs.lex_completion(bridged, cs.VertexSet()) == K5_SIDE
 
     def test_vertex_6(self, bridged):
         # brute force picks the lex-greatest of the maximal cliques containing 6
@@ -77,6 +78,19 @@ class TestCliqueIndex:
                 assert idx == cs.clique_index_scan(g, c)
                 assert idx == oracle.clique_index_brute(g, c, cliques)
 
+    @pytest.mark.parametrize(
+        "g",
+        [
+            cs.Graph.gnp(40, 0.5, seed=40),
+            cs.Graph.gnp(100, 0.07, seed=100),
+            cs.Graph.complete_multipartite_triples(15),
+        ],
+        ids=["gnp40", "gnp100", "moon-moser15"],
+    )
+    def test_agreement_with_scan_past_oracle_limit(self, g):
+        for clique in collect_plain(g):
+            assert cs.clique_index(g, clique) == cs.clique_index_scan(g, clique)
+
     def test_index_equal_to_min_member(self):
         # isolated vertex: the descending scan bottoms out at the clique's
         # own minimum and must still report it
@@ -104,7 +118,7 @@ class TestParent:
                     continue
                 p = cs.parent(g, c)
                 assert cs.is_maximal_clique(g, p)
-                assert cs.lex_greater(p, c)
+                assert cs.lex_compare(p, c) == 1
                 cur, steps = c, 0
                 while cs.clique_index(g, cur) is not None:
                     cur = cs.parent(g, cur)
