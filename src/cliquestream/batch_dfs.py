@@ -18,7 +18,7 @@ emission order is deterministic for a given (graph, kernel, capacity).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 from .graph import Graph, VertexSet, below_mask, vbit
 from .kernels import ChildSpec
@@ -81,10 +81,6 @@ class BacktrackStack:
             self._entries.append([spec, 0])
             self.pending += len(spec.indices)
 
-    def push_all(self, specs: Iterable[ChildSpec]) -> None:
-        for spec in specs:
-            self.push(spec)
-
     def pop(self, g: Graph, counter: OpCounter | None = None) -> VertexSet:
         """Expand and remove the next pending clique from the top entry."""
         if not self._entries:
@@ -140,7 +136,7 @@ def step_events(
             indices.append(stack.last_index)
             stats.cliques_emitted += 1
             stats.stack_cliques = stack.pending
-            cost = counter.delta(before) + pending_cost
+            cost = counter.ops - before + pending_cost
             pending_cost = 0
             stats.total_cost += cost
             yield StepEvent(CLIQUE_COLLECTED, clique, cost)
@@ -148,7 +144,8 @@ def step_events(
         if len(batch) < capacity:
             stats.batches_undersized += 1
         specs, cost = children_fn(batch, indices)
-        stack.push_all(specs)
+        for spec in specs:
+            stack.push(spec)
         stats.max_stack_cliques = max(stats.max_stack_cliques, stack.pending)
         stats.stack_cliques = stack.pending
         stats.total_cost += cost

@@ -277,7 +277,7 @@ def _strict_emissions(g: Graph, cfg: RunConfig, stats: TraversalStats):
 def _verify(g: Graph, emitted: set[int], count: int, prefix_only: bool, err) -> bool:
     """Check the ``count`` printed cliques, whose distinct bitmasks are
     ``emitted``, against the oracle."""
-    ref_set = {c.bits for c in oracle.all_maximal_cliques(g)}
+    ref_set = {c.bits for c in oracle.all_maximal_cliques(g, limit=g.n)}
     duplicates = count - len(emitted)
     not_maximal = sum(
         1 for bits in emitted if not rs_tree.is_maximal_clique(g, VertexSet(bits))
@@ -308,8 +308,12 @@ def run(cfg: RunConfig, out=None, err=None) -> int:
     except (ParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=err)
         return 2
-    if cfg.verify and g.n > oracle.ORACLE_LIMIT:
-        print(f"error: --verify refuses n={g.n} > {oracle.ORACLE_LIMIT}", file=err)
+    # an unwritable trace path is refused before anything prints
+    if cfg.trace and (
+        os.path.isdir(cfg.trace)
+        or not os.access(os.path.dirname(cfg.trace) or ".", os.W_OK)
+    ):
+        print(f"error: cannot write a trace file at {cfg.trace}", file=err)
         return 2
     for warning in report.warnings:
         print(f"warning: {warning}", file=err)

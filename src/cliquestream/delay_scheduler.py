@@ -103,7 +103,7 @@ def list_mc(
         specs = children_batch(
             g, cliques, kernel=kernel, counter=counter, indices=indices, mg=mg
         )
-        return specs, counter.delta(before)
+        return specs, counter.ops - before
 
     root_counter = OpCounter()
     root_clique = root(g, root_counter)

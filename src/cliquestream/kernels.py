@@ -22,7 +22,8 @@ from first principles with direct completion calls for differential
 testing.  Only indices above the parent's own index are candidates.  The
 traversal knows that index (a child popped from spec ``(P, i)`` has index
 ``i``, the root 0) and passes it in; :func:`children_batch` recomputes it
-with :func:`clique_index` for callers that hand in arbitrary batches.
+with :func:`clique_index` for callers that hand in arbitrary batches.  A
+non-root parent tests only its neighbors ``N(P)``, so cost follows degree.
 """
 
 from __future__ import annotations
@@ -35,10 +36,10 @@ from . import matmul
 from .graph import Graph, VertexSet, below_mask, vbit
 from .rs_tree import (
     OpCounter,
-    adjacent_to_own_prefix,
     clique_index,
     is_maximal_clique,
     lex_completion,
+    prefix_masks,
     words,
 )
 
@@ -163,19 +164,25 @@ def filter_children(
     """Accept the candidate indices that no ``j`` disqualifies.
 
     Candidates are the non-members of ``p`` above ``index``, the parent's
-    own index (0 for the root).  An index ``i`` is rejected when some
-    ``j < i`` outside the good row of ``i`` is either a neighbor of ``i``
-    outside ``P`` (child-side reconstruction breaks) or a non-member
-    adjacent to its own prefix of ``P`` (parent-side reconstruction
-    breaks).  ``good_row`` is the parent's slice of a good table; without
-    it, the complement of row ``i`` is folded lazily as the common
-    neighborhood of ``P_{<i} & N(i)``, stopping once no ``j`` is left.
+    own index (0 for the root), and for a non-root parent only its
+    neighbors ``N(P)``, at most |P| times the maximum degree.  The cut is
+    exact: ``P`` completes ``P_{<i}`` for ``i`` above its index, so when
+    ``P_{<i} & N(i)`` is empty (as for every ``i`` outside ``N(P)``), the
+    backward check completes it to the root and fails unless ``P`` is the
+    root.  ``i`` is rejected when some ``j < i`` outside the good row
+    of ``i`` is a neighbor of ``i`` outside ``P`` or a non-member adjacent
+    to its own prefix of ``P`` (child- or parent-side reconstruction
+    breaks).  Without ``good_row``, the parent's slice of a good table, the
+    row's complement is folded lazily as the common neighborhood of
+    ``P_{<i} & N(i)`` until no ``j`` is left.  Charge in words: ``3|P|``
+    for :func:`prefix_masks` (as in :func:`clique_index`), 4 for the
+    masks, 6 per candidate, 1 per fold.
     """
-    n = g.n
     adj = g.adj
     pb = p.bits
-    outside = adjacent_to_own_prefix(g, p) & ~pb
-    cand = g.full_mask & ~pb & ~below_mask(index + 1)
+    adjacent, near = prefix_masks(g, p)
+    outside = adjacent & ~pb
+    cand = (near if index else g.full_mask) & ~pb & ~below_mask(index + 1)
     indices = []
     scanned = 0
     folds = 0
@@ -199,7 +206,7 @@ def filter_children(
         if bad == 0:
             indices.append(i)
     if counter is not None:
-        counter.add((n * 2 + scanned * 6 + folds) * words(n))
+        counter.add((3 * pb.bit_count() + 4 + scanned * 6 + folds) * words(g.n))
     return ChildSpec(parent=p, indices=tuple(indices))
 
 

@@ -29,9 +29,6 @@ class OpCounter:
     def add(self, n: int) -> None:
         self.ops += n
 
-    def delta(self, since: int) -> int:
-        return self.ops - since
-
 
 def words(n: int) -> int:
     """Machine words needed for an n-bit mask (64-bit words)."""
@@ -110,17 +107,21 @@ def root(g: Graph, counter: OpCounter | None = None) -> VertexSet:
     return VertexSet(_lc_bits(g, 0, counter))
 
 
-def adjacent_to_own_prefix(g: Graph, p: VertexSet) -> int:
-    """Mask of vertices j adjacent to every member of ``P_{<j}``."""
+def prefix_masks(g: Graph, p: VertexSet) -> tuple[int, int]:
+    """Two masks from one pass over the members of ``P``: the vertices j
+    adjacent to every member of ``P_{<j}``, and ``N(P)``, the vertices
+    adjacent to some member."""
     adj = g.adj
-    missed = 0
+    adjacent, near = g.full_mask, 0
     rest = p.bits
     while rest:
         low = rest & -rest
         rest ^= low
-        # j misses u when j > u is not a neighbor of u
-        missed |= ~(adj[low.bit_length() - 1] | ((low << 1) - 1))
-    return g.full_mask & ~missed
+        nu = adj[low.bit_length() - 1]
+        near |= nu
+        # j > u misses u when it is not a neighbor of u
+        adjacent &= nu | ((low << 1) - 1)
+    return adjacent, near
 
 
 def clique_index(g: Graph, c: VertexSet, counter: OpCounter | None = None) -> int | None:
@@ -139,7 +140,7 @@ def clique_index(g: Graph, c: VertexSet, counter: OpCounter | None = None) -> in
     cbits = c.bits
     # every member below the last non-member adjacent to its own prefix
     # has a witness above it
-    top = (adjacent_to_own_prefix(g, c) & ~cbits).bit_length()
+    top = (prefix_masks(g, c)[0] & ~cbits).bit_length()
     common = g.full_mask
     index = None
     rest = cbits

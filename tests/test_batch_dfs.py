@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 import cliquestream as cs
 from cliquestream import delay_scheduler, oracle
 from cliquestream.batch_dfs import BacktrackStack
+from cliquestream.graph import mask_of
 from cliquestream.kernels import ChildSpec
 
 from conftest import (
@@ -157,6 +158,8 @@ class TestCarriedIndex:
             # traversal revisit cliques and never end
             for c, i in zip(cliques, kwargs["indices"]):
                 assert (cs.clique_index(g, c) or 0) == i
+                # the candidate cut keeps every child the naive kernel finds
+                assert cs.filter_children(g, c, i) == cs.children_naive(g, c, i)
                 seen.append(c)
             return real(g, cliques, **kwargs)
 
@@ -198,3 +201,29 @@ class TestOracleProperty:
         got = [c.bits for c in collect_plain(g, kernel=kernel, capacity=capacity)]
         assert len(got) == len(set(got)), "duplicate emission"
         assert set(got) == oracle_bits(g)
+
+
+class TestRelabelingProperty:
+    """Which candidates a parent tests depends on the labels through its
+    index; the clique set must not."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        g=graphs(),
+        kernel=st.sampled_from(cs.kernels.KERNELS),
+        capacity=st.integers(1, 200),
+        data=st.data(),
+    )
+    def test_clique_set_survives_relabeling(self, g, kernel, capacity, data):
+        perm = data.draw(st.permutations(range(1, g.n + 1)))
+        relabeled = cs.Graph.from_edges(
+            g.n, [(perm[u - 1], perm[v - 1]) for u, v in g.edges()]
+        )
+        back = {new: old for old, new in enumerate(perm, 1)}
+        got = [
+            mask_of(back[v] for v in c)
+            for c in collect_plain(relabeled, kernel=kernel, capacity=capacity)
+        ]
+        assert len(got) == len(set(got)), "duplicate emission"
+        want = collect_plain(g, kernel=kernel, capacity=capacity)
+        assert set(got) == {c.bits for c in want}

@@ -192,22 +192,30 @@ class TestRun:
         rc, _, err = run_cli(input="/nonexistent/graph.edges")
         assert rc == 2
 
-    def test_oracle_limit_exit_code(self, tmp_path):
+    def test_verify_file_past_oracle_limit(self, tmp_path):
         path = tmp_path / "big.edges"
         path.write_text("n 30\n1 2\n")
-        rc, _, err = run_cli(input=str(path), verify=True)
-        assert rc == 2 and "refuses" in err
+        rc, out, err = run_cli(input=str(path), verify=True)
+        assert rc == 0 and len(out.splitlines()) == 29
+        assert "VERIFY PASS: all 29 cliques" in err
 
-    def test_oracle_limit_refused_before_listing(self):
-        rc, out, err = run_cli(input="gnp:30:0.5", seed=1, verify=True)
-        assert rc == 2 and out == ""
-        assert err.startswith("error:") and "refuses" in err
+    def test_verify_past_oracle_limit(self):
+        rc, out, err = run_cli(input="gnp:300:0.03", seed=1, verify=True)
+        assert rc == 0 and out
+        assert err.startswith("VERIFY PASS")
 
     def test_unwritable_trace_path(self, tmp_path, capsys):
         trace = tmp_path / "missing" / "t.csv"
         assert cli.main(["--input", "complete:3", "--trace", str(trace)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and str(trace) in err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and str(trace) in captured.err
+        assert len(captured.err.splitlines()) == 1
+
+    def test_trace_path_is_directory(self, tmp_path):
+        rc, out, err = run_cli(input="complete:3", trace=str(tmp_path))
+        assert rc == 2 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
 
     def test_trace_with_first_has_one_row_per_line(self, tmp_path):
         trace = tmp_path / "trace.csv"

@@ -5,7 +5,7 @@ import pytest
 import cliquestream as cs
 from cliquestream import matmul, oracle
 from cliquestream.graph import below_mask
-from cliquestream.rs_tree import adjacent_to_own_prefix
+from cliquestream.rs_tree import prefix_masks
 
 from conftest import (
     BRIDGE_16,
@@ -111,12 +111,14 @@ class TestAdjacentToOwnPrefix:
             sets = oracle.all_maximal_cliques(g)
             sets += [cs.VertexSet(rng.getrandbits(g.n)) for _ in range(10)]
             for p in sets:
-                expect = 0
+                expect = near = 0
                 for j in range(1, g.n + 1):
                     members_below = [u for u in range(1, j) if u in p]
                     if all(g.has_edge(u, j) for u in members_below):
                         expect |= 1 << (j - 1)
-                assert adjacent_to_own_prefix(g, p) == expect
+                    if any(g.has_edge(u, j) for u in p):
+                        near |= 1 << (j - 1)
+                assert prefix_masks(g, p) == (expect, near)
 
 
 class TestFilterChildren:
@@ -156,6 +158,65 @@ class TestFilterChildren:
                 cs.filter_children(g, p, index, None, counter_lazy)
                 cs.filter_children(g, p, index, rows[k], counter_rows)
         assert 0 < counter_lazy.ops < counter_rows.ops
+
+
+def carried_pairs(g, monkeypatch):
+    """(clique, index) for every clique a bitset ``list_mc`` of ``g`` pops,
+    with the index the traversal carries for it."""
+    pairs = []
+    real = cs.delay_scheduler.children_batch
+
+    def record(g, cliques, **kwargs):
+        pairs.extend(zip(cliques, kwargs["indices"]))
+        return real(g, cliques, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(cs.delay_scheduler, "children_batch", record)
+        for _ in cs.list_mc(g):
+            pass
+    return pairs
+
+
+class TestCandidateCut:
+    """A non-root parent P has no child at i unless ``P_{<i} & N(i)`` is
+    non-empty, so ``filter_children`` scans only the neighbors of P."""
+
+    def test_naive_children_have_a_neighbor_below(self):
+        graphs = list(random_graphs(60, seed0=1800, n_hi=14))
+        graphs.append(cs.Graph.complete_multipartite_triples(9))
+        cut = accepted = 0
+        for g in graphs:
+            for p in oracle.all_maximal_cliques(g)[1:]:
+                index = cs.clique_index(g, p)
+                children = cs.children_naive(g, p, index).indices
+                for i in range(index + 1, g.n + 1):
+                    if i not in p and p.bits & below_mask(i) & g.adj[i - 1] == 0:
+                        assert i not in children
+                        cut += 1
+                accepted += len(children)
+        assert cut > 0 and accepted > 0
+
+    @pytest.mark.parametrize("n", [60, 150, 300])
+    @pytest.mark.parametrize("c", [3, 8])
+    def test_matches_children_naive_on_sparse_listings(self, n, c, monkeypatch):
+        g = cs.Graph.gnp(n, c / n, seed=n + c)
+        pairs = carried_pairs(g, monkeypatch)
+        assert len(pairs) == len(oracle.all_maximal_cliques(g, limit=n))
+        for p, index in pairs:
+            assert cs.filter_children(g, p, index) == cs.children_naive(g, p, index)
+
+    def test_units_per_clique_do_not_grow_with_n(self):
+        # deterministic work units, not wall time: before the cut, every
+        # parent paid for all n candidates and this ratio was 7.7
+        per_word = []
+        for n in (250, 2000):
+            g = cs.Graph.gnp(n, 8 / n, seed=n)
+            units = cliques = 0
+            for event in cs.list_mc(g):
+                units += event.cost
+                cliques += event.kind == cs.CLIQUE_COLLECTED
+            per_word.append(units / cliques / cs.rs_tree.words(n))
+        assert per_word[1] <= 1.25 * per_word[0]
 
 
 class TestChildrenBatch:
