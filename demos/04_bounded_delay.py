@@ -25,8 +25,11 @@ print(f"plain mode: {len(gaps)} cliques, gap max={max(gaps)}, "
       f"median={sorted(gaps)[len(gaps) // 2]}")
 
 # Strict mode: calibrate from the first batch, then run the queue scheduler.
-cfg = ds.calibrate(g)
-print(f"calibrated: tau_delay={cfg.tau_delay}, boot_target={cfg.boot_target}")
+# Given no config, run_strict calibrates from its own stream's first batch;
+# here the step is shown on a separate stream.
+cfg, head = ds.calibrate(g, cs.list_mc(g))
+print(f"calibrated from {len(head)} events: tau_delay={cfg.tau_delay}, "
+      f"boot_target={cfg.boot_target}")
 
 report = ds.StrictRunReport()
 emissions = list(ds.run_strict(g, cfg=cfg, report=report))

@@ -182,8 +182,6 @@ class RunConfig:
     first: int | None = None
     verify: bool = False
     trace: str | None = None
-    tau: int | None = None
-    boot_target: int | None = None
     seed: int | None = None
 
     def __post_init__(self) -> None:
@@ -191,10 +189,6 @@ class RunConfig:
             raise ValueError("--first must be at least 1")
         if self.capacity is not None and self.capacity < 1:
             raise ValueError("--batch must be at least 1")
-        if self.tau is not None and self.tau < 1:
-            raise ValueError("--tau must be at least 1")
-        if self.boot_target is not None and self.boot_target < 1:
-            raise ValueError("--boot-target must be at least 1")
 
 
 GENERATORS = {"gnp": "N:P", "moon-moser": "N", "complete": "N"}
@@ -258,18 +252,9 @@ def _plain_emissions(g: Graph, cfg: RunConfig, stats: TraversalStats):
 
 
 def _strict_emissions(g: Graph, cfg: RunConfig, stats: TraversalStats):
-    delay_cfg = None
-    if cfg.tau is not None or cfg.boot_target is not None:
-        base = delay_scheduler.calibrate(g, kernel=cfg.kernel, capacity=cfg.capacity)
-        delay_cfg = delay_scheduler.DelayConfig(
-            tau_delay=cfg.tau if cfg.tau is not None else base.tau_delay,
-            boot_target=(
-                cfg.boot_target if cfg.boot_target is not None else base.boot_target
-            ),
-        )
     report = delay_scheduler.StrictRunReport(stats=stats)
     for em in delay_scheduler.run_strict(
-        g, cfg=delay_cfg, kernel=cfg.kernel, capacity=cfg.capacity, report=report
+        g, kernel=cfg.kernel, capacity=cfg.capacity, report=report
     ):
         yield em.clique, em.cost_units, em.queue_size, em.stack_cliques
 
@@ -376,10 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="check the output against the brute-force oracle",
     )
     p.add_argument("--trace", default=None, help="write a CSV trace to this path")
-    p.add_argument("--tau", type=int, default=None, help="strict-mode delay override")
-    p.add_argument(
-        "--boot-target", type=int, default=None, help="strict-mode boot queue target"
-    )
     p.add_argument("--seed", type=int, default=None, help="seed for gnp generation")
     return p
 
@@ -396,8 +377,6 @@ def main(argv: list[str] | None = None) -> int:
             first=args.first,
             verify=args.verify,
             trace=args.trace,
-            tau=args.tau,
-            boot_target=args.boot_target,
             seed=args.seed,
         )
     except ValueError as exc:

@@ -10,9 +10,10 @@ empties the queue once the traversal ends.
 
 Work units are the operation counts charged by the kernels: every
 children invocation reports its word-op/multiply-add count and every pop
-reports its completion cost.  Default configs come from a calibration
-pass that measures the first batch; both derived quantities carry a factor
-of :data:`CALIBRATION_MARGIN` so the printing rate stays safely below the
+reports its completion cost.  Without a given config, ``run_strict``
+calibrates from its own stream's first batch (:func:`calibrate`) and
+replays it into boot; both derived quantities carry a factor of
+:data:`CALIBRATION_MARGIN` so the printing rate stays safely below the
 collection rate and the queue never starves between boot and drain.
 """
 
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterator
 
 from .batch_dfs import (
@@ -113,19 +115,22 @@ def list_mc(
 
 
 def calibrate(
-    g: Graph, kernel: str = "bitset", capacity: int | None = None
-) -> DelayConfig:
-    """Derive a DelayConfig by measuring the first batch of a throwaway run.
+    g: Graph, events: Iterator[StepEvent]
+) -> tuple[DelayConfig, list[StepEvent]]:
+    """Derive a DelayConfig from the first batch of ``events``.
 
-    With c = :data:`CALIBRATION_MARGIN`, tau_delay = c * ceil(first-batch
-    cost / first-batch size) and boot_target = c * n * ceil(first-batch
-    cost / tau_delay).  The first batch holds only the root, whose children
+    Returns the config and the events read, for the caller to replay.  With
+    c = :data:`CALIBRATION_MARGIN`, tau_delay = c * ceil(first-batch cost /
+    first-batch size) and boot_target = c * n * ceil(first-batch cost /
+    tau_delay).  The first batch holds only the root, whose children
     computation carries the full per-batch overhead, so the resulting
     tau_delay upper-bounds the per-clique cost of later batches.
     """
+    head: list[StepEvent] = []
     batch_cost = 0
     batch_size = 0
-    for event in list_mc(g, kernel=kernel, capacity=capacity):
+    for event in events:
+        head.append(event)
         if event.kind == CLIQUE_COLLECTED:
             batch_size += 1
         elif event.kind == BATCH_COMPLETED:
@@ -137,7 +142,7 @@ def calibrate(
     batch_size = max(1, batch_size)
     tau = max(1, CALIBRATION_MARGIN * _ceil_div(batch_cost, batch_size))
     boot_target = max(1, CALIBRATION_MARGIN * g.n * _ceil_div(batch_cost, tau))
-    return DelayConfig(tau_delay=tau, boot_target=boot_target)
+    return DelayConfig(tau_delay=tau, boot_target=boot_target), head
 
 
 def boot(events: Iterator[StepEvent], q: deque[VertexSet], boot_target: int) -> bool:
@@ -170,15 +175,17 @@ def run_strict(
     Yields every maximal clique exactly once, in queue-insertion (i.e.
     collection) order.  The queue never exceeds boot_target + n^2 + 1
     entries thanks to the forced-drain guard, and nothing is printed
-    before boot returns.
+    before boot returns.  Without ``cfg``, the stream's own first batch
+    calibrates one; ``report.config`` is set before the first emission.
     """
-    if cfg is None:
-        cfg = calibrate(g, kernel=kernel, capacity=capacity)
     if report is None:
         report = StrictRunReport()
-    report.config = cfg
     stats = report.stats
     events = list_mc(g, kernel=kernel, capacity=capacity, stats=stats)
+    if cfg is None:
+        cfg, head = calibrate(g, events)
+        events = chain(head, events)
+    report.config = cfg
     q: deque[VertexSet] = deque()
     exhausted = boot(events, q, cfg.boot_target)
     report.boot_exhausted = exhausted

@@ -100,11 +100,12 @@ def build_batch_matrices(
 
 def _pack_good_rows(thresh: np.ndarray, batch_size: int, n: int) -> list[list[int]]:
     cube = thresh.reshape(batch_size, n, n)
-    packed = np.packbits(cube, axis=2, bitorder="little")
-    rows: list[list[int]] = []
-    for k in range(batch_size):
-        rows.append([int.from_bytes(packed[k, i].tobytes(), "little") for i in range(n)])
-    return rows
+    buf = np.packbits(cube, axis=2, bitorder="little").tobytes()
+    width = (n + 7) // 8
+    flat = [
+        int.from_bytes(buf[at : at + width], "little") for at in range(0, len(buf), width)
+    ]
+    return [flat[k * n : (k + 1) * n] for k in range(batch_size)]
 
 
 def good_table_rectangular(
@@ -218,19 +219,26 @@ def children_naive(
     For each candidate ``i`` above the parent's index (``index``, 0 for the
     root), checks both reconstructability equations with explicit
     lexicographic completions.  Slow but independent of the good-row
-    machinery.
+    machinery.  Each distinct backward completion (most often the root's)
+    is computed once per call and charged at every use.
     """
     assert is_maximal_clique(g, p), "parent must be a maximal clique"
     n = g.n
     pb = p.bits
     indices = []
+    backs: dict[int, tuple[int, int]] = {}
     for i in range(index + 1, n + 1):
         if (pb >> (i - 1)) & 1:
             continue
         bel = below_mask(i)
         pig = pb & bel & g.adj[i - 1]
-        back = lex_completion(g, VertexSet(pig), counter)
-        if back.bits & bel != pb & bel:
+        if pig not in backs:
+            once = OpCounter()
+            backs[pig] = (lex_completion(g, VertexSet(pig), once).bits, once.ops)
+        back, units = backs[pig]
+        if counter is not None:
+            counter.add(units)
+        if back & bel != pb & bel:
             continue
         forward = lex_completion(g, VertexSet(pig | vbit(i)), counter)
         if forward.bits & bel == pig:

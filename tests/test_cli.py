@@ -241,12 +241,6 @@ class TestRun:
                 rc, out, _ = run_cli(input=str(path), kernel=kernel, capacity=batch)
                 assert rc == 0 and len(out.splitlines()) == 5
 
-    def test_strict_overrides(self, tmp_path):
-        path = tmp_path / "g.edges"
-        path.write_text(BRIDGED_EDGE_LINES)
-        rc, out, _ = run_cli(input=str(path), mode="strict", tau=5, boot_target=2)
-        assert rc == 0 and len(out.splitlines()) == 5
-
 
 class TestVerifyHelper:
     def test_fail_reports_counts(self, bridged):

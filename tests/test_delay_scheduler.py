@@ -118,13 +118,32 @@ class TestRunStrict:
         emissions, _ = strict_run(bridged)
         assert [e.ordinal for e in emissions] == list(range(1, 6))
 
+    @pytest.mark.parametrize("kernel", ["bitset", "rect"])
+    def test_default_config_traverses_once(self, kernel, monkeypatch):
+        # calibration reads the run's own first batch: one root, one M_G
+        calls = {"root": 0, "graph_matrix": 0}
+        for name in calls:
+            original = getattr(ds, name)
+
+            def counted(*args, _name=name, _fn=original, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(ds, name, counted)
+        g = cs.Graph.complete_multipartite_triples(12)
+        emissions, _ = strict_run(g, kernel=kernel, capacity=7)
+        assert len(emissions) == 81
+        assert calls == {"root": 1, "graph_matrix": int(kernel == "rect")}
+
 
 class TestCalibration:
     def test_config_valid(self):
         for g in random_graphs(6, seed0=2400):
-            cfg = ds.calibrate(g)
+            cfg, head = ds.calibrate(g, ds.list_mc(g))
             assert cfg.tau_delay >= 1
             assert cfg.boot_target >= 1
+            assert [e.kind for e in head] == [cs.CLIQUE_COLLECTED, cs.BATCH_COMPLETED]
+            assert head[0].clique == cs.root(g)
 
     def test_bad_config_rejected(self):
         with pytest.raises(ValueError):
@@ -155,3 +174,7 @@ class TestCalibration:
             emissions, report = strict_run(g)
             bound = report.config.tau_delay + report.max_event_cost
             assert all(e.cost_units <= bound for e in emissions)
+            # the calibrated default behaves as that config given explicitly
+            explicit, explicit_report = strict_run(g, cfg=report.config)
+            assert explicit == emissions
+            assert explicit_report == report
