@@ -36,9 +36,9 @@ good = sum(mask.bit_count() for row in rows_rect for mask in row)
 print(f"good fraction: {good / positive.size:.3f}")
 
 # Filtering the good rows yields one (parent, child indices) pair per batch
-# element; the naive per-parent kernel is the cross-check.
+# element; per-parent completion calls (children_naive) are the cross-check.
 specs = cs.children_batch(g, batch, kernel="rect")
-assert specs == cs.children_batch(g, batch, kernel="naive")
+assert specs == [cs.children_naive(g, p, cs.clique_index(g, p) or 0) for p in batch]
 total = sum(len(s) for s in specs)
 print(f"children found: {total} across {len(batch)} parents")
 widest = max(specs, key=len)

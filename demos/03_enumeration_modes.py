@@ -16,7 +16,7 @@ print(f"graph: n={g.n}, m={g.m}, {len(reference)} maximal cliques\n")
 print(f"{'capacity':>8} {'kernel':>7} {'batches':>8} {'undersized':>11} "
       f"{'max stack':>10} {'work units':>11} ok")
 for capacity in (1, 2, g.n, g.n * g.n):
-    for kernel in ("naive", "rect", "bitset"):
+    for kernel in ("rect", "bitset"):
         stats = cs.TraversalStats()
         emitted = [
             e.clique.bits

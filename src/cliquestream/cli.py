@@ -45,24 +45,12 @@ class IngestReport:
 def _finish_edges(
     pairs: list[tuple[int, int]], n: int, report: IngestReport | None
 ) -> Graph:
-    seen: set[tuple[int, int]] = set()
-    clean: list[tuple[int, int]] = []
-    loops = 0
-    dups = 0
-    for u, v in pairs:
-        if u == v:
-            loops += 1
-            continue
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            dups += 1
-            continue
-        seen.add(key)
-        clean.append(key)
+    g = Graph.from_edges(n, pairs)
     if report is not None:
+        loops = sum(1 for u, v in pairs if u == v)
         report.self_loops_dropped += loops
-        report.duplicates_dropped += dups
-    return Graph.from_edges(n, clean)
+        report.duplicates_dropped += len(pairs) - loops - g.m
+    return g
 
 
 def parse_edge_list(text: str, report: IngestReport | None = None) -> Graph:
@@ -290,44 +278,32 @@ def run(cfg: RunConfig, out=None, err=None) -> int:
     report = IngestReport()
     try:
         g = load_graph(cfg, report)
+        # opened before listing, so a bad path is refused before anything prints
+        trace = open(cfg.trace, "w", encoding="utf-8") if cfg.trace else None
     except (ParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=err)
         return 2
-    # an unwritable trace path is refused before anything prints
-    if cfg.trace and (
-        os.path.isdir(cfg.trace)
-        or not os.access(os.path.dirname(cfg.trace) or ".", os.W_OK)
-    ):
-        print(f"error: cannot write a trace file at {cfg.trace}", file=err)
-        return 2
-    for warning in report.warnings:
-        print(f"warning: {warning}", file=err)
-    if report.self_loops_dropped or report.duplicates_dropped:
-        print(
-            f"normalized input: dropped {report.self_loops_dropped} self-loops, "
-            f"{report.duplicates_dropped} duplicate edges",
-            file=err,
-        )
     stats = TraversalStats()
     emit = _plain_emissions if cfg.mode == "plain" else _strict_emissions
     emitted: set[int] = set()  # filled only under --verify
     count = 0
-    trace = None
     try:
+        if trace is not None:
+            trace.write(f"{TRACE_SCHEMA}\n{TRACE_HEADER}\n")
+        for warning in report.warnings:
+            print(f"warning: {warning}", file=err)
+        if report.self_loops_dropped or report.duplicates_dropped:
+            print(
+                f"normalized input: dropped {report.self_loops_dropped} self-loops, "
+                f"{report.duplicates_dropped} duplicate edges",
+                file=err,
+            )
         for clique, cost, queue_size, stack_cliques in emit(g, cfg, stats):
             print(_format_clique(clique), file=out)
             count += 1
             if cfg.verify:
                 emitted.add(clique.bits)
-            if cfg.trace:
-                if trace is None:
-                    # opened once the first clique is out, so it waits for no file
-                    try:
-                        trace = open(cfg.trace, "w", encoding="utf-8")
-                    except OSError as exc:
-                        print(f"error: {exc}", file=err)
-                        return 2
-                    trace.write(f"{TRACE_SCHEMA}\n{TRACE_HEADER}\n")
+            if trace is not None:
                 trace.write(f"{count},{cost},{queue_size},{stack_cliques}\n")
             if cfg.first is not None and count >= cfg.first:
                 break

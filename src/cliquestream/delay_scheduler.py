@@ -90,10 +90,11 @@ def list_mc(
     stats: TraversalStats | None = None,
 ) -> Iterator[StepEvent]:
     """Event stream of the full listing: construct the root, then batch-DFS
-    with the chosen children kernel.  Default capacity is n^2.  Each batch
-    carries its cliques' indices from the stack; the "rect" kernel's graph
-    matrix is built (and charged) once, with the first batch."""
-    cap = capacity if capacity is not None else max(1, g.n * g.n)
+    with the chosen children kernel, "bitset" or "rect" (the choices in
+    :data:`~cliquestream.kernels.KERNELS`).  Default capacity is n^2.  Each
+    batch carries its cliques' indices from the stack; the "rect" kernel's
+    graph matrix is built (and charged) once, with the first batch."""
+    cap = capacity if capacity is not None else g.n * g.n
     counter = OpCounter()
     mg = None
 

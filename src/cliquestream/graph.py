@@ -149,11 +149,12 @@ class Graph:
     n: int
     adj: tuple[int, ...]
     m: int
-    full_mask: int = field(repr=False, default=0)
+    full_mask: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.full_mask == 0:
-            object.__setattr__(self, "full_mask", (1 << self.n) - 1)
+        if self.n < 1:
+            raise ValueError("graph needs at least one vertex")
+        object.__setattr__(self, "full_mask", (1 << self.n) - 1)
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -162,8 +163,6 @@ class Graph:
         Construction is idempotent under duplicated or orientation-flipped
         edges.  Vertices outside ``1..n`` raise ``ValueError``.
         """
-        if n < 1:
-            raise ValueError("graph needs at least one vertex")
         adj = [0] * n
         for u, v in edges:
             if not (1 <= u <= n and 1 <= v <= n):
@@ -173,17 +172,12 @@ class Graph:
             adj[u - 1] |= 1 << (v - 1)
             adj[v - 1] |= 1 << (u - 1)
         m = sum(a.bit_count() for a in adj) // 2
-        return cls(n=n, adj=tuple(adj), m=m, full_mask=(1 << n) - 1)
+        return cls(n=n, adj=tuple(adj), m=m)
 
     @classmethod
     def complete(cls, n: int) -> "Graph":
-        full = (1 << n) - 1
-        return cls.from_edges(n, []) if n == 1 else cls(
-            n=n,
-            adj=tuple(full & ~(1 << v) for v in range(n)),
-            m=n * (n - 1) // 2,
-            full_mask=full,
-        )
+        adj = tuple((1 << n) - 1 - (1 << v) for v in range(n))
+        return cls(n=n, adj=adj, m=n * (n - 1) // 2)
 
     @classmethod
     def edgeless(cls, n: int) -> "Graph":
@@ -209,15 +203,16 @@ class Graph:
         maximum number of maximal cliques (one vertex per part each).
         Parts are the consecutive triples {1,2,3}, {4,5,6}, ...
         """
-        if n % 3 != 0:
-            raise ValueError("vertex count must be divisible by 3")
         edges = [
             (u, v)
             for u in range(1, n + 1)
             for v in range(u + 1, n + 1)
             if (u - 1) // 3 != (v - 1) // 3
         ]
-        return cls.from_edges(n, edges)
+        g = cls.from_edges(n, edges)  # n < 1 gets the common refusal
+        if n % 3 != 0:
+            raise ValueError("vertex count must be divisible by 3")
+        return g
 
     def has_edge(self, u: int, v: int) -> bool:
         return (self.adj[u - 1] >> (v - 1)) & 1 == 1

@@ -2,27 +2,28 @@
 
 A pair ``(i, j)`` is *good* for a parent ``P`` when some vertex of
 ``P_{<i} & N(i)`` is a non-neighbor of ``j``.  A parent's good row for
-``i`` is a bitmask over ``j``, and a batch's good rows can be computed two
-ways.  The paper's reduction reads them off one rectangular Boolean
-product: stack the parents' characteristic vectors into ``M_B`` (|B| x n),
-put the characteristic vector of ``A_i \\ N(j)`` with
-``A_i = V_{<i} & N(i)`` into column ``(i, j)`` of ``M_G`` (n x n^2), and
-test entries of ``M_B @ M_G`` for positivity.  ``M_G`` depends only on the
-graph, so a traversal builds it once and hands it to every batch.  The
-bitset kernel uses the direct formula: row ``i`` is the union of
-``V \\ N(u)`` over the members ``u`` of ``P_{<i} & N(i)``.
-:func:`good_table_bitset` materializes those rows; :func:`filter_children`
-never does, and tests each candidate against the complement of the row
-(the common neighborhood of ``P_{<i} & N(i)``) only as far as it needs to.
+``i`` is a bitmask over ``j``, and it has one formula: the complement of
+the common neighborhood of ``P_{<i} & N(i)``.  The paper's reduction reads
+a batch's rows off one rectangular Boolean product: stack the parents'
+characteristic vectors into ``M_B`` (|B| x n), put the characteristic
+vector of ``A_i \\ N(j)`` with ``A_i = V_{<i} & N(i)`` into column
+``(i, j)`` of ``M_G`` (n x n^2), and test entries of ``M_B @ M_G`` for
+positivity.  ``M_G`` depends only on the graph, so a traversal builds it
+once and hands it to every batch.  :func:`good_table_bitset` materializes
+the rows from :func:`~cliquestream.rs_tree.common_neighbors`;
+:func:`filter_children` never does, and folds the same common neighborhood
+only as far as each candidate needs.
 
 From its good rows, an index ``i`` yields a child of ``P`` exactly when no
 ``j < i`` witnesses a violation of either reconstructability direction;
-``filter_children`` encodes that test, and ``children_naive`` re-derives it
-from first principles with direct completion calls for differential
-testing.  Only indices above the parent's own index are candidates.  The
-traversal knows that index (a child popped from spec ``(P, i)`` has index
-``i``, the root 0) and passes it in; :func:`children_batch` recomputes it
-with :func:`clique_index` for callers that hand in arbitrary batches.  A
+``filter_children`` encodes that test.  Two kernels drive it for a batch:
+"rect" (rows from the product) and "bitset" (lazy rows).
+``children_naive`` re-derives the test from first principles with direct
+completion calls, one parent at a time, as the differential reference.
+Only indices above the parent's own index are candidates.  The traversal
+knows that index (a child popped from spec ``(P, i)`` has index ``i``, the
+root 0) and passes it in; :func:`children_batch` recomputes it with
+:func:`clique_index` for callers that hand in arbitrary batches.  A
 non-root parent tests only its neighbors ``N(P)``, so cost follows degree.
 """
 
@@ -37,13 +38,14 @@ from .graph import Graph, VertexSet, below_mask, vbit
 from .rs_tree import (
     OpCounter,
     clique_index,
+    common_neighbors,
     is_maximal_clique,
     lex_completion,
     prefix_masks,
     words,
 )
 
-KERNELS = ("naive", "rect", "bitset")
+KERNELS = ("rect", "bitset")
 
 
 @dataclass(frozen=True)
@@ -128,30 +130,26 @@ def good_table_rectangular(
 def good_table_bitset(
     g: Graph, cliques, counter: OpCounter | None = None
 ) -> list[list[int]]:
-    """Good rows by the direct formula: row i of ``P`` is the union of
-    ``V \\ N(u)`` over the members u of ``P_{<i} & N(i)``."""
+    """Good rows by the direct formula: row i of ``P`` is the complement of
+    the common neighborhood of ``P_{<i} & N(i)``.  Charge in words: ``n``,
+    ``2n`` per parent and one per member of each ``P_{<i} & N(i)``."""
     _assert_batch(g, cliques)
     n = g.n
     adj = g.adj
-    non_adj = [g.full_mask & ~a for a in adj]
+    full = g.full_mask
     rows: list[list[int]] = []
-    unions = 0
+    members = 0
     for c in cliques:
         pb = c.bits
         row = []
         for i in range(1, n + 1):
-            witnesses = pb & below_mask(i) & adj[i - 1]
-            mask = 0
-            while witnesses:
-                low = witnesses & -witnesses
-                mask |= non_adj[low.bit_length() - 1]
-                witnesses ^= low
-                unions += 1
-            row.append(mask)
+            pig = pb & below_mask(i) & adj[i - 1]
+            members += pig.bit_count()
+            row.append(full & ~common_neighbors(g, pig))
         rows.append(row)
     if counter is not None:
         w = words(n)
-        counter.add((n + len(cliques) * n * 2 + unions) * w)
+        counter.add((n + len(cliques) * n * 2 + members) * w)
     return rows
 
 
@@ -211,36 +209,30 @@ def filter_children(
     return ChildSpec(parent=p, indices=tuple(indices))
 
 
-def children_naive(
-    g: Graph, p: VertexSet, index: int, counter: OpCounter | None = None
-) -> ChildSpec:
+def children_naive(g: Graph, p: VertexSet, index: int) -> ChildSpec:
     """Child indices of ``p`` by direct completion calls.
 
     For each candidate ``i`` above the parent's index (``index``, 0 for the
     root), checks both reconstructability equations with explicit
     lexicographic completions.  Slow but independent of the good-row
-    machinery.  Each distinct backward completion (most often the root's)
-    is computed once per call and charged at every use.
+    machinery; the differential reference for both kernels.  Each distinct
+    backward completion (most often the root's) is computed once per call.
     """
     assert is_maximal_clique(g, p), "parent must be a maximal clique"
     n = g.n
     pb = p.bits
     indices = []
-    backs: dict[int, tuple[int, int]] = {}
+    backs: dict[int, int] = {}
     for i in range(index + 1, n + 1):
         if (pb >> (i - 1)) & 1:
             continue
         bel = below_mask(i)
         pig = pb & bel & g.adj[i - 1]
         if pig not in backs:
-            once = OpCounter()
-            backs[pig] = (lex_completion(g, VertexSet(pig), once).bits, once.ops)
-        back, units = backs[pig]
-        if counter is not None:
-            counter.add(units)
-        if back & bel != pb & bel:
+            backs[pig] = lex_completion(g, VertexSet(pig)).bits
+        if backs[pig] & bel != pb & bel:
             continue
-        forward = lex_completion(g, VertexSet(pig | vbit(i)), counter)
+        forward = lex_completion(g, VertexSet(pig | vbit(i)))
         if forward.bits & bel == pig:
             indices.append(i)
     return ChildSpec(parent=p, indices=tuple(indices))
@@ -258,8 +250,8 @@ def children_batch(
 
     ``kernel`` picks how good pairs are decided: "rect" goes through the
     Boolean product, "bitset" through the lazy candidate test of
-    :func:`filter_children`, "naive" through per-parent completion calls.
-    All three agree extensionally.  ``indices`` holds each clique's own
+    :func:`filter_children`.  Both agree extensionally with
+    :func:`children_naive`.  ``indices`` holds each clique's own
     index (0 for the root) when the caller knows it; without it, each index
     is recomputed with :func:`clique_index`.  ``mg`` is a prebuilt
     :func:`graph_matrix` of ``g`` for "rect".
@@ -267,8 +259,6 @@ def children_batch(
     _assert_batch(g, cliques)
     if indices is None:
         indices = [clique_index(g, p, counter) or 0 for p in cliques]
-    if kernel == "naive":
-        return [children_naive(g, p, i, counter) for p, i in zip(cliques, indices)]
     if kernel == "rect":
         rows = good_table_rectangular(g, cliques, counter=counter, mg=mg)
     elif kernel == "bitset":

@@ -57,8 +57,6 @@ def common_neighbors(g: Graph, bits: int) -> int:
 def is_maximal_clique(g: Graph, s: VertexSet) -> bool:
     if not is_clique(g, s):
         return False
-    if s.bits == 0:
-        return g.n == 0
     return common_neighbors(g, s.bits) & ~s.bits == 0
 
 

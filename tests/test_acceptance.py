@@ -29,7 +29,7 @@ from conftest import (
     small_family,
 )
 
-KERNELS = ("naive", "rect", "bitset")
+KERNELS = ("rect", "bitset")
 
 
 def report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -117,7 +117,7 @@ def test_criterion_1_oracle_equivalence(run_matrix):
     ok = all(r.set_ok and r.duplicate_free for r in records) and elapsed < 60.0
     report(
         1,
-        "oracle equivalence over 200 graphs x 3 kernels x 4 capacities x 2 modes",
+        "oracle equivalence over 200 graphs x 2 kernels x 4 capacities x 2 modes",
         ok,
         f"{len(records)} runs in {elapsed:.1f}s",
     )
@@ -125,11 +125,7 @@ def test_criterion_1_oracle_equivalence(run_matrix):
 
 def test_criterion_2_running_example_golden():
     g = bridged_cliques_graph()
-    emitted = [
-        e.clique
-        for e in cs.list_mc(g, kernel="naive")
-        if e.kind == cs.CLIQUE_COLLECTED
-    ]
+    emitted = [e.clique for e in cs.list_mc(g) if e.kind == cs.CLIQUE_COLLECTED]
     ok = set(c.bits for c in emitted) == set(c.bits for c in BRIDGED_CLIQUES)
     ok = ok and emitted[0] == K5_SIDE
     indices = [

@@ -79,7 +79,7 @@ class TestEmissionOrder:
         assert collect_plain(g) == [cs.VertexSet.of(1, 2, 3, 4)]
 
     def test_order_deterministic(self, bridged):
-        for kernel in ("naive", "rect", "bitset"):
+        for kernel in ("rect", "bitset"):
             assert collect_plain(bridged, kernel=kernel, capacity=2) == ORDER_CAP2
 
 
@@ -158,7 +158,7 @@ class TestCarriedIndex:
             # traversal revisit cliques and never end
             for c, i in zip(cliques, kwargs["indices"]):
                 assert (cs.clique_index(g, c) or 0) == i
-                # the candidate cut keeps every child the naive kernel finds
+                # the candidate cut keeps every child children_naive finds
                 assert cs.filter_children(g, c, i) == cs.children_naive(g, c, i)
                 seen.append(c)
             return real(g, cliques, **kwargs)

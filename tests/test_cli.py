@@ -98,7 +98,7 @@ class TestRun:
     def test_plain_bridged(self, tmp_path):
         path = tmp_path / "g.edges"
         path.write_text(BRIDGED_EDGE_LINES)
-        rc, out, _ = run_cli(input=str(path), kernel="naive")
+        rc, out, _ = run_cli(input=str(path))
         lines = out.splitlines()
         assert rc == 0
         assert len(lines) == 5
@@ -205,12 +205,15 @@ class TestRun:
         assert err.startswith("VERIFY PASS")
 
     def test_unwritable_trace_path(self, tmp_path, capsys):
-        trace = tmp_path / "missing" / "t.csv"
-        assert cli.main(["--input", "complete:3", "--trace", str(trace)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error:") and str(trace) in captured.err
-        assert len(captured.err.splitlines()) == 1
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        # a missing directory, and a regular file where a directory should be
+        for trace in (tmp_path / "missing" / "t.csv", afile / "t.csv"):
+            assert cli.main(["--input", "complete:3", "--trace", str(trace)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error:") and str(trace) in captured.err
+            assert len(captured.err.splitlines()) == 1
 
     def test_trace_path_is_directory(self, tmp_path):
         rc, out, err = run_cli(input="complete:3", trace=str(tmp_path))
@@ -236,10 +239,16 @@ class TestRun:
     def test_batch_and_kernel_flags(self, tmp_path):
         path = tmp_path / "g.edges"
         path.write_text(BRIDGED_EDGE_LINES)
-        for kernel in ("naive", "rect", "bitset"):
+        for kernel in ("rect", "bitset"):
             for batch in (1, 2, 64):
                 rc, out, _ = run_cli(input=str(path), kernel=kernel, capacity=batch)
                 assert rc == 0 and len(out.splitlines()) == 5
+
+    def test_retired_kernel_refused(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--input", "complete:3", "--kernel", "naive"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestVerifyHelper:

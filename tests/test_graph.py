@@ -130,6 +130,30 @@ class TestConstruction:
         with pytest.raises(ValueError):
             cs.Graph.from_edges(3, [(1, 4)])
 
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_every_constructor_refuses_no_vertices(self, n):
+        builds = [
+            lambda: cs.Graph(n=n, adj=(), m=0),
+            lambda: cs.Graph.from_edges(n, []),
+            lambda: cs.Graph.complete(n),
+            lambda: cs.Graph.edgeless(n),
+            lambda: cs.Graph.gnp(n, 0.5, seed=1),
+            lambda: cs.Graph.complete_multipartite_triples(n),
+        ]
+        for build in builds:
+            with pytest.raises(ValueError, match="^graph needs at least one vertex$"):
+                build()
+
+    def test_complete_matches_all_pairs(self):
+        for n in range(1, 7):
+            pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+            assert cs.Graph.complete(n) == cs.Graph.from_edges(n, pairs)
+
+    def test_full_mask_is_derived(self):
+        assert cs.Graph.edgeless(3).full_mask == 0b111
+        with pytest.raises(TypeError):
+            cs.Graph(n=2, adj=(0, 0), m=0, full_mask=3)
+
 
 class TestVertexSet:
     def test_iteration_ascending(self):

@@ -235,11 +235,9 @@ class TestChildrenBatch:
     def test_kernel_extensional_equality(self):
         for g in random_graphs(200, seed0=1300):
             batch = oracle.all_maximal_cliques(g)
-            results = [
-                cs.children_batch(g, batch, kernel=k)
-                for k in ("naive", "rect", "bitset")
-            ]
-            assert results[0] == results[1] == results[2]
+            naive = [cs.children_naive(g, p, cs.clique_index(g, p) or 0) for p in batch]
+            for kernel in ("rect", "bitset"):
+                assert cs.children_batch(g, batch, kernel=kernel) == naive
 
     def test_matches_children_oracle(self):
         for g in random_graphs(10, seed0=1400, n_hi=11):
@@ -279,7 +277,7 @@ class TestChildrenBatch:
         for g in random_graphs(30, seed0=1650, n_hi=12):
             batch = oracle.all_maximal_cliques(g)
             indices = [cs.clique_index(g, p) or 0 for p in batch]
-            for kernel in ("naive", "rect", "bitset"):
+            for kernel in ("rect", "bitset"):
                 assert cs.children_batch(
                     g, batch, kernel=kernel, indices=indices
                 ) == cs.children_batch(g, batch, kernel=kernel)
