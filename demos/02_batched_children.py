@@ -22,8 +22,10 @@ print(f"M_B: {mb.shape}, M_G: {mg.shape}")
 counts = matmul.multiply(mb, mg)
 print(f"naive product: {counts.shape}, max witness count = {counts.max()}")
 
-# The kernel needs only positivity, so it takes the Boolean product, which
-# agrees entrywise with the thresholded naive reference.
+# The kernel needs only positivity: it thresholds a float32 BLAS product
+# (exact, as no count can pass the inner dimension n), which agrees
+# entrywise with the thresholded naive reference.  good_table_rectangular
+# runs it over column blocks of M_G and packs each block's rows to words.
 positive = matmul.multiply_boolean_threshold(mb, mg)
 assert (positive == (counts > 0)).all()
 print("Boolean product == naive product > 0")

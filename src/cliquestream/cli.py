@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from . import delay_scheduler, oracle, rs_tree
 from .batch_dfs import CLIQUE_COLLECTED, TraversalStats
 from .graph import Graph, VertexSet
-from .kernels import KERNELS
+from .kernels import KERNELS, check_rect_capacity
 
 TRACE_SCHEMA = "# cliquestream trace v1"
 TRACE_HEADER = "print_ordinal,cost_units,queue_size,stack_cliques"
@@ -278,6 +278,8 @@ def run(cfg: RunConfig, out=None, err=None) -> int:
     report = IngestReport()
     try:
         g = load_graph(cfg, report)
+        if cfg.kernel == "rect":
+            check_rect_capacity(g.n, cfg.capacity)
         # opened before listing, so a bad path is refused before anything prints
         trace = open(cfg.trace, "w", encoding="utf-8") if cfg.trace else None
     except (ParseError, OSError, ValueError) as exc:

@@ -33,7 +33,7 @@ from .batch_dfs import (
     step_events,
 )
 from .graph import Graph, VertexSet
-from .kernels import children_batch, graph_matrix
+from .kernels import check_rect_capacity, children_batch, graph_matrix
 from .rs_tree import OpCounter, root
 
 
@@ -93,7 +93,11 @@ def list_mc(
     with the chosen children kernel, "bitset" or "rect" (the choices in
     :data:`~cliquestream.kernels.KERNELS`).  Default capacity is n^2.  Each
     batch carries its cliques' indices from the stack; the "rect" kernel's
-    graph matrix is built (and charged) once, with the first batch."""
+    graph matrix is built (and charged) once, with the first batch.  A
+    "rect" capacity that :func:`~cliquestream.kernels.check_rect_capacity`
+    refuses raises ValueError here, before anything is built."""
+    if kernel == "rect":
+        check_rect_capacity(g.n, capacity)
     cap = capacity if capacity is not None else g.n * g.n
     counter = OpCounter()
     mg = None

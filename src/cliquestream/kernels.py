@@ -9,10 +9,13 @@ characteristic vectors into ``M_B`` (|B| x n), put the characteristic
 vector of ``A_i \\ N(j)`` with ``A_i = V_{<i} & N(i)`` into column
 ``(i, j)`` of ``M_G`` (n x n^2), and test entries of ``M_B @ M_G`` for
 positivity.  ``M_G`` depends only on the graph, so a traversal builds it
-once and hands it to every batch.  :func:`good_table_bitset` materializes
-the rows from :func:`~cliquestream.rs_tree.common_neighbors`;
-:func:`filter_children` never does, and folds the same common neighborhood
-only as far as each candidate needs.
+once and hands it to every batch; :func:`good_table_rectangular` multiplies
+it in byte-budgeted column blocks packed straight to 64-bit words, and
+:func:`check_rect_capacity` refuses a batch capacity whose rows would not
+fit.  :func:`good_table_bitset` materializes the rows from
+:func:`~cliquestream.rs_tree.common_neighbors`; :func:`filter_children`
+never does, and folds the same common neighborhood only as far as each
+candidate needs.
 
 From its good rows, an index ``i`` yields a child of ``P`` exactly when no
 ``j < i`` witnesses a violation of either reconstructability direction;
@@ -47,6 +50,12 @@ from .rs_tree import (
 
 KERNELS = ("rect", "bitset")
 
+# float32 bytes that each of a product block's input and output may hold
+BLOCK_BYTES = 1 << 16
+# packed good rows one "rect" batch may hold; read out as Python ints, the
+# rows take several times this
+RECT_ROWS_BYTES = 1 << 24
+
 
 @dataclass(frozen=True)
 class ChildSpec:
@@ -59,9 +68,12 @@ class ChildSpec:
         return len(self.indices)
 
 
-def _mask_to_row(mask: int, n: int) -> np.ndarray:
-    raw = np.frombuffer(mask.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, bitorder="little")[:n]
+def _mask_rows(masks, n: int) -> np.ndarray:
+    """Bool matrix whose row k is the characteristic vector of masks[k]."""
+    width = (n + 7) // 8
+    raw = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), np.uint8)
+    bits = np.unpackbits(raw.reshape(-1, width), axis=1, count=n, bitorder="little")
+    return bits.view(bool)
 
 
 def _assert_batch(g: Graph, cliques) -> None:
@@ -74,16 +86,13 @@ def graph_matrix(g: Graph, counter: OpCounter | None = None) -> np.ndarray:
     position ``(i-1)*n + (j-1)`` (row-major, i outermost) and holds the
     characteristic vector of ``A_i \\ N(j)``."""
     n = g.n
-    a_rows = np.stack(
-        [_mask_to_row(g.adj[i - 1] & below_mask(i), n) for i in range(1, n + 1)]
-    )
-    non_adj = np.stack(
-        [1 - _mask_to_row(g.adj[j - 1], n) for j in range(1, n + 1)]
-    ).astype(np.uint8)
-    cols = np.einsum("iv,jv->ijv", a_rows, non_adj)
+    a_rows = _mask_rows((g.adj[i - 1] & below_mask(i) for i in range(1, n + 1)), n)
+    non_adj = _mask_rows((g.full_mask & ~a for a in g.adj), n)
     if counter is not None:
         counter.add(n * n * 2 * words(n))
-    return cols.reshape(n * n, n).T.copy()
+    # entry [v, i, j] = a_rows[i, v] & non_adj[j, v], allocated in C order
+    cube = np.bitwise_and(a_rows.T[:, :, None], non_adj.T[:, None, :], order="C")
+    return cube.reshape(n, n * n)
 
 
 def build_batch_matrices(
@@ -96,18 +105,22 @@ def build_batch_matrices(
     passes in one already built for ``g``.
     """
     _assert_batch(g, cliques)
-    mb = np.stack([_mask_to_row(c.bits, g.n) for c in cliques])
+    mb = _mask_rows((c.bits for c in cliques), g.n)
     return mb, graph_matrix(g) if mg is None else mg
 
 
-def _pack_good_rows(thresh: np.ndarray, batch_size: int, n: int) -> list[list[int]]:
-    cube = thresh.reshape(batch_size, n, n)
-    buf = np.packbits(cube, axis=2, bitorder="little").tobytes()
-    width = (n + 7) // 8
-    flat = [
-        int.from_bytes(buf[at : at + width], "little") for at in range(0, len(buf), width)
-    ]
-    return [flat[k * n : (k + 1) * n] for k in range(batch_size)]
+def check_rect_capacity(n: int, capacity: int | None) -> None:
+    """Refuse a "rect" batch capacity (default n^2) whose packed good rows,
+    ``capacity * n * ceil(n/64)`` 64-bit words, would pass
+    :data:`RECT_ROWS_BYTES`.  Nothing is allocated."""
+    cap = capacity if capacity is not None else n * n
+    need = cap * n * words(n) * 8
+    if need > RECT_ROWS_BYTES:
+        raise ValueError(
+            f"rect good rows for batch capacity {cap} at n = {n} need "
+            f"{need / 2**20:.1f} MiB, over {RECT_ROWS_BYTES >> 20} MiB: lower --batch "
+            f"to at most {RECT_ROWS_BYTES // (n * words(n) * 8)}"
+        )
 
 
 def good_table_rectangular(
@@ -115,16 +128,34 @@ def good_table_rectangular(
 ) -> list[list[int]]:
     """Good rows via the |B| x n by n x n^2 Boolean product.  ``mg`` is a
     prebuilt :func:`graph_matrix` of ``g``; without it, ``M_G`` is built and
-    charged here."""
+    charged here.  Each block of ``M_G`` holds whole rows ``i`` (``n``
+    columns each), as many as keep its float32 input and output within
+    :data:`BLOCK_BYTES`, and is packed along ``j`` into 64-bit words."""
     n = g.n
     if mg is None:
         mg = graph_matrix(g, counter)
     mb, mg = build_batch_matrices(g, cliques, mg)
-    thresh = matmul.multiply_boolean_threshold(mb, mg)
+    b = len(cliques)
+    w = words(n)
+    packed = np.zeros((b, n, 8 * w), dtype=np.uint8)
+    step = max(1, BLOCK_BYTES // (4 * n * (n + b)))
+    for first in range(0, n, step):
+        last = min(n, first + step)
+        block = matmul.multiply_boolean_threshold(mb, mg[:, first * n : last * n])
+        packed[:, first:last, : (n + 7) // 8] = np.packbits(
+            block.reshape(b, last - first, n), axis=2, bitorder="little"
+        )
     if counter is not None:
-        w = words(n)
-        counter.add(len(cliques) * w + len(cliques) * n * n * w)
-    return _pack_good_rows(thresh, len(cliques), n)
+        counter.add(b * w + b * n * n * w)
+    word_cols = packed.view("<u8")
+    rows = word_cols[:, :, 0].tolist()
+    for k in range(1, w):
+        shift = 64 * k
+        rows = [
+            [lo | hi << shift for lo, hi in zip(row, high)]
+            for row, high in zip(rows, word_cols[:, :, k].tolist())
+        ]
+    return rows
 
 
 def good_table_bitset(

@@ -1,15 +1,20 @@
 """Matrix products for the rectangular reduction.
 
 The children-generation kernel consumes only the positivity of the product
-of two 0/1 matrices, so :func:`multiply_boolean_threshold` computes it as
-one Boolean product: numpy ANDs and ORs ``bool`` operands, which is exact
-at any inner dimension.  :func:`multiply` is the exact integer product as a
-pure-Python triple loop, kept as the differential reference.
+of two 0/1 matrices, so :func:`multiply_boolean_threshold` computes it as a
+float32 product through BLAS sgemm and thresholds it at zero.  Every entry
+counts witnesses, at most the inner dimension, so below 2^24 (float32's
+exact-integer range) the product is exact; a larger inner dimension is
+refused.  :func:`multiply` is the exact integer product as a pure-Python
+triple loop, kept as the differential reference.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+# float32 represents every integer up to 2^24 exactly
+_FLOAT32_EXACT = 1 << 24
 
 
 def _as_matrix(a) -> np.ndarray:
@@ -18,7 +23,7 @@ def _as_matrix(a) -> np.ndarray:
         raise ValueError(f"expected a 2-D matrix, got shape {m.shape}")
     if m.shape[0] < 1 or m.shape[1] < 1:
         raise ValueError(f"matrix dimensions must be positive, got shape {m.shape}")
-    if not np.issubdtype(m.dtype, np.integer) and not np.issubdtype(m.dtype, np.bool_):
+    if m.dtype.kind not in "biu":
         raise ValueError(f"expected integer entries, got dtype {m.dtype}")
     return m
 
@@ -29,7 +34,8 @@ def _check_dims(a: np.ndarray, b: np.ndarray) -> None:
 
 
 def _check_binary(m: np.ndarray, name: str) -> None:
-    if m.min() < 0 or m.max() > 1:
+    kind = m.dtype.kind  # bool is 0/1 by type; unsigned cannot go below 0
+    if kind != "b" and (m.max() > 1 or (kind == "i" and m.min() < 0)):
         raise ValueError(f"{name} must be a 0/1 matrix")
 
 
@@ -60,6 +66,8 @@ def multiply_boolean_threshold(a, b) -> np.ndarray:
     am = _as_matrix(a)
     bm = _as_matrix(b)
     _check_dims(am, bm)
+    if am.shape[1] >= _FLOAT32_EXACT:
+        raise ValueError(f"inner dimension {am.shape[1]} is past float32's exact range")
     _check_binary(am, "left operand")
     _check_binary(bm, "right operand")
-    return am.astype(bool) @ bm.astype(bool)
+    return (am.astype(np.float32) @ bm.astype(np.float32)) > 0

@@ -104,6 +104,48 @@ class TestGoodTables:
                         )
 
 
+class TestRectBlocks:
+    """Rows past one 64-bit word and product blocks that split the rows
+    unevenly; every other good-table test has n <= 14."""
+
+    @pytest.mark.parametrize("n", [63, 64, 65, 130])
+    def test_rect_equals_bitset(self, n, monkeypatch):
+        g = cs.Graph.gnp(n, 6 / n, seed=n)
+        cliques = oracle.all_maximal_cliques(g, limit=n)
+        mg = cs.kernels.graph_matrix(g)
+        # the default budget, one row per block, and all of M_G in one block
+        for budget in (cs.kernels.BLOCK_BYTES, 1, 1 << 30):
+            monkeypatch.setattr(cs.kernels, "BLOCK_BYTES", budget)
+            for size in (1, 7, 64):
+                batch = cliques[:size]
+                assert cs.good_table_rectangular(g, batch, mg=mg) == (
+                    cs.good_table_bitset(g, batch)
+                )
+                assert cs.children_batch(g, batch, kernel="rect", mg=mg) == (
+                    cs.children_batch(g, batch, kernel="bitset")
+                )
+
+    def test_listing_past_two_words_matches_oracle(self):
+        g = cs.Graph.gnp(130, 0.06, seed=7)
+        events = cs.list_mc(g, kernel="rect", capacity=64)
+        listed = [e.clique.bits for e in events if e.kind == cs.CLIQUE_COLLECTED]
+        assert len(listed) == len(set(listed))
+        assert set(listed) == {c.bits for c in oracle.all_maximal_cliques(g, limit=130)}
+
+    def test_oversized_capacity_refused_before_listing(self, monkeypatch):
+        g = cs.Graph.gnp(200, 0.5, seed=1)
+
+        def no_root(*args, **kwargs):
+            raise AssertionError("root built before the capacity check")
+
+        monkeypatch.setattr(cs.delay_scheduler, "root", no_root)
+        with pytest.raises(ValueError, match="--batch"):
+            cs.list_mc(g, kernel="rect")
+        with pytest.raises(ValueError, match="--batch"):
+            cs.kernels.check_rect_capacity(200, None)
+        cs.kernels.check_rect_capacity(200, 64)
+
+
 class TestAdjacentToOwnPrefix:
     def test_matches_definition(self):
         rng = random.Random(1700)

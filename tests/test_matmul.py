@@ -65,9 +65,10 @@ class TestBooleanThreshold:
             assert got.dtype == np.bool_ and got.shape == (r, c)
             assert (got == ref).all()
 
-    @pytest.mark.parametrize("inner", [256, 1024])
+    @pytest.mark.parametrize("inner", [256, 1024, (1 << 16) + 1])
     def test_exact_past_8_bit_inner_dimension(self, inner):
-        # a uint8 accumulator would wrap 256 witnesses around to 0
+        # a uint8 (uint16) accumulator would wrap 256 (65,536) witnesses
+        # around to 0
         a = np.ones((1, inner), dtype=np.uint8)
         b = np.ones((inner, 1), dtype=np.uint8)
         assert matmul.multiply_boolean_threshold(a, b).tolist() == [[True]]
@@ -85,3 +86,11 @@ class TestBooleanThreshold:
                 matmul.multiply_boolean_threshold(a, ok)
             with pytest.raises(ValueError):
                 matmul.multiply_boolean_threshold(ok.T, a.T)
+
+    def test_refuses_inner_dimension_past_float32_exact_range(self):
+        # broadcast views: the refusal must come before any allocation
+        inner = 1 << 24
+        a = np.broadcast_to(np.uint8(1), (1, inner))
+        b = np.broadcast_to(np.uint8(1), (inner, 1))
+        with pytest.raises(ValueError, match="inner dimension"):
+            matmul.multiply_boolean_threshold(a, b)
