@@ -35,19 +35,20 @@ list(cs.list_mc(g, capacity=2, stats=stats))
 print(f"\nbounds at capacity 2: stack {stats.max_stack_cliques} <= "
       f"{g.n * g.n * 2}, undersized {stats.batches_undersized} <= {g.n}")
 
-# step_events is the traversal itself: any children step can drive it.
+# step_events is the traversal itself: any children step can drive it.  Each
+# event costs what the shared counter gained since the previous event.
 seen = []
+counter = cs.OpCounter()
 
 
 def children_fn(cliques, indices):
     # indices[k] is the reverse-search index of cliques[k] (0 for the root),
-    # read off the stack entry it was popped from
-    counter = cs.OpCounter()
-    specs = cs.children_batch(g, cliques, counter=counter, indices=indices)
-    return specs, counter.ops
+    # returned by the stack pop that expanded it
+    return cs.children_batch(g, cliques, counter=counter, indices=indices)
 
 
-for event in cs.step_events(g, cs.root(g), children_fn, g.n * g.n):
+root_clique = cs.root(g, counter)
+for event in cs.step_events(g, root_clique, children_fn, g.n * g.n, counter=counter):
     if event.kind == cs.CLIQUE_COLLECTED:
         seen.append(event.clique)
 print(f"step_events delivered {len(seen)} cliques, root first: {seen[0]}")

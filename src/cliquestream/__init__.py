@@ -44,7 +44,6 @@ from .rs_tree import (
     OpCounter,
     child,
     clique_index,
-    clique_index_scan,
     is_clique,
     is_maximal_clique,
     lex_completion,
@@ -73,7 +72,6 @@ __all__ = [
     "children_batch",
     "children_naive",
     "clique_index",
-    "clique_index_scan",
     "filter_children",
     "good_table_bitset",
     "good_table_rectangular",

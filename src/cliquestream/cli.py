@@ -76,6 +76,10 @@ def parse_edge_list(text: str, report: IngestReport | None = None) -> Graph:
                 raise ParseError(f"line {lineno}: bad vertex count {parts[1]!r}") from None
             if declared < 1:
                 raise ParseError(f"line {lineno}: vertex count must be positive")
+            if max_id > declared:
+                raise ParseError(
+                    f"line {lineno}: declared count {declared} is below vertex id {max_id}"
+                )
             continue
         if len(parts) != 2:
             raise ParseError(f"line {lineno}: expected 'u v', got {line!r}")
@@ -330,7 +334,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--format", dest="fmt", choices=["edges", "dimacs"], default="edges")
     p.add_argument("--kernel", choices=KERNELS, default="bitset")
-    p.add_argument("--batch", type=int, default=None, help="batch capacity (default n^2)")
+    p.add_argument(
+        "--batch",
+        dest="capacity",
+        metavar="N",
+        type=int,
+        default=None,
+        help="batch capacity (default n^2)",
+    )
     p.add_argument("--mode", choices=["plain", "strict"], default="plain")
     p.add_argument("--first", type=int, default=None, help="stop after X cliques")
     p.add_argument(
@@ -346,17 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = RunConfig(
-            input=args.input,
-            fmt=args.fmt,
-            kernel=args.kernel,
-            capacity=args.batch,
-            mode=args.mode,
-            first=args.first,
-            verify=args.verify,
-            trace=args.trace,
-            seed=args.seed,
-        )
+        cfg = RunConfig(**vars(args))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

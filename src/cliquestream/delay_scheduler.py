@@ -8,13 +8,14 @@ clique whenever at least ``tau_delay`` work units accrued since the last
 print (or the queue overflows ``boot_target + n^2``), and a final drain
 empties the queue once the traversal ends.
 
-Work units are the operation counts charged by the kernels: every
-children invocation reports its word-op/multiply-add count and every pop
-reports its completion cost.  Without a given config, ``run_strict``
-calibrates from its own stream's first batch (:func:`calibrate`) and
-replays it into boot; both derived quantities carry a factor of
-:data:`CALIBRATION_MARGIN` so the printing rate stays safely below the
-collection rate and the queue never starves between boot and drain.
+Work units are the operation counts charged to the listing's one counter:
+the root's construction, every pop's completion and every children
+invocation's word ops and multiply-adds.  Without a given config,
+``run_strict`` calibrates from its own stream's first batch
+(:func:`calibrate`) and replays it into boot; both derived quantities carry
+a factor of :data:`CALIBRATION_MARGIN` so the printing rate stays safely
+below the collection rate and the queue never starves between boot and
+drain.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .batch_dfs import (
     step_events,
 )
 from .graph import Graph, VertexSet
-from .kernels import check_rect_capacity, children_batch, graph_matrix
+from .kernels import KERNELS, check_rect_capacity, children_batch, graph_matrix
 from .rs_tree import OpCounter, root
 
 
@@ -91,11 +92,15 @@ def list_mc(
 ) -> Iterator[StepEvent]:
     """Event stream of the full listing: construct the root, then batch-DFS
     with the chosen children kernel, "bitset" or "rect" (the choices in
-    :data:`~cliquestream.kernels.KERNELS`).  Default capacity is n^2.  Each
-    batch carries its cliques' indices from the stack; the "rect" kernel's
-    graph matrix is built (and charged) once, with the first batch.  A
-    "rect" capacity that :func:`~cliquestream.kernels.check_rect_capacity`
-    refuses raises ValueError here, before anything is built."""
+    :data:`~cliquestream.kernels.KERNELS`).  Default capacity is n^2.  One
+    counter takes the root, every pop and every children step, so the
+    root's units fall on the first event.  Each batch carries its cliques'
+    indices from the stack; the "rect" kernel's graph matrix is built (and
+    charged) once, with the first batch.  An unknown kernel, or a "rect"
+    capacity that :func:`~cliquestream.kernels.check_rect_capacity`
+    refuses, raises ValueError here, before anything is built."""
+    if kernel not in KERNELS:
+        raise ValueError(f"unknown kernel {kernel!r}")
     if kernel == "rect":
         check_rect_capacity(g.n, capacity)
     cap = capacity if capacity is not None else g.n * g.n
@@ -104,19 +109,14 @@ def list_mc(
 
     def children_fn(cliques: list[VertexSet], indices: list[int]):
         nonlocal mg
-        before = counter.ops
         if kernel == "rect" and mg is None:
             mg = graph_matrix(g, counter)
-        specs = children_batch(
+        return children_batch(
             g, cliques, kernel=kernel, counter=counter, indices=indices, mg=mg
         )
-        return specs, counter.ops - before
 
-    root_counter = OpCounter()
-    root_clique = root(g, root_counter)
-    return step_events(
-        g, root_clique, children_fn, cap, stats=stats, root_cost=root_counter.ops
-    )
+    root_clique = root(g, counter)
+    return step_events(g, root_clique, children_fn, cap, stats=stats, counter=counter)
 
 
 def calibrate(

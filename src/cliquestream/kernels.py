@@ -205,8 +205,8 @@ def filter_children(
     breaks).  Without ``good_row``, the parent's slice of a good table, the
     row's complement is folded lazily as the common neighborhood of
     ``P_{<i} & N(i)`` until no ``j`` is left.  Charge in words: ``3|P|``
-    for :func:`prefix_masks` (as in :func:`clique_index`), 4 for the
-    masks, 6 per candidate, 1 per fold.
+    for :func:`prefix_masks`, 4 for the masks, 6 per candidate, 1 per
+    fold.
     """
     adj = g.adj
     pb = p.bits

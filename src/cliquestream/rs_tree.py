@@ -123,46 +123,12 @@ def prefix_masks(g: Graph, p: VertexSet) -> tuple[int, int]:
 
 
 def clique_index(g: Graph, c: VertexSet, counter: OpCounter | None = None) -> int | None:
-    """Index of the maximal clique ``c``; ``None`` for the root.
-
-    The completion of ``C_{<m}`` leaves ``C`` at its first deviation: a
-    non-member below ``m`` adjacent to all of ``C_{<m}``, or else the first
-    non-member above ``m`` adjacent to its own prefix of ``C``.  The index
-    is the greatest member ``m`` with such a witness; a non-member never
-    is the index, since its prefix is that of the next member (or all of
-    ``C``).  One ascending pass keeps the common neighborhood of the
-    members below ``m``.
-    """
+    """Index of the maximal clique ``c``: the greatest ``i`` whose prefix
+    ``C_{<i}`` does not complete back to ``C``; ``None`` for the root.  The
+    completions are charged to ``counter``."""
     assert is_maximal_clique(g, c), "input must be a maximal clique"
-    adj = g.adj
-    cbits = c.bits
-    # every member below the last non-member adjacent to its own prefix
-    # has a witness above it
-    top = (prefix_masks(g, c)[0] & ~cbits).bit_length()
-    common = g.full_mask
-    index = None
-    rest = cbits
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        m = low.bit_length()
-        # members below m are not their own neighbors, so common & (low - 1)
-        # holds only non-members
-        if m < top or common & (low - 1):
-            index = m
-        common &= adj[m - 1]
-    if counter is not None:
-        counter.add(3 * cbits.bit_count() * words(g.n))
-    return index
-
-
-def clique_index_scan(g: Graph, c: VertexSet) -> int | None:
-    """Definitional index: greatest ``i`` whose prefix does not complete
-    back to ``c``.  Slow differential reference for :func:`clique_index`.
-    """
-    assert is_maximal_clique(g, c)
     for i in range(g.n, 0, -1):
-        if VertexSet(_lc_bits(g, c.bits & below_mask(i))) != c:
+        if _lc_bits(g, c.bits & below_mask(i), counter) != c.bits:
             return i
     return None
 

@@ -35,21 +35,20 @@ class TestPopFromTop:
     def test_consumes_first_index_and_keeps_spec(self, bridged):
         stack = BacktrackStack()
         stack.push(ChildSpec(parent=K5_SIDE, indices=(6, 7, 8)))
-        got = stack.pop(bridged)
-        assert got == BRIDGE_16
+        assert stack.pop(bridged) == (BRIDGE_16, 6)
         assert stack.pending == 2
         assert len(stack) == 1
 
     def test_removes_spec_when_list_empties(self, bridged):
         stack = BacktrackStack()
         stack.push(ChildSpec(parent=BRIDGE_16, indices=(7,)))
-        assert stack.pop(bridged) == TRIANGLE
+        assert stack.pop(bridged) == (TRIANGLE, 7)
         assert not stack and stack.pending == 0
 
     def test_seeded_root_pops_to_empty(self, bridged):
         stack = BacktrackStack()
         stack.seed(K5_SIDE)
-        assert stack.pop(bridged) == K5_SIDE
+        assert stack.pop(bridged) == (K5_SIDE, 0)
         assert not stack
 
     def test_empty_stack_raises(self, bridged):
@@ -127,9 +126,7 @@ class TestSinkDriver:
         seen = []
 
         def children_fn(cliques, indices):
-            counter = cs.OpCounter()
-            specs = cs.children_batch(bridged, cliques, counter=counter, indices=indices)
-            return specs, counter.ops
+            return cs.children_batch(bridged, cliques, indices=indices)
 
         stats = cs.TraversalStats()
         for event in cs.step_events(bridged, cs.root(bridged), children_fn, 2, stats):
@@ -141,7 +138,7 @@ class TestSinkDriver:
 
     def test_capacity_must_be_positive(self, bridged):
         with pytest.raises(ValueError):
-            list(cs.step_events(bridged, cs.root(bridged), lambda b, i: ([], 0), 0))
+            list(cs.step_events(bridged, cs.root(bridged), lambda b, i: [], 0))
 
 
 class TestCarriedIndex:
@@ -166,20 +163,26 @@ class TestCarriedIndex:
         monkeypatch.setattr(delay_scheduler, "children_batch", checked)
         graphs = list(random_graphs(6, seed0=2100, n_hi=12))
         graphs += [cs.Graph.complete_multipartite_triples(12), bridged_cliques_graph()]
-        for g in graphs:
-            for cap in (1, 7, g.n * g.n):
-                seen.clear()
-                assert collect_plain(g, kernel=kernel, capacity=cap) == seen
-                assert cs.clique_index(g, seen[0]) is None
+        runs = [(g, cap) for g in graphs for cap in (1, 7, g.n * g.n)]
+        # indices past the oracle's n = 24, checked against the definition
+        # alone; one capacity each keeps them cheap
+        runs += [
+            (cs.Graph.gnp(40, 0.5, seed=40), 7),
+            (cs.Graph.gnp(100, 0.07, seed=100), 7),
+            (cs.Graph.complete_multipartite_triples(15), 7),
+        ]
+        for g, cap in runs:
+            seen.clear()
+            assert collect_plain(g, kernel=kernel, capacity=cap) == seen
+            assert cs.clique_index(g, seen[0]) is None
 
     def test_stack_records_popped_index(self, bridged):
         stack = BacktrackStack()
         stack.seed(K5_SIDE)
-        stack.pop(bridged)
-        assert stack.last_index == 0
+        assert stack.pop(bridged) == (K5_SIDE, 0)
         stack.push(ChildSpec(parent=K5_SIDE, indices=(6, 7)))
-        assert stack.pop(bridged) == BRIDGE_16 and stack.last_index == 6
-        assert stack.pop(bridged) == BRIDGE_27 and stack.last_index == 7
+        assert stack.pop(bridged) == (BRIDGE_16, 6)
+        assert stack.pop(bridged) == (BRIDGE_27, 7)
 
 
 @st.composite

@@ -57,6 +57,10 @@ class TestParseEdgeList:
             cli.parse_edge_list("0 2\n")
         with pytest.raises(cli.ParseError, match="declared"):
             cli.parse_edge_list("n 2\n1 3\n")
+        # a header after the edges still bounds every id seen so far
+        with pytest.raises(cli.ParseError, match="line 2: declared"):
+            cli.parse_edge_list("1 5\nn 3\n")
+        assert cli.parse_edge_list("1 2\nn 3\n").n == 3
 
     def test_empty_without_header(self):
         with pytest.raises(cli.ParseError):

@@ -40,6 +40,26 @@ class TestListMc:
         assert sum(e.cost for e in events) > 0
         assert all(e.cost >= 0 for e in events)
 
+    @pytest.mark.parametrize("kernel", ["bitset", "rect"])
+    def test_one_ledger_puts_the_root_on_the_first_event(self, kernel):
+        graphs = [cs.Graph.gnp(30, 0.3, seed=5), cs.Graph.complete_multipartite_triples(9)]
+        for g in graphs:
+            root_units = cs.OpCounter()
+            cs.root(g, root_units)
+            stats = cs.TraversalStats()
+            events = list(cs.list_mc(g, kernel=kernel, capacity=7, stats=stats))
+            # the seeded root's pop charges nothing, so its event is the root's
+            assert events[0].cost == root_units.ops > 0
+            assert sum(e.cost for e in events) == stats.total_cost
+
+    def test_unknown_kernel_refused_before_root(self, bridged, monkeypatch):
+        def no_root(*args, **kwargs):
+            raise AssertionError("root built before the kernel check")
+
+        monkeypatch.setattr(ds, "root", no_root)
+        with pytest.raises(ValueError, match="naive"):
+            ds.list_mc(bridged, kernel="naive")
+
 
 class TestBoot:
     def test_banks_at_least_target_without_printing(self, bridged):
