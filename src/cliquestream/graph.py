@@ -52,7 +52,8 @@ class VertexSet:
     __slots__ = ("bits",)
 
     def __init__(self, bits: int = 0):
-        assert bits >= 0
+        if bits < 0:
+            raise ValueError("a vertex set mask cannot be negative")
         object.__setattr__(self, "bits", bits)
 
     def __setattr__(self, name, value):

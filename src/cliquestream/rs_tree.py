@@ -10,12 +10,17 @@ index ``i`` as the completion of ``(P_{<i} & N(i)) | {i}``.
 All operations are pure functions of ``(Graph, inputs)`` and safe to call
 concurrently.  Functions accept an optional :class:`OpCounter` that gets
 charged with a word-level operation count; the model charges ``words(n)``
-per n-bit mask operation, matching a packed bit-vector machine.
+per n-bit mask operation, matching a packed bit-vector machine.  Completing
+a clique ``K`` by ``t`` vertices costs ``t + (t + |K|) * words(n)``: one
+mask intersection per member of ``K`` for the common neighbourhood, and per
+inserted vertex one lowest-bit extraction plus one intersection.  Vertices
+that cannot join are never visited, so the cost does not grow with the
+degree of ``K``'s members.
 """
 
 from __future__ import annotations
 
-from .graph import Graph, VertexSet, below_mask, iter_bits, vbit
+from .graph import Graph, VertexSet, below_mask, vbit
 
 
 class OpCounter:
@@ -36,9 +41,12 @@ def words(n: int) -> int:
 
 
 def is_clique(g: Graph, s: VertexSet) -> bool:
-    bits = s.bits
-    for v in iter_bits(bits):
-        if (bits & ~vbit(v)) & ~g.adj[v - 1]:
+    adj = g.adj
+    bits = rest = s.bits
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        if bits & ~low & ~adj[low.bit_length() - 1]:
             return False
     return True
 
@@ -61,32 +69,22 @@ def is_maximal_clique(g: Graph, s: VertexSet) -> bool:
 
 
 def _lc_bits(g: Graph, kbits: int, counter: OpCounter | None = None) -> int:
-    """Greedy ascending completion of the clique mask ``kbits``."""
+    """Greedy ascending completion of the clique mask ``kbits``: repeatedly
+    add the least vertex adjacent to every member so far.  ``cand`` holds
+    exactly those vertices, so the loop runs once per inserted vertex.  The
+    inserted vertex is removed explicitly because a hand-built ``Graph`` may
+    carry a self-loop, which would keep it in its own neighbourhood."""
     adj = g.adj
-    w = words(g.n)
-    if kbits == 0:
-        scan = g.full_mask
-        cand = g.full_mask
-    else:
-        # any extension is adjacent to every member, so scanning the
-        # minimum member's neighborhood suffices
-        vhat = (kbits & -kbits).bit_length()
-        scan = adj[vhat - 1]
-        cand = common_neighbors(g, kbits)
+    cand = common_neighbors(g, kbits) & ~kbits
     s = kbits
-    scanned = 0
     inserted = 0
-    rest = scan & ~kbits
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        scanned += 1
-        if cand & low:
-            s |= low
-            cand &= adj[low.bit_length() - 1]
-            inserted += 1
+    while cand:
+        low = cand & -cand
+        s |= low
+        cand = (cand ^ low) & adj[low.bit_length() - 1]
+        inserted += 1
     if counter is not None:
-        counter.add(scanned + (inserted + kbits.bit_count()) * w)
+        counter.add(inserted + (inserted + kbits.bit_count()) * words(g.n))
     return s
 
 

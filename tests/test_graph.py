@@ -169,6 +169,11 @@ class TestVertexSet:
         with pytest.raises(AttributeError):
             s.bits = 3
 
+    def test_negative_mask_refused(self):
+        # a raise, not an assert: under -O a negative mask would iterate forever
+        with pytest.raises(ValueError):
+            cs.VertexSet(-1)
+
     def test_bit_helpers(self):
         assert below_mask(1) == 0
         assert list(iter_bits(0b1011)) == [1, 2, 4]

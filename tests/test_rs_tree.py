@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import cliquestream as cs
 from cliquestream import oracle
 from cliquestream.graph import below_mask, vbit
-from cliquestream.rs_tree import common_neighbors
+from cliquestream.rs_tree import common_neighbors, words
 
 from conftest import (
     BRIDGE_16,
@@ -36,6 +41,15 @@ class TestLexCompletion:
                 assert cs.is_maximal_clique(g, out)
                 assert cs.lex_compare(out, k) >= 0
 
+    def test_charge_counts_inserted_vertices_not_the_neighbourhood(self):
+        # completing the hub of a star inserts one leaf; the other n - 2
+        # leaves are never visited, so they cost nothing
+        n = 40
+        star = cs.Graph.from_edges(n, [(1, v) for v in range(2, n + 1)])
+        counter = cs.OpCounter()
+        assert cs.lex_completion(star, cs.VertexSet.of(1), counter) == cs.VertexSet.of(1, 2)
+        assert counter.ops == 1 + 2 * words(n)
+
     def test_agrees_with_brute_force(self):
         for g in random_graphs(12, seed0=500, n_hi=12):
             cliques = oracle.all_maximal_cliques(g)
@@ -54,6 +68,24 @@ class TestRoot:
 
     def test_complete(self):
         assert cs.root(cs.Graph.complete(4)) == cs.VertexSet.of(1, 2, 3, 4)
+
+    def test_hand_built_self_loop_terminates(self):
+        # the Graph constructor does not normalise adj, so vertex 1 may sit
+        # in its own neighbourhood; completion must still stop.  A child
+        # process with a timeout turns a regression into a failure, not a hang.
+        code = (
+            "import cliquestream as cs\n"
+            "g = cs.Graph(n=2, adj=(0b11, 0b01), m=1)\n"
+            "print(cs.root(g).to_tuple(), cs.lex_completion(g, cs.VertexSet.of(2)).to_tuple())\n"
+        )
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=30
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "(1, 2) (1, 2)\n"
 
 
 class TestCliqueIndex:
