@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .graph import Graph, VertexSet, below_mask, vbit
+from .graph import Graph, VertexSet
 from .kernels import ChildSpec
 from .rs_tree import OpCounter, _lc_bits
 
@@ -97,7 +97,8 @@ class BacktrackStack:
             self._entries.pop()
         else:
             top[1] = pos + 1
-        base = (spec.parent.bits & below_mask(i) & g.adj[i - 1]) | vbit(i)
+        low = 1 << (i - 1)
+        base = (spec.parent.bits & (low - 1) & g.adj[i - 1]) | low
         return VertexSet(_lc_bits(g, base, counter)), i
 
 

@@ -256,10 +256,12 @@ def _verify(g: Graph, emitted: set[int], count: int, prefix_only: bool, err) -> 
     ``emitted``, against the oracle."""
     ref_set = {c.bits for c in oracle.all_maximal_cliques(g, limit=g.n)}
     duplicates = count - len(emitted)
+    # every oracle clique is maximal, so only the extra ones need the test
+    extras = emitted - ref_set
     not_maximal = sum(
-        1 for bits in emitted if not rs_tree.is_maximal_clique(g, VertexSet(bits))
+        1 for bits in extras if not rs_tree.is_maximal_clique(g, VertexSet(bits))
     )
-    extra = len(emitted - ref_set)
+    extra = len(extras)
     missing = 0 if prefix_only else len(ref_set - emitted)
     ok = duplicates == 0 and not_maximal == 0 and extra == 0 and missing == 0
     scope = f"first {count}" if prefix_only else f"all {len(ref_set)}"
@@ -305,7 +307,7 @@ def run(cfg: RunConfig, out=None, err=None) -> int:
                 file=err,
             )
         for clique, cost, queue_size, stack_cliques in emit(g, cfg, stats):
-            print(_format_clique(clique), file=out)
+            out.write(_format_clique(clique) + "\n")
             count += 1
             if cfg.verify:
                 emitted.add(clique.bits)

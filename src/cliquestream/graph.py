@@ -124,19 +124,21 @@ def lex_compare(a: VertexSet, b: VertexSet) -> int:
     return 1 if a.bits & (diff & -diff) else -1
 
 
-def lex_sort_key(s: VertexSet) -> tuple:
-    """Sort key that orders vertex sets lexicographically descending.
-
-    On ascending member tuples the set order "first differing vertex wins"
-    is plain tuple order, except that a superset must beat its own prefix;
-    the trailing infinity sentinel handles that case.
-    """
-    return s.to_tuple() + (float("inf"),)
-
-
 def sort_lex_descending(sets: Iterable[VertexSet]) -> list[VertexSet]:
-    """Sort vertex sets with the lexicographically greatest first."""
-    return sorted(sets, key=lex_sort_key)
+    """Sort vertex sets with the lexicographically greatest first.
+
+    Reversing each mask's bits, padded to the widest member, makes the
+    smallest differing vertex the highest differing bit, so the order is
+    plain descending order of the reversed masks; a superset of its own
+    prefix has the extra bits and comes first.
+    """
+    sets = list(sets)
+    width = max((s.bits.bit_length() for s in sets), default=0)
+
+    def reversed_bits(s: VertexSet) -> int:
+        return int(f"{s.bits:0{width}b}"[::-1], 2)
+
+    return sorted(sets, key=reversed_bits, reverse=True)
 
 
 @dataclass(frozen=True)
@@ -144,7 +146,9 @@ class Graph:
     """Undirected simple graph on vertices ``1..n``.
 
     ``adj[v-1]`` is the neighborhood bitmask of vertex ``v``.  The adjacency
-    is symmetric, has no self-loops, and ``m`` counts edges.
+    is symmetric, has no self-loops, and ``m`` counts edges; the constructor
+    refuses rows that break this (:meth:`validate`).  The classmethods build
+    rows that hold it by construction and skip that pass.
     """
 
     n: int
@@ -153,9 +157,23 @@ class Graph:
     full_mask: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        self._set_full_mask()
+        self.validate()
+
+    def _set_full_mask(self) -> None:
         if self.n < 1:
             raise ValueError("graph needs at least one vertex")
         object.__setattr__(self, "full_mask", (1 << self.n) - 1)
+
+    @classmethod
+    def _normalized(cls, n: int, adj: tuple[int, ...], m: int) -> "Graph":
+        """Graph from rows valid by construction, without :meth:`validate`,
+        whose O(n + m) pass would otherwise delay a loaded file's listing."""
+        g = object.__new__(cls)
+        for name, value in (("n", n), ("adj", adj), ("m", m)):
+            object.__setattr__(g, name, value)
+        g._set_full_mask()
+        return g
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -173,12 +191,12 @@ class Graph:
             adj[u - 1] |= 1 << (v - 1)
             adj[v - 1] |= 1 << (u - 1)
         m = sum(a.bit_count() for a in adj) // 2
-        return cls(n=n, adj=tuple(adj), m=m)
+        return cls._normalized(n, tuple(adj), m)
 
     @classmethod
     def complete(cls, n: int) -> "Graph":
         adj = tuple((1 << n) - 1 - (1 << v) for v in range(n))
-        return cls(n=n, adj=adj, m=n * (n - 1) // 2)
+        return cls._normalized(n, adj, n * (n - 1) // 2)
 
     @classmethod
     def edgeless(cls, n: int) -> "Graph":
@@ -225,13 +243,32 @@ class Graph:
                 yield (u, v)
 
     def validate(self) -> None:
-        """Debug check of the structural invariants."""
-        assert len(self.adj) == self.n
-        for v in range(1, self.n + 1):
-            row = self.adj[v - 1]
-            assert row & ~self.full_mask == 0, "bits beyond n must stay zero"
-            assert (row >> (v - 1)) & 1 == 0, "no self-loops"
-            for u in iter_bits(row):
-                assert (self.adj[u - 1] >> (v - 1)) & 1, "adjacency must be symmetric"
-        assert self.m == sum(a.bit_count() for a in self.adj) // 2
-
+        """Refuse, with ``ValueError``, rows that break the invariants above:
+        a row count other than ``n``, bits beyond ``n``, a self-loop, an
+        asymmetric pair or a wrong ``m``.  O(n + m) mask operations."""
+        n, adj = self.n, self.adj
+        if len(adj) != n:
+            raise ValueError(f"adjacency has {len(adj)} rows for n = {n}")
+        upper = 0  # entries above the diagonal, each checked for its mirror
+        for v, row in enumerate(adj, 1):
+            bit = 1 << (v - 1)
+            if row & ~self.full_mask:
+                raise ValueError(f"vertex {v} has neighbors beyond n = {n}")
+            if row & bit:
+                raise ValueError(f"vertex {v} has a self-loop")
+            rest = row & -(bit << 1)
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                u = low.bit_length()
+                if not adj[u - 1] & bit:
+                    raise ValueError(
+                        f"adjacency is not symmetric: {u} is in the row of {v}, "
+                        f"not {v} in the row of {u}"
+                    )
+                upper += 1
+        # every entry above the diagonal is mirrored, so any further one is not
+        if sum(row.bit_count() for row in adj) != 2 * upper:
+            raise ValueError("adjacency is not symmetric")
+        if self.m != upper:
+            raise ValueError(f"m = {self.m} but the rows hold {upper} edges")

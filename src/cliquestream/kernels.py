@@ -12,10 +12,12 @@ positivity.  ``M_G`` depends only on the graph, so a traversal builds it
 once and hands it to every batch; :func:`good_table_rectangular` multiplies
 it in byte-budgeted column blocks packed straight to 64-bit words, and
 :func:`check_rect_capacity` refuses a batch capacity whose rows would not
-fit.  :func:`good_table_bitset` materializes the rows from
-:func:`~cliquestream.rs_tree.common_neighbors`; :func:`filter_children`
-never does, and folds the same common neighborhood only as far as each
-candidate needs.
+fit.  :func:`children_batch` multiplies only the blocks that hold a row
+some parent of the batch tests (a candidate index, :func:`_candidates`);
+the charge still prices the full product.  :func:`good_table_bitset`
+materializes the rows from :func:`~cliquestream.rs_tree.common_neighbors`;
+:func:`filter_children` never does, and folds the same common neighborhood
+only as far as each candidate needs.
 
 From its good rows, an index ``i`` yields a child of ``P`` exactly when no
 ``j < i`` witnesses a violation of either reconstructability direction;
@@ -124,13 +126,20 @@ def check_rect_capacity(n: int, capacity: int | None) -> None:
 
 
 def good_table_rectangular(
-    g: Graph, cliques, counter: OpCounter | None = None, mg: np.ndarray | None = None
+    g: Graph,
+    cliques,
+    counter: OpCounter | None = None,
+    mg: np.ndarray | None = None,
+    need: int = -1,
 ) -> list[list[int]]:
     """Good rows via the |B| x n by n x n^2 Boolean product.  ``mg`` is a
     prebuilt :func:`graph_matrix` of ``g``; without it, ``M_G`` is built and
     charged here.  Each block of ``M_G`` holds whole rows ``i`` (``n``
     columns each), as many as keep its float32 input and output within
-    :data:`BLOCK_BYTES`, and is packed along ``j`` into 64-bit words."""
+    :data:`BLOCK_BYTES`, and is packed along ``j`` into 64-bit words.
+    ``need`` masks the rows ``i`` the caller reads (bit ``i-1``; -1 for
+    all); blocks that hold none of them are not multiplied and their rows
+    stay 0.  The charge prices the full product either way."""
     n = g.n
     if mg is None:
         mg = graph_matrix(g, counter)
@@ -141,6 +150,8 @@ def good_table_rectangular(
     step = max(1, BLOCK_BYTES // (4 * n * (n + b)))
     for first in range(0, n, step):
         last = min(n, first + step)
+        if not need >> first & ((1 << (last - first)) - 1):
+            continue
         block = matmul.multiply_boolean_threshold(mb, mg[:, first * n : last * n])
         packed[:, first:last, : (n + 7) // 8] = np.packbits(
             block.reshape(b, last - first, n), axis=2, bitorder="little"
@@ -184,12 +195,20 @@ def good_table_bitset(
     return rows
 
 
+def _candidates(g: Graph, pb: int, index: int, near: int) -> int:
+    """Candidate child indices (as a mask) of the parent ``pb`` with index
+    ``index``: its non-members above ``index``, and for a non-root parent
+    only those in ``near`` = ``N(P)``."""
+    return (near if index else g.full_mask) & ~pb & -(1 << index)
+
+
 def filter_children(
     g: Graph,
     p: VertexSet,
     index: int,
     good_row: list[int] | None = None,
     counter: OpCounter | None = None,
+    masks: tuple[int, int] | None = None,
 ) -> ChildSpec:
     """Accept the candidate indices that no ``j`` disqualifies.
 
@@ -204,26 +223,27 @@ def filter_children(
     to its own prefix of ``P`` (child- or parent-side reconstruction
     breaks).  Without ``good_row``, the parent's slice of a good table, the
     row's complement is folded lazily as the common neighborhood of
-    ``P_{<i} & N(i)`` until no ``j`` is left.  Charge in words: ``3|P|``
-    for :func:`prefix_masks`, 4 for the masks, 6 per candidate, 1 per
-    fold.
+    ``P_{<i} & N(i)`` until no ``j`` is left.  ``masks`` is
+    :func:`prefix_masks` of ``p`` when the caller has it already.  Charge
+    in words: ``3|P|`` for :func:`prefix_masks`, 4 for the masks, 6 per
+    candidate, 1 per fold.
     """
     adj = g.adj
     pb = p.bits
-    adjacent, near = prefix_masks(g, p)
-    outside = adjacent & ~pb
-    cand = (near if index else g.full_mask) & ~pb & ~below_mask(index + 1)
+    notp = ~pb
+    adjacent, near = masks if masks is not None else prefix_masks(g, p)
+    outside = adjacent & notp
+    cand = _candidates(g, pb, index, near)
+    scanned = cand.bit_count()
     indices = []
-    scanned = 0
     folds = 0
     while cand:
         low = cand & -cand
         cand ^= low
         i = low.bit_length()
-        scanned += 1
         bel = low - 1
         ai = adj[i - 1]
-        bad = ((ai & ~pb) | outside) & bel
+        bad = ((ai & notp) | outside) & bel
         if good_row is not None:
             bad &= ~good_row[i - 1]
         else:
@@ -236,7 +256,8 @@ def filter_children(
         if bad == 0:
             indices.append(i)
     if counter is not None:
-        counter.add((3 * pb.bit_count() + 4 + scanned * 6 + folds) * words(g.n))
+        # (g.n + 63) >> 6 is words(g.n), inlined on this per-parent path
+        counter.add((3 * pb.bit_count() + 4 + scanned * 6 + folds) * ((g.n + 63) >> 6))
     return ChildSpec(parent=p, indices=tuple(indices))
 
 
@@ -285,18 +306,24 @@ def children_batch(
     :func:`children_naive`.  ``indices`` holds each clique's own
     index (0 for the root) when the caller knows it; without it, each index
     is recomputed with :func:`clique_index`.  ``mg`` is a prebuilt
-    :func:`graph_matrix` of ``g`` for "rect".
+    :func:`graph_matrix` of ``g`` for "rect", which computes each parent's
+    :func:`prefix_masks` once, for the union of the parents' candidate rows
+    that the product must produce and then for :func:`filter_children`.
     """
     _assert_batch(g, cliques)
     if indices is None:
         indices = [clique_index(g, p, counter) or 0 for p in cliques]
     if kernel == "rect":
-        rows = good_table_rectangular(g, cliques, counter=counter, mg=mg)
+        masks = [prefix_masks(g, p) for p in cliques]
+        need = 0
+        for p, i, (_, near) in zip(cliques, indices, masks):
+            need |= _candidates(g, p.bits, i, near)
+        rows = good_table_rectangular(g, cliques, counter=counter, mg=mg, need=need)
     elif kernel == "bitset":
-        rows = [None] * len(cliques)
+        rows = masks = [None] * len(cliques)
     else:
         raise ValueError(f"unknown kernel {kernel!r}")
     return [
-        filter_children(g, p, i, row, counter)
-        for p, row, i in zip(cliques, rows, indices)
+        filter_children(g, p, i, row, counter, pm)
+        for p, row, i, pm in zip(cliques, rows, indices, masks)
     ]

@@ -71,9 +71,7 @@ def is_maximal_clique(g: Graph, s: VertexSet) -> bool:
 def _lc_bits(g: Graph, kbits: int, counter: OpCounter | None = None) -> int:
     """Greedy ascending completion of the clique mask ``kbits``: repeatedly
     add the least vertex adjacent to every member so far.  ``cand`` holds
-    exactly those vertices, so the loop runs once per inserted vertex.  The
-    inserted vertex is removed explicitly because a hand-built ``Graph`` may
-    carry a self-loop, which would keep it in its own neighbourhood."""
+    exactly those vertices, so the loop runs once per inserted vertex."""
     adj = g.adj
     cand = common_neighbors(g, kbits) & ~kbits
     s = kbits
@@ -81,7 +79,7 @@ def _lc_bits(g: Graph, kbits: int, counter: OpCounter | None = None) -> int:
     while cand:
         low = cand & -cand
         s |= low
-        cand = (cand ^ low) & adj[low.bit_length() - 1]
+        cand &= adj[low.bit_length() - 1]
         inserted += 1
     if counter is not None:
         counter.add(inserted + (inserted + kbits.bit_count()) * words(g.n))

@@ -279,6 +279,14 @@ class TestVerifyHelper:
         assert not ok
         assert "duplicates=1" in err.getvalue()
 
+    def test_non_maximal_extra_detected(self, bridged):
+        err = io.StringIO()
+        full = {c.bits for c in oracle.all_maximal_cliques(bridged)}
+        emitted = full | {cs.VertexSet.of(1, 2).bits}  # a clique inside K5
+        ok = cli._verify(bridged, emitted, len(emitted), prefix_only=False, err=err)
+        assert not ok
+        assert "missing=0 extra=1 duplicates=0 non_maximal=1" in err.getvalue()
+
 
 class TestMain:
     def test_argv_parsing(self, capsys):

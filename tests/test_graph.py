@@ -144,6 +144,25 @@ class TestConstruction:
             with pytest.raises(ValueError, match="^graph needs at least one vertex$"):
                 build()
 
+    @pytest.mark.parametrize(
+        "adj, m, message",
+        [
+            ((0b11, 0b01), 1, "vertex 1 has a self-loop"),
+            ((0b10, 0), 1, "not symmetric: 2 is in the row of 1"),
+            # 2 lists 1 but 1 does not list 2: only the rows' edge count shows it
+            ((0, 0b01), 0, "^adjacency is not symmetric$"),
+            ((0b10,), 0, "1 rows for n = 2"),
+            ((0b110, 0b001), 1, "vertex 1 has neighbors beyond n = 2"),
+            ((0b10, 0b01), 2, "m = 2 but the rows hold 1 edges"),
+        ],
+        ids=["self-loop", "asymmetric", "asymmetric-below", "row-count", "beyond-n", "wrong-m"],
+    )
+    def test_malformed_rows_refused(self, adj, m, message):
+        # the self-loop and asymmetric rows were once accepted, and the
+        # asymmetric one listed a root that is_maximal_clique rejects
+        with pytest.raises(ValueError, match=message):
+            cs.Graph(n=2, adj=adj, m=m)
+
     def test_complete_matches_all_pairs(self):
         for n in range(1, 7):
             pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]

@@ -125,6 +125,32 @@ class TestRectBlocks:
                     cs.children_batch(g, batch, kernel="bitset")
                 )
 
+    def test_only_needed_rows_are_multiplied(self, monkeypatch):
+        g = cs.Graph.gnp(70, 0.1, seed=3)
+        batch = oracle.all_maximal_cliques(g, limit=70)[:9]
+        mg = cs.kernels.graph_matrix(g)
+        full = cs.good_table_rectangular(g, batch, mg=mg)
+        products = []
+        real = cs.matmul.multiply_boolean_threshold
+
+        def counted(a, b):
+            products.append(b.shape[1])
+            return real(a, b)
+
+        monkeypatch.setattr(cs.matmul, "multiply_boolean_threshold", counted)
+        monkeypatch.setattr(cs.kernels, "BLOCK_BYTES", 1)  # one row per block
+        rng = random.Random(4)
+        for need in (0, 1, 1 << 69, rng.getrandbits(70), g.full_mask):
+            counter, full_counter = cs.OpCounter(), cs.OpCounter()
+            cs.good_table_rectangular(g, batch, full_counter, mg)
+            products.clear()
+            rows = cs.good_table_rectangular(g, batch, counter, mg, need=need)
+            assert len(products) == need.bit_count()
+            assert counter.ops == full_counter.ops  # the full product is priced
+            for got, want in zip(rows, full):
+                for i in range(1, g.n + 1):
+                    assert got[i - 1] == (want[i - 1] if need >> (i - 1) & 1 else 0)
+
     def test_listing_past_two_words_matches_oracle(self):
         g = cs.Graph.gnp(130, 0.06, seed=7)
         events = cs.list_mc(g, kernel="rect", capacity=64)
