@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from . import delay_scheduler, oracle, rs_tree
 from .batch_dfs import CLIQUE_COLLECTED, TraversalStats
 from .graph import Graph, VertexSet
-from .kernels import KERNELS, check_rect_capacity
+from .kernels import KERNELS, check_graph_matrix
 
 TRACE_SCHEMA = "# cliquestream trace v1"
 TRACE_HEADER = "print_ordinal,cost_units,queue_size,stack_cliques"
@@ -285,7 +285,7 @@ def run(cfg: RunConfig, out=None, err=None) -> int:
     try:
         g = load_graph(cfg, report)
         if cfg.kernel == "rect":
-            check_rect_capacity(g.n, cfg.capacity)
+            check_graph_matrix(g.n)
         # opened before listing, so a bad path is refused before anything prints
         trace = open(cfg.trace, "w", encoding="utf-8") if cfg.trace else None
     except (ParseError, OSError, ValueError) as exc:

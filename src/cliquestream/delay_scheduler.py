@@ -34,7 +34,7 @@ from .batch_dfs import (
     step_events,
 )
 from .graph import Graph, VertexSet
-from .kernels import KERNELS, check_rect_capacity, children_batch, graph_matrix
+from .kernels import KERNELS, check_graph_matrix, children_batch, graph_matrix
 from .rs_tree import OpCounter, root
 
 
@@ -96,14 +96,17 @@ def list_mc(
     counter takes the root, every pop and every children step, so the
     root's units fall on the first event.  Each batch carries its cliques'
     indices from the stack; the "rect" kernel's graph matrix is built (and
-    charged) once, with the first batch.  An unknown kernel, or a "rect"
-    capacity that :func:`~cliquestream.kernels.check_rect_capacity`
-    refuses, raises ValueError here, before anything is built."""
+    charged) once, with the first batch.  An unknown kernel, a capacity
+    below 1, or a "rect" n whose graph matrix
+    :func:`~cliquestream.kernels.check_graph_matrix` refuses, raises
+    ValueError here, before anything is built."""
     if kernel not in KERNELS:
         raise ValueError(f"unknown kernel {kernel!r}")
-    if kernel == "rect":
-        check_rect_capacity(g.n, capacity)
     cap = capacity if capacity is not None else g.n * g.n
+    if cap < 1:
+        raise ValueError("batch capacity must be at least 1")
+    if kernel == "rect":
+        check_graph_matrix(g.n)
     counter = OpCounter()
     mg = None
 

@@ -45,8 +45,8 @@ def mask_of(vertices: Iterable[int]) -> int:
 class VertexSet:
     """Immutable set of vertices backed by an int bitmask.
 
-    Iterates in ascending vertex order.  Supports ``&``, ``|``, ``-`` with
-    other vertex sets, membership tests and ``len``.
+    Iterates in ascending vertex order.  Supports membership tests,
+    ``len``, ``min`` and ``max``; set algebra works on ``bits``.
     """
 
     __slots__ = ("bits",)
@@ -81,19 +81,6 @@ class VertexSet:
     def __hash__(self) -> int:
         return hash(self.bits)
 
-    def __and__(self, other: "VertexSet") -> "VertexSet":
-        return VertexSet(self.bits & other.bits)
-
-    def __or__(self, other: "VertexSet") -> "VertexSet":
-        return VertexSet(self.bits | other.bits)
-
-    def __sub__(self, other: "VertexSet") -> "VertexSet":
-        return VertexSet(self.bits & ~other.bits)
-
-    def __le__(self, other: "VertexSet") -> bool:
-        """Subset test."""
-        return self.bits & ~other.bits == 0
-
     def min(self) -> int:
         if not self.bits:
             raise ValueError("empty vertex set has no minimum")
@@ -103,9 +90,6 @@ class VertexSet:
         if not self.bits:
             raise ValueError("empty vertex set has no maximum")
         return self.bits.bit_length()
-
-    def to_tuple(self) -> tuple[int, ...]:
-        return tuple(iter_bits(self.bits))
 
     def __repr__(self) -> str:
         return f"VertexSet{{{', '.join(map(str, self))}}}"

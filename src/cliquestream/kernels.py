@@ -8,16 +8,19 @@ a batch's rows off one rectangular Boolean product: stack the parents'
 characteristic vectors into ``M_B`` (|B| x n), put the characteristic
 vector of ``A_i \\ N(j)`` with ``A_i = V_{<i} & N(i)`` into column
 ``(i, j)`` of ``M_G`` (n x n^2), and test entries of ``M_B @ M_G`` for
-positivity.  ``M_G`` depends only on the graph, so a traversal builds it
-once and hands it to every batch; :func:`good_table_rectangular` multiplies
-it in byte-budgeted column blocks packed straight to 64-bit words, and
-:func:`check_rect_capacity` refuses a batch capacity whose rows would not
-fit.  :func:`children_batch` multiplies only the blocks that hold a row
-some parent of the batch tests (a candidate index, :func:`_candidates`);
-the charge still prices the full product.  :func:`good_table_bitset`
-materializes the rows from :func:`~cliquestream.rs_tree.common_neighbors`;
-:func:`filter_children` never does, and folds the same common neighborhood
-only as far as each candidate needs.
+positivity.  ``M_G`` depends only on the graph and takes n^3 bytes, so a
+traversal builds it once, after :func:`check_graph_matrix` has refused an n
+past :data:`GRAPH_MATRIX_BYTES`.  :func:`good_table_rectangular` multiplies
+it in column blocks of whole rows within :data:`BLOCK_BYTES` (at least one
+row, so a large batch's float32 tile can pass it), packed straight to
+64-bit words.  :func:`children_batch` feeds it slices of the batch whose
+packed rows fit :data:`RECT_ROWS_BYTES`, so memory follows n, not the batch
+capacity, and multiplies only the blocks that hold a row some parent of the
+slice tests (:func:`_candidates`); the charge still prices the full
+product.  :func:`good_table_bitset` materializes the rows from
+:func:`~cliquestream.rs_tree.common_neighbors`; :func:`filter_children`
+never does, and folds the same common neighborhood only as far as each
+candidate needs.
 
 From its good rows, an index ``i`` yields a child of ``P`` exactly when no
 ``j < i`` witnesses a violation of either reconstructability direction;
@@ -54,9 +57,11 @@ KERNELS = ("rect", "bitset")
 
 # float32 bytes that each of a product block's input and output may hold
 BLOCK_BYTES = 1 << 16
-# packed good rows one "rect" batch may hold; read out as Python ints, the
-# rows take several times this
+# packed good rows one slice of a "rect" batch may hold; read out as Python
+# ints, the rows take several times this
 RECT_ROWS_BYTES = 1 << 24
+# bytes of the n^3 graph matrix M_G that "rect" may build (n <= 1024)
+GRAPH_MATRIX_BYTES = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -83,11 +88,22 @@ def _assert_batch(g: Graph, cliques) -> None:
     assert len({c.bits for c in cliques}) == len(cliques), "batch elements must be distinct"
 
 
+def check_graph_matrix(n: int) -> None:
+    """Refuse an n whose n^3-byte ``M_G`` would pass
+    :data:`GRAPH_MATRIX_BYTES`.  Nothing is allocated."""
+    if n**3 > GRAPH_MATRIX_BYTES:
+        raise ValueError(
+            f"rect's graph matrix at n = {n} needs {n**3 / 2**30:.1f} GiB, over "
+            f"{GRAPH_MATRIX_BYTES >> 30} GiB: use --kernel bitset"
+        )
+
+
 def graph_matrix(g: Graph, counter: OpCounter | None = None) -> np.ndarray:
     """``M_G`` (n x n^2): the column for the pair ``(i, j)`` sits at flat
     position ``(i-1)*n + (j-1)`` (row-major, i outermost) and holds the
     characteristic vector of ``A_i \\ N(j)``."""
     n = g.n
+    check_graph_matrix(n)
     a_rows = _mask_rows((g.adj[i - 1] & below_mask(i) for i in range(1, n + 1)), n)
     non_adj = _mask_rows((g.full_mask & ~a for a in g.adj), n)
     if counter is not None:
@@ -109,20 +125,6 @@ def build_batch_matrices(
     _assert_batch(g, cliques)
     mb = _mask_rows((c.bits for c in cliques), g.n)
     return mb, graph_matrix(g) if mg is None else mg
-
-
-def check_rect_capacity(n: int, capacity: int | None) -> None:
-    """Refuse a "rect" batch capacity (default n^2) whose packed good rows,
-    ``capacity * n * ceil(n/64)`` 64-bit words, would pass
-    :data:`RECT_ROWS_BYTES`.  Nothing is allocated."""
-    cap = capacity if capacity is not None else n * n
-    need = cap * n * words(n) * 8
-    if need > RECT_ROWS_BYTES:
-        raise ValueError(
-            f"rect good rows for batch capacity {cap} at n = {n} need "
-            f"{need / 2**20:.1f} MiB, over {RECT_ROWS_BYTES >> 20} MiB: lower --batch "
-            f"to at most {RECT_ROWS_BYTES // (n * words(n) * 8)}"
-        )
 
 
 def good_table_rectangular(
@@ -305,25 +307,31 @@ def children_batch(
     :func:`filter_children`.  Both agree extensionally with
     :func:`children_naive`.  ``indices`` holds each clique's own
     index (0 for the root) when the caller knows it; without it, each index
-    is recomputed with :func:`clique_index`.  ``mg`` is a prebuilt
-    :func:`graph_matrix` of ``g`` for "rect", which computes each parent's
-    :func:`prefix_masks` once, for the union of the parents' candidate rows
-    that the product must produce and then for :func:`filter_children`.
+    is recomputed with :func:`clique_index`.  "rect" builds (and charges)
+    ``M_G`` unless ``mg`` passes it in, and takes the batch in slices of at
+    most ``RECT_ROWS_BYTES // (8 n words(n))`` parents, each parent's
+    :func:`prefix_masks` serving the slice's needed rows and its filter.
     """
     _assert_batch(g, cliques)
     if indices is None:
         indices = [clique_index(g, p, counter) or 0 for p in cliques]
-    if kernel == "rect":
-        masks = [prefix_masks(g, p) for p in cliques]
-        need = 0
-        for p, i, (_, near) in zip(cliques, indices, masks):
-            need |= _candidates(g, p.bits, i, near)
-        rows = good_table_rectangular(g, cliques, counter=counter, mg=mg, need=need)
-    elif kernel == "bitset":
-        rows = masks = [None] * len(cliques)
-    else:
+    if kernel == "bitset":
+        return [filter_children(g, p, i, None, counter) for p, i in zip(cliques, indices)]
+    if kernel != "rect":
         raise ValueError(f"unknown kernel {kernel!r}")
-    return [
-        filter_children(g, p, i, row, counter, pm)
-        for p, row, i, pm in zip(cliques, rows, indices, masks)
-    ]
+    if mg is None:
+        mg = graph_matrix(g, counter)
+    size = RECT_ROWS_BYTES // (8 * g.n * words(g.n))
+    specs = []
+    for first in range(0, len(cliques), size):
+        part, part_indices = cliques[first : first + size], indices[first : first + size]
+        masks = [prefix_masks(g, p) for p in part]
+        need = 0
+        for p, i, (_, near) in zip(part, part_indices, masks):
+            need |= _candidates(g, p.bits, i, near)
+        rows = good_table_rectangular(g, part, counter=counter, mg=mg, need=need)
+        specs += [
+            filter_children(g, p, i, row, counter, pm)
+            for p, i, row, pm in zip(part, part_indices, rows, masks)
+        ]
+    return specs

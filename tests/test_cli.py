@@ -248,14 +248,15 @@ class TestRun:
                 rc, out, _ = run_cli(input=str(path), kernel=kernel, capacity=batch)
                 assert rc == 0 and len(out.splitlines()) == 5
 
-    def test_oversized_rect_batch_refused(self, tmp_path):
-        trace = tmp_path / "t.csv"
-        rc, out, err = run_cli(input="gnp:200:0.5", kernel="rect", trace=str(trace))
-        assert rc == 2 and out == ""
-        assert err.startswith("error:") and "--batch" in err
-        assert len(err.splitlines()) == 1 and not trace.exists()
-        rc, out, _ = run_cli(input="gnp:200:0.5", kernel="rect", capacity=64, first=3)
+    def test_oversized_rect_graph_refused(self, tmp_path):
+        # any batch runs: rect takes it in slices whose rows fit the budget
+        rc, out, _ = run_cli(input="gnp:200:0.5", kernel="rect", first=3)
         assert rc == 0 and len(out.splitlines()) == 3
+        trace = tmp_path / "t.csv"
+        rc, out, err = run_cli(input="complete:1100", kernel="rect", trace=str(trace))
+        assert rc == 2 and out == ""
+        assert err.startswith("error:") and "--kernel bitset" in err
+        assert len(err.splitlines()) == 1 and not trace.exists()
 
     def test_retired_kernel_refused(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -60,6 +60,15 @@ class TestListMc:
         with pytest.raises(ValueError, match="naive"):
             ds.list_mc(bridged, kernel="naive")
 
+    def test_bad_capacity_refused_before_root(self, bridged, monkeypatch):
+        def no_root(*args, **kwargs):
+            raise AssertionError("root built before the capacity check")
+
+        monkeypatch.setattr(ds, "root", no_root)
+        for capacity in (0, -1):
+            with pytest.raises(ValueError, match="capacity"):
+                ds.list_mc(bridged, capacity=capacity)
+
 
 class TestBoot:
     def test_banks_at_least_target_without_printing(self, bridged):

@@ -158,18 +158,49 @@ class TestRectBlocks:
         assert len(listed) == len(set(listed))
         assert set(listed) == {c.bits for c in oracle.all_maximal_cliques(g, limit=130)}
 
-    def test_oversized_capacity_refused_before_listing(self, monkeypatch):
-        g = cs.Graph.gnp(200, 0.5, seed=1)
+    @pytest.mark.parametrize("parents", [1, 3])
+    def test_slices_match_one_product(self, parents, monkeypatch):
+        g = cs.Graph.gnp(70, 0.1, seed=5)
+        batch = oracle.all_maximal_cliques(g, limit=70)[:10]
+        whole = cs.OpCounter()
+        want = cs.children_batch(g, batch, kernel="rect", counter=whole)
+        rows_per_parent = 8 * g.n * cs.rs_tree.words(g.n)
+        monkeypatch.setattr(cs.kernels, "RECT_ROWS_BYTES", parents * rows_per_parent)
+        calls = []
+        real = cs.kernels.good_table_rectangular
 
-        def no_root(*args, **kwargs):
-            raise AssertionError("root built before the capacity check")
+        def counted(g, cliques, *args, **kwargs):
+            calls.append(len(cliques))
+            return real(g, cliques, *args, **kwargs)
 
-        monkeypatch.setattr(cs.delay_scheduler, "root", no_root)
-        with pytest.raises(ValueError, match="--batch"):
-            cs.list_mc(g, kernel="rect")
-        with pytest.raises(ValueError, match="--batch"):
-            cs.kernels.check_rect_capacity(200, None)
-        cs.kernels.check_rect_capacity(200, 64)
+        monkeypatch.setattr(cs.kernels, "good_table_rectangular", counted)
+        sliced = cs.OpCounter()
+        assert cs.children_batch(g, batch, kernel="rect", counter=sliced) == want
+        assert sliced.ops == whole.ops
+        assert max(calls) == parents and sum(calls) == len(batch)
+
+    def test_default_capacity_past_old_row_budget(self):
+        # n^2 parents of n = 110 have rows past RECT_ROWS_BYTES
+        g = cs.Graph.gnp(110, 0.1, seed=2)
+        rect, bitset = (
+            [e.clique.bits for e in cs.list_mc(g, kernel=k) if e.kind == cs.CLIQUE_COLLECTED]
+            for k in ("rect", "bitset")
+        )
+        assert rect == bitset
+        assert set(rect) == {c.bits for c in oracle.all_maximal_cliques(g, limit=110)}
+
+    def test_oversized_graph_matrix_refused_before_listing(self, monkeypatch):
+        def not_built(*args, **kwargs):
+            raise AssertionError("built before the graph matrix check")
+
+        monkeypatch.setattr(cs.delay_scheduler, "root", not_built)
+        monkeypatch.setattr(cs.delay_scheduler, "graph_matrix", not_built)
+        monkeypatch.setattr(cs.kernels, "graph_matrix", not_built)
+        with pytest.raises(ValueError, match="--kernel bitset"):
+            cs.list_mc(cs.Graph.edgeless(1100), kernel="rect", capacity=1)
+        with pytest.raises(ValueError, match="over 1 GiB"):
+            cs.kernels.check_graph_matrix(1025)
+        cs.kernels.check_graph_matrix(1024)
 
 
 class TestAdjacentToOwnPrefix:
