@@ -11,7 +11,6 @@ from .batch_dfs import (
     BATCH_COMPLETED,
     CLIQUE_COLLECTED,
     TRAVERSAL_ENDED,
-    BacktrackStack,
     StepEvent,
     TraversalStats,
     step_events,
@@ -20,8 +19,6 @@ from .delay_scheduler import (
     DelayConfig,
     Emission,
     StrictRunReport,
-    boot,
-    calibrate,
     list_mc,
     run_strict,
 )
@@ -44,7 +41,6 @@ from .rs_tree import (
     OpCounter,
     child,
     clique_index,
-    is_clique,
     is_maximal_clique,
     lex_completion,
     parent,
@@ -55,7 +51,6 @@ __all__ = [
     "BATCH_COMPLETED",
     "CLIQUE_COLLECTED",
     "TRAVERSAL_ENDED",
-    "BacktrackStack",
     "ChildSpec",
     "DelayConfig",
     "Emission",
@@ -65,9 +60,7 @@ __all__ = [
     "StrictRunReport",
     "TraversalStats",
     "VertexSet",
-    "boot",
     "build_batch_matrices",
-    "calibrate",
     "child",
     "children_batch",
     "children_naive",
@@ -75,7 +68,6 @@ __all__ = [
     "filter_children",
     "good_table_bitset",
     "good_table_rectangular",
-    "is_clique",
     "is_maximal_clique",
     "lex_compare",
     "lex_completion",

@@ -13,6 +13,8 @@ deterministic given (graph, kernel, capacity, mode).  ``--trace`` writes
 one CSV row per clique as it is printed: print_ordinal, cost_units,
 queue_size, stack_cliques.  Memory grows with the traversal stack, not
 with the output; ``--verify`` alone keeps the printed cliques' bitmasks.
+Bad input, ``--first`` below 1, what the listing refuses at the call and
+an unopenable ``--trace`` path all exit 2 with nothing on stdout.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field
 from . import delay_scheduler, oracle, rs_tree
 from .batch_dfs import CLIQUE_COLLECTED, TraversalStats
 from .graph import Graph, VertexSet
-from .kernels import KERNELS, check_graph_matrix
+from .kernels import KERNELS
 
 TRACE_SCHEMA = "# cliquestream trace v1"
 TRACE_HEADER = "print_ordinal,cost_units,queue_size,stack_cliques"
@@ -176,12 +178,6 @@ class RunConfig:
     trace: str | None = None
     seed: int | None = None
 
-    def __post_init__(self) -> None:
-        if self.first is not None and self.first < 1:
-            raise ValueError("--first must be at least 1")
-        if self.capacity is not None and self.capacity < 1:
-            raise ValueError("--batch must be at least 1")
-
 
 GENERATORS = {"gnp": "N:P", "moon-moser": "N", "complete": "N"}
 
@@ -231,24 +227,25 @@ def _format_clique(c: VertexSet) -> str:
     return " ".join(map(str, c))
 
 
-def _plain_emissions(g: Graph, cfg: RunConfig, stats: TraversalStats):
-    """(clique, cost-since-last-print, queue_size, stack) tuples for plain mode."""
-    cost = 0
-    for event in delay_scheduler.list_mc(
-        g, kernel=cfg.kernel, capacity=cfg.capacity, stats=stats
-    ):
-        cost += event.cost
-        if event.kind == CLIQUE_COLLECTED:
-            yield event.clique, cost, 0, stats.stack_cliques
-            cost = 0
+def _emissions(g: Graph, cfg: RunConfig, stats: TraversalStats):
+    """(clique, cost-since-last-print, queue_size, stack) tuples of the run,
+    whose listing is opened (or refused) at this call."""
+    kw = {"kernel": cfg.kernel, "capacity": cfg.capacity}
+    if cfg.mode == "strict":
+        report = delay_scheduler.StrictRunReport(stats=stats)
+        strict = delay_scheduler.run_strict(g, report=report, **kw)
+        return ((e.clique, e.cost_units, e.queue_size, e.stack_cliques) for e in strict)
+    events = delay_scheduler.list_mc(g, stats=stats, **kw)
 
+    def plain():
+        cost = 0
+        for event in events:
+            cost += event.cost
+            if event.kind == CLIQUE_COLLECTED:
+                yield event.clique, cost, 0, stats.stack_cliques
+                cost = 0
 
-def _strict_emissions(g: Graph, cfg: RunConfig, stats: TraversalStats):
-    report = delay_scheduler.StrictRunReport(stats=stats)
-    for em in delay_scheduler.run_strict(
-        g, kernel=cfg.kernel, capacity=cfg.capacity, report=report
-    ):
-        yield em.clique, em.cost_units, em.queue_size, em.stack_cliques
+    return plain()
 
 
 def _verify(g: Graph, emitted: set[int], count: int, prefix_only: bool, err) -> bool:
@@ -282,17 +279,17 @@ def run(cfg: RunConfig, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     report = IngestReport()
+    stats = TraversalStats()
     try:
+        if cfg.first is not None and cfg.first < 1:
+            raise ValueError("--first must be at least 1")
         g = load_graph(cfg, report)
-        if cfg.kernel == "rect":
-            check_graph_matrix(g.n)
-        # opened before listing, so a bad path is refused before anything prints
+        emissions = _emissions(g, cfg, stats)
+        # opened last, so no refusal leaves a trace file behind
         trace = open(cfg.trace, "w", encoding="utf-8") if cfg.trace else None
-    except (ParseError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=err)
         return 2
-    stats = TraversalStats()
-    emit = _plain_emissions if cfg.mode == "plain" else _strict_emissions
     emitted: set[int] = set()  # filled only under --verify
     count = 0
     try:
@@ -306,7 +303,7 @@ def run(cfg: RunConfig, out=None, err=None) -> int:
                 f"{report.duplicates_dropped} duplicate edges",
                 file=err,
             )
-        for clique, cost, queue_size, stack_cliques in emit(g, cfg, stats):
+        for clique, cost, queue_size, stack_cliques in emissions:
             out.write(_format_clique(clique) + "\n")
             count += 1
             if cfg.verify:
@@ -357,12 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    try:
-        cfg = RunConfig(**vars(args))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    cfg = RunConfig(**vars(build_parser().parse_args(argv)))
     try:
         status = run(cfg)
         sys.stdout.flush()

@@ -6,7 +6,9 @@ through a FIFO queue: a bootstrapping phase first banks ``boot_target``
 cliques without printing anything, then the listing phase dequeues one
 clique whenever at least ``tau_delay`` work units accrued since the last
 print (or the queue overflows ``boot_target + n^2``), and a final drain
-empties the queue once the traversal ends.
+empties the queue once the traversal ends.  ``list_mc`` is a listing's
+one gate: ``run_strict`` and the CLI open their streams through it, so all
+three refuse bad arguments with ``ValueError`` at the call.
 
 Work units are the operation counts charged to the listing's one counter:
 the root's construction, every pop's completion and every children
@@ -185,11 +187,17 @@ def run_strict(
     entries thanks to the forced-drain guard, and nothing is printed
     before boot returns.  Without ``cfg``, the stream's own first batch
     calibrates one; ``report.config`` is set before the first emission.
+    What :func:`list_mc` refuses raises ``ValueError`` at this call.
     """
     if report is None:
         report = StrictRunReport()
+    events = list_mc(g, kernel=kernel, capacity=capacity, stats=report.stats)
+    return _paced(g, cfg, events, report)
+
+
+def _paced(g: Graph, cfg, events, report: StrictRunReport) -> Iterator[Emission]:
+    """``run_strict``'s pacing loop over an opened event stream."""
     stats = report.stats
-    events = list_mc(g, kernel=kernel, capacity=capacity, stats=stats)
     if cfg is None:
         cfg, head = calibrate(g, events)
         events = chain(head, events)

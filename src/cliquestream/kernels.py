@@ -16,7 +16,7 @@ row, so a large batch's float32 tile can pass it), packed straight to
 64-bit words.  :func:`children_batch` feeds it slices of the batch whose
 packed rows fit :data:`RECT_ROWS_BYTES`, so memory follows n, not the batch
 capacity, and multiplies only the blocks that hold a row some parent of the
-slice tests (:func:`_candidates`); the charge still prices the full
+slice tests inside N(P) (:func:`_candidates`); the charge prices the full
 product.  :func:`good_table_bitset` materializes the rows from
 :func:`~cliquestream.rs_tree.common_neighbors`; :func:`filter_children`
 never does, and folds the same common neighborhood only as far as each
@@ -83,9 +83,11 @@ def _mask_rows(masks, n: int) -> np.ndarray:
     return bits.view(bool)
 
 
-def _assert_batch(g: Graph, cliques) -> None:
-    assert len(cliques) >= 1, "batch must be non-empty"
-    assert len({c.bits for c in cliques}) == len(cliques), "batch elements must be distinct"
+def _check_batch(cliques) -> None:
+    if not cliques:
+        raise ValueError("batch must be non-empty")
+    if len({c.bits for c in cliques}) != len(cliques):
+        raise ValueError("batch elements must be distinct")
 
 
 def check_graph_matrix(n: int) -> None:
@@ -122,7 +124,7 @@ def build_batch_matrices(
     parent.  ``M_G`` is :func:`graph_matrix`, built here unless ``mg``
     passes in one already built for ``g``.
     """
-    _assert_batch(g, cliques)
+    _check_batch(cliques)
     mb = _mask_rows((c.bits for c in cliques), g.n)
     return mb, graph_matrix(g) if mg is None else mg
 
@@ -177,7 +179,7 @@ def good_table_bitset(
     """Good rows by the direct formula: row i of ``P`` is the complement of
     the common neighborhood of ``P_{<i} & N(i)``.  Charge in words: ``n``,
     ``2n`` per parent and one per member of each ``P_{<i} & N(i)``."""
-    _assert_batch(g, cliques)
+    _check_batch(cliques)
     n = g.n
     adj = g.adj
     full = g.full_mask
@@ -272,7 +274,8 @@ def children_naive(g: Graph, p: VertexSet, index: int) -> ChildSpec:
     machinery; the differential reference for both kernels.  Each distinct
     backward completion (most often the root's) is computed once per call.
     """
-    assert is_maximal_clique(g, p), "parent must be a maximal clique"
+    if not is_maximal_clique(g, p):
+        raise ValueError("parent must be a maximal clique")
     n = g.n
     pb = p.bits
     indices = []
@@ -312,7 +315,7 @@ def children_batch(
     most ``RECT_ROWS_BYTES // (8 n words(n))`` parents, each parent's
     :func:`prefix_masks` serving the slice's needed rows and its filter.
     """
-    _assert_batch(g, cliques)
+    _check_batch(cliques)
     if indices is None:
         indices = [clique_index(g, p, counter) or 0 for p in cliques]
     if kernel == "bitset":
@@ -328,7 +331,8 @@ def children_batch(
         masks = [prefix_masks(g, p) for p in part]
         need = 0
         for p, i, (_, near) in zip(part, part_indices, masks):
-            need |= _candidates(g, p.bits, i, near)
+            # a row outside N(P) is 0 (P_{<i} & N(i) is empty): only the root has any
+            need |= _candidates(g, p.bits, i, near) & near
         rows = good_table_rectangular(g, part, counter=counter, mg=mg, need=need)
         specs += [
             filter_children(g, p, i, row, counter, pm)

@@ -92,7 +92,8 @@ def lex_completion(g: Graph, k: VertexSet, counter: OpCounter | None = None) -> 
     ``k`` may be empty, in which case the result is the overall
     lexicographically greatest maximal clique.
     """
-    assert is_clique(g, k), "input must be a clique"
+    if not is_clique(g, k):
+        raise ValueError("input must be a clique")
     return VertexSet(_lc_bits(g, k.bits, counter))
 
 
@@ -122,7 +123,8 @@ def clique_index(g: Graph, c: VertexSet, counter: OpCounter | None = None) -> in
     """Index of the maximal clique ``c``: the greatest ``i`` whose prefix
     ``C_{<i}`` does not complete back to ``C``; ``None`` for the root.  The
     completions are charged to ``counter``."""
-    assert is_maximal_clique(g, c), "input must be a maximal clique"
+    if not is_maximal_clique(g, c):
+        raise ValueError("input must be a maximal clique")
     for i in range(g.n, 0, -1):
         if _lc_bits(g, c.bits & below_mask(i), counter) != c.bits:
             return i
@@ -143,6 +145,7 @@ def child(g: Graph, p: VertexSet, i: int, counter: OpCounter | None = None) -> V
     Always a maximal clique containing ``i``; it is an actual child of
     ``p`` only when the caller has verified ``i`` is a good index.
     """
-    assert i not in p, "child index must not belong to the parent"
+    if i in p:
+        raise ValueError("child index must not belong to the parent")
     base = (p.bits & below_mask(i) & g.adj[i - 1]) | vbit(i)
     return VertexSet(_lc_bits(g, base, counter))

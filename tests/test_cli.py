@@ -265,6 +265,114 @@ class TestRun:
         assert capsys.readouterr().out == ""
 
 
+def refusal_line(tmp_path, **kwargs) -> str:
+    """Run a refused configuration with ``--trace``; check exit 2, empty
+    stdout, no trace file and one stderr line, and return that line."""
+    trace = tmp_path / "t.csv"
+    rc, out, err = run_cli(trace=str(trace), **kwargs)
+    assert rc == 2 and out == "" and not trace.exists()
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    return lines[0]
+
+
+class TestRefusals:
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("n 3\nn 3\n", "line 2: duplicate 'n' header"),
+            ("n 3 4\n", "line 1: expected 'n <count>'"),
+            ("n three\n", "line 1: bad vertex count 'three'"),
+            ("n 0\n", "line 1: vertex count must be positive"),
+            ("1 2\n1 2 3\n", "line 2: expected 'u v', got '1 2 3'"),
+        ],
+    )
+    def test_edge_list(self, tmp_path, text, message):
+        path = tmp_path / "g.edges"
+        path.write_text(text)
+        assert refusal_line(tmp_path, input=str(path)) == f"error: {message}"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("p edge 3 0\np edge 3 0\n", "line 2: duplicate problem header"),
+            ("p edge 3\n", "line 1: expected 'p edge N M'"),
+            ("p edge three 0\n", "line 1: bad header numbers"),
+            ("p edge 0 0\n", "line 1: vertex count must be positive"),
+            ("p edge 3 1\ne 1\n", "line 2: expected 'e u v'"),
+            ("p edge 3 1\ne 1 x\n", "line 2: non-integer vertex id"),
+            ("p edge 3 1\ne 1 4\n", "line 2: vertex id outside 1..3"),
+            ("c no header\n", "missing 'p edge N M' header"),
+        ],
+    )
+    def test_dimacs(self, tmp_path, text, message):
+        path = tmp_path / "g.dimacs"
+        path.write_text(text)
+        assert refusal_line(tmp_path, input=str(path), fmt="dimacs") == f"error: {message}"
+
+    def test_batch_zero(self, tmp_path, capsys):
+        trace = tmp_path / "t.csv"
+        argv = ["--input", "complete:3", "--batch", "0", "--trace", str(trace)]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not trace.exists()
+        assert captured.err == "error: batch capacity must be at least 1\n"
+
+    def test_first_zero(self, tmp_path):
+        line = refusal_line(tmp_path, input="complete:3", first=0)
+        assert line == "error: --first must be at least 1"
+
+    @pytest.mark.parametrize("mode", ["plain", "strict"])
+    def test_listing_refuses_before_the_root(self, tmp_path, monkeypatch, mode):
+        def no_root(*args, **kwargs):
+            raise AssertionError("root built for a refused run")
+
+        monkeypatch.setattr(cs.delay_scheduler, "root", no_root)
+        for kw, message in (
+            ({"kernel": "fft"}, "unknown kernel 'fft'"),
+            ({"capacity": 0}, "batch capacity must be at least 1"),
+            ({"input": "complete:1100", "kernel": "rect"}, "use --kernel bitset"),
+        ):
+            kw = {"input": "complete:3", "mode": mode} | kw
+            assert message in refusal_line(tmp_path, **kw)
+
+
+class TestIngestionLines:
+    def test_dimacs_input(self, tmp_path, bridged):
+        path = tmp_path / "g.dimacs"
+        path.write_text(cli.to_dimacs(bridged))
+        rc, out, err = run_cli(input=str(path), fmt="dimacs", verify=True)
+        assert rc == 0 and err == "VERIFY PASS: all 5 cliques match the oracle\n"
+        assert sorted(out.splitlines()) == sorted(
+            cli._format_clique(c) for c in oracle.all_maximal_cliques(bridged)
+        )
+
+    def test_edge_count_warning(self, tmp_path):
+        path = tmp_path / "g.dimacs"
+        path.write_text("p edge 3 5\ne 1 2\n")
+        rc, out, err = run_cli(input=str(path), fmt="dimacs")
+        assert rc == 0 and sorted(out.splitlines()) == ["1 2", "3"]
+        assert err == "warning: header declares 5 edges but 1 were found\n"
+
+    def test_normalized_input_line(self, tmp_path):
+        path = tmp_path / "g.edges"
+        path.write_text("1 1\n1 2\n2 1\n")
+        rc, out, err = run_cli(input=str(path))
+        assert rc == 0 and out == "1 2\n"
+        assert err == "normalized input: dropped 1 self-loops, 1 duplicate edges\n"
+
+    def test_failed_verify_exits_1(self, monkeypatch):
+        listing = cli.oracle.all_maximal_cliques
+
+        def one_short(*args, **kwargs):
+            return listing(*args, **kwargs)[1:]
+
+        monkeypatch.setattr(cli.oracle, "all_maximal_cliques", one_short)
+        rc, out, err = run_cli(input="moon-moser:6", verify=True)
+        assert rc == 1 and len(out.splitlines()) == 9
+        assert err.startswith("VERIFY FAIL: missing=0 extra=1 duplicates=0")
+
+
 class TestVerifyHelper:
     def test_fail_reports_counts(self, bridged):
         err = io.StringIO()

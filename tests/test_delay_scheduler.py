@@ -165,6 +165,22 @@ class TestRunStrict:
         assert calls == {"root": 1, "graph_matrix": int(kernel == "rect")}
 
 
+    @pytest.mark.parametrize(
+        "g, kw, message",
+        [
+            (cs.Graph.complete(3), {"kernel": "naive"}, "unknown kernel"),
+            (cs.Graph.complete(3), {"capacity": 0}, "capacity"),
+            (cs.Graph.edgeless(1100), {"kernel": "rect"}, "--kernel bitset"),
+        ],
+    )
+    def test_refused_at_the_call(self, monkeypatch, g, kw, message):
+        def no_root(*args, **kwargs):
+            raise AssertionError("root built for a refused run")
+
+        monkeypatch.setattr(ds, "root", no_root)
+        with pytest.raises(ValueError, match=message):
+            ds.run_strict(g, **kw)  # the stream is never iterated
+
 class TestCalibration:
     def test_config_valid(self):
         for g in random_graphs(6, seed0=2400):

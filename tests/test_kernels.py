@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -150,6 +154,29 @@ class TestRectBlocks:
             for got, want in zip(rows, full):
                 for i in range(1, g.n + 1):
                     assert got[i - 1] == (want[i - 1] if need >> (i - 1) & 1 else 0)
+
+    def test_root_multiplies_only_its_neighbourhood(self, monkeypatch):
+        # a row i outside N(root) is 0, since root_{<i} & N(i) is empty
+        g = cs.Graph.gnp(200, 0.05, seed=13)
+        r = cs.root(g)
+        mg = cs.kernels.graph_matrix(g)
+        monkeypatch.setattr(cs.kernels, "BLOCK_BYTES", 1)  # one row per block
+        full_counter = cs.OpCounter()
+        rows = cs.good_table_rectangular(g, [r], full_counter, mg)
+        want = [cs.filter_children(g, r, 0, rows[0], full_counter)]
+        products = []
+        real = cs.matmul.multiply_boolean_threshold
+
+        def counted(a, b):
+            products.append(b.shape[1])
+            return real(a, b)
+
+        monkeypatch.setattr(cs.matmul, "multiply_boolean_threshold", counted)
+        counter = cs.OpCounter()
+        got = cs.children_batch(g, [r], kernel="rect", counter=counter, indices=[0], mg=mg)
+        _, near = prefix_masks(g, r)
+        assert len(products) == (near & ~r.bits).bit_count() < g.n - len(r)
+        assert got == want and counter.ops == full_counter.ops
 
     def test_listing_past_two_words_matches_oracle(self):
         g = cs.Graph.gnp(130, 0.06, seed=7)
@@ -365,12 +392,46 @@ class TestChildrenBatch:
             assert reached == {c.bits for c in cliques}
 
     def test_rejects_bad_input(self, bridged):
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError, match="non-empty"):
             cs.children_batch(bridged, [])
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError, match="distinct"):
             cs.children_batch(bridged, [K5_SIDE, K5_SIDE])
         with pytest.raises(ValueError):
             cs.children_batch(bridged, [K5_SIDE], kernel="fft")
+
+    def test_preconditions_hold_under_python_O(self):
+        # the public preconditions raise ValueError, which -O does not strip
+        script = """
+import cliquestream as cs
+from cliquestream import kernels
+g = cs.Graph.from_edges(4, [(1, 2), (3, 4)])
+r = cs.root(g)
+checks = [
+    lambda: kernels.children_batch(g, []),
+    lambda: kernels.children_batch(g, [r, r]),
+    lambda: kernels.children_naive(g, cs.VertexSet.of(1), 0),
+    lambda: cs.lex_completion(g, cs.VertexSet.of(1, 3)),
+    lambda: cs.clique_index(g, cs.VertexSet.of(1)),
+    lambda: cs.child(g, r, 1),
+]
+refused = 0
+for check in checks:
+    try:
+        check()
+    except ValueError:
+        refused += 1
+print(__debug__, refused)
+"""
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])
+        ))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False 6\n"
 
     def test_given_indices_match_recomputed(self):
         for g in random_graphs(30, seed0=1650, n_hi=12):

@@ -138,7 +138,7 @@ class TestChild:
                     assert i in c
 
     def test_member_index_rejected(self, bridged):
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError, match="must not belong"):
             cs.child(bridged, K5_SIDE, 3)
 
 
