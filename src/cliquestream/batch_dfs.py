@@ -10,7 +10,10 @@ reverse-search index ``i`` by definition (the root has 0), so ``pop``
 returns that index with the clique and no index is recomputed.
 
 The traversal is exposed as a resumable event stream
-(:func:`step_events`).  One :class:`~cliquestream.rs_tree.OpCounter` per
+(:func:`step_events`) of :class:`StepEvent` named tuples ``(kind, clique,
+cost)``.  Every clique passes this path, so ``ChildSpec`` and
+:class:`TraversalStats` are slotted, and ``pop`` and ``filter_children``
+build their results without calling the constructors.  One ``OpCounter`` per
 listing takes every charge, and each event costs the counter's growth since
 the previous event.  Index lists are consumed in ascending order and child
 specs are pushed in batch order, so emission order is deterministic for a
@@ -20,7 +23,7 @@ given (graph, kernel, capacity).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .graph import Graph, VertexSet
 from .kernels import ChildSpec
@@ -34,9 +37,11 @@ TRAVERSAL_ENDED = "traversal-ended"
 # cliques[k], 0 for the root
 ChildrenFn = Callable[[list[VertexSet], list[int]], list[ChildSpec]]
 
+_new = object.__new__
+_set_bits = VertexSet.bits.__set__
 
-@dataclass(frozen=True)
-class StepEvent:
+
+class StepEvent(NamedTuple):
     """One step of the traversal: what happened plus the work units accrued
     since the previous event."""
 
@@ -45,7 +50,7 @@ class StepEvent:
     cost: int
 
 
-@dataclass
+@dataclass(slots=True)
 class TraversalStats:
     batches_total: int = 0
     batches_undersized: int = 0
@@ -99,7 +104,9 @@ class BacktrackStack:
             top[1] = pos + 1
         low = 1 << (i - 1)
         base = (spec.parent.bits & (low - 1) & g.adj[i - 1]) | low
-        return VertexSet(_lc_bits(g, base, counter)), i
+        clique = _new(VertexSet)  # a completion is never negative: skip the check
+        _set_bits(clique, _lc_bits(g, base, counter))
+        return clique, i
 
 
 def step_events(
@@ -126,14 +133,15 @@ def step_events(
     if counter is None:
         counter = OpCounter()
     stack = BacktrackStack()
+    entries = stack._entries
     stack.seed(root_clique)
     stats.max_stack_cliques = max(stats.max_stack_cliques, stack.pending)
     stats.stack_cliques = stack.pending
     charged = 0
-    while stack:
+    while entries:
         batch: list[VertexSet] = []
         indices: list[int] = []
-        while len(batch) < capacity and stack:
+        while len(batch) < capacity and entries:
             clique, index = stack.pop(g, counter)
             batch.append(clique)
             indices.append(index)

@@ -224,7 +224,14 @@ def load_graph(cfg: RunConfig, report: IngestReport) -> Graph:
 
 
 def _format_clique(c: VertexSet) -> str:
-    return " ".join(map(str, c))
+    """Ascending vertex ids; a lowest-bit loop, cheaper than the set's iterator."""
+    bits = c.bits
+    ids = []
+    while bits:
+        low = bits & -bits
+        ids.append(str(low.bit_length()))
+        bits ^= low
+    return " ".join(ids)
 
 
 def _emissions(g: Graph, cfg: RunConfig, stats: TraversalStats):

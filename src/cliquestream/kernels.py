@@ -16,8 +16,8 @@ row, so a large batch's float32 tile can pass it), packed straight to
 64-bit words.  :func:`children_batch` feeds it slices of the batch whose
 packed rows fit :data:`RECT_ROWS_BYTES`, so memory follows n, not the batch
 capacity, and multiplies only the blocks that hold a row some parent of the
-slice tests inside N(P) (:func:`_candidates`); the charge prices the full
-product.  :func:`good_table_bitset` materializes the rows from
+slice tests inside N(P) (a non-member above its index); the charge prices
+the full product.  :func:`good_table_bitset` materializes the rows from
 :func:`~cliquestream.rs_tree.common_neighbors`; :func:`filter_children`
 never does, and folds the same common neighborhood only as far as each
 candidate needs.
@@ -64,7 +64,7 @@ RECT_ROWS_BYTES = 1 << 24
 GRAPH_MATRIX_BYTES = 1 << 30
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChildSpec:
     """A parent clique and the ascending list of its good child indices."""
 
@@ -73,6 +73,11 @@ class ChildSpec:
 
     def __len__(self) -> int:
         return len(self.indices)
+
+
+_new = object.__new__
+_set_parent = ChildSpec.parent.__set__
+_set_indices = ChildSpec.indices.__set__
 
 
 def _mask_rows(masks, n: int) -> np.ndarray:
@@ -109,7 +114,7 @@ def graph_matrix(g: Graph, counter: OpCounter | None = None) -> np.ndarray:
     a_rows = _mask_rows((g.adj[i - 1] & below_mask(i) for i in range(1, n + 1)), n)
     non_adj = _mask_rows((g.full_mask & ~a for a in g.adj), n)
     if counter is not None:
-        counter.add(n * n * 2 * words(n))
+        counter.ops += n * n * 2 * words(n)
     # entry [v, i, j] = a_rows[i, v] & non_adj[j, v], allocated in C order
     cube = np.bitwise_and(a_rows.T[:, :, None], non_adj.T[:, None, :], order="C")
     return cube.reshape(n, n * n)
@@ -161,7 +166,7 @@ def good_table_rectangular(
             block.reshape(b, last - first, n), axis=2, bitorder="little"
         )
     if counter is not None:
-        counter.add(b * w + b * n * n * w)
+        counter.ops += b * w + b * n * n * w
     word_cols = packed.view("<u8")
     rows = word_cols[:, :, 0].tolist()
     for k in range(1, w):
@@ -195,15 +200,8 @@ def good_table_bitset(
         rows.append(row)
     if counter is not None:
         w = words(n)
-        counter.add((n + len(cliques) * n * 2 + members) * w)
+        counter.ops += (n + len(cliques) * n * 2 + members) * w
     return rows
-
-
-def _candidates(g: Graph, pb: int, index: int, near: int) -> int:
-    """Candidate child indices (as a mask) of the parent ``pb`` with index
-    ``index``: its non-members above ``index``, and for a non-root parent
-    only those in ``near`` = ``N(P)``."""
-    return (near if index else g.full_mask) & ~pb & -(1 << index)
 
 
 def filter_children(
@@ -237,7 +235,7 @@ def filter_children(
     notp = ~pb
     adjacent, near = masks if masks is not None else prefix_masks(g, p)
     outside = adjacent & notp
-    cand = _candidates(g, pb, index, near)
+    cand = (near if index else g.full_mask) & notp & -(1 << index)
     scanned = cand.bit_count()
     indices = []
     folds = 0
@@ -261,8 +259,11 @@ def filter_children(
             indices.append(i)
     if counter is not None:
         # (g.n + 63) >> 6 is words(g.n), inlined on this per-parent path
-        counter.add((3 * pb.bit_count() + 4 + scanned * 6 + folds) * ((g.n + 63) >> 6))
-    return ChildSpec(parent=p, indices=tuple(indices))
+        counter.ops += (3 * pb.bit_count() + 4 + scanned * 6 + folds) * ((g.n + 63) >> 6)
+    spec = _new(ChildSpec)  # ChildSpec(parent=p, indices=...) without its keyword call
+    _set_parent(spec, p)
+    _set_indices(spec, tuple(indices))
+    return spec
 
 
 def children_naive(g: Graph, p: VertexSet, index: int) -> ChildSpec:
@@ -331,8 +332,8 @@ def children_batch(
         masks = [prefix_masks(g, p) for p in part]
         need = 0
         for p, i, (_, near) in zip(part, part_indices, masks):
-            # a row outside N(P) is 0 (P_{<i} & N(i) is empty): only the root has any
-            need |= _candidates(g, p.bits, i, near) & near
+            # candidates in N(P); a row outside N(P) is 0 (P_{<i} & N(i) is empty)
+            need |= near & ~p.bits & -(1 << i)
         rows = good_table_rectangular(g, part, counter=counter, mg=mg, need=need)
         specs += [
             filter_children(g, p, i, row, counter, pm)

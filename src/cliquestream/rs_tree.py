@@ -31,9 +31,6 @@ class OpCounter:
     def __init__(self) -> None:
         self.ops = 0
 
-    def add(self, n: int) -> None:
-        self.ops += n
-
 
 def words(n: int) -> int:
     """Machine words needed for an n-bit mask (64-bit words)."""
@@ -71,9 +68,15 @@ def is_maximal_clique(g: Graph, s: VertexSet) -> bool:
 def _lc_bits(g: Graph, kbits: int, counter: OpCounter | None = None) -> int:
     """Greedy ascending completion of the clique mask ``kbits``: repeatedly
     add the least vertex adjacent to every member so far.  ``cand`` holds
-    exactly those vertices, so the loop runs once per inserted vertex."""
+    exactly those vertices, so the loop runs once per inserted vertex.
+    Every pop runs this, so :func:`common_neighbors` is inlined."""
     adj = g.adj
-    cand = common_neighbors(g, kbits) & ~kbits
+    cand = g.full_mask & ~kbits
+    rest = kbits
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        cand &= adj[low.bit_length() - 1]
     s = kbits
     inserted = 0
     while cand:
@@ -82,7 +85,7 @@ def _lc_bits(g: Graph, kbits: int, counter: OpCounter | None = None) -> int:
         cand &= adj[low.bit_length() - 1]
         inserted += 1
     if counter is not None:
-        counter.add(inserted + (inserted + kbits.bit_count()) * words(g.n))
+        counter.ops += inserted + (inserted + kbits.bit_count()) * ((g.n + 63) >> 6)
     return s
 
 

@@ -60,6 +60,33 @@ class TestPopFromTop:
         stack.push(ChildSpec(parent=K5_SIDE, indices=()))
         assert not stack
 
+    def test_popped_clique_behaves_like_a_constructed_one(self, bridged):
+        # pop wraps its completion without VertexSet.__init__
+        stack = BacktrackStack()
+        stack.push(ChildSpec(parent=K5_SIDE, indices=(6,)))
+        clique, _ = stack.pop(bridged)
+        assert type(clique) is cs.VertexSet
+        assert clique == cs.VertexSet(BRIDGE_16.bits) and hash(clique) == hash(BRIDGE_16)
+        assert list(clique) == [1, 6] and repr(clique) == "VertexSet{1, 6}"
+        with pytest.raises(AttributeError):
+            clique.bits = 0
+
+
+class TestPerCliqueTypes:
+    def test_step_event_is_a_named_tuple(self, bridged):
+        assert cs.StepEvent._fields == ("kind", "clique", "cost")
+        first = next(iter(cs.list_mc(bridged)))
+        kind, clique, cost = first
+        assert first == cs.StepEvent(kind=kind, clique=clique, cost=cost)
+        assert (kind, clique) == (cs.CLIQUE_COLLECTED, K5_SIDE) and cost > 0
+
+    def test_traversal_stats_refuses_unknown_attributes(self):
+        stats = cs.TraversalStats()
+        stats.cliques_emitted += 1
+        with pytest.raises(AttributeError):
+            stats.cliques_emmitted = 1
+        assert not hasattr(stats, "__dict__")
+
 
 class TestEmissionOrder:
     def test_capacity_one(self, bridged):

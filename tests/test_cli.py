@@ -1,5 +1,6 @@
 import io
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -335,6 +336,17 @@ class TestRefusals:
         ):
             kw = {"input": "complete:3", "mode": mode} | kw
             assert message in refusal_line(tmp_path, **kw)
+
+
+class TestFormatClique:
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 130])
+    def test_matches_the_iterator_join(self, n):
+        rng = random.Random(n)
+        masks = [0, 1, (1 << n) - 1, 1 << (n - 1)]
+        masks += [rng.getrandbits(n) & rng.getrandbits(n) for _ in range(200)]
+        for bits in masks:
+            c = cs.VertexSet(bits)
+            assert cli._format_clique(c) == " ".join(map(str, c))
 
 
 class TestIngestionLines:

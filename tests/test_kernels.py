@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import random
 import subprocess
@@ -284,6 +285,16 @@ class TestFilterChildren:
                 cs.filter_children(g, p, index, None, counter_lazy)
                 cs.filter_children(g, p, index, rows[k], counter_rows)
         assert 0 < counter_lazy.ops < counter_rows.ops
+
+    def test_spec_behaves_like_a_constructed_one(self, bridged):
+        # filter_children builds its spec without the dataclass constructor
+        got = cs.filter_children(bridged, K5_SIDE, 0)
+        made = cs.ChildSpec(parent=K5_SIDE, indices=(6, 7, 8))
+        assert got == made and hash(got) == hash(made) and len(got) == 3
+        assert {got: 1}[made] == 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            got.indices = ()
+        assert not hasattr(got, "__dict__")
 
 
 def carried_pairs(g, monkeypatch):
