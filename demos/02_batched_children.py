@@ -24,11 +24,22 @@ print(f"naive product: {counts.shape}, max witness count = {counts.max()}")
 
 # The kernel needs only positivity: it thresholds a float32 BLAS product
 # (exact, as no count can pass the inner dimension n), which agrees
-# entrywise with the thresholded naive reference.  good_table_rectangular
-# runs it over column blocks of M_G and packs each block's rows to words.
+# entrywise with the thresholded naive reference.
 positive = matmul.multiply_boolean_threshold(mb, mg)
 assert (positive == (counts > 0)).all()
 print("Boolean product == naive product > 0")
+
+# M_G takes n^3 bytes, but it factors: column block i is diag(A_i) @ Nc.T,
+# where row j of Nc is the characteristic vector of V \ N(j).  So block i
+# of the product is (M_B & A_i) @ Nc.T, the same multiply-adds from two
+# n x n matrices.  good_table_rectangular never builds M_G: it stacks the
+# rows P & A_i that each parent tests into one tall operand, multiplies it
+# by Nc.T in chunks, and packs each chunk's rows to words.
+a_rows, non_adj_t = cs.kernels.graph_factors(g)
+n = g.n
+for i in range(n):
+    assert (mg[:, i * n : (i + 1) * n] == (a_rows[i][:, None] & non_adj_t)).all()
+print(f"M_G == its {n} column blocks diag(A_i) @ Nc.T")
 
 rows_rect = cs.good_table_rectangular(g, batch)
 rows_bits = cs.good_table_bitset(g, batch)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 from . import delay_scheduler, oracle, rs_tree
 from .batch_dfs import CLIQUE_COLLECTED, TraversalStats
-from .graph import Graph, VertexSet
+from .graph import Graph, VertexSet, check_vertex_count
 from .kernels import KERNELS
 
 TRACE_SCHEMA = "# cliquestream trace v1"
@@ -44,6 +44,14 @@ class IngestReport:
     warnings: list[str] = field(default_factory=list)
 
 
+def _check_count(n: int, lineno: int) -> None:
+    """:func:`check_vertex_count` as a ParseError that names the line."""
+    try:
+        check_vertex_count(n)
+    except ValueError as exc:
+        raise ParseError(f"line {lineno}: {exc}") from None
+
+
 def _finish_edges(
     pairs: list[tuple[int, int]], n: int, report: IngestReport | None
 ) -> Graph:
@@ -58,7 +66,8 @@ def _finish_edges(
 def parse_edge_list(text: str, report: IngestReport | None = None) -> Graph:
     """Parse ``u v`` lines; an optional ``n N`` header declares the vertex
     count (otherwise the largest id wins).  Self-loops and duplicates are
-    dropped and counted."""
+    dropped and counted.  A count the graph cannot hold is refused at its
+    line."""
     declared = None
     pairs: list[tuple[int, int]] = []
     max_id = 0
@@ -78,6 +87,7 @@ def parse_edge_list(text: str, report: IngestReport | None = None) -> Graph:
                 raise ParseError(f"line {lineno}: bad vertex count {parts[1]!r}") from None
             if declared < 1:
                 raise ParseError(f"line {lineno}: vertex count must be positive")
+            _check_count(declared, lineno)
             if max_id > declared:
                 raise ParseError(
                     f"line {lineno}: declared count {declared} is below vertex id {max_id}"
@@ -96,7 +106,10 @@ def parse_edge_list(text: str, report: IngestReport | None = None) -> Graph:
                 f"line {lineno}: vertex id exceeds declared count {declared}"
             )
         pairs.append((u, v))
-        max_id = max(max_id, u, v)
+        if u > max_id or v > max_id:
+            max_id = max(u, v)
+            if declared is None:
+                _check_count(max_id, lineno)
     n = declared if declared is not None else max_id
     if n == 0:
         raise ParseError("no vertices: empty input without an 'n' header")
@@ -107,7 +120,8 @@ def parse_dimacs(text: str, report: IngestReport | None = None) -> Graph:
     """Parse DIMACS: one ``p edge N M`` header, then ``e u v`` lines.
 
     ``c`` comment lines are skipped.  A mismatch between declared and seen
-    edge counts is a warning, not an error; a missing header is fatal.
+    edge counts is a warning, not an error; a missing header, or one whose
+    ``N`` the graph cannot hold, is fatal.
     """
     n = None
     declared_m = 0
@@ -129,6 +143,7 @@ def parse_dimacs(text: str, report: IngestReport | None = None) -> Graph:
                 raise ParseError(f"line {lineno}: bad header numbers") from None
             if n < 1:
                 raise ParseError(f"line {lineno}: vertex count must be positive")
+            _check_count(n, lineno)
             continue
         if parts[0] == "e":
             if n is None:

@@ -36,7 +36,7 @@ from .batch_dfs import (
     step_events,
 )
 from .graph import Graph, VertexSet
-from .kernels import KERNELS, check_graph_matrix, children_batch, graph_matrix
+from .kernels import KERNELS, children_batch, graph_factors
 from .rs_tree import OpCounter, root
 
 
@@ -97,27 +97,24 @@ def list_mc(
     :data:`~cliquestream.kernels.KERNELS`).  Default capacity is n^2.  One
     counter takes the root, every pop and every children step, so the
     root's units fall on the first event.  Each batch carries its cliques'
-    indices from the stack; the "rect" kernel's graph matrix is built (and
-    charged) once, with the first batch.  An unknown kernel, a capacity
-    below 1, or a "rect" n whose graph matrix
-    :func:`~cliquestream.kernels.check_graph_matrix` refuses, raises
-    ValueError here, before anything is built."""
+    indices from the stack; the "rect" kernel's two n x n factors of the
+    graph matrix (:func:`~cliquestream.kernels.graph_factors`) are built
+    (and charged) once, with the first batch.  An unknown kernel or a
+    capacity below 1 raises ValueError here, before anything is built."""
     if kernel not in KERNELS:
         raise ValueError(f"unknown kernel {kernel!r}")
     cap = capacity if capacity is not None else g.n * g.n
     if cap < 1:
         raise ValueError("batch capacity must be at least 1")
-    if kernel == "rect":
-        check_graph_matrix(g.n)
     counter = OpCounter()
-    mg = None
+    factors = None
 
     def children_fn(cliques: list[VertexSet], indices: list[int]):
-        nonlocal mg
-        if kernel == "rect" and mg is None:
-            mg = graph_matrix(g, counter)
+        nonlocal factors
+        if kernel == "rect" and factors is None:
+            factors = graph_factors(g, counter)
         return children_batch(
-            g, cliques, kernel=kernel, counter=counter, indices=indices, mg=mg
+            g, cliques, kernel=kernel, counter=counter, indices=indices, factors=factors
         )
 
     root_clique = root(g, counter)

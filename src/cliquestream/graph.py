@@ -12,9 +12,13 @@ threads; vertex sets are plain values.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
+
+# bytes the n adjacency rows (n^2 bits) may take: n <= 92,681
+ROWS_BYTES = 1 << 30
 
 
 def vbit(v: int) -> int:
@@ -33,6 +37,18 @@ def iter_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length()
         mask ^= low
+
+
+def check_vertex_count(n: int) -> None:
+    """Refuse, with ``ValueError``, an ``n`` below 1 or one whose adjacency
+    rows would pass :data:`ROWS_BYTES`.  Nothing is allocated."""
+    if n < 1:
+        raise ValueError("graph needs at least one vertex")
+    if n * n > 8 * ROWS_BYTES:
+        raise ValueError(
+            f"{n} vertices are more than {math.isqrt(8 * ROWS_BYTES)}, the most "
+            f"whose adjacency rows fit {ROWS_BYTES >> 30} GiB"
+        )
 
 
 def mask_of(vertices: Iterable[int]) -> int:
@@ -132,7 +148,9 @@ class Graph:
     ``adj[v-1]`` is the neighborhood bitmask of vertex ``v``.  The adjacency
     is symmetric, has no self-loops, and ``m`` counts edges; the constructor
     refuses rows that break this (:meth:`validate`).  The classmethods build
-    rows that hold it by construction and skip that pass.
+    rows that hold it by construction and skip that pass.  Every
+    constructor refuses an ``n`` that :func:`check_vertex_count` refuses
+    before it allocates.
     """
 
     n: int
@@ -141,12 +159,11 @@ class Graph:
     full_mask: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        check_vertex_count(self.n)
         self._set_full_mask()
         self.validate()
 
     def _set_full_mask(self) -> None:
-        if self.n < 1:
-            raise ValueError("graph needs at least one vertex")
         object.__setattr__(self, "full_mask", (1 << self.n) - 1)
 
     @classmethod
@@ -166,6 +183,7 @@ class Graph:
         Construction is idempotent under duplicated or orientation-flipped
         edges.  Vertices outside ``1..n`` raise ``ValueError``.
         """
+        check_vertex_count(n)
         adj = [0] * n
         for u, v in edges:
             if not (1 <= u <= n and 1 <= v <= n):
@@ -179,6 +197,7 @@ class Graph:
 
     @classmethod
     def complete(cls, n: int) -> "Graph":
+        check_vertex_count(n)
         adj = tuple((1 << n) - 1 - (1 << v) for v in range(n))
         return cls._normalized(n, adj, n * (n - 1) // 2)
 
@@ -189,6 +208,7 @@ class Graph:
     @classmethod
     def gnp(cls, n: int, p: float, seed: int | None = None) -> "Graph":
         """Erdos-Renyi G(n, p) with a deterministic seed."""
+        check_vertex_count(n)
         rng = random.Random(seed)
         edges = [
             (u, v)
@@ -206,16 +226,13 @@ class Graph:
         maximum number of maximal cliques (one vertex per part each).
         Parts are the consecutive triples {1,2,3}, {4,5,6}, ...
         """
-        edges = [
-            (u, v)
-            for u in range(1, n + 1)
-            for v in range(u + 1, n + 1)
-            if (u - 1) // 3 != (v - 1) // 3
-        ]
-        g = cls.from_edges(n, edges)  # n < 1 gets the common refusal
+        check_vertex_count(n)
         if n % 3 != 0:
             raise ValueError("vertex count must be divisible by 3")
-        return g
+        full = (1 << n) - 1
+        # 0-based vertex v is adjacent to everything outside its own triple
+        adj = tuple(full & ~(0b111 << (v - v % 3)) for v in range(n))
+        return cls._normalized(n, adj, n * (n - 3) // 2)
 
     def has_edge(self, u: int, v: int) -> bool:
         return (self.adj[u - 1] >> (v - 1)) & 1 == 1

@@ -8,16 +8,22 @@ a batch's rows off one rectangular Boolean product: stack the parents'
 characteristic vectors into ``M_B`` (|B| x n), put the characteristic
 vector of ``A_i \\ N(j)`` with ``A_i = V_{<i} & N(i)`` into column
 ``(i, j)`` of ``M_G`` (n x n^2), and test entries of ``M_B @ M_G`` for
-positivity.  ``M_G`` depends only on the graph and takes n^3 bytes, so a
-traversal builds it once, after :func:`check_graph_matrix` has refused an n
-past :data:`GRAPH_MATRIX_BYTES`.  :func:`good_table_rectangular` multiplies
-it in column blocks of whole rows within :data:`BLOCK_BYTES` (at least one
-row, so a large batch's float32 tile can pass it), packed straight to
+positivity.  ``M_G`` takes n^3 bytes, but it factors: with ``Nc`` the
+n x n matrix whose row j is the characteristic vector of ``V \\ N(j)``,
+column block i of ``M_G`` is ``diag(A_i) @ Nc.T``, so block i of the
+product is ``(M_B & A_i) @ Nc.T`` (``A_i`` masking every row of ``M_B``),
+the same multiply-adds.  A traversal builds the two n x n factors once
+(:func:`graph_factors`) and never ``M_G``; :func:`graph_matrix` and
+:func:`build_batch_matrices` keep the explicit matrices for tests and
+demos.  :func:`good_table_rectangular` stacks the needed (parent, row)
+pairs ``P & A_i`` into one tall operand, multiplies it by ``Nc.T`` in
+chunks of rows whose float32 input and output fit
+:data:`BLOCK_BYTES` (at least one row), and packs the result straight to
 64-bit words.  :func:`children_batch` feeds it slices of the batch whose
 packed rows fit :data:`RECT_ROWS_BYTES`, so memory follows n, not the batch
-capacity, and multiplies only the blocks that hold a row some parent of the
-slice tests inside N(P) (a non-member above its index); the charge prices
-the full product.  :func:`good_table_bitset` materializes the rows from
+capacity, and asks only for the rows each parent tests inside N(P) (a
+non-member above its index); the charge prices the full product.
+:func:`good_table_bitset` materializes the rows from
 :func:`~cliquestream.rs_tree.common_neighbors`; :func:`filter_children`
 never does, and folds the same common neighborhood only as far as each
 candidate needs.
@@ -55,13 +61,11 @@ from .rs_tree import (
 
 KERNELS = ("rect", "bitset")
 
-# float32 bytes that each of a product block's input and output may hold
+# float32 bytes a product chunk's tall input and its output may hold together
 BLOCK_BYTES = 1 << 16
 # packed good rows one slice of a "rect" batch may hold; read out as Python
 # ints, the rows take several times this
 RECT_ROWS_BYTES = 1 << 24
-# bytes of the n^3 graph matrix M_G that "rect" may build (n <= 1024)
-GRAPH_MATRIX_BYTES = 1 << 30
 
 
 @dataclass(frozen=True, slots=True)
@@ -95,87 +99,84 @@ def _check_batch(cliques) -> None:
         raise ValueError("batch elements must be distinct")
 
 
-def check_graph_matrix(n: int) -> None:
-    """Refuse an n whose n^3-byte ``M_G`` would pass
-    :data:`GRAPH_MATRIX_BYTES`.  Nothing is allocated."""
-    if n**3 > GRAPH_MATRIX_BYTES:
-        raise ValueError(
-            f"rect's graph matrix at n = {n} needs {n**3 / 2**30:.1f} GiB, over "
-            f"{GRAPH_MATRIX_BYTES >> 30} GiB: use --kernel bitset"
-        )
-
-
-def graph_matrix(g: Graph, counter: OpCounter | None = None) -> np.ndarray:
-    """``M_G`` (n x n^2): the column for the pair ``(i, j)`` sits at flat
-    position ``(i-1)*n + (j-1)`` (row-major, i outermost) and holds the
-    characteristic vector of ``A_i \\ N(j)``."""
+def graph_factors(
+    g: Graph, counter: OpCounter | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The two n x n Boolean factors of ``M_G``: ``A``, whose row i is the
+    characteristic vector of ``A_i``, and ``Nc.T``, whose column j is that
+    of ``V \\ N(j)``.  Charged ``n * n * 2 * words(n)``."""
     n = g.n
-    check_graph_matrix(n)
     a_rows = _mask_rows((g.adj[i - 1] & below_mask(i) for i in range(1, n + 1)), n)
     non_adj = _mask_rows((g.full_mask & ~a for a in g.adj), n)
     if counter is not None:
         counter.ops += n * n * 2 * words(n)
-    # entry [v, i, j] = a_rows[i, v] & non_adj[j, v], allocated in C order
-    cube = np.bitwise_and(a_rows.T[:, :, None], non_adj.T[:, None, :], order="C")
-    return cube.reshape(n, n * n)
+    return a_rows, non_adj.T
 
 
-def build_batch_matrices(
-    g: Graph, cliques, mg: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Characteristic matrices (M_B, M_G) for the rectangular reduction.
+def graph_matrix(g: Graph) -> np.ndarray:
+    """``M_G`` (n x n^2, n^3 bytes): the column for the pair ``(i, j)`` sits
+    at flat position ``(i-1)*n + (j-1)`` (row-major, i outermost) and holds
+    the characteristic vector of ``A_i \\ N(j)``."""
+    a_rows, non_adj_t = graph_factors(g)
+    # entry [v, i, j] = a_rows[i, v] & non_adj_t[v, j], allocated in C order
+    cube = np.bitwise_and(a_rows.T[:, :, None], non_adj_t[:, None, :], order="C")
+    return cube.reshape(g.n, g.n * g.n)
+
+
+def build_batch_matrices(g: Graph, cliques) -> tuple[np.ndarray, np.ndarray]:
+    """Characteristic matrices (M_B, M_G) of the rectangular reduction.
 
     ``M_B`` is |B| x n with row k the characteristic vector of the k-th
-    parent.  ``M_G`` is :func:`graph_matrix`, built here unless ``mg``
-    passes in one already built for ``g``.
+    parent; ``M_G`` is :func:`graph_matrix`.
     """
     _check_batch(cliques)
-    mb = _mask_rows((c.bits for c in cliques), g.n)
-    return mb, graph_matrix(g) if mg is None else mg
+    return _mask_rows((c.bits for c in cliques), g.n), graph_matrix(g)
 
 
 def good_table_rectangular(
     g: Graph,
     cliques,
     counter: OpCounter | None = None,
-    mg: np.ndarray | None = None,
-    need: int = -1,
+    factors: tuple[np.ndarray, np.ndarray] | None = None,
+    need=None,
 ) -> list[list[int]]:
-    """Good rows via the |B| x n by n x n^2 Boolean product.  ``mg`` is a
-    prebuilt :func:`graph_matrix` of ``g``; without it, ``M_G`` is built and
-    charged here.  Each block of ``M_G`` holds whole rows ``i`` (``n``
-    columns each), as many as keep its float32 input and output within
-    :data:`BLOCK_BYTES`, and is packed along ``j`` into 64-bit words.
-    ``need`` masks the rows ``i`` the caller reads (bit ``i-1``; -1 for
-    all); blocks that hold none of them are not multiplied and their rows
-    stay 0.  The charge prices the full product either way."""
+    """Good rows of the |B| x n by n x n^2 Boolean product, computed from
+    the factors of ``M_G``: row i of parent ``P`` is ``(P & A_i) @ Nc.T``
+    thresholded.  ``factors`` is :func:`graph_factors` of ``g``; without
+    it, the factors are built and charged here.  ``need`` holds one mask
+    per parent of the rows ``i`` the caller reads (bit ``i-1``; ``None``
+    for all).  Only those (parent, row) pairs are stacked into the tall
+    operand, in chunks whose float32 input and output fit
+    :data:`BLOCK_BYTES`, packed along ``j`` into 64-bit words and read out
+    as Python ints; the other rows stay 0.  The charge prices the full
+    product either way."""
+    _check_batch(cliques)
     n = g.n
-    if mg is None:
-        mg = graph_matrix(g, counter)
-    mb, mg = build_batch_matrices(g, cliques, mg)
+    a_rows, non_adj_t = graph_factors(g, counter) if factors is None else factors
     b = len(cliques)
     w = words(n)
-    packed = np.zeros((b, n, 8 * w), dtype=np.uint8)
-    step = max(1, BLOCK_BYTES // (4 * n * (n + b)))
-    for first in range(0, n, step):
-        last = min(n, first + step)
-        if not need >> first & ((1 << (last - first)) - 1):
-            continue
-        block = matmul.multiply_boolean_threshold(mb, mg[:, first * n : last * n])
-        packed[:, first:last, : (n + 7) // 8] = np.packbits(
-            block.reshape(b, last - first, n), axis=2, bitorder="little"
+    mb = _mask_rows((c.bits for c in cliques), n)
+    wanted = _mask_rows([g.full_mask] * b if need is None else need, n)
+    parents, rows_i = np.nonzero(wanted)
+    packed = np.zeros((len(parents), 8 * w), dtype=np.uint8)
+    step = max(1, BLOCK_BYTES // (8 * n))
+    width = (n + 7) // 8
+    for first in range(0, len(parents), step):
+        p, i = parents[first : first + step], rows_i[first : first + step]
+        block = matmul.multiply_boolean_threshold(mb[p] & a_rows[i], non_adj_t)
+        packed[first : first + step, :width] = np.packbits(
+            block, axis=1, bitorder="little"
         )
     if counter is not None:
         counter.ops += b * w + b * n * n * w
+    # Python ints for the multiplied pairs only, scattered into rows of 0s
     word_cols = packed.view("<u8")
-    rows = word_cols[:, :, 0].tolist()
+    found = word_cols[:, 0].astype(object)
     for k in range(1, w):
-        shift = 64 * k
-        rows = [
-            [lo | hi << shift for lo, hi in zip(row, high)]
-            for row, high in zip(rows, word_cols[:, :, k].tolist())
-        ]
-    return rows
+        found |= word_cols[:, k].astype(object) << (64 * k)
+    rows = np.zeros((b, n), dtype=object)
+    rows[parents, rows_i] = found
+    return rows.tolist()
 
 
 def good_table_bitset(
@@ -302,7 +303,7 @@ def children_batch(
     kernel: str = "bitset",
     counter: OpCounter | None = None,
     indices=None,
-    mg: np.ndarray | None = None,
+    factors: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> list[ChildSpec]:
     """One ChildSpec per batch element, in batch order.
 
@@ -312,9 +313,10 @@ def children_batch(
     :func:`children_naive`.  ``indices`` holds each clique's own
     index (0 for the root) when the caller knows it; without it, each index
     is recomputed with :func:`clique_index`.  "rect" builds (and charges)
-    ``M_G`` unless ``mg`` passes it in, and takes the batch in slices of at
-    most ``RECT_ROWS_BYTES // (8 n words(n))`` parents, each parent's
-    :func:`prefix_masks` serving the slice's needed rows and its filter.
+    :func:`graph_factors` unless ``factors`` passes them in, and takes the
+    batch in slices of at most ``RECT_ROWS_BYTES // (8 n words(n))``
+    parents, each parent's :func:`prefix_masks` serving its needed rows and
+    its filter.
     """
     _check_batch(cliques)
     if indices is None:
@@ -323,18 +325,18 @@ def children_batch(
         return [filter_children(g, p, i, None, counter) for p, i in zip(cliques, indices)]
     if kernel != "rect":
         raise ValueError(f"unknown kernel {kernel!r}")
-    if mg is None:
-        mg = graph_matrix(g, counter)
+    if factors is None:
+        factors = graph_factors(g, counter)
     size = RECT_ROWS_BYTES // (8 * g.n * words(g.n))
     specs = []
     for first in range(0, len(cliques), size):
         part, part_indices = cliques[first : first + size], indices[first : first + size]
         masks = [prefix_masks(g, p) for p in part]
-        need = 0
-        for p, i, (_, near) in zip(part, part_indices, masks):
-            # candidates in N(P); a row outside N(P) is 0 (P_{<i} & N(i) is empty)
-            need |= near & ~p.bits & -(1 << i)
-        rows = good_table_rectangular(g, part, counter=counter, mg=mg, need=need)
+        # candidates in N(P); a row outside N(P) is 0 (P_{<i} & N(i) is empty)
+        need = [
+            near & ~p.bits & -(1 << i) for p, i, (_, near) in zip(part, part_indices, masks)
+        ]
+        rows = good_table_rectangular(g, part, counter, factors, need)
         specs += [
             filter_children(g, p, i, row, counter, pm)
             for p, i, row, pm in zip(part, part_indices, rows, masks)

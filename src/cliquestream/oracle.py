@@ -19,7 +19,6 @@ from .graph import (
     below_mask,
     iter_bits,
     sort_lex_descending,
-    vbit,
 )
 from .kernels import ChildSpec
 
@@ -37,24 +36,41 @@ def _check_limit(g: Graph, limit: int) -> None:
         )
 
 
-def _bron_kerbosch(adj, r: int, p: int, x: int, out: list[int]) -> None:
-    if p == 0 and x == 0:
-        out.append(r)
-        return
-    pool = p | x
+def _pivot_branches(adj, p: int, x: int) -> int:
+    """The vertices of ``p`` outside the neighborhood of the pivot, the
+    vertex of ``p | x`` with the most neighbors in ``p``."""
     pivot = -1
     best = -1
-    for u in iter_bits(pool):
+    for u in iter_bits(p | x):
         score = (p & adj[u - 1]).bit_count()
         if score > best:
             best = score
             pivot = u
-    for v in iter_bits(p & ~adj[pivot - 1]):
-        mv = vbit(v)
-        av = adj[v - 1]
-        _bron_kerbosch(adj, r | mv, p & av, x & av, out)
-        p &= ~mv
-        x |= mv
+    return p & ~adj[pivot - 1]
+
+
+def _bron_kerbosch(adj, full: int, out: list[int]) -> None:
+    """Pivoted Bron-Kerbosch from ``P = full``, appending each maximal clique
+    to ``out``.  An explicit stack of ``[R, P, X, branches left]`` frames
+    replaces recursion, whose depth (the largest clique) would pass
+    Python's recursion limit near n = 1000."""
+    frames = [[0, full, 0, _pivot_branches(adj, full, 0)]]
+    while frames:
+        top = frames[-1]
+        r, p, x, todo = top
+        if not todo:
+            frames.pop()
+            continue
+        low = todo & -todo
+        top[1] = p ^ low
+        top[2] = x | low
+        top[3] = todo ^ low
+        av = adj[low.bit_length() - 1]
+        p, x = p & av, x & av
+        if p == 0 and x == 0:
+            out.append(r | low)
+        elif p:  # with P empty and X not, nothing below is maximal
+            frames.append([r | low, p, x, _pivot_branches(adj, p, x)])
 
 
 def all_maximal_cliques(g: Graph, limit: int = ORACLE_LIMIT) -> list[VertexSet]:
@@ -62,7 +78,7 @@ def all_maximal_cliques(g: Graph, limit: int = ORACLE_LIMIT) -> list[VertexSet]:
     lexicographically greatest clique first)."""
     _check_limit(g, limit)
     found: list[int] = []
-    _bron_kerbosch(g.adj, 0, g.full_mask, 0, found)
+    _bron_kerbosch(g.adj, g.full_mask, found)
     return sort_lex_descending(VertexSet(b) for b in found)
 
 

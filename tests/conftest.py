@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import strategies as st
 
 import cliquestream as cs
 from cliquestream import oracle
@@ -26,6 +27,16 @@ BRIDGED_CLIQUES = [K5_SIDE, BRIDGE_16, BRIDGE_27, BRIDGE_58, TRIANGLE]
 @pytest.fixture(scope="session")
 def bridged() -> cs.Graph:
     return bridged_cliques_graph()
+
+
+@st.composite
+def graphs(draw, max_n=14):
+    """Hypothesis strategy: a graph on 1..max_n vertices, each pair an edge
+    or not."""
+    n = draw(st.integers(1, max_n))
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    picks = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return cs.Graph.from_edges(n, [e for e, keep in zip(pairs, picks) if keep])
 
 
 def path_graph(n: int) -> cs.Graph:

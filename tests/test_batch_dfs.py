@@ -16,6 +16,7 @@ from conftest import (
     TRIANGLE,
     bridged_cliques_graph,
     collect_plain,
+    graphs,
     oracle_bits,
     random_graphs,
 )
@@ -210,14 +211,6 @@ class TestCarriedIndex:
         stack.push(ChildSpec(parent=K5_SIDE, indices=(6, 7)))
         assert stack.pop(bridged) == (BRIDGE_16, 6)
         assert stack.pop(bridged) == (BRIDGE_27, 7)
-
-
-@st.composite
-def graphs(draw, max_n=14):
-    n = draw(st.integers(1, max_n))
-    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
-    picks = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    return cs.Graph.from_edges(n, [e for e, keep in zip(pairs, picks) if keep])
 
 
 class TestOracleProperty:

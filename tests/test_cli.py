@@ -6,11 +6,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cliquestream as cs
 from cliquestream import cli, oracle
 
-from conftest import bridged_cliques_graph, random_graphs
+from conftest import bridged_cliques_graph, graphs, random_graphs
+
+TOO_MANY = "vertices are more than 92681, the most whose adjacency rows fit 1 GiB"
 
 BRIDGED_EDGE_LINES = "\n".join(
     f"{u} {v}" for u, v in bridged_cliques_graph().edges()
@@ -92,11 +96,83 @@ class TestParseDimacs:
             cli.parse_dimacs("p edge 2 1\nq 1 2\n")
 
 
+# documents close to each grammar (edges, headers, comments) with junk
+# mixed in: ids that are negative, past the vertex-count budget or not
+# integers, tokens in the wrong place, and arbitrary text
+SMALL = st.integers(1, 9).map(str)
+IDS = st.one_of(*[SMALL] * 6, st.integers(-2, 2000).map(str), st.just("92682"))
+JUNK = st.one_of(
+    st.lists(
+        st.one_of(IDS, st.sampled_from(["n", "p", "edge", "e", "c", "#", "1e3"])), max_size=5
+    ).map(" ".join),
+    st.text(max_size=12),
+)
+EDGE = st.tuples(IDS, IDS).map(" ".join)
+EDGE_LINES = st.one_of(
+    *[EDGE] * 6,
+    IDS.map("n {}".format),
+    st.text(max_size=8).map("# {}".format),
+    JUNK,
+)
+DIMACS_LINES = st.one_of(
+    *[EDGE.map("e {}".format)] * 6,
+    st.text(max_size=8).map("c {}".format),
+    JUNK,
+)
+DOCUMENTS = st.one_of(
+    st.text(),
+    st.lists(EDGE_LINES, max_size=8).map("\n".join),
+    st.tuples(SMALL, st.lists(DIMACS_LINES, max_size=8)).map(
+        lambda doc: "\n".join([f"p edge {doc[0]} 0", *doc[1]])
+    ),
+)
+
+
 class TestRoundTrip:
     def test_both_formats(self):
         for g in random_graphs(10, seed0=3000):
             assert cli.parse_edge_list(cli.to_edge_list(g)) == g
             assert cli.parse_dimacs(cli.to_dimacs(g)) == g
+
+    @settings(max_examples=100, deadline=None)
+    @given(g=graphs(max_n=20))
+    def test_both_formats_property(self, g):
+        assert cli.parse_edge_list(cli.to_edge_list(g)) == g
+        assert cli.parse_dimacs(cli.to_dimacs(g)) == g
+
+
+class TestParserFuzz:
+    """Any text yields a Graph or a ParseError, nothing else."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=DOCUMENTS)
+    def test_parsers_return_a_graph_or_refuse(self, text):
+        for parse in (cli.parse_edge_list, cli.parse_dimacs):
+            try:
+                g = parse(text)
+            except cli.ParseError:
+                continue
+            assert isinstance(g, cs.Graph)
+            g.validate()
+
+    @pytest.mark.parametrize(
+        "parse, text, lineno",
+        [
+            (cli.parse_edge_list, "n 100000000\n1 2\n", 1),
+            (cli.parse_edge_list, "1 2\n1 200000000\n", 2),
+            (cli.parse_edge_list, "1 2\nn 100000000\n", 2),
+            (cli.parse_dimacs, "c big\np edge 100000000 1\ne 1 2\n", 2),
+        ],
+    )
+    def test_oversized_count_refused_before_the_graph(
+        self, monkeypatch, parse, text, lineno
+    ):
+        def not_built(*args, **kwargs):
+            raise AssertionError("graph construction reached")
+
+        monkeypatch.setattr(cli.Graph, "from_edges", not_built)
+        with pytest.raises(cli.ParseError, match=f"^line {lineno}: .*{TOO_MANY}$"):
+            parse(text)
 
 
 class TestRun:
@@ -249,15 +325,15 @@ class TestRun:
                 rc, out, _ = run_cli(input=str(path), kernel=kernel, capacity=batch)
                 assert rc == 0 and len(out.splitlines()) == 5
 
-    def test_oversized_rect_graph_refused(self, tmp_path):
+    def test_rect_lists_past_an_n_cubed_graph_matrix(self):
         # any batch runs: rect takes it in slices whose rows fit the budget
         rc, out, _ = run_cli(input="gnp:200:0.5", kernel="rect", first=3)
         assert rc == 0 and len(out.splitlines()) == 3
-        trace = tmp_path / "t.csv"
-        rc, out, err = run_cli(input="complete:1100", kernel="rect", trace=str(trace))
-        assert rc == 2 and out == ""
-        assert err.startswith("error:") and "--kernel bitset" in err
-        assert len(err.splitlines()) == 1 and not trace.exists()
+        # an explicit M_G at n = 1100 would take 1.2 GiB; rect builds only
+        # its two n x n factors
+        rc, out, err = run_cli(input="complete:1100", kernel="rect", verify=True)
+        assert rc == 0 and err == "VERIFY PASS: all 1 cliques match the oracle\n"
+        assert out == " ".join(map(str, range(1, 1101))) + "\n"
 
     def test_retired_kernel_refused(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -286,6 +362,7 @@ class TestRefusals:
             ("n three\n", "line 1: bad vertex count 'three'"),
             ("n 0\n", "line 1: vertex count must be positive"),
             ("1 2\n1 2 3\n", "line 2: expected 'u v', got '1 2 3'"),
+            ("1 200000000\n", f"line 1: 200000000 {TOO_MANY}"),
         ],
     )
     def test_edge_list(self, tmp_path, text, message):
@@ -304,12 +381,17 @@ class TestRefusals:
             ("p edge 3 1\ne 1 x\n", "line 2: non-integer vertex id"),
             ("p edge 3 1\ne 1 4\n", "line 2: vertex id outside 1..3"),
             ("c no header\n", "missing 'p edge N M' header"),
+            ("p edge 100000000 0\n", f"line 1: 100000000 {TOO_MANY}"),
         ],
     )
     def test_dimacs(self, tmp_path, text, message):
         path = tmp_path / "g.dimacs"
         path.write_text(text)
         assert refusal_line(tmp_path, input=str(path), fmt="dimacs") == f"error: {message}"
+
+    def test_oversized_generator(self, tmp_path):
+        line = refusal_line(tmp_path, input="complete:200000")
+        assert line == f"error: 200000 {TOO_MANY}"
 
     def test_batch_zero(self, tmp_path, capsys):
         trace = tmp_path / "t.csv"
@@ -332,7 +414,6 @@ class TestRefusals:
         for kw, message in (
             ({"kernel": "fft"}, "unknown kernel 'fft'"),
             ({"capacity": 0}, "batch capacity must be at least 1"),
-            ({"input": "complete:1100", "kernel": "rect"}, "use --kernel bitset"),
         ):
             kw = {"input": "complete:3", "mode": mode} | kw
             assert message in refusal_line(tmp_path, **kw)

@@ -149,8 +149,9 @@ class TestRunStrict:
 
     @pytest.mark.parametrize("kernel", ["bitset", "rect"])
     def test_default_config_traverses_once(self, kernel, monkeypatch):
-        # calibration reads the run's own first batch: one root, one M_G
-        calls = {"root": 0, "graph_matrix": 0}
+        # calibration reads the run's own first batch: one root, and one
+        # build of the graph matrix's factors for "rect"
+        calls = {"root": 0, "graph_factors": 0}
         for name in calls:
             original = getattr(ds, name)
 
@@ -162,7 +163,7 @@ class TestRunStrict:
         g = cs.Graph.complete_multipartite_triples(12)
         emissions, _ = strict_run(g, kernel=kernel, capacity=7)
         assert len(emissions) == 81
-        assert calls == {"root": 1, "graph_matrix": int(kernel == "rect")}
+        assert calls == {"root": 1, "graph_factors": int(kernel == "rect")}
 
 
     @pytest.mark.parametrize(
@@ -170,7 +171,6 @@ class TestRunStrict:
         [
             (cs.Graph.complete(3), {"kernel": "naive"}, "unknown kernel"),
             (cs.Graph.complete(3), {"capacity": 0}, "capacity"),
-            (cs.Graph.edgeless(1100), {"kernel": "rect"}, "--kernel bitset"),
         ],
     )
     def test_refused_at_the_call(self, monkeypatch, g, kw, message):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -143,6 +144,40 @@ class TestConstruction:
         for build in builds:
             with pytest.raises(ValueError, match="^graph needs at least one vertex$"):
                 build()
+
+    @pytest.mark.parametrize("n", [92_682, 100_000_000])
+    def test_every_constructor_refuses_rows_over_the_budget(self, n):
+        # n^2 / 8 bytes of rows over 1 GiB; each refusal comes before the
+        # rows (or an edge list) are allocated
+        builds = [
+            lambda: cs.Graph(n=n, adj=(), m=0),
+            lambda: cs.Graph.from_edges(n, []),
+            lambda: cs.Graph.complete(n),
+            lambda: cs.Graph.edgeless(n),
+            lambda: cs.Graph.gnp(n, 0.5, seed=1),
+            lambda: cs.Graph.complete_multipartite_triples(n),
+        ]
+        for build in builds:
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match=f"^{n} vertices are more than 92681,"):
+                    build()
+                assert tracemalloc.get_traced_memory()[1] < 1 << 16
+            finally:
+                tracemalloc.stop()
+        assert cs.Graph.edgeless(92_681).n == 92_681
+
+    def test_moon_moser_rows_match_its_edges(self):
+        for n in (3, 6, 18, 66):
+            pairs = [
+                (u, v)
+                for u in range(1, n + 1)
+                for v in range(u + 1, n + 1)
+                if (u - 1) // 3 != (v - 1) // 3
+            ]
+            g = cs.Graph.complete_multipartite_triples(n)
+            assert g == cs.Graph.from_edges(n, pairs)
+            g.validate()
 
     @pytest.mark.parametrize(
         "adj, m, message",

@@ -109,72 +109,117 @@ class TestGoodTables:
                         )
 
 
+def explicit_rows(g, batch, need=None) -> list[list[int]]:
+    """Good rows read off the thresholded explicit product M_B @ M_G, with
+    the rows outside each parent's ``need`` mask set to 0."""
+    mb, mg = cs.build_batch_matrices(g, batch)
+    prod = matmul.multiply_boolean_threshold(mb, mg).reshape(len(batch), g.n, g.n)
+    vertices = range(1, g.n + 1)
+    rows = [
+        [sum(1 << (j - 1) for j in vertices if prod[k, i - 1, j - 1]) for i in vertices]
+        for k in range(len(batch))
+    ]
+    if need is not None:
+        rows = [
+            [r if mask >> (i - 1) & 1 else 0 for i, r in enumerate(row, 1)]
+            for row, mask in zip(rows, need)
+        ]
+    return rows
+
+
 class TestRectBlocks:
-    """Rows past one 64-bit word and product blocks that split the rows
-    unevenly; every other good-table test has n <= 14."""
+    """Rows past one 64-bit word and product chunks that split the needed
+    rows unevenly; every other good-table test has n <= 14."""
+
+    def test_factored_rows_match_explicit_product(self, monkeypatch):
+        rng = random.Random(1500)
+        for n in (5, 17, 64, 65, 130):
+            g = cs.Graph.gnp(n, rng.uniform(0.05, 0.5), seed=n)
+            cliques = oracle.all_maximal_cliques(g, limit=n)
+            batch = rng.sample(cliques, min(len(cliques), 9))
+            factors = cs.kernels.graph_factors(g)
+            need = [rng.getrandbits(n) for _ in batch]
+            need[0] = 0
+            for budget in (cs.kernels.BLOCK_BYTES, 1):
+                monkeypatch.setattr(cs.kernels, "BLOCK_BYTES", budget)
+                assert cs.good_table_rectangular(g, batch, factors=factors) == (
+                    explicit_rows(g, batch)
+                )
+                assert cs.good_table_rectangular(g, batch, None, factors, need) == (
+                    explicit_rows(g, batch, need)
+                )
 
     @pytest.mark.parametrize("n", [63, 64, 65, 130])
     def test_rect_equals_bitset(self, n, monkeypatch):
         g = cs.Graph.gnp(n, 6 / n, seed=n)
         cliques = oracle.all_maximal_cliques(g, limit=n)
-        mg = cs.kernels.graph_matrix(g)
-        # the default budget, one row per block, and all of M_G in one block
+        factors = cs.kernels.graph_factors(g)
+        # the default budget, one row per chunk, and every row in one chunk
         for budget in (cs.kernels.BLOCK_BYTES, 1, 1 << 30):
             monkeypatch.setattr(cs.kernels, "BLOCK_BYTES", budget)
             for size in (1, 7, 64):
                 batch = cliques[:size]
-                assert cs.good_table_rectangular(g, batch, mg=mg) == (
+                assert cs.good_table_rectangular(g, batch, factors=factors) == (
                     cs.good_table_bitset(g, batch)
                 )
-                assert cs.children_batch(g, batch, kernel="rect", mg=mg) == (
+                assert cs.children_batch(g, batch, kernel="rect", factors=factors) == (
                     cs.children_batch(g, batch, kernel="bitset")
                 )
 
     def test_only_needed_rows_are_multiplied(self, monkeypatch):
         g = cs.Graph.gnp(70, 0.1, seed=3)
         batch = oracle.all_maximal_cliques(g, limit=70)[:9]
-        mg = cs.kernels.graph_matrix(g)
-        full = cs.good_table_rectangular(g, batch, mg=mg)
+        factors = cs.kernels.graph_factors(g)
+        full = cs.good_table_rectangular(g, batch, factors=factors)
         products = []
         real = cs.matmul.multiply_boolean_threshold
 
         def counted(a, b):
-            products.append(b.shape[1])
+            products.append(a.shape[0])
             return real(a, b)
 
         monkeypatch.setattr(cs.matmul, "multiply_boolean_threshold", counted)
-        monkeypatch.setattr(cs.kernels, "BLOCK_BYTES", 1)  # one row per block
+        monkeypatch.setattr(cs.kernels, "BLOCK_BYTES", 1)  # one row per chunk
         rng = random.Random(4)
-        for need in (0, 1, 1 << 69, rng.getrandbits(70), g.full_mask):
+        b = len(batch)
+        for need in (
+            [0] * b,
+            [1] * b,
+            [1 << 69] + [0] * (b - 1),
+            [rng.getrandbits(70) for _ in batch],
+            [g.full_mask] * b,
+        ):
             counter, full_counter = cs.OpCounter(), cs.OpCounter()
-            cs.good_table_rectangular(g, batch, full_counter, mg)
+            cs.good_table_rectangular(g, batch, full_counter, factors)
             products.clear()
-            rows = cs.good_table_rectangular(g, batch, counter, mg, need=need)
-            assert len(products) == need.bit_count()
+            rows = cs.good_table_rectangular(g, batch, counter, factors, need)
+            assert products == [1] * sum(mask.bit_count() for mask in need)
             assert counter.ops == full_counter.ops  # the full product is priced
-            for got, want in zip(rows, full):
+            for got, want, mask in zip(rows, full, need):
                 for i in range(1, g.n + 1):
-                    assert got[i - 1] == (want[i - 1] if need >> (i - 1) & 1 else 0)
+                    assert got[i - 1] == (want[i - 1] if mask >> (i - 1) & 1 else 0)
 
     def test_root_multiplies_only_its_neighbourhood(self, monkeypatch):
         # a row i outside N(root) is 0, since root_{<i} & N(i) is empty
         g = cs.Graph.gnp(200, 0.05, seed=13)
         r = cs.root(g)
-        mg = cs.kernels.graph_matrix(g)
-        monkeypatch.setattr(cs.kernels, "BLOCK_BYTES", 1)  # one row per block
+        factors = cs.kernels.graph_factors(g)
+        monkeypatch.setattr(cs.kernels, "BLOCK_BYTES", 1)  # one row per chunk
         full_counter = cs.OpCounter()
-        rows = cs.good_table_rectangular(g, [r], full_counter, mg)
+        rows = cs.good_table_rectangular(g, [r], full_counter, factors)
         want = [cs.filter_children(g, r, 0, rows[0], full_counter)]
         products = []
         real = cs.matmul.multiply_boolean_threshold
 
         def counted(a, b):
-            products.append(b.shape[1])
+            products.append(a.shape[0])
             return real(a, b)
 
         monkeypatch.setattr(cs.matmul, "multiply_boolean_threshold", counted)
         counter = cs.OpCounter()
-        got = cs.children_batch(g, [r], kernel="rect", counter=counter, indices=[0], mg=mg)
+        got = cs.children_batch(
+            g, [r], kernel="rect", counter=counter, indices=[0], factors=factors
+        )
         _, near = prefix_masks(g, r)
         assert len(products) == (near & ~r.bits).bit_count() < g.n - len(r)
         assert got == want and counter.ops == full_counter.ops
@@ -217,18 +262,20 @@ class TestRectBlocks:
         assert rect == bitset
         assert set(rect) == {c.bits for c in oracle.all_maximal_cliques(g, limit=110)}
 
-    def test_oversized_graph_matrix_refused_before_listing(self, monkeypatch):
+    def test_lists_past_the_size_of_an_n_cubed_graph_matrix(self, monkeypatch):
+        # at n = 1100 an explicit M_G would take 1.2 GiB; the listing builds
+        # only its two n x n factors
         def not_built(*args, **kwargs):
-            raise AssertionError("built before the graph matrix check")
+            raise AssertionError("the explicit graph matrix was built")
 
-        monkeypatch.setattr(cs.delay_scheduler, "root", not_built)
-        monkeypatch.setattr(cs.delay_scheduler, "graph_matrix", not_built)
         monkeypatch.setattr(cs.kernels, "graph_matrix", not_built)
-        with pytest.raises(ValueError, match="--kernel bitset"):
-            cs.list_mc(cs.Graph.edgeless(1100), kernel="rect", capacity=1)
-        with pytest.raises(ValueError, match="over 1 GiB"):
-            cs.kernels.check_graph_matrix(1025)
-        cs.kernels.check_graph_matrix(1024)
+        g = cs.Graph.from_edges(1100, [(2 * k - 1, 2 * k) for k in range(1, 551)])
+        rect, bitset = (
+            [e.clique.bits for e in cs.list_mc(g, kernel=k) if e.kind == cs.CLIQUE_COLLECTED]
+            for k in ("rect", "bitset")
+        )
+        assert rect == bitset
+        assert set(rect) == {0b11 << (2 * k) for k in range(550)}
 
 
 class TestAdjacentToOwnPrefix:
@@ -454,17 +501,19 @@ print(__debug__, refused)
                 ) == cs.children_batch(g, batch, kernel=kernel)
 
     def test_prebuilt_graph_matrix_matches(self):
+        # the graph matrix is passed in factored form
         for g in random_graphs(10, seed0=1660, n_hi=12):
             batch = oracle.all_maximal_cliques(g)
-            mg = cs.kernels.graph_matrix(g)
-            assert cs.children_batch(g, batch, kernel="rect", mg=mg) == (
+            factors = cs.kernels.graph_factors(g)
+            assert cs.children_batch(g, batch, kernel="rect", factors=factors) == (
                 cs.children_batch(g, batch, kernel="rect")
             )
             c_built, c_given = cs.OpCounter(), cs.OpCounter()
             cs.good_table_rectangular(g, batch, c_built)
-            cs.good_table_rectangular(g, batch, c_given, mg=mg)
+            cs.good_table_rectangular(g, batch, c_given, factors=factors)
             graph_units = cs.OpCounter()
-            cs.kernels.graph_matrix(g, graph_units)
+            cs.kernels.graph_factors(g, graph_units)
+            assert graph_units.ops == g.n * g.n * 2 * cs.rs_tree.words(g.n)
             assert c_built.ops == c_given.ops + graph_units.ops
 
     def test_counter_charges_work(self, bridged):
