@@ -34,8 +34,10 @@ print("Boolean product == naive product > 0")
 # of the product is (M_B & A_i) @ Nc.T, the same multiply-adds from two
 # n x n matrices.  good_table_rectangular never builds M_G: it stacks the
 # rows P & A_i that each parent tests into one tall operand, multiplies it
-# by Nc.T in chunks, and packs each chunk's rows to words.
-a_rows, non_adj_t = cs.kernels.graph_factors(g)
+# by Nc.T (converted to float32 once per listing) in chunks, and packs each
+# chunk's rows to words.
+a_rows, nc_t = cs.kernels.graph_factors(g)
+non_adj_t = nc_t.matrix.astype(bool)
 n = g.n
 for i in range(n):
     assert (mg[:, i * n : (i + 1) * n] == (a_rows[i][:, None] & non_adj_t)).all()

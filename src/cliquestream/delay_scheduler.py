@@ -36,7 +36,7 @@ from .batch_dfs import (
     step_events,
 )
 from .graph import Graph, VertexSet
-from .kernels import KERNELS, children_batch, graph_factors
+from .kernels import KERNELS, check_factors, children_batch, graph_factors
 from .rs_tree import OpCounter, root
 
 
@@ -99,13 +99,17 @@ def list_mc(
     root's units fall on the first event.  Each batch carries its cliques'
     indices from the stack; the "rect" kernel's two n x n factors of the
     graph matrix (:func:`~cliquestream.kernels.graph_factors`) are built
-    (and charged) once, with the first batch.  An unknown kernel or a
-    capacity below 1 raises ValueError here, before anything is built."""
+    (and charged) once, with the first batch.  An unknown kernel, a
+    capacity below 1, or a "rect" n whose factors
+    :func:`~cliquestream.kernels.check_factors` refuses, raises ValueError
+    here, before anything is built."""
     if kernel not in KERNELS:
         raise ValueError(f"unknown kernel {kernel!r}")
     cap = capacity if capacity is not None else g.n * g.n
     if cap < 1:
         raise ValueError("batch capacity must be at least 1")
+    if kernel == "rect":
+        check_factors(g.n)
     counter = OpCounter()
     factors = None
 

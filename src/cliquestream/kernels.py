@@ -13,16 +13,18 @@ n x n matrix whose row j is the characteristic vector of ``V \\ N(j)``,
 column block i of ``M_G`` is ``diag(A_i) @ Nc.T``, so block i of the
 product is ``(M_B & A_i) @ Nc.T`` (``A_i`` masking every row of ``M_B``),
 the same multiply-adds.  A traversal builds the two n x n factors once
-(:func:`graph_factors`) and never ``M_G``; :func:`graph_matrix` and
-:func:`build_batch_matrices` keep the explicit matrices for tests and
-demos.  :func:`good_table_rectangular` stacks the needed (parent, row)
-pairs ``P & A_i`` into one tall operand, multiplies it by ``Nc.T`` in
-chunks of rows whose float32 input and output fit
-:data:`BLOCK_BYTES` (at least one row), and packs the result straight to
-64-bit words.  :func:`children_batch` feeds it slices of the batch whose
-packed rows fit :data:`RECT_ROWS_BYTES`, so memory follows n, not the batch
-capacity, and asks only for the rows each parent tests inside N(P) (a
-non-member above its index); the charge prices the full product.
+(:func:`graph_factors`, ``Nc.T`` converted to float32 there, after
+:func:`check_factors` has refused an n past :data:`FACTOR_BYTES`) and
+never ``M_G``; :func:`graph_matrix` and :func:`build_batch_matrices` keep
+the explicit matrices for tests and demos.
+:func:`good_table_rectangular` stacks the needed (parent, row) pairs
+``P & A_i`` into one tall operand, multiplies it by ``Nc.T`` in chunks of
+rows whose float32 input and output fit :data:`BLOCK_BYTES` (at least one
+row), and packs the result straight to 64-bit words.
+:func:`children_batch` feeds it slices of the batch whose packed rows fit
+:data:`RECT_ROWS_BYTES` (at least one parent), so memory follows n, not
+the batch capacity, and asks only for the rows each parent tests inside
+N(P) (a non-member above its index); the charge prices the full product.
 :func:`good_table_bitset` materializes the rows from
 :func:`~cliquestream.rs_tree.common_neighbors`; :func:`filter_children`
 never does, and folds the same common neighborhood only as far as each
@@ -43,6 +45,7 @@ non-root parent tests only its neighbors ``N(P)``, so cost follows degree.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +69,9 @@ BLOCK_BYTES = 1 << 16
 # packed good rows one slice of a "rect" batch may hold; read out as Python
 # ints, the rows take several times this
 RECT_ROWS_BYTES = 1 << 24
+# bytes "rect"'s graph factors may take: A and Nc as bool, Nc.T as float32
+# (6 n^2, n <= 13,377)
+FACTOR_BYTES = 1 << 30
 
 
 @dataclass(frozen=True, slots=True)
@@ -99,25 +105,39 @@ def _check_batch(cliques) -> None:
         raise ValueError("batch elements must be distinct")
 
 
+def check_factors(n: int) -> None:
+    """Refuse an n whose :func:`graph_factors` (6 n^2 bytes) would pass
+    :data:`FACTOR_BYTES`.  Nothing is allocated."""
+    if 6 * n * n > FACTOR_BYTES:
+        raise ValueError(
+            f"rect's graph factors at n = {n} pass {FACTOR_BYTES >> 30} GiB "
+            f"(n <= {math.isqrt(FACTOR_BYTES // 6)}): use --kernel bitset"
+        )
+
+
 def graph_factors(
     g: Graph, counter: OpCounter | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, matmul.BinaryOperand]:
     """The two n x n Boolean factors of ``M_G``: ``A``, whose row i is the
     characteristic vector of ``A_i``, and ``Nc.T``, whose column j is that
-    of ``V \\ N(j)``.  Charged ``n * n * 2 * words(n)``."""
+    of ``V \\ N(j)``, converted once for the product.  Refused by
+    :func:`check_factors` before anything is allocated.  Charged
+    ``n * n * 2 * words(n)``."""
     n = g.n
+    check_factors(n)
     a_rows = _mask_rows((g.adj[i - 1] & below_mask(i) for i in range(1, n + 1)), n)
     non_adj = _mask_rows((g.full_mask & ~a for a in g.adj), n)
     if counter is not None:
         counter.ops += n * n * 2 * words(n)
-    return a_rows, non_adj.T
+    return a_rows, matmul.BinaryOperand(non_adj.T)
 
 
 def graph_matrix(g: Graph) -> np.ndarray:
     """``M_G`` (n x n^2, n^3 bytes): the column for the pair ``(i, j)`` sits
     at flat position ``(i-1)*n + (j-1)`` (row-major, i outermost) and holds
     the characteristic vector of ``A_i \\ N(j)``."""
-    a_rows, non_adj_t = graph_factors(g)
+    a_rows, nc_t = graph_factors(g)
+    non_adj_t = nc_t.matrix.astype(bool)
     # entry [v, i, j] = a_rows[i, v] & non_adj_t[v, j], allocated in C order
     cube = np.bitwise_and(a_rows.T[:, :, None], non_adj_t[:, None, :], order="C")
     return cube.reshape(g.n, g.n * g.n)
@@ -137,7 +157,7 @@ def good_table_rectangular(
     g: Graph,
     cliques,
     counter: OpCounter | None = None,
-    factors: tuple[np.ndarray, np.ndarray] | None = None,
+    factors: tuple[np.ndarray, matmul.BinaryOperand] | None = None,
     need=None,
 ) -> list[list[int]]:
     """Good rows of the |B| x n by n x n^2 Boolean product, computed from
@@ -303,7 +323,7 @@ def children_batch(
     kernel: str = "bitset",
     counter: OpCounter | None = None,
     indices=None,
-    factors: tuple[np.ndarray, np.ndarray] | None = None,
+    factors: tuple[np.ndarray, matmul.BinaryOperand] | None = None,
 ) -> list[ChildSpec]:
     """One ChildSpec per batch element, in batch order.
 
@@ -314,9 +334,9 @@ def children_batch(
     index (0 for the root) when the caller knows it; without it, each index
     is recomputed with :func:`clique_index`.  "rect" builds (and charges)
     :func:`graph_factors` unless ``factors`` passes them in, and takes the
-    batch in slices of at most ``RECT_ROWS_BYTES // (8 n words(n))``
-    parents, each parent's :func:`prefix_masks` serving its needed rows and
-    its filter.
+    batch in slices of ``RECT_ROWS_BYTES // (8 n words(n))`` parents (at
+    least one), each parent's :func:`prefix_masks` serving its needed rows
+    and its filter.
     """
     _check_batch(cliques)
     if indices is None:
@@ -327,7 +347,7 @@ def children_batch(
         raise ValueError(f"unknown kernel {kernel!r}")
     if factors is None:
         factors = graph_factors(g, counter)
-    size = RECT_ROWS_BYTES // (8 * g.n * words(g.n))
+    size = max(1, RECT_ROWS_BYTES // (8 * g.n * words(g.n)))
     specs = []
     for first in range(0, len(cliques), size):
         part, part_indices = cliques[first : first + size], indices[first : first + size]

@@ -5,8 +5,10 @@ of two 0/1 matrices, so :func:`multiply_boolean_threshold` computes it as a
 float32 product through BLAS sgemm and thresholds it at zero.  Every entry
 counts witnesses, at most the inner dimension, so below 2^24 (float32's
 exact-integer range) the product is exact; a larger inner dimension is
-refused.  :func:`multiply` is the exact integer product as a pure-Python
-triple loop, kept as the differential reference.
+refused.  A right operand used by many products can be checked and
+converted once, as a :class:`BinaryOperand`.  :func:`multiply` is the exact
+integer product as a pure-Python triple loop, kept as the differential
+reference.
 """
 
 from __future__ import annotations
@@ -39,6 +41,18 @@ def _check_binary(m: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} must be a 0/1 matrix")
 
 
+class BinaryOperand:
+    """A 0/1 matrix, checked and converted to float32 once, for use as the
+    right operand of many :func:`multiply_boolean_threshold` calls."""
+
+    __slots__ = ("matrix",)
+
+    def __init__(self, m) -> None:
+        bm = _as_matrix(m)
+        _check_binary(bm, "right operand")
+        self.matrix = np.ascontiguousarray(bm, dtype=np.float32)
+
+
 def multiply(a, b) -> np.ndarray:
     """Exact integer product ``a @ b`` by the naive triple loop."""
     am = _as_matrix(a)
@@ -62,12 +76,17 @@ def multiply(a, b) -> np.ndarray:
 
 
 def multiply_boolean_threshold(a, b) -> np.ndarray:
-    """Entrywise ``(a @ b) > 0`` for 0/1 matrices, as a bool array."""
+    """Entrywise ``(a @ b) > 0`` for 0/1 matrices, as a bool array.  ``b``
+    may be a :class:`BinaryOperand`, which is neither checked nor converted
+    again."""
     am = _as_matrix(a)
-    bm = _as_matrix(b)
+    prepared = isinstance(b, BinaryOperand)
+    bm = b.matrix if prepared else _as_matrix(b)
     _check_dims(am, bm)
     if am.shape[1] >= _FLOAT32_EXACT:
         raise ValueError(f"inner dimension {am.shape[1]} is past float32's exact range")
     _check_binary(am, "left operand")
-    _check_binary(bm, "right operand")
-    return (am.astype(np.float32) @ bm.astype(np.float32)) > 0
+    if not prepared:
+        _check_binary(bm, "right operand")
+        bm = bm.astype(np.float32)
+    return (am.astype(np.float32) @ bm) > 0

@@ -411,9 +411,13 @@ class TestRefusals:
             raise AssertionError("root built for a refused run")
 
         monkeypatch.setattr(cs.delay_scheduler, "root", no_root)
+        # rect's graph factors at n = 13,378 would pass their 1 GiB budget
+        wide = tmp_path / "wide.edges"
+        wide.write_text("n 13378\n")
         for kw, message in (
             ({"kernel": "fft"}, "unknown kernel 'fft'"),
             ({"capacity": 0}, "batch capacity must be at least 1"),
+            ({"input": str(wide), "kernel": "rect"}, "(n <= 13377): use --kernel bitset"),
         ):
             kw = {"input": "complete:3", "mode": mode} | kw
             assert message in refusal_line(tmp_path, **kw)

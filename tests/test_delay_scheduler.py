@@ -165,12 +165,13 @@ class TestRunStrict:
         assert len(emissions) == 81
         assert calls == {"root": 1, "graph_factors": int(kernel == "rect")}
 
-
     @pytest.mark.parametrize(
         "g, kw, message",
         [
             (cs.Graph.complete(3), {"kernel": "naive"}, "unknown kernel"),
             (cs.Graph.complete(3), {"capacity": 0}, "capacity"),
+            # rect's graph factors would pass their 1 GiB budget
+            (cs.Graph.edgeless(13378), {"kernel": "rect"}, "--kernel bitset"),
         ],
     )
     def test_refused_at_the_call(self, monkeypatch, g, kw, message):
@@ -180,6 +181,7 @@ class TestRunStrict:
         monkeypatch.setattr(ds, "root", no_root)
         with pytest.raises(ValueError, match=message):
             ds.run_strict(g, **kw)  # the stream is never iterated
+
 
 class TestCalibration:
     def test_config_valid(self):

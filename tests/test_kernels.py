@@ -1,8 +1,10 @@
 import dataclasses
+import math
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -231,7 +233,9 @@ class TestRectBlocks:
         assert len(listed) == len(set(listed))
         assert set(listed) == {c.bits for c in oracle.all_maximal_cliques(g, limit=130)}
 
-    @pytest.mark.parametrize("parents", [1, 3])
+    # 0: one parent's rows pass the budget (n >= 11,585 at the default), so
+    # every slice holds one parent
+    @pytest.mark.parametrize("parents", [0, 1, 3])
     def test_slices_match_one_product(self, parents, monkeypatch):
         g = cs.Graph.gnp(70, 0.1, seed=5)
         batch = oracle.all_maximal_cliques(g, limit=70)[:10]
@@ -250,7 +254,7 @@ class TestRectBlocks:
         sliced = cs.OpCounter()
         assert cs.children_batch(g, batch, kernel="rect", counter=sliced) == want
         assert sliced.ops == whole.ops
-        assert max(calls) == parents and sum(calls) == len(batch)
+        assert max(calls) == max(1, parents) and sum(calls) == len(batch)
 
     def test_default_capacity_past_old_row_budget(self):
         # n^2 parents of n = 110 have rows past RECT_ROWS_BYTES
@@ -499,6 +503,38 @@ print(__debug__, refused)
                 assert cs.children_batch(
                     g, batch, kernel=kernel, indices=indices
                 ) == cs.children_batch(g, batch, kernel=kernel)
+
+    def test_factor_budget_is_their_peak(self):
+        n = 300
+        g = cs.Graph.gnp(n, 0.1, seed=4)
+        tracemalloc.start()
+        try:
+            cs.kernels.graph_factors(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 6 * n * n <= peak < 6 * n * n + (1 << 16)
+
+    def test_factors_over_the_budget_refused_before_listing(self, monkeypatch):
+        def no_root(*args, **kwargs):
+            raise AssertionError("root built")
+
+        monkeypatch.setattr(cs.delay_scheduler, "root", no_root)
+        largest = math.isqrt(cs.kernels.FACTOR_BYTES // 6)
+        assert largest == 13377
+        with pytest.raises(AssertionError, match="root built"):
+            cs.list_mc(cs.Graph.edgeless(largest), kernel="rect")
+        g = cs.Graph.edgeless(largest + 1)
+        with pytest.raises(ValueError, match="--kernel bitset"):
+            cs.list_mc(g, kernel="rect")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="--kernel bitset"):
+                cs.kernels.graph_factors(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
 
     def test_prebuilt_graph_matrix_matches(self):
         # the graph matrix is passed in factored form

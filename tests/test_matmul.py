@@ -65,6 +65,23 @@ class TestBooleanThreshold:
             assert got.dtype == np.bool_ and got.shape == (r, c)
             assert (got == ref).all()
 
+    def test_prepared_right_operand(self):
+        rng = random.Random(6)
+        for _ in range(25):
+            r, s, c = rng.randint(1, 16), rng.randint(1, 16), rng.randint(1, 48)
+            a, b = rand_binary(rng, r, s), rand_binary(rng, s, c)
+            prepared = matmul.BinaryOperand(b.T.astype(bool).T)
+            assert prepared.matrix.dtype == np.float32
+            got = matmul.multiply_boolean_threshold(a, prepared)
+            assert (got == matmul.multiply_boolean_threshold(a, b)).all()
+        wide = np.ones((1, prepared.matrix.shape[0] + 1), bool)
+        with pytest.raises(ValueError, match="inner dimensions"):
+            matmul.multiply_boolean_threshold(wide, prepared)
+        with pytest.raises(ValueError, match="0/1"):
+            matmul.BinaryOperand(np.array([[2]]))
+        with pytest.raises(ValueError, match="integer"):
+            matmul.BinaryOperand(np.ones((2, 2)))
+
     @pytest.mark.parametrize("inner", [256, 1024, (1 << 16) + 1])
     def test_exact_past_8_bit_inner_dimension(self, inner):
         # a uint8 (uint16) accumulator would wrap 256 (65,536) witnesses
