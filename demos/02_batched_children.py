@@ -7,7 +7,7 @@ parents at once.
 """
 
 import cliquestream as cs
-from cliquestream import matmul, oracle
+from cliquestream import kernels, matmul, oracle, rs_tree
 
 g = cs.Graph.gnp(12, 0.5, seed=20)
 batch = oracle.all_maximal_cliques(g)
@@ -17,7 +17,7 @@ print(f"graph: n={g.n}, m={g.m}, batch of {len(batch)} maximal cliques")
 # (i, j) column of M_G is the characteristic vector of A_i \ N(j) with
 # A_i = V_{<i} & N(i).  Entry [k, (i, j)] of the product counts the
 # witnesses that make (i, j) good for parent k; only positivity matters.
-mb, mg = cs.build_batch_matrices(g, batch)
+mb, mg = kernels.build_batch_matrices(g, batch)
 print(f"M_B: {mb.shape}, M_G: {mg.shape}")
 counts = matmul.multiply(mb, mg)
 print(f"naive product: {counts.shape}, max witness count = {counts.max()}")
@@ -36,15 +36,15 @@ print("Boolean product == naive product > 0")
 # rows P & A_i that each parent tests into one tall operand, multiplies it
 # by Nc.T (converted to float32 once per listing) in chunks, and packs each
 # chunk's rows to words.
-a_rows, nc_t = cs.kernels.graph_factors(g)
+a_rows, nc_t = kernels.graph_factors(g)
 non_adj_t = nc_t.matrix.astype(bool)
 n = g.n
 for i in range(n):
     assert (mg[:, i * n : (i + 1) * n] == (a_rows[i][:, None] & non_adj_t)).all()
 print(f"M_G == its {n} column blocks diag(A_i) @ Nc.T")
 
-rows_rect = cs.good_table_rectangular(g, batch)
-rows_bits = cs.good_table_bitset(g, batch)
+rows_rect = kernels.good_table_rectangular(g, batch)
+rows_bits = kernels.good_table_bitset(g, batch)
 assert rows_rect == rows_bits
 print("rectangular == bitset rows")
 good = sum(mask.bit_count() for row in rows_rect for mask in row)
@@ -52,8 +52,9 @@ print(f"good fraction: {good / positive.size:.3f}")
 
 # Filtering the good rows yields one (parent, child indices) pair per batch
 # element; per-parent completion calls (children_naive) are the cross-check.
-specs = cs.children_batch(g, batch, kernel="rect")
-assert specs == [cs.children_naive(g, p, cs.clique_index(g, p) or 0) for p in batch]
+specs = kernels.children_batch(g, batch, kernel="rect")
+naive = [kernels.children_naive(g, p, rs_tree.clique_index(g, p) or 0) for p in batch]
+assert specs == naive
 total = sum(len(s) for s in specs)
 print(f"children found: {total} across {len(batch)} parents")
 widest = max(specs, key=len)
@@ -61,6 +62,6 @@ print(f"busiest parent: {widest.parent} -> indices {widest.indices}")
 
 # Work accounting: kernels charge word-level operation counts to a counter.
 counter = cs.OpCounter()
-cs.children_batch(g, batch, kernel="bitset", counter=counter)
+kernels.children_batch(g, batch, kernel="bitset", counter=counter)
 print(f"bitset kernel charged {counter.ops} work units "
       f"(~{counter.ops // len(batch)} per parent)")

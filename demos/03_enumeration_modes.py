@@ -7,7 +7,7 @@ emitted set.
 """
 
 import cliquestream as cs
-from cliquestream import oracle
+from cliquestream import kernels, oracle, rs_tree
 
 g = cs.Graph.gnp(14, 0.6, seed=33)
 reference = {c.bits for c in oracle.all_maximal_cliques(g)}
@@ -44,10 +44,10 @@ counter = cs.OpCounter()
 def children_fn(cliques, indices):
     # indices[k] is the reverse-search index of cliques[k] (0 for the root),
     # returned by the stack pop that expanded it
-    return cs.children_batch(g, cliques, counter=counter, indices=indices)
+    return kernels.children_batch(g, cliques, counter=counter, indices=indices)
 
 
-root_clique = cs.root(g, counter)
+root_clique = rs_tree.root(g, counter)
 for event in cs.step_events(g, root_clique, children_fn, g.n * g.n, counter=counter):
     if event.kind == cs.CLIQUE_COLLECTED:
         seen.append(event.clique)

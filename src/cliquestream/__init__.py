@@ -5,6 +5,9 @@ lexicographically greatest one, generating children of whole batches of
 cliques in one shot (via a rectangular Boolean matrix product or a
 direct bitset formula) and optionally smoothing output through a
 bounded-delay queue scheduler.
+
+The package top exports the listing entry points and the types in their
+signatures; the tree and kernel primitives stay in their modules.
 """
 
 from .batch_dfs import (
@@ -22,30 +25,9 @@ from .delay_scheduler import (
     list_mc,
     run_strict,
 )
-from .graph import (
-    Graph,
-    VertexSet,
-    lex_compare,
-    sort_lex_descending,
-)
-from .kernels import (
-    ChildSpec,
-    build_batch_matrices,
-    children_batch,
-    children_naive,
-    filter_children,
-    good_table_bitset,
-    good_table_rectangular,
-)
-from .rs_tree import (
-    OpCounter,
-    child,
-    clique_index,
-    is_maximal_clique,
-    lex_completion,
-    parent,
-    root,
-)
+from .graph import Graph, VertexSet
+from .kernels import ChildSpec
+from .rs_tree import OpCounter
 
 __all__ = [
     "BATCH_COMPLETED",
@@ -60,21 +42,7 @@ __all__ = [
     "StrictRunReport",
     "TraversalStats",
     "VertexSet",
-    "build_batch_matrices",
-    "child",
-    "children_batch",
-    "children_naive",
-    "clique_index",
-    "filter_children",
-    "good_table_bitset",
-    "good_table_rectangular",
-    "is_maximal_clique",
-    "lex_compare",
-    "lex_completion",
     "list_mc",
-    "parent",
-    "root",
     "run_strict",
-    "sort_lex_descending",
     "step_events",
 ]

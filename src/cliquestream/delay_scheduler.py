@@ -74,7 +74,9 @@ class Emission:
 
 @dataclass
 class StrictRunReport:
-    """Observability for one strict-mode run (filled as the run proceeds)."""
+    """Observability for one strict-mode run (filled as the run proceeds:
+    ``emitted`` and ``queue_peak`` hold at every emission, so a stream
+    stopped early reads what it released)."""
 
     config: DelayConfig | None = None
     stats: TraversalStats = field(default_factory=TraversalStats)
@@ -206,7 +208,7 @@ def _paced(g: Graph, cfg, events, report: StrictRunReport) -> Iterator[Emission]
     q: deque[VertexSet] = deque()
     exhausted = boot(events, q, cfg.boot_target)
     report.boot_exhausted = exhausted
-    report.boot_collected = peak = len(q)
+    report.boot_collected = report.queue_peak = peak = len(q)
     overflow = cfg.boot_target + g.n * g.n
     counter = 0
     ordinal = 0
@@ -222,6 +224,7 @@ def _paced(g: Graph, cfg, events, report: StrictRunReport) -> Iterator[Emission]
             if (len(q) > 0 and counter >= cfg.tau_delay) or len(q) > overflow:
                 clique = q.popleft()
                 ordinal += 1
+                report.emitted, report.queue_peak = ordinal, peak
                 yield Emission(clique, ordinal, counter, len(q), stats.stack_cliques)
                 counter = 0
             elif (
@@ -234,7 +237,6 @@ def _paced(g: Graph, cfg, events, report: StrictRunReport) -> Iterator[Emission]
         # final drain; the first drained clique inherits the residual counter
         clique = q.popleft()
         ordinal += 1
+        report.emitted, report.queue_peak = ordinal, peak
         yield Emission(clique, ordinal, counter, len(q), stats.stack_cliques)
         counter = 0
-    report.queue_peak = peak
-    report.emitted = ordinal

@@ -51,18 +51,12 @@ def check_vertex_count(n: int) -> None:
         )
 
 
-def mask_of(vertices: Iterable[int]) -> int:
-    bits = 0
-    for v in vertices:
-        bits |= 1 << (v - 1)
-    return bits
-
-
 class VertexSet:
     """Immutable set of vertices backed by an int bitmask.
 
-    Iterates in ascending vertex order.  Supports membership tests,
-    ``len``, ``min`` and ``max``; set algebra works on ``bits``.
+    Iterates in ascending vertex order, so the builtins ``min`` and ``max``
+    work on it.  Supports membership tests and ``len``; set algebra works
+    on ``bits``.
     """
 
     __slots__ = ("bits",)
@@ -77,7 +71,10 @@ class VertexSet:
 
     @classmethod
     def of(cls, *vertices: int) -> "VertexSet":
-        return cls(mask_of(vertices))
+        bits = 0
+        for v in vertices:
+            bits |= 1 << (v - 1)
+        return cls(bits)
 
     def __iter__(self) -> Iterator[int]:
         return iter_bits(self.bits)
@@ -96,16 +93,6 @@ class VertexSet:
 
     def __hash__(self) -> int:
         return hash(self.bits)
-
-    def min(self) -> int:
-        if not self.bits:
-            raise ValueError("empty vertex set has no minimum")
-        return (self.bits & -self.bits).bit_length()
-
-    def max(self) -> int:
-        if not self.bits:
-            raise ValueError("empty vertex set has no maximum")
-        return self.bits.bit_length()
 
     def __repr__(self) -> str:
         return f"VertexSet{{{', '.join(map(str, self))}}}"

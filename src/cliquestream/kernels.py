@@ -15,8 +15,8 @@ product is ``(M_B & A_i) @ Nc.T`` (``A_i`` masking every row of ``M_B``),
 the same multiply-adds.  A traversal builds the two n x n factors once
 (:func:`graph_factors`, ``Nc.T`` converted to float32 there, after
 :func:`check_factors` has refused an n past :data:`FACTOR_BYTES`) and
-never ``M_G``; :func:`graph_matrix` and :func:`build_batch_matrices` keep
-the explicit matrices for tests and demos.
+never ``M_G``; :func:`build_batch_matrices` builds ``M_B`` and ``M_G``
+themselves, the reduction as the paper states it, from the same factors.
 :func:`good_table_rectangular` stacks the needed (parent, row) pairs
 ``P & A_i`` into one tall operand, multiplies it by ``Nc.T`` in chunks of
 rows whose float32 input and output fit :data:`BLOCK_BYTES` (at least one
@@ -132,25 +132,20 @@ def graph_factors(
     return a_rows, matmul.BinaryOperand(non_adj.T)
 
 
-def graph_matrix(g: Graph) -> np.ndarray:
-    """``M_G`` (n x n^2, n^3 bytes): the column for the pair ``(i, j)`` sits
-    at flat position ``(i-1)*n + (j-1)`` (row-major, i outermost) and holds
-    the characteristic vector of ``A_i \\ N(j)``."""
-    a_rows, nc_t = graph_factors(g)
-    non_adj_t = nc_t.matrix.astype(bool)
-    # entry [v, i, j] = a_rows[i, v] & non_adj_t[v, j], allocated in C order
-    cube = np.bitwise_and(a_rows.T[:, :, None], non_adj_t[:, None, :], order="C")
-    return cube.reshape(g.n, g.n * g.n)
-
-
 def build_batch_matrices(g: Graph, cliques) -> tuple[np.ndarray, np.ndarray]:
     """Characteristic matrices (M_B, M_G) of the rectangular reduction.
 
     ``M_B`` is |B| x n with row k the characteristic vector of the k-th
-    parent; ``M_G`` is :func:`graph_matrix`.
+    parent.  ``M_G`` is n x n^2 (n^3 bytes): the column for the pair
+    ``(i, j)`` sits at flat position ``(i-1)*n + (j-1)`` (row-major, i
+    outermost) and holds the characteristic vector of ``A_i \\ N(j)``.
     """
     _check_batch(cliques)
-    return _mask_rows((c.bits for c in cliques), g.n), graph_matrix(g)
+    a_rows, nc_t = graph_factors(g)
+    non_adj_t = nc_t.matrix.astype(bool)
+    # entry [v, i, j] = a_rows[i, v] & non_adj_t[v, j], allocated in C order
+    cube = np.bitwise_and(a_rows.T[:, :, None], non_adj_t[:, None, :], order="C")
+    return _mask_rows((c.bits for c in cliques), g.n), cube.reshape(g.n, g.n * g.n)
 
 
 def good_table_rectangular(

@@ -129,10 +129,10 @@ def test_criterion_2_running_example_golden():
     ok = set(c.bits for c in emitted) == set(c.bits for c in BRIDGED_CLIQUES)
     ok = ok and emitted[0] == K5_SIDE
     indices = [
-        cs.clique_index(g, c) for c in (BRIDGE_16, BRIDGE_27, BRIDGE_58, TRIANGLE)
+        cs.rs_tree.clique_index(g, c) for c in (BRIDGE_16, BRIDGE_27, BRIDGE_58, TRIANGLE)
     ]
     ok = ok and indices == [6, 7, 8, 7]
-    ok = ok and cs.clique_index(g, K5_SIDE) is None
+    ok = ok and cs.rs_tree.clique_index(g, K5_SIDE) is None
     report(2, "bridged-cliques golden set with indices 6/7/8/7", ok)
 
 
@@ -157,8 +157,8 @@ def test_criterion_4_good_table_cross_validation():
     ok = True
     for g in random_graphs(100, seed0=6000, n_lo=6, n_hi=14):
         batch = oracle.all_maximal_cliques(g)
-        rect = cs.good_table_rectangular(g, batch)
-        bitset = cs.good_table_bitset(g, batch)
+        rect = cs.kernels.good_table_rectangular(g, batch)
+        bitset = cs.kernels.good_table_bitset(g, batch)
         ok = ok and rect == bitset
         for k, p in enumerate(batch):
             for i in range(1, g.n + 1):
@@ -182,14 +182,14 @@ def test_criterion_5_structural_properties():
         every = all_cliques(g)
         # prefix reconstructability of every non-root clique
         for c in cliques[1:]:
-            i = cs.clique_index(g, c)
-            p = cs.parent(g, c)
+            i = cs.rs_tree.clique_index(g, c)
+            p = cs.rs_tree.parent(g, c)
             recon_ok = recon_ok and (
                 c.bits & below_mask(i) == p.bits & below_mask(i) & g.adj[i - 1]
             )
-            dom_ok = dom_ok and cs.lex_compare(p, c) == 1
+            dom_ok = dom_ok and cs.graph.lex_compare(p, c) == 1
         for k in every:
-            lc = cs.lex_completion(g, k)
+            lc = cs.rs_tree.lex_completion(g, k)
             # membership characterization for every vertex
             for v in range(1, g.n + 1):
                 blockers = (k.bits | (lc.bits & below_mask(v))) & ~vbit(v)
@@ -197,16 +197,15 @@ def test_criterion_5_structural_properties():
                 char_ok = char_ok and ((v in lc) != blocked)
             # completion of prefixes is idempotent
             for a in range(g.n + 1):
-                la = cs.lex_completion(g, cs.VertexSet(k.bits & below_mask(a + 1)))
+                la = cs.rs_tree.lex_completion(g, cs.VertexSet(k.bits & below_mask(a + 1)))
                 for b in range(a, g.n + 1):
                     lab = cs.VertexSet(la.bits & below_mask(b + 1))
-                    idem_ok = idem_ok and cs.lex_completion(g, lab) == la
+                    idem_ok = idem_ok and cs.rs_tree.lex_completion(g, lab) == la
             # monotone under inclusion, over all subsets of each clique
             sub = k.bits
             while True:
-                mono_ok = mono_ok and (
-                    cs.lex_compare(cs.lex_completion(g, cs.VertexSet(sub)), lc) >= 0
-                )
+                completed = cs.rs_tree.lex_completion(g, cs.VertexSet(sub))
+                mono_ok = mono_ok and cs.graph.lex_compare(completed, lc) >= 0
                 if sub == 0:
                     break
                 sub = (sub - 1) & k.bits

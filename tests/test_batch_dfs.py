@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 import cliquestream as cs
 from cliquestream import delay_scheduler, oracle
 from cliquestream.batch_dfs import BacktrackStack
-from cliquestream.graph import mask_of
 from cliquestream.kernels import ChildSpec
 
 from conftest import (
@@ -154,10 +153,11 @@ class TestSinkDriver:
         seen = []
 
         def children_fn(cliques, indices):
-            return cs.children_batch(bridged, cliques, indices=indices)
+            return cs.kernels.children_batch(bridged, cliques, indices=indices)
 
         stats = cs.TraversalStats()
-        for event in cs.step_events(bridged, cs.root(bridged), children_fn, 2, stats):
+        root = cs.rs_tree.root(bridged)
+        for event in cs.step_events(bridged, root, children_fn, 2, stats):
             if event.kind == cs.CLIQUE_COLLECTED:
                 seen.append(event.clique)
         assert seen == ORDER_CAP2
@@ -166,7 +166,7 @@ class TestSinkDriver:
 
     def test_capacity_must_be_positive(self, bridged):
         with pytest.raises(ValueError):
-            list(cs.step_events(bridged, cs.root(bridged), lambda b, i: [], 0))
+            list(cs.step_events(bridged, cs.rs_tree.root(bridged), lambda b, i: [], 0))
 
 
 class TestCarriedIndex:
@@ -182,9 +182,11 @@ class TestCarriedIndex:
             # check before the children step: a wrong index can make the
             # traversal revisit cliques and never end
             for c, i in zip(cliques, kwargs["indices"]):
-                assert (cs.clique_index(g, c) or 0) == i
+                assert (cs.rs_tree.clique_index(g, c) or 0) == i
                 # the candidate cut keeps every child children_naive finds
-                assert cs.filter_children(g, c, i) == cs.children_naive(g, c, i)
+                assert cs.kernels.filter_children(g, c, i) == (
+                    cs.kernels.children_naive(g, c, i)
+                )
                 seen.append(c)
             return real(g, cliques, **kwargs)
 
@@ -202,7 +204,7 @@ class TestCarriedIndex:
         for g, cap in runs:
             seen.clear()
             assert collect_plain(g, kernel=kernel, capacity=cap) == seen
-            assert cs.clique_index(g, seen[0]) is None
+            assert cs.rs_tree.clique_index(g, seen[0]) is None
 
     def test_stack_records_popped_index(self, bridged):
         stack = BacktrackStack()
@@ -244,7 +246,7 @@ class TestRelabelingProperty:
         )
         back = {new: old for old, new in enumerate(perm, 1)}
         got = [
-            mask_of(back[v] for v in c)
+            cs.VertexSet.of(*(back[v] for v in c)).bits
             for c in collect_plain(relabeled, kernel=kernel, capacity=capacity)
         ]
         assert len(got) == len(set(got)), "duplicate emission"

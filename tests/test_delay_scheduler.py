@@ -45,7 +45,7 @@ class TestListMc:
         graphs = [cs.Graph.gnp(30, 0.3, seed=5), cs.Graph.complete_multipartite_triples(9)]
         for g in graphs:
             root_units = cs.OpCounter()
-            cs.root(g, root_units)
+            cs.rs_tree.root(g, root_units)
             stats = cs.TraversalStats()
             events = list(cs.list_mc(g, kernel=kernel, capacity=7, stats=stats))
             # the seeded root's pop charges nothing, so its event is the root's
@@ -143,6 +143,23 @@ class TestRunStrict:
         assert report.boot_exhausted
         assert [e.clique for e in emissions] == [cs.VertexSet.of(1, 2, 3, 4, 5)]
 
+    @pytest.mark.parametrize(
+        "g",
+        [cs.Graph.gnp(60, 0.3, seed=1), cs.Graph.complete_multipartite_triples(15)],
+        ids=["gnp60", "triples15"],
+    )
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_report_holds_when_stopped_early(self, g, k):
+        # --first, `| head` or close() stop the stream before the final drain
+        report = ds.StrictRunReport()
+        stream = ds.run_strict(g, report=report)
+        seen = [e.queue_size for e in itertools.islice(stream, k)]
+        assert report.emitted == k
+        assert report.queue_peak >= max(seen) and report.queue_peak > 0
+        stream.close()
+        assert report.emitted == k
+        assert report.queue_peak >= max(seen)
+
     def test_ordinals_sequential(self, bridged):
         emissions, _ = strict_run(bridged)
         assert [e.ordinal for e in emissions] == list(range(1, 6))
@@ -190,7 +207,7 @@ class TestCalibration:
             assert cfg.tau_delay >= 1
             assert cfg.boot_target >= 1
             assert [e.kind for e in head] == [cs.CLIQUE_COLLECTED, cs.BATCH_COMPLETED]
-            assert head[0].clique == cs.root(g)
+            assert head[0].clique == cs.rs_tree.root(g)
 
     def test_bad_config_rejected(self):
         with pytest.raises(ValueError):

@@ -37,37 +37,37 @@ def is_good(rows: list[list[int]], k: int, i: int, j: int) -> bool:
 
 class TestChildrenNaive:
     def test_root_children(self, bridged):
-        assert cs.children_naive(bridged, K5_SIDE, 0).indices == (6, 7, 8)
+        assert cs.kernels.children_naive(bridged, K5_SIDE, 0).indices == (6, 7, 8)
 
     def test_triangle_is_leaf(self, bridged):
-        assert cs.children_naive(bridged, TRIANGLE, 7).indices == ()
+        assert cs.kernels.children_naive(bridged, TRIANGLE, 7).indices == ()
 
     def test_bridge_16(self, bridged):
-        assert cs.children_naive(bridged, BRIDGE_16, 6).indices == (7,)
+        assert cs.kernels.children_naive(bridged, BRIDGE_16, 6).indices == (7,)
 
 
 class TestBatchMatrices:
     def test_shapes_and_root_row(self, bridged):
-        mb, mg = cs.build_batch_matrices(bridged, [K5_SIDE])
+        mb, mg = cs.kernels.build_batch_matrices(bridged, [K5_SIDE])
         assert mb.shape == (1, 8) and mg.shape == (8, 64)
         assert mb[0].tolist() == [1, 1, 1, 1, 1, 0, 0, 0]
 
     def test_column_6_7(self, bridged):
         # A_6 = {1}, N(7) = {2,6,8}, so the (6,7) column is x({1})
-        _, mg = cs.build_batch_matrices(bridged, [K5_SIDE])
+        _, mg = cs.kernels.build_batch_matrices(bridged, [K5_SIDE])
         assert mg[:, col(6, 7, 8)].tolist() == [1, 0, 0, 0, 0, 0, 0, 0]
 
     def test_column_i_equals_1_is_zero(self):
         for g in random_graphs(5, seed0=900, n_hi=10):
             some = oracle.all_maximal_cliques(g)[:1]
-            _, mg = cs.build_batch_matrices(g, some)
+            _, mg = cs.kernels.build_batch_matrices(g, some)
             for j in range(1, g.n + 1):
                 assert not mg[:, col(1, j, g.n)].any()
 
     def test_count_matrix_entries_are_exact_intersections(self):
         for g in random_graphs(6, seed0=950, n_hi=10):
             batch = oracle.all_maximal_cliques(g)
-            mb, mg = cs.build_batch_matrices(g, batch)
+            mb, mg = cs.kernels.build_batch_matrices(g, batch)
             prod = matmul.multiply(mb, mg)
             for k, p in enumerate(batch):
                 for i in range(1, g.n + 1):
@@ -79,20 +79,20 @@ class TestBatchMatrices:
 
 class TestGoodTables:
     def test_bridged_entries(self, bridged):
-        rows = cs.good_table_rectangular(bridged, [K5_SIDE])
+        rows = cs.kernels.good_table_rectangular(bridged, [K5_SIDE])
         assert is_good(rows, 0, 6, 7) is True
         assert is_good(rows, 0, 6, 2) is False
         assert is_good(rows, 0, 8, 1) is False
         assert all(not is_good(rows, 0, 1, j) for j in range(1, 9))
-        tri = cs.good_table_bitset(bridged, [TRIANGLE])
+        tri = cs.kernels.good_table_bitset(bridged, [TRIANGLE])
         assert is_good(tri, 0, 8, 1) is True
 
     def test_row_i_equals_1_always_false(self):
         for g in random_graphs(5, seed0=1000, n_hi=10):
             batch = oracle.all_maximal_cliques(g)
             for rows in (
-                cs.good_table_rectangular(g, batch),
-                cs.good_table_bitset(g, batch),
+                cs.kernels.good_table_rectangular(g, batch),
+                cs.kernels.good_table_bitset(g, batch),
             ):
                 for k in range(len(batch)):
                     assert rows[k][0] == 0
@@ -100,8 +100,8 @@ class TestGoodTables:
     def test_kernels_and_oracle_agree(self):
         for g in random_graphs(12, seed0=1100, n_hi=12):
             batch = oracle.all_maximal_cliques(g)
-            rect = cs.good_table_rectangular(g, batch)
-            bitset = cs.good_table_bitset(g, batch)
+            rect = cs.kernels.good_table_rectangular(g, batch)
+            bitset = cs.kernels.good_table_bitset(g, batch)
             assert rect == bitset
             for k, p in enumerate(batch):
                 for i in range(1, g.n + 1):
@@ -114,7 +114,7 @@ class TestGoodTables:
 def explicit_rows(g, batch, need=None) -> list[list[int]]:
     """Good rows read off the thresholded explicit product M_B @ M_G, with
     the rows outside each parent's ``need`` mask set to 0."""
-    mb, mg = cs.build_batch_matrices(g, batch)
+    mb, mg = cs.kernels.build_batch_matrices(g, batch)
     prod = matmul.multiply_boolean_threshold(mb, mg).reshape(len(batch), g.n, g.n)
     vertices = range(1, g.n + 1)
     rows = [
@@ -144,10 +144,10 @@ class TestRectBlocks:
             need[0] = 0
             for budget in (cs.kernels.BLOCK_BYTES, 1):
                 monkeypatch.setattr(cs.kernels, "BLOCK_BYTES", budget)
-                assert cs.good_table_rectangular(g, batch, factors=factors) == (
+                assert cs.kernels.good_table_rectangular(g, batch, factors=factors) == (
                     explicit_rows(g, batch)
                 )
-                assert cs.good_table_rectangular(g, batch, None, factors, need) == (
+                assert cs.kernels.good_table_rectangular(g, batch, None, factors, need) == (
                     explicit_rows(g, batch, need)
                 )
 
@@ -161,18 +161,17 @@ class TestRectBlocks:
             monkeypatch.setattr(cs.kernels, "BLOCK_BYTES", budget)
             for size in (1, 7, 64):
                 batch = cliques[:size]
-                assert cs.good_table_rectangular(g, batch, factors=factors) == (
-                    cs.good_table_bitset(g, batch)
+                assert cs.kernels.good_table_rectangular(g, batch, factors=factors) == (
+                    cs.kernels.good_table_bitset(g, batch)
                 )
-                assert cs.children_batch(g, batch, kernel="rect", factors=factors) == (
-                    cs.children_batch(g, batch, kernel="bitset")
-                )
+                rect = cs.kernels.children_batch(g, batch, kernel="rect", factors=factors)
+                assert rect == cs.kernels.children_batch(g, batch, kernel="bitset")
 
     def test_only_needed_rows_are_multiplied(self, monkeypatch):
         g = cs.Graph.gnp(70, 0.1, seed=3)
         batch = oracle.all_maximal_cliques(g, limit=70)[:9]
         factors = cs.kernels.graph_factors(g)
-        full = cs.good_table_rectangular(g, batch, factors=factors)
+        full = cs.kernels.good_table_rectangular(g, batch, factors=factors)
         products = []
         real = cs.matmul.multiply_boolean_threshold
 
@@ -192,9 +191,9 @@ class TestRectBlocks:
             [g.full_mask] * b,
         ):
             counter, full_counter = cs.OpCounter(), cs.OpCounter()
-            cs.good_table_rectangular(g, batch, full_counter, factors)
+            cs.kernels.good_table_rectangular(g, batch, full_counter, factors)
             products.clear()
-            rows = cs.good_table_rectangular(g, batch, counter, factors, need)
+            rows = cs.kernels.good_table_rectangular(g, batch, counter, factors, need)
             assert products == [1] * sum(mask.bit_count() for mask in need)
             assert counter.ops == full_counter.ops  # the full product is priced
             for got, want, mask in zip(rows, full, need):
@@ -204,12 +203,12 @@ class TestRectBlocks:
     def test_root_multiplies_only_its_neighbourhood(self, monkeypatch):
         # a row i outside N(root) is 0, since root_{<i} & N(i) is empty
         g = cs.Graph.gnp(200, 0.05, seed=13)
-        r = cs.root(g)
+        r = cs.rs_tree.root(g)
         factors = cs.kernels.graph_factors(g)
         monkeypatch.setattr(cs.kernels, "BLOCK_BYTES", 1)  # one row per chunk
         full_counter = cs.OpCounter()
-        rows = cs.good_table_rectangular(g, [r], full_counter, factors)
-        want = [cs.filter_children(g, r, 0, rows[0], full_counter)]
+        rows = cs.kernels.good_table_rectangular(g, [r], full_counter, factors)
+        want = [cs.kernels.filter_children(g, r, 0, rows[0], full_counter)]
         products = []
         real = cs.matmul.multiply_boolean_threshold
 
@@ -219,7 +218,7 @@ class TestRectBlocks:
 
         monkeypatch.setattr(cs.matmul, "multiply_boolean_threshold", counted)
         counter = cs.OpCounter()
-        got = cs.children_batch(
+        got = cs.kernels.children_batch(
             g, [r], kernel="rect", counter=counter, indices=[0], factors=factors
         )
         _, near = prefix_masks(g, r)
@@ -240,7 +239,7 @@ class TestRectBlocks:
         g = cs.Graph.gnp(70, 0.1, seed=5)
         batch = oracle.all_maximal_cliques(g, limit=70)[:10]
         whole = cs.OpCounter()
-        want = cs.children_batch(g, batch, kernel="rect", counter=whole)
+        want = cs.kernels.children_batch(g, batch, kernel="rect", counter=whole)
         rows_per_parent = 8 * g.n * cs.rs_tree.words(g.n)
         monkeypatch.setattr(cs.kernels, "RECT_ROWS_BYTES", parents * rows_per_parent)
         calls = []
@@ -252,7 +251,7 @@ class TestRectBlocks:
 
         monkeypatch.setattr(cs.kernels, "good_table_rectangular", counted)
         sliced = cs.OpCounter()
-        assert cs.children_batch(g, batch, kernel="rect", counter=sliced) == want
+        assert cs.kernels.children_batch(g, batch, kernel="rect", counter=sliced) == want
         assert sliced.ops == whole.ops
         assert max(calls) == max(1, parents) and sum(calls) == len(batch)
 
@@ -272,7 +271,7 @@ class TestRectBlocks:
         def not_built(*args, **kwargs):
             raise AssertionError("the explicit graph matrix was built")
 
-        monkeypatch.setattr(cs.kernels, "graph_matrix", not_built)
+        monkeypatch.setattr(cs.kernels, "build_batch_matrices", not_built)
         g = cs.Graph.from_edges(1100, [(2 * k - 1, 2 * k) for k in range(1, 551)])
         rect, bitset = (
             [e.clique.bits for e in cs.list_mc(g, kernel=k) if e.kind == cs.CLIQUE_COLLECTED]
@@ -301,45 +300,45 @@ class TestAdjacentToOwnPrefix:
 
 class TestFilterChildren:
     def test_bridged_root_and_leaf(self, bridged):
-        rows = cs.good_table_bitset(bridged, [K5_SIDE, TRIANGLE])
-        assert cs.filter_children(bridged, K5_SIDE, 0, rows[0]).indices == (6, 7, 8)
-        assert cs.filter_children(bridged, TRIANGLE, 7, rows[1]).indices == ()
+        rows = cs.kernels.good_table_bitset(bridged, [K5_SIDE, TRIANGLE])
+        assert cs.kernels.filter_children(bridged, K5_SIDE, 0, rows[0]).indices == (6, 7, 8)
+        assert cs.kernels.filter_children(bridged, TRIANGLE, 7, rows[1]).indices == ()
 
     def test_matches_children_naive(self):
         for g in random_graphs(20, seed0=1200, n_hi=12):
             batch = oracle.all_maximal_cliques(g)
-            rows = cs.good_table_bitset(g, batch)
+            rows = cs.kernels.good_table_bitset(g, batch)
             for k, p in enumerate(batch):
-                index = cs.clique_index(g, p) or 0
-                got = cs.filter_children(g, p, index, rows[k])
-                assert got == cs.children_naive(g, p, index)
+                index = cs.rs_tree.clique_index(g, p) or 0
+                got = cs.kernels.filter_children(g, p, index, rows[k])
+                assert got == cs.kernels.children_naive(g, p, index)
 
     def test_lazy_rows_with_given_index_match_rows_and_naive(self):
         rng = random.Random(1250)
         for g in random_graphs(40, seed0=1250, n_hi=14):
             cliques = oracle.all_maximal_cliques(g)
             batch = rng.sample(cliques, rng.randint(1, len(cliques)))
-            rows = cs.good_table_bitset(g, batch)
+            rows = cs.kernels.good_table_bitset(g, batch)
             for k, p in enumerate(batch):
-                index = cs.clique_index(g, p) or 0
-                lazy = cs.filter_children(g, p, index)
-                assert lazy == cs.filter_children(g, p, index, rows[k])
-                assert lazy == cs.children_naive(g, p, index)
+                index = cs.rs_tree.clique_index(g, p) or 0
+                lazy = cs.kernels.filter_children(g, p, index)
+                assert lazy == cs.kernels.filter_children(g, p, index, rows[k])
+                assert lazy == cs.kernels.children_naive(g, p, index)
 
     def test_lazy_rows_never_read_more_than_the_table(self):
         counter_lazy, counter_rows = cs.OpCounter(), cs.OpCounter()
         for g in random_graphs(10, seed0=1270, n_hi=14):
             batch = oracle.all_maximal_cliques(g)
-            rows = cs.good_table_bitset(g, batch, counter=counter_rows)
+            rows = cs.kernels.good_table_bitset(g, batch, counter=counter_rows)
             for k, p in enumerate(batch):
-                index = cs.clique_index(g, p) or 0
-                cs.filter_children(g, p, index, None, counter_lazy)
-                cs.filter_children(g, p, index, rows[k], counter_rows)
+                index = cs.rs_tree.clique_index(g, p) or 0
+                cs.kernels.filter_children(g, p, index, None, counter_lazy)
+                cs.kernels.filter_children(g, p, index, rows[k], counter_rows)
         assert 0 < counter_lazy.ops < counter_rows.ops
 
     def test_spec_behaves_like_a_constructed_one(self, bridged):
         # filter_children builds its spec without the dataclass constructor
-        got = cs.filter_children(bridged, K5_SIDE, 0)
+        got = cs.kernels.filter_children(bridged, K5_SIDE, 0)
         made = cs.ChildSpec(parent=K5_SIDE, indices=(6, 7, 8))
         assert got == made and hash(got) == hash(made) and len(got) == 3
         assert {got: 1}[made] == 1
@@ -375,8 +374,8 @@ class TestCandidateCut:
         cut = accepted = 0
         for g in graphs:
             for p in oracle.all_maximal_cliques(g)[1:]:
-                index = cs.clique_index(g, p)
-                children = cs.children_naive(g, p, index).indices
+                index = cs.rs_tree.clique_index(g, p)
+                children = cs.kernels.children_naive(g, p, index).indices
                 for i in range(index + 1, g.n + 1):
                     if i not in p and p.bits & below_mask(i) & g.adj[i - 1] == 0:
                         assert i not in children
@@ -391,7 +390,9 @@ class TestCandidateCut:
         pairs = carried_pairs(g, monkeypatch)
         assert len(pairs) == len(oracle.all_maximal_cliques(g, limit=n))
         for p, index in pairs:
-            assert cs.filter_children(g, p, index) == cs.children_naive(g, p, index)
+            assert cs.kernels.filter_children(g, p, index) == (
+                cs.kernels.children_naive(g, p, index)
+            )
 
     def test_units_per_clique_do_not_grow_with_n(self):
         # deterministic work units, not wall time: before the cut, every
@@ -409,57 +410,60 @@ class TestCandidateCut:
 
 class TestChildrenBatch:
     def test_bridged_batches(self, bridged):
-        specs = cs.children_batch(
+        specs = cs.kernels.children_batch(
             bridged, [K5_SIDE, BRIDGE_16, BRIDGE_27, BRIDGE_58], kernel="rect"
         )
         assert [s.indices for s in specs] == [(6, 7, 8), (7,), (), ()]
-        assert cs.children_batch(bridged, [TRIANGLE])[0].indices == ()
+        assert cs.kernels.children_batch(bridged, [TRIANGLE])[0].indices == ()
 
     def test_edgeless_root_children(self):
         g = cs.Graph.edgeless(3)
-        specs = cs.children_batch(g, [cs.root(g)])
+        specs = cs.kernels.children_batch(g, [cs.rs_tree.root(g)])
         assert specs[0].indices == (2, 3)
 
     def test_kernel_extensional_equality(self):
         for g in random_graphs(200, seed0=1300):
             batch = oracle.all_maximal_cliques(g)
-            naive = [cs.children_naive(g, p, cs.clique_index(g, p) or 0) for p in batch]
+            naive = [
+                cs.kernels.children_naive(g, p, cs.rs_tree.clique_index(g, p) or 0)
+                for p in batch
+            ]
             for kernel in ("rect", "bitset"):
-                assert cs.children_batch(g, batch, kernel=kernel) == naive
+                assert cs.kernels.children_batch(g, batch, kernel=kernel) == naive
 
     def test_matches_children_oracle(self):
         for g in random_graphs(10, seed0=1400, n_hi=11):
             cliques = oracle.all_maximal_cliques(g)
-            specs = cs.children_batch(g, cliques, kernel="bitset")
+            specs = cs.kernels.children_batch(g, cliques, kernel="bitset")
             for p, spec in zip(cliques, specs):
                 assert spec == oracle.children_oracle(g, p, cliques)
 
     def test_child_parent_round_trip(self):
         for g in random_graphs(20, seed0=1500):
             cliques = oracle.all_maximal_cliques(g)
-            for spec in cs.children_batch(g, cliques):
+            for spec in cs.kernels.children_batch(g, cliques):
                 for i in spec.indices:
-                    c = cs.child(g, spec.parent, i)
-                    assert cs.clique_index(g, c) == i
-                    assert cs.parent(g, c) == spec.parent
+                    c = cs.rs_tree.child(g, spec.parent, i)
+                    assert cs.rs_tree.clique_index(g, c) == i
+                    assert cs.rs_tree.parent(g, c) == spec.parent
 
     def test_completeness(self):
         # root plus all accepted children cover the clique set exactly
         for g in random_graphs(20, seed0=1600, n_hi=12):
             cliques = oracle.all_maximal_cliques(g)
             reached = {cliques[0].bits}
-            for spec in cs.children_batch(g, cliques):
+            for spec in cs.kernels.children_batch(g, cliques):
                 for i in spec.indices:
-                    reached.add(cs.child(g, spec.parent, i).bits)
+                    reached.add(cs.rs_tree.child(g, spec.parent, i).bits)
             assert reached == {c.bits for c in cliques}
 
     def test_rejects_bad_input(self, bridged):
         with pytest.raises(ValueError, match="non-empty"):
-            cs.children_batch(bridged, [])
+            cs.kernels.children_batch(bridged, [])
         with pytest.raises(ValueError, match="distinct"):
-            cs.children_batch(bridged, [K5_SIDE, K5_SIDE])
+            cs.kernels.children_batch(bridged, [K5_SIDE, K5_SIDE])
         with pytest.raises(ValueError):
-            cs.children_batch(bridged, [K5_SIDE], kernel="fft")
+            cs.kernels.children_batch(bridged, [K5_SIDE], kernel="fft")
 
     def test_preconditions_hold_under_python_O(self):
         # the public preconditions raise ValueError, which -O does not strip
@@ -467,14 +471,14 @@ class TestChildrenBatch:
 import cliquestream as cs
 from cliquestream import kernels
 g = cs.Graph.from_edges(4, [(1, 2), (3, 4)])
-r = cs.root(g)
+r = cs.rs_tree.root(g)
 checks = [
     lambda: kernels.children_batch(g, []),
     lambda: kernels.children_batch(g, [r, r]),
     lambda: kernels.children_naive(g, cs.VertexSet.of(1), 0),
-    lambda: cs.lex_completion(g, cs.VertexSet.of(1, 3)),
-    lambda: cs.clique_index(g, cs.VertexSet.of(1)),
-    lambda: cs.child(g, r, 1),
+    lambda: cs.rs_tree.lex_completion(g, cs.VertexSet.of(1, 3)),
+    lambda: cs.rs_tree.clique_index(g, cs.VertexSet.of(1)),
+    lambda: cs.rs_tree.child(g, r, 1),
 ]
 refused = 0
 for check in checks:
@@ -498,11 +502,11 @@ print(__debug__, refused)
     def test_given_indices_match_recomputed(self):
         for g in random_graphs(30, seed0=1650, n_hi=12):
             batch = oracle.all_maximal_cliques(g)
-            indices = [cs.clique_index(g, p) or 0 for p in batch]
+            indices = [cs.rs_tree.clique_index(g, p) or 0 for p in batch]
             for kernel in ("rect", "bitset"):
-                assert cs.children_batch(
+                assert cs.kernels.children_batch(
                     g, batch, kernel=kernel, indices=indices
-                ) == cs.children_batch(g, batch, kernel=kernel)
+                ) == cs.kernels.children_batch(g, batch, kernel=kernel)
 
     def test_factor_budget_is_their_peak(self):
         n = 300
@@ -541,12 +545,12 @@ print(__debug__, refused)
         for g in random_graphs(10, seed0=1660, n_hi=12):
             batch = oracle.all_maximal_cliques(g)
             factors = cs.kernels.graph_factors(g)
-            assert cs.children_batch(g, batch, kernel="rect", factors=factors) == (
-                cs.children_batch(g, batch, kernel="rect")
+            assert cs.kernels.children_batch(g, batch, kernel="rect", factors=factors) == (
+                cs.kernels.children_batch(g, batch, kernel="rect")
             )
             c_built, c_given = cs.OpCounter(), cs.OpCounter()
-            cs.good_table_rectangular(g, batch, c_built)
-            cs.good_table_rectangular(g, batch, c_given, factors=factors)
+            cs.kernels.good_table_rectangular(g, batch, c_built)
+            cs.kernels.good_table_rectangular(g, batch, c_given, factors=factors)
             graph_units = cs.OpCounter()
             cs.kernels.graph_factors(g, graph_units)
             assert graph_units.ops == g.n * g.n * 2 * cs.rs_tree.words(g.n)
@@ -554,5 +558,7 @@ print(__debug__, refused)
 
     def test_counter_charges_work(self, bridged):
         counter = cs.OpCounter()
-        cs.children_batch(bridged, BRIDGED_CLIQUES, kernel="bitset", counter=counter)
+        cs.kernels.children_batch(
+            bridged, BRIDGED_CLIQUES, kernel="bitset", counter=counter
+        )
         assert counter.ops > 0

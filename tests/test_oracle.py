@@ -38,7 +38,7 @@ class TestEnumeration:
         for g in random_graphs(10, seed0=2700):
             got = oracle.all_maximal_cliques(g)
             assert len({c.bits for c in got}) == len(got)
-            assert all(cs.is_maximal_clique(g, c) for c in got)
+            assert all(cs.rs_tree.is_maximal_clique(g, c) for c in got)
 
 
 class TestGoodPairOracle:
@@ -68,7 +68,7 @@ class TestChildrenOracle:
             for c in cliques[1:]:
                 p = oracle.parent_brute(g, c, cliques)
                 assert p in cliques
-                assert cs.lex_compare(p, c) == 1
+                assert cs.graph.lex_compare(p, c) == 1
                 cur, hops = c, 0
                 while cur != root:
                     cur = oracle.parent_brute(g, cur, cliques)

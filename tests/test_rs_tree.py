@@ -18,23 +18,23 @@ from conftest import (
 
 class TestLexCompletion:
     def test_empty_gives_root(self, bridged):
-        assert cs.lex_completion(bridged, cs.VertexSet()) == K5_SIDE
+        assert cs.rs_tree.lex_completion(bridged, cs.VertexSet()) == K5_SIDE
 
     def test_vertex_6(self, bridged):
         # brute force picks the lex-greatest of the maximal cliques containing 6
         assert oracle.lex_completion_brute(bridged, cs.VertexSet.of(6)) == BRIDGE_16
-        assert cs.lex_completion(bridged, cs.VertexSet.of(6)) == BRIDGE_16
+        assert cs.rs_tree.lex_completion(bridged, cs.VertexSet.of(6)) == BRIDGE_16
 
     def test_already_maximal_is_fixed_point(self, bridged):
-        assert cs.lex_completion(bridged, TRIANGLE) == TRIANGLE
+        assert cs.rs_tree.lex_completion(bridged, TRIANGLE) == TRIANGLE
 
     def test_result_contains_input_is_maximal_and_not_lex_smaller(self):
         for g in random_graphs(25, seed0=400):
             for k in all_cliques(g)[::3]:
-                out = cs.lex_completion(g, k)
+                out = cs.rs_tree.lex_completion(g, k)
                 assert k.bits & ~out.bits == 0
-                assert cs.is_maximal_clique(g, out)
-                assert cs.lex_compare(out, k) >= 0
+                assert cs.rs_tree.is_maximal_clique(g, out)
+                assert cs.graph.lex_compare(out, k) >= 0
 
     def test_charge_counts_inserted_vertices_not_the_neighbourhood(self):
         # completing the hub of a star inserts one leaf; the other n - 2
@@ -42,40 +42,41 @@ class TestLexCompletion:
         n = 40
         star = cs.Graph.from_edges(n, [(1, v) for v in range(2, n + 1)])
         counter = cs.OpCounter()
-        assert cs.lex_completion(star, cs.VertexSet.of(1), counter) == cs.VertexSet.of(1, 2)
+        completed = cs.rs_tree.lex_completion(star, cs.VertexSet.of(1), counter)
+        assert completed == cs.VertexSet.of(1, 2)
         assert counter.ops == 1 + 2 * words(n)
 
     def test_agrees_with_brute_force(self):
         for g in random_graphs(12, seed0=500, n_hi=12):
             cliques = oracle.all_maximal_cliques(g)
             for k in all_cliques(g):
-                assert cs.lex_completion(g, k) == oracle.lex_completion_brute(
+                assert cs.rs_tree.lex_completion(g, k) == oracle.lex_completion_brute(
                     g, k, cliques
                 )
 
 
 class TestRoot:
     def test_bridged(self, bridged):
-        assert cs.root(bridged) == K5_SIDE
+        assert cs.rs_tree.root(bridged) == K5_SIDE
 
     def test_edgeless(self):
-        assert cs.root(cs.Graph.edgeless(3)) == cs.VertexSet.of(1)
+        assert cs.rs_tree.root(cs.Graph.edgeless(3)) == cs.VertexSet.of(1)
 
     def test_complete(self):
-        assert cs.root(cs.Graph.complete(4)) == cs.VertexSet.of(1, 2, 3, 4)
+        assert cs.rs_tree.root(cs.Graph.complete(4)) == cs.VertexSet.of(1, 2, 3, 4)
 
 
 class TestCliqueIndex:
     def test_bridged_values(self, bridged):
-        assert cs.clique_index(bridged, TRIANGLE) == 7
-        assert cs.clique_index(bridged, BRIDGE_16) == 6
-        assert cs.clique_index(bridged, K5_SIDE) is None
+        assert cs.rs_tree.clique_index(bridged, TRIANGLE) == 7
+        assert cs.rs_tree.clique_index(bridged, BRIDGE_16) == 6
+        assert cs.rs_tree.clique_index(bridged, K5_SIDE) is None
 
     def test_returns_none_only_for_root(self):
         for g in random_graphs(20, seed0=600):
             cliques = oracle.all_maximal_cliques(g)
             for c in cliques:
-                idx = cs.clique_index(g, c)
+                idx = cs.rs_tree.clique_index(g, c)
                 assert (idx is None) == (c == cliques[0])
 
     def test_agreement_with_scan_and_brute(self):
@@ -84,24 +85,25 @@ class TestCliqueIndex:
         for g in small_family():
             cliques = oracle.all_maximal_cliques(g)
             for c in cliques:
-                assert cs.clique_index(g, c) == oracle.clique_index_brute(g, c, cliques)
+                want = oracle.clique_index_brute(g, c, cliques)
+                assert cs.rs_tree.clique_index(g, c) == want
 
     def test_index_equal_to_min_member(self):
         # isolated vertex: the descending scan bottoms out at the clique's
         # own minimum and must still report it
         g = cs.Graph.from_edges(3, [(1, 2)])
-        assert cs.clique_index(g, cs.VertexSet.of(3)) == 3
+        assert cs.rs_tree.clique_index(g, cs.VertexSet.of(3)) == 3
 
 
 class TestParent:
     def test_bridged_edges(self, bridged):
-        assert cs.parent(bridged, TRIANGLE) == BRIDGE_16
-        assert cs.parent(bridged, BRIDGE_58) == K5_SIDE
-        assert cs.parent(bridged, BRIDGE_16) == K5_SIDE
+        assert cs.rs_tree.parent(bridged, TRIANGLE) == BRIDGE_16
+        assert cs.rs_tree.parent(bridged, BRIDGE_58) == K5_SIDE
+        assert cs.rs_tree.parent(bridged, BRIDGE_16) == K5_SIDE
 
     def test_root_raises(self, bridged):
         with pytest.raises(ValueError):
-            cs.parent(bridged, K5_SIDE)
+            cs.rs_tree.parent(bridged, K5_SIDE)
 
     def test_parent_is_lex_greater_and_chain_reaches_root(self):
         for g in random_graphs(25, seed0=700):
@@ -110,12 +112,12 @@ class TestParent:
             for c in cliques:
                 if c == root:
                     continue
-                p = cs.parent(g, c)
-                assert cs.is_maximal_clique(g, p)
-                assert cs.lex_compare(p, c) == 1
+                p = cs.rs_tree.parent(g, c)
+                assert cs.rs_tree.is_maximal_clique(g, p)
+                assert cs.graph.lex_compare(p, c) == 1
                 cur, steps = c, 0
-                while cs.clique_index(g, cur) is not None:
-                    cur = cs.parent(g, cur)
+                while cs.rs_tree.clique_index(g, cur) is not None:
+                    cur = cs.rs_tree.parent(g, cur)
                     steps += 1
                     assert steps <= g.n
                 assert cur == root
@@ -123,9 +125,9 @@ class TestParent:
 
 class TestChild:
     def test_bridged_children(self, bridged):
-        assert cs.child(bridged, K5_SIDE, 6) == BRIDGE_16
-        assert cs.child(bridged, BRIDGE_16, 7) == TRIANGLE
-        assert cs.child(bridged, K5_SIDE, 8) == BRIDGE_58
+        assert cs.rs_tree.child(bridged, K5_SIDE, 6) == BRIDGE_16
+        assert cs.rs_tree.child(bridged, BRIDGE_16, 7) == TRIANGLE
+        assert cs.rs_tree.child(bridged, K5_SIDE, 8) == BRIDGE_58
 
     def test_always_maximal_containing_i(self):
         for g in random_graphs(15, seed0=800):
@@ -133,13 +135,13 @@ class TestChild:
                 for i in range(1, g.n + 1):
                     if i in p:
                         continue
-                    c = cs.child(g, p, i)
-                    assert cs.is_maximal_clique(g, c)
+                    c = cs.rs_tree.child(g, p, i)
+                    assert cs.rs_tree.is_maximal_clique(g, c)
                     assert i in c
 
     def test_member_index_rejected(self, bridged):
         with pytest.raises(ValueError, match="must not belong"):
-            cs.child(bridged, K5_SIDE, 3)
+            cs.rs_tree.child(bridged, K5_SIDE, 3)
 
 
 class TestStructuralProperties:
@@ -149,12 +151,9 @@ class TestStructuralProperties:
                 sub = big.bits
                 while True:
                     small = cs.VertexSet(sub)
-                    assert (
-                        cs.lex_compare(
-                            cs.lex_completion(g, small), cs.lex_completion(g, big)
-                        )
-                        >= 0
-                    )
+                    lc_small = cs.rs_tree.lex_completion(g, small)
+                    lc_big = cs.rs_tree.lex_completion(g, big)
+                    assert cs.graph.lex_compare(lc_small, lc_big) >= 0
                     if sub == 0:
                         break
                     sub = (sub - 1) & big.bits
@@ -164,7 +163,7 @@ class TestStructuralProperties:
         # among the input or the smaller completion members
         for g in small_family():
             for k in all_cliques(g):
-                lc = cs.lex_completion(g, k)
+                lc = cs.rs_tree.lex_completion(g, k)
                 for v in range(1, g.n + 1):
                     blockers = k.bits | (lc.bits & below_mask(v))
                     blocked = bool(blockers & ~g.adj[v - 1] & ~vbit(v))
@@ -175,17 +174,17 @@ class TestStructuralProperties:
             for k in all_cliques(g):
                 for a in range(g.n + 1):
                     ka = cs.VertexSet(k.bits & below_mask(a + 1))
-                    la = cs.lex_completion(g, ka)
+                    la = cs.rs_tree.lex_completion(g, ka)
                     for b in range(a, g.n + 1):
                         lab = cs.VertexSet(la.bits & below_mask(b + 1))
-                        assert cs.lex_completion(g, lab) == la
+                        assert cs.rs_tree.lex_completion(g, lab) == la
 
     def test_prefix_reconstructability(self):
         for g in small_family():
             cliques = oracle.all_maximal_cliques(g)
             for c in cliques[1:]:
-                i = cs.clique_index(g, c)
-                p = cs.parent(g, c)
+                i = cs.rs_tree.clique_index(g, c)
+                p = cs.rs_tree.parent(g, c)
                 lhs = c.bits & below_mask(i)
                 rhs = p.bits & below_mask(i) & g.adj[i - 1]
                 assert lhs == rhs
