@@ -35,8 +35,9 @@ print("Boolean product == naive product > 0")
 # n x n matrices.  good_table_rectangular never builds M_G: it stacks the
 # rows P & A_i that each parent tests into one tall operand, multiplies it
 # by Nc.T (converted to float32 once per listing) in chunks, and packs each
-# chunk's rows to words.
-a_rows, nc_t = kernels.graph_factors(g)
+# chunk's rows to words.  (The third factor, [N | U], serves the children
+# step below.)
+a_rows, nc_t, _ = kernels.graph_factors(g)
 non_adj_t = nc_t.matrix.astype(bool)
 n = g.n
 for i in range(n):
@@ -50,8 +51,10 @@ print("rectangular == bitset rows")
 good = sum(mask.bit_count() for row in rows_rect for mask in row)
 print(f"good fraction: {good / positive.size:.3f}")
 
-# Filtering the good rows yields one (parent, child indices) pair per batch
-# element; per-parent completion calls (children_naive) are the cross-check.
+# The children step decides every (parent, candidate) pair of the batch on
+# the product's bool blocks and yields one (parent, child indices) pair per
+# batch element; per-parent completion calls (children_naive) are the
+# cross-check.
 specs = kernels.children_batch(g, batch, kernel="rect")
 naive = [kernels.children_naive(g, p, rs_tree.clique_index(g, p) or 0) for p in batch]
 assert specs == naive

@@ -99,8 +99,8 @@ def list_mc(
     :data:`~cliquestream.kernels.KERNELS`).  Default capacity is n^2.  One
     counter takes the root, every pop and every children step, so the
     root's units fall on the first event.  Each batch carries its cliques'
-    indices from the stack; the "rect" kernel's two n x n factors of the
-    graph matrix (:func:`~cliquestream.kernels.graph_factors`) are built
+    indices from the stack; the "rect" kernel's factors
+    (:func:`~cliquestream.kernels.graph_factors`) are built
     (and charged) once, with the first batch.  An unknown kernel, a
     capacity below 1, or a "rect" n whose factors
     :func:`~cliquestream.kernels.check_factors` refuses, raises ValueError

@@ -12,35 +12,29 @@ positivity.  ``M_G`` takes n^3 bytes, but it factors: with ``Nc`` the
 n x n matrix whose row j is the characteristic vector of ``V \\ N(j)``,
 column block i of ``M_G`` is ``diag(A_i) @ Nc.T``, so block i of the
 product is ``(M_B & A_i) @ Nc.T`` (``A_i`` masking every row of ``M_B``),
-the same multiply-adds.  A traversal builds the two n x n factors once
-(:func:`graph_factors`, ``Nc.T`` converted to float32 there, after
-:func:`check_factors` has refused an n past :data:`FACTOR_BYTES`) and
-never ``M_G``; :func:`build_batch_matrices` builds ``M_B`` and ``M_G``
-themselves, the reduction as the paper states it, from the same factors.
-:func:`good_table_rectangular` stacks the needed (parent, row) pairs
-``P & A_i`` into one tall operand, multiplies it by ``Nc.T`` in chunks of
-rows whose float32 input and output fit :data:`BLOCK_BYTES` (at least one
-row), and packs the result straight to 64-bit words.
-:func:`children_batch` feeds it slices of the batch whose packed rows fit
-:data:`RECT_ROWS_BYTES` (at least one parent), so memory follows n, not
-the batch capacity, and asks only for the rows each parent tests inside
-N(P) (a non-member above its index); the charge prices the full product.
-:func:`good_table_bitset` materializes the rows from
-:func:`~cliquestream.rs_tree.common_neighbors`; :func:`filter_children`
-never does, and folds the same common neighborhood only as far as each
-candidate needs.
+the same multiply-adds.  A traversal builds the factors once
+(:func:`graph_factors`, after :func:`check_factors` has refused an n past
+:data:`FACTOR_BYTES`) and never ``M_G``; :func:`build_batch_matrices`
+builds ``M_B`` and ``M_G`` themselves, the reduction as the paper states
+it.  The one product path stacks (parent, row) pairs ``P & A_i`` into a
+tall operand and multiplies it by ``Nc.T`` in chunks of at least
+:data:`CHUNK_ROWS` rows, more if :data:`BLOCK_BYTES` allows.
 
-From its good rows, an index ``i`` yields a child of ``P`` exactly when no
-``j < i`` witnesses a violation of either reconstructability direction;
-``filter_children`` encodes that test.  Two kernels drive it for a batch:
-"rect" (rows from the product) and "bitset" (lazy rows).
-``children_naive`` re-derives the test from first principles with direct
-completion calls, one parent at a time, as the differential reference.
-Only indices above the parent's own index are candidates.  The traversal
-knows that index (a child popped from spec ``(P, i)`` has index ``i``, the
-root 0) and passes it in; :func:`children_batch` recomputes it with
-:func:`clique_index` for callers that hand in arbitrary batches.  A
-non-root parent tests only its neighbors ``N(P)``, so cost follows degree.
+"rect" decides a batch's children in numpy, in slices that fit
+:data:`RECT_ROWS_BYTES` (memory follows n, not the batch capacity): one
+product of ``M_B`` with the n x 2n factor ``[N | U]`` (``U[u, j]`` set
+for non-adjacent ``u < j``) gives every parent's ``N(P)`` and the vertices
+adjacent to every member below them, the candidate pairs inside ``N(P)``
+are multiplied by ``Nc.T``, and the test of :func:`filter_children` runs
+on the bool blocks.  "bitset" runs :func:`filter_children` per parent,
+folding the common neighborhood only as far as each candidate needs.
+``children_naive`` re-derives the test with direct completion calls, one
+parent at a time, as the differential reference.  Only indices above the
+parent's own index are candidates.  The traversal knows that index (a
+child popped from spec ``(P, i)`` has index ``i``, the root 0) and passes
+it in; :func:`children_batch` recomputes it with :func:`clique_index` for
+callers that hand in arbitrary batches.  A non-root parent tests only its
+neighbors ``N(P)``, so cost follows degree.
 """
 
 from __future__ import annotations
@@ -64,14 +58,20 @@ from .rs_tree import (
 
 KERNELS = ("rect", "bitset")
 
-# float32 bytes a product chunk's tall input and its output may hold together
+# bytes a product chunk may hold per row: float32 input and output, and up to
+# four bool rows beside them
 BLOCK_BYTES = 1 << 16
-# packed good rows one slice of a "rect" batch may hold; read out as Python
-# ints, the rows take several times this
+# rows a product chunk holds at least: every sgemm call streams the whole
+# 4 n^2-byte float32 Nc.T, so a thinner chunk pays that stream for few rows
+CHUNK_ROWS = 64
+# bytes one slice of a "rect" batch may take, at most 32 n per parent: its
+# M_B row, the [N | U] product and the coordinates of its candidate pairs
 RECT_ROWS_BYTES = 1 << 24
-# bytes "rect"'s graph factors may take: A and Nc as bool, Nc.T as float32
-# (6 n^2, n <= 13,377)
+# bytes "rect"'s graph factors may take: A and Nc as bool, [N | U] and Nc.T
+# as float32 (14 n^2, n <= 8,757)
 FACTOR_BYTES = 1 << 30
+
+Factors = tuple[np.ndarray, matmul.BinaryOperand, matmul.BinaryOperand]
 
 
 @dataclass(frozen=True, slots=True)
@@ -106,30 +106,30 @@ def _check_batch(cliques) -> None:
 
 
 def check_factors(n: int) -> None:
-    """Refuse an n whose :func:`graph_factors` (6 n^2 bytes) would pass
+    """Refuse an n whose :func:`graph_factors` (14 n^2 bytes) would pass
     :data:`FACTOR_BYTES`.  Nothing is allocated."""
-    if 6 * n * n > FACTOR_BYTES:
+    if 14 * n * n > FACTOR_BYTES:
         raise ValueError(
             f"rect's graph factors at n = {n} pass {FACTOR_BYTES >> 30} GiB "
-            f"(n <= {math.isqrt(FACTOR_BYTES // 6)}): use --kernel bitset"
+            f"(n <= {math.isqrt(FACTOR_BYTES // 14)}): use --kernel bitset"
         )
 
 
-def graph_factors(
-    g: Graph, counter: OpCounter | None = None
-) -> tuple[np.ndarray, matmul.BinaryOperand]:
-    """The two n x n Boolean factors of ``M_G``: ``A``, whose row i is the
-    characteristic vector of ``A_i``, and ``Nc.T``, whose column j is that
-    of ``V \\ N(j)``, converted once for the product.  Refused by
-    :func:`check_factors` before anything is allocated.  Charged
+def graph_factors(g: Graph, counter: OpCounter | None = None) -> Factors:
+    """``A``, whose row i is the characteristic vector of ``A_i``; ``Nc.T``,
+    whose column j is that of ``V \\ N(j)``; and ``[N | U]``, the adjacency
+    matrix beside ``U[u, j] = u < j and u !~ j``.  The last two are converted
+    once for the product, ``[N | U]`` first, so the peak is 14 n^2 bytes.
+    Refused by :func:`check_factors` before anything is allocated.  Charged
     ``n * n * 2 * words(n)``."""
     n = g.n
     check_factors(n)
     a_rows = _mask_rows((g.adj[i - 1] & below_mask(i) for i in range(1, n + 1)), n)
     non_adj = _mask_rows((g.full_mask & ~a for a in g.adj), n)
+    near_op = matmul.BinaryOperand(np.hstack((~non_adj, np.triu(non_adj, 1))))
     if counter is not None:
         counter.ops += n * n * 2 * words(n)
-    return a_rows, matmul.BinaryOperand(non_adj.T)
+    return a_rows, matmul.BinaryOperand(non_adj.T), near_op
 
 
 def build_batch_matrices(g: Graph, cliques) -> tuple[np.ndarray, np.ndarray]:
@@ -141,56 +141,52 @@ def build_batch_matrices(g: Graph, cliques) -> tuple[np.ndarray, np.ndarray]:
     outermost) and holds the characteristic vector of ``A_i \\ N(j)``.
     """
     _check_batch(cliques)
-    a_rows, nc_t = graph_factors(g)
+    a_rows, nc_t, _ = graph_factors(g)
     non_adj_t = nc_t.matrix.astype(bool)
     # entry [v, i, j] = a_rows[i, v] & non_adj_t[v, j], allocated in C order
     cube = np.bitwise_and(a_rows.T[:, :, None], non_adj_t[:, None, :], order="C")
     return _mask_rows((c.bits for c in cliques), g.n), cube.reshape(g.n, g.n * g.n)
 
 
+def _products(mb: np.ndarray, factors: Factors, pairs: np.ndarray):
+    """Yield ``(p, i, left, good)`` for consecutive chunks of the (parent,
+    row) pairs ``pairs`` (flat indices ``p * n + i``, 0-based): ``left``
+    holds their rows ``P & A_i``, ``good`` the thresholded ``left @ Nc.T``.
+    A chunk holds :data:`CHUNK_ROWS` pairs, or as many as fit
+    :data:`BLOCK_BYTES` at ``12 n`` bytes each if that is more."""
+    a_rows, non_adj_t, _ = factors
+    n = len(a_rows)
+    step = max(CHUNK_ROWS, BLOCK_BYTES // (12 * n))
+    for first in range(0, len(pairs), step):
+        p, i = np.divmod(pairs[first : first + step], n)
+        left = a_rows[i]
+        left &= mb[p]
+        yield p, i, left, matmul.multiply_boolean_threshold(left, non_adj_t)
+
+
 def good_table_rectangular(
     g: Graph,
     cliques,
     counter: OpCounter | None = None,
-    factors: tuple[np.ndarray, matmul.BinaryOperand] | None = None,
-    need=None,
+    factors: Factors | None = None,
 ) -> list[list[int]]:
     """Good rows of the |B| x n by n x n^2 Boolean product, computed from
     the factors of ``M_G``: row i of parent ``P`` is ``(P & A_i) @ Nc.T``
     thresholded.  ``factors`` is :func:`graph_factors` of ``g``; without
-    it, the factors are built and charged here.  ``need`` holds one mask
-    per parent of the rows ``i`` the caller reads (bit ``i-1``; ``None``
-    for all).  Only those (parent, row) pairs are stacked into the tall
-    operand, in chunks whose float32 input and output fit
-    :data:`BLOCK_BYTES`, packed along ``j`` into 64-bit words and read out
-    as Python ints; the other rows stay 0.  The charge prices the full
-    product either way."""
+    it, the factors are built and charged here.  Each good row is read out
+    as a Python int."""
     _check_batch(cliques)
     n = g.n
-    a_rows, non_adj_t = graph_factors(g, counter) if factors is None else factors
+    if factors is None:
+        factors = graph_factors(g, counter)
     b = len(cliques)
-    w = words(n)
     mb = _mask_rows((c.bits for c in cliques), n)
-    wanted = _mask_rows([g.full_mask] * b if need is None else need, n)
-    parents, rows_i = np.nonzero(wanted)
-    packed = np.zeros((len(parents), 8 * w), dtype=np.uint8)
-    step = max(1, BLOCK_BYTES // (8 * n))
-    width = (n + 7) // 8
-    for first in range(0, len(parents), step):
-        p, i = parents[first : first + step], rows_i[first : first + step]
-        block = matmul.multiply_boolean_threshold(mb[p] & a_rows[i], non_adj_t)
-        packed[first : first + step, :width] = np.packbits(
-            block, axis=1, bitorder="little"
-        )
-    if counter is not None:
-        counter.ops += b * w + b * n * n * w
-    # Python ints for the multiplied pairs only, scattered into rows of 0s
-    word_cols = packed.view("<u8")
-    found = word_cols[:, 0].astype(object)
-    for k in range(1, w):
-        found |= word_cols[:, k].astype(object) << (64 * k)
     rows = np.zeros((b, n), dtype=object)
-    rows[parents, rows_i] = found
+    for p, i, _, good in _products(mb, factors, np.arange(b * n)):
+        packed = np.packbits(good, axis=1, bitorder="little")
+        rows[p, i] = [int.from_bytes(r.tobytes(), "little") for r in packed]
+    if counter is not None:
+        counter.ops += b * (1 + n * n) * words(n)
     return rows.tolist()
 
 
@@ -221,12 +217,7 @@ def good_table_bitset(
 
 
 def filter_children(
-    g: Graph,
-    p: VertexSet,
-    index: int,
-    good_row: list[int] | None = None,
-    counter: OpCounter | None = None,
-    masks: tuple[int, int] | None = None,
+    g: Graph, p: VertexSet, index: int, counter: OpCounter | None = None
 ) -> ChildSpec:
     """Accept the candidate indices that no ``j`` disqualifies.
 
@@ -239,17 +230,15 @@ def filter_children(
     root.  ``i`` is rejected when some ``j < i`` outside the good row
     of ``i`` is a neighbor of ``i`` outside ``P`` or a non-member adjacent
     to its own prefix of ``P`` (child- or parent-side reconstruction
-    breaks).  Without ``good_row``, the parent's slice of a good table, the
-    row's complement is folded lazily as the common neighborhood of
-    ``P_{<i} & N(i)`` until no ``j`` is left.  ``masks`` is
-    :func:`prefix_masks` of ``p`` when the caller has it already.  Charge
-    in words: ``3|P|`` for :func:`prefix_masks`, 4 for the masks, 6 per
+    breaks).  The row's complement is folded lazily as the common
+    neighborhood of ``P_{<i} & N(i)`` until no ``j`` is left.  Charge in
+    words: ``3|P|`` for :func:`prefix_masks`, 4 for the masks, 6 per
     candidate, 1 per fold.
     """
     adj = g.adj
     pb = p.bits
     notp = ~pb
-    adjacent, near = masks if masks is not None else prefix_masks(g, p)
+    adjacent, near = prefix_masks(g, p)
     outside = adjacent & notp
     cand = (near if index else g.full_mask) & notp & -(1 << index)
     scanned = cand.bit_count()
@@ -262,15 +251,12 @@ def filter_children(
         bel = low - 1
         ai = adj[i - 1]
         bad = ((ai & notp) | outside) & bel
-        if good_row is not None:
-            bad &= ~good_row[i - 1]
-        else:
-            pig = pb & bel & ai
-            while bad and pig:
-                u = pig & -pig
-                pig ^= u
-                bad &= adj[u.bit_length() - 1]
-                folds += 1
+        pig = pb & bel & ai
+        while bad and pig:
+            u = pig & -pig
+            pig ^= u
+            bad &= adj[u.bit_length() - 1]
+            folds += 1
         if bad == 0:
             indices.append(i)
     if counter is not None:
@@ -280,6 +266,55 @@ def filter_children(
     _set_parent(spec, p)
     _set_indices(spec, tuple(indices))
     return spec
+
+
+def _children_rect(g: Graph, cliques, indices, factors: Factors, counter) -> list[ChildSpec]:
+    """The test of :func:`filter_children` on one slice of a batch, in numpy:
+    ``bad = (A_i & ~P | outside_P & V_{<i})`` minus the good row must be
+    empty.  Charged as :func:`filter_children` without folds, plus the full
+    product."""
+    n = g.n
+    a_rows, _, near_op = factors
+    mb = _mask_rows((p.bits for p in cliques), n)
+    product = matmul.multiply_boolean_threshold(mb, near_op)
+    near, below_miss = product[:, :n], product[:, n:]
+    below_miss |= mb
+    outside = ~below_miss  # non-members adjacent to every member below them
+    index = np.asarray(indices)
+    # row k of this view of n Falses then n Trues marks the columns >= n - k
+    # (comparing columns with index[:, None] would allocate broadcast buffers)
+    stairs = np.ndarray((n + 1, n), bool, np.arange(2 * n) >= n, strides=(1, 1))
+    cand = stairs[n - index]
+    cand &= ~mb  # column i - 1 is vertex i: the non-members above the index
+    cand &= near | (index == 0)[:, None]  # the root tests every non-member
+    scanned = np.count_nonzero(cand)
+    for p, i, left, good in _products(mb, factors, np.flatnonzero(cand & near)):
+        bad = a_rows[i]
+        bad ^= left  # A_i & ~P, which lies below i
+        bad |= outside[p]
+        bad &= np.invert(good, out=good)
+        # rejected iff the first column left in bad is below i
+        cand[p, i] = ~bad.any(axis=1) | (bad.argmax(axis=1) >= i)
+    # a root candidate outside N(root) has an empty P & A_i and good row, so
+    # it is accepted iff A_i is empty and no vertex below it is outside P
+    root, i = np.nonzero(cand & ~near)
+    if len(i):
+        first = np.where(outside.any(axis=1), outside.argmax(axis=1), n)
+        cand[root, i] = ~a_rows.any(axis=1)[i] & (i <= first[root])
+    if counter is not None:
+        b = len(cliques)
+        members = np.count_nonzero(mb)
+        counter.ops += (b * (5 + n * n) + 3 * members + 6 * scanned) * words(n)
+    rows, found = np.nonzero(cand)
+    ends = np.searchsorted(rows, np.arange(1, len(cliques) + 1)).tolist()
+    found = (found + 1).tolist()
+    specs = []
+    for parent, a, z in zip(cliques, [0] + ends, ends):
+        spec = _new(ChildSpec)
+        _set_parent(spec, parent)
+        _set_indices(spec, tuple(found[a:z]))
+        specs.append(spec)
+    return specs
 
 
 def children_naive(g: Graph, p: VertexSet, index: int) -> ChildSpec:
@@ -318,7 +353,7 @@ def children_batch(
     kernel: str = "bitset",
     counter: OpCounter | None = None,
     indices=None,
-    factors: tuple[np.ndarray, matmul.BinaryOperand] | None = None,
+    factors: Factors | None = None,
 ) -> list[ChildSpec]:
     """One ChildSpec per batch element, in batch order.
 
@@ -329,31 +364,20 @@ def children_batch(
     index (0 for the root) when the caller knows it; without it, each index
     is recomputed with :func:`clique_index`.  "rect" builds (and charges)
     :func:`graph_factors` unless ``factors`` passes them in, and takes the
-    batch in slices of ``RECT_ROWS_BYTES // (8 n words(n))`` parents (at
-    least one), each parent's :func:`prefix_masks` serving its needed rows
-    and its filter.
+    batch in slices of ``RECT_ROWS_BYTES // (32 n)`` parents (at least one).
     """
     _check_batch(cliques)
     if indices is None:
         indices = [clique_index(g, p, counter) or 0 for p in cliques]
     if kernel == "bitset":
-        return [filter_children(g, p, i, None, counter) for p, i in zip(cliques, indices)]
+        return [filter_children(g, p, i, counter) for p, i in zip(cliques, indices)]
     if kernel != "rect":
         raise ValueError(f"unknown kernel {kernel!r}")
     if factors is None:
         factors = graph_factors(g, counter)
-    size = max(1, RECT_ROWS_BYTES // (8 * g.n * words(g.n)))
+    size = max(1, RECT_ROWS_BYTES // (32 * g.n))
     specs = []
     for first in range(0, len(cliques), size):
-        part, part_indices = cliques[first : first + size], indices[first : first + size]
-        masks = [prefix_masks(g, p) for p in part]
-        # candidates in N(P); a row outside N(P) is 0 (P_{<i} & N(i) is empty)
-        need = [
-            near & ~p.bits & -(1 << i) for p, i, (_, near) in zip(part, part_indices, masks)
-        ]
-        rows = good_table_rectangular(g, part, counter, factors, need)
-        specs += [
-            filter_children(g, p, i, row, counter, pm)
-            for p, i, row, pm in zip(part, part_indices, rows, masks)
-        ]
+        part = slice(first, first + size)
+        specs += _children_rect(g, cliques[part], indices[part], factors, counter)
     return specs

@@ -111,9 +111,20 @@ class TestGoodTables:
                         )
 
 
-def explicit_rows(g, batch, need=None) -> list[list[int]]:
-    """Good rows read off the thresholded explicit product M_B @ M_G, with
-    the rows outside each parent's ``need`` mask set to 0."""
+def rect_charge(g, cliques, indices) -> int:
+    """What "rect" charges for a batch: ``(3|P| + 4 + 6 * candidates)``
+    words per parent, as ``filter_children`` with good rows does, plus the
+    full product's ``1 + n^2`` words per parent."""
+    units = 0
+    for p, index in zip(cliques, indices):
+        _, near = prefix_masks(g, p)
+        cand = (near if index else g.full_mask) & ~p.bits & -(1 << index)
+        units += 3 * len(p) + 4 + 6 * cand.bit_count() + 1 + g.n * g.n
+    return units * cs.rs_tree.words(g.n)
+
+
+def explicit_rows(g, batch) -> list[list[int]]:
+    """Good rows read off the thresholded explicit product M_B @ M_G."""
     mb, mg = cs.kernels.build_batch_matrices(g, batch)
     prod = matmul.multiply_boolean_threshold(mb, mg).reshape(len(batch), g.n, g.n)
     vertices = range(1, g.n + 1)
@@ -121,11 +132,6 @@ def explicit_rows(g, batch, need=None) -> list[list[int]]:
         [sum(1 << (j - 1) for j in vertices if prod[k, i - 1, j - 1]) for i in vertices]
         for k in range(len(batch))
     ]
-    if need is not None:
-        rows = [
-            [r if mask >> (i - 1) & 1 else 0 for i, r in enumerate(row, 1)]
-            for row, mask in zip(rows, need)
-        ]
     return rows
 
 
@@ -140,15 +146,12 @@ class TestRectBlocks:
             cliques = oracle.all_maximal_cliques(g, limit=n)
             batch = rng.sample(cliques, min(len(cliques), 9))
             factors = cs.kernels.graph_factors(g)
-            need = [rng.getrandbits(n) for _ in batch]
-            need[0] = 0
-            for budget in (cs.kernels.BLOCK_BYTES, 1):
+            # the default chunk, and one row per chunk
+            for budget, rows in ((cs.kernels.BLOCK_BYTES, cs.kernels.CHUNK_ROWS), (1, 1)):
                 monkeypatch.setattr(cs.kernels, "BLOCK_BYTES", budget)
+                monkeypatch.setattr(cs.kernels, "CHUNK_ROWS", rows)
                 assert cs.kernels.good_table_rectangular(g, batch, factors=factors) == (
                     explicit_rows(g, batch)
-                )
-                assert cs.kernels.good_table_rectangular(g, batch, None, factors, need) == (
-                    explicit_rows(g, batch, need)
                 )
 
     @pytest.mark.parametrize("n", [63, 64, 65, 130])
@@ -156,9 +159,11 @@ class TestRectBlocks:
         g = cs.Graph.gnp(n, 6 / n, seed=n)
         cliques = oracle.all_maximal_cliques(g, limit=n)
         factors = cs.kernels.graph_factors(g)
-        # the default budget, one row per chunk, and every row in one chunk
-        for budget in (cs.kernels.BLOCK_BYTES, 1, 1 << 30):
+        # the default chunk, one row per chunk, and every row in one chunk
+        floor = cs.kernels.CHUNK_ROWS
+        for budget, rows in ((cs.kernels.BLOCK_BYTES, floor), (1, 1), (1 << 30, floor)):
             monkeypatch.setattr(cs.kernels, "BLOCK_BYTES", budget)
+            monkeypatch.setattr(cs.kernels, "CHUNK_ROWS", rows)
             for size in (1, 7, 64):
                 batch = cliques[:size]
                 assert cs.kernels.good_table_rectangular(g, batch, factors=factors) == (
@@ -168,52 +173,49 @@ class TestRectBlocks:
                 assert rect == cs.kernels.children_batch(g, batch, kernel="bitset")
 
     def test_only_needed_rows_are_multiplied(self, monkeypatch):
+        # a parent's rows are multiplied only for its candidates inside N(P)
         g = cs.Graph.gnp(70, 0.1, seed=3)
         batch = oracle.all_maximal_cliques(g, limit=70)[:9]
+        indices = [cs.rs_tree.clique_index(g, p) or 0 for p in batch]
         factors = cs.kernels.graph_factors(g)
-        full = cs.kernels.good_table_rectangular(g, batch, factors=factors)
+        want = cs.kernels.children_batch(g, batch, "bitset", None, indices)
+        need = 0
+        for p, index in zip(batch, indices):
+            _, near = prefix_masks(g, p)
+            need += (near & ~p.bits & -(1 << index)).bit_count()
         products = []
         real = cs.matmul.multiply_boolean_threshold
 
         def counted(a, b):
-            products.append(a.shape[0])
+            if b is factors[1]:
+                products.append(a.shape[0])
             return real(a, b)
 
         monkeypatch.setattr(cs.matmul, "multiply_boolean_threshold", counted)
-        monkeypatch.setattr(cs.kernels, "BLOCK_BYTES", 1)  # one row per chunk
-        rng = random.Random(4)
-        b = len(batch)
-        for need in (
-            [0] * b,
-            [1] * b,
-            [1 << 69] + [0] * (b - 1),
-            [rng.getrandbits(70) for _ in batch],
-            [g.full_mask] * b,
-        ):
-            counter, full_counter = cs.OpCounter(), cs.OpCounter()
-            cs.kernels.good_table_rectangular(g, batch, full_counter, factors)
+        monkeypatch.setattr(cs.kernels, "BLOCK_BYTES", 1)
+        for rows in (1, cs.kernels.CHUNK_ROWS):  # one row per chunk, and the floor
+            monkeypatch.setattr(cs.kernels, "CHUNK_ROWS", rows)
             products.clear()
-            rows = cs.kernels.good_table_rectangular(g, batch, counter, factors, need)
-            assert products == [1] * sum(mask.bit_count() for mask in need)
-            assert counter.ops == full_counter.ops  # the full product is priced
-            for got, want, mask in zip(rows, full, need):
-                for i in range(1, g.n + 1):
-                    assert got[i - 1] == (want[i - 1] if mask >> (i - 1) & 1 else 0)
+            counter = cs.OpCounter()
+            got = cs.kernels.children_batch(g, batch, "rect", counter, indices, factors)
+            assert sum(products) == need < len(batch) * g.n
+            assert max(products) <= rows
+            assert counter.ops == rect_charge(g, batch, indices)  # the full product is priced
+            assert got == want
 
     def test_root_multiplies_only_its_neighbourhood(self, monkeypatch):
-        # a row i outside N(root) is 0, since root_{<i} & N(i) is empty
+        # a row i outside N(root) is 0, since root_{<i} & N(i) is empty; the
+        # rows passed to the product with Nc.T are counted, whatever the chunks
         g = cs.Graph.gnp(200, 0.05, seed=13)
         r = cs.rs_tree.root(g)
         factors = cs.kernels.graph_factors(g)
-        monkeypatch.setattr(cs.kernels, "BLOCK_BYTES", 1)  # one row per chunk
-        full_counter = cs.OpCounter()
-        rows = cs.kernels.good_table_rectangular(g, [r], full_counter, factors)
-        want = [cs.kernels.filter_children(g, r, 0, rows[0], full_counter)]
-        products = []
+        want = [cs.kernels.children_naive(g, r, 0)]
+        rows = []
         real = cs.matmul.multiply_boolean_threshold
 
         def counted(a, b):
-            products.append(a.shape[0])
+            if b is factors[1]:
+                rows.append(a.shape[0])
             return real(a, b)
 
         monkeypatch.setattr(cs.matmul, "multiply_boolean_threshold", counted)
@@ -222,8 +224,8 @@ class TestRectBlocks:
             g, [r], kernel="rect", counter=counter, indices=[0], factors=factors
         )
         _, near = prefix_masks(g, r)
-        assert len(products) == (near & ~r.bits).bit_count() < g.n - len(r)
-        assert got == want and counter.ops == full_counter.ops
+        assert sum(rows) == (near & ~r.bits).bit_count() < g.n - len(r)
+        assert got == want and counter.ops == rect_charge(g, [r], [0])
 
     def test_listing_past_two_words_matches_oracle(self):
         g = cs.Graph.gnp(130, 0.06, seed=7)
@@ -232,28 +234,29 @@ class TestRectBlocks:
         assert len(listed) == len(set(listed))
         assert set(listed) == {c.bits for c in oracle.all_maximal_cliques(g, limit=130)}
 
-    # 0: one parent's rows pass the budget (n >= 11,585 at the default), so
-    # every slice holds one parent
+    # 0: one parent's 32 n bytes pass the budget, so every slice holds one
+    # parent
     @pytest.mark.parametrize("parents", [0, 1, 3])
     def test_slices_match_one_product(self, parents, monkeypatch):
         g = cs.Graph.gnp(70, 0.1, seed=5)
         batch = oracle.all_maximal_cliques(g, limit=70)[:10]
+        factors = cs.kernels.graph_factors(g)
         whole = cs.OpCounter()
-        want = cs.kernels.children_batch(g, batch, kernel="rect", counter=whole)
-        rows_per_parent = 8 * g.n * cs.rs_tree.words(g.n)
-        monkeypatch.setattr(cs.kernels, "RECT_ROWS_BYTES", parents * rows_per_parent)
-        calls = []
-        real = cs.kernels.good_table_rectangular
+        want = cs.kernels.children_batch(g, batch, "rect", whole, factors=factors)
+        monkeypatch.setattr(cs.kernels, "RECT_ROWS_BYTES", parents * 32 * g.n)
+        slices = []
+        real = cs.matmul.multiply_boolean_threshold
 
-        def counted(g, cliques, *args, **kwargs):
-            calls.append(len(cliques))
-            return real(g, cliques, *args, **kwargs)
+        def counted(a, b):
+            if b is factors[2]:  # one [N | U] product per slice
+                slices.append(a.shape[0])
+            return real(a, b)
 
-        monkeypatch.setattr(cs.kernels, "good_table_rectangular", counted)
+        monkeypatch.setattr(cs.matmul, "multiply_boolean_threshold", counted)
         sliced = cs.OpCounter()
-        assert cs.kernels.children_batch(g, batch, kernel="rect", counter=sliced) == want
+        assert cs.kernels.children_batch(g, batch, "rect", sliced, factors=factors) == want
         assert sliced.ops == whole.ops
-        assert max(calls) == max(1, parents) and sum(calls) == len(batch)
+        assert max(slices) == max(1, parents) and sum(slices) == len(batch)
 
     def test_default_capacity_past_old_row_budget(self):
         # n^2 parents of n = 110 have rows past RECT_ROWS_BYTES
@@ -267,7 +270,7 @@ class TestRectBlocks:
 
     def test_lists_past_the_size_of_an_n_cubed_graph_matrix(self, monkeypatch):
         # at n = 1100 an explicit M_G would take 1.2 GiB; the listing builds
-        # only its two n x n factors
+        # only its n x n and n x 2n factors
         def not_built(*args, **kwargs):
             raise AssertionError("the explicit graph matrix was built")
 
@@ -279,6 +282,82 @@ class TestRectBlocks:
         )
         assert rect == bitset
         assert set(rect) == {0b11 << (2 * k) for k in range(550)}
+
+
+def listing_batches(g, capacity, monkeypatch):
+    """(cliques, indices) of every children step of a bitset ``list_mc`` of
+    ``g`` at ``capacity``."""
+    batches = []
+    real = cs.delay_scheduler.children_batch
+
+    def record(g, cliques, **kwargs):
+        batches.append((list(cliques), list(kwargs["indices"])))
+        return real(g, cliques, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(cs.delay_scheduler, "children_batch", record)
+        for _ in cs.list_mc(g, capacity=capacity):
+            pass
+    return batches
+
+
+def step_graphs(n):
+    """Seeded graphs on n vertices.  The edgeless one and the sparse gnp are
+    disconnected, with isolated vertices, so the root has children outside
+    N(root)."""
+    return [
+        cs.Graph.edgeless(n),
+        cs.Graph.gnp(n, min(1.0, 1.5 / n), seed=n),
+        cs.Graph.gnp(n, min(0.5, 6 / n), seed=n + 1),
+    ]
+
+
+class TestBatchStep:
+    """``rect``'s numpy children step on every batch of real listings."""
+
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 130])
+    def test_rect_equals_bitset_equals_naive(self, n, monkeypatch):
+        outside_root = 0
+        for g in step_graphs(n):
+            factors = cs.kernels.graph_factors(g)
+            naive = {}
+            for capacity in (1, 7, n * n):
+                for batch, indices in listing_batches(g, capacity, monkeypatch):
+                    for p, index in zip(batch, indices):
+                        if p.bits not in naive:
+                            naive[p.bits] = cs.kernels.children_naive(g, p, index)
+                    bitset = cs.kernels.children_batch(g, batch, "bitset", None, indices)
+                    counter = cs.OpCounter()
+                    rect = cs.kernels.children_batch(g, batch, "rect", counter, indices, factors)
+                    assert rect == bitset == [naive[p.bits] for p in batch]
+                    assert counter.ops == rect_charge(g, batch, indices)
+                    sliced = cs.OpCounter()
+                    with monkeypatch.context() as m:
+                        m.setattr(cs.kernels, "RECT_ROWS_BYTES", 32 * n)  # one parent each
+                        assert rect == cs.kernels.children_batch(
+                            g, batch, "rect", sliced, indices, factors
+                        )
+                    assert sliced.ops == counter.ops
+                    if indices[0] == 0:
+                        _, near = prefix_masks(g, batch[0])
+                        outside_root += sum(not near >> (i - 1) & 1 for i in rect[0].indices)
+        assert outside_root > 0 or n == 1
+
+    def test_step_peak_stays_in_its_budgets(self, monkeypatch):
+        n = 300
+        g = cs.Graph.gnp(n, 0.05, seed=4)
+        batches = listing_batches(g, 64, monkeypatch)
+        batch, indices = next((b, i) for b, i in batches if len(b) == 64 and i[0])
+        factors = cs.kernels.graph_factors(g)
+        tracemalloc.start()
+        try:
+            cs.kernels.children_batch(g, batch, "rect", None, indices, factors)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows = max(cs.kernels.CHUNK_ROWS, cs.kernels.BLOCK_BYTES // (12 * n))
+        # a chunk's 12 n bytes per row beside the slice's 32 n per parent
+        assert peak < 12 * n * rows + 32 * n * len(batch)
 
 
 class TestAdjacentToOwnPrefix:
@@ -300,17 +379,18 @@ class TestAdjacentToOwnPrefix:
 
 class TestFilterChildren:
     def test_bridged_root_and_leaf(self, bridged):
-        rows = cs.kernels.good_table_bitset(bridged, [K5_SIDE, TRIANGLE])
-        assert cs.kernels.filter_children(bridged, K5_SIDE, 0, rows[0]).indices == (6, 7, 8)
-        assert cs.kernels.filter_children(bridged, TRIANGLE, 7, rows[1]).indices == ()
+        specs = cs.kernels.children_batch(
+            bridged, [K5_SIDE, TRIANGLE], kernel="rect", indices=[0, 7]
+        )
+        assert specs[0].indices == (6, 7, 8)
+        assert specs[1].indices == ()
 
     def test_matches_children_naive(self):
         for g in random_graphs(20, seed0=1200, n_hi=12):
             batch = oracle.all_maximal_cliques(g)
-            rows = cs.kernels.good_table_bitset(g, batch)
-            for k, p in enumerate(batch):
-                index = cs.rs_tree.clique_index(g, p) or 0
-                got = cs.kernels.filter_children(g, p, index, rows[k])
+            indices = [cs.rs_tree.clique_index(g, p) or 0 for p in batch]
+            rect = cs.kernels.children_batch(g, batch, kernel="rect", indices=indices)
+            for p, index, got in zip(batch, indices, rect):
                 assert got == cs.kernels.children_naive(g, p, index)
 
     def test_lazy_rows_with_given_index_match_rows_and_naive(self):
@@ -318,33 +398,38 @@ class TestFilterChildren:
         for g in random_graphs(40, seed0=1250, n_hi=14):
             cliques = oracle.all_maximal_cliques(g)
             batch = rng.sample(cliques, rng.randint(1, len(cliques)))
-            rows = cs.kernels.good_table_bitset(g, batch)
-            for k, p in enumerate(batch):
-                index = cs.rs_tree.clique_index(g, p) or 0
+            indices = [cs.rs_tree.clique_index(g, p) or 0 for p in batch]
+            rect = cs.kernels.children_batch(g, batch, kernel="rect", indices=indices)
+            for p, index, spec in zip(batch, indices, rect):
                 lazy = cs.kernels.filter_children(g, p, index)
-                assert lazy == cs.kernels.filter_children(g, p, index, rows[k])
+                assert lazy == spec
                 assert lazy == cs.kernels.children_naive(g, p, index)
 
     def test_lazy_rows_never_read_more_than_the_table(self):
+        # per parent, bitset's folds cost less than rect's full product
         counter_lazy, counter_rows = cs.OpCounter(), cs.OpCounter()
         for g in random_graphs(10, seed0=1270, n_hi=14):
-            batch = oracle.all_maximal_cliques(g)
-            rows = cs.kernels.good_table_bitset(g, batch, counter=counter_rows)
-            for k, p in enumerate(batch):
+            factors = cs.kernels.graph_factors(g)
+            for p in oracle.all_maximal_cliques(g):
                 index = cs.rs_tree.clique_index(g, p) or 0
-                cs.kernels.filter_children(g, p, index, None, counter_lazy)
-                cs.kernels.filter_children(g, p, index, rows[k], counter_rows)
+                lazy, rows = counter_lazy.ops, counter_rows.ops
+                cs.kernels.children_batch(g, [p], "bitset", counter_lazy, [index])
+                cs.kernels.children_batch(g, [p], "rect", counter_rows, [index], factors)
+                assert 0 < counter_lazy.ops - lazy < counter_rows.ops - rows
         assert 0 < counter_lazy.ops < counter_rows.ops
 
     def test_spec_behaves_like_a_constructed_one(self, bridged):
-        # filter_children builds its spec without the dataclass constructor
-        got = cs.kernels.filter_children(bridged, K5_SIDE, 0)
+        # both kernels build their specs without the dataclass constructor
         made = cs.ChildSpec(parent=K5_SIDE, indices=(6, 7, 8))
-        assert got == made and hash(got) == hash(made) and len(got) == 3
-        assert {got: 1}[made] == 1
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            got.indices = ()
-        assert not hasattr(got, "__dict__")
+        for got in (
+            cs.kernels.filter_children(bridged, K5_SIDE, 0),
+            cs.kernels.children_batch(bridged, [K5_SIDE], kernel="rect")[0],
+        ):
+            assert got == made and hash(got) == hash(made) and len(got) == 3
+            assert {got: 1}[made] == 1
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                got.indices = ()
+            assert not hasattr(got, "__dict__")
 
 
 def carried_pairs(g, monkeypatch):
@@ -517,15 +602,15 @@ print(__debug__, refused)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert 6 * n * n <= peak < 6 * n * n + (1 << 16)
+        assert 14 * n * n <= peak < 14 * n * n + (1 << 16)
 
     def test_factors_over_the_budget_refused_before_listing(self, monkeypatch):
         def no_root(*args, **kwargs):
             raise AssertionError("root built")
 
         monkeypatch.setattr(cs.delay_scheduler, "root", no_root)
-        largest = math.isqrt(cs.kernels.FACTOR_BYTES // 6)
-        assert largest == 13377
+        largest = math.isqrt(cs.kernels.FACTOR_BYTES // 14)
+        assert largest == 8757
         with pytest.raises(AssertionError, match="root built"):
             cs.list_mc(cs.Graph.edgeless(largest), kernel="rect")
         g = cs.Graph.edgeless(largest + 1)
