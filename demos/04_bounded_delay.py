@@ -24,15 +24,18 @@ for e in cs.list_mc(g):
 print(f"plain mode: {len(gaps)} cliques, gap max={max(gaps)}, "
       f"median={sorted(gaps)[len(gaps) // 2]}")
 
-# Strict mode: calibrate from the first batch, then run the queue scheduler.
-# Given no config, run_strict calibrates from its own stream's first batch;
-# here the step is shown on a separate stream.
+# Strict mode: calibrate from the stream's head, then run the queue scheduler.
+# The first batch is the root alone, so calibration reads the root and its
+# children step: tau_delay = 2 * that step's units, boot_target = 2n.
+# run_strict calibrates from its own stream; here the step is shown on a
+# separate one, and gives the same config.
 cfg, head = ds.calibrate(g, cs.list_mc(g))
 print(f"calibrated from {len(head)} events: tau_delay={cfg.tau_delay}, "
       f"boot_target={cfg.boot_target}")
 
 report = ds.StrictRunReport()
-emissions = list(ds.run_strict(g, cfg=cfg, report=report))
+emissions = list(ds.run_strict(g, report=report))
+assert report.config == cfg
 strict_gaps = [e.cost_units for e in emissions]
 bound = cfg.tau_delay + report.max_event_cost
 print(f"strict mode: {len(emissions)} cliques, gap max={max(strict_gaps)} "

@@ -12,23 +12,21 @@ three refuse bad arguments with ``ValueError`` at the call.
 
 Work units are the operation counts charged to the listing's one counter:
 the root's construction, every pop's completion and every children
-invocation's word ops and multiply-adds.  Without a given config,
-``run_strict`` calibrates from its own stream's first batch
-(:func:`calibrate`) and replays it into boot; both derived quantities carry
-a factor of :data:`CALIBRATION_MARGIN` so the printing rate stays safely
-below the collection rate and the queue never starves between boot and
-drain.
+invocation's word ops and multiply-adds.  ``run_strict`` calibrates from
+its own stream's head (:func:`calibrate`): the first batch is always the
+root alone, so with c = :data:`CALIBRATION_MARGIN`, tau_delay = c * the
+root's children step's units (at least 1) and boot_target = c * n.  It
+then replays the head into boot.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import chain
-from typing import Iterator
+from itertools import chain, islice
+from typing import Iterator, NamedTuple
 
 from .batch_dfs import (
-    BATCH_COMPLETED,
     CLIQUE_COLLECTED,
     TRAVERSAL_ENDED,
     StepEvent,
@@ -43,26 +41,16 @@ from .rs_tree import OpCounter, root
 CALIBRATION_MARGIN = 2
 
 
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
-
-
 @dataclass
 class DelayConfig:
-    """Scheduler knobs: work units per guaranteed print, boot queue target."""
+    """A run's calibration: work units per guaranteed print, boot queue
+    target."""
 
     tau_delay: int
     boot_target: int
 
-    def __post_init__(self) -> None:
-        if self.tau_delay < 1:
-            raise ValueError("tau_delay must be at least 1")
-        if self.boot_target < 1:
-            raise ValueError("boot_target must be at least 1")
 
-
-@dataclass(frozen=True)
-class Emission:
+class Emission(NamedTuple):
     """One printed clique with its scheduling context."""
 
     clique: VertexSet
@@ -130,55 +118,36 @@ def list_mc(
 def calibrate(
     g: Graph, events: Iterator[StepEvent]
 ) -> tuple[DelayConfig, list[StepEvent]]:
-    """Derive a DelayConfig from the first batch of ``events``.
+    """Derive a DelayConfig from the head of ``events``: the root's
+    clique-collected event and its batch-completed event.
 
-    Returns the config and the events read, for the caller to replay.  With
-    c = :data:`CALIBRATION_MARGIN`, tau_delay = c * ceil(first-batch cost /
-    first-batch size) and boot_target = c * n * ceil(first-batch cost /
-    tau_delay).  The first batch holds only the root, whose children
-    computation carries the full per-batch overhead, so the resulting
-    tau_delay upper-bounds the per-clique cost of later batches.
+    Returns the config and those two events, for the caller to replay.
+    With c = :data:`CALIBRATION_MARGIN`, tau_delay = c * max(1, the root's
+    children step's units) and boot_target = c * n.
     """
-    head: list[StepEvent] = []
-    batch_cost = 0
-    batch_size = 0
-    for event in events:
-        head.append(event)
-        if event.kind == CLIQUE_COLLECTED:
-            batch_size += 1
-        elif event.kind == BATCH_COMPLETED:
-            batch_cost = event.cost
-            break
-        else:
-            break
-    batch_cost = max(1, batch_cost)
-    batch_size = max(1, batch_size)
-    tau = max(1, CALIBRATION_MARGIN * _ceil_div(batch_cost, batch_size))
-    boot_target = max(1, CALIBRATION_MARGIN * g.n * _ceil_div(batch_cost, tau))
-    return DelayConfig(tau_delay=tau, boot_target=boot_target), head
+    head = list(islice(events, 2))
+    tau = CALIBRATION_MARGIN * max(1, head[1].cost)
+    return DelayConfig(tau_delay=tau, boot_target=CALIBRATION_MARGIN * g.n), head
 
 
 def boot(events: Iterator[StepEvent], q: deque[VertexSet], boot_target: int) -> bool:
-    """Bank cliques into ``q`` until it holds ``boot_target`` of them and the
-    current batch iteration has completed.  Prints nothing.  Returns True
-    when the stream ran out first (the queue then holds every clique).
+    """Bank cliques into ``q`` until a batch completes with at least
+    ``boot_target`` of them banked.  Prints nothing.  Returns True when the
+    traversal or the stream ended first (the queue then holds every
+    clique).
     """
-    at_boundary = False
-    while len(q) < boot_target or not at_boundary:
-        event = next(events, None)
-        if event is None:
-            return True
+    for event in events:
         if event.kind == CLIQUE_COLLECTED:
             q.append(event.clique)
         elif event.kind == TRAVERSAL_ENDED:
             return True
-        at_boundary = event.kind == BATCH_COMPLETED
-    return False
+        elif len(q) >= boot_target:  # a batch completed
+            return False
+    return True
 
 
 def run_strict(
     g: Graph,
-    cfg: DelayConfig | None = None,
     kernel: str = "bitset",
     capacity: int | None = None,
     report: StrictRunReport | None = None,
@@ -188,51 +157,49 @@ def run_strict(
     Yields every maximal clique exactly once, in queue-insertion (i.e.
     collection) order.  The queue never exceeds boot_target + n^2 + 1
     entries thanks to the forced-drain guard, and nothing is printed
-    before boot returns.  Without ``cfg``, the stream's own first batch
-    calibrates one; ``report.config`` is set before the first emission.
-    What :func:`list_mc` refuses raises ``ValueError`` at this call.
+    before boot returns.  The stream's own head calibrates the run;
+    ``report.config`` is set before the first emission.  What
+    :func:`list_mc` refuses raises ``ValueError`` at this call.
     """
     if report is None:
         report = StrictRunReport()
     events = list_mc(g, kernel=kernel, capacity=capacity, stats=report.stats)
-    return _paced(g, cfg, events, report)
+    return _paced(g, events, report)
 
 
-def _paced(g: Graph, cfg, events, report: StrictRunReport) -> Iterator[Emission]:
+def _paced(g: Graph, events, report: StrictRunReport) -> Iterator[Emission]:
     """``run_strict``'s pacing loop over an opened event stream."""
     stats = report.stats
-    if cfg is None:
-        cfg, head = calibrate(g, events)
-        events = chain(head, events)
+    cfg, head = calibrate(g, events)
     report.config = cfg
+    events = chain(head, events)
     q: deque[VertexSet] = deque()
-    exhausted = boot(events, q, cfg.boot_target)
-    report.boot_exhausted = exhausted
+    report.boot_exhausted = boot(events, q, cfg.boot_target)
     report.boot_collected = report.queue_peak = peak = len(q)
     overflow = cfg.boot_target + g.n * g.n
     counter = 0
     ordinal = 0
-    if not exhausted:
-        for event in events:
-            counter += event.cost
-            if event.cost > report.max_event_cost:
-                report.max_event_cost = event.cost
-            if event.kind == CLIQUE_COLLECTED:
-                q.append(event.clique)
-                if len(q) > peak:
-                    peak = len(q)
-            if (len(q) > 0 and counter >= cfg.tau_delay) or len(q) > overflow:
-                clique = q.popleft()
-                ordinal += 1
-                report.emitted, report.queue_peak = ordinal, peak
-                yield Emission(clique, ordinal, counter, len(q), stats.stack_cliques)
-                counter = 0
-            elif (
-                counter >= cfg.tau_delay
-                and len(q) == 0
-                and event.kind != TRAVERSAL_ENDED
-            ):
-                report.starved_checks += 1
+    # after an exhausting boot the stream is spent and this loop is empty
+    for event in events:
+        counter += event.cost
+        if event.cost > report.max_event_cost:
+            report.max_event_cost = event.cost
+        if event.kind == CLIQUE_COLLECTED:
+            q.append(event.clique)
+            if len(q) > peak:
+                peak = len(q)
+        if (len(q) > 0 and counter >= cfg.tau_delay) or len(q) > overflow:
+            clique = q.popleft()
+            ordinal += 1
+            report.emitted, report.queue_peak = ordinal, peak
+            yield Emission(clique, ordinal, counter, len(q), stats.stack_cliques)
+            counter = 0
+        elif (
+            counter >= cfg.tau_delay
+            and len(q) == 0
+            and event.kind != TRAVERSAL_ENDED
+        ):
+            report.starved_checks += 1
     while len(q):
         # final drain; the first drained clique inherits the residual counter
         clique = q.popleft()

@@ -10,8 +10,14 @@ from conftest import BRIDGED_CLIQUES, collect_plain, oracle_bits, random_graphs
 
 
 def strict_run(g, cfg=None, kernel="bitset", capacity=None):
+    """A strict run's emissions and report; a given ``cfg`` replaces the
+    calibrated config, and the calibration's head is still replayed."""
     report = ds.StrictRunReport()
-    emissions = list(ds.run_strict(g, cfg=cfg, kernel=kernel, capacity=capacity, report=report))
+    with pytest.MonkeyPatch.context() as mp:
+        if cfg is not None:
+            calibrate = ds.calibrate
+            mp.setattr(ds, "calibrate", lambda g, events: (cfg, calibrate(g, events)[1]))
+        emissions = list(ds.run_strict(g, kernel=kernel, capacity=capacity, report=report))
     return emissions, report
 
 
@@ -97,6 +103,14 @@ class TestBoot:
         events = cs.list_mc(bridged, capacity=1, stats=stats)
         ds.boot(events, q, 2)
         assert len(q) == 2
+
+    def test_cut_stream_banks_every_clique(self, bridged):
+        # a stream that stops before its traversal-ended event also exhausts
+        events = list(cs.list_mc(bridged, capacity=1))[:-1]
+        assert events[-1].kind == cs.BATCH_COMPLETED
+        q = deque()
+        assert ds.boot(iter(events), q, 10**6) is True
+        assert list(q) == [e.clique for e in events if e.kind == cs.CLIQUE_COLLECTED]
 
 
 class TestRunStrict:
@@ -209,11 +223,25 @@ class TestCalibration:
             assert [e.kind for e in head] == [cs.CLIQUE_COLLECTED, cs.BATCH_COMPLETED]
             assert head[0].clique == cs.rs_tree.root(g)
 
-    def test_bad_config_rejected(self):
-        with pytest.raises(ValueError):
-            ds.DelayConfig(tau_delay=0, boot_target=1)
-        with pytest.raises(ValueError):
-            ds.DelayConfig(tau_delay=1, boot_target=0)
+    @pytest.mark.parametrize("kernel", ["bitset", "rect"])
+    def test_formulas_read_the_root_and_its_children_step(self, bridged, kernel):
+        graphs = [
+            bridged,
+            cs.Graph.edgeless(1),
+            cs.Graph.complete(5),
+            cs.Graph.gnp(30, 0.3, seed=7),
+            cs.Graph.complete_multipartite_triples(12),
+        ]
+        c = ds.CALIBRATION_MARGIN
+        for g in graphs:
+            for capacity in (1, 7, g.n * g.n):
+                events = list(cs.list_mc(g, kernel=kernel, capacity=capacity))
+                step = next(e for e in events if e.kind == cs.BATCH_COMPLETED)
+                cfg, head = ds.calibrate(g, cs.list_mc(g, kernel=kernel, capacity=capacity))
+                assert head == events[:2]
+                assert cfg == ds.DelayConfig(
+                    tau_delay=c * max(1, step.cost), boot_target=c * g.n
+                )
 
     def test_queue_never_starves_with_calibrated_config(self):
         # clique-rich inputs: boot does not exhaust, and after boot the queue
