@@ -169,12 +169,6 @@ def parse_dimacs(text: str, report: IngestReport | None = None) -> Graph:
     return _finish_edges(pairs, n, report)
 
 
-def to_edge_list(g: Graph) -> str:
-    lines = [f"n {g.n}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"
-
-
 def to_dimacs(g: Graph) -> str:
     lines = [f"p edge {g.n} {g.m}"]
     lines.extend(f"e {u} {v}" for u, v in g.edges())

@@ -98,19 +98,6 @@ class VertexSet:
         return f"VertexSet{{{', '.join(map(str, self))}}}"
 
 
-def lex_compare(a: VertexSet, b: VertexSet) -> int:
-    """Three-way lexicographic comparison of vertex sets.
-
-    ``a`` is lexicographically greater than ``b`` exactly when the smallest
-    vertex of their symmetric difference belongs to ``a``.  Returns 1, 0 or
-    -1 for greater, equal, smaller.
-    """
-    diff = a.bits ^ b.bits
-    if diff == 0:
-        return 0
-    return 1 if a.bits & (diff & -diff) else -1
-
-
 def sort_lex_descending(sets: Iterable[VertexSet]) -> list[VertexSet]:
     """Sort vertex sets with the lexicographically greatest first.
 

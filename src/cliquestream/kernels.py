@@ -361,7 +361,8 @@ def children_batch(
     Boolean product, "bitset" through the lazy candidate test of
     :func:`filter_children`.  Both agree extensionally with
     :func:`children_naive`.  ``indices`` holds each clique's own
-    index (0 for the root) when the caller knows it; without it, each index
+    index (0 for the root) when the caller knows it, one per clique (a list
+    of another length is refused); without it, each index
     is recomputed with :func:`clique_index`.  "rect" builds (and charges)
     :func:`graph_factors` unless ``factors`` passes them in, and takes the
     batch in slices of ``RECT_ROWS_BYTES // (32 n)`` parents (at least one).
@@ -369,6 +370,8 @@ def children_batch(
     _check_batch(cliques)
     if indices is None:
         indices = [clique_index(g, p, counter) or 0 for p in cliques]
+    elif len(indices) != len(cliques):
+        raise ValueError(f"{len(indices)} indices for a batch of {len(cliques)}")
     if kernel == "bitset":
         return [filter_children(g, p, i, counter) for p, i in zip(cliques, indices)]
     if kernel != "rect":

@@ -1,11 +1,9 @@
-"""Independent brute-force references for differential testing.
+"""The reference enumeration behind ``--verify`` and the benchmark's yardstick.
 
-Everything here recomputes results from definitions: maximal cliques come
-from a pivoted branch-and-bound (cross-checked by exhaustive subset scan),
-completions pick the lexicographic maximum over the enumerated clique set,
-indices re-run the definitional descending scan, and good pairs evaluate
-the literal existential quantifier.  Nothing is shared with the production
-code paths beyond the graph type, so agreement is meaningful evidence.
+:func:`all_maximal_cliques` lists every maximal clique by pivoted
+Bron-Kerbosch, an enumeration independent of the reverse-search tree and
+its children kernels.  Nothing is shared with the production code paths
+beyond the graph type, so agreement is meaningful evidence.
 
 A vertex-count limit guards against accidental exponential blowups; runs
 above it are refused explicitly.
@@ -13,14 +11,7 @@ above it are refused explicitly.
 
 from __future__ import annotations
 
-from .graph import (
-    Graph,
-    VertexSet,
-    below_mask,
-    iter_bits,
-    sort_lex_descending,
-)
-from .kernels import ChildSpec
+from .graph import Graph, VertexSet, iter_bits, sort_lex_descending
 
 ORACLE_LIMIT = 24
 
@@ -81,94 +72,3 @@ def all_maximal_cliques(g: Graph, limit: int = ORACLE_LIMIT) -> list[VertexSet]:
     _bron_kerbosch(g.adj, g.full_mask, found)
     return sort_lex_descending(VertexSet(b) for b in found)
 
-
-def maximal_cliques_subset_scan(g: Graph, limit: int = 20) -> list[VertexSet]:
-    """Second, dumber enumeration: test all 2^n subsets for maximality."""
-    _check_limit(g, limit)
-    adj = g.adj
-    full = g.full_mask
-    found = []
-    for mask in range(1, full + 1):
-        rest = mask
-        ok = True
-        common = full
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            row = adj[low.bit_length() - 1]
-            if (mask & ~low) & ~row:
-                ok = False
-                break
-            common &= row
-        if ok and common & ~mask == 0:
-            found.append(VertexSet(mask))
-    return sort_lex_descending(found)
-
-
-def lex_completion_brute(
-    g: Graph, k: VertexSet, cliques: list[VertexSet] | None = None
-) -> VertexSet:
-    """Lexicographic maximum over all enumerated maximal cliques containing
-    ``k`` (the clique list is already sorted greatest-first)."""
-    if cliques is None:
-        cliques = all_maximal_cliques(g)
-    for c in cliques:
-        if k.bits & ~c.bits == 0:
-            return c
-    raise ValueError("input is not contained in any maximal clique")
-
-
-def clique_index_brute(
-    g: Graph, c: VertexSet, cliques: list[VertexSet] | None = None
-) -> int | None:
-    """Greatest i whose prefix does not complete back to ``c``; None for
-    the root."""
-    if cliques is None:
-        cliques = all_maximal_cliques(g)
-    for i in range(g.n, 0, -1):
-        prefix = VertexSet(c.bits & below_mask(i))
-        if lex_completion_brute(g, prefix, cliques) != c:
-            return i
-    return None
-
-
-def parent_brute(
-    g: Graph, c: VertexSet, cliques: list[VertexSet] | None = None
-) -> VertexSet:
-    if cliques is None:
-        cliques = all_maximal_cliques(g)
-    idx = clique_index_brute(g, c, cliques)
-    if idx is None:
-        raise ValueError("the root clique has no parent")
-    return lex_completion_brute(g, VertexSet(c.bits & below_mask(idx)), cliques)
-
-
-def good_pair_oracle(g: Graph, p: VertexSet, i: int, j: int) -> bool:
-    """Literal quantifier scan: does some member of ``P_{<i} & N(i)`` miss
-    the edge to ``j``?"""
-    for u in iter_bits(p.bits & below_mask(i) & g.adj[i - 1]):
-        if not g.has_edge(u, j):
-            return True
-    return False
-
-
-def children_oracle(
-    g: Graph,
-    p: VertexSet,
-    cliques: list[VertexSet] | None = None,
-    limit: int = ORACLE_LIMIT,
-) -> ChildSpec:
-    """Children of ``p`` found the slow way: enumerate every maximal clique,
-    keep the ones whose parent is ``p``, report their indices."""
-    if cliques is None:
-        cliques = all_maximal_cliques(g, limit)
-    indices = []
-    for c in cliques:
-        if c == p:
-            continue
-        idx = clique_index_brute(g, c, cliques)
-        if idx is None:
-            continue
-        if parent_brute(g, c, cliques) == p:
-            indices.append(idx)
-    return ChildSpec(parent=p, indices=tuple(sorted(indices)))

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import cliquestream as cs
 from cliquestream import cli, oracle
 
+import reference
 from conftest import bridged_cliques_graph, graphs, random_graphs
 
 TOO_MANY = "vertices are more than 92681, the most whose adjacency rows fit 1 GiB"
@@ -131,13 +132,13 @@ DOCUMENTS = st.one_of(
 class TestRoundTrip:
     def test_both_formats(self):
         for g in random_graphs(10, seed0=3000):
-            assert cli.parse_edge_list(cli.to_edge_list(g)) == g
+            assert cli.parse_edge_list(reference.to_edge_list(g)) == g
             assert cli.parse_dimacs(cli.to_dimacs(g)) == g
 
     @settings(max_examples=100, deadline=None)
     @given(g=graphs(max_n=20))
     def test_both_formats_property(self, g):
-        assert cli.parse_edge_list(cli.to_edge_list(g)) == g
+        assert cli.parse_edge_list(reference.to_edge_list(g)) == g
         assert cli.parse_dimacs(cli.to_dimacs(g)) == g
 
 
@@ -194,7 +195,7 @@ class TestRun:
     def test_verify_both_modes(self, tmp_path):
         for k, g in enumerate(random_graphs(6, seed0=3100, n_hi=12)):
             path = tmp_path / f"g{k}.edges"
-            path.write_text(cli.to_edge_list(g))
+            path.write_text(reference.to_edge_list(g))
             for mode in ("plain", "strict"):
                 rc, out, err = run_cli(input=str(path), mode=mode, verify=True)
                 assert rc == 0, err
@@ -312,7 +313,7 @@ class TestRun:
     def test_strict_output_matches_plain_set(self, tmp_path):
         g = cs.Graph.gnp(12, 0.6, seed=31)
         path = tmp_path / "g.edges"
-        path.write_text(cli.to_edge_list(g))
+        path.write_text(reference.to_edge_list(g))
         _, plain_out, _ = run_cli(input=str(path))
         _, strict_out, _ = run_cli(input=str(path), mode="strict")
         assert sorted(plain_out.splitlines()) == sorted(strict_out.splitlines())

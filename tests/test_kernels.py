@@ -14,6 +14,7 @@ from cliquestream import matmul, oracle
 from cliquestream.graph import below_mask
 from cliquestream.rs_tree import prefix_masks
 
+import reference
 from conftest import (
     BRIDGE_16,
     BRIDGE_27,
@@ -106,7 +107,7 @@ class TestGoodTables:
             for k, p in enumerate(batch):
                 for i in range(1, g.n + 1):
                     for j in range(1, g.n + 1):
-                        assert is_good(rect, k, i, j) == oracle.good_pair_oracle(
+                        assert is_good(rect, k, i, j) == reference.good_pair_oracle(
                             g, p, i, j
                         )
 
@@ -521,7 +522,7 @@ class TestChildrenBatch:
             cliques = oracle.all_maximal_cliques(g)
             specs = cs.kernels.children_batch(g, cliques, kernel="bitset")
             for p, spec in zip(cliques, specs):
-                assert spec == oracle.children_oracle(g, p, cliques)
+                assert spec == reference.children_oracle(g, p, cliques)
 
     def test_child_parent_round_trip(self):
         for g in random_graphs(20, seed0=1500):
@@ -549,6 +550,15 @@ class TestChildrenBatch:
             cs.kernels.children_batch(bridged, [K5_SIDE, K5_SIDE])
         with pytest.raises(ValueError):
             cs.kernels.children_batch(bridged, [K5_SIDE], kernel="fft")
+
+    @pytest.mark.parametrize("kernel", ["bitset", "rect"])
+    @pytest.mark.parametrize("indices", [[0, 2], [0, 2, 1, 5]], ids=["short", "long"])
+    def test_rejects_indices_of_another_length(self, bridged, kernel, indices):
+        # one index per batch element, never zipped down to the shorter list
+        with pytest.raises(ValueError, match="indices for a batch of 3"):
+            cs.kernels.children_batch(
+                bridged, [K5_SIDE, BRIDGE_16, BRIDGE_27], kernel=kernel, indices=indices
+            )
 
     def test_preconditions_hold_under_python_O(self):
         # the public preconditions raise ValueError, which -O does not strip

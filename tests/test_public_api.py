@@ -1,6 +1,9 @@
 """The package top exports the listing API; primitives live in their modules."""
 
+import ast
 import importlib
+import re
+from pathlib import Path
 
 import pytest
 
@@ -42,7 +45,7 @@ MODULE_ONLY = {
         "parent",
         "root",
     ],
-    "graph": ["lex_compare", "sort_lex_descending"],
+    "graph": ["sort_lex_descending"],
 }
 
 
@@ -65,3 +68,43 @@ def test_every_export_resolves():
 def test_primitive_importable_from_its_module(module, name):
     assert name not in cs.__all__
     assert callable(getattr(importlib.import_module(f"cliquestream.{module}"), name))
+
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "cliquestream"
+
+
+def test_every_public_definition_has_a_user():
+    """Each public top-level def or class in the package is named, as a whole
+    word, by the package, ``bench/`` or ``demos/`` outside its own body.  A
+    body counts only once its own name does, so helpers that serve nothing
+    but each other stay unused; tests do not count as users."""
+    roots = [
+        p.read_text()
+        for d in ("bench", "demos")
+        for p in (ROOT / d).rglob("*.py")
+        if not p.name.startswith("test_")
+    ]
+    bodies = {}  # name -> source of its definitions
+    for path in PACKAGE.glob("*.py"):
+        text = path.read_text()
+        lines = text.splitlines()
+        cut = set()
+        for node in ast.parse(text).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+                span = range(first - 1, node.end_lineno)
+                bodies[node.name] = bodies.get(node.name, "") + "\n" + "\n".join(
+                    lines[i] for i in span
+                )
+                cut.update(span)
+        roots.append("\n".join(l for i, l in enumerate(lines) if i not in cut))
+    used, todo = set(), list(roots)
+    while todo:
+        text = todo.pop()
+        for name in bodies.keys() - used:
+            if re.search(rf"\b{name}\b", text):
+                used.add(name)
+                todo.append(bodies[name])
+    unused = sorted(n for n in bodies.keys() - used if not n.startswith("_"))
+    assert not unused, f"public names that only tests use: {unused}"
