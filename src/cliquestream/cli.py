@@ -120,8 +120,8 @@ def parse_dimacs(text: str, report: IngestReport | None = None) -> Graph:
     """Parse DIMACS: one ``p edge N M`` header, then ``e u v`` lines.
 
     ``c`` comment lines are skipped.  A mismatch between declared and seen
-    edge counts is a warning, not an error; a missing header, or one whose
-    ``N`` the graph cannot hold, is fatal.
+    edge counts is a warning, not an error; a missing header, a negative
+    ``M``, or an ``N`` the graph cannot hold is fatal.
     """
     n = None
     declared_m = 0
@@ -143,6 +143,8 @@ def parse_dimacs(text: str, report: IngestReport | None = None) -> Graph:
                 raise ParseError(f"line {lineno}: bad header numbers") from None
             if n < 1:
                 raise ParseError(f"line {lineno}: vertex count must be positive")
+            if declared_m < 0:
+                raise ParseError(f"line {lineno}: edge count must be non-negative")
             _check_count(n, lineno)
             continue
         if parts[0] == "e":

@@ -14,11 +14,12 @@ column block i of ``M_G`` is ``diag(A_i) @ Nc.T``, so block i of the
 product is ``(M_B & A_i) @ Nc.T`` (``A_i`` masking every row of ``M_B``),
 the same multiply-adds.  A traversal builds the factors once
 (:func:`graph_factors`, after :func:`check_factors` has refused an n past
-:data:`FACTOR_BYTES`) and never ``M_G``; :func:`build_batch_matrices`
-builds ``M_B`` and ``M_G`` themselves, the reduction as the paper states
-it.  The one product path stacks (parent, row) pairs ``P & A_i`` into a
-tall operand and multiplies it by ``Nc.T`` in chunks of at least
-:data:`CHUNK_ROWS` rows, more if :data:`BLOCK_BYTES` allows.
+:data:`FACTOR_BYTES`) and never ``M_G``.  :func:`build_batch_matrices`
+(n <= 1,024) and the good tables are the reduction as the paper states
+it, an uncharged reference on the graph and batch alone.  The one product
+path stacks (parent, row) pairs ``P & A_i`` into a tall operand and
+multiplies it by ``Nc.T`` in chunks of at least :data:`CHUNK_ROWS` rows,
+more if :data:`BLOCK_BYTES` allows.
 
 "rect" decides a batch's children in numpy, in slices that fit
 :data:`RECT_ROWS_BYTES` (memory follows n, not the batch capacity): one
@@ -115,6 +116,12 @@ def check_factors(n: int) -> None:
         )
 
 
+def _graph_rows(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """The bool n x n ``A`` and ``Nc``: rows ``A_i`` and ``V \\ N(j)``."""
+    a_rows = _mask_rows((g.adj[i - 1] & below_mask(i) for i in range(1, g.n + 1)), g.n)
+    return a_rows, _mask_rows((g.full_mask & ~a for a in g.adj), g.n)
+
+
 def graph_factors(g: Graph, counter: OpCounter | None = None) -> Factors:
     """``A``, whose row i is the characteristic vector of ``A_i``; ``Nc.T``,
     whose column j is that of ``V \\ N(j)``; and ``[N | U]``, the adjacency
@@ -124,8 +131,7 @@ def graph_factors(g: Graph, counter: OpCounter | None = None) -> Factors:
     ``n * n * 2 * words(n)``."""
     n = g.n
     check_factors(n)
-    a_rows = _mask_rows((g.adj[i - 1] & below_mask(i) for i in range(1, n + 1)), n)
-    non_adj = _mask_rows((g.full_mask & ~a for a in g.adj), n)
+    a_rows, non_adj = _graph_rows(g)
     near_op = matmul.BinaryOperand(np.hstack((~non_adj, np.triu(non_adj, 1))))
     if counter is not None:
         counter.ops += n * n * 2 * words(n)
@@ -139,12 +145,14 @@ def build_batch_matrices(g: Graph, cliques) -> tuple[np.ndarray, np.ndarray]:
     parent.  ``M_G`` is n x n^2 (n^3 bytes): the column for the pair
     ``(i, j)`` sits at flat position ``(i-1)*n + (j-1)`` (row-major, i
     outermost) and holds the characteristic vector of ``A_i \\ N(j)``.
+    Refused, before anything is allocated, past :data:`FACTOR_BYTES` (n > 1,024).
     """
     _check_batch(cliques)
-    a_rows, nc_t, _ = graph_factors(g)
-    non_adj_t = nc_t.matrix.astype(bool)
-    # entry [v, i, j] = a_rows[i, v] & non_adj_t[v, j], allocated in C order
-    cube = np.bitwise_and(a_rows.T[:, :, None], non_adj_t[:, None, :], order="C")
+    if g.n**3 > FACTOR_BYTES:
+        raise ValueError(f"M_G at n = {g.n} takes n^3 bytes, past {FACTOR_BYTES >> 30} GiB")
+    a_rows, non_adj = _graph_rows(g)
+    # entry [v, i, j] = a_rows[i, v] & non_adj[j, v], allocated in C order
+    cube = np.bitwise_and(a_rows.T[:, :, None], non_adj.T[:, None, :], order="C")
     return _mask_rows((c.bits for c in cliques), g.n), cube.reshape(g.n, g.n * g.n)
 
 
@@ -164,55 +172,31 @@ def _products(mb: np.ndarray, factors: Factors, pairs: np.ndarray):
         yield p, i, left, matmul.multiply_boolean_threshold(left, non_adj_t)
 
 
-def good_table_rectangular(
-    g: Graph,
-    cliques,
-    counter: OpCounter | None = None,
-    factors: Factors | None = None,
-) -> list[list[int]]:
+def good_table_rectangular(g: Graph, cliques) -> list[list[int]]:
     """Good rows of the |B| x n by n x n^2 Boolean product, computed from
-    the factors of ``M_G``: row i of parent ``P`` is ``(P & A_i) @ Nc.T``
-    thresholded.  ``factors`` is :func:`graph_factors` of ``g``; without
-    it, the factors are built and charged here.  Each good row is read out
-    as a Python int."""
+    the factors of ``M_G`` (:func:`graph_factors`, built here): row i of
+    parent ``P`` is ``(P & A_i) @ Nc.T`` thresholded.  Each good row is
+    read out as a Python int."""
     _check_batch(cliques)
-    n = g.n
-    if factors is None:
-        factors = graph_factors(g, counter)
-    b = len(cliques)
-    mb = _mask_rows((c.bits for c in cliques), n)
-    rows = np.zeros((b, n), dtype=object)
-    for p, i, _, good in _products(mb, factors, np.arange(b * n)):
+    mb = _mask_rows((c.bits for c in cliques), g.n)
+    rows = np.zeros(mb.shape, dtype=object)
+    for p, i, _, good in _products(mb, graph_factors(g), np.arange(mb.size)):
         packed = np.packbits(good, axis=1, bitorder="little")
         rows[p, i] = [int.from_bytes(r.tobytes(), "little") for r in packed]
-    if counter is not None:
-        counter.ops += b * (1 + n * n) * words(n)
     return rows.tolist()
 
 
-def good_table_bitset(
-    g: Graph, cliques, counter: OpCounter | None = None
-) -> list[list[int]]:
+def good_table_bitset(g: Graph, cliques) -> list[list[int]]:
     """Good rows by the direct formula: row i of ``P`` is the complement of
-    the common neighborhood of ``P_{<i} & N(i)``.  Charge in words: ``n``,
-    ``2n`` per parent and one per member of each ``P_{<i} & N(i)``."""
+    the common neighborhood of ``P_{<i} & N(i)``."""
     _check_batch(cliques)
-    n = g.n
-    adj = g.adj
-    full = g.full_mask
-    rows: list[list[int]] = []
-    members = 0
+    rows = []
     for c in cliques:
-        pb = c.bits
         row = []
-        for i in range(1, n + 1):
-            pig = pb & below_mask(i) & adj[i - 1]
-            members += pig.bit_count()
-            row.append(full & ~common_neighbors(g, pig))
+        for i in range(1, g.n + 1):
+            pig = c.bits & below_mask(i) & g.adj[i - 1]
+            row.append(g.full_mask & ~common_neighbors(g, pig))
         rows.append(row)
-    if counter is not None:
-        w = words(n)
-        counter.ops += (n + len(cliques) * n * 2 + members) * w
     return rows
 
 

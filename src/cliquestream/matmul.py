@@ -5,10 +5,10 @@ of two 0/1 matrices, so :func:`multiply_boolean_threshold` computes it as a
 float32 product through BLAS sgemm and thresholds it at zero.  Every entry
 counts witnesses, at most the inner dimension, so below 2^24 (float32's
 exact-integer range) the product is exact; a larger inner dimension is
-refused.  A right operand used by many products can be checked and
-converted once, as a :class:`BinaryOperand`.  :func:`multiply` is the exact
-integer product as a pure-Python triple loop, kept as the differential
-reference.
+refused.  Every right operand is checked and converted as a
+:class:`BinaryOperand`; one used by many products is wrapped once by its
+caller.  :func:`multiply` is the exact integer product as a pure-Python
+triple loop, kept as the differential reference.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ def _check_binary(m: np.ndarray, name: str) -> None:
 
 
 class BinaryOperand:
-    """A 0/1 matrix, checked and converted to float32 once, for use as the
-    right operand of many :func:`multiply_boolean_threshold` calls."""
+    """A 0/1 matrix checked and converted to float32: every right operand of
+    :func:`multiply_boolean_threshold`, made once when many calls reuse it."""
 
     __slots__ = ("matrix",)
 
@@ -77,16 +77,13 @@ def multiply(a, b) -> np.ndarray:
 
 def multiply_boolean_threshold(a, b) -> np.ndarray:
     """Entrywise ``(a @ b) > 0`` for 0/1 matrices, as a bool array.  ``b``
-    may be a :class:`BinaryOperand`, which is neither checked nor converted
-    again."""
+    is checked and converted as a :class:`BinaryOperand` unless it is one
+    already."""
     am = _as_matrix(a)
-    prepared = isinstance(b, BinaryOperand)
-    bm = b.matrix if prepared else _as_matrix(b)
-    _check_dims(am, bm)
     if am.shape[1] >= _FLOAT32_EXACT:
         raise ValueError(f"inner dimension {am.shape[1]} is past float32's exact range")
+    if not isinstance(b, BinaryOperand):
+        b = BinaryOperand(b)
+    _check_dims(am, b.matrix)
     _check_binary(am, "left operand")
-    if not prepared:
-        _check_binary(bm, "right operand")
-        bm = bm.astype(np.float32)
-    return (am.astype(np.float32) @ bm) > 0
+    return (am.astype(np.float32) @ b.matrix) > 0

@@ -378,6 +378,7 @@ class TestRefusals:
             ("p edge 3\n", "line 1: expected 'p edge N M'"),
             ("p edge three 0\n", "line 1: bad header numbers"),
             ("p edge 0 0\n", "line 1: vertex count must be positive"),
+            ("p edge 3 -2\ne 1 2\n", "line 1: edge count must be non-negative"),
             ("p edge 3 1\ne 1\n", "line 2: expected 'e u v'"),
             ("p edge 3 1\ne 1 x\n", "line 2: non-integer vertex id"),
             ("p edge 3 1\ne 1 4\n", "line 2: vertex id outside 1..3"),

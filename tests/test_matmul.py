@@ -82,6 +82,24 @@ class TestBooleanThreshold:
         with pytest.raises(ValueError, match="integer"):
             matmul.BinaryOperand(np.ones((2, 2)))
 
+    @pytest.mark.parametrize("dtype", [np.bool_, np.uint8, np.int64])
+    def test_raw_right_operand_is_a_binary_operand(self, dtype):
+        rng = random.Random(7)
+        for _ in range(25):
+            r, s, c = rng.randint(1, 16), rng.randint(1, 16), rng.randint(1, 48)
+            a, b = rand_binary(rng, r, s), rand_binary(rng, s, c).astype(dtype)
+            got = matmul.multiply_boolean_threshold(a, b)
+            want = matmul.multiply_boolean_threshold(a, matmul.BinaryOperand(b))
+            assert got.dtype == want.dtype and (got == want).all()
+
+    @pytest.mark.parametrize("bad", [np.array([[2]]), np.array([[-1]]), np.ones((1, 1))])
+    def test_raw_right_operand_refused_as_a_binary_operand(self, bad):
+        with pytest.raises(ValueError) as wrapped:
+            matmul.BinaryOperand(bad)
+        with pytest.raises(ValueError) as raw:
+            matmul.multiply_boolean_threshold(np.ones((1, 1), np.uint8), bad)
+        assert str(raw.value) == str(wrapped.value)
+
     @pytest.mark.parametrize("inner", [256, 1024, (1 << 16) + 1])
     def test_exact_past_8_bit_inner_dimension(self, inner):
         # a uint8 (uint16) accumulator would wrap 256 (65,536) witnesses
