@@ -32,11 +32,12 @@ print("Boolean product == naive product > 0")
 # M_G takes n^3 bytes, but it factors: column block i is diag(A_i) @ Nc.T,
 # where row j of Nc is the characteristic vector of V \ N(j).  So block i
 # of the product is (M_B & A_i) @ Nc.T, the same multiply-adds from two
-# n x n matrices.  good_table_rectangular never builds M_G: it stacks the
-# rows P & A_i that each parent tests into one tall operand, multiplies it
-# by Nc.T (converted to float32 once per listing) in chunks, and packs each
-# chunk's rows to words.  (The third factor, [N | U], serves the children
-# step below.)
+# n x n matrices.  good_table_rectangular reads its rows straight off the
+# thresholded M_B @ M_G above, as the paper states it; the listing never
+# builds M_G: it stacks the rows P & A_i that each parent tests into one
+# tall operand and multiplies it by Nc.T (converted to float32 once per
+# listing) in chunks.  (The third factor, [N | U], serves the children step
+# below.)
 a_rows, nc_t, _ = kernels.graph_factors(g)
 non_adj_t = nc_t.matrix.astype(bool)
 n = g.n

@@ -176,10 +176,6 @@ class Graph:
         return cls._normalized(n, adj, n * (n - 1) // 2)
 
     @classmethod
-    def edgeless(cls, n: int) -> "Graph":
-        return cls.from_edges(n, [])
-
-    @classmethod
     def gnp(cls, n: int, p: float, seed: int | None = None) -> "Graph":
         """Erdos-Renyi G(n, p) with a deterministic seed."""
         check_vertex_count(n)
@@ -207,9 +203,6 @@ class Graph:
         # 0-based vertex v is adjacent to everything outside its own triple
         adj = tuple(full & ~(0b111 << (v - v % 3)) for v in range(n))
         return cls._normalized(n, adj, n * (n - 3) // 2)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return (self.adj[u - 1] >> (v - 1)) & 1 == 1
 
     def edges(self) -> Iterator[tuple[int, int]]:
         for u in range(1, self.n + 1):

@@ -8,27 +8,28 @@ a batch's rows off one rectangular Boolean product: stack the parents'
 characteristic vectors into ``M_B`` (|B| x n), put the characteristic
 vector of ``A_i \\ N(j)`` with ``A_i = V_{<i} & N(i)`` into column
 ``(i, j)`` of ``M_G`` (n x n^2), and test entries of ``M_B @ M_G`` for
-positivity.  ``M_G`` takes n^3 bytes, but it factors: with ``Nc`` the
+positivity.  :func:`build_batch_matrices` (n <= 598) and the good tables
+are the reduction as the paper states it, an uncharged reference on the
+graph and batch alone: :func:`good_table_rectangular` reads its rows off
+``M_B @ M_G``.  ``M_G`` takes n^3 bytes, but it factors: with ``Nc`` the
 n x n matrix whose row j is the characteristic vector of ``V \\ N(j)``,
 column block i of ``M_G`` is ``diag(A_i) @ Nc.T``, so block i of the
 product is ``(M_B & A_i) @ Nc.T`` (``A_i`` masking every row of ``M_B``),
 the same multiply-adds.  A traversal builds the factors once
 (:func:`graph_factors`, after :func:`check_factors` has refused an n past
-:data:`FACTOR_BYTES`) and never ``M_G``.  :func:`build_batch_matrices`
-(n <= 1,024) and the good tables are the reduction as the paper states
-it, an uncharged reference on the graph and batch alone.  The one product
-path stacks (parent, row) pairs ``P & A_i`` into a tall operand and
-multiplies it by ``Nc.T`` in chunks of at least :data:`CHUNK_ROWS` rows,
-more if :data:`BLOCK_BYTES` allows.
+:data:`FACTOR_BYTES`) and never ``M_G``.
 
 "rect" decides a batch's children in numpy, in slices that fit
 :data:`RECT_ROWS_BYTES` (memory follows n, not the batch capacity): one
 product of ``M_B`` with the n x 2n factor ``[N | U]`` (``U[u, j]`` set
-for non-adjacent ``u < j``) gives every parent's ``N(P)`` and the vertices
-adjacent to every member below them, the candidate pairs inside ``N(P)``
-are multiplied by ``Nc.T``, and the test of :func:`filter_children` runs
-on the bool blocks.  "bitset" runs :func:`filter_children` per parent,
-folding the common neighborhood only as far as each candidate needs.
+for ``u <= j`` and ``u !~ j``; a vertex is not its own neighbor) gives
+every parent's ``N(P)`` and the vertices adjacent to every member below
+them, the candidate pairs (parent, i) inside ``N(P)`` are stacked as rows
+``P & A_i`` and multiplied by ``Nc.T`` in chunks of at least
+:data:`CHUNK_ROWS` rows, more if :data:`BLOCK_BYTES` allows, and the test
+of :func:`filter_children` runs on the bool blocks.  "bitset" runs
+:func:`filter_children` per parent, folding the common neighborhood only
+as far as each candidate needs.
 ``children_naive`` re-derives the test with direct completion calls, one
 parent at a time, as the differential reference.  Only indices above the
 parent's own index are candidates.  The traversal knows that index (a
@@ -69,7 +70,8 @@ CHUNK_ROWS = 64
 # M_B row, the [N | U] product and the coordinates of its candidate pairs
 RECT_ROWS_BYTES = 1 << 24
 # bytes "rect"'s graph factors may take: A and Nc as bool, [N | U] and Nc.T
-# as float32 (14 n^2, n <= 8,757)
+# as float32 (14 n^2, n <= 8,757); and the reference's M_G with the float32
+# copy its product makes (5 n^3, n <= 598)
 FACTOR_BYTES = 1 << 30
 
 Factors = tuple[np.ndarray, matmul.BinaryOperand, matmul.BinaryOperand]
@@ -125,14 +127,14 @@ def _graph_rows(g: Graph) -> tuple[np.ndarray, np.ndarray]:
 def graph_factors(g: Graph, counter: OpCounter | None = None) -> Factors:
     """``A``, whose row i is the characteristic vector of ``A_i``; ``Nc.T``,
     whose column j is that of ``V \\ N(j)``; and ``[N | U]``, the adjacency
-    matrix beside ``U[u, j] = u < j and u !~ j``.  The last two are converted
+    matrix beside ``U[u, j] = u <= j and u !~ j``.  The last two are converted
     once for the product, ``[N | U]`` first, so the peak is 14 n^2 bytes.
     Refused by :func:`check_factors` before anything is allocated.  Charged
     ``n * n * 2 * words(n)``."""
     n = g.n
     check_factors(n)
     a_rows, non_adj = _graph_rows(g)
-    near_op = matmul.BinaryOperand(np.hstack((~non_adj, np.triu(non_adj, 1))))
+    near_op = matmul.BinaryOperand(np.hstack((~non_adj, np.triu(non_adj))))
     if counter is not None:
         counter.ops += n * n * 2 * words(n)
     return a_rows, matmul.BinaryOperand(non_adj.T), near_op
@@ -145,45 +147,28 @@ def build_batch_matrices(g: Graph, cliques) -> tuple[np.ndarray, np.ndarray]:
     parent.  ``M_G`` is n x n^2 (n^3 bytes): the column for the pair
     ``(i, j)`` sits at flat position ``(i-1)*n + (j-1)`` (row-major, i
     outermost) and holds the characteristic vector of ``A_i \\ N(j)``.
-    Refused, before anything is allocated, past :data:`FACTOR_BYTES` (n > 1,024).
+    Refused, before anything is allocated, where ``M_G`` and the float32 copy
+    a product makes of it (5 n^3 bytes) pass :data:`FACTOR_BYTES` (n >= 599).
     """
     _check_batch(cliques)
-    if g.n**3 > FACTOR_BYTES:
-        raise ValueError(f"M_G at n = {g.n} takes n^3 bytes, past {FACTOR_BYTES >> 30} GiB")
+    if 5 * g.n**3 > FACTOR_BYTES:
+        raise ValueError(
+            f"M_G at n = {g.n} and its float32 copy take 5 n^3 bytes, "
+            f"past {FACTOR_BYTES >> 30} GiB"
+        )
     a_rows, non_adj = _graph_rows(g)
     # entry [v, i, j] = a_rows[i, v] & non_adj[j, v], allocated in C order
     cube = np.bitwise_and(a_rows.T[:, :, None], non_adj.T[:, None, :], order="C")
     return _mask_rows((c.bits for c in cliques), g.n), cube.reshape(g.n, g.n * g.n)
 
 
-def _products(mb: np.ndarray, factors: Factors, pairs: np.ndarray):
-    """Yield ``(p, i, left, good)`` for consecutive chunks of the (parent,
-    row) pairs ``pairs`` (flat indices ``p * n + i``, 0-based): ``left``
-    holds their rows ``P & A_i``, ``good`` the thresholded ``left @ Nc.T``.
-    A chunk holds :data:`CHUNK_ROWS` pairs, or as many as fit
-    :data:`BLOCK_BYTES` at ``12 n`` bytes each if that is more."""
-    a_rows, non_adj_t, _ = factors
-    n = len(a_rows)
-    step = max(CHUNK_ROWS, BLOCK_BYTES // (12 * n))
-    for first in range(0, len(pairs), step):
-        p, i = np.divmod(pairs[first : first + step], n)
-        left = a_rows[i]
-        left &= mb[p]
-        yield p, i, left, matmul.multiply_boolean_threshold(left, non_adj_t)
-
-
 def good_table_rectangular(g: Graph, cliques) -> list[list[int]]:
-    """Good rows of the |B| x n by n x n^2 Boolean product, computed from
-    the factors of ``M_G`` (:func:`graph_factors`, built here): row i of
-    parent ``P`` is ``(P & A_i) @ Nc.T`` thresholded.  Each good row is
-    read out as a Python int."""
-    _check_batch(cliques)
-    mb = _mask_rows((c.bits for c in cliques), g.n)
-    rows = np.zeros(mb.shape, dtype=object)
-    for p, i, _, good in _products(mb, graph_factors(g), np.arange(mb.size)):
-        packed = np.packbits(good, axis=1, bitorder="little")
-        rows[p, i] = [int.from_bytes(r.tobytes(), "little") for r in packed]
-    return rows.tolist()
+    """Good rows read off the thresholded |B| x n by n x n^2 Boolean product
+    ``M_B @ M_G`` (:func:`build_batch_matrices`): row i of parent k is
+    column block i of product row k, read out as a Python int."""
+    product = matmul.multiply_boolean_threshold(*build_batch_matrices(g, cliques))
+    packed = np.packbits(product.reshape(len(cliques), g.n, g.n), axis=2, bitorder="little")
+    return [[int.from_bytes(r.tobytes(), "little") for r in rows] for rows in packed]
 
 
 def good_table_bitset(g: Graph, cliques) -> list[list[int]]:
@@ -258,12 +243,13 @@ def _children_rect(g: Graph, cliques, indices, factors: Factors, counter) -> lis
     empty.  Charged as :func:`filter_children` without folds, plus the full
     product."""
     n = g.n
-    a_rows, _, near_op = factors
+    a_rows, non_adj_t, near_op = factors
     mb = _mask_rows((p.bits for p in cliques), n)
     product = matmul.multiply_boolean_threshold(mb, near_op)
-    near, below_miss = product[:, :n], product[:, n:]
-    below_miss |= mb
-    outside = ~below_miss  # non-members adjacent to every member below them
+    near = product[:, :n]
+    # U's diagonal marks every member, so these are the non-members adjacent
+    # to every member below them
+    outside = ~product[:, n:]
     index = np.asarray(indices)
     # row k of this view of n Falses then n Trues marks the columns >= n - k
     # (comparing columns with index[:, None] would allocate broadcast buffers)
@@ -272,7 +258,15 @@ def _children_rect(g: Graph, cliques, indices, factors: Factors, counter) -> lis
     cand &= ~mb  # column i - 1 is vertex i: the non-members above the index
     cand &= near | (index == 0)[:, None]  # the root tests every non-member
     scanned = np.count_nonzero(cand)
-    for p, i, left, good in _products(mb, factors, np.flatnonzero(cand & near)):
+    # the (parent, row) pairs p * n + i in chunks of CHUNK_ROWS, or as many as
+    # fit BLOCK_BYTES at 12 n bytes each if that is more
+    pairs = np.flatnonzero(cand & near)
+    step = max(CHUNK_ROWS, BLOCK_BYTES // (12 * n))
+    for start in range(0, len(pairs), step):
+        p, i = np.divmod(pairs[start : start + step], n)
+        left = a_rows[i]
+        left &= mb[p]  # P & A_i
+        good = matmul.multiply_boolean_threshold(left, non_adj_t)
         bad = a_rows[i]
         bad ^= left  # A_i & ~P, which lies below i
         bad |= outside[p]

@@ -59,7 +59,7 @@ def small_family() -> list[cs.Graph]:
         cs.Graph.complete_multipartite_triples(6),
         cs.Graph.complete_multipartite_triples(9),
         cs.Graph.complete(6),
-        cs.Graph.edgeless(5),
+        cs.Graph.from_edges(5, []),
         path_graph(6),
         cs.Graph.gnp(10, 0.4, seed=11),
         cs.Graph.gnp(12, 0.3, seed=12),

@@ -103,7 +103,7 @@ def good_pair_oracle(g: Graph, p: VertexSet, i: int, j: int) -> bool:
     """Literal quantifier scan: does some member of ``P_{<i} & N(i)`` miss
     the edge to ``j``?"""
     for u in iter_bits(p.bits & below_mask(i) & g.adj[i - 1]):
-        if not g.has_edge(u, j):
+        if not g.adj[u - 1] >> (j - 1) & 1:
             return True
     return False
 

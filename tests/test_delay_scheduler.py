@@ -33,7 +33,7 @@ class TestListMc:
         assert kinds.count(cs.TRAVERSAL_ENDED) == 1
 
     def test_single_vertex(self):
-        g = cs.Graph.edgeless(1)
+        g = cs.Graph.from_edges(1, [])
         collected = collect_plain(g)
         assert collected == [cs.VertexSet.of(1)]
 
@@ -202,7 +202,7 @@ class TestRunStrict:
             (cs.Graph.complete(3), {"kernel": "naive"}, "unknown kernel"),
             (cs.Graph.complete(3), {"capacity": 0}, "capacity"),
             # rect's graph factors would pass their 1 GiB budget
-            (cs.Graph.edgeless(8758), {"kernel": "rect"}, "--kernel bitset"),
+            (cs.Graph.from_edges(8758, []), {"kernel": "rect"}, "--kernel bitset"),
         ],
     )
     def test_refused_at_the_call(self, monkeypatch, g, kw, message):
@@ -227,7 +227,7 @@ class TestCalibration:
     def test_formulas_read_the_root_and_its_children_step(self, bridged, kernel):
         graphs = [
             bridged,
-            cs.Graph.edgeless(1),
+            cs.Graph.from_edges(1, []),
             cs.Graph.complete(5),
             cs.Graph.gnp(30, 0.3, seed=7),
             cs.Graph.complete_multipartite_triples(12),

@@ -30,7 +30,7 @@ class TestNeighborhood:
         assert cs.VertexSet(bridged.adj[5]) == cs.VertexSet.of(1, 7, 8)
 
     def test_single_vertex(self):
-        g = cs.Graph.edgeless(1)
+        g = cs.Graph.from_edges(1, [])
         assert g.adj == (0,)
 
     def test_complete_graph(self):
@@ -138,7 +138,6 @@ class TestConstruction:
             lambda: cs.Graph(n=n, adj=(), m=0),
             lambda: cs.Graph.from_edges(n, []),
             lambda: cs.Graph.complete(n),
-            lambda: cs.Graph.edgeless(n),
             lambda: cs.Graph.gnp(n, 0.5, seed=1),
             lambda: cs.Graph.complete_multipartite_triples(n),
         ]
@@ -154,7 +153,6 @@ class TestConstruction:
             lambda: cs.Graph(n=n, adj=(), m=0),
             lambda: cs.Graph.from_edges(n, []),
             lambda: cs.Graph.complete(n),
-            lambda: cs.Graph.edgeless(n),
             lambda: cs.Graph.gnp(n, 0.5, seed=1),
             lambda: cs.Graph.complete_multipartite_triples(n),
         ]
@@ -166,7 +164,7 @@ class TestConstruction:
                 assert tracemalloc.get_traced_memory()[1] < 1 << 16
             finally:
                 tracemalloc.stop()
-        assert cs.Graph.edgeless(92_681).n == 92_681
+        assert cs.Graph.from_edges(92_681, []).n == 92_681
 
     def test_moon_moser_rows_match_its_edges(self):
         for n in (3, 6, 18, 66):
@@ -205,7 +203,7 @@ class TestConstruction:
             assert cs.Graph.complete(n) == cs.Graph.from_edges(n, pairs)
 
     def test_full_mask_is_derived(self):
-        assert cs.Graph.edgeless(3).full_mask == 0b111
+        assert cs.Graph.from_edges(3, []).full_mask == 0b111
         with pytest.raises(TypeError):
             cs.Graph(n=2, adj=(0, 0), m=0, full_mask=3)
 

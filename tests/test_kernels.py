@@ -78,16 +78,18 @@ class TestBatchMatrices:
                         assert prod[k, col(i, j, g.n)] == expect
 
     def test_graph_matrix_over_the_budget_refused_before_allocating(self):
-        # M_G takes n^3 bytes: 1,024^3 is the budget itself, 1,025^3 passes it
-        g = cs.Graph.edgeless(1025)
-        tracemalloc.start()
-        try:
-            with pytest.raises(ValueError, match="past 1 GiB"):
-                cs.kernels.build_batch_matrices(g, [cs.VertexSet.of(1)])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 16
+        # M_G and its float32 copy take 5 n^3 bytes: 5 * 598^3 fits 1 GiB,
+        # 5 * 599^3 passes it
+        g = cs.Graph.from_edges(599, [])
+        for build in (cs.kernels.build_batch_matrices, cs.kernels.good_table_rectangular):
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match="past 1 GiB"):
+                    build(g, [cs.VertexSet.of(1)])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 16
 
 
 class TestGoodTables:
@@ -123,6 +125,21 @@ class TestGoodTables:
                             g, p, i, j
                         )
 
+    def test_rectangular_peak_is_the_graph_matrix(self):
+        # M_G's n^3 bytes and the float32 copy its product makes, beside the
+        # |B| x n^2 product
+        n = 100
+        g = cs.Graph.gnp(n, 0.1, seed=4)
+        batch = oracle.all_maximal_cliques(g, limit=n)[:4]
+        assert len(batch) == 4
+        tracemalloc.start()
+        try:
+            cs.kernels.good_table_rectangular(g, batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 5 * n**3 <= peak < 5 * n**3 + (1 << 18)
+
 
 def rect_charge(g, cliques, indices) -> int:
     """What "rect" charges for a batch: ``(3|P| + 4 + 6 * candidates)``
@@ -136,35 +153,28 @@ def rect_charge(g, cliques, indices) -> int:
     return units * cs.rs_tree.words(g.n)
 
 
-def explicit_rows(g, batch) -> list[list[int]]:
-    """Good rows read off the thresholded explicit product M_B @ M_G."""
-    mb, mg = cs.kernels.build_batch_matrices(g, batch)
-    prod = matmul.multiply_boolean_threshold(mb, mg).reshape(len(batch), g.n, g.n)
-    vertices = range(1, g.n + 1)
-    rows = [
-        [sum(1 << (j - 1) for j in vertices if prod[k, i - 1, j - 1]) for i in vertices]
-        for k in range(len(batch))
-    ]
-    return rows
-
-
 class TestRectBlocks:
     """Rows past one 64-bit word and product chunks that split the needed
     rows unevenly; every other good-table test has n <= 14."""
 
-    def test_factored_rows_match_explicit_product(self, monkeypatch):
+    def test_factored_rows_match_explicit_product(self):
+        # column block i of M_G is diag(A_i) @ Nc.T, the identity behind the
+        # listing's product of the rows P & A_i with Nc.T
         rng = random.Random(1500)
         for n in (5, 17, 64, 65, 130):
             g = cs.Graph.gnp(n, rng.uniform(0.05, 0.5), seed=n)
             cliques = oracle.all_maximal_cliques(g, limit=n)
             batch = rng.sample(cliques, min(len(cliques), 9))
-            # the default chunk, and one row per chunk
-            for budget, rows in ((cs.kernels.BLOCK_BYTES, cs.kernels.CHUNK_ROWS), (1, 1)):
-                monkeypatch.setattr(cs.kernels, "BLOCK_BYTES", budget)
-                monkeypatch.setattr(cs.kernels, "CHUNK_ROWS", rows)
-                assert cs.kernels.good_table_rectangular(g, batch) == (
-                    explicit_rows(g, batch)
-                )
+            mb, mg = cs.kernels.build_batch_matrices(g, batch)
+            a_rows, nc_t, _ = cs.kernels.graph_factors(g)
+            non_adj_t = nc_t.matrix.astype(bool)
+            product = matmul.multiply_boolean_threshold(mb, mg)
+            for i in range(n):
+                block = slice(i * n, (i + 1) * n)
+                assert (mg[:, block] == (a_rows[i][:, None] & non_adj_t)).all()
+                # so block i of M_B @ M_G is (M_B & A_i) @ Nc.T
+                left = mb & a_rows[i]
+                assert (product[:, block] == matmul.multiply_boolean_threshold(left, nc_t)).all()
 
     @pytest.mark.parametrize("n", [63, 64, 65, 130])
     def test_rect_equals_bitset(self, n, monkeypatch):
@@ -318,7 +328,7 @@ def step_graphs(n):
     disconnected, with isolated vertices, so the root has children outside
     N(root)."""
     return [
-        cs.Graph.edgeless(n),
+        cs.Graph.from_edges(n, []),
         cs.Graph.gnp(n, min(1.0, 1.5 / n), seed=n),
         cs.Graph.gnp(n, min(0.5, 6 / n), seed=n + 1),
     ]
@@ -382,9 +392,9 @@ class TestAdjacentToOwnPrefix:
                 expect = near = 0
                 for j in range(1, g.n + 1):
                     members_below = [u for u in range(1, j) if u in p]
-                    if all(g.has_edge(u, j) for u in members_below):
+                    if all(g.adj[u - 1] >> (j - 1) & 1 for u in members_below):
                         expect |= 1 << (j - 1)
-                    if any(g.has_edge(u, j) for u in p):
+                    if any(g.adj[u - 1] >> (j - 1) & 1 for u in p):
                         near |= 1 << (j - 1)
                 assert prefix_masks(g, p) == (expect, near)
 
@@ -514,7 +524,7 @@ class TestChildrenBatch:
         assert cs.kernels.children_batch(bridged, [TRIANGLE])[0].indices == ()
 
     def test_edgeless_root_children(self):
-        g = cs.Graph.edgeless(3)
+        g = cs.Graph.from_edges(3, [])
         specs = cs.kernels.children_batch(g, [cs.rs_tree.root(g)])
         assert specs[0].indices == (2, 3)
 
@@ -633,8 +643,8 @@ print(__debug__, refused)
         largest = math.isqrt(cs.kernels.FACTOR_BYTES // 14)
         assert largest == 8757
         with pytest.raises(AssertionError, match="root built"):
-            cs.list_mc(cs.Graph.edgeless(largest), kernel="rect")
-        g = cs.Graph.edgeless(largest + 1)
+            cs.list_mc(cs.Graph.from_edges(largest, []), kernel="rect")
+        g = cs.Graph.from_edges(largest + 1, [])
         with pytest.raises(ValueError, match="--kernel bitset"):
             cs.list_mc(g, kernel="rect")
         tracemalloc.start()

@@ -23,7 +23,7 @@ class TestEnumeration:
             assert len(oracle.all_maximal_cliques(g)) == expect
 
     def test_edgeless_singletons(self):
-        got = oracle.all_maximal_cliques(cs.Graph.edgeless(4))
+        got = oracle.all_maximal_cliques(cs.Graph.from_edges(4, []))
         assert got == [cs.VertexSet.of(v) for v in (1, 2, 3, 4)]
 
     def test_two_methods_agree(self):
@@ -31,7 +31,7 @@ class TestEnumeration:
             assert oracle.all_maximal_cliques(g) == reference.maximal_cliques_subset_scan(g)
 
     def test_limit_refusal(self):
-        g = cs.Graph.edgeless(25)
+        g = cs.Graph.from_edges(25, [])
         with pytest.raises(oracle.OracleLimitError):
             oracle.all_maximal_cliques(g)
 

@@ -61,7 +61,7 @@ class TestRoot:
         assert cs.rs_tree.root(bridged) == K5_SIDE
 
     def test_edgeless(self):
-        assert cs.rs_tree.root(cs.Graph.edgeless(3)) == cs.VertexSet.of(1)
+        assert cs.rs_tree.root(cs.Graph.from_edges(3, [])) == cs.VertexSet.of(1)
 
     def test_complete(self):
         assert cs.rs_tree.root(cs.Graph.complete(4)) == cs.VertexSet.of(1, 2, 3, 4)
