@@ -71,12 +71,6 @@ class BacktrackStack:
         self._entries: list = []
         self.pending = 0
 
-    def __bool__(self) -> bool:
-        return bool(self._entries)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def seed(self, clique: VertexSet) -> None:
         self._entries.append(clique)
         self.pending += 1

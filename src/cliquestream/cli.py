@@ -3,8 +3,9 @@
 Graphs come from edge-list files (``u v`` per line, optional ``n N``
 header, ``#`` comments), DIMACS files (``p edge N M`` then ``e u v``
 lines), or generator specs passed straight to ``--input``:
-``gnp:N:P`` (seeded by ``--seed``), ``moon-moser:N``, ``complete:N``, with
-``N >= 1`` and ``P`` in [0, 1].
+``gnp:N:P`` (seeded by ``--seed``), ``moon-moser:N``, ``complete:N``.  A
+vertex count or edge probability the :class:`Graph` constructors refuse
+is refused with their message (after the line number, for files).
 
 Cliques stream to stdout one per line as ascending 1-based vertex ids;
 diagnostics go to stderr.  A reader that closes stdout early (``| head``)
@@ -85,8 +86,6 @@ def parse_edge_list(text: str, report: IngestReport | None = None) -> Graph:
                 declared = int(parts[1])
             except ValueError:
                 raise ParseError(f"line {lineno}: bad vertex count {parts[1]!r}") from None
-            if declared < 1:
-                raise ParseError(f"line {lineno}: vertex count must be positive")
             _check_count(declared, lineno)
             if max_id > declared:
                 raise ParseError(
@@ -141,11 +140,9 @@ def parse_dimacs(text: str, report: IngestReport | None = None) -> Graph:
                 n, declared_m = int(parts[2]), int(parts[3])
             except ValueError:
                 raise ParseError(f"line {lineno}: bad header numbers") from None
-            if n < 1:
-                raise ParseError(f"line {lineno}: vertex count must be positive")
+            _check_count(n, lineno)
             if declared_m < 0:
                 raise ParseError(f"line {lineno}: edge count must be non-negative")
-            _check_count(n, lineno)
             continue
         if parts[0] == "e":
             if n is None:
@@ -195,8 +192,9 @@ GENERATORS = {"gnp": "N:P", "moon-moser": "N", "complete": "N"}
 
 def generator_graph(spec: str, seed: int | None) -> Graph | None:
     """Graph of a generator spec such as ``gnp:N:P`` (shapes in
-    :data:`GENERATORS`); ``None`` when ``spec`` names no generator.  Every
-    generator refuses ``N < 1`` and ``P`` outside [0, 1] with ``ValueError``.
+    :data:`GENERATORS`); ``None`` when ``spec`` names no generator.  A spec
+    of the wrong shape or number syntax raises ``ValueError`` here, a count
+    or probability the generator cannot build raises it in :class:`Graph`.
     """
     name, sep, rest = spec.partition(":")
     if name not in GENERATORS or not sep:
@@ -211,10 +209,6 @@ def generator_graph(spec: str, seed: int | None) -> Graph | None:
         probs = [float(f) for f in fields[1:]]
     except ValueError:
         raise ValueError(usage) from None
-    if n < 1:
-        raise ValueError(f"{spec}: vertex count must be at least 1")
-    if not all(0.0 <= p <= 1.0 for p in probs):
-        raise ValueError(f"{spec}: edge probability must be in [0, 1]")
     if name == "gnp":
         return Graph.gnp(n, probs[0], seed=seed)
     if name == "moon-moser":

@@ -6,8 +6,9 @@ is its lowest set bit.  Hot loops elsewhere in the package work on these
 raw masks; :class:`VertexSet` is the thin immutable wrapper used at API
 boundaries.
 
-A :class:`Graph` is frozen after construction and safe to share between
-threads; vertex sets are plain values.
+A :class:`Graph` derives its edge count from its rows, owns the rules on
+its parameters (``n >= 1``, ``p`` in [0, 1]), and is frozen after
+construction and safe to share between threads; vertex sets are plain values.
 """
 
 from __future__ import annotations
@@ -17,8 +18,10 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-# bytes the n adjacency rows (n^2 bits) may take: n <= 92,681
-ROWS_BYTES = 1 << 30
+# bytes one graph-sized allocation may take; a larger one is refused before
+# it is made: the adjacency rows (n^2 bits, n <= 92,681), and in kernels
+# "rect"'s factors and the reference's M_G
+BUDGET_BYTES = 1 << 30
 
 
 def vbit(v: int) -> int:
@@ -41,13 +44,13 @@ def iter_bits(mask: int) -> Iterator[int]:
 
 def check_vertex_count(n: int) -> None:
     """Refuse, with ``ValueError``, an ``n`` below 1 or one whose adjacency
-    rows would pass :data:`ROWS_BYTES`.  Nothing is allocated."""
+    rows would pass :data:`BUDGET_BYTES`.  Nothing is allocated."""
     if n < 1:
-        raise ValueError("graph needs at least one vertex")
-    if n * n > 8 * ROWS_BYTES:
+        raise ValueError("vertex count must be at least 1")
+    if n * n > 8 * BUDGET_BYTES:
         raise ValueError(
-            f"{n} vertices are more than {math.isqrt(8 * ROWS_BYTES)}, the most "
-            f"whose adjacency rows fit {ROWS_BYTES >> 30} GiB"
+            f"{n} vertices are more than {math.isqrt(8 * BUDGET_BYTES)}, the most "
+            f"whose adjacency rows fit {BUDGET_BYTES >> 30} GiB"
         )
 
 
@@ -85,9 +88,6 @@ class VertexSet:
     def __contains__(self, v: int) -> bool:
         return v >= 1 and (self.bits >> (v - 1)) & 1 == 1
 
-    def __bool__(self) -> bool:
-        return self.bits != 0
-
     def __eq__(self, other) -> bool:
         return isinstance(other, VertexSet) and self.bits == other.bits
 
@@ -120,34 +120,35 @@ class Graph:
     """Undirected simple graph on vertices ``1..n``.
 
     ``adj[v-1]`` is the neighborhood bitmask of vertex ``v``.  The adjacency
-    is symmetric, has no self-loops, and ``m`` counts edges; the constructor
-    refuses rows that break this (:meth:`validate`).  The classmethods build
-    rows that hold it by construction and skip that pass.  Every
-    constructor refuses an ``n`` that :func:`check_vertex_count` refuses
-    before it allocates.
+    is symmetric and has no self-loops; the constructor refuses rows that
+    break this (:meth:`validate`).  The classmethods build rows that hold it
+    by construction and skip that pass.  The edge count ``m`` and
+    ``full_mask`` are derived from the rows.  Every constructor refuses an
+    ``n`` that :func:`check_vertex_count` refuses before it allocates.
     """
 
     n: int
     adj: tuple[int, ...]
-    m: int
+    m: int = field(init=False)
     full_mask: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         check_vertex_count(self.n)
-        self._set_full_mask()
+        self._derive()
         self.validate()
 
-    def _set_full_mask(self) -> None:
+    def _derive(self) -> None:
+        object.__setattr__(self, "m", sum(row.bit_count() for row in self.adj) // 2)
         object.__setattr__(self, "full_mask", (1 << self.n) - 1)
 
     @classmethod
-    def _normalized(cls, n: int, adj: tuple[int, ...], m: int) -> "Graph":
+    def _normalized(cls, n: int, adj: tuple[int, ...]) -> "Graph":
         """Graph from rows valid by construction, without :meth:`validate`,
         whose O(n + m) pass would otherwise delay a loaded file's listing."""
         g = object.__new__(cls)
-        for name, value in (("n", n), ("adj", adj), ("m", m)):
-            object.__setattr__(g, name, value)
-        g._set_full_mask()
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "adj", adj)
+        g._derive()
         return g
 
     @classmethod
@@ -166,19 +167,21 @@ class Graph:
                 continue
             adj[u - 1] |= 1 << (v - 1)
             adj[v - 1] |= 1 << (u - 1)
-        m = sum(a.bit_count() for a in adj) // 2
-        return cls._normalized(n, tuple(adj), m)
+        return cls._normalized(n, tuple(adj))
 
     @classmethod
     def complete(cls, n: int) -> "Graph":
         check_vertex_count(n)
         adj = tuple((1 << n) - 1 - (1 << v) for v in range(n))
-        return cls._normalized(n, adj, n * (n - 1) // 2)
+        return cls._normalized(n, adj)
 
     @classmethod
     def gnp(cls, n: int, p: float, seed: int | None = None) -> "Graph":
-        """Erdos-Renyi G(n, p) with a deterministic seed."""
+        """Erdos-Renyi G(n, p) with a deterministic seed; a ``p`` outside
+        [0, 1], or NaN, raises ``ValueError``."""
         check_vertex_count(n)
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"edge probability must be in [0, 1], got {p}")
         rng = random.Random(seed)
         edges = [
             (u, v)
@@ -202,7 +205,7 @@ class Graph:
         full = (1 << n) - 1
         # 0-based vertex v is adjacent to everything outside its own triple
         adj = tuple(full & ~(0b111 << (v - v % 3)) for v in range(n))
-        return cls._normalized(n, adj, n * (n - 3) // 2)
+        return cls._normalized(n, adj)
 
     def edges(self) -> Iterator[tuple[int, int]]:
         for u in range(1, self.n + 1):
@@ -212,8 +215,8 @@ class Graph:
 
     def validate(self) -> None:
         """Refuse, with ``ValueError``, rows that break the invariants above:
-        a row count other than ``n``, bits beyond ``n``, a self-loop, an
-        asymmetric pair or a wrong ``m``.  O(n + m) mask operations."""
+        a row count other than ``n``, bits beyond ``n``, a self-loop or an
+        asymmetric pair.  O(n + m) mask operations."""
         n, adj = self.n, self.adj
         if len(adj) != n:
             raise ValueError(f"adjacency has {len(adj)} rows for n = {n}")
@@ -238,5 +241,3 @@ class Graph:
         # every entry above the diagonal is mirrored, so any further one is not
         if sum(row.bit_count() for row in adj) != 2 * upper:
             raise ValueError("adjacency is not symmetric")
-        if self.m != upper:
-            raise ValueError(f"m = {self.m} but the rows hold {upper} edges")

@@ -17,7 +17,7 @@ column block i of ``M_G`` is ``diag(A_i) @ Nc.T``, so block i of the
 product is ``(M_B & A_i) @ Nc.T`` (``A_i`` masking every row of ``M_B``),
 the same multiply-adds.  A traversal builds the factors once
 (:func:`graph_factors`, after :func:`check_factors` has refused an n past
-:data:`FACTOR_BYTES`) and never ``M_G``.
+:data:`BUDGET_BYTES`) and never ``M_G``.
 
 "rect" decides a batch's children in numpy, in slices that fit
 :data:`RECT_ROWS_BYTES` (memory follows n, not the batch capacity): one
@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matmul
-from .graph import Graph, VertexSet, below_mask, vbit
+from .graph import BUDGET_BYTES, Graph, VertexSet, below_mask, vbit
 from .rs_tree import (
     OpCounter,
     clique_index,
@@ -69,10 +69,6 @@ CHUNK_ROWS = 64
 # bytes one slice of a "rect" batch may take, at most 32 n per parent: its
 # M_B row, the [N | U] product and the coordinates of its candidate pairs
 RECT_ROWS_BYTES = 1 << 24
-# bytes "rect"'s graph factors may take: A and Nc as bool, [N | U] and Nc.T
-# as float32 (14 n^2, n <= 8,757); and the reference's M_G with the float32
-# copy its product makes (5 n^3, n <= 598)
-FACTOR_BYTES = 1 << 30
 
 Factors = tuple[np.ndarray, matmul.BinaryOperand, matmul.BinaryOperand]
 
@@ -109,12 +105,13 @@ def _check_batch(cliques) -> None:
 
 
 def check_factors(n: int) -> None:
-    """Refuse an n whose :func:`graph_factors` (14 n^2 bytes) would pass
-    :data:`FACTOR_BYTES`.  Nothing is allocated."""
-    if 14 * n * n > FACTOR_BYTES:
+    """Refuse an n whose :func:`graph_factors` (14 n^2 bytes: ``A`` and
+    ``Nc`` as bool, ``[N | U]`` and ``Nc.T`` as float32) would pass
+    :data:`BUDGET_BYTES` (n >= 8,758).  Nothing is allocated."""
+    if 14 * n * n > BUDGET_BYTES:
         raise ValueError(
-            f"rect's graph factors at n = {n} pass {FACTOR_BYTES >> 30} GiB "
-            f"(n <= {math.isqrt(FACTOR_BYTES // 14)}): use --kernel bitset"
+            f"rect's graph factors at n = {n} pass {BUDGET_BYTES >> 30} GiB "
+            f"(n <= {math.isqrt(BUDGET_BYTES // 14)}): use --kernel bitset"
         )
 
 
@@ -148,13 +145,13 @@ def build_batch_matrices(g: Graph, cliques) -> tuple[np.ndarray, np.ndarray]:
     ``(i, j)`` sits at flat position ``(i-1)*n + (j-1)`` (row-major, i
     outermost) and holds the characteristic vector of ``A_i \\ N(j)``.
     Refused, before anything is allocated, where ``M_G`` and the float32 copy
-    a product makes of it (5 n^3 bytes) pass :data:`FACTOR_BYTES` (n >= 599).
+    a product makes of it (5 n^3 bytes) pass :data:`BUDGET_BYTES` (n >= 599).
     """
     _check_batch(cliques)
-    if 5 * g.n**3 > FACTOR_BYTES:
+    if 5 * g.n**3 > BUDGET_BYTES:
         raise ValueError(
             f"M_G at n = {g.n} and its float32 copy take 5 n^3 bytes, "
-            f"past {FACTOR_BYTES >> 30} GiB"
+            f"past {BUDGET_BYTES >> 30} GiB"
         )
     a_rows, non_adj = _graph_rows(g)
     # entry [v, i, j] = a_rows[i, v] & non_adj[j, v], allocated in C order

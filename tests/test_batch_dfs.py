@@ -31,34 +31,40 @@ ORDER_CAP1 = [K5_SIDE, BRIDGE_16, TRIANGLE, BRIDGE_27, BRIDGE_58]
 ORDER_CAP2 = [K5_SIDE, BRIDGE_16, BRIDGE_27, TRIANGLE, BRIDGE_58]
 
 
+def assert_empty(stack, g):
+    assert stack.pending == 0
+    with pytest.raises(IndexError):
+        stack.pop(g)
+
+
 class TestPopFromTop:
     def test_consumes_first_index_and_keeps_spec(self, bridged):
         stack = BacktrackStack()
         stack.push(ChildSpec(parent=K5_SIDE, indices=(6, 7, 8)))
         assert stack.pop(bridged) == (BRIDGE_16, 6)
         assert stack.pending == 2
-        assert len(stack) == 1
+        assert stack.pop(bridged)[1] == 7
 
     def test_removes_spec_when_list_empties(self, bridged):
         stack = BacktrackStack()
         stack.push(ChildSpec(parent=BRIDGE_16, indices=(7,)))
         assert stack.pop(bridged) == (TRIANGLE, 7)
-        assert not stack and stack.pending == 0
+        assert_empty(stack, bridged)
 
     def test_seeded_root_pops_to_empty(self, bridged):
         stack = BacktrackStack()
         stack.seed(K5_SIDE)
         assert stack.pop(bridged) == (K5_SIDE, 0)
-        assert not stack
+        assert_empty(stack, bridged)
 
     def test_empty_stack_raises(self, bridged):
         with pytest.raises(IndexError):
             BacktrackStack().pop(bridged)
 
-    def test_empty_specs_are_not_pushed(self):
+    def test_empty_specs_are_not_pushed(self, bridged):
         stack = BacktrackStack()
         stack.push(ChildSpec(parent=K5_SIDE, indices=()))
-        assert not stack
+        assert_empty(stack, bridged)
 
     def test_popped_clique_behaves_like_a_constructed_one(self, bridged):
         # pop wraps its completion without VertexSet.__init__

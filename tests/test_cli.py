@@ -361,7 +361,7 @@ class TestRefusals:
             ("n 3\nn 3\n", "line 2: duplicate 'n' header"),
             ("n 3 4\n", "line 1: expected 'n <count>'"),
             ("n three\n", "line 1: bad vertex count 'three'"),
-            ("n 0\n", "line 1: vertex count must be positive"),
+            ("n 0\n", "line 1: vertex count must be at least 1"),
             ("1 2\n1 2 3\n", "line 2: expected 'u v', got '1 2 3'"),
             ("1 200000000\n", f"line 1: 200000000 {TOO_MANY}"),
         ],
@@ -377,7 +377,7 @@ class TestRefusals:
             ("p edge 3 0\np edge 3 0\n", "line 2: duplicate problem header"),
             ("p edge 3\n", "line 1: expected 'p edge N M'"),
             ("p edge three 0\n", "line 1: bad header numbers"),
-            ("p edge 0 0\n", "line 1: vertex count must be positive"),
+            ("p edge 0 0\n", "line 1: vertex count must be at least 1"),
             ("p edge 3 -2\ne 1 2\n", "line 1: edge count must be non-negative"),
             ("p edge 3 1\ne 1\n", "line 2: expected 'e u v'"),
             ("p edge 3 1\ne 1 x\n", "line 2: non-integer vertex id"),
@@ -390,6 +390,26 @@ class TestRefusals:
         path = tmp_path / "g.dimacs"
         path.write_text(text)
         assert refusal_line(tmp_path, input=str(path), fmt="dimacs") == f"error: {message}"
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["complete:0", "gnp:0:.5", "moon-moser:0", "complete:-3", "gnp:5:1.5", "gnp:5:-0.1", "gnp:5:nan"],
+    )
+    def test_bad_generator_parameter_has_one_refusal(self, tmp_path, spec):
+        # the CLI refuses with the constructor's own message
+        name, n, *p = spec.split(":")
+        build = {
+            "gnp": cs.Graph.gnp,
+            "moon-moser": cs.Graph.complete_multipartite_triples,
+            "complete": cs.Graph.complete,
+        }[name]
+        with pytest.raises(ValueError) as exc:
+            build(int(n), *map(float, p))
+        if int(n) < 1:
+            assert str(exc.value) == "vertex count must be at least 1"
+        else:
+            assert str(exc.value) == f"edge probability must be in [0, 1], got {float(p[0])}"
+        assert refusal_line(tmp_path, input=spec) == f"error: {exc.value}"
 
     def test_oversized_generator(self, tmp_path):
         line = refusal_line(tmp_path, input="complete:200000")

@@ -135,14 +135,14 @@ class TestConstruction:
     @pytest.mark.parametrize("n", [0, -2])
     def test_every_constructor_refuses_no_vertices(self, n):
         builds = [
-            lambda: cs.Graph(n=n, adj=(), m=0),
+            lambda: cs.Graph(n=n, adj=()),
             lambda: cs.Graph.from_edges(n, []),
             lambda: cs.Graph.complete(n),
             lambda: cs.Graph.gnp(n, 0.5, seed=1),
             lambda: cs.Graph.complete_multipartite_triples(n),
         ]
         for build in builds:
-            with pytest.raises(ValueError, match="^graph needs at least one vertex$"):
+            with pytest.raises(ValueError, match="^vertex count must be at least 1$"):
                 build()
 
     @pytest.mark.parametrize("n", [92_682, 100_000_000])
@@ -150,7 +150,7 @@ class TestConstruction:
         # n^2 / 8 bytes of rows over 1 GiB; each refusal comes before the
         # rows (or an edge list) are allocated
         builds = [
-            lambda: cs.Graph(n=n, adj=(), m=0),
+            lambda: cs.Graph(n=n, adj=()),
             lambda: cs.Graph.from_edges(n, []),
             lambda: cs.Graph.complete(n),
             lambda: cs.Graph.gnp(n, 0.5, seed=1),
@@ -179,23 +179,22 @@ class TestConstruction:
             g.validate()
 
     @pytest.mark.parametrize(
-        "adj, m, message",
+        "adj, message",
         [
-            ((0b11, 0b01), 1, "vertex 1 has a self-loop"),
-            ((0b10, 0), 1, "not symmetric: 2 is in the row of 1"),
+            ((0b11, 0b01), "vertex 1 has a self-loop"),
+            ((0b10, 0), "not symmetric: 2 is in the row of 1"),
             # 2 lists 1 but 1 does not list 2: only the rows' edge count shows it
-            ((0, 0b01), 0, "^adjacency is not symmetric$"),
-            ((0b10,), 0, "1 rows for n = 2"),
-            ((0b110, 0b001), 1, "vertex 1 has neighbors beyond n = 2"),
-            ((0b10, 0b01), 2, "m = 2 but the rows hold 1 edges"),
+            ((0, 0b01), "^adjacency is not symmetric$"),
+            ((0b10,), "1 rows for n = 2"),
+            ((0b110, 0b001), "vertex 1 has neighbors beyond n = 2"),
         ],
-        ids=["self-loop", "asymmetric", "asymmetric-below", "row-count", "beyond-n", "wrong-m"],
+        ids=["self-loop", "asymmetric", "asymmetric-below", "row-count", "beyond-n"],
     )
-    def test_malformed_rows_refused(self, adj, m, message):
+    def test_malformed_rows_refused(self, adj, message):
         # the self-loop and asymmetric rows were once accepted, and the
         # asymmetric one listed a root that is_maximal_clique rejects
         with pytest.raises(ValueError, match=message):
-            cs.Graph(n=2, adj=adj, m=m)
+            cs.Graph(n=2, adj=adj)
 
     def test_complete_matches_all_pairs(self):
         for n in range(1, 7):
@@ -205,7 +204,19 @@ class TestConstruction:
     def test_full_mask_is_derived(self):
         assert cs.Graph.from_edges(3, []).full_mask == 0b111
         with pytest.raises(TypeError):
-            cs.Graph(n=2, adj=(0, 0), m=0, full_mask=3)
+            cs.Graph(n=2, adj=(0, 0), full_mask=3)
+        with pytest.raises(TypeError):
+            cs.Graph(n=2, adj=(0, 0), m=0)
+        builds = [
+            cs.Graph(n=3, adj=(0b010, 0b101, 0b010)),
+            cs.Graph.from_edges(5, [(1, 2), (2, 1), (3, 3), (4, 5)]),
+            cs.Graph.complete(7),
+            cs.Graph.complete_multipartite_triples(9),
+            cs.Graph.gnp(20, 0.3, seed=4),
+        ]
+        for g in builds:
+            assert g.m == len(list(g.edges()))
+        assert [g.m for g in builds[:4]] == [2, 2, 21, 27]
 
 
 class TestVertexSet:

@@ -640,7 +640,7 @@ print(__debug__, refused)
             raise AssertionError("root built")
 
         monkeypatch.setattr(cs.delay_scheduler, "root", no_root)
-        largest = math.isqrt(cs.kernels.FACTOR_BYTES // 14)
+        largest = math.isqrt(cs.graph.BUDGET_BYTES // 14)
         assert largest == 8757
         with pytest.raises(AssertionError, match="root built"):
             cs.list_mc(cs.Graph.from_edges(largest, []), kernel="rect")
