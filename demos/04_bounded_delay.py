@@ -7,6 +7,8 @@ releases one clique per tau_delay work units, turning the bursts into a
 steady drip with a provable worst-case gap.
 """
 
+from collections import deque
+
 import cliquestream as cs
 from cliquestream import delay_scheduler as ds
 
@@ -24,24 +26,29 @@ for e in cs.list_mc(g):
 print(f"plain mode: {len(gaps)} cliques, gap max={max(gaps)}, "
       f"median={sorted(gaps)[len(gaps) // 2]}")
 
-# Strict mode: calibrate from the stream's head, then run the queue scheduler.
-# The first batch is the root alone, so calibration reads the root and its
-# children step: tau_delay = 2 * that step's units, boot_target = 2n.
-# run_strict calibrates from its own stream; here the step is shown on a
-# separate one, and gives the same config.
-cfg, head = ds.calibrate(g, cs.list_mc(g))
-print(f"calibrated from {len(head)} events: tau_delay={cfg.tau_delay}, "
-      f"boot_target={cfg.boot_target}")
+# Strict mode calibrates from its own boot.  The first batch is the root
+# alone; boot then banks until a batch completes with 1 + the root's
+# children count banked, and tau_delay = 2 * the units charged after the
+# root batch // the cliques banked after the root: twice boot's amortized
+# cost per clique.  run_strict does this on its own stream; here it is
+# shown on a separate one, and gives the same config.
+stats, q = cs.TraversalStats(), deque()
+cfg, _ = ds.calibrate(cs.list_mc(g, stats=stats), q, stats)
+print(f"boot banked {len(q)} cliques in {stats.total_cost} units: "
+      f"tau_delay={cfg.tau_delay}, boot_target={cfg.boot_target}")
 
 report = ds.StrictRunReport()
 emissions = list(ds.run_strict(g, report=report))
 assert report.config == cfg
+mean = report.stats.total_cost / len(emissions)
 strict_gaps = [e.cost_units for e in emissions]
-bound = cfg.tau_delay + report.max_event_cost
-print(f"strict mode: {len(emissions)} cliques, gap max={max(strict_gaps)} "
-      f"<= bound {bound} (tau + max single event)")
-print(f"boot banked {report.boot_collected} cliques silently; "
-      f"queue peaked at {report.queue_peak} "
+print(f"strict mode: {len(emissions)} cliques, tau_delay = "
+      f"{cfg.tau_delay / mean:.2f}x the mean {mean:.0f} units per clique")
+print(f"first output after {report.first_output_units} of "
+      f"{report.stats.total_cost} units; {report.drained} cliques left "
+      f"in the final drain")
+print(f"gap max={max(strict_gaps)} = {max(strict_gaps) / cfg.tau_delay:.2f} "
+      f"tau_delay; queue peaked at {report.queue_peak} "
       f"<= {cfg.boot_target + g.n * g.n + 1}")
 print(f"queue never starved after boot: {report.starved_checks == 0}")
 
@@ -51,18 +58,20 @@ plain_order = [
 ]
 print("FIFO order preserved:", [e.clique.bits for e in emissions] == plain_order)
 
-# With the default capacity n^2 a desk-scale run finishes in a couple of
-# batches and most cliques leave during the final drain.  A small capacity
-# shows the steady drip the scheduler is built for: many batches, prints
-# spaced close to tau_delay.
+# After boot the bitset kernel's children step runs parent by parent and
+# yields a children-work event once the next print is due, so prints fall
+# inside a batch's children step as well as between pops.  A small capacity
+# gives many batches; the drip is the same.
 report = ds.StrictRunReport()
 emissions = list(ds.run_strict(g, capacity=8, report=report))
 cfg = report.config
-live = [e for e in emissions if e.cost_units > 0]
-print(f"\ncapacity 8: tau_delay={cfg.tau_delay}, "
-      f"{len(live)} paced prints + {len(emissions) - len(live)} drained")
+mean = report.stats.total_cost / len(emissions)
+print(f"\ncapacity 8: tau_delay={cfg.tau_delay} "
+      f"({cfg.tau_delay / mean:.2f}x the mean), first output after "
+      f"{report.first_output_units} units, "
+      f"{len(emissions) - report.drained} paced prints + {report.drained} drained")
 print("first paced emissions (ordinal, gap, queue size):")
-for e in live[:8]:
+for e in emissions[:8]:
     print(f"  #{e.ordinal:<3} gap={e.cost_units:<6} queue={e.queue_size}")
-bound = cfg.tau_delay + report.max_event_cost
-print(f"max gap {max(e.cost_units for e in emissions)} <= bound {bound}")
+print(f"max gap {max(e.cost_units for e in emissions)} "
+      f"<= 3 tau_delay = {3 * cfg.tau_delay}")

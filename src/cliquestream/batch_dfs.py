@@ -15,15 +15,18 @@ cost)``.  Every clique passes this path, so ``ChildSpec`` and
 :class:`TraversalStats` are slotted, and ``pop`` and ``filter_children``
 build their results without calling the constructors.  One ``OpCounter`` per
 listing takes every charge, and each event costs the counter's growth since
-the previous event.  Index lists are consumed in ascending order and child
-specs are pushed in batch order, so emission order is deterministic for a
-given (graph, kernel, capacity).
+the previous event.  A consumer that must act while a children step runs
+sets a :class:`Pace`: once the units since the previous event reach its
+quantum, the step yields a children-work event between two specs.  Index
+lists are consumed in ascending order and child specs are pushed in batch
+order, so emission order is deterministic for a given (graph, kernel,
+capacity).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .graph import Graph, VertexSet
 from .kernels import ChildSpec
@@ -32,10 +35,11 @@ from .rs_tree import OpCounter, _lc_bits
 CLIQUE_COLLECTED = "clique-collected"
 BATCH_COMPLETED = "batch-completed"
 TRAVERSAL_ENDED = "traversal-ended"
+CHILDREN_WORK = "children-work"
 
-# children_fn(cliques, indices) -> specs; indices[k] is the index of
-# cliques[k], 0 for the root
-ChildrenFn = Callable[[list[VertexSet], list[int]], list[ChildSpec]]
+# children_fn(cliques, indices) -> specs in batch order, a list or a lazy
+# iterable; indices[k] is the index of cliques[k], 0 for the root
+ChildrenFn = Callable[[list[VertexSet], list[int]], Iterable[ChildSpec]]
 
 _new = object.__new__
 _set_bits = VertexSet.bits.__set__
@@ -48,6 +52,18 @@ class StepEvent(NamedTuple):
     kind: str
     clique: VertexSet | None
     cost: int
+
+
+class Pace:
+    """Work units since the stream's previous event at which a children step
+    yields a children-work event; 0 or less asks for none.  Read when a
+    children step starts and after each of its children-work events, so
+    the consumer may change it between events."""
+
+    __slots__ = ("quantum",)
+
+    def __init__(self) -> None:
+        self.quantum = 0
 
 
 @dataclass(slots=True)
@@ -110,6 +126,7 @@ def step_events(
     capacity: int,
     stats: TraversalStats | None = None,
     counter: OpCounter | None = None,
+    pace: Pace | None = None,
 ) -> Iterator[StepEvent]:
     """Resumable event stream of the batch traversal.
 
@@ -118,7 +135,12 @@ def step_events(
     ``counter`` is the listing's one ledger: pops charge it, and
     ``children_fn`` should charge the same one.  Each event costs the
     counter's growth since the previous event, so units already on it (the
-    root's construction) fall on the first event.
+    root's construction) fall on the first event.  With a positive ``pace``
+    quantum, a children-work event follows each spec that brings the units
+    since the previous event to the quantum; a ``children_fn`` that returns
+    a lazy iterable so splits its step, one that returns a list yields at
+    most one such event, after its whole step.  Specs are pushed in batch
+    order either way.
     """
     if capacity < 1:
         raise ValueError("batch capacity must be at least 1")
@@ -147,8 +169,14 @@ def step_events(
         stats.batches_total += 1
         if len(batch) < capacity:
             stats.batches_undersized += 1
+        quantum = pace.quantum if pace is not None else 0
         for spec in children_fn(batch, indices):
             stack.push(spec)
+            if quantum > 0 and counter.ops - charged >= quantum:
+                cost, charged = counter.ops - charged, counter.ops
+                stats.total_cost += cost
+                yield StepEvent(CHILDREN_WORK, None, cost)
+                quantum = pace.quantum
         stats.max_stack_cliques = max(stats.max_stack_cliques, stack.pending)
         stats.stack_cliques = stack.pending
         cost, charged = counter.ops - charged, counter.ops

@@ -13,22 +13,35 @@ three refuse bad arguments with ``ValueError`` at the call.
 Work units are the operation counts charged to the listing's one counter:
 the root's construction, every pop's completion and every children
 invocation's word ops and multiply-adds.  ``run_strict`` calibrates from
-its own stream's head (:func:`calibrate`): the first batch is always the
-root alone, so with c = :data:`CALIBRATION_MARGIN`, tau_delay = c * the
-root's children step's units (at least 1) and boot_target = c * n.  It
-then replays the head into boot.
+its own boot (:func:`calibrate`), turning boot's amortized cost per clique
+into a per-print budget: the first batch is always the root alone,
+boot_target = 1 + the root's children count, and with c =
+:data:`CALIBRATION_MARGIN`, tau_delay = c * the units charged after the
+root batch // the cliques banked after the root (at least 1).
+
+After boot the scheduler sets the stream's
+:class:`~cliquestream.batch_dfs.Pace` quantum to the units its next print
+still waits for (tau_delay right after a print).  A "bitset" children
+step then runs parent by parent and yields a children-work event as soon
+as that many units are charged, so prints fall inside the step and a gap
+passes tau_delay by less than one pop or one parent's children test.  A
+"rect" step is one ``children_batch`` call, so it yields at most one
+children-work event, after the whole step, and its gaps stay within
+tau_delay + the largest event.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import repeat
 from typing import Iterator, NamedTuple
 
+from . import kernels
 from .batch_dfs import (
     CLIQUE_COLLECTED,
     TRAVERSAL_ENDED,
+    Pace,
     StepEvent,
     TraversalStats,
     step_events,
@@ -63,8 +76,10 @@ class Emission(NamedTuple):
 @dataclass
 class StrictRunReport:
     """Observability for one strict-mode run (filled as the run proceeds:
-    ``emitted`` and ``queue_peak`` hold at every emission, so a stream
-    stopped early reads what it released)."""
+    ``emitted``, ``queue_peak`` and ``drained`` hold at every emission, so
+    a stream stopped early reads what it released).  ``first_output_units``
+    is the listing's ``total_cost`` at the first emission; ``drained``
+    counts the cliques released by the final drain."""
 
     config: DelayConfig | None = None
     stats: TraversalStats = field(default_factory=TraversalStats)
@@ -74,6 +89,8 @@ class StrictRunReport:
     max_event_cost: int = 0
     starved_checks: int = 0
     emitted: int = 0
+    first_output_units: int = 0
+    drained: int = 0
 
 
 def list_mc(
@@ -93,6 +110,13 @@ def list_mc(
     capacity below 1, or a "rect" n whose factors
     :func:`~cliquestream.kernels.check_factors` refuses, raises ValueError
     here, before anything is built."""
+    return _listing(g, kernel, capacity, stats, None)
+
+
+def _listing(g: Graph, kernel: str, capacity, stats, pace: Pace | None) -> Iterator[StepEvent]:
+    """:func:`list_mc`'s stream, paced by ``pace``: with one, a "bitset"
+    children step runs parent by parent through
+    :func:`~cliquestream.kernels.filter_children`."""
     if kernel not in KERNELS:
         raise ValueError(f"unknown kernel {kernel!r}")
     cap = capacity if capacity is not None else g.n * g.n
@@ -105,29 +129,39 @@ def list_mc(
 
     def children_fn(cliques: list[VertexSet], indices: list[int]):
         nonlocal factors
-        if kernel == "rect" and factors is None:
-            factors = graph_factors(g, counter)
+        if kernel == "rect":
+            if factors is None:
+                factors = graph_factors(g, counter)
+        elif pace is not None:
+            return map(kernels.filter_children, repeat(g), cliques, indices, repeat(counter))
         return children_batch(
             g, cliques, kernel=kernel, counter=counter, indices=indices, factors=factors
         )
 
     root_clique = root(g, counter)
-    return step_events(g, root_clique, children_fn, cap, stats=stats, counter=counter)
+    return step_events(g, root_clique, children_fn, cap, stats, counter, pace)
 
 
 def calibrate(
-    g: Graph, events: Iterator[StepEvent]
-) -> tuple[DelayConfig, list[StepEvent]]:
-    """Derive a DelayConfig from the head of ``events``: the root's
-    clique-collected event and its batch-completed event.
+    events: Iterator[StepEvent], q: deque[VertexSet], stats: TraversalStats
+) -> tuple[DelayConfig, bool]:
+    """Boot the run into ``q`` and derive its DelayConfig from what boot
+    banked; ``stats`` is the stream's.  Returns the config and whether the
+    traversal ended during boot.
 
-    Returns the config and those two events, for the caller to replay.
-    With c = :data:`CALIBRATION_MARGIN`, tau_delay = c * max(1, the root's
-    children step's units) and boot_target = c * n.
+    The first batch is the root alone, and boot_target = 1 + the root's
+    children count.  With c = :data:`CALIBRATION_MARGIN`, tau_delay = c *
+    the units charged after the root batch // max(1, the cliques banked
+    after the root), and at least 1.
     """
-    head = list(islice(events, 2))
-    tau = CALIBRATION_MARGIN * max(1, head[1].cost)
-    return DelayConfig(tau_delay=tau, boot_target=CALIBRATION_MARGIN * g.n), head
+    exhausted = boot(events, q, 1)
+    root_units = stats.total_cost
+    target = 1 + stats.stack_cliques
+    if not exhausted:
+        exhausted = boot(events, q, target)
+    units = stats.total_cost - root_units
+    tau = CALIBRATION_MARGIN * units // max(1, len(q) - 1)
+    return DelayConfig(tau_delay=max(1, tau), boot_target=target), exhausted
 
 
 def boot(events: Iterator[StepEvent], q: deque[VertexSet], boot_target: int) -> bool:
@@ -157,53 +191,55 @@ def run_strict(
     Yields every maximal clique exactly once, in queue-insertion (i.e.
     collection) order.  The queue never exceeds boot_target + n^2 + 1
     entries thanks to the forced-drain guard, and nothing is printed
-    before boot returns.  The stream's own head calibrates the run;
+    before boot returns.  The run's own boot calibrates it;
     ``report.config`` is set before the first emission.  What
     :func:`list_mc` refuses raises ``ValueError`` at this call.
     """
     if report is None:
         report = StrictRunReport()
-    events = list_mc(g, kernel=kernel, capacity=capacity, stats=report.stats)
-    return _paced(g, events, report)
+    pace = Pace()
+    events = _listing(g, kernel, capacity, report.stats, pace)
+    return _paced(g, events, pace, report)
 
 
-def _paced(g: Graph, events, report: StrictRunReport) -> Iterator[Emission]:
+def _paced(g: Graph, events, pace: Pace, report: StrictRunReport) -> Iterator[Emission]:
     """``run_strict``'s pacing loop over an opened event stream."""
     stats = report.stats
-    cfg, head = calibrate(g, events)
-    report.config = cfg
-    events = chain(head, events)
     q: deque[VertexSet] = deque()
-    report.boot_exhausted = boot(events, q, cfg.boot_target)
+    cfg, report.boot_exhausted = calibrate(events, q, stats)
+    report.config = cfg
     report.boot_collected = report.queue_peak = peak = len(q)
+    tau = cfg.tau_delay
     overflow = cfg.boot_target + g.n * g.n
-    counter = 0
-    ordinal = 0
+    counter = ordinal = top = 0
+    pace.quantum = tau  # children-work events from here on
     # after an exhausting boot the stream is spent and this loop is empty
-    for event in events:
-        counter += event.cost
-        if event.cost > report.max_event_cost:
-            report.max_event_cost = event.cost
-        if event.kind == CLIQUE_COLLECTED:
-            q.append(event.clique)
+    for kind, clique, cost in events:
+        counter += cost
+        if cost > top:
+            top = report.max_event_cost = cost
+        if kind == CLIQUE_COLLECTED:
+            q.append(clique)
             if len(q) > peak:
                 peak = len(q)
-        if (len(q) > 0 and counter >= cfg.tau_delay) or len(q) > overflow:
-            clique = q.popleft()
+        if (counter >= tau and q) or len(q) > overflow:
             ordinal += 1
+            if ordinal == 1:
+                report.first_output_units = stats.total_cost
             report.emitted, report.queue_peak = ordinal, peak
-            yield Emission(clique, ordinal, counter, len(q), stats.stack_cliques)
+            yield Emission(q.popleft(), ordinal, counter, len(q), stats.stack_cliques)
             counter = 0
-        elif (
-            counter >= cfg.tau_delay
-            and len(q) == 0
-            and event.kind != TRAVERSAL_ENDED
-        ):
+        elif counter >= tau and kind != TRAVERSAL_ENDED:  # the queue is empty
             report.starved_checks += 1
+        pace.quantum = tau - counter  # the units the next print waits for
+    report.queue_peak = peak
+    if not ordinal:
+        report.first_output_units = stats.total_cost
+    drain_from = ordinal
     while len(q):
         # final drain; the first drained clique inherits the residual counter
         clique = q.popleft()
         ordinal += 1
-        report.emitted, report.queue_peak = ordinal, peak
+        report.emitted, report.drained = ordinal, ordinal - drain_from
         yield Emission(clique, ordinal, counter, len(q), stats.stack_cliques)
         counter = 0

@@ -279,7 +279,8 @@ def _children_rect(g: Graph, cliques, indices, factors: Factors, counter) -> lis
     if counter is not None:
         b = len(cliques)
         members = np.count_nonzero(mb)
-        counter.ops += (b * (5 + n * n) + 3 * members + 6 * scanned) * words(n)
+        # the counts are numpy integers; a Python int keeps event costs plain ints
+        counter.ops += int(b * (5 + n * n) + 3 * members + 6 * scanned) * words(n)
     rows, found = np.nonzero(cand)
     ends = np.searchsorted(rows, np.arange(1, len(cliques) + 1)).tolist()
     found = (found + 1).tolist()

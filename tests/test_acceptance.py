@@ -243,6 +243,46 @@ def test_criterion_7_strict_delay_properties(run_matrix):
     )
 
 
+# the families the calibration was simulated on, with the sparse-strict
+# benchmark's two gnp(100, .07) graphs before their relabeling
+STRICT_FAMILIES = {
+    "gnp(60,.3)": lambda: cs.Graph.gnp(60, 0.3, seed=1),
+    "gnp(200,.05)": lambda: cs.Graph.gnp(200, 0.05, seed=1),
+    "gnp(2000,10/n)": lambda: cs.Graph.gnp(2000, 10 / 2000, seed=1),
+    "moon-moser(12)": lambda: cs.Graph.complete_multipartite_triples(12),
+    "moon-moser(15)": lambda: cs.Graph.complete_multipartite_triples(15),
+    "moon-moser(21)": lambda: cs.Graph.complete_multipartite_triples(21),
+    "gnp(16,.8)": lambda: cs.Graph.gnp(16, 0.8, seed=3),
+    "gnp(100,.07) #0": lambda: cs.Graph.gnp(100, 0.07, seed=2015),
+    "gnp(100,.07) #1": lambda: cs.Graph.gnp(100, 0.07, seed=2016),
+}
+
+
+@pytest.mark.parametrize("name", list(STRICT_FAMILIES))
+def test_strict_delay_bound_is_real(name):
+    """Calibrated strict mode on bitset: the queue never starves, every gap is
+    at most 3 tau, tau is at most 5x the run's mean units per clique, and the
+    first print comes within the first half of the work."""
+    g = STRICT_FAMILIES[name]()
+    ok = True
+    gap = tau_share = first_share = 0.0
+    for capacity in sorted({1, 2, 7, g.n, g.n * g.n}):
+        rep = ds.StrictRunReport()
+        emissions = list(ds.run_strict(g, capacity=capacity, report=rep))
+        tau = rep.config.tau_delay
+        total = rep.stats.total_cost
+        gap = max(gap, max(e.cost_units for e in emissions) / tau)
+        tau_share = max(tau_share, tau * len(emissions) / total)
+        first_share = max(first_share, rep.first_output_units / total)
+        ok = ok and rep.starved_checks == 0
+    ok = ok and gap <= 3 and tau_share <= 5 and first_share <= 0.5
+    print(
+        f"[strict delay] {name}: {'PASS' if ok else 'FAIL'} (max gap {gap:.2f} tau, "
+        f"tau {tau_share:.2f}x the mean, first output at {first_share:.2f} of the work)"
+    )
+    assert ok, f"strict delay bound on {name}"
+
+
 def test_criterion_8_matmul_differential():
     rng = random.Random(8)
     shapes = [(4, 64, 4096), (64, 64, 4096), (64, 64, 64), (1, 1, 1), (64, 1, 2048)]

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 import cliquestream as cs
 from cliquestream import delay_scheduler, oracle
-from cliquestream.batch_dfs import BacktrackStack
+from cliquestream.batch_dfs import CHILDREN_WORK, BacktrackStack, Pace
 from cliquestream.kernels import ChildSpec
 
 from conftest import (
@@ -173,6 +173,50 @@ class TestSinkDriver:
     def test_capacity_must_be_positive(self, bridged):
         with pytest.raises(ValueError):
             list(cs.step_events(bridged, cs.rs_tree.root(bridged), lambda b, i: [], 0))
+
+
+class TestPace:
+    """A quantum splits a children step into children-work events; the
+    cliques, their costs and the total stay those of the unpaced stream."""
+
+    @staticmethod
+    def stream(g, quantum, lazy):
+        counter = cs.OpCounter()
+
+        def children_fn(cliques, indices):
+            specs = (cs.kernels.filter_children(g, p, i, counter) for p, i in zip(cliques, indices))
+            return specs if lazy else list(specs)
+
+        pace = Pace()
+        pace.quantum = quantum
+        stats = cs.TraversalStats()
+        root = cs.rs_tree.root(g, counter)
+        return list(cs.step_events(g, root, children_fn, 7, stats, counter, pace)), stats
+
+    @pytest.mark.parametrize("quantum", [1, 50, 10**9])
+    def test_work_events_split_the_children_step(self, quantum):
+        g = cs.Graph.gnp(40, 0.3, seed=4)
+        plain, plain_stats = self.stream(g, 0, True)
+        paced, stats = self.stream(g, quantum, True)
+        work = [e for e in paced if e.kind == CHILDREN_WORK]
+        assert all(e.cost >= quantum for e in work)
+        cliques = [e for e in paced if e.kind == cs.CLIQUE_COLLECTED]
+        assert cliques == [e for e in plain if e.kind == cs.CLIQUE_COLLECTED]
+        assert sum(e.cost for e in paced) == stats.total_cost == plain_stats.total_cost
+        if quantum == 1:  # every parent's test charges, so each is its own event
+            assert len(work) == len(cliques)
+        if quantum == 10**9:
+            assert paced == plain
+
+    def test_a_list_step_yields_at_most_one_work_event(self):
+        g = cs.Graph.gnp(40, 0.3, seed=4)
+        events, stats = self.stream(g, 1, False)
+        kinds = [e.kind for e in events]
+        assert kinds.count(CHILDREN_WORK) == stats.batches_total
+        # each children-work event is followed by its batch's completion
+        for k, kind in enumerate(kinds):
+            if kind == CHILDREN_WORK:
+                assert kinds[k + 1] == cs.BATCH_COMPLETED and events[k + 1].cost == 0
 
 
 class TestCarriedIndex:

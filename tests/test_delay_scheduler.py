@@ -11,12 +11,16 @@ from conftest import BRIDGED_CLIQUES, collect_plain, oracle_bits, random_graphs
 
 def strict_run(g, cfg=None, kernel="bitset", capacity=None):
     """A strict run's emissions and report; a given ``cfg`` replaces the
-    calibrated config, and the calibration's head is still replayed."""
+    calibrated config: the run boots to its boot_target and paces at its
+    tau_delay."""
     report = ds.StrictRunReport()
     with pytest.MonkeyPatch.context() as mp:
         if cfg is not None:
-            calibrate = ds.calibrate
-            mp.setattr(ds, "calibrate", lambda g, events: (cfg, calibrate(g, events)[1]))
+
+            def forced(events, q, stats):
+                return cfg, ds.boot(events, q, cfg.boot_target)
+
+            mp.setattr(ds, "calibrate", forced)
         emissions = list(ds.run_strict(g, kernel=kernel, capacity=capacity, report=report))
     return emissions, report
 
@@ -57,6 +61,9 @@ class TestListMc:
             # the seeded root's pop charges nothing, so its event is the root's
             assert events[0].cost == root_units.ops > 0
             assert sum(e.cost for e in events) == stats.total_cost
+            # numpy counts never leak into the ledger
+            assert type(stats.total_cost) is int
+            assert all(type(e.cost) is int for e in events)
 
     def test_unknown_kernel_refused_before_root(self, bridged, monkeypatch):
         def no_root(*args, **kwargs):
@@ -179,6 +186,43 @@ class TestRunStrict:
         assert [e.ordinal for e in emissions] == list(range(1, 6))
 
     @pytest.mark.parametrize("kernel", ["bitset", "rect"])
+    def test_work_events_split_charges_and_never_add(self, kernel):
+        graphs = [
+            cs.Graph.gnp(60, 0.3, seed=1),
+            cs.Graph.gnp(100, 0.07, seed=2015),
+            cs.Graph.complete_multipartite_triples(15),
+        ]
+        for g in graphs:
+            for capacity in (1, 7, None):
+                plain = cs.TraversalStats()
+                order = [c.bits for c in collect_plain(g, kernel, capacity, plain)]
+                emissions, report = strict_run(g, kernel=kernel, capacity=capacity)
+                assert [e.clique.bits for e in emissions] == order
+                assert report.stats.total_cost == plain.total_cost
+
+    @pytest.mark.parametrize("capacity", [1, 7, None])
+    def test_report_reads_first_output_and_drain(self, monkeypatch, capacity):
+        ended = []
+
+        def flagged(*args, _events=ds.step_events, **kwargs):
+            for event in _events(*args, **kwargs):
+                if event.kind == cs.TRAVERSAL_ENDED:
+                    ended.append(True)
+                yield event
+
+        monkeypatch.setattr(ds, "step_events", flagged)
+        g = cs.Graph.gnp(60, 0.3, seed=1)
+        report = ds.StrictRunReport()
+        first_units, drained = None, 0
+        for em in ds.run_strict(g, capacity=capacity, report=report):
+            if first_units is None:
+                first_units = report.stats.total_cost
+            drained += bool(ended)
+            assert report.drained == drained
+        assert report.first_output_units == first_units
+        assert 0 < report.drained < report.emitted
+
+    @pytest.mark.parametrize("kernel", ["bitset", "rect"])
     def test_default_config_traverses_once(self, kernel, monkeypatch):
         # calibration reads the run's own first batch: one root, and one
         # build of the graph matrix's factors for "rect"
@@ -217,11 +261,13 @@ class TestRunStrict:
 class TestCalibration:
     def test_config_valid(self):
         for g in random_graphs(6, seed0=2400):
-            cfg, head = ds.calibrate(g, ds.list_mc(g))
+            stats = cs.TraversalStats()
+            q = deque()
+            cfg, exhausted = ds.calibrate(ds.list_mc(g, stats=stats), q, stats)
             assert cfg.tau_delay >= 1
             assert cfg.boot_target >= 1
-            assert [e.kind for e in head] == [cs.CLIQUE_COLLECTED, cs.BATCH_COMPLETED]
-            assert head[0].clique == cs.rs_tree.root(g)
+            assert q[0] == cs.rs_tree.root(g)
+            assert exhausted or len(q) >= cfg.boot_target
 
     @pytest.mark.parametrize("kernel", ["bitset", "rect"])
     def test_formulas_read_the_root_and_its_children_step(self, bridged, kernel):
@@ -234,13 +280,29 @@ class TestCalibration:
         ]
         c = ds.CALIBRATION_MARGIN
         for g in graphs:
+            root = cs.rs_tree.root(g)
+            target = 1 + len(cs.kernels.children_naive(g, root, 0))
             for capacity in (1, 7, g.n * g.n):
                 events = list(cs.list_mc(g, kernel=kernel, capacity=capacity))
-                step = next(e for e in events if e.kind == cs.BATCH_COMPLETED)
-                cfg, head = ds.calibrate(g, cs.list_mc(g, kernel=kernel, capacity=capacity))
-                assert head == events[:2]
+                assert [e.kind for e in events[:2]] == [cs.CLIQUE_COLLECTED, cs.BATCH_COMPLETED]
+                # boot stops at the first batch boundary with target banked
+                banked = [root]
+                for end, e in enumerate(events[2:], start=2):
+                    if e.kind == cs.CLIQUE_COLLECTED:
+                        banked.append(e.clique)
+                    elif e.kind == cs.TRAVERSAL_ENDED or len(banked) >= target:
+                        break
+                units = sum(e.cost for e in events[2 : end + 1])
+                stats = cs.TraversalStats()
+                q = deque()
+                stream = cs.list_mc(g, kernel=kernel, capacity=capacity, stats=stats)
+                cfg, exhausted = ds.calibrate(stream, q, stats)
+                assert type(cfg.tau_delay) is int
+                assert list(q) == banked
+                assert exhausted == (events[end].kind == cs.TRAVERSAL_ENDED)
                 assert cfg == ds.DelayConfig(
-                    tau_delay=c * max(1, step.cost), boot_target=c * g.n
+                    tau_delay=max(1, c * units // max(1, len(banked) - 1)),
+                    boot_target=target,
                 )
 
     def test_queue_never_starves_with_calibrated_config(self):

@@ -23,7 +23,7 @@ PIN_GRAPHS = {
 EVENTS_SHA256 = "62191b3667db1e251d785c3e900915304e52184ac738f4f264fe57573febac8d"
 # sha256 over the calibrated config and every run_strict emission on
 # gnp(40,.5) with the bitset kernel and default calibration
-STRICT_SHA256 = "8833c3b7a5917f41a640d07ca47885e5f9b9ca03363f4bad8e81e553cd94e94a"
+STRICT_SHA256 = "60da02b4b4867847328d1657cd1e2fd49781ae81d0e16c3f1c037248ad5daa88"
 
 
 def events_digest() -> str:
