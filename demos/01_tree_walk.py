@@ -41,7 +41,8 @@ print("\nparent -> accepted child indices -> children")
 
 
 def show_children(p: cs.VertexSet) -> None:
-    spec = kernels.children_naive(g, p, rs_tree.clique_index(g, p) or 0)  # root: 0
+    # the kernels take a parent's raw mask; the index of the root is 0
+    spec = kernels.children_naive(g, p.bits, rs_tree.clique_index(g, p) or 0)
     kids = [rs_tree.child(g, p, i) for i in spec.indices]
     print(f"  {str(p):24} {spec.indices} -> {kids}")
 

@@ -3,14 +3,17 @@
 Shows the two batch kernels side by side: the rectangular Boolean product
 over the characteristic matrices, and the direct bitset formula for each
 good row.  Both decide the same "good pair" predicate for a whole batch of
-parents at once.
+parents at once.  The kernels take a batch as raw int masks (bit v-1 for
+vertex v), the form the traversal carries; a VertexSet wraps a mask only
+where a clique is shown.
 """
 
 import cliquestream as cs
 from cliquestream import kernels, matmul, oracle, rs_tree
 
 g = cs.Graph.gnp(12, 0.5, seed=20)
-batch = oracle.all_maximal_cliques(g)
+cliques = oracle.all_maximal_cliques(g)
+batch = [c.bits for c in cliques]
 print(f"graph: n={g.n}, m={g.m}, batch of {len(batch)} maximal cliques")
 
 # The reduction: M_B rows are the parents' characteristic vectors, and the
@@ -57,12 +60,12 @@ print(f"good fraction: {good / positive.size:.3f}")
 # batch element; per-parent completion calls (children_naive) are the
 # cross-check.
 specs = kernels.children_batch(g, batch, kernel="rect")
-naive = [kernels.children_naive(g, p, rs_tree.clique_index(g, p) or 0) for p in batch]
+naive = [kernels.children_naive(g, c.bits, rs_tree.clique_index(g, c) or 0) for c in cliques]
 assert specs == naive
 total = sum(len(s) for s in specs)
 print(f"children found: {total} across {len(batch)} parents")
 widest = max(specs, key=len)
-print(f"busiest parent: {widest.parent} -> indices {widest.indices}")
+print(f"busiest parent: {cs.VertexSet(widest.parent)} -> indices {widest.indices}")
 
 # Work accounting: kernels charge word-level operation counts to a counter.
 counter = cs.OpCounter()

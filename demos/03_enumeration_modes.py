@@ -41,10 +41,11 @@ seen = []
 counter = cs.OpCounter()
 
 
-def children_fn(cliques, indices):
-    # indices[k] is the reverse-search index of cliques[k] (0 for the root),
-    # returned by the stack pop that expanded it
-    return kernels.children_batch(g, cliques, counter=counter, indices=indices)
+def children_fn(masks, indices):
+    # masks[k] is a popped clique's raw int mask, the form the kernels take,
+    # and indices[k] its reverse-search index (0 for the root), returned by
+    # the stack pop that expanded it; only the events wrap a VertexSet
+    return kernels.children_batch(g, masks, counter=counter, indices=indices)
 
 
 root_clique = rs_tree.root(g, counter)

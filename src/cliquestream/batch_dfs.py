@@ -11,9 +11,9 @@ returns that index with the clique and no index is recomputed.
 
 The traversal is exposed as a resumable event stream
 (:func:`step_events`) of :class:`StepEvent` named tuples ``(kind, clique,
-cost)``.  Every clique passes this path, so ``ChildSpec`` and
-:class:`TraversalStats` are slotted, and ``pop`` and ``filter_children``
-build their results without calling the constructors.  One ``OpCounter`` per
+cost)``.  The stack, the batch and ``children_fn`` carry int masks, and
+each clique event wraps one ``VertexSet`` without its constructor, as
+``filter_children`` builds its specs.  One ``OpCounter`` per
 listing takes every charge, and each event costs the counter's growth since
 the previous event.  A consumer that must act while a children step runs
 sets a :class:`Pace`: once the units since the previous event reach its
@@ -37,9 +37,9 @@ BATCH_COMPLETED = "batch-completed"
 TRAVERSAL_ENDED = "traversal-ended"
 CHILDREN_WORK = "children-work"
 
-# children_fn(cliques, indices) -> specs in batch order, a list or a lazy
-# iterable; indices[k] is the index of cliques[k], 0 for the root
-ChildrenFn = Callable[[list[VertexSet], list[int]], Iterable[ChildSpec]]
+# children_fn(masks, indices) -> specs in batch order, a list or a lazy
+# iterable; indices[k] is the index of the clique masks[k], 0 for the root
+ChildrenFn = Callable[[list[int], list[int]], Iterable[ChildSpec]]
 
 _new = object.__new__
 _set_bits = VertexSet.bits.__set__
@@ -77,46 +77,42 @@ class TraversalStats:
 
 
 class BacktrackStack:
-    """LIFO stack of pending child specs (plus the seeded root clique).
-
-    ``pending`` counts cliques still to be expanded, i.e. the sum of the
-    remaining index-list lengths.
+    """LIFO stack of ``[parent mask, indices, position]`` entries (plus the
+    seeded root's mask).  ``pending`` counts cliques still to be expanded,
+    i.e. the sum of the remaining index-list lengths.
     """
 
     def __init__(self) -> None:
         self._entries: list = []
         self.pending = 0
 
-    def seed(self, clique: VertexSet) -> None:
+    def seed(self, clique: int) -> None:
         self._entries.append(clique)
         self.pending += 1
 
     def push(self, spec: ChildSpec) -> None:
         if spec.indices:
-            self._entries.append([spec, 0])
+            self._entries.append([spec.parent, spec.indices, 0])
             self.pending += len(spec.indices)
 
-    def pop(self, g: Graph, counter: OpCounter | None = None) -> tuple[VertexSet, int]:
+    def pop(self, g: Graph, counter: OpCounter | None = None) -> tuple[int, int]:
         """Expand and remove the next pending clique from the top entry;
-        returns it with its index (0 for the seeded root)."""
+        returns its mask with its index (0 for the seeded root)."""
         if not self._entries:
             raise IndexError("pop from an empty backtracking stack")
         top = self._entries[-1]
         self.pending -= 1
-        if isinstance(top, VertexSet):
+        if type(top) is int:
             self._entries.pop()
             return top, 0
-        spec, pos = top
-        i = spec.indices[pos]
-        if pos + 1 == len(spec.indices):
+        parent, indices, pos = top
+        i = indices[pos]
+        if pos + 1 == len(indices):
             self._entries.pop()
         else:
-            top[1] = pos + 1
+            top[2] = pos + 1
         low = 1 << (i - 1)
-        base = (spec.parent.bits & (low - 1) & g.adj[i - 1]) | low
-        clique = _new(VertexSet)  # a completion is never negative: skip the check
-        _set_bits(clique, _lc_bits(g, base, counter))
-        return clique, i
+        return _lc_bits(g, (parent & (low - 1) & g.adj[i - 1]) | low, counter), i
 
 
 def step_events(
@@ -133,14 +129,14 @@ def step_events(
     Yields one clique-collected event per emission, one batch-completed
     event per children invocation, and a final traversal-ended event.
     ``counter`` is the listing's one ledger: pops charge it, and
-    ``children_fn`` should charge the same one.  Each event costs the
-    counter's growth since the previous event, so units already on it (the
-    root's construction) fall on the first event.  With a positive ``pace``
-    quantum, a children-work event follows each spec that brings the units
-    since the previous event to the quantum; a ``children_fn`` that returns
-    a lazy iterable so splits its step, one that returns a list yields at
-    most one such event, after its whole step.  Specs are pushed in batch
-    order either way.
+    ``children_fn``, which gets the batch's masks, should charge the same
+    one.  Each event costs the counter's growth since the previous event,
+    so units already on it (the root's construction) fall on the first
+    event.  With a positive ``pace`` quantum, a children-work event follows
+    each spec that brings the units since the previous event to the
+    quantum; a ``children_fn`` that returns a lazy iterable so splits its
+    step, one that returns a list yields at most one such event, after its
+    whole step.  Specs are pushed in batch order either way.
     """
     if capacity < 1:
         raise ValueError("batch capacity must be at least 1")
@@ -150,21 +146,23 @@ def step_events(
         counter = OpCounter()
     stack = BacktrackStack()
     entries = stack._entries
-    stack.seed(root_clique)
+    stack.seed(root_clique.bits)
     stats.max_stack_cliques = max(stats.max_stack_cliques, stack.pending)
     stats.stack_cliques = stack.pending
     charged = 0
     while entries:
-        batch: list[VertexSet] = []
+        batch: list[int] = []
         indices: list[int] = []
         while len(batch) < capacity and entries:
-            clique, index = stack.pop(g, counter)
-            batch.append(clique)
+            mask, index = stack.pop(g, counter)
+            batch.append(mask)
             indices.append(index)
             stats.cliques_emitted += 1
             stats.stack_cliques = stack.pending
             cost, charged = counter.ops - charged, counter.ops
             stats.total_cost += cost
+            clique = _new(VertexSet)  # a clique mask is never negative: skip the check
+            _set_bits(clique, mask)
             yield StepEvent(CLIQUE_COLLECTED, clique, cost)
         stats.batches_total += 1
         if len(batch) < capacity:

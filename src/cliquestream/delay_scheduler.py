@@ -2,13 +2,14 @@
 
 ``list_mc`` drives the traversal with the batched children kernel and
 yields the raw step-event stream.  ``run_strict`` replays that stream
-through a FIFO queue: a bootstrapping phase first banks ``boot_target``
-cliques without printing anything, then the listing phase dequeues one
-clique whenever at least ``tau_delay`` work units accrued since the last
-print (or the queue overflows ``boot_target + n^2``), and a final drain
-empties the queue once the traversal ends.  ``list_mc`` is a listing's
-one gate: ``run_strict`` and the CLI open their streams through it, so all
-three refuse bad arguments with ``ValueError`` at the call.
+through a FIFO queue of clique masks, each print wrapping one
+``VertexSet``: a bootstrapping phase first banks ``boot_target`` cliques
+without printing anything, then the listing phase dequeues one clique
+whenever at least ``tau_delay`` work units accrued since the last print
+(or the queue overflows ``boot_target + n^2``), and a final drain empties
+the queue once the traversal ends.  ``list_mc`` is a listing's one gate:
+``run_strict`` and the CLI open their streams through it, so all three
+refuse bad arguments with ``ValueError`` at the call.
 
 Work units are the operation counts charged to the listing's one counter:
 the root's construction, every pop's completion and every children
@@ -32,6 +33,7 @@ tau_delay + the largest event.
 
 from __future__ import annotations
 
+import time
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -78,8 +80,12 @@ class StrictRunReport:
     """Observability for one strict-mode run (filled as the run proceeds:
     ``emitted``, ``queue_peak`` and ``drained`` hold at every emission, so
     a stream stopped early reads what it released).  ``first_output_units``
-    is the listing's ``total_cost`` at the first emission; ``drained``
-    counts the cliques released by the final drain."""
+    is the listing's ``total_cost`` at the first emission and
+    ``first_output_s`` the wall time from the :func:`run_strict` call to
+    it; ``max_gap_units`` is the largest ``cost_units`` of any emission, the
+    drain's included; ``drained`` counts the cliques released by the final
+    drain.  A wall time is no part of the run's outcome, so equality skips
+    ``first_output_s``."""
 
     config: DelayConfig | None = None
     stats: TraversalStats = field(default_factory=TraversalStats)
@@ -90,6 +96,8 @@ class StrictRunReport:
     starved_checks: int = 0
     emitted: int = 0
     first_output_units: int = 0
+    first_output_s: float = field(default=0.0, compare=False)
+    max_gap_units: int = 0
     drained: int = 0
 
 
@@ -127,15 +135,15 @@ def _listing(g: Graph, kernel: str, capacity, stats, pace: Pace | None) -> Itera
     counter = OpCounter()
     factors = None
 
-    def children_fn(cliques: list[VertexSet], indices: list[int]):
+    def children_fn(masks: list[int], indices: list[int]):
         nonlocal factors
         if kernel == "rect":
             if factors is None:
                 factors = graph_factors(g, counter)
         elif pace is not None:
-            return map(kernels.filter_children, repeat(g), cliques, indices, repeat(counter))
+            return map(kernels.filter_children, repeat(g), masks, indices, repeat(counter))
         return children_batch(
-            g, cliques, kernel=kernel, counter=counter, indices=indices, factors=factors
+            g, masks, kernel=kernel, counter=counter, indices=indices, factors=factors
         )
 
     root_clique = root(g, counter)
@@ -143,11 +151,11 @@ def _listing(g: Graph, kernel: str, capacity, stats, pace: Pace | None) -> Itera
 
 
 def calibrate(
-    events: Iterator[StepEvent], q: deque[VertexSet], stats: TraversalStats
+    events: Iterator[StepEvent], q: deque[int], stats: TraversalStats
 ) -> tuple[DelayConfig, bool]:
-    """Boot the run into ``q`` and derive its DelayConfig from what boot
-    banked; ``stats`` is the stream's.  Returns the config and whether the
-    traversal ended during boot.
+    """Boot the run into ``q`` (clique masks) and derive its DelayConfig
+    from what boot banked; ``stats`` is the stream's.  Returns the config
+    and whether the traversal ended during boot.
 
     The first batch is the root alone, and boot_target = 1 + the root's
     children count.  With c = :data:`CALIBRATION_MARGIN`, tau_delay = c *
@@ -164,15 +172,15 @@ def calibrate(
     return DelayConfig(tau_delay=max(1, tau), boot_target=target), exhausted
 
 
-def boot(events: Iterator[StepEvent], q: deque[VertexSet], boot_target: int) -> bool:
-    """Bank cliques into ``q`` until a batch completes with at least
+def boot(events: Iterator[StepEvent], q: deque[int], boot_target: int) -> bool:
+    """Bank clique masks into ``q`` until a batch completes with at least
     ``boot_target`` of them banked.  Prints nothing.  Returns True when the
     traversal or the stream ended first (the queue then holds every
     clique).
     """
     for event in events:
         if event.kind == CLIQUE_COLLECTED:
-            q.append(event.clique)
+            q.append(event.clique.bits)
         elif event.kind == TRAVERSAL_ENDED:
             return True
         elif len(q) >= boot_target:  # a batch completed
@@ -195,23 +203,25 @@ def run_strict(
     ``report.config`` is set before the first emission.  What
     :func:`list_mc` refuses raises ``ValueError`` at this call.
     """
+    start = time.perf_counter()
     if report is None:
         report = StrictRunReport()
     pace = Pace()
     events = _listing(g, kernel, capacity, report.stats, pace)
-    return _paced(g, events, pace, report)
+    return _paced(g, events, pace, report, start)
 
 
-def _paced(g: Graph, events, pace: Pace, report: StrictRunReport) -> Iterator[Emission]:
-    """``run_strict``'s pacing loop over an opened event stream."""
+def _paced(g: Graph, events, pace: Pace, report, start: float) -> Iterator[Emission]:
+    """``run_strict``'s pacing loop over an opened event stream, which the
+    call opened at ``perf_counter`` reading ``start``."""
     stats = report.stats
-    q: deque[VertexSet] = deque()
+    q: deque[int] = deque()
     cfg, report.boot_exhausted = calibrate(events, q, stats)
     report.config = cfg
     report.boot_collected = report.queue_peak = peak = len(q)
     tau = cfg.tau_delay
     overflow = cfg.boot_target + g.n * g.n
-    counter = ordinal = top = 0
+    counter = ordinal = top = gap = 0
     pace.quantum = tau  # children-work events from here on
     # after an exhausting boot the stream is spent and this loop is empty
     for kind, clique, cost in events:
@@ -219,27 +229,32 @@ def _paced(g: Graph, events, pace: Pace, report: StrictRunReport) -> Iterator[Em
         if cost > top:
             top = report.max_event_cost = cost
         if kind == CLIQUE_COLLECTED:
-            q.append(clique)
+            q.append(clique.bits)
             if len(q) > peak:
                 peak = len(q)
         if (counter >= tau and q) or len(q) > overflow:
             ordinal += 1
             if ordinal == 1:
                 report.first_output_units = stats.total_cost
+                report.first_output_s = time.perf_counter() - start
+            if counter > gap:
+                gap = report.max_gap_units = counter
             report.emitted, report.queue_peak = ordinal, peak
-            yield Emission(q.popleft(), ordinal, counter, len(q), stats.stack_cliques)
+            yield Emission(VertexSet(q.popleft()), ordinal, counter, len(q), stats.stack_cliques)
             counter = 0
         elif counter >= tau and kind != TRAVERSAL_ENDED:  # the queue is empty
             report.starved_checks += 1
         pace.quantum = tau - counter  # the units the next print waits for
     report.queue_peak = peak
-    if not ordinal:
-        report.first_output_units = stats.total_cost
     drain_from = ordinal
-    while len(q):
+    while q:
         # final drain; the first drained clique inherits the residual counter
-        clique = q.popleft()
         ordinal += 1
+        if ordinal == 1:
+            report.first_output_units = stats.total_cost
+            report.first_output_s = time.perf_counter() - start
+        if counter > gap:
+            gap = report.max_gap_units = counter
         report.emitted, report.drained = ordinal, ordinal - drain_from
-        yield Emission(clique, ordinal, counter, len(q), stats.stack_cliques)
+        yield Emission(VertexSet(q.popleft()), ordinal, counter, len(q), stats.stack_cliques)
         counter = 0

@@ -2,9 +2,10 @@
 
 Vertices are 1-based integers ``1..n``.  A vertex set is an int bitmask
 where bit ``v-1`` stands for vertex ``v``, so the smallest member of a set
-is its lowest set bit.  Hot loops elsewhere in the package work on these
-raw masks; :class:`VertexSet` is the thin immutable wrapper used at API
-boundaries.
+is its lowest set bit.  The traversal, the children kernels and the strict
+queue carry raw masks; :class:`VertexSet`, the thin immutable wrapper, is
+built where a clique leaves the library (``StepEvent.clique``,
+``Emission.clique``) and taken by the tree primitives of ``rs_tree``.
 
 A :class:`Graph` derives its edge count from its rows, owns the rules on
 its parameters (``n >= 1``, ``p`` in [0, 1]), and is frozen after

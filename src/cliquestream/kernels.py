@@ -1,4 +1,4 @@
-"""Children generation for batches of maximal cliques.
+"""Children generation for batches of maximal cliques, each an int mask.
 
 A pair ``(i, j)`` is *good* for a parent ``P`` when some vertex of
 ``P_{<i} & N(i)`` is a non-neighbor of ``j``.  A parent's good row for
@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import pairwise
 
 import numpy as np
 
@@ -75,9 +76,10 @@ Factors = tuple[np.ndarray, matmul.BinaryOperand, matmul.BinaryOperand]
 
 @dataclass(frozen=True, slots=True)
 class ChildSpec:
-    """A parent clique and the ascending list of its good child indices."""
+    """A parent clique's mask and the ascending list of its good child
+    indices."""
 
-    parent: VertexSet
+    parent: int
     indices: tuple[int, ...]
 
     def __len__(self) -> int:
@@ -100,7 +102,8 @@ def _mask_rows(masks, n: int) -> np.ndarray:
 def _check_batch(cliques) -> None:
     if not cliques:
         raise ValueError("batch must be non-empty")
-    if len({c.bits for c in cliques}) != len(cliques):
+    # a sorted copy, 8 bytes per mask, puts any repeat beside its twin
+    if any(a == b for a, b in pairwise(sorted(cliques))):
         raise ValueError("batch elements must be distinct")
 
 
@@ -156,7 +159,7 @@ def build_batch_matrices(g: Graph, cliques) -> tuple[np.ndarray, np.ndarray]:
     a_rows, non_adj = _graph_rows(g)
     # entry [v, i, j] = a_rows[i, v] & non_adj[j, v], allocated in C order
     cube = np.bitwise_and(a_rows.T[:, :, None], non_adj.T[:, None, :], order="C")
-    return _mask_rows((c.bits for c in cliques), g.n), cube.reshape(g.n, g.n * g.n)
+    return _mask_rows(cliques, g.n), cube.reshape(g.n, g.n * g.n)
 
 
 def good_table_rectangular(g: Graph, cliques) -> list[list[int]]:
@@ -176,14 +179,14 @@ def good_table_bitset(g: Graph, cliques) -> list[list[int]]:
     for c in cliques:
         row = []
         for i in range(1, g.n + 1):
-            pig = c.bits & below_mask(i) & g.adj[i - 1]
+            pig = c & below_mask(i) & g.adj[i - 1]
             row.append(g.full_mask & ~common_neighbors(g, pig))
         rows.append(row)
     return rows
 
 
 def filter_children(
-    g: Graph, p: VertexSet, index: int, counter: OpCounter | None = None
+    g: Graph, p: int, index: int, counter: OpCounter | None = None
 ) -> ChildSpec:
     """Accept the candidate indices that no ``j`` disqualifies.
 
@@ -202,8 +205,7 @@ def filter_children(
     candidate, 1 per fold.
     """
     adj = g.adj
-    pb = p.bits
-    notp = ~pb
+    notp = ~p
     adjacent, near = prefix_masks(g, p)
     outside = adjacent & notp
     cand = (near if index else g.full_mask) & notp & -(1 << index)
@@ -217,7 +219,7 @@ def filter_children(
         bel = low - 1
         ai = adj[i - 1]
         bad = ((ai & notp) | outside) & bel
-        pig = pb & bel & ai
+        pig = p & bel & ai
         while bad and pig:
             u = pig & -pig
             pig ^= u
@@ -227,7 +229,7 @@ def filter_children(
             indices.append(i)
     if counter is not None:
         # (g.n + 63) >> 6 is words(g.n), inlined on this per-parent path
-        counter.ops += (3 * pb.bit_count() + 4 + scanned * 6 + folds) * ((g.n + 63) >> 6)
+        counter.ops += (3 * p.bit_count() + 4 + scanned * 6 + folds) * ((g.n + 63) >> 6)
     spec = _new(ChildSpec)  # ChildSpec(parent=p, indices=...) without its keyword call
     _set_parent(spec, p)
     _set_indices(spec, tuple(indices))
@@ -241,7 +243,7 @@ def _children_rect(g: Graph, cliques, indices, factors: Factors, counter) -> lis
     product."""
     n = g.n
     a_rows, non_adj_t, near_op = factors
-    mb = _mask_rows((p.bits for p in cliques), n)
+    mb = _mask_rows(cliques, n)
     product = matmul.multiply_boolean_threshold(mb, near_op)
     near = product[:, :n]
     # U's diagonal marks every member, so these are the non-members adjacent
@@ -293,7 +295,7 @@ def _children_rect(g: Graph, cliques, indices, factors: Factors, counter) -> lis
     return specs
 
 
-def children_naive(g: Graph, p: VertexSet, index: int) -> ChildSpec:
+def children_naive(g: Graph, p: int, index: int) -> ChildSpec:
     """Child indices of ``p`` by direct completion calls.
 
     For each candidate ``i`` above the parent's index (``index``, 0 for the
@@ -302,20 +304,19 @@ def children_naive(g: Graph, p: VertexSet, index: int) -> ChildSpec:
     machinery; the differential reference for both kernels.  Each distinct
     backward completion (most often the root's) is computed once per call.
     """
-    if not is_maximal_clique(g, p):
+    if not is_maximal_clique(g, VertexSet(p)):
         raise ValueError("parent must be a maximal clique")
     n = g.n
-    pb = p.bits
     indices = []
     backs: dict[int, int] = {}
     for i in range(index + 1, n + 1):
-        if (pb >> (i - 1)) & 1:
+        if (p >> (i - 1)) & 1:
             continue
         bel = below_mask(i)
-        pig = pb & bel & g.adj[i - 1]
+        pig = p & bel & g.adj[i - 1]
         if pig not in backs:
             backs[pig] = lex_completion(g, VertexSet(pig)).bits
-        if backs[pig] & bel != pb & bel:
+        if backs[pig] & bel != p & bel:
             continue
         forward = lex_completion(g, VertexSet(pig | vbit(i)))
         if forward.bits & bel == pig:
@@ -345,7 +346,7 @@ def children_batch(
     """
     _check_batch(cliques)
     if indices is None:
-        indices = [clique_index(g, p, counter) or 0 for p in cliques]
+        indices = [clique_index(g, VertexSet(p), counter) or 0 for p in cliques]
     elif len(indices) != len(cliques):
         raise ValueError(f"{len(indices)} indices for a batch of {len(cliques)}")
     if kernel == "bitset":

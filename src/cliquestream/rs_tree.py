@@ -105,13 +105,13 @@ def root(g: Graph, counter: OpCounter | None = None) -> VertexSet:
     return VertexSet(_lc_bits(g, 0, counter))
 
 
-def prefix_masks(g: Graph, p: VertexSet) -> tuple[int, int]:
-    """Two masks from one pass over the members of ``P``: the vertices j
-    adjacent to every member of ``P_{<j}``, and ``N(P)``, the vertices
-    adjacent to some member."""
+def prefix_masks(g: Graph, p: int) -> tuple[int, int]:
+    """Two masks from one pass over the members of the mask ``P``: the
+    vertices j adjacent to every member of ``P_{<j}``, and ``N(P)``, the
+    vertices adjacent to some member."""
     adj = g.adj
     adjacent, near = g.full_mask, 0
-    rest = p.bits
+    rest = p
     while rest:
         low = rest & -rest
         rest ^= low

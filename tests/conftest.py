@@ -96,3 +96,15 @@ def collect_plain(g, kernel="bitset", capacity=None, stats=None):
 
 def oracle_bits(g) -> frozenset:
     return frozenset(c.bits for c in oracle.all_maximal_cliques(g))
+
+
+def oracle_masks(g, limit: int = oracle.ORACLE_LIMIT) -> list[int]:
+    """Every maximal clique's mask, the lexicographically greatest first:
+    a batch as the kernels take it."""
+    return [c.bits for c in oracle.all_maximal_cliques(g, limit=limit)]
+
+
+def index_of(g, p: int) -> int:
+    """Reverse-search index of the maximal clique mask ``p``, 0 for the
+    root."""
+    return cs.rs_tree.clique_index(g, cs.VertexSet(p)) or 0

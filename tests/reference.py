@@ -127,4 +127,4 @@ def children_oracle(
             continue
         if parent_brute(g, c, cliques) == p:
             indices.append(idx)
-    return ChildSpec(parent=p, indices=tuple(sorted(indices)))
+    return ChildSpec(parent=p.bits, indices=tuple(sorted(indices)))

@@ -157,11 +157,12 @@ def test_criterion_4_good_table_cross_validation():
     checked = 0
     ok = True
     for g in random_graphs(100, seed0=6000, n_lo=6, n_hi=14):
-        batch = oracle.all_maximal_cliques(g)
+        cliques = oracle.all_maximal_cliques(g)
+        batch = [c.bits for c in cliques]
         rect = cs.kernels.good_table_rectangular(g, batch)
         bitset = cs.kernels.good_table_bitset(g, batch)
         ok = ok and rect == bitset
-        for k, p in enumerate(batch):
+        for k, p in enumerate(cliques):
             for i in range(1, g.n + 1):
                 row = rect[k][i - 1]
                 for j in range(1, g.n + 1):

@@ -40,21 +40,21 @@ def assert_empty(stack, g):
 class TestPopFromTop:
     def test_consumes_first_index_and_keeps_spec(self, bridged):
         stack = BacktrackStack()
-        stack.push(ChildSpec(parent=K5_SIDE, indices=(6, 7, 8)))
-        assert stack.pop(bridged) == (BRIDGE_16, 6)
+        stack.push(ChildSpec(parent=K5_SIDE.bits, indices=(6, 7, 8)))
+        assert stack.pop(bridged) == (BRIDGE_16.bits, 6)
         assert stack.pending == 2
         assert stack.pop(bridged)[1] == 7
 
     def test_removes_spec_when_list_empties(self, bridged):
         stack = BacktrackStack()
-        stack.push(ChildSpec(parent=BRIDGE_16, indices=(7,)))
-        assert stack.pop(bridged) == (TRIANGLE, 7)
+        stack.push(ChildSpec(parent=BRIDGE_16.bits, indices=(7,)))
+        assert stack.pop(bridged) == (TRIANGLE.bits, 7)
         assert_empty(stack, bridged)
 
     def test_seeded_root_pops_to_empty(self, bridged):
         stack = BacktrackStack()
-        stack.seed(K5_SIDE)
-        assert stack.pop(bridged) == (K5_SIDE, 0)
+        stack.seed(K5_SIDE.bits)
+        assert stack.pop(bridged) == (K5_SIDE.bits, 0)
         assert_empty(stack, bridged)
 
     def test_empty_stack_raises(self, bridged):
@@ -63,14 +63,12 @@ class TestPopFromTop:
 
     def test_empty_specs_are_not_pushed(self, bridged):
         stack = BacktrackStack()
-        stack.push(ChildSpec(parent=K5_SIDE, indices=()))
+        stack.push(ChildSpec(parent=K5_SIDE.bits, indices=()))
         assert_empty(stack, bridged)
 
     def test_popped_clique_behaves_like_a_constructed_one(self, bridged):
-        # pop wraps its completion without VertexSet.__init__
-        stack = BacktrackStack()
-        stack.push(ChildSpec(parent=K5_SIDE, indices=(6,)))
-        clique, _ = stack.pop(bridged)
+        # step_events wraps each popped mask without VertexSet.__init__
+        clique = collect_plain(bridged, capacity=1)[1]
         assert type(clique) is cs.VertexSet
         assert clique == cs.VertexSet(BRIDGE_16.bits) and hash(clique) == hash(BRIDGE_16)
         assert list(clique) == [1, 6] and repr(clique) == "VertexSet{1, 6}"
@@ -170,6 +168,34 @@ class TestSinkDriver:
         assert stats.cliques_emitted == 5
         assert stats.batches_total == 3
 
+    @pytest.mark.parametrize("kernel", cs.kernels.KERNELS)
+    def test_children_fn_sees_masks_and_events_carry_vertex_sets(self, kernel):
+        # the batch, the stack and the specs carry raw masks; each
+        # clique-collected event wraps its clique in one VertexSet
+        g = cs.Graph.gnp(20, 0.4, seed=6)
+        counter = cs.OpCounter()
+        passed, parents = [], []
+
+        def children_fn(masks, indices):
+            passed.extend(masks)
+            specs = cs.kernels.children_batch(
+                g, masks, kernel=kernel, counter=counter, indices=indices
+            )
+            parents.extend(spec.parent for spec in specs)
+            return specs
+
+        root = cs.rs_tree.root(g, counter)
+        for capacity in (1, 7, g.n * g.n):
+            passed.clear()
+            parents.clear()
+            events = cs.step_events(g, root, children_fn, capacity, counter=counter)
+            cliques = [e.clique for e in events if e.kind == cs.CLIQUE_COLLECTED]
+            assert all(type(m) is int for m in passed + parents)
+            assert parents == passed
+            assert all(type(c) is cs.VertexSet for c in cliques)
+            assert [c.bits for c in cliques] == passed
+            assert set(passed) == oracle_bits(g)
+
     def test_capacity_must_be_positive(self, bridged):
         with pytest.raises(ValueError):
             list(cs.step_events(bridged, cs.rs_tree.root(bridged), lambda b, i: [], 0))
@@ -232,7 +258,7 @@ class TestCarriedIndex:
             # check before the children step: a wrong index can make the
             # traversal revisit cliques and never end
             for c, i in zip(cliques, kwargs["indices"]):
-                assert (cs.rs_tree.clique_index(g, c) or 0) == i
+                assert (cs.rs_tree.clique_index(g, cs.VertexSet(c)) or 0) == i
                 # the candidate cut keeps every child children_naive finds
                 assert cs.kernels.filter_children(g, c, i) == (
                     cs.kernels.children_naive(g, c, i)
@@ -253,16 +279,16 @@ class TestCarriedIndex:
         ]
         for g, cap in runs:
             seen.clear()
-            assert collect_plain(g, kernel=kernel, capacity=cap) == seen
-            assert cs.rs_tree.clique_index(g, seen[0]) is None
+            assert [c.bits for c in collect_plain(g, kernel=kernel, capacity=cap)] == seen
+            assert cs.rs_tree.clique_index(g, cs.VertexSet(seen[0])) is None
 
     def test_stack_records_popped_index(self, bridged):
         stack = BacktrackStack()
-        stack.seed(K5_SIDE)
-        assert stack.pop(bridged) == (K5_SIDE, 0)
-        stack.push(ChildSpec(parent=K5_SIDE, indices=(6, 7)))
-        assert stack.pop(bridged) == (BRIDGE_16, 6)
-        assert stack.pop(bridged) == (BRIDGE_27, 7)
+        stack.seed(K5_SIDE.bits)
+        assert stack.pop(bridged) == (K5_SIDE.bits, 0)
+        stack.push(ChildSpec(parent=K5_SIDE.bits, indices=(6, 7)))
+        assert stack.pop(bridged) == (BRIDGE_16.bits, 6)
+        assert stack.pop(bridged) == (BRIDGE_27.bits, 7)
 
 
 class TestOracleProperty:

@@ -1,4 +1,5 @@
 import itertools
+import time
 from collections import deque
 
 import pytest
@@ -117,7 +118,7 @@ class TestBoot:
         assert events[-1].kind == cs.BATCH_COMPLETED
         q = deque()
         assert ds.boot(iter(events), q, 10**6) is True
-        assert list(q) == [e.clique for e in events if e.kind == cs.CLIQUE_COLLECTED]
+        assert list(q) == [e.clique.bits for e in events if e.kind == cs.CLIQUE_COLLECTED]
 
 
 class TestRunStrict:
@@ -223,6 +224,26 @@ class TestRunStrict:
         assert 0 < report.drained < report.emitted
 
     @pytest.mark.parametrize("kernel", ["bitset", "rect"])
+    @pytest.mark.parametrize("capacity", [1, 7, None])
+    @pytest.mark.parametrize(
+        "g",
+        [cs.Graph.gnp(60, 0.3, seed=1), cs.Graph.complete(5)],
+        ids=["gnp60", "boot-exhausting-K5"],
+    )
+    def test_report_reads_max_gap_and_first_output_time(self, g, kernel, capacity):
+        report = ds.StrictRunReport()
+        start = time.perf_counter()
+        stream = ds.run_strict(g, kernel=kernel, capacity=capacity, report=report)
+        first = next(stream)
+        assert 0 < report.first_output_s <= time.perf_counter() - start
+        emissions = [first, *stream]
+        # one running max over every gap, the drain's included
+        assert report.max_gap_units == max(e.cost_units for e in emissions)
+        assert report.drained > 0
+        # the queue holds masks; each print wraps one VertexSet
+        assert all(type(e.clique) is cs.VertexSet for e in emissions)
+
+    @pytest.mark.parametrize("kernel", ["bitset", "rect"])
     def test_default_config_traverses_once(self, kernel, monkeypatch):
         # calibration reads the run's own first batch: one root, and one
         # build of the graph matrix's factors for "rect"
@@ -266,7 +287,7 @@ class TestCalibration:
             cfg, exhausted = ds.calibrate(ds.list_mc(g, stats=stats), q, stats)
             assert cfg.tau_delay >= 1
             assert cfg.boot_target >= 1
-            assert q[0] == cs.rs_tree.root(g)
+            assert q[0] == cs.rs_tree.root(g).bits
             assert exhausted or len(q) >= cfg.boot_target
 
     @pytest.mark.parametrize("kernel", ["bitset", "rect"])
@@ -280,7 +301,7 @@ class TestCalibration:
         ]
         c = ds.CALIBRATION_MARGIN
         for g in graphs:
-            root = cs.rs_tree.root(g)
+            root = cs.rs_tree.root(g).bits
             target = 1 + len(cs.kernels.children_naive(g, root, 0))
             for capacity in (1, 7, g.n * g.n):
                 events = list(cs.list_mc(g, kernel=kernel, capacity=capacity))
@@ -289,7 +310,7 @@ class TestCalibration:
                 banked = [root]
                 for end, e in enumerate(events[2:], start=2):
                     if e.kind == cs.CLIQUE_COLLECTED:
-                        banked.append(e.clique)
+                        banked.append(e.clique.bits)
                     elif e.kind == cs.TRAVERSAL_ENDED or len(banked) >= target:
                         break
                 units = sum(e.cost for e in events[2 : end + 1])

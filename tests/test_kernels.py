@@ -22,8 +22,13 @@ from conftest import (
     BRIDGED_CLIQUES,
     K5_SIDE,
     TRIANGLE,
+    index_of,
+    oracle_masks,
     random_graphs,
 )
+
+# the fixture cliques as the kernels take them
+K5, B16, B27, B58, TRI = (c.bits for c in (K5_SIDE, BRIDGE_16, BRIDGE_27, BRIDGE_58, TRIANGLE))
 
 
 def col(i: int, j: int, n: int) -> int:
@@ -38,43 +43,43 @@ def is_good(rows: list[list[int]], k: int, i: int, j: int) -> bool:
 
 class TestChildrenNaive:
     def test_root_children(self, bridged):
-        assert cs.kernels.children_naive(bridged, K5_SIDE, 0).indices == (6, 7, 8)
+        assert cs.kernels.children_naive(bridged, K5, 0).indices == (6, 7, 8)
 
     def test_triangle_is_leaf(self, bridged):
-        assert cs.kernels.children_naive(bridged, TRIANGLE, 7).indices == ()
+        assert cs.kernels.children_naive(bridged, TRI, 7).indices == ()
 
     def test_bridge_16(self, bridged):
-        assert cs.kernels.children_naive(bridged, BRIDGE_16, 6).indices == (7,)
+        assert cs.kernels.children_naive(bridged, B16, 6).indices == (7,)
 
 
 class TestBatchMatrices:
     def test_shapes_and_root_row(self, bridged):
-        mb, mg = cs.kernels.build_batch_matrices(bridged, [K5_SIDE])
+        mb, mg = cs.kernels.build_batch_matrices(bridged, [K5])
         assert mb.shape == (1, 8) and mg.shape == (8, 64)
         assert mb[0].tolist() == [1, 1, 1, 1, 1, 0, 0, 0]
 
     def test_column_6_7(self, bridged):
         # A_6 = {1}, N(7) = {2,6,8}, so the (6,7) column is x({1})
-        _, mg = cs.kernels.build_batch_matrices(bridged, [K5_SIDE])
+        _, mg = cs.kernels.build_batch_matrices(bridged, [K5])
         assert mg[:, col(6, 7, 8)].tolist() == [1, 0, 0, 0, 0, 0, 0, 0]
 
     def test_column_i_equals_1_is_zero(self):
         for g in random_graphs(5, seed0=900, n_hi=10):
-            some = oracle.all_maximal_cliques(g)[:1]
+            some = oracle_masks(g)[:1]
             _, mg = cs.kernels.build_batch_matrices(g, some)
             for j in range(1, g.n + 1):
                 assert not mg[:, col(1, j, g.n)].any()
 
     def test_count_matrix_entries_are_exact_intersections(self):
         for g in random_graphs(6, seed0=950, n_hi=10):
-            batch = oracle.all_maximal_cliques(g)
+            batch = oracle_masks(g)
             mb, mg = cs.kernels.build_batch_matrices(g, batch)
             prod = matmul.multiply(mb, mg)
             for k, p in enumerate(batch):
                 for i in range(1, g.n + 1):
                     a_i = g.adj[i - 1] & below_mask(i)
                     for j in range(1, g.n + 1):
-                        expect = (p.bits & a_i & ~g.adj[j - 1]).bit_count()
+                        expect = (p & a_i & ~g.adj[j - 1]).bit_count()
                         assert prod[k, col(i, j, g.n)] == expect
 
     def test_graph_matrix_over_the_budget_refused_before_allocating(self):
@@ -85,7 +90,7 @@ class TestBatchMatrices:
             tracemalloc.start()
             try:
                 with pytest.raises(ValueError, match="past 1 GiB"):
-                    build(g, [cs.VertexSet.of(1)])
+                    build(g, [0b1])
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -94,17 +99,17 @@ class TestBatchMatrices:
 
 class TestGoodTables:
     def test_bridged_entries(self, bridged):
-        rows = cs.kernels.good_table_rectangular(bridged, [K5_SIDE])
+        rows = cs.kernels.good_table_rectangular(bridged, [K5])
         assert is_good(rows, 0, 6, 7) is True
         assert is_good(rows, 0, 6, 2) is False
         assert is_good(rows, 0, 8, 1) is False
         assert all(not is_good(rows, 0, 1, j) for j in range(1, 9))
-        tri = cs.kernels.good_table_bitset(bridged, [TRIANGLE])
+        tri = cs.kernels.good_table_bitset(bridged, [TRI])
         assert is_good(tri, 0, 8, 1) is True
 
     def test_row_i_equals_1_always_false(self):
         for g in random_graphs(5, seed0=1000, n_hi=10):
-            batch = oracle.all_maximal_cliques(g)
+            batch = oracle_masks(g)
             for rows in (
                 cs.kernels.good_table_rectangular(g, batch),
                 cs.kernels.good_table_bitset(g, batch),
@@ -114,11 +119,12 @@ class TestGoodTables:
 
     def test_kernels_and_oracle_agree(self):
         for g in random_graphs(12, seed0=1100, n_hi=12):
-            batch = oracle.all_maximal_cliques(g)
+            cliques = oracle.all_maximal_cliques(g)
+            batch = [c.bits for c in cliques]
             rect = cs.kernels.good_table_rectangular(g, batch)
             bitset = cs.kernels.good_table_bitset(g, batch)
             assert rect == bitset
-            for k, p in enumerate(batch):
+            for k, p in enumerate(cliques):
                 for i in range(1, g.n + 1):
                     for j in range(1, g.n + 1):
                         assert is_good(rect, k, i, j) == reference.good_pair_oracle(
@@ -130,7 +136,7 @@ class TestGoodTables:
         # |B| x n^2 product
         n = 100
         g = cs.Graph.gnp(n, 0.1, seed=4)
-        batch = oracle.all_maximal_cliques(g, limit=n)[:4]
+        batch = oracle_masks(g, limit=n)[:4]
         assert len(batch) == 4
         tracemalloc.start()
         try:
@@ -148,8 +154,8 @@ def rect_charge(g, cliques, indices) -> int:
     units = 0
     for p, index in zip(cliques, indices):
         _, near = prefix_masks(g, p)
-        cand = (near if index else g.full_mask) & ~p.bits & -(1 << index)
-        units += 3 * len(p) + 4 + 6 * cand.bit_count() + 1 + g.n * g.n
+        cand = (near if index else g.full_mask) & ~p & -(1 << index)
+        units += 3 * p.bit_count() + 4 + 6 * cand.bit_count() + 1 + g.n * g.n
     return units * cs.rs_tree.words(g.n)
 
 
@@ -163,7 +169,7 @@ class TestRectBlocks:
         rng = random.Random(1500)
         for n in (5, 17, 64, 65, 130):
             g = cs.Graph.gnp(n, rng.uniform(0.05, 0.5), seed=n)
-            cliques = oracle.all_maximal_cliques(g, limit=n)
+            cliques = oracle_masks(g, limit=n)
             batch = rng.sample(cliques, min(len(cliques), 9))
             mb, mg = cs.kernels.build_batch_matrices(g, batch)
             a_rows, nc_t, _ = cs.kernels.graph_factors(g)
@@ -179,7 +185,7 @@ class TestRectBlocks:
     @pytest.mark.parametrize("n", [63, 64, 65, 130])
     def test_rect_equals_bitset(self, n, monkeypatch):
         g = cs.Graph.gnp(n, 6 / n, seed=n)
-        cliques = oracle.all_maximal_cliques(g, limit=n)
+        cliques = oracle_masks(g, limit=n)
         factors = cs.kernels.graph_factors(g)
         # the default chunk, one row per chunk, and every row in one chunk
         floor = cs.kernels.CHUNK_ROWS
@@ -197,14 +203,14 @@ class TestRectBlocks:
     def test_only_needed_rows_are_multiplied(self, monkeypatch):
         # a parent's rows are multiplied only for its candidates inside N(P)
         g = cs.Graph.gnp(70, 0.1, seed=3)
-        batch = oracle.all_maximal_cliques(g, limit=70)[:9]
-        indices = [cs.rs_tree.clique_index(g, p) or 0 for p in batch]
+        batch = oracle_masks(g, limit=70)[:9]
+        indices = [index_of(g, p) for p in batch]
         factors = cs.kernels.graph_factors(g)
         want = cs.kernels.children_batch(g, batch, "bitset", None, indices)
         need = 0
         for p, index in zip(batch, indices):
             _, near = prefix_masks(g, p)
-            need += (near & ~p.bits & -(1 << index)).bit_count()
+            need += (near & ~p & -(1 << index)).bit_count()
         products = []
         real = cs.matmul.multiply_boolean_threshold
 
@@ -229,7 +235,7 @@ class TestRectBlocks:
         # a row i outside N(root) is 0, since root_{<i} & N(i) is empty; the
         # rows passed to the product with Nc.T are counted, whatever the chunks
         g = cs.Graph.gnp(200, 0.05, seed=13)
-        r = cs.rs_tree.root(g)
+        r = cs.rs_tree.root(g).bits
         factors = cs.kernels.graph_factors(g)
         want = [cs.kernels.children_naive(g, r, 0)]
         rows = []
@@ -246,7 +252,7 @@ class TestRectBlocks:
             g, [r], kernel="rect", counter=counter, indices=[0], factors=factors
         )
         _, near = prefix_masks(g, r)
-        assert sum(rows) == (near & ~r.bits).bit_count() < g.n - len(r)
+        assert sum(rows) == (near & ~r).bit_count() < g.n - r.bit_count()
         assert got == want and counter.ops == rect_charge(g, [r], [0])
 
     def test_listing_past_two_words_matches_oracle(self):
@@ -261,7 +267,7 @@ class TestRectBlocks:
     @pytest.mark.parametrize("parents", [0, 1, 3])
     def test_slices_match_one_product(self, parents, monkeypatch):
         g = cs.Graph.gnp(70, 0.1, seed=5)
-        batch = oracle.all_maximal_cliques(g, limit=70)[:10]
+        batch = oracle_masks(g, limit=70)[:10]
         factors = cs.kernels.graph_factors(g)
         whole = cs.OpCounter()
         want = cs.kernels.children_batch(g, batch, "rect", whole, factors=factors)
@@ -346,12 +352,12 @@ class TestBatchStep:
             for capacity in (1, 7, n * n):
                 for batch, indices in listing_batches(g, capacity, monkeypatch):
                     for p, index in zip(batch, indices):
-                        if p.bits not in naive:
-                            naive[p.bits] = cs.kernels.children_naive(g, p, index)
+                        if p not in naive:
+                            naive[p] = cs.kernels.children_naive(g, p, index)
                     bitset = cs.kernels.children_batch(g, batch, "bitset", None, indices)
                     counter = cs.OpCounter()
                     rect = cs.kernels.children_batch(g, batch, "rect", counter, indices, factors)
-                    assert rect == bitset == [naive[p.bits] for p in batch]
+                    assert rect == bitset == [naive[p] for p in batch]
                     assert counter.ops == rect_charge(g, batch, indices)
                     sliced = cs.OpCounter()
                     with monkeypatch.context() as m:
@@ -396,21 +402,21 @@ class TestAdjacentToOwnPrefix:
                         expect |= 1 << (j - 1)
                     if any(g.adj[u - 1] >> (j - 1) & 1 for u in p):
                         near |= 1 << (j - 1)
-                assert prefix_masks(g, p) == (expect, near)
+                assert prefix_masks(g, p.bits) == (expect, near)
 
 
 class TestFilterChildren:
     def test_bridged_root_and_leaf(self, bridged):
         specs = cs.kernels.children_batch(
-            bridged, [K5_SIDE, TRIANGLE], kernel="rect", indices=[0, 7]
+            bridged, [K5, TRI], kernel="rect", indices=[0, 7]
         )
         assert specs[0].indices == (6, 7, 8)
         assert specs[1].indices == ()
 
     def test_matches_children_naive(self):
         for g in random_graphs(20, seed0=1200, n_hi=12):
-            batch = oracle.all_maximal_cliques(g)
-            indices = [cs.rs_tree.clique_index(g, p) or 0 for p in batch]
+            batch = oracle_masks(g)
+            indices = [index_of(g, p) for p in batch]
             rect = cs.kernels.children_batch(g, batch, kernel="rect", indices=indices)
             for p, index, got in zip(batch, indices, rect):
                 assert got == cs.kernels.children_naive(g, p, index)
@@ -418,9 +424,9 @@ class TestFilterChildren:
     def test_lazy_rows_with_given_index_match_rows_and_naive(self):
         rng = random.Random(1250)
         for g in random_graphs(40, seed0=1250, n_hi=14):
-            cliques = oracle.all_maximal_cliques(g)
+            cliques = oracle_masks(g)
             batch = rng.sample(cliques, rng.randint(1, len(cliques)))
-            indices = [cs.rs_tree.clique_index(g, p) or 0 for p in batch]
+            indices = [index_of(g, p) for p in batch]
             rect = cs.kernels.children_batch(g, batch, kernel="rect", indices=indices)
             for p, index, spec in zip(batch, indices, rect):
                 lazy = cs.kernels.filter_children(g, p, index)
@@ -432,8 +438,8 @@ class TestFilterChildren:
         counter_lazy, counter_rows = cs.OpCounter(), cs.OpCounter()
         for g in random_graphs(10, seed0=1270, n_hi=14):
             factors = cs.kernels.graph_factors(g)
-            for p in oracle.all_maximal_cliques(g):
-                index = cs.rs_tree.clique_index(g, p) or 0
+            for p in oracle_masks(g):
+                index = index_of(g, p)
                 lazy, rows = counter_lazy.ops, counter_rows.ops
                 cs.kernels.children_batch(g, [p], "bitset", counter_lazy, [index])
                 cs.kernels.children_batch(g, [p], "rect", counter_rows, [index], factors)
@@ -441,12 +447,16 @@ class TestFilterChildren:
         assert 0 < counter_lazy.ops < counter_rows.ops
 
     def test_spec_behaves_like_a_constructed_one(self, bridged):
-        # both kernels build their specs without the dataclass constructor
-        made = cs.ChildSpec(parent=K5_SIDE, indices=(6, 7, 8))
+        # both kernels build their specs without the dataclass constructor;
+        # every spec's parent is the raw mask the kernel was given
+        made = cs.ChildSpec(parent=K5, indices=(6, 7, 8))
         for got in (
-            cs.kernels.filter_children(bridged, K5_SIDE, 0),
-            cs.kernels.children_batch(bridged, [K5_SIDE], kernel="rect")[0],
+            cs.kernels.filter_children(bridged, K5, 0),
+            cs.kernels.children_batch(bridged, [K5], kernel="rect")[0],
+            cs.kernels.children_batch(bridged, [K5], kernel="bitset")[0],
+            cs.kernels.children_naive(bridged, K5, 0),
         ):
+            assert type(got.parent) is int
             assert got == made and hash(got) == hash(made) and len(got) == 3
             assert {got: 1}[made] == 1
             with pytest.raises(dataclasses.FrozenInstanceError):
@@ -482,7 +492,7 @@ class TestCandidateCut:
         for g in graphs:
             for p in oracle.all_maximal_cliques(g)[1:]:
                 index = cs.rs_tree.clique_index(g, p)
-                children = cs.kernels.children_naive(g, p, index).indices
+                children = cs.kernels.children_naive(g, p.bits, index).indices
                 for i in range(index + 1, g.n + 1):
                     if i not in p and p.bits & below_mask(i) & g.adj[i - 1] == 0:
                         assert i not in children
@@ -518,59 +528,58 @@ class TestCandidateCut:
 class TestChildrenBatch:
     def test_bridged_batches(self, bridged):
         specs = cs.kernels.children_batch(
-            bridged, [K5_SIDE, BRIDGE_16, BRIDGE_27, BRIDGE_58], kernel="rect"
+            bridged, [K5, B16, B27, B58], kernel="rect"
         )
         assert [s.indices for s in specs] == [(6, 7, 8), (7,), (), ()]
-        assert cs.kernels.children_batch(bridged, [TRIANGLE])[0].indices == ()
+        assert cs.kernels.children_batch(bridged, [TRI])[0].indices == ()
 
     def test_edgeless_root_children(self):
         g = cs.Graph.from_edges(3, [])
-        specs = cs.kernels.children_batch(g, [cs.rs_tree.root(g)])
+        specs = cs.kernels.children_batch(g, [cs.rs_tree.root(g).bits])
         assert specs[0].indices == (2, 3)
 
     def test_kernel_extensional_equality(self):
         for g in random_graphs(200, seed0=1300):
-            batch = oracle.all_maximal_cliques(g)
-            naive = [
-                cs.kernels.children_naive(g, p, cs.rs_tree.clique_index(g, p) or 0)
-                for p in batch
-            ]
+            batch = oracle_masks(g)
+            naive = [cs.kernels.children_naive(g, p, index_of(g, p)) for p in batch]
             for kernel in ("rect", "bitset"):
                 assert cs.kernels.children_batch(g, batch, kernel=kernel) == naive
 
     def test_matches_children_oracle(self):
         for g in random_graphs(10, seed0=1400, n_hi=11):
             cliques = oracle.all_maximal_cliques(g)
-            specs = cs.kernels.children_batch(g, cliques, kernel="bitset")
+            specs = cs.kernels.children_batch(g, [c.bits for c in cliques], kernel="bitset")
             for p, spec in zip(cliques, specs):
                 assert spec == reference.children_oracle(g, p, cliques)
 
     def test_child_parent_round_trip(self):
         for g in random_graphs(20, seed0=1500):
-            cliques = oracle.all_maximal_cliques(g)
-            for spec in cs.kernels.children_batch(g, cliques):
+            for spec in cs.kernels.children_batch(g, oracle_masks(g)):
+                parent = cs.VertexSet(spec.parent)
                 for i in spec.indices:
-                    c = cs.rs_tree.child(g, spec.parent, i)
+                    c = cs.rs_tree.child(g, parent, i)
                     assert cs.rs_tree.clique_index(g, c) == i
-                    assert cs.rs_tree.parent(g, c) == spec.parent
+                    assert cs.rs_tree.parent(g, c) == parent
 
     def test_completeness(self):
         # root plus all accepted children cover the clique set exactly
         for g in random_graphs(20, seed0=1600, n_hi=12):
-            cliques = oracle.all_maximal_cliques(g)
-            reached = {cliques[0].bits}
+            cliques = oracle_masks(g)
+            reached = {cliques[0]}
             for spec in cs.kernels.children_batch(g, cliques):
                 for i in spec.indices:
-                    reached.add(cs.rs_tree.child(g, spec.parent, i).bits)
-            assert reached == {c.bits for c in cliques}
+                    reached.add(cs.rs_tree.child(g, cs.VertexSet(spec.parent), i).bits)
+            assert reached == set(cliques)
 
     def test_rejects_bad_input(self, bridged):
         with pytest.raises(ValueError, match="non-empty"):
             cs.kernels.children_batch(bridged, [])
         with pytest.raises(ValueError, match="distinct"):
-            cs.kernels.children_batch(bridged, [K5_SIDE, K5_SIDE])
+            cs.kernels.children_batch(bridged, [K5, K5])
+        with pytest.raises(ValueError, match="distinct"):
+            cs.kernels.children_batch(bridged, [B16, K5, B27, K5])
         with pytest.raises(ValueError):
-            cs.kernels.children_batch(bridged, [K5_SIDE], kernel="fft")
+            cs.kernels.children_batch(bridged, [K5], kernel="fft")
 
     @pytest.mark.parametrize("kernel", ["bitset", "rect"])
     @pytest.mark.parametrize("indices", [[0, 2], [0, 2, 1, 5]], ids=["short", "long"])
@@ -578,7 +587,7 @@ class TestChildrenBatch:
         # one index per batch element, never zipped down to the shorter list
         with pytest.raises(ValueError, match="indices for a batch of 3"):
             cs.kernels.children_batch(
-                bridged, [K5_SIDE, BRIDGE_16, BRIDGE_27], kernel=kernel, indices=indices
+                bridged, [K5, B16, B27], kernel=kernel, indices=indices
             )
 
     def test_preconditions_hold_under_python_O(self):
@@ -590,8 +599,8 @@ g = cs.Graph.from_edges(4, [(1, 2), (3, 4)])
 r = cs.rs_tree.root(g)
 checks = [
     lambda: kernels.children_batch(g, []),
-    lambda: kernels.children_batch(g, [r, r]),
-    lambda: kernels.children_naive(g, cs.VertexSet.of(1), 0),
+    lambda: kernels.children_batch(g, [r.bits, r.bits]),
+    lambda: kernels.children_naive(g, 0b1, 0),
     lambda: cs.rs_tree.lex_completion(g, cs.VertexSet.of(1, 3)),
     lambda: cs.rs_tree.clique_index(g, cs.VertexSet.of(1)),
     lambda: cs.rs_tree.child(g, r, 1),
@@ -617,8 +626,8 @@ print(__debug__, refused)
 
     def test_given_indices_match_recomputed(self):
         for g in random_graphs(30, seed0=1650, n_hi=12):
-            batch = oracle.all_maximal_cliques(g)
-            indices = [cs.rs_tree.clique_index(g, p) or 0 for p in batch]
+            batch = oracle_masks(g)
+            indices = [index_of(g, p) for p in batch]
             for kernel in ("rect", "bitset"):
                 assert cs.kernels.children_batch(
                     g, batch, kernel=kernel, indices=indices
@@ -659,7 +668,7 @@ print(__debug__, refused)
     def test_prebuilt_graph_matrix_matches(self):
         # the graph matrix is passed in factored form
         for g in random_graphs(10, seed0=1660, n_hi=12):
-            batch = oracle.all_maximal_cliques(g)
+            batch = oracle_masks(g)
             factors = cs.kernels.graph_factors(g)
             assert cs.kernels.children_batch(g, batch, kernel="rect", factors=factors) == (
                 cs.kernels.children_batch(g, batch, kernel="rect")
@@ -671,6 +680,6 @@ print(__debug__, refused)
     def test_counter_charges_work(self, bridged):
         counter = cs.OpCounter()
         cs.kernels.children_batch(
-            bridged, BRIDGED_CLIQUES, kernel="bitset", counter=counter
+            bridged, [c.bits for c in BRIDGED_CLIQUES], kernel="bitset", counter=counter
         )
         assert counter.ops > 0
