@@ -58,10 +58,10 @@ plain_order = [
 ]
 print("FIFO order preserved:", [e.clique.bits for e in emissions] == plain_order)
 
-# After boot the bitset kernel's children step runs parent by parent and
-# yields a children-work event once the next print is due, so prints fall
-# inside a batch's children step as well as between pops.  A small capacity
-# gives many batches; the drip is the same.
+# The bitset kernel's children step always runs parent by parent; after
+# boot the scheduler's pace only adds a children-work event once the next
+# print is due, so prints fall inside a batch's children step as well as
+# between pops.  A small capacity gives many batches; the drip is the same.
 report = ds.StrictRunReport()
 emissions = list(ds.run_strict(g, capacity=8, report=report))
 cfg = report.config

@@ -20,14 +20,16 @@ boot_target = 1 + the root's children count, and with c =
 :data:`CALIBRATION_MARGIN`, tau_delay = c * the units charged after the
 root batch // the cliques banked after the root (at least 1).
 
-After boot the scheduler sets the stream's
+A listing has one children step per kernel, in plain and strict mode
+alike: "bitset" streams :func:`~cliquestream.kernels.filter_children`
+parent by parent, and "rect" decides the batch in one ``children_batch``
+call.  After boot the scheduler sets the stream's
 :class:`~cliquestream.batch_dfs.Pace` quantum to the units its next print
-still waits for (tau_delay right after a print).  A "bitset" children
-step then runs parent by parent and yields a children-work event as soon
-as that many units are charged, so prints fall inside the step and a gap
-passes tau_delay by less than one pop or one parent's children test.  A
-"rect" step is one ``children_batch`` call, so it yields at most one
-children-work event, after the whole step, and its gaps stay within
+still waits for (tau_delay right after a print); pacing only adds
+children-work events.  A "bitset" step yields one as soon as that many
+units are charged, so prints fall inside the step and a gap passes
+tau_delay by less than one pop or one parent's children test.  A "rect"
+step yields at most one, after the whole step, and its gaps stay within
 tau_delay + the largest event.
 """
 
@@ -83,9 +85,12 @@ class StrictRunReport:
     is the listing's ``total_cost`` at the first emission and
     ``first_output_s`` the wall time from the :func:`run_strict` call to
     it; ``max_gap_units`` is the largest ``cost_units`` of any emission, the
-    drain's included; ``drained`` counts the cliques released by the final
-    drain.  A wall time is no part of the run's outcome, so equality skips
-    ``first_output_s``."""
+    drain's included; ``max_event_cost`` is the largest event cost after
+    boot, the term of the gap bound ``tau_delay + max_event_cost`` (boot's
+    events, the root's children step and "rect"'s factors' charge on it
+    among them, are not counted); ``drained`` counts the cliques released
+    by the final drain.  A wall time is no part of the run's outcome, so
+    equality skips ``first_output_s``."""
 
     config: DelayConfig | None = None
     stats: TraversalStats = field(default_factory=TraversalStats)
@@ -122,9 +127,10 @@ def list_mc(
 
 
 def _listing(g: Graph, kernel: str, capacity, stats, pace: Pace | None) -> Iterator[StepEvent]:
-    """:func:`list_mc`'s stream, paced by ``pace``: with one, a "bitset"
-    children step runs parent by parent through
-    :func:`~cliquestream.kernels.filter_children`."""
+    """:func:`list_mc`'s stream, paced by ``pace``.  The kernel alone picks
+    the children step: "bitset" hands ``step_events`` a lazy stream of
+    :func:`~cliquestream.kernels.filter_children` calls, one per parent,
+    and "rect" one ``children_batch`` call per batch."""
     if kernel not in KERNELS:
         raise ValueError(f"unknown kernel {kernel!r}")
     cap = capacity if capacity is not None else g.n * g.n
@@ -137,13 +143,12 @@ def _listing(g: Graph, kernel: str, capacity, stats, pace: Pace | None) -> Itera
 
     def children_fn(masks: list[int], indices: list[int]):
         nonlocal factors
-        if kernel == "rect":
-            if factors is None:
-                factors = graph_factors(g, counter)
-        elif pace is not None:
+        if kernel == "bitset":
             return map(kernels.filter_children, repeat(g), masks, indices, repeat(counter))
+        if factors is None:
+            factors = graph_factors(g, counter)
         return children_batch(
-            g, masks, kernel=kernel, counter=counter, indices=indices, factors=factors
+            g, masks, kernel="rect", counter=counter, indices=indices, factors=factors
         )
 
     root_clique = root(g, counter)

@@ -108,3 +108,21 @@ def index_of(g, p: int) -> int:
     """Reverse-search index of the maximal clique mask ``p``, 0 for the
     root."""
     return cs.rs_tree.clique_index(g, cs.VertexSet(p)) or 0
+
+
+def watch_children_steps(monkeypatch, watch):
+    """Have every listing that ``delay_scheduler`` opens call
+    ``watch(g, masks, indices)`` before each children step, with the
+    batch's masks and the indices the traversal carries for them: it wraps
+    the ``children_fn`` handed to ``delay_scheduler.step_events``, so it
+    sees both kernels and both modes."""
+    real = cs.delay_scheduler.step_events
+
+    def step_events(g, root_clique, children_fn, *args):
+        def watched(masks, indices):
+            watch(g, masks, indices)
+            return children_fn(masks, indices)
+
+        return real(g, root_clique, watched, *args)
+
+    monkeypatch.setattr(cs.delay_scheduler, "step_events", step_events)

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cliquestream as cs
-from cliquestream import delay_scheduler, oracle
+from cliquestream import oracle
 from cliquestream.batch_dfs import CHILDREN_WORK, BacktrackStack, Pace
 from cliquestream.kernels import ChildSpec
 
@@ -18,6 +18,7 @@ from conftest import (
     graphs,
     oracle_bits,
     random_graphs,
+    watch_children_steps,
 )
 
 # Hand-traced emission orders for the bridged fixture (LIFO stack, ascending
@@ -252,21 +253,19 @@ class TestCarriedIndex:
     @pytest.mark.parametrize("kernel", ["bitset", "rect"])
     def test_popped_index_is_clique_index(self, kernel, monkeypatch):
         seen = []
-        real = delay_scheduler.children_batch
 
-        def checked(g, cliques, **kwargs):
+        def checked(g, cliques, indices):
             # check before the children step: a wrong index can make the
             # traversal revisit cliques and never end
-            for c, i in zip(cliques, kwargs["indices"]):
+            for c, i in zip(cliques, indices):
                 assert (cs.rs_tree.clique_index(g, cs.VertexSet(c)) or 0) == i
                 # the candidate cut keeps every child children_naive finds
                 assert cs.kernels.filter_children(g, c, i) == (
                     cs.kernels.children_naive(g, c, i)
                 )
                 seen.append(c)
-            return real(g, cliques, **kwargs)
 
-        monkeypatch.setattr(delay_scheduler, "children_batch", checked)
+        watch_children_steps(monkeypatch, checked)
         graphs = list(random_graphs(6, seed0=2100, n_hi=12))
         graphs += [cs.Graph.complete_multipartite_triples(12), bridged_cliques_graph()]
         runs = [(g, cap) for g in graphs for cap in (1, 7, g.n * g.n)]

@@ -6,6 +6,7 @@ import pytest
 
 import cliquestream as cs
 from cliquestream import delay_scheduler as ds
+from cliquestream.batch_dfs import Pace
 
 from conftest import BRIDGED_CLIQUES, collect_plain, oracle_bits, random_graphs
 
@@ -65,6 +66,35 @@ class TestListMc:
             # numpy counts never leak into the ledger
             assert type(stats.total_cost) is int
             assert all(type(e.cost) is int for e in events)
+
+    @pytest.mark.parametrize(
+        "g",
+        [cs.Graph.gnp(40, 0.3, seed=27), cs.Graph.complete_multipartite_triples(15)],
+        ids=["gnp(40,.3)", "moon-moser(15)"],
+    )
+    def test_plain_bitset_streams_one_filter_per_clique(self, g, monkeypatch):
+        # a listing's batches are distinct by construction, so its bitset
+        # step skips children_batch's dispatch and batch checks
+        def refused(*args, **kwargs):
+            raise AssertionError("children_batch or its batch check on a bitset listing")
+
+        for owner, name in ((cs.kernels, "children_batch"), (ds, "children_batch"),
+                            (cs.kernels, "_check_batch")):
+            monkeypatch.setattr(owner, name, refused)
+        real = cs.kernels.filter_children
+        parents = []
+
+        def counted(g, p, index, counter=None):
+            parents.append(p)
+            return real(g, p, index, counter)
+
+        monkeypatch.setattr(cs.kernels, "filter_children", counted)
+        for capacity in (1, 7, g.n * g.n):
+            parents.clear()
+            events = list(ds.list_mc(g, capacity=capacity))
+            popped = [e.clique.bits for e in events if e.kind == cs.CLIQUE_COLLECTED]
+            assert parents == popped
+            assert events == list(ds._listing(g, "bitset", capacity, None, Pace()))
 
     def test_unknown_kernel_refused_before_root(self, bridged, monkeypatch):
         def no_root(*args, **kwargs):

@@ -25,6 +25,7 @@ from conftest import (
     index_of,
     oracle_masks,
     random_graphs,
+    watch_children_steps,
 )
 
 # the fixture cliques as the kernels take them
@@ -316,14 +317,12 @@ def listing_batches(g, capacity, monkeypatch):
     """(cliques, indices) of every children step of a bitset ``list_mc`` of
     ``g`` at ``capacity``."""
     batches = []
-    real = cs.delay_scheduler.children_batch
 
-    def record(g, cliques, **kwargs):
-        batches.append((list(cliques), list(kwargs["indices"])))
-        return real(g, cliques, **kwargs)
+    def record(g, cliques, indices):
+        batches.append((list(cliques), list(indices)))
 
     with monkeypatch.context() as m:
-        m.setattr(cs.delay_scheduler, "children_batch", record)
+        watch_children_steps(m, record)
         for _ in cs.list_mc(g, capacity=capacity):
             pass
     return batches
@@ -468,14 +467,12 @@ def carried_pairs(g, monkeypatch):
     """(clique, index) for every clique a bitset ``list_mc`` of ``g`` pops,
     with the index the traversal carries for it."""
     pairs = []
-    real = cs.delay_scheduler.children_batch
 
-    def record(g, cliques, **kwargs):
-        pairs.extend(zip(cliques, kwargs["indices"]))
-        return real(g, cliques, **kwargs)
+    def record(g, cliques, indices):
+        pairs.extend(zip(cliques, indices))
 
     with monkeypatch.context() as m:
-        m.setattr(cs.delay_scheduler, "children_batch", record)
+        watch_children_steps(m, record)
         for _ in cs.list_mc(g):
             pass
     return pairs
