@@ -1,10 +1,13 @@
 """Batch depth-first enumeration under different batch capacities.
 
 The traversal pops up to `capacity` cliques off the backtracking stack,
-prints them, then computes all their children in one batch.  Capacity
-changes the emission order and the batching statistics but never the
-emitted set.
+prints them, then hands all of them to one children step: "rect" decides
+their children in one product, "bitset" tests each parent when the stack
+reaches it.  Capacity changes the emission order and the batching
+statistics but never the emitted set.
 """
+
+from itertools import repeat
 
 import cliquestream as cs
 from cliquestream import kernels, oracle, rs_tree
@@ -42,10 +45,12 @@ counter = cs.OpCounter()
 
 
 def children_fn(masks, indices):
-    # masks[k] is a popped clique's raw int mask, the form the kernels take,
-    # and indices[k] its reverse-search index (0 for the root), returned by
-    # the stack pop that expanded it; only the events wrap a VertexSet
-    return kernels.children_batch(g, masks, counter=counter, indices=indices)
+    # a batch's popped cliques as raw int masks, the form the kernels take,
+    # with their reverse-search indices (0 for the root), returned by the
+    # stack pops that expanded them; only the events wrap a VertexSet.
+    # Without a pace they come as iterators, last parent first, and a lazy
+    # result is drawn one spec at a time, when the stack reaches that parent
+    return map(kernels.filter_children, repeat(g), masks, indices, repeat(counter))
 
 
 root_clique = rs_tree.root(g, counter)

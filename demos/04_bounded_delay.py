@@ -1,13 +1,13 @@
 """Smoothing the output stream with the bounded-delay scheduler.
 
-Plain enumeration emits cliques in bursts: a whole batch is collected,
-then a long children computation runs before the next burst.  Strict mode
-banks cliques in a FIFO queue during a bootstrapping phase and afterwards
-releases one clique per tau_delay work units, turning the bursts into a
-steady drip with a provable worst-case gap.
+Plain enumeration with the "rect" kernel emits cliques in bursts: a whole
+batch is collected, then one product decides all their children before
+the next burst.  Plain "bitset" tests each parent only when the stack
+reaches it, so a gap is at most one run of childless parents' tests plus
+one pop.  Strict mode banks cliques in a FIFO queue during a bootstrapping
+phase and afterwards releases one clique per tau_delay work units, turning
+the output into a steady drip with a provable worst-case gap.
 """
-
-from collections import deque
 
 import cliquestream as cs
 from cliquestream import delay_scheduler as ds
@@ -17,29 +17,28 @@ g = cs.Graph.complete_multipartite_triples(15)
 print(f"graph: n={g.n}, m={g.m}")
 
 # Plain mode: measure the work-unit gaps between consecutive emissions.
-cost, gaps = 0, []
-for e in cs.list_mc(g):
-    cost += e.cost
-    if e.kind == cs.CLIQUE_COLLECTED:
-        gaps.append(cost)
-        cost = 0
-print(f"plain mode: {len(gaps)} cliques, gap max={max(gaps)}, "
-      f"median={sorted(gaps)[len(gaps) // 2]}")
+for kernel in ("rect", "bitset"):
+    cost, gaps = 0, []
+    for e in cs.list_mc(g, kernel=kernel):
+        cost += e.cost
+        if e.kind == cs.CLIQUE_COLLECTED:
+            gaps.append(cost)
+            cost = 0
+    print(f"plain {kernel}: {len(gaps)} cliques, gap max={max(gaps)}, "
+          f"median={sorted(gaps)[len(gaps) // 2]}")
 
 # Strict mode calibrates from its own boot.  The first batch is the root
 # alone; boot then banks until a batch completes with 1 + the root's
 # children count banked, and tau_delay = 2 * the units charged after the
 # root batch // the cliques banked after the root: twice boot's amortized
-# cost per clique.  run_strict does this on its own stream; here it is
-# shown on a separate one, and gives the same config.
-stats, q = cs.TraversalStats(), deque()
-cfg, _ = ds.calibrate(cs.list_mc(g, stats=stats), q, stats)
-print(f"boot banked {len(q)} cliques in {stats.total_cost} units: "
-      f"tau_delay={cfg.tau_delay}, boot_target={cfg.boot_target}")
-
+# cost per clique.  Its stream tests each batch's parents at the batch end,
+# so boot reads the root's children count there; the run keeps the config
+# in its report.
 report = ds.StrictRunReport()
 emissions = list(ds.run_strict(g, report=report))
-assert report.config == cfg
+cfg = report.config
+print(f"boot banked {report.boot_collected} cliques: "
+      f"tau_delay={cfg.tau_delay}, boot_target={cfg.boot_target}")
 mean = report.stats.total_cost / len(emissions)
 print(f"strict mode: {len(emissions)} cliques, tau_delay = "
       f"{cfg.tau_delay / mean:.2f}x the mean {mean:.0f} units per clique")

@@ -2,30 +2,30 @@
 
 The backtracking stack is LIFO and stores compressed (parent, index-list)
 entries rather than expanded cliques, so a batch of B parents costs O(nB)
-stack space.  Each outer iteration pops up to ``capacity`` cliques (each
-pop expands one index into a clique via lexicographic completion and emits
-it), asks ``children_fn`` for all their child specs in one shot, and pushes
-the non-empty specs back on top.  A clique popped from spec ``(P, i)`` has
-reverse-search index ``i`` by definition (the root has 0), so ``pop``
-returns that index with the clique and no index is recomputed.
+stack space.  Each outer iteration pops up to ``capacity`` cliques (each pop
+expands one index into a clique via lexicographic completion and emits it),
+hands them to ``children_fn`` as one children step and stacks the non-empty
+specs, the last parent's on top (a plain traversal stacks a lazy step as one
+source, read as the stack reaches each parent).  A clique popped from spec
+``(P, i)`` has reverse-search index ``i`` by definition (the root has 0), so
+``pop`` returns that index with the clique and no index is recomputed.
 
-The traversal is exposed as a resumable event stream
-(:func:`step_events`) of :class:`StepEvent` named tuples ``(kind, clique,
-cost)``.  The stack, the batch and ``children_fn`` carry int masks, and
-each clique event wraps one ``VertexSet`` without its constructor, as
-``filter_children`` builds its specs.  One ``OpCounter`` per
-listing takes every charge, and each event costs the counter's growth since
-the previous event.  A consumer that must act while a children step runs
-sets a :class:`Pace`: once the units since the previous event reach its
-quantum, the step yields a children-work event between two specs.  Index
-lists are consumed in ascending order and child specs are pushed in batch
-order, so emission order is deterministic for a given (graph, kernel,
-capacity).
+The traversal is exposed as a resumable event stream (:func:`step_events`) of
+:class:`StepEvent` named tuples ``(kind, clique, cost)``.  The stack, the
+batch and ``children_fn`` carry int masks, and each clique event wraps one
+``VertexSet`` without its constructor, as ``filter_children`` builds its
+specs.  One ``OpCounter`` per listing takes every charge, and each event
+costs the counter's growth since the previous event.  A consumer that must
+act while a children step runs sets a :class:`Pace`: once the units since the
+previous event reach its quantum, the step yields a children-work event
+between two specs.  Index lists are consumed in ascending order, so emission
+order is deterministic for a given (graph, kernel, capacity), paced or not.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .graph import Graph, VertexSet
@@ -37,11 +37,12 @@ BATCH_COMPLETED = "batch-completed"
 TRAVERSAL_ENDED = "traversal-ended"
 CHILDREN_WORK = "children-work"
 
-# children_fn(masks, indices) -> specs in batch order, a list or a lazy
-# iterable; indices[k] is the index of the clique masks[k], 0 for the root
-ChildrenFn = Callable[[list[int], list[int]], Iterable[ChildSpec]]
+# children_fn(masks, indices) -> their specs in order, a list or a lazy iterable; indices[k] is
+# masks[k]'s index (0: root); lists in batch order if paced, else last-first draining iterators
+ChildrenFn = Callable[[Iterable[int], Iterable[int]], Iterable[ChildSpec]]
 
 _new = object.__new__
+_tuple_new = tuple.__new__  # StepEvent(...) would run a Python-level __new__
 _set_bits = VertexSet.bits.__set__
 
 
@@ -68,6 +69,11 @@ class Pace:
 
 @dataclass(slots=True)
 class TraversalStats:
+    """Kept current as events are yielded: ``batches_total`` children steps,
+    ``batches_undersized`` those under ``capacity`` cliques, ``cliques_emitted``
+    clique events, ``total_cost`` every event's cost; ``stack_cliques`` the
+    cliques pending in computed specs, ``max_stack_cliques`` its most at a step's end."""
+
     batches_total: int = 0
     batches_undersized: int = 0
     max_stack_cliques: int = 0
@@ -77,9 +83,9 @@ class TraversalStats:
 
 
 class BacktrackStack:
-    """LIFO stack of ``[parent mask, indices, position]`` entries (plus the
-    seeded root's mask).  ``pending`` counts cliques still to be expanded,
-    i.e. the sum of the remaining index-list lengths.
+    """LIFO stack of ``[parent mask, indices, position]`` entries, the seeded
+    root's mask and the lazy sources :func:`step_events` reads before a pop;
+    ``pending`` counts the cliques in the entries' remaining index lists.
     """
 
     def __init__(self) -> None:
@@ -132,11 +138,12 @@ def step_events(
     ``children_fn``, which gets the batch's masks, should charge the same
     one.  Each event costs the counter's growth since the previous event,
     so units already on it (the root's construction) fall on the first
-    event.  With a positive ``pace`` quantum, a children-work event follows
-    each spec that brings the units since the previous event to the
-    quantum; a ``children_fn`` that returns a lazy iterable so splits its
-    step, one that returns a list yields at most one such event, after its
-    whole step.  Specs are pushed in batch order either way.
+    event.  Without ``pace``, a lazy step is read as the stack reaches each
+    parent: a clique event costs its pop and the tests it waited for, all of
+    childless parents but the last, the traversal-ended event the last
+    childless parents'.  A list step, and with ``pace`` every step, runs at
+    its batch end; with a positive quantum a children-work event follows each
+    spec that brings the units since the previous event to the quantum.
     """
     if capacity < 1:
         raise ValueError("batch capacity must be at least 1")
@@ -148,12 +155,21 @@ def step_events(
     entries = stack._entries
     stack.seed(root_clique.bits)
     stats.max_stack_cliques = max(stats.max_stack_cliques, stack.pending)
-    stats.stack_cliques = stack.pending
     charged = 0
-    while entries:
+    while True:
         batch: list[int] = []
         indices: list[int] = []
-        while len(batch) < capacity and entries:
+        while len(batch) < capacity:
+            # a lazy source on top is read up to its first non-empty spec, dropped once spent
+            while entries and type(entries[-1]) is not list and type(entries[-1]) is not int:
+                for spec in entries[-1]:
+                    if spec.indices:
+                        stack.push(spec)
+                        break
+                else:
+                    entries.pop()
+            if not entries:
+                break
             mask, index = stack.pop(g, counter)
             batch.append(mask)
             indices.append(index)
@@ -163,21 +179,30 @@ def step_events(
             stats.total_cost += cost
             clique = _new(VertexSet)  # a clique mask is never negative: skip the check
             _set_bits(clique, mask)
-            yield StepEvent(CLIQUE_COLLECTED, clique, cost)
+            yield _tuple_new(StepEvent, (CLIQUE_COLLECTED, clique, cost))
+        if not batch:
+            break
         stats.batches_total += 1
-        if len(batch) < capacity:
-            stats.batches_undersized += 1
-        quantum = pace.quantum if pace is not None else 0
-        for spec in children_fn(batch, indices):
-            stack.push(spec)
-            if quantum > 0 and counter.ops - charged >= quantum:
-                cost, charged = counter.ops - charged, counter.ops
-                stats.total_cost += cost
-                yield StepEvent(CHILDREN_WORK, None, cost)
-                quantum = pace.quantum
+        stats.batches_undersized += len(batch) < capacity
+        if pace is None:  # the batch last parent first, each mask dropped once read
+            specs = children_fn(map(list.pop, repeat(batch, len(batch))), reversed(indices))
+            if type(specs) is not list:  # a lazy step: a source, read as the stack reaches it
+                entries.append(iter(specs))
+            while type(specs) is list and specs:  # an eager one: pushed whole, last on top
+                stack.push(specs.pop())
+        else:
+            quantum = pace.quantum
+            for spec in children_fn(batch, indices):
+                stack.push(spec)
+                if quantum > 0 and counter.ops - charged >= quantum:
+                    cost, charged = counter.ops - charged, counter.ops
+                    stats.total_cost += cost
+                    yield StepEvent(CHILDREN_WORK, None, cost)
+                    quantum = pace.quantum
         stats.max_stack_cliques = max(stats.max_stack_cliques, stack.pending)
         stats.stack_cliques = stack.pending
         cost, charged = counter.ops - charged, counter.ops
         stats.total_cost += cost
         yield StepEvent(BATCH_COMPLETED, None, cost)
-    yield StepEvent(TRAVERSAL_ENDED, None, 0)
+    stats.total_cost += counter.ops - charged
+    yield StepEvent(TRAVERSAL_ENDED, None, counter.ops - charged)

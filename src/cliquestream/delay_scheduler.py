@@ -20,17 +20,16 @@ boot_target = 1 + the root's children count, and with c =
 :data:`CALIBRATION_MARGIN`, tau_delay = c * the units charged after the
 root batch // the cliques banked after the root (at least 1).
 
-A listing has one children step per kernel, in plain and strict mode
-alike: "bitset" streams :func:`~cliquestream.kernels.filter_children`
-parent by parent, and "rect" decides the batch in one ``children_batch``
-call.  After boot the scheduler sets the stream's
-:class:`~cliquestream.batch_dfs.Pace` quantum to the units its next print
-still waits for (tau_delay right after a print); pacing only adds
-children-work events.  A "bitset" step yields one as soon as that many
-units are charged, so prints fall inside the step and a gap passes
-tau_delay by less than one pop or one parent's children test.  A "rect"
-step yields at most one, after the whole step, and its gaps stay within
-tau_delay + the largest event.
+A listing has one children step per kernel: "bitset" streams
+:func:`~cliquestream.kernels.filter_children` parent by parent, "rect"
+decides the batch in one ``children_batch`` product at its end.  A plain
+stream tests a parent when the stack reaches it: a "bitset" gap is one pop
+and one run of childless parents' tests.  ``run_strict``'s paced stream
+(:class:`~cliquestream.batch_dfs.Pace`) runs each step at its batch end,
+where boot reads it, and after boot yields a children-work event once the
+units its next print waits for are charged: a "bitset" gap passes tau_delay
+by less than one pop or one parent's test; a "rect" step yields at most one,
+after the product, so its gaps stay within tau_delay + the largest event.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from . import kernels
 from .batch_dfs import (
@@ -141,14 +140,14 @@ def _listing(g: Graph, kernel: str, capacity, stats, pace: Pace | None) -> Itera
     counter = OpCounter()
     factors = None
 
-    def children_fn(masks: list[int], indices: list[int]):
+    def children_fn(masks: Iterable[int], indices: Iterable[int]):
         nonlocal factors
         if kernel == "bitset":
             return map(kernels.filter_children, repeat(g), masks, indices, repeat(counter))
         if factors is None:
             factors = graph_factors(g, counter)
         return children_batch(
-            g, masks, kernel="rect", counter=counter, indices=indices, factors=factors
+            g, list(masks), kernel="rect", counter=counter, indices=list(indices), factors=factors
         )
 
     root_clique = root(g, counter)

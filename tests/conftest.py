@@ -113,13 +113,17 @@ def index_of(g, p: int) -> int:
 def watch_children_steps(monkeypatch, watch):
     """Have every listing that ``delay_scheduler`` opens call
     ``watch(g, masks, indices)`` before each children step, with the
-    batch's masks and the indices the traversal carries for them: it wraps
-    the ``children_fn`` handed to ``delay_scheduler.step_events``, so it
-    sees both kernels and both modes."""
+    batch's masks and the indices the traversal carries for them, in the
+    order the step takes them: batch order in strict mode, last parent
+    first in plain mode.  It wraps the ``children_fn`` handed to
+    ``delay_scheduler.step_events``, so it sees both kernels and both
+    modes; a plain step's batch is read into lists first, so the watched
+    listing keeps each batch until its step ends."""
     real = cs.delay_scheduler.step_events
 
     def step_events(g, root_clique, children_fn, *args):
         def watched(masks, indices):
+            masks, indices = list(masks), list(indices)
             watch(g, masks, indices)
             return children_fn(masks, indices)
 

@@ -158,7 +158,8 @@ class TestSinkDriver:
         seen = []
 
         def children_fn(cliques, indices):
-            return cs.kernels.children_batch(bridged, cliques, indices=indices)
+            # a plain step hands in its batch as iterators, last parent first
+            return cs.kernels.children_batch(bridged, list(cliques), indices=list(indices))
 
         stats = cs.TraversalStats()
         root = cs.rs_tree.root(bridged)
@@ -175,26 +176,29 @@ class TestSinkDriver:
         # clique-collected event wraps its clique in one VertexSet
         g = cs.Graph.gnp(20, 0.4, seed=6)
         counter = cs.OpCounter()
-        passed, parents = [], []
+        steps, parents = [], []
 
         def children_fn(masks, indices):
-            passed.extend(masks)
+            masks = list(masks)
+            steps.append(masks)
             specs = cs.kernels.children_batch(
-                g, masks, kernel=kernel, counter=counter, indices=indices
+                g, masks, kernel=kernel, counter=counter, indices=list(indices)
             )
             parents.extend(spec.parent for spec in specs)
             return specs
 
         root = cs.rs_tree.root(g, counter)
         for capacity in (1, 7, g.n * g.n):
-            passed.clear()
+            steps.clear()
             parents.clear()
             events = cs.step_events(g, root, children_fn, capacity, counter=counter)
             cliques = [e.clique for e in events if e.kind == cs.CLIQUE_COLLECTED]
+            passed = [m for step in steps for m in step]
             assert all(type(m) is int for m in passed + parents)
             assert parents == passed
             assert all(type(c) is cs.VertexSet for c in cliques)
-            assert [c.bits for c in cliques] == passed
+            # each plain step takes its batch in stack order, last parent first
+            assert [c.bits for c in cliques] == [m for step in steps for m in step[::-1]]
             assert set(passed) == oracle_bits(g)
 
     def test_capacity_must_be_positive(self, bridged):
@@ -263,7 +267,8 @@ class TestCarriedIndex:
                 assert cs.kernels.filter_children(g, c, i) == (
                     cs.kernels.children_naive(g, c, i)
                 )
-                seen.append(c)
+            # a plain step takes its batch in stack order, last parent first
+            seen.extend(reversed(cliques))
 
         watch_children_steps(monkeypatch, checked)
         graphs = list(random_graphs(6, seed0=2100, n_hi=12))
@@ -288,6 +293,97 @@ class TestCarriedIndex:
         stack.push(ChildSpec(parent=K5_SIDE.bits, indices=(6, 7)))
         assert stack.pop(bridged) == (BRIDGE_16.bits, 6)
         assert stack.pop(bridged) == (BRIDGE_27.bits, 7)
+
+
+ON_DEMAND_GRAPHS = {
+    "gnp(60,.3)": lambda: cs.Graph.gnp(60, 0.3, seed=1),
+    "gnp(200,.05)": lambda: cs.Graph.gnp(200, 0.05, seed=1),
+    "moon-moser(15)": lambda: cs.Graph.complete_multipartite_triples(15),
+}
+
+
+class TestOnDemandChildren:
+    """A plain bitset listing tests a parent's children only when the stack
+    reaches it, so every event carries the work it waited for."""
+
+    @staticmethod
+    def logged(monkeypatch):
+        """Log every children test as ("test", spec, units) and every pop's
+        completion as ("pop", None, units), in the order they run."""
+        log = []
+        real_filter, real_completion = cs.kernels.filter_children, cs.batch_dfs._lc_bits
+
+        def filter_children(g, p, index, counter):
+            before = counter.ops
+            spec = real_filter(g, p, index, counter)
+            log.append(("test", spec, counter.ops - before))
+            return spec
+
+        def completion(g, kbits, counter):
+            before = counter.ops
+            mask = real_completion(g, kbits, counter)
+            log.append(("pop", None, counter.ops - before))
+            return mask
+
+        monkeypatch.setattr(cs.kernels, "filter_children", filter_children)
+        monkeypatch.setattr(cs.batch_dfs, "_lc_bits", completion)
+        return log
+
+    @pytest.mark.parametrize("name", ON_DEMAND_GRAPHS)
+    def test_each_event_carries_the_tests_it_waited_for(self, name, monkeypatch):
+        g = ON_DEMAND_GRAPHS[name]()
+        root_units = cs.OpCounter()
+        cs.rs_tree.root(g, root_units)
+        log = self.logged(monkeypatch)
+        for capacity in (1, 7, g.n * g.n):
+            stats = cs.TraversalStats()
+            log.clear()
+            steps = []  # each event with what ran since the previous one
+            for event in cs.list_mc(g, capacity=capacity, stats=stats):
+                steps.append((event, log[:]))
+                log.clear()
+            (first, before_first), *rest = steps
+            # the root's construction, then its seeded pop, which runs nothing
+            assert first.kind == cs.CLIQUE_COLLECTED and before_first == []
+            assert first.cost == root_units.ops
+            for event, ran in rest:
+                tests = [spec for kind, spec, _ in ran if kind == "test"]
+                # every parent tested before the last one had no children
+                assert all(not spec.indices for spec in tests[:-1])
+                assert event.cost == sum(units for _, _, units in ran)
+                if event.kind == cs.CLIQUE_COLLECTED:
+                    # the tests the pop waited for, then the pop itself
+                    assert [kind for kind, _, _ in ran] == ["test"] * len(tests) + ["pop"]
+                else:
+                    assert all(kind == "test" and not spec.indices for kind, spec, _ in ran)
+            ended, ran = rest[-1]
+            # the last tests, on childless parents, land on the final event
+            assert ended.kind == cs.TRAVERSAL_ENDED and ran and ended.cost > 0
+            assert sum(e.cost for e, _ in steps) == stats.total_cost
+            assert len(sum((ran for _, ran in steps), [])) == 2 * stats.cliques_emitted - 1
+
+    @pytest.mark.parametrize("name", ON_DEMAND_GRAPHS)
+    @pytest.mark.parametrize("kernel", cs.kernels.KERNELS)
+    def test_plain_and_paced_streams_agree(self, name, kernel):
+        g = ON_DEMAND_GRAPHS[name]()
+        for capacity in (1, 7, g.n * g.n):
+            plain_stats = cs.TraversalStats()
+            plain = list(cs.list_mc(g, kernel=kernel, capacity=capacity, stats=plain_stats))
+            assert sum(e.cost for e in plain) == plain_stats.total_cost
+            for quantum in (0, 50):
+                pace = Pace()
+                pace.quantum = quantum
+                stats = cs.TraversalStats()
+                paced = list(cs.delay_scheduler._listing(g, kernel, capacity, stats, pace))
+                assert sum(e.cost for e in paced) == stats.total_cost == plain_stats.total_cost
+                work = [e for e in paced if e.kind != CHILDREN_WORK]
+                assert [e[:2] for e in work] == [e[:2] for e in plain]
+                assert (stats.batches_total, stats.batches_undersized) == (
+                    plain_stats.batches_total,
+                    plain_stats.batches_undersized,
+                )
+                if kernel == "rect" and quantum == 0:
+                    assert paced == plain  # rect's product stays at the batch end
 
 
 class TestOracleProperty:

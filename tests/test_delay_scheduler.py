@@ -93,8 +93,22 @@ class TestListMc:
             parents.clear()
             events = list(ds.list_mc(g, capacity=capacity))
             popped = [e.clique.bits for e in events if e.kind == cs.CLIQUE_COLLECTED]
-            assert parents == popped
-            assert events == list(ds._listing(g, "bitset", capacity, None, Pace()))
+            # one test per popped clique, each batch's last parent first: a
+            # plain step tests its parents in stack order
+            assert sorted(parents) == sorted(popped) and len(set(parents)) == len(parents)
+            when = {p: k for k, p in enumerate(parents)}
+            batch = []
+            for e in events:
+                if e.kind == cs.CLIQUE_COLLECTED:
+                    batch.append(when[e.clique.bits])
+                elif e.kind == cs.BATCH_COMPLETED:
+                    assert batch == sorted(batch, reverse=True)
+                    batch = []
+            # the paced stream at quantum 0 tests each batch at its end: the
+            # same events but for where the tests' units fall
+            paced = list(ds._listing(g, "bitset", capacity, None, Pace()))
+            assert [e[:2] for e in events] == [e[:2] for e in paced]
+            assert sum(e.cost for e in events) == sum(e.cost for e in paced)
 
     def test_unknown_kernel_refused_before_root(self, bridged, monkeypatch):
         def no_root(*args, **kwargs):
@@ -314,7 +328,8 @@ class TestCalibration:
         for g in random_graphs(6, seed0=2400):
             stats = cs.TraversalStats()
             q = deque()
-            cfg, exhausted = ds.calibrate(ds.list_mc(g, stats=stats), q, stats)
+            stream = ds._listing(g, "bitset", None, stats, Pace())  # run_strict's stream
+            cfg, exhausted = ds.calibrate(stream, q, stats)
             assert cfg.tau_delay >= 1
             assert cfg.boot_target >= 1
             assert q[0] == cs.rs_tree.root(g).bits
@@ -322,6 +337,7 @@ class TestCalibration:
 
     @pytest.mark.parametrize("kernel", ["bitset", "rect"])
     def test_formulas_read_the_root_and_its_children_step(self, bridged, kernel):
+        # run_strict's paced stream, which tests each batch at its end
         graphs = [
             bridged,
             cs.Graph.from_edges(1, []),
@@ -334,7 +350,7 @@ class TestCalibration:
             root = cs.rs_tree.root(g).bits
             target = 1 + len(cs.kernels.children_naive(g, root, 0))
             for capacity in (1, 7, g.n * g.n):
-                events = list(cs.list_mc(g, kernel=kernel, capacity=capacity))
+                events = list(ds._listing(g, kernel, capacity, None, Pace()))
                 assert [e.kind for e in events[:2]] == [cs.CLIQUE_COLLECTED, cs.BATCH_COMPLETED]
                 # boot stops at the first batch boundary with target banked
                 banked = [root]
@@ -346,7 +362,7 @@ class TestCalibration:
                 units = sum(e.cost for e in events[2 : end + 1])
                 stats = cs.TraversalStats()
                 q = deque()
-                stream = cs.list_mc(g, kernel=kernel, capacity=capacity, stats=stats)
+                stream = ds._listing(g, kernel, capacity, stats, Pace())
                 cfg, exhausted = ds.calibrate(stream, q, stats)
                 assert type(cfg.tau_delay) is int
                 assert list(q) == banked
