@@ -71,8 +71,8 @@ class Pace:
 class TraversalStats:
     """Kept current as events are yielded: ``batches_total`` children steps,
     ``batches_undersized`` those under ``capacity`` cliques, ``cliques_emitted``
-    clique events, ``total_cost`` every event's cost; ``stack_cliques`` the
-    cliques pending in computed specs, ``max_stack_cliques`` its most at a step's end."""
+    clique events, ``total_cost`` every event's cost; ``stack_cliques`` the cliques
+    pending in computed specs, ``max_stack_cliques`` its most after a lazy push or a step."""
 
     batches_total: int = 0
     batches_undersized: int = 0
@@ -165,6 +165,8 @@ def step_events(
                 for spec in entries[-1]:
                     if spec.indices:
                         stack.push(spec)
+                        if stack.pending > stats.max_stack_cliques:
+                            stats.max_stack_cliques = stack.pending
                         break
                 else:
                     entries.pop()

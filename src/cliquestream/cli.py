@@ -18,7 +18,8 @@ mode memory grows with the traversal stack, not with the output.
 ``--mode strict`` also queues the collected cliques not yet printed, at
 one deque slot and one int mask each (48 bytes at n = 100), and on random
 graphs the queue holds most of the output (about 0.8 on gnp(100, .07)).
-``--verify`` alone keeps the printed cliques' bitmasks.
+``--verify`` draws the oracle's masks one per printed line and the rest after
+the last, and alone keeps masks: the printed ones, and those drawn before their print.
 Bad input, ``--first`` below 1, what the listing refuses at the call and
 an unopenable ``--trace`` path all exit 2 with nothing on stdout.
 """
@@ -29,6 +30,7 @@ import argparse
 import os
 import sys
 from dataclasses import dataclass, field
+from itertools import islice
 
 from . import delay_scheduler, oracle, rs_tree
 from .batch_dfs import CLIQUE_COLLECTED, TraversalStats
@@ -265,20 +267,22 @@ def _emissions(g: Graph, cfg: RunConfig, stats: TraversalStats):
     return plain()
 
 
-def _verify(g: Graph, emitted: set[int], count: int, prefix_only: bool, err) -> bool:
-    """Check the ``count`` printed cliques, whose distinct bitmasks are
-    ``emitted``, against the oracle."""
-    ref_set = {c.bits for c in oracle.all_maximal_cliques(g, limit=g.n)}
+def _verify(
+    g: Graph, emitted: set[int], count: int, prefix_only: bool, err, reference, unprinted, drawn
+) -> bool:
+    """Check the ``count`` printed cliques (distinct masks ``emitted``) against the oracle's
+    numbered masks ``reference``: ``drawn`` drawn so far, of them ``unprinted`` not printed."""
+    matched = drawn - len(unprinted)
+    for drawn, bits in reference:
+        matched += bits in emitted
     duplicates = count - len(emitted)
-    # every oracle clique is maximal, so only the extra ones need the test
-    extras = emitted - ref_set
-    not_maximal = sum(
-        1 for bits in extras if not rs_tree.is_maximal_clique(g, VertexSet(bits))
-    )
-    extra = len(extras)
-    missing = 0 if prefix_only else len(ref_set - emitted)
+    extra = len(emitted) - matched
+    missing = 0 if prefix_only else drawn - matched
+    # every oracle clique is maximal, so only the extra ones, found in a rebuilt set, need the test
+    extras = emitted - set(oracle.maximal_clique_masks(g, limit=g.n)) if extra else ()
+    not_maximal = sum(not rs_tree.is_maximal_clique(g, VertexSet(b)) for b in extras)
     ok = duplicates == 0 and not_maximal == 0 and extra == 0 and missing == 0
-    scope = f"first {count}" if prefix_only else f"all {len(ref_set)}"
+    scope = f"first {count}" if prefix_only else f"all {drawn}"
     if ok:
         print(f"VERIFY PASS: {scope} cliques match the oracle", file=err)
     else:
@@ -307,8 +311,9 @@ def run(cfg: RunConfig, out=None, err=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=err)
         return 2
-    emitted: set[int] = set()  # filled only under --verify
-    count = 0
+    reference = enumerate(oracle.maximal_clique_masks(g, limit=g.n), 1) if cfg.verify else None
+    emitted, unprinted = set(), set()  # the printed masks; the drawn ones not printed yet
+    count = drawn = 0
     try:
         if trace is not None:
             trace.write(f"{TRACE_SCHEMA}\n{TRACE_HEADER}\n")
@@ -323,8 +328,12 @@ def run(cfg: RunConfig, out=None, err=None) -> int:
         for clique, cost, queue_size, stack_cliques in emissions:
             out.write(_format_clique(clique) + "\n")
             count += 1
-            if cfg.verify:
+            if reference is not None:
                 emitted.add(clique.bits)
+                unprinted.discard(clique.bits)
+                for drawn, bits in islice(reference, 1):  # one oracle mask per line
+                    if bits not in emitted:
+                        unprinted.add(bits)
             if trace is not None:
                 trace.write(f"{count},{cost},{queue_size},{stack_cliques}\n")
             if cfg.first is not None and count >= cfg.first:
@@ -332,9 +341,10 @@ def run(cfg: RunConfig, out=None, err=None) -> int:
     finally:
         if trace is not None:
             trace.close()
-    if cfg.verify and not _verify(g, emitted, count, cfg.first is not None, err):
-        return 1
-    return 0
+    ok = reference is None or _verify(
+        g, emitted, count, cfg.first is not None, err, reference, unprinted, drawn
+    )
+    return 0 if ok else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -23,6 +23,7 @@ from typing import Iterable, Iterator
 # it is made: the adjacency rows (n^2 bits, n <= 92,681), and in kernels
 # "rect"'s factors and the reference's M_G
 BUDGET_BYTES = 1 << 30
+_REVERSED_BYTE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))  # bits 0-7 as 7-0
 
 
 def vbit(v: int) -> int:
@@ -102,16 +103,16 @@ class VertexSet:
 def sort_lex_descending(sets: Iterable[VertexSet]) -> list[VertexSet]:
     """Sort vertex sets with the lexicographically greatest first.
 
-    Reversing each mask's bits, padded to the widest member, makes the
-    smallest differing vertex the highest differing bit, so the order is
-    plain descending order of the reversed masks; a superset of its own
-    prefix has the extra bits and comes first.
+    Reversing each mask's bits, padded to the widest member's bytes (byte by
+    byte through a table, read back big-endian), makes the smallest differing
+    vertex the highest differing bit, so the order is plain descending order
+    of the reversed masks; a superset of its own prefix comes first.
     """
     sets = list(sets)
-    width = max((s.bits.bit_length() for s in sets), default=0)
+    width = (max((s.bits.bit_length() for s in sets), default=0) + 7) // 8
 
     def reversed_bits(s: VertexSet) -> int:
-        return int(f"{s.bits:0{width}b}"[::-1], 2)
+        return int.from_bytes(s.bits.to_bytes(width, "little").translate(_REVERSED_BYTE), "big")
 
     return sorted(sets, key=reversed_bits, reverse=True)
 

@@ -1,15 +1,17 @@
 """The reference enumeration behind ``--verify`` and the benchmark's yardstick.
 
-:func:`all_maximal_cliques` lists every maximal clique by pivoted
-Bron-Kerbosch, an enumeration independent of the reverse-search tree and
-its children kernels.  Nothing is shared with the production code paths
-beyond the graph type, so agreement is meaningful evidence.
+:func:`maximal_clique_masks` streams every maximal clique's bitmask by pivoted
+Bron-Kerbosch, independent of the reverse-search tree and its children kernels,
+and :func:`all_maximal_cliques` sorts that stream.  Nothing is shared with the
+production code paths beyond the graph type, so agreement is meaningful evidence.
 
 A vertex-count limit guards against accidental exponential blowups; runs
 above it are refused explicitly.
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 from .graph import Graph, VertexSet, iter_bits, sort_lex_descending
 
@@ -40,35 +42,35 @@ def _pivot_branches(adj, p: int, x: int) -> int:
     return p & ~adj[pivot - 1]
 
 
-def _bron_kerbosch(adj, full: int, out: list[int]) -> None:
-    """Pivoted Bron-Kerbosch from ``P = full``, appending each maximal clique
-    to ``out``.  An explicit stack of ``[R, P, X, branches left]`` frames
-    replaces recursion, whose depth (the largest clique) would pass
-    Python's recursion limit near n = 1000."""
-    frames = [[0, full, 0, _pivot_branches(adj, full, 0)]]
-    while frames:
-        top = frames[-1]
-        r, p, x, todo = top
-        if not todo:
-            frames.pop()
-            continue
-        low = todo & -todo
-        top[1] = p ^ low
-        top[2] = x | low
-        top[3] = todo ^ low
-        av = adj[low.bit_length() - 1]
-        p, x = p & av, x & av
-        if p == 0 and x == 0:
-            out.append(r | low)
-        elif p:  # with P empty and X not, nothing below is maximal
-            frames.append([r | low, p, x, _pivot_branches(adj, p, x)])
+def maximal_clique_masks(g: Graph, limit: int = ORACLE_LIMIT) -> Iterator[int]:
+    """Every maximal clique's bitmask in pivoted Bron-Kerbosch order, refusing
+    ``n > limit`` at this call.  An explicit stack of ``[R, P, X, branches
+    left]`` frames replaces recursion, whose depth (the largest clique) would
+    pass Python's recursion limit near n = 1000."""
+    _check_limit(g, limit)
+
+    def masks(adj, full: int) -> Iterator[int]:
+        frames = [[0, full, 0, _pivot_branches(adj, full, 0)]]
+        while frames:
+            top = frames[-1]
+            r, p, x, todo = top
+            if not todo:
+                frames.pop()
+                continue
+            low = todo & -todo
+            top[1] = p ^ low
+            top[2] = x | low
+            top[3] = todo ^ low
+            av = adj[low.bit_length() - 1]
+            p, x = p & av, x & av
+            if p == 0 and x == 0:
+                yield r | low
+            elif p:  # with P empty and X not, nothing below is maximal
+                frames.append([r | low, p, x, _pivot_branches(adj, p, x)])
+    return masks(g.adj, g.full_mask)
 
 
 def all_maximal_cliques(g: Graph, limit: int = ORACLE_LIMIT) -> list[VertexSet]:
     """Every maximal clique, sorted lexicographically descending (the
     lexicographically greatest clique first)."""
-    _check_limit(g, limit)
-    found: list[int] = []
-    _bron_kerbosch(g.adj, g.full_mask, found)
-    return sort_lex_descending(VertexSet(b) for b in found)
-
+    return sort_lex_descending(VertexSet(b) for b in maximal_clique_masks(g, limit))

@@ -4,10 +4,11 @@ Everything here recomputes results from definitions: the pivoted
 enumeration of :func:`cliquestream.oracle.all_maximal_cliques` is
 cross-checked by exhaustive subset scan, completions pick the lexicographic
 maximum over the enumerated clique set, indices re-run the definitional
-descending scan, and good pairs evaluate the literal existential
-quantifier.  Nothing is shared with the production code paths beyond the
-graph type and the ``ChildSpec`` record, so agreement is meaningful
-evidence.
+descending scan, good pairs evaluate the literal existential quantifier,
+the lexicographic sort reverses bit strings, and the ``--verify`` verdict
+compares whole sets.  Nothing is shared with the production code paths
+beyond the graph type and the ``ChildSpec`` record, so agreement is
+meaningful evidence.
 """
 
 from __future__ import annotations
@@ -128,3 +129,42 @@ def children_oracle(
         if parent_brute(g, c, cliques) == p:
             indices.append(idx)
     return ChildSpec(parent=p.bits, indices=tuple(sorted(indices)))
+
+
+def sort_lex_descending_by_strings(sets: list[VertexSet]) -> list[VertexSet]:
+    """Lexicographically greatest first, by the mask's binary string padded
+    to the widest member's bit length and reversed, read as a number."""
+    width = max((s.bits.bit_length() for s in sets), default=0)
+    return sorted(sets, key=lambda s: int(f"{s.bits:0{width}b}"[::-1], 2), reverse=True)
+
+
+def is_maximal_clique_brute(g: Graph, bits: int) -> bool:
+    """Every pair of members adjacent, and no outside vertex adjacent to all."""
+    members = list(iter_bits(bits))
+    if any(not g.adj[u - 1] >> (v - 1) & 1 for u in members for v in members if u != v):
+        return False
+    return not any(
+        all(g.adj[w - 1] >> (u - 1) & 1 for u in members)
+        for w in range(1, g.n + 1)
+        if not bits >> (w - 1) & 1
+    )
+
+
+def verify_line(g: Graph, printed: list[int], prefix_only: bool, reference: list[int]) -> str:
+    """The ``--verify`` stderr line for the masks ``printed``, in print order,
+    against the oracle's masks ``reference``, compared as whole sets: a
+    duplicate is a repeated print, an extra a printed mask outside the
+    reference (tested for maximality), a missing one a reference mask never
+    printed, counted only when the whole listing was printed."""
+    emitted, ref_set = set(printed), set(reference)
+    duplicates = len(printed) - len(emitted)
+    extras = emitted - ref_set
+    not_maximal = sum(1 for bits in extras if not is_maximal_clique_brute(g, bits))
+    missing = 0 if prefix_only else len(ref_set - emitted)
+    if duplicates == not_maximal == len(extras) == missing == 0:
+        scope = f"first {len(printed)}" if prefix_only else f"all {len(ref_set)}"
+        return f"VERIFY PASS: {scope} cliques match the oracle\n"
+    return (
+        f"VERIFY FAIL: missing={missing} extra={len(extras)} "
+        f"duplicates={duplicates} non_maximal={not_maximal}\n"
+    )

@@ -147,6 +147,22 @@ class TestBounds:
                 assert stats.batches_undersized <= g.n
                 assert stats.cliques_emitted == len(oracle_bits(g))
 
+    @pytest.mark.parametrize("kernel", cs.kernels.KERNELS)
+    def test_max_stack_covers_every_reading(self, kernel):
+        """The running max is never below the stack depth an event reports,
+        on plain (lazy for bitset) and paced streams."""
+        graphs = [cs.Graph.complete_multipartite_triples(12), *random_graphs(6, seed0=2050)]
+        for g in graphs:
+            for capacity in (1, 7, g.n * g.n):
+                for quantum in (None, 0, 50):
+                    pace = None
+                    if quantum is not None:
+                        pace = Pace()
+                        pace.quantum = quantum
+                    stats = cs.TraversalStats()
+                    for _ in cs.delay_scheduler._listing(g, kernel, capacity, stats, pace):
+                        assert stats.max_stack_cliques >= stats.stack_cliques
+
     def test_capacity_one_never_undersized(self, bridged):
         stats = cs.TraversalStats()
         collect_plain(bridged, capacity=1, stats=stats)

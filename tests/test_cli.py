@@ -481,29 +481,37 @@ class TestIngestionLines:
         assert err == "normalized input: dropped 1 self-loops, 1 duplicate edges\n"
 
     def test_failed_verify_exits_1(self, monkeypatch):
-        listing = cli.oracle.all_maximal_cliques
+        stream = cli.oracle.maximal_clique_masks
 
         def one_short(*args, **kwargs):
-            return listing(*args, **kwargs)[1:]
+            masks = stream(*args, **kwargs)
+            next(masks)
+            return masks
 
-        monkeypatch.setattr(cli.oracle, "all_maximal_cliques", one_short)
+        monkeypatch.setattr(cli.oracle, "maximal_clique_masks", one_short)
         rc, out, err = run_cli(input="moon-moser:6", verify=True)
         assert rc == 1 and len(out.splitlines()) == 9
         assert err.startswith("VERIFY FAIL: missing=0 extra=1 duplicates=0")
 
 
 class TestVerifyHelper:
+    @staticmethod
+    def verify_undrawn(g, emitted, count, err):
+        """``cli._verify`` of a finished listing that drew no reference mask."""
+        reference = enumerate(oracle.maximal_clique_masks(g), 1)
+        return cli._verify(g, emitted, count, False, err, reference, set(), 0)
+
     def test_fail_reports_counts(self, bridged):
         err = io.StringIO()
         emitted = {cs.VertexSet.of(1, 2, 3, 4, 5).bits}  # everything else missing
-        ok = cli._verify(bridged, emitted, 1, prefix_only=False, err=err)
+        ok = self.verify_undrawn(bridged, emitted, 1, err)
         assert not ok
         assert "missing=4" in err.getvalue()
 
     def test_duplicates_detected(self, bridged):
         err = io.StringIO()
         full = {c.bits for c in oracle.all_maximal_cliques(bridged)}
-        ok = cli._verify(bridged, full, len(full) + 1, prefix_only=False, err=err)
+        ok = self.verify_undrawn(bridged, full, len(full) + 1, err)
         assert not ok
         assert "duplicates=1" in err.getvalue()
 
@@ -511,9 +519,108 @@ class TestVerifyHelper:
         err = io.StringIO()
         full = {c.bits for c in oracle.all_maximal_cliques(bridged)}
         emitted = full | {cs.VertexSet.of(1, 2).bits}  # a clique inside K5
-        ok = cli._verify(bridged, emitted, len(emitted), prefix_only=False, err=err)
+        ok = self.verify_undrawn(bridged, emitted, len(emitted), err)
         assert not ok
         assert "missing=0 extra=1 duplicates=0 non_maximal=1" in err.getvalue()
+
+
+class TestVerifyBesideListing:
+    """``--verify`` draws one oracle mask per printed line and the rest after
+    the last one, and its verdict is the one whole sets give."""
+
+    FAULTS = (None, "missing", "duplicate", "non-maximal", "oracle-short", "oracle-sub")
+
+    @staticmethod
+    def faulty_run(monkeypatch, spec, seed, fault, at, **kwargs):
+        """Run the CLI on a generator spec with ``fault`` injected at the
+        oracle's ``at``-th clique ``c``: the listing skips ``c``, prints it
+        twice or prints ``c`` less its last vertex after it, or the oracle
+        drops ``c``, or (``oracle-sub``) yields ``c`` less its last vertex in
+        its place while the listing prints both.  Returns the status, the
+        printed masks, stderr, the oracle masks the run faced and the graph."""
+        g = cli.generator_graph(spec, seed)
+        reference = list(oracle.maximal_clique_masks(g, limit=g.n))
+        target = reference[at]
+        sub = target ^ (1 << (target.bit_length() - 1))
+        real_emissions = cli._emissions
+
+        def emissions(g, cfg, stats):
+            for item in real_emissions(g, cfg, stats):
+                hit = item[0].bits == target
+                if not (hit and fault == "missing"):
+                    yield item
+                if hit and fault == "duplicate":
+                    yield item
+                if hit and fault in ("non-maximal", "oracle-sub"):
+                    yield (cs.VertexSet(sub), *item[1:])
+
+        monkeypatch.setattr(cli, "_emissions", emissions)
+        if fault in ("oracle-short", "oracle-sub"):
+            reference[at : at + 1] = [sub] if fault == "oracle-sub" else []
+            monkeypatch.setattr(
+                cli.oracle, "maximal_clique_masks", lambda g, limit: iter(reference)
+            )
+        rc, out, err = run_cli(input=spec, seed=seed, verify=True, **kwargs)
+        printed = [cs.VertexSet.of(*map(int, line.split())).bits for line in out.splitlines()]
+        return rc, printed, err, reference, g
+
+    @pytest.mark.parametrize("kernel", cs.kernels.KERNELS)
+    @pytest.mark.parametrize("mode", ["plain", "strict"])
+    def test_verdict_matches_the_whole_set_check(self, monkeypatch, kernel, mode):
+        for seed, spec in enumerate(["gnp:9:0.5", "gnp:12:0.4", "moon-moser:9", "gnp:14:0.7"]):
+            total = len(list(oracle.maximal_clique_masks(cli.generator_graph(spec, seed))))
+            for fault in self.FAULTS:
+                for at in sorted({0, total // 2, total - 1}):
+                    for first in (None, 1, total // 2 + 1, total, total + 2):
+                        with monkeypatch.context() as m:
+                            rc, printed, err, masks, g = self.faulty_run(
+                                m, spec, seed, fault, at, kernel=kernel, mode=mode, first=first
+                            )
+                        expect = reference.verify_line(g, printed, first is not None, masks)
+                        assert err == expect, (spec, fault, at, first)
+                        assert rc == (0 if expect.startswith("VERIFY PASS") else 1)
+                        if fault in ("oracle-short", "oracle-sub") and first is None:
+                            assert expect.startswith("VERIFY FAIL: missing=0 extra=1 ")
+
+    def test_one_reference_mask_per_printed_line(self, monkeypatch):
+        stream = cli.oracle.maximal_clique_masks
+        calls, drawn = [], []
+
+        def counted(g, limit):
+            calls.append(g.n)
+            masks = stream(g, limit)
+
+            def draws():
+                for bits in masks:
+                    drawn.append(bits)
+                    yield bits
+
+            return draws()
+
+        class Lines(io.StringIO):
+            """Records how many reference masks were drawn as each line is written."""
+
+            def __init__(self):
+                super().__init__()
+                self.drawn_at = []
+
+            def write(self, text):
+                self.drawn_at.extend([len(drawn)] * text.count("\n"))
+                return super().write(text)
+
+        monkeypatch.setattr(cli.oracle, "maximal_clique_masks", counted)
+        total = len(list(stream(cs.Graph.complete_multipartite_triples(12), 12)))
+        for first, lines in ((None, total), (5, 5), (total, total)):
+            for mode in ("plain", "strict"):
+                calls.clear()
+                drawn.clear()
+                out, err = Lines(), io.StringIO()
+                cfg = cli.RunConfig(input="moon-moser:12", mode=mode, first=first, verify=True)
+                assert cli.run(cfg, out=out, err=err) == 0 and "VERIFY PASS" in err.getvalue()
+                # line k waits for no draw: k - 1 masks were drawn before it
+                assert out.drawn_at == list(range(lines))
+                # the tail finishes the one stream: every mask drawn once, none rebuilt
+                assert calls == [12] and len(drawn) == len(set(drawn)) == total
 
 
 class TestMain:

@@ -100,6 +100,17 @@ class TestLexCompare:
         rng.shuffle(shuffled)
         assert cs.graph.sort_lex_descending(shuffled) == BRIDGED_CLIQUES
 
+    def test_sort_matches_the_string_reversal_order(self):
+        rng = random.Random(29)
+        for _ in range(2000):
+            width = rng.randint(1, 200)
+            sets = [
+                cs.VertexSet(rng.getrandbits(rng.randint(0, width)) if rng.random() < 0.9 else 0)
+                for _ in range(rng.randint(0, 12))
+            ]
+            got = [s.bits for s in cs.graph.sort_lex_descending(sets)]
+            assert got == [s.bits for s in reference.sort_lex_descending_by_strings(sets)]
+
 
 class TestConstruction:
     def test_idempotent_under_noise(self):

@@ -35,6 +35,12 @@ class TestEnumeration:
         with pytest.raises(oracle.OracleLimitError):
             oracle.all_maximal_cliques(g)
 
+    def test_stream_refuses_at_the_call(self):
+        g = cs.Graph.from_edges(25, [])
+        with pytest.raises(oracle.OracleLimitError):
+            oracle.maximal_clique_masks(g)  # refused before any draw
+        assert sorted(oracle.maximal_clique_masks(g, limit=25)) == [1 << v for v in range(25)]
+
     def test_every_member_is_maximal_no_duplicates(self):
         for g in random_graphs(10, seed0=2700):
             got = oracle.all_maximal_cliques(g)
