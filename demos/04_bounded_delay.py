@@ -1,12 +1,14 @@
 """Smoothing the output stream with the bounded-delay scheduler.
 
-Plain enumeration with the "rect" kernel emits cliques in bursts: a whole
-batch is collected, then one product decides all their children before
-the next burst.  Plain "bitset" tests each parent only when the stack
-reaches it, so a gap is at most one run of childless parents' tests plus
-one pop.  Strict mode banks cliques in a FIFO queue during a bootstrapping
-phase and afterwards releases one clique per tau_delay work units, turning
-the output into a steady drip with a provable worst-case gap.
+Plain enumeration reads each children step as the stack reaches its
+parents.  "bitset" tests one parent at a time, so a gap is at most one run
+of childless parents' tests plus one pop.  "rect" does a batch's product
+with ``[N | U]`` once, then decides its candidate pairs chunk by chunk, so
+a gap holds one pop and the chunks up to the next parent with children;
+on a small graph one chunk covers a whole batch.  Strict mode banks
+cliques in a FIFO queue during a bootstrapping phase and afterwards
+releases one clique per tau_delay work units, turning the output into a
+steady drip with a provable worst-case gap.
 """
 
 import cliquestream as cs
@@ -74,3 +76,13 @@ for e in emissions[:8]:
     print(f"  #{e.ordinal:<3} gap={e.cost_units:<6} queue={e.queue_size}")
 print(f"max gap {max(e.cost_units for e in emissions)} "
       f"<= 3 tau_delay = {3 * cfg.tau_delay}")
+
+# Strict "rect" paces the same chunks: at the default capacity n^2 a print
+# may fall between two chunks of one batch, so a gap passes tau_delay by at
+# most one chunk's charge, the largest event, not by a whole batch's.
+h = cs.Graph.gnp(60, 0.3, seed=1)
+report = ds.StrictRunReport()
+emissions = list(ds.run_strict(h, kernel="rect", report=report))
+tau = report.config.tau_delay
+print(f"\nstrict rect on gnp(60, .3): gap max {report.max_gap_units / tau:.2f} tau_delay "
+      f"<= 1 + the largest event, {report.max_event_cost / tau:.2f} tau_delay")

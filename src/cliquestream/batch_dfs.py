@@ -5,7 +5,7 @@ entries rather than expanded cliques, so a batch of B parents costs O(nB)
 stack space.  Each outer iteration pops up to ``capacity`` cliques (each pop
 expands one index into a clique via lexicographic completion and emits it),
 hands them to ``children_fn`` as one children step and stacks the non-empty
-specs, the last parent's on top (a plain traversal stacks a lazy step as one
+specs, the last parent's on top (a plain traversal stacks the step as one
 source, read as the stack reaches each parent).  A clique popped from spec
 ``(P, i)`` has reverse-search index ``i`` by definition (the root has 0), so
 ``pop`` returns that index with the clique and no index is recomputed.
@@ -37,8 +37,8 @@ BATCH_COMPLETED = "batch-completed"
 TRAVERSAL_ENDED = "traversal-ended"
 CHILDREN_WORK = "children-work"
 
-# children_fn(masks, indices) -> their specs in order, a list or a lazy iterable; indices[k] is
-# masks[k]'s index (0: root); lists in batch order if paced, else last-first draining iterators
+# children_fn(masks, indices) -> their specs in order, any iterable, lazy in a listing; indices[k]
+# is masks[k]'s index (0: root); lists in batch order if paced, else last-first draining iterators
 ChildrenFn = Callable[[Iterable[int], Iterable[int]], Iterable[ChildSpec]]
 
 _new = object.__new__
@@ -138,12 +138,13 @@ def step_events(
     ``children_fn``, which gets the batch's masks, should charge the same
     one.  Each event costs the counter's growth since the previous event,
     so units already on it (the root's construction) fall on the first
-    event.  Without ``pace``, a lazy step is read as the stack reaches each
-    parent: a clique event costs its pop and the tests it waited for, all of
-    childless parents but the last, the traversal-ended event the last
-    childless parents'.  A list step, and with ``pace`` every step, runs at
-    its batch end; with a positive quantum a children-work event follows each
-    spec that brings the units since the previous event to the quantum.
+    event.  Without ``pace``, a step is read as the stack reaches each
+    parent, so a lazy step's work falls on the events that wait for it: a
+    clique event costs its pop and the tests it waited for, all of childless
+    parents but the last, the traversal-ended event the last childless
+    parents'.  With ``pace`` every step runs at its batch end; with a
+    positive quantum a children-work event follows each spec that brings the
+    units since the previous event to the quantum.
     """
     if capacity < 1:
         raise ValueError("batch capacity must be at least 1")
@@ -188,10 +189,7 @@ def step_events(
         stats.batches_undersized += len(batch) < capacity
         if pace is None:  # the batch last parent first, each mask dropped once read
             specs = children_fn(map(list.pop, repeat(batch, len(batch))), reversed(indices))
-            if type(specs) is not list:  # a lazy step: a source, read as the stack reaches it
-                entries.append(iter(specs))
-            while type(specs) is list and specs:  # an eager one: pushed whole, last on top
-                stack.push(specs.pop())
+            entries.append(iter(specs))  # a source, read as the stack reaches it
         else:
             quantum = pace.quantum
             for spec in children_fn(batch, indices):

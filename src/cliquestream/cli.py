@@ -60,30 +60,26 @@ def _check_count(n: int, lineno: int) -> None:
         raise ParseError(f"line {lineno}: {exc}") from None
 
 
-def _finish_edges(
-    pairs: list[tuple[int, int]], n: int, report: IngestReport | None
-) -> Graph:
-    g = Graph.from_edges(n, pairs)
+def _finish(n: int, adj: list[int], loops: int, duplicates: int, report) -> Graph:
     if report is not None:
-        loops = sum(1 for u, v in pairs if u == v)
         report.self_loops_dropped += loops
-        report.duplicates_dropped += len(pairs) - loops - g.m
-    return g
+        report.duplicates_dropped += duplicates
+    return Graph._normalized(n, tuple(adj))
 
 
 def parse_edge_list(text: str, report: IngestReport | None = None) -> Graph:
     """Parse ``u v`` lines; an optional ``n N`` header declares the vertex
     count (otherwise the largest id wins).  Self-loops and duplicates are
     dropped and counted.  A count the graph cannot hold is refused at its
-    line."""
+    line.  The rows are built as the lines are read."""
     declared = None
-    pairs: list[tuple[int, int]] = []
+    adj: list[int] = []  # grown to the largest id, or the header's count, once checked
+    loops = duplicates = 0
     max_id = 0
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
             continue
-        parts = line.split()
         if parts[0] == "n":
             if declared is not None:
                 raise ParseError(f"line {lineno}: duplicate 'n' header")
@@ -98,12 +94,15 @@ def parse_edge_list(text: str, report: IngestReport | None = None) -> Graph:
                 raise ParseError(
                     f"line {lineno}: declared count {declared} is below vertex id {max_id}"
                 )
+            adj += [0] * (declared - len(adj))
             continue
         if len(parts) != 2:
+            line = raw.split("#", 1)[0].strip()
             raise ParseError(f"line {lineno}: expected 'u v', got {line!r}")
         try:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
+            line = raw.split("#", 1)[0].strip()
             raise ParseError(f"line {lineno}: non-integer vertex id in {line!r}") from None
         if u < 1 or v < 1:
             raise ParseError(f"line {lineno}: vertex ids must be >= 1")
@@ -111,15 +110,23 @@ def parse_edge_list(text: str, report: IngestReport | None = None) -> Graph:
             raise ParseError(
                 f"line {lineno}: vertex id exceeds declared count {declared}"
             )
-        pairs.append((u, v))
         if u > max_id or v > max_id:
             max_id = max(u, v)
             if declared is None:
                 _check_count(max_id, lineno)
+                adj += [0] * (max_id - len(adj))
+        # a self-loop or a repeat, either way round, is counted, not set
+        if u == v:
+            loops += 1
+        elif adj[u - 1] >> (v - 1) & 1:
+            duplicates += 1
+        else:
+            adj[u - 1] |= 1 << (v - 1)
+            adj[v - 1] |= 1 << (u - 1)
     n = declared if declared is not None else max_id
     if n == 0:
         raise ParseError("no vertices: empty input without an 'n' header")
-    return _finish_edges(pairs, n, report)
+    return _finish(n, adj, loops, duplicates, report)
 
 
 def parse_dimacs(text: str, report: IngestReport | None = None) -> Graph:
@@ -127,17 +134,39 @@ def parse_dimacs(text: str, report: IngestReport | None = None) -> Graph:
 
     ``c`` comment lines are skipped.  A mismatch between declared and seen
     edge counts is a warning, not an error; a missing header, a negative
-    ``M``, or an ``N`` the graph cannot hold is fatal.
+    ``M``, or an ``N`` the graph cannot hold is fatal.  The rows are built
+    as the lines are read.
     """
     n = None
     declared_m = 0
     seen_m = 0
-    pairs: list[tuple[int, int]] = []
+    adj: list[int] = []
+    loops = duplicates = 0
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+        parts = raw.split()
+        if len(parts) == 3 and parts[0] == "e" and n is not None:
+            try:
+                u, v = int(parts[1]), int(parts[2])
+            except ValueError:
+                raise ParseError(f"line {lineno}: non-integer vertex id") from None
+            if not (1 <= u <= n and 1 <= v <= n):
+                raise ParseError(f"line {lineno}: vertex id outside 1..{n}")
+            seen_m += 1
+            # a self-loop or a repeat, either way round, is counted, not set
+            if u == v:
+                loops += 1
+            elif adj[u - 1] >> (v - 1) & 1:
+                duplicates += 1
+            else:
+                adj[u - 1] |= 1 << (v - 1)
+                adj[v - 1] |= 1 << (u - 1)
             continue
-        parts = line.split()
+        if not parts or parts[0][0] == "c":
+            continue
+        if parts[0] == "e":  # one the branch above refused to take
+            if n is None:
+                raise ParseError(f"line {lineno}: edge before 'p edge' header")
+            raise ParseError(f"line {lineno}: expected 'e u v'")
         if parts[0] == "p":
             if n is not None:
                 raise ParseError(f"line {lineno}: duplicate problem header")
@@ -150,29 +179,16 @@ def parse_dimacs(text: str, report: IngestReport | None = None) -> Graph:
             _check_count(n, lineno)
             if declared_m < 0:
                 raise ParseError(f"line {lineno}: edge count must be non-negative")
+            adj = [0] * n
             continue
-        if parts[0] == "e":
-            if n is None:
-                raise ParseError(f"line {lineno}: edge before 'p edge' header")
-            if len(parts) != 3:
-                raise ParseError(f"line {lineno}: expected 'e u v'")
-            try:
-                u, v = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise ParseError(f"line {lineno}: non-integer vertex id") from None
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise ParseError(f"line {lineno}: vertex id outside 1..{n}")
-            pairs.append((u, v))
-            seen_m += 1
-            continue
-        raise ParseError(f"line {lineno}: unrecognized line {line!r}")
+        raise ParseError(f"line {lineno}: unrecognized line {raw.strip()!r}")
     if n is None:
         raise ParseError("missing 'p edge N M' header")
     if seen_m != declared_m:
         msg = f"header declares {declared_m} edges but {seen_m} were found"
         if report is not None:
             report.warnings.append(msg)
-    return _finish_edges(pairs, n, report)
+    return _finish(n, adj, loops, duplicates, report)
 
 
 def to_dimacs(g: Graph) -> str:
@@ -312,7 +328,8 @@ def run(cfg: RunConfig, out=None, err=None) -> int:
         print(f"error: {exc}", file=err)
         return 2
     reference = enumerate(oracle.maximal_clique_masks(g, limit=g.n), 1) if cfg.verify else None
-    emitted, unprinted = set(), set()  # the printed masks; the drawn ones not printed yet
+    # under --verify: the printed masks, and the drawn ones not printed yet
+    emitted, unprinted = (set(), set()) if cfg.verify else (None, None)
     count = drawn = 0
     try:
         if trace is not None:

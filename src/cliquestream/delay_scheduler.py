@@ -20,16 +20,21 @@ boot_target = 1 + the root's children count, and with c =
 :data:`CALIBRATION_MARGIN`, tau_delay = c * the units charged after the
 root batch // the cliques banked after the root (at least 1).
 
-A listing has one children step per kernel: "bitset" streams
-:func:`~cliquestream.kernels.filter_children` parent by parent, "rect"
-decides the batch in one ``children_batch`` product at its end.  A plain
-stream tests a parent when the stack reaches it: a "bitset" gap is one pop
-and one run of childless parents' tests.  ``run_strict``'s paced stream
-(:class:`~cliquestream.batch_dfs.Pace`) runs each step at its batch end,
-where boot reads it, and after boot yields a children-work event once the
-units its next print waits for are charged: a "bitset" gap passes tau_delay
-by less than one pop or one parent's test; a "rect" step yields at most one,
-after the product, so its gaps stay within tau_delay + the largest event.
+A listing hands both kernels' children steps to the traversal as lazy
+spec streams: "bitset" runs :func:`~cliquestream.kernels.filter_children`
+parent by parent, "rect" streams
+:func:`~cliquestream.kernels.children_rect`, which does a slice's
+batch-level product once and then decides its pairs chunk by chunk.  A
+plain stream reads a step as the stack reaches each parent: a "bitset" gap
+is one pop and one run of childless parents' tests, a "rect" gap one pop
+and the chunks up to the next parent with children.  ``run_strict``'s
+paced stream (:class:`~cliquestream.batch_dfs.Pace`) runs each step at its
+batch end, where boot reads it, and after boot yields a children-work event
+once the units its next print waits for are charged: a gap passes tau_delay
+by less than one pop, one "bitset" parent's test or one "rect" chunk's
+charge, so it stays within tau_delay + the largest event.
+:func:`~cliquestream.kernels.children_batch`, a whole step's specs as a
+list, stays importable here for callers that wrap it by name.
 """
 
 from __future__ import annotations
@@ -50,7 +55,8 @@ from .batch_dfs import (
     step_events,
 )
 from .graph import Graph, VertexSet
-from .kernels import KERNELS, check_factors, children_batch, graph_factors
+from .kernels import KERNELS, check_factors, graph_factors
+from .kernels import children_batch  # noqa: F401  (callers wrap it by name)
 from .rs_tree import OpCounter, root
 
 
@@ -127,9 +133,10 @@ def list_mc(
 
 def _listing(g: Graph, kernel: str, capacity, stats, pace: Pace | None) -> Iterator[StepEvent]:
     """:func:`list_mc`'s stream, paced by ``pace``.  The kernel alone picks
-    the children step: "bitset" hands ``step_events`` a lazy stream of
-    :func:`~cliquestream.kernels.filter_children` calls, one per parent,
-    and "rect" one ``children_batch`` call per batch."""
+    the children step, a lazy stream of specs for ``step_events`` either
+    way: :func:`~cliquestream.kernels.filter_children` calls, one per
+    parent, or :func:`~cliquestream.kernels.children_rect`, whose factors
+    are built with the first batch."""
     if kernel not in KERNELS:
         raise ValueError(f"unknown kernel {kernel!r}")
     cap = capacity if capacity is not None else g.n * g.n
@@ -146,9 +153,7 @@ def _listing(g: Graph, kernel: str, capacity, stats, pace: Pace | None) -> Itera
             return map(kernels.filter_children, repeat(g), masks, indices, repeat(counter))
         if factors is None:
             factors = graph_factors(g, counter)
-        return children_batch(
-            g, list(masks), kernel="rect", counter=counter, indices=list(indices), factors=factors
-        )
+        return kernels.children_rect(g, masks, indices, factors, counter)
 
     root_clique = root(g, counter)
     return step_events(g, root_clique, children_fn, cap, stats, counter, pace)

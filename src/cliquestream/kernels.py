@@ -19,17 +19,19 @@ the same multiply-adds.  A traversal builds the factors once
 (:func:`graph_factors`, after :func:`check_factors` has refused an n past
 :data:`BUDGET_BYTES`) and never ``M_G``.
 
-"rect" decides a batch's children in numpy, in slices that fit
-:data:`RECT_ROWS_BYTES` (memory follows n, not the batch capacity): one
-product of ``M_B`` with the n x 2n factor ``[N | U]`` (``U[u, j]`` set
-for ``u <= j`` and ``u !~ j``; a vertex is not its own neighbor) gives
-every parent's ``N(P)`` and the vertices adjacent to every member below
-them, the candidate pairs (parent, i) inside ``N(P)`` are stacked as rows
-``P & A_i`` and multiplied by ``Nc.T`` in chunks of at least
-:data:`CHUNK_ROWS` rows, more if :data:`BLOCK_BYTES` allows, and the test
-of :func:`filter_children` runs on the bool blocks.  "bitset" runs
-:func:`filter_children` per parent, folding the common neighborhood only
-as far as each candidate needs.
+"rect" decides a batch's children in numpy as a lazy stream
+(:func:`children_rect`), in slices that fit :data:`RECT_ROWS_BYTES`
+(memory follows n, not the batch capacity): one product of ``M_B`` with
+the n x 2n factor ``[N | U]`` (``U[u, j]`` set for ``u <= j`` and ``u !~
+j``; a vertex is not its own neighbor) gives every parent's ``N(P)`` and
+the vertices adjacent to every member below them; then the candidate pairs
+(parent, i) inside ``N(P)`` are stacked as rows ``P & A_i`` and multiplied
+by ``Nc.T`` in chunks of at least :data:`CHUNK_ROWS` rows, more if
+:data:`BLOCK_BYTES` allows, and the test of :func:`filter_children` runs
+on the bool blocks.  A chunk is decided only when the stream's reader needs
+a parent it covers, and each parent's spec leaves as soon as its last chunk
+is decided.  "bitset" runs :func:`filter_children` per parent, folding the
+common neighborhood only as far as each candidate needs.
 ``children_naive`` re-derives the test with direct completion calls, one
 parent at a time, as the differential reference.  Only indices above the
 parent's own index are candidates.  The traversal knows that index (a
@@ -42,8 +44,10 @@ neighbors ``N(P)``, so cost follows degree.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import pairwise
+from typing import Iterator
 
 import numpy as np
 
@@ -236,63 +240,121 @@ def filter_children(
     return spec
 
 
-def _children_rect(g: Graph, cliques, indices, factors: Factors, counter) -> list[ChildSpec]:
-    """The test of :func:`filter_children` on one slice of a batch, in numpy:
-    ``bad = (A_i & ~P | outside_P & V_{<i})`` minus the good row must be
-    empty.  Charged as :func:`filter_children` without folds, plus the full
-    product."""
+def _rect_slice(g: Graph, part: list[int], index: np.ndarray, factors: Factors):
+    """The batch-level work of one slice.  Returns the rows of ``M_B`` and
+    ``outside_P`` (the non-members adjacent to every member below them) in
+    one byte a vertex, 1 for a member and 2 for a vertex outside ``P``; the
+    flat pairs ``k * n + i - 1`` left for the product, 2 bytes each where
+    they fit (4 otherwise); and the candidates decided here, the root's rows
+    outside ``N(root)``: how many, and the flat pairs accepted among them.
+    A suspended stream keeps the first two, n bytes a parent and 2 or 4 a
+    pair."""
     n = g.n
-    a_rows, non_adj_t, near_op = factors
-    mb = _mask_rows(cliques, n)
+    a_rows, _, near_op = factors
+    mb = _mask_rows(part, n)
     product = matmul.multiply_boolean_threshold(mb, near_op)
     near = product[:, :n]
     # U's diagonal marks every member, so these are the non-members adjacent
     # to every member below them
     outside = ~product[:, n:]
-    index = np.asarray(indices)
     # row k of this view of n Falses then n Trues marks the columns >= n - k
     # (comparing columns with index[:, None] would allocate broadcast buffers)
     stairs = np.ndarray((n + 1, n), bool, np.arange(2 * n) >= n, strides=(1, 1))
     cand = stairs[n - index]
     cand &= ~mb  # column i - 1 is vertex i: the non-members above the index
     cand &= near | (index == 0)[:, None]  # the root tests every non-member
-    scanned = np.count_nonzero(cand)
-    # the (parent, row) pairs p * n + i in chunks of CHUNK_ROWS, or as many as
-    # fit BLOCK_BYTES at 12 n bytes each if that is more
     pairs = np.flatnonzero(cand & near)
-    step = max(CHUNK_ROWS, BLOCK_BYTES // (12 * n))
-    for start in range(0, len(pairs), step):
-        p, i = np.divmod(pairs[start : start + step], n)
-        left = a_rows[i]
-        left &= mb[p]  # P & A_i
-        good = matmul.multiply_boolean_threshold(left, non_adj_t)
-        bad = a_rows[i]
-        bad ^= left  # A_i & ~P, which lies below i
-        bad |= outside[p]
-        bad &= np.invert(good, out=good)
-        # rejected iff the first column left in bad is below i
-        cand[p, i] = ~bad.any(axis=1) | (bad.argmax(axis=1) >= i)
+    pairs = pairs.astype(np.uint16 if len(part) * n <= 1 << 16 else np.uint32)
     # a root candidate outside N(root) has an empty P & A_i and good row, so
     # it is accepted iff A_i is empty and no vertex below it is outside P
     root, i = np.nonzero(cand & ~near)
-    if len(i):
-        first = np.where(outside.any(axis=1), outside.argmax(axis=1), n)
-        cand[root, i] = ~a_rows.any(axis=1)[i] & (i <= first[root])
-    if counter is not None:
-        b = len(cliques)
-        members = np.count_nonzero(mb)
-        # the counts are numpy integers; a Python int keeps event costs plain ints
-        counter.ops += int(b * (5 + n * n) + 3 * members + 6 * scanned) * words(n)
-    rows, found = np.nonzero(cand)
-    ends = np.searchsorted(rows, np.arange(1, len(cliques) + 1)).tolist()
-    found = (found + 1).tolist()
-    specs = []
-    for parent, a, z in zip(cliques, [0] + ends, ends):
-        spec = _new(ChildSpec)
-        _set_parent(spec, parent)
-        _set_indices(spec, tuple(found[a:z]))
-        specs.append(spec)
-    return specs
+    kept = mb.view(np.uint8) | outside.view(np.uint8) << 1, pairs
+    if not len(i):
+        return *kept, 0, []
+    first = np.where(outside.any(axis=1), outside.argmax(axis=1), n)[root]
+    accepted = (root * n + i)[~a_rows.any(axis=1)[i] & (i <= first)]
+    return *kept, len(i), accepted.tolist()
+
+
+def _decide(pairs: np.ndarray, n: int, factors: Factors, sides: np.ndarray) -> list[int]:
+    """The pairs of one chunk that are accepted, ascending: ``bad = (A_i &
+    ~P | outside_P & V_{<i})`` minus the good row, read off the product of
+    the rows ``P & A_i`` with ``Nc.T``, must be empty.  ``sides`` is
+    :func:`_rect_slice`'s byte rows."""
+    a_rows, non_adj_t, _ = factors
+    p, i = np.divmod(pairs, n, dtype=np.intp)
+    side = np.take(sides, p, axis=0)  # np.take gathers rows faster than sides[p]
+    left = np.take(a_rows, i, axis=0)
+    left &= side == 1  # P & A_i
+    good = matmul.multiply_boolean_threshold(left, non_adj_t)
+    bad = np.take(a_rows, i, axis=0)
+    bad ^= left  # A_i & ~P, which lies below i
+    bad |= side > 1
+    bad &= np.invert(good, out=good)
+    # rejected iff the first column left in bad is below i
+    return pairs[~bad.any(axis=1) | (bad.argmax(axis=1) >= i)].tolist()
+
+
+def children_rect(
+    g: Graph, masks, indices, factors: Factors, counter: OpCounter | None = None
+) -> Iterator[ChildSpec]:
+    """Lazy "rect" children stream: one ChildSpec per parent of ``masks``
+    (``indices[k]`` their indices), in the order handed in, each read once.
+    Each slice of ``RECT_ROWS_BYTES // (32 n)`` parents does its batch-level
+    work once (:func:`_rect_slice`), then decides its pairs in chunks of
+    :data:`CHUNK_ROWS` rows, more if :data:`BLOCK_BYTES` allows
+    (:func:`_decide`), only as the stream is read.  After the batch-level
+    work and after each chunk, the parents with no pair left undecided are
+    released in bulk, and that step is charged in words(n): 6 per candidate
+    it decided, and ``5 + n^2 + 3|P|`` per parent it released.  A batch thus
+    costs :func:`filter_children`'s units without folds plus the full
+    product, whatever its slices and chunks."""
+    n = g.n
+    w = words(n)
+    cliques = masks if type(masks) is list else list(masks)
+    carried = iter(indices)
+    step = max(CHUNK_ROWS, BLOCK_BYTES // (12 * n))
+    size = max(1, RECT_ROWS_BYTES // (32 * n))
+    for lo in range(0, len(cliques), size):
+        part = cliques if size >= len(cliques) else cliques[lo : lo + size]
+        sides, pairs, decided, roots = _rect_slice(
+            g, part, np.fromiter(carried, np.intp, len(part)), factors
+        )
+        found: list[int] = []  # the flat pairs accepted and not yet released, ascending
+        total, done, released = len(pairs), 0, 0
+        scanned = decided
+        while True:
+            if done < total:  # every parent below the next undecided pair's is decided
+                last = int(pairs[done]) // n
+            else:  # a suspended stream keeps only what is left to release
+                last, sides, pairs = len(part), None, None
+            if counter is not None:
+                members = sum(map(int.bit_count, part[released:last]))
+                counter.ops += ((5 + n * n) * (last - released) + 3 * members + 6 * scanned) * w
+            if last > released:
+                if roots:  # the root rows' children outside N(root), decided with the slice
+                    cut = bisect_left(roots, last * n)
+                    found = sorted(found + roots[:cut])
+                    del roots[:cut]
+                # the released parents' children, read in bulk: found holds k * n + i - 1
+                # for each accepted i of parent k
+                group, a = [], 0
+                for k in range(released, last):
+                    z = bisect_left(found, (k + 1) * n, a)
+                    group.append(tuple(map((k * n - 1).__rsub__, found[a:z])) if z > a else ())
+                    a = z
+                del found[:a]
+                for k, children in enumerate(group, released):
+                    spec = _new(ChildSpec)
+                    _set_parent(spec, part[k])
+                    _set_indices(spec, children)
+                    yield spec
+                released = last
+            if released == len(part):
+                break
+            found += _decide(pairs[done : done + step], n, factors, sides)
+            scanned = min(step, total - done)
+            done += scanned
 
 
 def children_naive(g: Graph, p: int, index: int) -> ChildSpec:
@@ -341,8 +403,8 @@ def children_batch(
     index (0 for the root) when the caller knows it, one per clique (a list
     of another length is refused); without it, each index
     is recomputed with :func:`clique_index`.  "rect" builds (and charges)
-    :func:`graph_factors` unless ``factors`` passes them in, and takes the
-    batch in slices of ``RECT_ROWS_BYTES // (32 n)`` parents (at least one).
+    :func:`graph_factors` unless ``factors`` passes them in, and reads
+    :func:`children_rect` to its end.
     """
     _check_batch(cliques)
     if indices is None:
@@ -355,9 +417,4 @@ def children_batch(
         raise ValueError(f"unknown kernel {kernel!r}")
     if factors is None:
         factors = graph_factors(g, counter)
-    size = max(1, RECT_ROWS_BYTES // (32 * g.n))
-    specs = []
-    for first in range(0, len(cliques), size):
-        part = slice(first, first + size)
-        specs += _children_rect(g, cliques[part], indices[part], factors, counter)
-    return specs
+    return list(children_rect(g, cliques, indices, factors, counter))

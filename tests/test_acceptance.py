@@ -14,6 +14,7 @@ import pytest
 import cliquestream as cs
 from cliquestream import delay_scheduler as ds
 from cliquestream import matmul, oracle
+from cliquestream.batch_dfs import CHILDREN_WORK
 
 import reference
 from conftest import (
@@ -282,6 +283,53 @@ def test_strict_delay_bound_is_real(name):
         f"tau {tau_share:.2f}x the mean, first output at {first_share:.2f} of the work)"
     )
     assert ok, f"strict delay bound on {name}"
+
+
+# strict "rect" builds 14 n^2 bytes of factors, 56 MB at n = 2,000: that graph stays bitset-only
+STRICT_RECT_FAMILIES = [name for name in STRICT_FAMILIES if name != "gnp(2000,10/n)"]
+
+
+@pytest.mark.parametrize("name", STRICT_RECT_FAMILIES)
+def test_strict_rect_gaps_follow_its_chunks(name, monkeypatch):
+    """Strict mode on rect, at capacity 7 and the default n^2: every gap is at
+    most tau + the largest event after boot, and a children-work event
+    passes the units its print waited for by less than the one chunk charge
+    that ended it."""
+    g = STRICT_FAMILIES[name]()
+    charges = []  # the counter's growth at each rect spec: a chunk's charge on its first
+    real_rect = cs.kernels.children_rect
+
+    def children_rect(g, masks, indices, factors, counter):
+        stream = real_rect(g, masks, indices, factors, counter)
+        while True:
+            before = counter.ops
+            spec = next(stream, None)
+            if spec is None:
+                return
+            charges.append(counter.ops - before)
+            yield spec
+
+    works = []  # each children-work event's cost, with the charge of the chunk it followed
+    real_steps = ds.step_events
+
+    def step_events(*args):
+        for event in real_steps(*args):
+            if event.kind == CHILDREN_WORK:
+                works.append((event.cost, charges[-1]))
+            yield event
+
+    monkeypatch.setattr(cs.kernels, "children_rect", children_rect)
+    monkeypatch.setattr(ds, "step_events", step_events)
+    for capacity in (7, g.n * g.n):
+        charges.clear()
+        works.clear()
+        rep = ds.StrictRunReport()
+        emissions = list(ds.run_strict(g, kernel="rect", capacity=capacity, report=rep))
+        tau = rep.config.tau_delay
+        assert rep.starved_checks == 0 and len(emissions) == rep.stats.cliques_emitted
+        assert max(e.cost_units for e in emissions) <= tau + rep.max_event_cost
+        # the pace asks for at most tau units; the chunk that passes it ends the event
+        assert works and all(0 < chunk and cost - chunk < tau for cost, chunk in works)
 
 
 def test_criterion_8_matmul_differential():

@@ -319,21 +319,42 @@ ON_DEMAND_GRAPHS = {
 
 
 class TestOnDemandChildren:
-    """A plain bitset listing tests a parent's children only when the stack
-    reaches it, so every event carries the work it waited for."""
+    """A plain listing decides a parent's children only when the stack
+    reaches it, on either kernel, so every event carries the work it waited
+    for."""
 
     @staticmethod
     def logged(monkeypatch):
-        """Log every children test as ("test", spec, units) and every pop's
-        completion as ("pop", None, units), in the order they run."""
+        """Log every children test as ("test", spec, units), every pop's
+        completion as ("pop", None, units) and the "rect" factors as
+        ("factors", None, units), in the order they run.  A "rect" spec's
+        units are those charged while the stream produced it."""
         log = []
         real_filter, real_completion = cs.kernels.filter_children, cs.batch_dfs._lc_bits
+        real_rect, real_factors = cs.kernels.children_rect, cs.delay_scheduler.graph_factors
 
         def filter_children(g, p, index, counter):
             before = counter.ops
             spec = real_filter(g, p, index, counter)
             log.append(("test", spec, counter.ops - before))
             return spec
+
+        def children_rect(g, masks, indices, factors, counter):
+            stream = real_rect(g, masks, indices, factors, counter)
+            while True:
+                before = counter.ops
+                spec = next(stream, None)
+                assert spec is not None or counter.ops == before
+                if spec is None:
+                    return
+                log.append(("test", spec, counter.ops - before))
+                yield spec
+
+        def graph_factors(g, counter):
+            before = counter.ops
+            factors = real_factors(g, counter)
+            log.append(("factors", None, counter.ops - before))
+            return factors
 
         def completion(g, kbits, counter):
             before = counter.ops
@@ -342,12 +363,20 @@ class TestOnDemandChildren:
             return mask
 
         monkeypatch.setattr(cs.kernels, "filter_children", filter_children)
+        monkeypatch.setattr(cs.kernels, "children_rect", children_rect)
+        monkeypatch.setattr(cs.delay_scheduler, "graph_factors", graph_factors)
         monkeypatch.setattr(cs.batch_dfs, "_lc_bits", completion)
         return log
 
     @pytest.mark.parametrize("name", ON_DEMAND_GRAPHS)
     def test_each_event_carries_the_tests_it_waited_for(self, name, monkeypatch):
-        g = ON_DEMAND_GRAPHS[name]()
+        self.check_events(ON_DEMAND_GRAPHS[name](), "bitset", monkeypatch)
+
+    @pytest.mark.parametrize("name", ON_DEMAND_GRAPHS)
+    def test_each_rect_event_carries_the_chunks_it_waited_for(self, name, monkeypatch):
+        self.check_events(ON_DEMAND_GRAPHS[name](), "rect", monkeypatch)
+
+    def check_events(self, g, kernel, monkeypatch):
         root_units = cs.OpCounter()
         cs.rs_tree.root(g, root_units)
         log = self.logged(monkeypatch)
@@ -355,7 +384,7 @@ class TestOnDemandChildren:
             stats = cs.TraversalStats()
             log.clear()
             steps = []  # each event with what ran since the previous one
-            for event in cs.list_mc(g, capacity=capacity, stats=stats):
+            for event in cs.list_mc(g, kernel=kernel, capacity=capacity, stats=stats):
                 steps.append((event, log[:]))
                 log.clear()
             (first, before_first), *rest = steps
@@ -371,17 +400,25 @@ class TestOnDemandChildren:
                     # the tests the pop waited for, then the pop itself
                     assert [kind for kind, _, _ in ran] == ["test"] * len(tests) + ["pop"]
                 else:
-                    assert all(kind == "test" and not spec.indices for kind, spec, _ in ran)
+                    # nothing runs at a batch end but the "rect" factors, built
+                    # with the first step; the last tests, on childless
+                    # parents, land on the final event
+                    assert all(kind != "pop" for kind, _, _ in ran)
+                    assert all(not spec.indices for spec in tests)
             ended, ran = rest[-1]
-            # the last tests, on childless parents, land on the final event
-            assert ended.kind == cs.TRAVERSAL_ENDED and ran and ended.cost > 0
+            assert ended.kind == cs.TRAVERSAL_ENDED and ran
+            # a "rect" chunk charges the parents it releases on the first of them
+            assert ended.cost > 0 or kernel == "rect"
             assert sum(e.cost for e, _ in steps) == stats.total_cost
-            assert len(sum((ran for _, ran in steps), [])) == 2 * stats.cliques_emitted - 1
+            entries = sum((ran for _, ran in steps), [])
+            assert [kind for kind, _, _ in entries].count("factors") == (kernel == "rect")
+            assert len(entries) == 2 * stats.cliques_emitted - 1 + (kernel == "rect")
 
     @pytest.mark.parametrize("name", ON_DEMAND_GRAPHS)
     @pytest.mark.parametrize("kernel", cs.kernels.KERNELS)
     def test_plain_and_paced_streams_agree(self, name, kernel):
         g = ON_DEMAND_GRAPHS[name]()
+        split = 0  # the most children-work events in one paced step
         for capacity in (1, 7, g.n * g.n):
             plain_stats = cs.TraversalStats()
             plain = list(cs.list_mc(g, kernel=kernel, capacity=capacity, stats=plain_stats))
@@ -398,8 +435,13 @@ class TestOnDemandChildren:
                     plain_stats.batches_total,
                     plain_stats.batches_undersized,
                 )
-                if kernel == "rect" and quantum == 0:
-                    assert paced == plain  # rect's product stays at the batch end
+                assert all(e.cost >= quantum for e in paced if e.kind == CHILDREN_WORK)
+                run = 0
+                for e in paced:
+                    run = run + 1 if e.kind == CHILDREN_WORK else 0
+                    split = max(split, run)
+        # both kernels' steps yield work events between their specs, not only at their end
+        assert split > 1
 
 
 class TestOracleProperty:

@@ -129,6 +129,63 @@ DOCUMENTS = st.one_of(
 )
 
 
+class TestOnePassIngestion:
+    """Both parsers build the rows as they read each line: the same rows and
+    report counts as ``Graph.from_edges`` on the pairs the file holds, with
+    self-loops, repeats either way round, comments, an ``n`` header or not,
+    and DIMACS edge counts that are off."""
+
+    @staticmethod
+    def document(rng, fmt):
+        """A file's text and what it must parse to: n and its pairs, the
+        declared edge count for DIMACS."""
+        top = rng.randint(1, 20)
+        pairs = []
+        for _ in range(rng.randint(0 if fmt == "dimacs" else 1, 3 * top)):
+            u, v = rng.randint(1, top), rng.randint(1, top)
+            roll = rng.random()
+            pairs.append((u, u) if roll < 0.1 else (u, v))
+            if roll > 0.85:
+                pairs.append((v, u))
+            elif roll > 0.75:
+                pairs.append((u, v))
+        if fmt == "dimacs":
+            lines = [f"e {u} {v}" for u, v in pairs]
+            declared = max(0, len(pairs) + rng.choice([0, 0, -1, 2]))
+            lines.insert(0, f"p edge {top} {declared}")
+            comment = "c a note"
+        else:
+            lines = [f"{u} {v}" + ("  # trailing" if rng.random() < 0.2 else "") for u, v in pairs]
+            declared = None
+            seen = max(max(p) for p in pairs)
+            if rng.random() < 0.5:
+                top += rng.randint(0, 3)  # a header at any line, at or past every id
+                lines.insert(rng.randint(0, len(lines)), f"n {top}")
+            else:
+                top = seen
+            comment = "# a note"
+        for _ in range(rng.randint(0, 3)):
+            lines.insert(rng.randint(0, len(lines)), rng.choice([comment, "", "   "]))
+        return "\n".join(lines) + rng.choice(["", "\n"]), top, pairs, declared
+
+    @pytest.mark.parametrize("fmt", ["edges", "dimacs"])
+    def test_rows_and_counts_match_from_edges(self, fmt):
+        rng = random.Random(3000)
+        parse = cli.parse_dimacs if fmt == "dimacs" else cli.parse_edge_list
+        for _ in range(300):
+            text, n, pairs, declared = self.document(rng, fmt)
+            report = cli.IngestReport()
+            g = parse(text, report)
+            want = cs.Graph.from_edges(n, pairs)
+            loops = sum(u == v for u, v in pairs)
+            assert (g.n, g.adj, g.m) == (want.n, want.adj, want.m)
+            assert report.self_loops_dropped == loops
+            assert report.duplicates_dropped == len(pairs) - loops - want.m
+            warning = f"header declares {declared} edges but {len(pairs)} were found"
+            mismatch = declared is not None and declared != len(pairs)
+            assert report.warnings == ([warning] if mismatch else [])
+
+
 class TestRoundTrip:
     def test_both_formats(self):
         for g in random_graphs(10, seed0=3000):
@@ -171,7 +228,7 @@ class TestParserFuzz:
         def not_built(*args, **kwargs):
             raise AssertionError("graph construction reached")
 
-        monkeypatch.setattr(cli.Graph, "from_edges", not_built)
+        monkeypatch.setattr(cli.Graph, "_normalized", not_built)
         with pytest.raises(cli.ParseError, match=f"^line {lineno}: .*{TOO_MANY}$"):
             parse(text)
 

@@ -23,7 +23,7 @@ PIN_GRAPHS = {
 # each, and "kind,mask;" per event over the kernels ("bitset", "rect")
 COST_SHA256 = {
     "bitset": "0630ae6496e3c91b0b85eef178afb9b9b53d23f53680e647b258512bd18d9ee4",
-    "rect": "5918b5be73be482182bd15290541241cc8796cde6b984141355143e1aad10bf8",
+    "rect": "155305821429536dfe4fbc316467ed1f4e5f40e31c12dd0b48f9af18e894f645",
 }
 ORDER_SHA256 = "1d7672e827f4fd0f821524884ee11baf180e43393fbfe1f64594bba65e450df8"
 # sha256 over the calibrated config and every run_strict emission on

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from itertools import repeat
 from pathlib import Path
 
 import pytest
@@ -385,6 +386,114 @@ class TestBatchStep:
         rows = max(cs.kernels.CHUNK_ROWS, cs.kernels.BLOCK_BYTES // (12 * n))
         # a chunk's 12 n bytes per row beside the slice's 32 n per parent
         assert peak < 12 * n * rows + 32 * n * len(batch)
+
+
+class TestRectStream:
+    """``children_rect``, the lazy step a "rect" listing stacks: the specs of
+    ``children_batch`` and ``children_naive`` in the order handed in, a
+    batch's charge split over its releases, and chunks decided only as
+    parents are read."""
+
+    @staticmethod
+    def read(g, masks, indices, factors):
+        """The stream's specs, and the counter's growth at each of them."""
+        counter = cs.OpCounter()
+        specs, charges = [], []
+        stream = cs.kernels.children_rect(g, masks, indices, factors, counter)
+        while True:
+            before = counter.ops
+            spec = next(stream, None)
+            if spec is None:
+                assert counter.ops == before  # nothing is charged after the last spec
+                return specs, charges
+            specs.append(spec)
+            charges.append(counter.ops - before)
+
+    @pytest.mark.parametrize("n", [1, 2, 30, 65])
+    def test_stream_equals_batch_and_naive(self, n, monkeypatch):
+        graphs = step_graphs(n) + [cs.Graph.gnp(n, 0.5, seed=n + 2)]
+        for g in graphs:
+            factors = cs.kernels.graph_factors(g)
+            naive = {}
+            for capacity in sorted({1, 7, 64, n * n}):
+                for batch, indices in listing_batches(g, capacity, monkeypatch):
+                    for p, index in zip(batch, indices):
+                        if p not in naive:
+                            naive[p] = cs.kernels.children_naive(g, p, index)
+                    want = [naive[p] for p in batch]
+                    charge = rect_charge(g, batch, indices)
+                    listed = cs.kernels.children_batch(g, batch, "rect", None, indices, factors)
+                    assert listed == want
+                    # strict mode hands lists in batch order
+                    specs, charges = self.read(g, batch, indices, factors)
+                    assert specs == want and sum(charges) == charge
+                    # plain mode hands iterators last parent first, each read once
+                    last_first = map(list.pop, repeat(list(batch), len(batch)))
+                    specs, charges = self.read(g, last_first, reversed(indices), factors)
+                    assert specs == want[::-1] and sum(charges) == charge
+                    # three parents a slice
+                    with monkeypatch.context() as m:
+                        m.setattr(cs.kernels, "RECT_ROWS_BYTES", 3 * 32 * n)
+                        specs, charges = self.read(g, batch, indices, factors)
+                    assert specs == want and sum(charges) == charge
+
+    def test_root_batches_and_slices(self, monkeypatch):
+        # roots beside other parents, in every slice, with children outside N(root)
+        g = cs.Graph.gnp(40, 0.08, seed=6)
+        r = cs.rs_tree.root(g).bits
+        others = [p for p in oracle_masks(g, limit=40) if p != r][:8]
+        batch = [r, *others[:4], r, *others[4:]]  # the stream takes what it is handed
+        indices = [0 if p == r else index_of(g, p) for p in batch]
+        want = [cs.kernels.children_naive(g, p, i) for p, i in zip(batch, indices)]
+        _, near = prefix_masks(g, r)
+        assert any(not near >> (i - 1) & 1 for i in want[0].indices)
+        factors = cs.kernels.graph_factors(g)
+        for parents in (1, 2, 3, len(batch)):
+            monkeypatch.setattr(cs.kernels, "RECT_ROWS_BYTES", parents * 32 * g.n)
+            for rows in (1, cs.kernels.CHUNK_ROWS):
+                monkeypatch.setattr(cs.kernels, "CHUNK_ROWS", rows)
+                monkeypatch.setattr(cs.kernels, "BLOCK_BYTES", 1)
+                specs, charges = self.read(g, batch, indices, factors)
+                assert specs == want and sum(charges) == rect_charge(g, batch, indices)
+
+    def test_chunks_are_decided_as_parents_are_read(self, monkeypatch):
+        # one pair a chunk: reading parent k's spec decides exactly the pairs
+        # of the parents up to k, and each release charges its own chunk
+        g = cs.Graph.gnp(50, 0.3, seed=9)
+        cliques = oracle_masks(g, limit=50)
+        indices = [index_of(g, p) for p in cliques]
+        none = [p for p, i in zip(cliques, indices) if not prefix_masks(g, p)[1] & ~p & -(1 << i)]
+        some = [p for p, i in zip(cliques, indices) if i and p not in none]  # no root
+        # parents without pairs first, between others, twice in a row and last
+        batch = [none[0], some[0], none[1], some[1], some[2], none[2], none[3], some[3], none[4]]
+        indices = [index_of(g, p) for p in batch]
+        factors = cs.kernels.graph_factors(g)
+        monkeypatch.setattr(cs.kernels, "CHUNK_ROWS", 1)
+        monkeypatch.setattr(cs.kernels, "BLOCK_BYTES", 1)
+        rows = []
+        real = cs.matmul.multiply_boolean_threshold
+
+        def counted(a, b):
+            if b is factors[1]:
+                rows.append(a.shape[0])
+            return real(a, b)
+
+        monkeypatch.setattr(cs.matmul, "multiply_boolean_threshold", counted)
+        near = [prefix_masks(g, p)[1] for p in batch]
+        pairs = [(m & ~p & -(1 << i)).bit_count() for m, p, i in zip(near, batch, indices)]
+        w = cs.rs_tree.words(g.n)
+        shares = [(5 + g.n * g.n + 3 * p.bit_count() + 6 * k) * w for p, k in zip(batch, pairs)]
+        counter = cs.OpCounter()
+        stream = cs.kernels.children_rect(g, batch, indices, factors, counter)
+        for k in range(len(batch)):
+            next(stream)
+            assert sum(rows) == sum(pairs[: k + 1]) and max(rows, default=1) == 1
+            # the parents without pairs after k leave with k's last chunk
+            end = k + 1
+            while end < len(batch) and pairs[end] == 0:
+                end += 1
+            assert counter.ops == sum(shares[:end])
+        assert next(stream, None) is None
 
 
 class TestAdjacentToOwnPrefix:
