@@ -2,10 +2,14 @@
 
 Graphs come from edge-list files (``u v`` per line, optional ``n N``
 header, ``#`` comments), DIMACS files (``p edge N M`` then ``e u v``
-lines), or generator specs passed straight to ``--input``:
+lines, ``c`` comments), or generator specs passed straight to ``--input``:
 ``gnp:N:P`` (seeded by ``--seed``), ``moon-moser:N``, ``complete:N``.  A
 vertex count or edge probability the :class:`Graph` constructors refuse
-is refused with their message (after the line number, for files).
+is refused with their message (after the line number, for files).  Files
+are read in bulk: the text is checked and its ASCII decimal ids read in a
+few bytes and numpy calls, and one rows helper packs the adjacency a block
+of rows at a time; the line-by-line rules run only to name the first line
+of a refused file.  A leading UTF-8 byte-order mark is dropped.
 
 Cliques stream to stdout one per line as ascending 1-based vertex ids;
 diagnostics go to stderr.  A reader that closes stdout early (``| head``)
@@ -28,9 +32,13 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from dataclasses import dataclass, field
 from itertools import islice
+from typing import NoReturn
+
+import numpy as np
 
 from . import delay_scheduler, oracle, rs_tree
 from .batch_dfs import CLIQUE_COLLECTED, TraversalStats
@@ -52,6 +60,27 @@ class IngestReport:
     warnings: list[str] = field(default_factory=list)
 
 
+# The bulk readers split tokens on b" " and lines on b"\n" alone: each line
+# break of str.splitlines becomes a newline ("\r\n" two, one more blank
+# line) and the other whitespace of str.split a space, past ASCII first
+_WIDE_SPACES = str.maketrans(
+    dict.fromkeys("\x85\u2028\u2029", "\n")
+    | dict.fromkeys("\xa0\u1680\u202f\u205f\u3000", " ")
+    | dict.fromkeys(map(chr, range(0x2000, 0x200B)), " ")
+)
+# and the other ASCII control bytes become DEL, a token byte as they are, so
+# that a byte separates tokens exactly when it is at most b" "
+_CONTROLS = bytes(c for c in range(32) if c not in b"\n\r\x0b\x0c\x1c\x1d\x1e\t\x1f")
+_ASCII_SPACES = bytes.maketrans(
+    b"\r\x0b\x0c\x1c\x1d\x1e\t\x1f" + _CONTROLS, b"\n" * 6 + b"  " + b"\x7f" * len(_CONTROLS)
+)
+_INDENT = re.compile(rb"\n +")
+_EDGE_COMMENT = re.compile(rb"#[^\n]*")
+_DIMACS_COMMENT = re.compile(rb"\nc[^\n]*")
+_E_AS_SPACE = bytes.maketrans(b"e", b" ")
+_BLOCK_BITS = 1 << 16  # bool cells of one block of rows before it is packed
+
+
 def _check_count(n: int, lineno: int) -> None:
     """:func:`check_vertex_count` as a ParseError that names the line."""
     try:
@@ -60,21 +89,138 @@ def _check_count(n: int, lineno: int) -> None:
         raise ParseError(f"line {lineno}: {exc}") from None
 
 
-def _finish(n: int, adj: list[int], loops: int, duplicates: int, report) -> Graph:
+def _integer(token: str) -> int:
+    """A header number or vertex id: ``int`` of ASCII decimal only, so
+    ``1_0`` and other scripts' digits, which ``int`` reads, are refused."""
+    if not token.isascii() or "_" in token:
+        raise ValueError(f"not an ASCII decimal: {token!r}")
+    return int(token)
+
+
+def _normalized(text: str) -> bytes:
+    """``text`` between two newlines as bytes whose only whitespace is b" "
+    and b"\\n", no line indented, split as ``str.split`` and
+    ``str.splitlines`` split it (a ``\\r\\n`` break leaves one more blank line)."""
+    if not text.isascii():
+        text = text.translate(_WIDE_SPACES)
+    data = ("\n" + text + "\n").encode("utf-8", "surrogatepass").translate(_ASCII_SPACES)
+    return _INDENT.sub(b"\n", data) if b"\n " in data else data
+
+
+def _lines_of(data: bytes, k: int) -> int | None:
+    """The number of lines of normalized ``data`` that hold a token, when
+    each holds exactly ``k``, else None.  A token begins its line when the
+    byte before it is a newline."""
+    a = np.frombuffer(data, np.uint8)
+    gap = a <= 32
+    heads = a[np.flatnonzero(gap[:-1] > gap[1:])] == 10  # per token
+    lines = int(np.count_nonzero(heads))
+    return lines if len(heads) == k * lines and heads[0::k].all() else None
+
+
+def _numbers(data: bytes, count: int):
+    """The ``count`` tokens of normalized ``data``, which holds only
+    separators, digits and ``+``, as int64 numbers, the ones past int64 read
+    as its largest; None when a ``+`` is not the sign of a number."""
+    if b"+" in data and (
+        data.count(b"+") != data.count(b" +") + data.count(b"\n+") or b"+ " in data or b"+\n" in data
+    ):
+        return None
+    if count == 0:  # np.fromstring reads blank text as one 0
+        return np.zeros(0, np.int64)
+    numbers = np.fromstring(data, np.int64, sep=" ")
+    return numbers if len(numbers) == count else None
+
+
+def _graph(n: int, pairs, report: IngestReport | None) -> Graph:
+    """The graph on ``1..n`` of the edges ``pairs`` (an int64 array of id
+    pairs, ids in range), with its self-loops and repeats counted in ``report``.
+
+    The rows are packed a block of rows, at most :data:`_BLOCK_BITS` cells,
+    at a time, and only the blocks that hold an edge are made, so no n x n
+    or n x n/8 buffer is.  The repeats are the edges given less the
+    distinct ones the rows hold.
+    """
+    loop = pairs[:, 0] == pairs[:, 1]
+    loops = int(np.count_nonzero(loop))
+    if loops:
+        pairs = pairs[~loop]
+    width = -(-n // 8) * 8
+    rows = max(1, _BLOCK_BITS // width)  # per block
+    # cell u * width + v of the packed rows for each pair (u, v), and v * width + u
+    cells = (pairs @ np.array([[width, 1], [1, width]])).ravel() - (width + 1)
+    if n > rows:  # more than one block: sorted, each block's cells are a run
+        cells.sort()
+    adj = [0] * n
+    step = width // 8
+    lo = 0
+    while lo < len(cells):  # the cells of the next block of rows that holds an edge
+        first = int(cells[lo]) // width // rows * rows
+        hi = int(cells.searchsorted((first + rows) * width)) if n > rows else len(cells)
+        bits = np.zeros(min(rows, n - first) * width, bool)
+        bits[cells[lo:hi] - first * width] = True
+        packed = np.packbits(bits, bitorder="little").tobytes()
+        adj[first : first + len(packed) // step] = [
+            int.from_bytes(packed[i : i + step], "little") for i in range(0, len(packed), step)
+        ]
+        lo = hi
+    g = Graph._normalized(n, tuple(adj))
     if report is not None:
         report.self_loops_dropped += loops
-        report.duplicates_dropped += duplicates
-    return Graph._normalized(n, tuple(adj))
+        report.duplicates_dropped += len(pairs) - g.m
+    return g
 
 
 def parse_edge_list(text: str, report: IngestReport | None = None) -> Graph:
     """Parse ``u v`` lines; an optional ``n N`` header declares the vertex
-    count (otherwise the largest id wins).  Self-loops and duplicates are
-    dropped and counted.  A count the graph cannot hold is refused at its
-    line.  The rows are built as the lines are read."""
+    count (otherwise the largest id wins).  Ids are ASCII decimal, leading
+    zeros and a ``+`` allowed.  Self-loops and duplicates are dropped and
+    counted.  A count the graph cannot hold is refused at its line, before
+    the rows are built."""
+    read = _read_edge_list(text)
+    if read is None:
+        _refuse_edge_list(text)
+    return _graph(*read, report)
+
+
+def _read_edge_list(text: str):
+    """``(n, id pairs)`` of a well-formed edge list, read in bulk, or None."""
+    data = _normalized(text)
+    if b"#" in data:
+        data = _EDGE_COMMENT.sub(b"", data)
+    n = None
+    at = data.find(b"n")
+    if at >= 0:  # the header, the one line a letter may be on
+        end = data.index(b"\n", at)
+        word, *count = data[at:end].split()
+        if data[at - 1] != 10 or word != b"n" or len(count) != 1:
+            return None
+        try:
+            n = _integer(count[0].decode())
+            check_vertex_count(n)
+        except ValueError:
+            return None
+        data = data[:at] + data[end:]
+    if data.translate(None, b" \n+0123456789"):
+        return None
+    lines = _lines_of(data, 2)
+    ids = None if lines is None else _numbers(data, 2 * lines)
+    if ids is None or ids.min(initial=1) < 1:
+        return None
+    top = int(ids.max(initial=0))
+    if n is None:
+        try:
+            check_vertex_count(top)
+        except ValueError:
+            return None
+        n = top
+    return (n, ids.reshape(-1, 2)) if top <= n else None
+
+
+def _refuse_edge_list(text: str) -> NoReturn:
+    """Raise the ParseError that names the first line of an edge list the
+    bulk reader refuses, reading it line by line by the same rules."""
     declared = None
-    adj: list[int] = []  # grown to the largest id, or the header's count, once checked
-    loops = duplicates = 0
     max_id = 0
     for lineno, raw in enumerate(text.splitlines(), 1):
         parts = raw.split("#", 1)[0].split()
@@ -86,7 +232,7 @@ def parse_edge_list(text: str, report: IngestReport | None = None) -> Graph:
             if len(parts) != 2:
                 raise ParseError(f"line {lineno}: expected 'n <count>'")
             try:
-                declared = int(parts[1])
+                declared = _integer(parts[1])
             except ValueError:
                 raise ParseError(f"line {lineno}: bad vertex count {parts[1]!r}") from None
             _check_count(declared, lineno)
@@ -94,13 +240,12 @@ def parse_edge_list(text: str, report: IngestReport | None = None) -> Graph:
                 raise ParseError(
                     f"line {lineno}: declared count {declared} is below vertex id {max_id}"
                 )
-            adj += [0] * (declared - len(adj))
             continue
         if len(parts) != 2:
             line = raw.split("#", 1)[0].strip()
             raise ParseError(f"line {lineno}: expected 'u v', got {line!r}")
         try:
-            u, v = int(parts[0]), int(parts[1])
+            u, v = _integer(parts[0]), _integer(parts[1])
         except ValueError:
             line = raw.split("#", 1)[0].strip()
             raise ParseError(f"line {lineno}: non-integer vertex id in {line!r}") from None
@@ -110,56 +255,74 @@ def parse_edge_list(text: str, report: IngestReport | None = None) -> Graph:
             raise ParseError(
                 f"line {lineno}: vertex id exceeds declared count {declared}"
             )
-        if u > max_id or v > max_id:
-            max_id = max(u, v)
-            if declared is None:
-                _check_count(max_id, lineno)
-                adj += [0] * (max_id - len(adj))
-        # a self-loop or a repeat, either way round, is counted, not set
-        if u == v:
-            loops += 1
-        elif adj[u - 1] >> (v - 1) & 1:
-            duplicates += 1
-        else:
-            adj[u - 1] |= 1 << (v - 1)
-            adj[v - 1] |= 1 << (u - 1)
-    n = declared if declared is not None else max_id
-    if n == 0:
+        max_id = max(max_id, u, v)
+        if declared is None:
+            _check_count(max_id, lineno)
+    if declared is None and max_id == 0:
         raise ParseError("no vertices: empty input without an 'n' header")
-    return _finish(n, adj, loops, duplicates, report)
+    raise AssertionError("the bulk reader refused an edge list its line rules accept")
 
 
 def parse_dimacs(text: str, report: IngestReport | None = None) -> Graph:
     """Parse DIMACS: one ``p edge N M`` header, then ``e u v`` lines.
 
-    ``c`` comment lines are skipped.  A mismatch between declared and seen
-    edge counts is a warning, not an error; a missing header, a negative
-    ``M``, or an ``N`` the graph cannot hold is fatal.  The rows are built
-    as the lines are read.
+    ``c`` comment lines are skipped.  Ids are ASCII decimal, leading zeros
+    and a ``+`` allowed.  A mismatch between declared and seen edge counts
+    is a warning, not an error; a missing header, a negative ``M``, or an
+    ``N`` the graph cannot hold is fatal, the last before the rows are built.
     """
+    read = _read_dimacs(text)
+    if read is None:
+        _refuse_dimacs(text)
+    n, declared_m, pairs = read
+    if len(pairs) != declared_m and report is not None:
+        report.warnings.append(f"header declares {declared_m} edges but {len(pairs)} were found")
+    return _graph(n, pairs, report)
+
+
+def _read_dimacs(text: str):
+    """``(n, declared edge count, id pairs)`` of a well-formed DIMACS text,
+    read in bulk, or None."""
+    data = _normalized(text)
+    if b"\nc" in data:
+        data = _DIMACS_COMMENT.sub(b"", data)
+    head, _, body = data.lstrip(b"\n").partition(b"\n")
+    word, *numbers = head.split() or [b""]
+    if word != b"p" or len(numbers) != 3 or numbers[0] != b"edge":
+        return None
+    try:
+        n, declared_m = (_integer(x.decode()) for x in numbers[1:])
+        check_vertex_count(n)
+    except ValueError:
+        return None
+    body = b"\n" + body
+    edges = body.count(b"e")  # each at the start of its line, before a space
+    if (
+        declared_m < 0
+        or body.translate(None, b" \n+0123456789e")
+        or body.count(b"\ne ") != edges
+        or _lines_of(body, 3) != edges
+    ):
+        return None
+    ids = _numbers(body.translate(_E_AS_SPACE), 2 * edges)
+    if ids is None or ids.min(initial=1) < 1 or ids.max(initial=1) > n:
+        return None
+    return n, declared_m, ids.reshape(-1, 2)
+
+
+def _refuse_dimacs(text: str) -> NoReturn:
+    """Raise the ParseError that names the first line of a DIMACS text the
+    bulk reader refuses, reading it line by line by the same rules."""
     n = None
-    declared_m = 0
-    seen_m = 0
-    adj: list[int] = []
-    loops = duplicates = 0
     for lineno, raw in enumerate(text.splitlines(), 1):
         parts = raw.split()
         if len(parts) == 3 and parts[0] == "e" and n is not None:
             try:
-                u, v = int(parts[1]), int(parts[2])
+                u, v = _integer(parts[1]), _integer(parts[2])
             except ValueError:
                 raise ParseError(f"line {lineno}: non-integer vertex id") from None
             if not (1 <= u <= n and 1 <= v <= n):
                 raise ParseError(f"line {lineno}: vertex id outside 1..{n}")
-            seen_m += 1
-            # a self-loop or a repeat, either way round, is counted, not set
-            if u == v:
-                loops += 1
-            elif adj[u - 1] >> (v - 1) & 1:
-                duplicates += 1
-            else:
-                adj[u - 1] |= 1 << (v - 1)
-                adj[v - 1] |= 1 << (u - 1)
             continue
         if not parts or parts[0][0] == "c":
             continue
@@ -173,22 +336,17 @@ def parse_dimacs(text: str, report: IngestReport | None = None) -> Graph:
             if len(parts) != 4 or parts[1] != "edge":
                 raise ParseError(f"line {lineno}: expected 'p edge N M'")
             try:
-                n, declared_m = int(parts[2]), int(parts[3])
+                n, declared_m = _integer(parts[2]), _integer(parts[3])
             except ValueError:
                 raise ParseError(f"line {lineno}: bad header numbers") from None
             _check_count(n, lineno)
             if declared_m < 0:
                 raise ParseError(f"line {lineno}: edge count must be non-negative")
-            adj = [0] * n
             continue
         raise ParseError(f"line {lineno}: unrecognized line {raw.strip()!r}")
     if n is None:
         raise ParseError("missing 'p edge N M' header")
-    if seen_m != declared_m:
-        msg = f"header declares {declared_m} edges but {seen_m} were found"
-        if report is not None:
-            report.warnings.append(msg)
-    return _finish(n, adj, loops, duplicates, report)
+    raise AssertionError("the bulk reader refused a DIMACS text its line rules accept")
 
 
 def to_dimacs(g: Graph) -> str:
@@ -244,20 +402,23 @@ def load_graph(cfg: RunConfig, report: IngestReport) -> Graph:
     g = generator_graph(cfg.input, cfg.seed)
     if g is not None:
         return g
+    # a leading byte-order mark is dropped, as the utf-8-sig codec would drop
+    # it, without importing that codec (22 KB) on the first file read
     with open(cfg.input, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        text = fh.read().removeprefix("\ufeff")
     if cfg.fmt == "dimacs":
         return parse_dimacs(text, report)
     return parse_edge_list(text, report)
 
 
-def _format_clique(c: VertexSet) -> str:
-    """Ascending vertex ids; a lowest-bit loop, cheaper than the set's iterator."""
+def _format_clique(c: VertexSet, labels: list[str]) -> str:
+    """Ascending vertex ids, ``labels[v]`` for vertex ``v``; a lowest-bit
+    loop, cheaper than the set's iterator."""
     bits = c.bits
     ids = []
     while bits:
         low = bits & -bits
-        ids.append(str(low.bit_length()))
+        ids.append(labels[low.bit_length()])
         bits ^= low
     return " ".join(ids)
 
@@ -342,8 +503,9 @@ def run(cfg: RunConfig, out=None, err=None) -> int:
                 f"{report.duplicates_dropped} duplicate edges",
                 file=err,
             )
+        labels = list(map(str, range(g.n + 1)))
         for clique, cost, queue_size, stack_cliques in emissions:
-            out.write(_format_clique(clique) + "\n")
+            out.write(_format_clique(clique, labels) + "\n")
             count += 1
             if reference is not None:
                 emitted.add(clique.bits)

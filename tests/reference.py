@@ -5,15 +5,24 @@ enumeration of :func:`cliquestream.oracle.all_maximal_cliques` is
 cross-checked by exhaustive subset scan, completions pick the lexicographic
 maximum over the enumerated clique set, indices re-run the definitional
 descending scan, good pairs evaluate the literal existential quantifier,
-the lexicographic sort reverses bit strings, and the ``--verify`` verdict
-compares whole sets.  Nothing is shared with the production code paths
-beyond the graph type and the ``ChildSpec`` record, so agreement is
+the lexicographic sort reverses bit strings, the ``--verify`` verdict
+compares whole sets, and the graph files are read line by line.  Nothing
+is shared with the production code paths beyond the graph type, the
+``ChildSpec`` record and the CLI's ingestion records, so agreement is
 meaningful evidence.
 """
 
 from __future__ import annotations
 
-from cliquestream.graph import Graph, VertexSet, below_mask, iter_bits, sort_lex_descending
+from cliquestream.cli import IngestReport, ParseError
+from cliquestream.graph import (
+    Graph,
+    VertexSet,
+    below_mask,
+    check_vertex_count,
+    iter_bits,
+    sort_lex_descending,
+)
 from cliquestream.kernels import ChildSpec
 from cliquestream.oracle import ORACLE_LIMIT, _check_limit, all_maximal_cliques
 
@@ -37,6 +46,133 @@ def to_edge_list(g: Graph) -> str:
     lines = [f"n {g.n}"]
     lines.extend(f"{u} {v}" for u, v in g.edges())
     return "\n".join(lines) + "\n"
+
+
+def _check_count(n: int, lineno: int) -> None:
+    try:
+        check_vertex_count(n)
+    except ValueError as exc:
+        raise ParseError(f"line {lineno}: {exc}") from None
+
+
+def _finish(n: int, adj: list[int], loops: int, duplicates: int, report) -> Graph:
+    if report is not None:
+        report.self_loops_dropped += loops
+        report.duplicates_dropped += duplicates
+    return Graph(n, tuple(adj))
+
+
+def parse_edge_list(text: str, report: IngestReport | None = None, integer=int) -> Graph:
+    """The CLI's edge-list reader, one line at a time: ``u v`` lines, an
+    optional ``n N`` header, ``#`` comments, ids read by ``integer``, self-loops
+    and repeats counted as they come, the rows built as the lines are read."""
+    declared = None
+    adj: list[int] = []  # grown to the largest id, or the header's count, once checked
+    loops = duplicates = 0
+    max_id = 0
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
+            continue
+        if parts[0] == "n":
+            if declared is not None:
+                raise ParseError(f"line {lineno}: duplicate 'n' header")
+            if len(parts) != 2:
+                raise ParseError(f"line {lineno}: expected 'n <count>'")
+            try:
+                declared = integer(parts[1])
+            except ValueError:
+                raise ParseError(f"line {lineno}: bad vertex count {parts[1]!r}") from None
+            _check_count(declared, lineno)
+            if max_id > declared:
+                raise ParseError(
+                    f"line {lineno}: declared count {declared} is below vertex id {max_id}"
+                )
+            adj += [0] * (declared - len(adj))
+            continue
+        if len(parts) != 2:
+            line = raw.split("#", 1)[0].strip()
+            raise ParseError(f"line {lineno}: expected 'u v', got {line!r}")
+        try:
+            u, v = integer(parts[0]), integer(parts[1])
+        except ValueError:
+            line = raw.split("#", 1)[0].strip()
+            raise ParseError(f"line {lineno}: non-integer vertex id in {line!r}") from None
+        if u < 1 or v < 1:
+            raise ParseError(f"line {lineno}: vertex ids must be >= 1")
+        if declared is not None and (u > declared or v > declared):
+            raise ParseError(f"line {lineno}: vertex id exceeds declared count {declared}")
+        if u > max_id or v > max_id:
+            max_id = max(u, v)
+            if declared is None:
+                _check_count(max_id, lineno)
+                adj += [0] * (max_id - len(adj))
+        if u == v:
+            loops += 1
+        elif adj[u - 1] >> (v - 1) & 1:
+            duplicates += 1
+        else:
+            adj[u - 1] |= 1 << (v - 1)
+            adj[v - 1] |= 1 << (u - 1)
+    n = declared if declared is not None else max_id
+    if n == 0:
+        raise ParseError("no vertices: empty input without an 'n' header")
+    return _finish(n, adj, loops, duplicates, report)
+
+
+def parse_dimacs(text: str, report: IngestReport | None = None, integer=int) -> Graph:
+    """The CLI's DIMACS reader, one line at a time: ``c`` comments, one
+    ``p edge N M`` header, then ``e u v`` lines with ids read by ``integer``;
+    an edge count other than ``M`` is a warning."""
+    n = None
+    declared_m = 0
+    seen_m = 0
+    adj: list[int] = []
+    loops = duplicates = 0
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        parts = raw.split()
+        if len(parts) == 3 and parts[0] == "e" and n is not None:
+            try:
+                u, v = integer(parts[1]), integer(parts[2])
+            except ValueError:
+                raise ParseError(f"line {lineno}: non-integer vertex id") from None
+            if not (1 <= u <= n and 1 <= v <= n):
+                raise ParseError(f"line {lineno}: vertex id outside 1..{n}")
+            seen_m += 1
+            if u == v:
+                loops += 1
+            elif adj[u - 1] >> (v - 1) & 1:
+                duplicates += 1
+            else:
+                adj[u - 1] |= 1 << (v - 1)
+                adj[v - 1] |= 1 << (u - 1)
+            continue
+        if not parts or parts[0][0] == "c":
+            continue
+        if parts[0] == "e":
+            if n is None:
+                raise ParseError(f"line {lineno}: edge before 'p edge' header")
+            raise ParseError(f"line {lineno}: expected 'e u v'")
+        if parts[0] == "p":
+            if n is not None:
+                raise ParseError(f"line {lineno}: duplicate problem header")
+            if len(parts) != 4 or parts[1] != "edge":
+                raise ParseError(f"line {lineno}: expected 'p edge N M'")
+            try:
+                n, declared_m = integer(parts[2]), integer(parts[3])
+            except ValueError:
+                raise ParseError(f"line {lineno}: bad header numbers") from None
+            _check_count(n, lineno)
+            if declared_m < 0:
+                raise ParseError(f"line {lineno}: edge count must be non-negative")
+            adj = [0] * n
+            continue
+        raise ParseError(f"line {lineno}: unrecognized line {raw.strip()!r}")
+    if n is None:
+        raise ParseError("missing 'p edge N M' header")
+    if seen_m != declared_m and report is not None:
+        report.warnings.append(f"header declares {declared_m} edges but {seen_m} were found")
+    return _finish(n, adj, loops, duplicates, report)
 
 
 def maximal_cliques_subset_scan(g: Graph, limit: int = 20) -> list[VertexSet]:

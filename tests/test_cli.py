@@ -1,8 +1,10 @@
 import io
 import os
 import random
+import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -130,10 +132,10 @@ DOCUMENTS = st.one_of(
 
 
 class TestOnePassIngestion:
-    """Both parsers build the rows as they read each line: the same rows and
-    report counts as ``Graph.from_edges`` on the pairs the file holds, with
-    self-loops, repeats either way round, comments, an ``n`` header or not,
-    and DIMACS edge counts that are off."""
+    """Both parsers give the same rows and report counts as
+    ``Graph.from_edges`` on the pairs the file holds, with self-loops,
+    repeats either way round, comments, an ``n`` header or not, and DIMACS
+    edge counts that are off."""
 
     @staticmethod
     def document(rng, fmt):
@@ -184,6 +186,205 @@ class TestOnePassIngestion:
             warning = f"header declares {declared} edges but {len(pairs)} were found"
             mismatch = declared is not None and declared != len(pairs)
             assert report.warnings == ([warning] if mismatch else [])
+
+
+def ascii_decimal(token: str) -> int:
+    """``int`` of an optional sign and ASCII digits alone."""
+    if not re.fullmatch(r"[+-]?[0-9]+", token):
+        raise ValueError(f"not an ASCII decimal: {token!r}")
+    return int(token)
+
+
+# Where the bulk readers and the line readers of ``reference`` part on
+# purpose: the line readers take ids and header numbers with ``int``, which
+# also reads digit separators ("1_0" is 10) and other scripts' digits ("١"
+# is 1).  The bulk readers take ASCII decimal alone, so such a token is
+# refused at its line; given ``ascii_decimal`` for ``int``, the line readers
+# are the reference for everything else.
+DIVERGENCES = [
+    (cli.parse_edge_list, "1 1_0\n", "line 1: non-integer vertex id in '1 1_0'"),
+    (cli.parse_edge_list, "n 3\n\u0661 2\n", "line 2: non-integer vertex id in '\u0661 2'"),
+    (cli.parse_edge_list, "n 1_0\n", "line 1: bad vertex count '1_0'"),
+    (cli.parse_dimacs, "p edge 3 1\ne 1 \u0663\n", "line 2: non-integer vertex id"),
+    (cli.parse_dimacs, "p edge 1_0 0\n", "line 1: bad header numbers"),
+]
+
+# every break of str.splitlines and some of str.split's other whitespace
+BREAKS = st.sampled_from(
+    ["\n"] * 6 + ["\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+)
+SPACES = st.sampled_from([" "] * 6 + ["  ", "\t", "\x1f", "\xa0", "\u2009", "\u3000"])
+ODD_IDS = st.sampled_from(
+    ["007", "+1", "+", "++1", "1+", "-1", "-0", "0", "1_0", "\u0661", "\u0663", "1e3",
+     "0" * 20 + "2", str(2**63), str(2**64 + 3), "92682", "e", "n", "e1", "0e2", "2n"]
+)
+# ids a well-formed file may hold, alone or now and then with an odd token
+GOOD_IDS = st.one_of(*[st.integers(1, 6).map(str)] * 8, st.sampled_from(["007", "+1", "0" * 20 + "3"]))
+WORDS = st.one_of(*[GOOD_IDS] * 8, ODD_IDS)
+FREE_TEXT = st.text(st.sampled_from("ab c#e\t\u00e9\u2028 1"), max_size=6)
+
+
+@st.composite
+def spaced(draw, tokens):
+    """``tokens`` with drawn whitespace before, between and after them."""
+    out = draw(st.sampled_from(["", "", "", " ", "\t "]))
+    for i, token in enumerate(tokens):
+        out += token + (draw(SPACES) if i < len(tokens) - 1 else draw(st.sampled_from(["", " "])))
+    return out
+
+
+def edge_list_lines(draw, words):
+    kind = draw(st.sampled_from(["edge"] * 12 + ["header", "comment", "blank", "junk"]))
+    if kind == "edge":
+        line = draw(spaced([draw(words), draw(words)]))
+        return line + draw(st.sampled_from(["", "", "#", " # note", "#1 2"]))
+    if kind == "header":
+        return draw(spaced(["n", draw(words)]))
+    if kind == "comment":
+        return "#" + draw(FREE_TEXT)
+    if kind == "blank":
+        return draw(st.sampled_from(["", " ", "\t"]))
+    if draw(st.booleans()):  # token counts that cancel out over two lines, or a glued 'n'
+        return draw(st.sampled_from(["1\n2 3 4", "1 2 3\n4", "1 2n 6"]))
+    return draw(spaced(draw(st.lists(words, max_size=4))))
+
+
+def dimacs_lines(draw, words):
+    kind = draw(st.sampled_from(["edge"] * 12 + ["header", "comment", "blank", "junk"]))
+    if kind == "edge":
+        return draw(spaced(["e", draw(words), draw(words)]))
+    if kind == "header":
+        return draw(spaced(["p", "edge", draw(words), draw(words)]))
+    if kind == "comment":
+        return "c" + draw(FREE_TEXT)
+    if kind == "blank":
+        return draw(st.sampled_from(["", " ", "\t"]))
+    if draw(st.booleans()):  # token counts that cancel out over two lines, or a glued 'e'
+        return draw(st.sampled_from(["e 1 2 e", "e 3", "e 1\n2 e 3 4", "e", "e1 2 3", "2 3 e1"]))
+    return draw(spaced(draw(st.lists(words, max_size=5))))
+
+
+@st.composite
+def files(draw, fmt):
+    """A document in ``fmt``, close to well formed: mostly edges, some
+    headers, comments, blank lines and junk, joined by drawn line breaks."""
+    words = draw(st.sampled_from([GOOD_IDS, WORDS]))
+    draw_line = edge_list_lines if fmt == "edges" else dimacs_lines
+    lines = [draw_line(draw, words) for _ in range(draw(st.integers(0, 8)))]
+    if fmt == "dimacs" and draw(st.integers(0, 3)):
+        lines.insert(0, draw(spaced(["p", "edge", draw(st.sampled_from("6789")), draw(SMALL)])))
+    text = "".join(line + draw(BREAKS) for line in lines)
+    return text if draw(st.booleans()) else text[:-1]
+
+
+class TestBulkReaderMatchesLineReader:
+    """The bulk readers give the graph and report of the line readers of
+    ``reference`` (ids read by ``ascii_decimal``), or refuse with the same
+    message at the same line."""
+
+    @staticmethod
+    def outcome(parse, text, **kw):
+        report = cli.IngestReport()
+        try:
+            g = parse(text, report, **kw)
+        except cli.ParseError as exc:
+            return str(exc)
+        return g.n, g.adj, g.m, report
+
+    def check(self, fmt, text):
+        parse, line_reader = {
+            "edges": (cli.parse_edge_list, reference.parse_edge_list),
+            "dimacs": (cli.parse_dimacs, reference.parse_dimacs),
+        }[fmt]
+        want = self.outcome(line_reader, text, integer=ascii_decimal)
+        assert self.outcome(parse, text) == want
+
+    @pytest.mark.parametrize("fmt", ["edges", "dimacs"])
+    @settings(max_examples=600, deadline=None)
+    @given(data=st.data())
+    def test_close_to_well_formed(self, fmt, data):
+        self.check(fmt, data.draw(files(fmt)))
+
+    @pytest.mark.parametrize(
+        "fmt, text",
+        [
+            ("edges", "1\n2 3 4\n"),
+            ("edges", "1 2 3\n4\n"),
+            ("edges", "1 2n 6\n"),
+            ("edges", "1 2\nn 3 4\n"),
+            ("edges", "n 4 # four\n 1 +2\n\t3 004\r\n"),
+            ("edges", "1 +\n"),
+            ("edges", "1+ 2\n"),
+            ("edges", "1 0e2\n"),
+            ("dimacs", "p edge 5 2\ne 1 2 e\ne 3\n"),
+            ("dimacs", "p edge 5 2\ne 1\n2 e 3 4\n"),
+            ("dimacs", "p edge 5 1\ne1 2 3\n"),
+            ("dimacs", "p edge 5 2\ne 1 2\n2 3 e1\n"),
+            ("dimacs", "p edge 5 1\ne 2 0e1\n"),
+            ("dimacs", "p edges 5 1\ne 1 2\n"),
+            ("dimacs", "c x\n  p edge 3 1\n\te 1 +2\r\ncat\n"),
+            ("dimacs", "p edge 3 1\ne + 2\n"),
+        ],
+    )
+    def test_lines_that_fool_a_token_stream(self, fmt, text):
+        self.check(fmt, text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=DOCUMENTS)
+    def test_fuzz_documents(self, text):
+        self.check("edges", text)
+        self.check("dimacs", text)
+
+    def test_past_one_block_of_rows(self, monkeypatch):
+        """Rows packed a block of rows at a time: two blocks at n = 300, one
+        row a block, and blocks only where an edge is."""
+        graphs = [cs.Graph.gnp(300, 0.05, seed=1), cs.Graph.from_edges(5000, [(1, 4999), (70, 71)])]
+        for g in graphs:
+            for text, fmt in ((cli.to_dimacs(g), "dimacs"), (reference.to_edge_list(g), "edges")):
+                self.check(fmt, text)
+        monkeypatch.setattr(cli, "_BLOCK_BITS", 1)
+        for g in [*graphs, *random_graphs(5, seed0=3100)]:
+            assert cli.parse_dimacs(cli.to_dimacs(g)) == g
+            flipped = "".join(f"{v} {u}\n" for u, v in g.edges())
+            report = cli.IngestReport()
+            assert cli.parse_edge_list(reference.to_edge_list(g) + flipped + "1 1\n", report) == g
+            assert (report.self_loops_dropped, report.duplicates_dropped) == (1, g.m)
+
+    def test_whitespace_is_what_str_split_and_splitlines_say(self):
+        for c in map(chr, range(sys.maxunicode + 1)):
+            if c.isspace():
+                breaks = len(f"a{c}b".splitlines()) == 2
+                assert cli._normalized(f"a{c}b") == (b"\na\nb\n" if breaks else b"\na b\n"), repr(c)
+
+    @pytest.mark.parametrize("parse, text, message", DIVERGENCES)
+    def test_intended_divergences(self, parse, text, message):
+        line_reader = getattr(reference, parse.__name__)
+        assert isinstance(line_reader(text), cs.Graph)
+        with pytest.raises(cli.ParseError) as exc:
+            parse(text)
+        assert str(exc.value) == message
+        with pytest.raises(cli.ParseError) as exc:
+            line_reader(text, integer=ascii_decimal)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "parse, text",
+        [
+            (cli.parse_dimacs, "p edge 60000 2\ne 1 2\ne 59999 60000\n"),
+            (cli.parse_edge_list, "n 60000\n1 2\n59999 60000\n"),
+        ],
+    )
+    def test_huge_sparse_n_allocates_little(self, parse, text):
+        """No n x n bool matrix (3.6 GB) and no n x n/8 buffer (450 MB): the
+        rows of a sparse graph on 60,000 vertices peak under 2 MiB."""
+        tracemalloc.start()
+        try:
+            g = parse(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (g.n, g.m) == (60000, 2)
+        assert peak < 2 << 20
 
 
 class TestRoundTrip:
@@ -508,9 +709,10 @@ class TestFormatClique:
         rng = random.Random(n)
         masks = [0, 1, (1 << n) - 1, 1 << (n - 1)]
         masks += [rng.getrandbits(n) & rng.getrandbits(n) for _ in range(200)]
+        labels = list(map(str, range(n + 1)))
         for bits in masks:
             c = cs.VertexSet(bits)
-            assert cli._format_clique(c) == " ".join(map(str, c))
+            assert cli._format_clique(c, labels) == " ".join(map(str, c))
 
 
 class TestIngestionLines:
@@ -520,7 +722,7 @@ class TestIngestionLines:
         rc, out, err = run_cli(input=str(path), fmt="dimacs", verify=True)
         assert rc == 0 and err == "VERIFY PASS: all 5 cliques match the oracle\n"
         assert sorted(out.splitlines()) == sorted(
-            cli._format_clique(c) for c in oracle.all_maximal_cliques(bridged)
+            " ".join(map(str, c)) for c in oracle.all_maximal_cliques(bridged)
         )
 
     def test_edge_count_warning(self, tmp_path):
@@ -529,6 +731,15 @@ class TestIngestionLines:
         rc, out, err = run_cli(input=str(path), fmt="dimacs")
         assert rc == 0 and sorted(out.splitlines()) == ["1 2", "3"]
         assert err == "warning: header declares 5 edges but 1 were found\n"
+
+    @pytest.mark.parametrize(
+        "fmt, text",
+        [("dimacs", "\ufeffp edge 3 3\ne 1 2\ne 2 3\ne 1 3\n"), ("edges", "\ufeff1 2\n2 3\n1 3\n")],
+    )
+    def test_utf8_byte_order_mark(self, tmp_path, fmt, text):
+        path = tmp_path / "g.txt"
+        path.write_text(text, encoding="utf-8")
+        assert run_cli(input=str(path), fmt=fmt) == (0, "1 2 3\n", "")
 
     def test_normalized_input_line(self, tmp_path):
         path = tmp_path / "g.edges"
