@@ -56,7 +56,7 @@ good = sum(mask.bit_count() for row in rows_rect for mask in row)
 print(f"good fraction: {good / positive.size:.3f}")
 
 # The children step decides every (parent, candidate) pair of the batch on
-# the product's bool blocks and yields one (parent, child indices) pair per
+# the product's bool blocks and yields one (parent, child mask) spec per
 # batch element; per-parent completion calls (children_naive) are the
 # cross-check.
 specs = kernels.children_batch(g, batch, kernel="rect")

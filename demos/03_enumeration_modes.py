@@ -1,13 +1,11 @@
 """Batch depth-first enumeration under different batch capacities.
 
 The traversal pops up to `capacity` cliques off the backtracking stack,
-prints them, then hands all of them to one children step: "rect" decides
-their children in one product, "bitset" tests each parent when the stack
-reaches it.  Capacity changes the emission order and the batching
+prints them and stacks their children at the batch end: "rect" decides a
+batch's children in one product, "bitset" tests each parent right after it
+is printed and keeps its children as one int mask.  Capacity changes the emission order and the batching
 statistics but never the emitted set.
 """
-
-from itertools import repeat
 
 import cliquestream as cs
 from cliquestream import kernels, oracle, rs_tree
@@ -38,23 +36,19 @@ list(cs.list_mc(g, capacity=2, stats=stats))
 print(f"\nbounds at capacity 2: stack {stats.max_stack_cliques} <= "
       f"{g.n * g.n * 2}, undersized {stats.batches_undersized} <= {g.n}")
 
-# step_events is the traversal itself: any children step can drive it.  Each
-# event costs what the shared counter gained since the previous event.
+# step_events is the traversal itself: any children decision can drive it.
+# Each event costs what the shared counter gained since the previous event.
+# decide(g, mask, index, counter) gets each popped clique as a raw int mask,
+# the form the kernels take, with its reverse-search index (0 for the root)
+# right after the clique's event, and returns its child indices as one mask
+# (bit i-1 for index i); only the events wrap a VertexSet.
 seen = []
 counter = cs.OpCounter()
-
-
-def children_fn(masks, indices):
-    # a batch's popped cliques as raw int masks, the form the kernels take,
-    # with their reverse-search indices (0 for the root), returned by the
-    # stack pops that expanded them; only the events wrap a VertexSet.
-    # Without a pace they come as iterators, last parent first, and a lazy
-    # result is drawn one spec at a time, when the stack reaches that parent
-    return map(kernels.filter_children, repeat(g), masks, indices, repeat(counter))
-
-
 root_clique = rs_tree.root(g, counter)
-for event in cs.step_events(g, root_clique, children_fn, g.n * g.n, counter=counter):
+events = cs.step_events(
+    g, root_clique, None, g.n * g.n, counter=counter, decide=kernels.filter_children
+)
+for event in events:
     if event.kind == cs.CLIQUE_COLLECTED:
         seen.append(event.clique)
 print(f"step_events delivered {len(seen)} cliques, root first: {seen[0]}")

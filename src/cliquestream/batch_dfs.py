@@ -1,25 +1,28 @@
 """Batch depth-first traversal of the reverse-search tree.
 
-The backtracking stack is LIFO and stores compressed (parent, index-list)
-entries rather than expanded cliques, so a batch of B parents costs O(nB)
-stack space.  Each outer iteration pops up to ``capacity`` cliques (each pop
-expands one index into a clique via lexicographic completion and emits it),
-hands them to ``children_fn`` as one children step and stacks the non-empty
-specs, the last parent's on top (a plain traversal stacks the step as one
-source, read as the stack reaches each parent).  A clique popped from spec
+The backtracking stack is LIFO and stores compressed entries rather than
+expanded cliques: a parent's mask beside its child indices as one int mask
+(bit i - 1 for index i), so a batch of B parents costs O(nB) stack space.
+Each outer iteration pops up to ``capacity`` cliques (each pop expands the
+top entry's lowest index into a clique via lexicographic completion and
+emits it) and stacks the batch's non-empty child masks at its end, the last
+parent's on top.  A per-parent ``decide`` ("bitset") tests each clique right
+after its event and holds its pair until then; a batch ``children_fn``
+("rect") takes the batch at its end, and a plain traversal stacks that step
+as one source, read as the stack reaches each parent.  A clique popped from
 ``(P, i)`` has reverse-search index ``i`` by definition (the root has 0), so
 ``pop`` returns that index with the clique and no index is recomputed.
 
 The traversal is exposed as a resumable event stream (:func:`step_events`) of
 :class:`StepEvent` named tuples ``(kind, clique, cost)``.  The stack, the
-batch and ``children_fn`` carry int masks, and each clique event wraps one
-``VertexSet`` without its constructor, as ``filter_children`` builds its
-specs.  One ``OpCounter`` per listing takes every charge, and each event
-costs the counter's growth since the previous event.  A consumer that must
-act while a children step runs sets a :class:`Pace`: once the units since the
-previous event reach its quantum, the step yields a children-work event
-between two specs.  Index lists are consumed in ascending order, so emission
-order is deterministic for a given (graph, kernel, capacity), paced or not.
+batch and the children steps carry int masks, and each clique event wraps
+one ``VertexSet`` without its constructor.  One ``OpCounter`` per listing
+takes every charge, and each event costs the counter's growth since the
+previous event.  A consumer that must act while a ``children_fn`` step runs
+sets a :class:`Pace`: once the units since the previous event reach its
+quantum, the step yields a children-work event between two specs.  Indices
+are consumed in ascending order, so emission order is deterministic for a
+given (graph, kernel, capacity), paced or not.
 """
 
 from __future__ import annotations
@@ -40,6 +43,8 @@ CHILDREN_WORK = "children-work"
 # children_fn(masks, indices) -> their specs in order, any iterable, lazy in a listing; indices[k]
 # is masks[k]'s index (0: root); lists in batch order if paced, else last-first draining iterators
 ChildrenFn = Callable[[Iterable[int], Iterable[int]], Iterable[ChildSpec]]
+# decide(g, mask, index, counter) -> the clique's child mask, bit i - 1 for index i
+Decide = Callable[[Graph, int, int, OpCounter], int]
 
 _new = object.__new__
 _tuple_new = tuple.__new__  # StepEvent(...) would run a Python-level __new__
@@ -69,10 +74,10 @@ class Pace:
 
 @dataclass(slots=True)
 class TraversalStats:
-    """Kept current as events are yielded: ``batches_total`` children steps,
+    """Kept current as events are yielded: ``batches_total`` batches,
     ``batches_undersized`` those under ``capacity`` cliques, ``cliques_emitted``
     clique events, ``total_cost`` every event's cost; ``stack_cliques`` the cliques
-    pending in computed specs, ``max_stack_cliques`` its most after a lazy push or a step."""
+    pending on the stack, ``max_stack_cliques`` its most after a lazy push or a batch."""
 
     batches_total: int = 0
     batches_undersized: int = 0
@@ -83,9 +88,10 @@ class TraversalStats:
 
 
 class BacktrackStack:
-    """LIFO stack of ``[parent mask, indices, position]`` entries, the seeded
-    root's mask and the lazy sources :func:`step_events` reads before a pop;
-    ``pending`` counts the cliques in the entries' remaining index lists.
+    """LIFO stack of flat ``parent mask, child mask`` entry pairs (the seeded
+    root's child mask is 0) and the lazy sources :func:`step_events` reads
+    before a pop; ``pending`` counts the cliques left in the entries' child
+    masks.
     """
 
     def __init__(self) -> None:
@@ -93,58 +99,59 @@ class BacktrackStack:
         self.pending = 0
 
     def seed(self, clique: int) -> None:
-        self._entries.append(clique)
+        self._entries += clique, 0
         self.pending += 1
 
-    def push(self, spec: ChildSpec) -> None:
-        if spec.indices:
-            self._entries.append([spec.parent, spec.indices, 0])
-            self.pending += len(spec.indices)
+    def push(self, parent: int, children: int) -> None:
+        if children:
+            self._entries += parent, children
+            self.pending += children.bit_count()
 
     def pop(self, g: Graph, counter: OpCounter | None = None) -> tuple[int, int]:
-        """Expand and remove the next pending clique from the top entry;
-        returns its mask with its index (0 for the seeded root)."""
-        if not self._entries:
+        """Expand and remove the top entry's lowest child index; returns the
+        clique's mask with its index (0 for the seeded root)."""
+        entries = self._entries
+        if not entries:
             raise IndexError("pop from an empty backtracking stack")
-        top = self._entries[-1]
+        parent, children = entries[-2], entries[-1]
         self.pending -= 1
-        if type(top) is int:
-            self._entries.pop()
-            return top, 0
-        parent, indices, pos = top
-        i = indices[pos]
-        if pos + 1 == len(indices):
-            self._entries.pop()
+        low = children & -children
+        if low == children:
+            del entries[-2:]
+            if not low:
+                return parent, 0
         else:
-            top[2] = pos + 1
-        low = 1 << (i - 1)
+            entries[-1] = children ^ low
+        i = low.bit_length()
         return _lc_bits(g, (parent & (low - 1) & g.adj[i - 1]) | low, counter), i
 
 
 def step_events(
     g: Graph,
     root_clique: VertexSet,
-    children_fn: ChildrenFn,
+    children_fn: ChildrenFn | None,
     capacity: int,
     stats: TraversalStats | None = None,
     counter: OpCounter | None = None,
     pace: Pace | None = None,
+    decide: Decide | None = None,
 ) -> Iterator[StepEvent]:
     """Resumable event stream of the batch traversal.
 
     Yields one clique-collected event per emission, one batch-completed
-    event per children invocation, and a final traversal-ended event.
-    ``counter`` is the listing's one ledger: pops charge it, and
-    ``children_fn``, which gets the batch's masks, should charge the same
-    one.  Each event costs the counter's growth since the previous event,
-    so units already on it (the root's construction) fall on the first
-    event.  Without ``pace``, a step is read as the stack reaches each
-    parent, so a lazy step's work falls on the events that wait for it: a
-    clique event costs its pop and the tests it waited for, all of childless
-    parents but the last, the traversal-ended event the last childless
-    parents'.  With ``pace`` every step runs at its batch end; with a
-    positive quantum a children-work event follows each spec that brings the
-    units since the previous event to the quantum.
+    event per batch, and a final traversal-ended event.  ``counter`` is the
+    listing's one ledger: pops charge it, and the children step should
+    charge the same one.  Each event costs the counter's growth since the
+    previous event, so units already on it (the root's construction) fall on
+    the first event.  With ``decide``, each clique is decided right after
+    its event, ``children_fn`` and ``pace`` are unused, and a clique event
+    costs its pop and the previous clique's decision unless it opens a
+    batch, a batch-completed event its last clique's decision.  Otherwise
+    ``children_fn`` takes each batch.  Without ``pace``, its step is read as
+    the stack reaches each parent, so a lazy step's work falls on the events
+    that wait for it.  With ``pace`` every step runs at its batch end; with
+    a positive quantum a children-work event follows each spec that brings
+    the units since the previous event to the quantum.
     """
     if capacity < 1:
         raise ValueError("batch capacity must be at least 1")
@@ -160,12 +167,14 @@ def step_events(
     while True:
         batch: list[int] = []
         indices: list[int] = []
-        while len(batch) < capacity:
+        held: list[int] = []  # decide's non-empty pairs, flat: parent mask, child mask
+        size = held_cliques = 0
+        while size < capacity:
             # a lazy source on top is read up to its first non-empty spec, dropped once spent
-            while entries and type(entries[-1]) is not list and type(entries[-1]) is not int:
+            while entries and type(entries[-1]) is not int:
                 for spec in entries[-1]:
-                    if spec.indices:
-                        stack.push(spec)
+                    if spec.children:
+                        stack.push(spec.parent, spec.children)
                         if stack.pending > stats.max_stack_cliques:
                             stats.max_stack_cliques = stack.pending
                         break
@@ -174,8 +183,7 @@ def step_events(
             if not entries:
                 break
             mask, index = stack.pop(g, counter)
-            batch.append(mask)
-            indices.append(index)
+            size += 1
             stats.cliques_emitted += 1
             stats.stack_cliques = stack.pending
             cost, charged = counter.ops - charged, counter.ops
@@ -183,17 +191,29 @@ def step_events(
             clique = _new(VertexSet)  # a clique mask is never negative: skip the check
             _set_bits(clique, mask)
             yield _tuple_new(StepEvent, (CLIQUE_COLLECTED, clique, cost))
-        if not batch:
+            if decide is None:
+                batch.append(mask)
+                indices.append(index)
+            else:
+                children = decide(g, mask, index, counter)
+                if children:
+                    held.append(mask)
+                    held.append(children)
+                    held_cliques += children.bit_count()
+        if not size:
             break
         stats.batches_total += 1
-        stats.batches_undersized += len(batch) < capacity
-        if pace is None:  # the batch last parent first, each mask dropped once read
-            specs = children_fn(map(list.pop, repeat(batch, len(batch))), reversed(indices))
+        stats.batches_undersized += size < capacity
+        if decide is not None:  # batch order, the last parent on top
+            entries += held
+            stack.pending += held_cliques
+        elif pace is None:  # the batch last parent first, each mask dropped once read
+            specs = children_fn(map(list.pop, repeat(batch, size)), reversed(indices))
             entries.append(iter(specs))  # a source, read as the stack reaches it
         else:
             quantum = pace.quantum
             for spec in children_fn(batch, indices):
-                stack.push(spec)
+                stack.push(spec.parent, spec.children)
                 if quantum > 0 and counter.ops - charged >= quantum:
                     cost, charged = counter.ops - charged, counter.ops
                     stats.total_cost += cost

@@ -16,8 +16,9 @@ diagnostics go to stderr.  A reader that closes stdout early (``| head``)
 stops the listing quietly with exit status 0.  Emission order is
 deterministic given (graph, kernel, capacity, mode).  ``--trace`` writes
 one CSV row per clique as it is printed: print_ordinal, cost_units,
-queue_size, stack_cliques (the cliques in specs computed so far: a plain
-listing tests a parent's children when the stack reaches it).  In plain
+queue_size, stack_cliques (the cliques on the stack: "bitset" stacks a
+batch's child masks at its end, and a plain "rect" listing a parent's
+children when the stack reaches it).  In plain
 mode memory grows with the traversal stack, not with the output.
 ``--mode strict`` also queues the collected cliques not yet printed, at
 one deque slot and one int mask each (48 bytes at n = 100), and on random

@@ -20,19 +20,20 @@ boot_target = 1 + the root's children count, and with c =
 :data:`CALIBRATION_MARGIN`, tau_delay = c * the units charged after the
 root batch // the cliques banked after the root (at least 1).
 
-A listing hands both kernels' children steps to the traversal as lazy
-spec streams: "bitset" runs :func:`~cliquestream.kernels.filter_children`
-parent by parent, "rect" streams
+A "bitset" listing decides each clique with
+:func:`~cliquestream.kernels.filter_children` right after its event, in
+plain and strict mode alike, so a gap is one pop and one parent's test.
+"rect" hands the traversal a lazy spec stream,
 :func:`~cliquestream.kernels.children_rect`, which does a slice's
 batch-level product once and then decides its pairs chunk by chunk.  A
-plain stream reads a step as the stack reaches each parent: a "bitset" gap
-is one pop and one run of childless parents' tests, a "rect" gap one pop
-and the chunks up to the next parent with children.  ``run_strict``'s
-paced stream (:class:`~cliquestream.batch_dfs.Pace`) runs each step at its
-batch end, where boot reads it, and after boot yields a children-work event
-once the units its next print waits for are charged: a gap passes tau_delay
-by less than one pop, one "bitset" parent's test or one "rect" chunk's
-charge, so it stays within tau_delay + the largest event.
+plain stream reads it as the stack reaches each parent, so a "rect" gap is
+one pop and the chunks up to the next parent with children.
+``run_strict``'s paced stream (:class:`~cliquestream.batch_dfs.Pace`, which
+serves "rect" alone) runs each "rect" step at its batch end, where boot
+reads it, and after boot yields a children-work event once the units its
+next print waits for are charged: a gap passes tau_delay by less than one
+pop, one "bitset" parent's test or one "rect" chunk's charge, so it stays
+within tau_delay + the largest event.
 :func:`~cliquestream.kernels.children_batch`, a whole step's specs as a
 list, stays importable here for callers that wrap it by name.
 """
@@ -42,7 +43,6 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import Iterable, Iterator, NamedTuple
 
 from . import kernels
@@ -52,6 +52,8 @@ from .batch_dfs import (
     Pace,
     StepEvent,
     TraversalStats,
+    _new,
+    _set_bits,
     step_events,
 )
 from .graph import Graph, VertexSet
@@ -133,10 +135,11 @@ def list_mc(
 
 def _listing(g: Graph, kernel: str, capacity, stats, pace: Pace | None) -> Iterator[StepEvent]:
     """:func:`list_mc`'s stream, paced by ``pace``.  The kernel alone picks
-    the children step, a lazy stream of specs for ``step_events`` either
-    way: :func:`~cliquestream.kernels.filter_children` calls, one per
-    parent, or :func:`~cliquestream.kernels.children_rect`, whose factors
-    are built with the first batch."""
+    the children step: ``step_events``'s per-parent ``decide``, the
+    :func:`~cliquestream.kernels.filter_children` found in ``kernels`` when
+    the listing opens, or its lazy ``children_fn``,
+    :func:`~cliquestream.kernels.children_rect`, whose factors are built
+    with the first batch."""
     if kernel not in KERNELS:
         raise ValueError(f"unknown kernel {kernel!r}")
     cap = capacity if capacity is not None else g.n * g.n
@@ -145,18 +148,19 @@ def _listing(g: Graph, kernel: str, capacity, stats, pace: Pace | None) -> Itera
     if kernel == "rect":
         check_factors(g.n)
     counter = OpCounter()
+    root_clique = root(g, counter)
+    if kernel == "bitset":
+        decide = kernels.filter_children
+        return step_events(g, root_clique, None, cap, stats, counter, pace, decide)
     factors = None
 
     def children_fn(masks: Iterable[int], indices: Iterable[int]):
         nonlocal factors
-        if kernel == "bitset":
-            return map(kernels.filter_children, repeat(g), masks, indices, repeat(counter))
         if factors is None:
             factors = graph_factors(g, counter)
         return kernels.children_rect(g, masks, indices, factors, counter)
 
-    root_clique = root(g, counter)
-    return step_events(g, root_clique, children_fn, cap, stats, counter, pace)
+    return step_events(g, root_clique, children_fn, cap, stats, counter, pace, None)
 
 
 def calibrate(
@@ -249,7 +253,9 @@ def _paced(g: Graph, events, pace: Pace, report, start: float) -> Iterator[Emiss
             if counter > gap:
                 gap = report.max_gap_units = counter
             report.emitted, report.queue_peak = ordinal, peak
-            yield Emission(VertexSet(q.popleft()), ordinal, counter, len(q), stats.stack_cliques)
+            clique = _new(VertexSet)  # as step_events wraps a clique: no constructor check
+            _set_bits(clique, q.popleft())
+            yield Emission(clique, ordinal, counter, len(q), stats.stack_cliques)
             counter = 0
         elif counter >= tau and kind != TRAVERSAL_ENDED:  # the queue is empty
             report.starved_checks += 1
@@ -265,5 +271,7 @@ def _paced(g: Graph, events, pace: Pace, report, start: float) -> Iterator[Emiss
         if counter > gap:
             gap = report.max_gap_units = counter
         report.emitted, report.drained = ordinal, ordinal - drain_from
-        yield Emission(VertexSet(q.popleft()), ordinal, counter, len(q), stats.stack_cliques)
+        clique = _new(VertexSet)
+        _set_bits(clique, q.popleft())
+        yield Emission(clique, ordinal, counter, len(q), stats.stack_cliques)
         counter = 0

@@ -31,11 +31,13 @@ by ``Nc.T`` in chunks of at least :data:`CHUNK_ROWS` rows, more if
 on the bool blocks.  A chunk is decided only when the stream's reader needs
 a parent it covers, and each parent's spec leaves as soon as its last chunk
 is decided.  "bitset" runs :func:`filter_children` per parent, folding the
-common neighborhood only as far as each candidate needs.
+common neighborhood only as far as each candidate needs.  A child set is
+one int mask either way, bit i - 1 for index i: what
+:func:`filter_children` returns and a :class:`ChildSpec`'s ``children``.
 ``children_naive`` re-derives the test with direct completion calls, one
 parent at a time, as the differential reference.  Only indices above the
 parent's own index are candidates.  The traversal knows that index (a
-child popped from spec ``(P, i)`` has index ``i``, the root 0) and passes
+child popped from ``(P, i)`` has index ``i``, the root 0) and passes
 it in; :func:`children_batch` recomputes it with :func:`clique_index` for
 callers that hand in arbitrary batches.  A non-root parent tests only its
 neighbors ``N(P)``, so cost follows degree.
@@ -80,19 +82,23 @@ Factors = tuple[np.ndarray, matmul.BinaryOperand, matmul.BinaryOperand]
 
 @dataclass(frozen=True, slots=True)
 class ChildSpec:
-    """A parent clique's mask and the ascending list of its good child
-    indices."""
+    """A parent clique's mask and its good child indices as one mask, bit
+    i - 1 for index i; ``indices`` lists them ascending."""
 
     parent: int
-    indices: tuple[int, ...]
+    children: int
+
+    @property
+    def indices(self) -> tuple[int, ...]:
+        return tuple(VertexSet(self.children))
 
     def __len__(self) -> int:
-        return len(self.indices)
+        return self.children.bit_count()
 
 
 _new = object.__new__
 _set_parent = ChildSpec.parent.__set__
-_set_indices = ChildSpec.indices.__set__
+_set_children = ChildSpec.children.__set__
 
 
 def _mask_rows(masks, n: int) -> np.ndarray:
@@ -189,10 +195,9 @@ def good_table_bitset(g: Graph, cliques) -> list[list[int]]:
     return rows
 
 
-def filter_children(
-    g: Graph, p: int, index: int, counter: OpCounter | None = None
-) -> ChildSpec:
-    """Accept the candidate indices that no ``j`` disqualifies.
+def filter_children(g: Graph, p: int, index: int, counter: OpCounter | None = None) -> int:
+    """The mask of the candidate indices that no ``j`` disqualifies (bit
+    i - 1 for index i).
 
     Candidates are the non-members of ``p`` above ``index``, the parent's
     own index (0 for the root), and for a non-root parent only its
@@ -214,8 +219,7 @@ def filter_children(
     outside = adjacent & notp
     cand = (near if index else g.full_mask) & notp & -(1 << index)
     scanned = cand.bit_count()
-    indices = []
-    folds = 0
+    children = folds = 0
     while cand:
         low = cand & -cand
         cand ^= low
@@ -230,14 +234,11 @@ def filter_children(
             bad &= adj[u.bit_length() - 1]
             folds += 1
         if bad == 0:
-            indices.append(i)
+            children |= low
     if counter is not None:
         # (g.n + 63) >> 6 is words(g.n), inlined on this per-parent path
         counter.ops += (3 * p.bit_count() + 4 + scanned * 6 + folds) * ((g.n + 63) >> 6)
-    spec = _new(ChildSpec)  # ChildSpec(parent=p, indices=...) without its keyword call
-    _set_parent(spec, p)
-    _set_indices(spec, tuple(indices))
-    return spec
+    return children
 
 
 def _rect_slice(g: Graph, part: list[int], index: np.ndarray, factors: Factors):
@@ -336,18 +337,18 @@ def children_rect(
                     cut = bisect_left(roots, last * n)
                     found = sorted(found + roots[:cut])
                     del roots[:cut]
-                # the released parents' children, read in bulk: found holds k * n + i - 1
+                # the released parents' child masks, read in bulk: found holds k * n + i - 1
                 # for each accepted i of parent k
                 group, a = [], 0
                 for k in range(released, last):
                     z = bisect_left(found, (k + 1) * n, a)
-                    group.append(tuple(map((k * n - 1).__rsub__, found[a:z])) if z > a else ())
+                    group.append(sum(1 << (f - k * n) for f in found[a:z]) if z > a else 0)
                     a = z
                 del found[:a]
                 for k, children in enumerate(group, released):
-                    spec = _new(ChildSpec)
+                    spec = _new(ChildSpec)  # ChildSpec(part[k], children) without its call
                     _set_parent(spec, part[k])
-                    _set_indices(spec, children)
+                    _set_children(spec, children)
                     yield spec
                 released = last
             if released == len(part):
@@ -368,10 +369,9 @@ def children_naive(g: Graph, p: int, index: int) -> ChildSpec:
     """
     if not is_maximal_clique(g, VertexSet(p)):
         raise ValueError("parent must be a maximal clique")
-    n = g.n
-    indices = []
+    children = 0
     backs: dict[int, int] = {}
-    for i in range(index + 1, n + 1):
+    for i in range(index + 1, g.n + 1):
         if (p >> (i - 1)) & 1:
             continue
         bel = below_mask(i)
@@ -382,8 +382,8 @@ def children_naive(g: Graph, p: int, index: int) -> ChildSpec:
             continue
         forward = lex_completion(g, VertexSet(pig | vbit(i)))
         if forward.bits & bel == pig:
-            indices.append(i)
-    return ChildSpec(parent=p, indices=tuple(indices))
+            children |= vbit(i)
+    return ChildSpec(p, children)
 
 
 def children_batch(
@@ -412,7 +412,7 @@ def children_batch(
     elif len(indices) != len(cliques):
         raise ValueError(f"{len(indices)} indices for a batch of {len(cliques)}")
     if kernel == "bitset":
-        return [filter_children(g, p, i, counter) for p, i in zip(cliques, indices)]
+        return [ChildSpec(p, filter_children(g, p, i, counter)) for p, i in zip(cliques, indices)]
     if kernel != "rect":
         raise ValueError(f"unknown kernel {kernel!r}")
     if factors is None:

@@ -112,21 +112,40 @@ def index_of(g, p: int) -> int:
 
 def watch_children_steps(monkeypatch, watch):
     """Have every listing that ``delay_scheduler`` opens call
-    ``watch(g, masks, indices)`` before each children step, with the
-    batch's masks and the indices the traversal carries for them, in the
-    order the step takes them: batch order in strict mode, last parent
-    first in plain mode.  It wraps the ``children_fn`` handed to
-    ``delay_scheduler.step_events``, so it sees both kernels and both
-    modes; a plain step's batch is read into lists first, so the watched
-    listing keeps each batch until its step ends."""
+    ``watch(g, masks, indices)`` once per batch, with the batch's masks and
+    the indices the traversal carries for them, in the order they are
+    decided: last parent first in a plain "rect" step, batch order
+    otherwise.  It wraps what ``delay_scheduler.step_events`` is handed, so
+    it sees both kernels and both modes: the ``children_fn`` of a "rect"
+    listing, watched before its step, whose plain batch is read into lists
+    first, so the watched listing keeps each batch until its step ends; and
+    the ``decide`` of a "bitset" listing, whose parents are watched once the
+    batch's last one is decided, before the batch completes."""
     real = cs.delay_scheduler.step_events
 
-    def step_events(g, root_clique, children_fn, *args):
+    def step_events(g, root_clique, children_fn, capacity, stats, counter, pace, decide):
         def watched(masks, indices):
             masks, indices = list(masks), list(indices)
             watch(g, masks, indices)
             return children_fn(masks, indices)
 
-        return real(g, root_clique, watched, *args)
+        if decide is None:
+            return real(g, root_clique, watched, capacity, stats, counter, pace, None)
+        decided = ([], [])
+
+        def watched_decide(g, p, index, counter):
+            decided[0].append(p)
+            decided[1].append(index)
+            return decide(g, p, index, counter)
+
+        def events():
+            for event in real(g, root_clique, None, capacity, stats, counter, pace, watched_decide):
+                if event.kind == cs.BATCH_COMPLETED:
+                    watch(g, *map(list, decided))
+                    decided[0].clear()
+                    decided[1].clear()
+                yield event
+
+        return events()
 
     monkeypatch.setattr(cs.delay_scheduler, "step_events", step_events)

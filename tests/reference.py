@@ -252,10 +252,10 @@ def children_oracle(
     limit: int = ORACLE_LIMIT,
 ) -> ChildSpec:
     """Children of ``p`` found the slow way: enumerate every maximal clique,
-    keep the ones whose parent is ``p``, report their indices."""
+    keep the ones whose parent is ``p``, report their indices as one mask."""
     if cliques is None:
         cliques = all_maximal_cliques(g, limit)
-    indices = []
+    children = 0
     for c in cliques:
         if c == p:
             continue
@@ -263,8 +263,8 @@ def children_oracle(
         if idx is None:
             continue
         if parent_brute(g, c, cliques) == p:
-            indices.append(idx)
-    return ChildSpec(parent=p.bits, indices=tuple(sorted(indices)))
+            children |= 1 << (idx - 1)
+    return ChildSpec(parent=p.bits, children=children)
 
 
 def sort_lex_descending_by_strings(sets: list[VertexSet]) -> list[VertexSet]:

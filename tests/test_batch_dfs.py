@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 import cliquestream as cs
 from cliquestream import oracle
 from cliquestream.batch_dfs import CHILDREN_WORK, BacktrackStack, Pace
-from cliquestream.kernels import ChildSpec
 
 from conftest import (
     BRIDGE_16,
@@ -41,14 +40,14 @@ def assert_empty(stack, g):
 class TestPopFromTop:
     def test_consumes_first_index_and_keeps_spec(self, bridged):
         stack = BacktrackStack()
-        stack.push(ChildSpec(parent=K5_SIDE.bits, indices=(6, 7, 8)))
+        stack.push(K5_SIDE.bits, cs.VertexSet.of(6, 7, 8).bits)
         assert stack.pop(bridged) == (BRIDGE_16.bits, 6)
         assert stack.pending == 2
         assert stack.pop(bridged)[1] == 7
 
     def test_removes_spec_when_list_empties(self, bridged):
         stack = BacktrackStack()
-        stack.push(ChildSpec(parent=BRIDGE_16.bits, indices=(7,)))
+        stack.push(BRIDGE_16.bits, cs.VertexSet.of(7).bits)
         assert stack.pop(bridged) == (TRIANGLE.bits, 7)
         assert_empty(stack, bridged)
 
@@ -64,7 +63,7 @@ class TestPopFromTop:
 
     def test_empty_specs_are_not_pushed(self, bridged):
         stack = BacktrackStack()
-        stack.push(ChildSpec(parent=K5_SIDE.bits, indices=()))
+        stack.push(K5_SIDE.bits, 0)
         assert_empty(stack, bridged)
 
     def test_popped_clique_behaves_like_a_constructed_one(self, bridged):
@@ -150,7 +149,7 @@ class TestBounds:
     @pytest.mark.parametrize("kernel", cs.kernels.KERNELS)
     def test_max_stack_covers_every_reading(self, kernel):
         """The running max is never below the stack depth an event reports,
-        on plain (lazy for bitset) and paced streams."""
+        on plain (lazy for rect) and paced streams."""
         graphs = [cs.Graph.complete_multipartite_triples(12), *random_graphs(6, seed0=2050)]
         for g in graphs:
             for capacity in (1, 7, g.n * g.n):
@@ -231,7 +230,10 @@ class TestPace:
         counter = cs.OpCounter()
 
         def children_fn(cliques, indices):
-            specs = (cs.kernels.filter_children(g, p, i, counter) for p, i in zip(cliques, indices))
+            specs = (
+                cs.ChildSpec(p, cs.kernels.filter_children(g, p, i, counter))
+                for p, i in zip(cliques, indices)
+            )
             return specs if lazy else list(specs)
 
         pace = Pace()
@@ -281,10 +283,11 @@ class TestCarriedIndex:
                 assert (cs.rs_tree.clique_index(g, cs.VertexSet(c)) or 0) == i
                 # the candidate cut keeps every child children_naive finds
                 assert cs.kernels.filter_children(g, c, i) == (
-                    cs.kernels.children_naive(g, c, i)
+                    cs.kernels.children_naive(g, c, i).children
                 )
-            # a plain step takes its batch in stack order, last parent first
-            seen.extend(reversed(cliques))
+            # a plain rect step takes its batch in stack order, last parent
+            # first; bitset decides each parent right after its pop
+            seen.extend(reversed(cliques) if kernel == "rect" else cliques)
 
         watch_children_steps(monkeypatch, checked)
         graphs = list(random_graphs(6, seed0=2100, n_hi=12))
@@ -306,7 +309,7 @@ class TestCarriedIndex:
         stack = BacktrackStack()
         stack.seed(K5_SIDE.bits)
         assert stack.pop(bridged) == (K5_SIDE.bits, 0)
-        stack.push(ChildSpec(parent=K5_SIDE.bits, indices=(6, 7)))
+        stack.push(K5_SIDE.bits, cs.VertexSet.of(6, 7).bits)
         assert stack.pop(bridged) == (BRIDGE_16.bits, 6)
         assert stack.pop(bridged) == (BRIDGE_27.bits, 7)
 
@@ -319,14 +322,14 @@ ON_DEMAND_GRAPHS = {
 
 
 class TestOnDemandChildren:
-    """A plain listing decides a parent's children only when the stack
-    reaches it, on either kernel, so every event carries the work it waited
-    for."""
+    """A plain "rect" listing decides a parent's children only when the
+    stack reaches it, and "bitset" decides each parent right after its
+    event, so every event carries the work it waited for."""
 
     @staticmethod
     def logged(monkeypatch):
-        """Log every children test as ("test", spec, units), every pop's
-        completion as ("pop", None, units) and the "rect" factors as
+        """Log every children test as ("test", child mask, units), every
+        pop's completion as ("pop", None, units) and the "rect" factors as
         ("factors", None, units), in the order they run.  A "rect" spec's
         units are those charged while the stream produced it."""
         log = []
@@ -335,9 +338,9 @@ class TestOnDemandChildren:
 
         def filter_children(g, p, index, counter):
             before = counter.ops
-            spec = real_filter(g, p, index, counter)
-            log.append(("test", spec, counter.ops - before))
-            return spec
+            children = real_filter(g, p, index, counter)
+            log.append(("test", children, counter.ops - before))
+            return children
 
         def children_rect(g, masks, indices, factors, counter):
             stream = real_rect(g, masks, indices, factors, counter)
@@ -347,7 +350,7 @@ class TestOnDemandChildren:
                 assert spec is not None or counter.ops == before
                 if spec is None:
                     return
-                log.append(("test", spec, counter.ops - before))
+                log.append(("test", spec.children, counter.ops - before))
                 yield spec
 
         def graph_factors(g, counter):
@@ -391,11 +394,24 @@ class TestOnDemandChildren:
             # the root's construction, then its seeded pop, which runs nothing
             assert first.kind == cs.CLIQUE_COLLECTED and before_first == []
             assert first.cost == root_units.ops
+            previous = first
             for event, ran in rest:
-                tests = [spec for kind, spec, _ in ran if kind == "test"]
-                # every parent tested before the last one had no children
-                assert all(not spec.indices for spec in tests[:-1])
+                tests = [children for kind, children, _ in ran if kind == "test"]
                 assert event.cost == sum(units for _, _, units in ran)
+                kinds = [kind for kind, _, _ in ran]
+                if kernel == "bitset":
+                    # each parent's test lands on the next event: a clique
+                    # event carries the previous clique's unless it opens a
+                    # batch, then its own pop; a batch end its last clique's
+                    if event.kind == cs.CLIQUE_COLLECTED:
+                        opens = previous.kind == cs.BATCH_COMPLETED
+                        assert kinds == (["pop"] if opens else ["test", "pop"])
+                    else:
+                        assert kinds == (["test"] if event.kind == cs.BATCH_COMPLETED else [])
+                    previous = event
+                    continue
+                # every parent tested before the last one had no children
+                assert all(not children for children in tests[:-1])
                 if event.kind == cs.CLIQUE_COLLECTED:
                     # the tests the pop waited for, then the pop itself
                     assert [kind for kind, _, _ in ran] == ["test"] * len(tests) + ["pop"]
@@ -404,11 +420,11 @@ class TestOnDemandChildren:
                     # with the first step; the last tests, on childless
                     # parents, land on the final event
                     assert all(kind != "pop" for kind, _, _ in ran)
-                    assert all(not spec.indices for spec in tests)
+                    assert all(not children for children in tests)
             ended, ran = rest[-1]
-            assert ended.kind == cs.TRAVERSAL_ENDED and ran
-            # a "rect" chunk charges the parents it releases on the first of them
-            assert ended.cost > 0 or kernel == "rect"
+            # bitset's last test lands on the last batch end; a "rect" chunk
+            # charges the parents it releases on the first of them
+            assert ended.kind == cs.TRAVERSAL_ENDED and bool(ran) == (kernel == "rect")
             assert sum(e.cost for e, _ in steps) == stats.total_cost
             entries = sum((ran for _, ran in steps), [])
             assert [kind for kind, _, _ in entries].count("factors") == (kernel == "rect")
@@ -431,6 +447,7 @@ class TestOnDemandChildren:
                 assert sum(e.cost for e in paced) == stats.total_cost == plain_stats.total_cost
                 work = [e for e in paced if e.kind != CHILDREN_WORK]
                 assert [e[:2] for e in work] == [e[:2] for e in plain]
+                assert paced == plain or kernel == "rect"
                 assert (stats.batches_total, stats.batches_undersized) == (
                     plain_stats.batches_total,
                     plain_stats.batches_undersized,
@@ -440,8 +457,9 @@ class TestOnDemandChildren:
                 for e in paced:
                     run = run + 1 if e.kind == CHILDREN_WORK else 0
                     split = max(split, run)
-        # both kernels' steps yield work events between their specs, not only at their end
-        assert split > 1
+        # rect's steps yield work events between their specs, not only at their
+        # end; bitset decides each parent after its pop, paced or not
+        assert split > 1 if kernel == "rect" else split == 0
 
 
 class TestOracleProperty:

@@ -93,21 +93,21 @@ class TestListMc:
             parents.clear()
             events = list(ds.list_mc(g, capacity=capacity))
             popped = [e.clique.bits for e in events if e.kind == cs.CLIQUE_COLLECTED]
-            # one test per popped clique, each batch's last parent first: a
-            # plain step tests its parents in stack order
-            assert sorted(parents) == sorted(popped) and len(set(parents)) == len(parents)
+            # one test per popped clique, in pop order: each parent is tested
+            # right after its event
+            assert parents == popped and len(set(parents)) == len(parents)
             when = {p: k for k, p in enumerate(parents)}
             batch = []
             for e in events:
                 if e.kind == cs.CLIQUE_COLLECTED:
                     batch.append(when[e.clique.bits])
                 elif e.kind == cs.BATCH_COMPLETED:
-                    assert batch == sorted(batch, reverse=True)
+                    assert batch == sorted(batch)
                     batch = []
-            # the paced stream at quantum 0 tests each batch at its end: the
-            # same events but for where the tests' units fall
+            # a pace changes nothing on bitset: the paced stream at quantum 0
+            # is the plain one, its units on the same events
             paced = list(ds._listing(g, "bitset", capacity, None, Pace()))
-            assert [e[:2] for e in events] == [e[:2] for e in paced]
+            assert events == paced
             assert sum(e.cost for e in events) == sum(e.cost for e in paced)
 
     def test_unknown_kernel_refused_before_root(self, bridged, monkeypatch):

@@ -22,13 +22,13 @@ PIN_GRAPHS = {
 # kernels, then capacities (1, 7, n^2): "cost;" per event for one kernel
 # each, and "kind,mask;" per event over the kernels ("bitset", "rect")
 COST_SHA256 = {
-    "bitset": "0630ae6496e3c91b0b85eef178afb9b9b53d23f53680e647b258512bd18d9ee4",
+    "bitset": "70c71c3a2d9a8b05d09244141902775621eb28a49dca587e3a531b992e9d0594",
     "rect": "155305821429536dfe4fbc316467ed1f4e5f40e31c12dd0b48f9af18e894f645",
 }
 ORDER_SHA256 = "1d7672e827f4fd0f821524884ee11baf180e43393fbfe1f64594bba65e450df8"
 # sha256 over the calibrated config and every run_strict emission on
 # gnp(40,.5) with the bitset kernel and default calibration
-STRICT_SHA256 = "60da02b4b4867847328d1657cd1e2fd49781ae81d0e16c3f1c037248ad5daa88"
+STRICT_SHA256 = "dc8c74a7edaa722b1c289e64170707a8af38c3110277a82888ffe04376f6184c"
 
 
 def events_digest(kernels, field) -> str:
@@ -77,3 +77,38 @@ def strict_digest() -> str:
 )
 def test_digest_is_pinned(digest, pinned):
     assert digest() == pinned
+
+
+@pytest.mark.parametrize(
+    "make",
+    [*PIN_GRAPHS.values(), lambda: cs.Graph.complete_multipartite_triples(21)],
+    ids=[*PIN_GRAPHS, "moon-moser(21)"],
+)
+def test_plain_bitset_events_cost_one_pop_and_one_test(make):
+    """A plain bitset listing tests each parent right after its event: a
+    clique event costs its own pop plus the previous clique's test unless it
+    opens a batch, a batch-completed event its last clique's test.  Both are
+    recomputed here from the clique alone."""
+    g = make()
+    root_units = cs.OpCounter()
+    root = cs.rs_tree.root(g, root_units).bits
+    pops, tests = {root: root_units.ops}, {}  # the root's event carries its construction
+    for c in cs.oracle.all_maximal_cliques(g, limit=g.n):
+        units = cs.OpCounter()
+        index = cs.rs_tree.clique_index(g, c) or 0
+        if c.bits != root:
+            parent = cs.rs_tree.parent(g, c)
+            assert cs.rs_tree.child(g, parent, index, units) == c  # the pop's completion
+            pops[c.bits], units.ops = units.ops, 0
+        cs.kernels.filter_children(g, c.bits, index, units)
+        tests[c.bits] = units.ops
+    for capacity in (1, 7, g.n * g.n):
+        last = None  # the clique whose test the next event carries
+        for e in cs.list_mc(g, capacity=capacity):
+            test = tests[last] if last is not None else 0
+            if e.kind == cs.CLIQUE_COLLECTED:
+                assert e.cost == pops[e.clique.bits] + test
+                last = e.clique.bits
+            else:
+                assert e.cost == test and (e.kind == cs.BATCH_COMPLETED) == (last is not None)
+                last = None

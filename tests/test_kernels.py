@@ -538,8 +538,8 @@ class TestFilterChildren:
             rect = cs.kernels.children_batch(g, batch, kernel="rect", indices=indices)
             for p, index, spec in zip(batch, indices, rect):
                 lazy = cs.kernels.filter_children(g, p, index)
-                assert lazy == spec
-                assert lazy == cs.kernels.children_naive(g, p, index)
+                assert lazy == spec.children
+                assert lazy == cs.kernels.children_naive(g, p, index).children
 
     def test_lazy_rows_never_read_more_than_the_table(self):
         # per parent, bitset's folds cost less than rect's full product
@@ -555,11 +555,13 @@ class TestFilterChildren:
         assert 0 < counter_lazy.ops < counter_rows.ops
 
     def test_spec_behaves_like_a_constructed_one(self, bridged):
-        # both kernels build their specs without the dataclass constructor;
-        # every spec's parent is the raw mask the kernel was given
-        made = cs.ChildSpec(parent=K5, indices=(6, 7, 8))
+        # rect builds its specs without the dataclass constructor, and bitset
+        # decides a parent as one child mask; every spec's parent is the raw
+        # mask the kernel was given
+        made = cs.ChildSpec(parent=K5, children=0b11100000)
+        assert made.indices == (6, 7, 8)
+        assert cs.kernels.filter_children(bridged, K5, 0) == made.children
         for got in (
-            cs.kernels.filter_children(bridged, K5, 0),
             cs.kernels.children_batch(bridged, [K5], kernel="rect")[0],
             cs.kernels.children_batch(bridged, [K5], kernel="bitset")[0],
             cs.kernels.children_naive(bridged, K5, 0),
@@ -568,7 +570,7 @@ class TestFilterChildren:
             assert got == made and hash(got) == hash(made) and len(got) == 3
             assert {got: 1}[made] == 1
             with pytest.raises(dataclasses.FrozenInstanceError):
-                got.indices = ()
+                got.children = 0
             assert not hasattr(got, "__dict__")
 
 
@@ -614,7 +616,7 @@ class TestCandidateCut:
         assert len(pairs) == len(oracle.all_maximal_cliques(g, limit=n))
         for p, index in pairs:
             assert cs.kernels.filter_children(g, p, index) == (
-                cs.kernels.children_naive(g, p, index)
+                cs.kernels.children_naive(g, p, index).children
             )
 
     def test_units_per_clique_do_not_grow_with_n(self):
