@@ -38,10 +38,12 @@ print(f"\nbounds at capacity 2: stack {stats.max_stack_cliques} <= "
 
 # step_events is the traversal itself: any children decision can drive it.
 # Each event costs what the shared counter gained since the previous event.
-# decide(g, mask, index, counter) gets each popped clique as a raw int mask,
-# the form the kernels take, with its reverse-search index (0 for the root)
-# right after the clique's event, and returns its child indices as one mask
-# (bit i-1 for index i); only the events wrap a VertexSet.
+# decide(g, mask, index, counter, near, outside) gets each popped clique as a
+# raw int mask, the form the kernels take, with its reverse-search index (0
+# for the root) right after the clique's event, and the N(C) and outside set
+# its pop found on the same walk over the members; it returns the child
+# indices as one mask (bit i-1 for index i).  Only the events wrap a
+# VertexSet.
 seen = []
 counter = cs.OpCounter()
 root_clique = rs_tree.root(g, counter)

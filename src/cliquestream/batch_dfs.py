@@ -7,9 +7,10 @@ Each outer iteration pops up to ``capacity`` cliques (each pop expands the
 top entry's lowest index into a clique via lexicographic completion and
 emits it) and stacks the batch's non-empty child masks at its end, the last
 parent's on top.  A per-parent ``decide`` ("bitset") tests each clique right
-after its event and holds its pair until then; a batch ``children_fn``
-("rect") takes the batch at its end, and a plain traversal stacks that step
-as one source, read as the stack reaches each parent.  A clique popped from
+after its event, from the masks its pop's walk found, and holds its pair
+until then; a batch ``children_fn`` ("rect") takes the batch at its end,
+and a plain traversal stacks that step as one source, read as the stack
+reaches each parent.  A clique popped from
 ``(P, i)`` has reverse-search index ``i`` by definition (the root has 0), so
 ``pop`` returns that index with the clique and no index is recomputed.
 
@@ -33,7 +34,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .graph import Graph, VertexSet
 from .kernels import ChildSpec
-from .rs_tree import OpCounter, _lc_bits
+from .rs_tree import OpCounter, _child_walk, _lc_bits
 
 CLIQUE_COLLECTED = "clique-collected"
 BATCH_COMPLETED = "batch-completed"
@@ -43,8 +44,9 @@ CHILDREN_WORK = "children-work"
 # children_fn(masks, indices) -> their specs in order, any iterable, lazy in a listing; indices[k]
 # is masks[k]'s index (0: root); lists in batch order if paced, else last-first draining iterators
 ChildrenFn = Callable[[Iterable[int], Iterable[int]], Iterable[ChildSpec]]
-# decide(g, mask, index, counter) -> the clique's child mask, bit i - 1 for index i
-Decide = Callable[[Graph, int, int, OpCounter], int]
+# decide(g, mask, index, counter, near, outside) -> the clique's child mask, bit i - 1 for index
+# i; near is N(C) (0: root), outside the non-members adjacent to every member below them
+Decide = Callable[[Graph, int, int, OpCounter, int, int], int]
 
 _new = object.__new__
 _tuple_new = tuple.__new__  # StepEvent(...) would run a Python-level __new__
@@ -107,9 +109,11 @@ class BacktrackStack:
             self._entries += parent, children
             self.pending += children.bit_count()
 
-    def pop(self, g: Graph, counter: OpCounter | None = None) -> tuple[int, int]:
+    def pop(self, g: Graph, counter: OpCounter | None = None, masks: bool = False) -> tuple:
         """Expand and remove the top entry's lowest child index; returns the
-        clique's mask with its index (0 for the seeded root)."""
+        clique's mask with its index (0 for the seeded root), and with
+        ``masks`` its ``N(C)`` and outside set from the same walk
+        (:func:`~cliquestream.rs_tree._child_walk`; 0 and 0 for the root)."""
         entries = self._entries
         if not entries:
             raise IndexError("pop from an empty backtracking stack")
@@ -119,9 +123,11 @@ class BacktrackStack:
         if low == children:
             del entries[-2:]
             if not low:
-                return parent, 0
+                return (parent, 0, 0, 0) if masks else (parent, 0)
         else:
             entries[-1] = children ^ low
+        if masks:
+            return _child_walk(g, parent, low, counter)
         i = low.bit_length()
         return _lc_bits(g, (parent & (low - 1) & g.adj[i - 1]) | low, counter), i
 
@@ -143,10 +149,11 @@ def step_events(
     listing's one ledger: pops charge it, and the children step should
     charge the same one.  Each event costs the counter's growth since the
     previous event, so units already on it (the root's construction) fall on
-    the first event.  With ``decide``, each clique is decided right after
-    its event, ``children_fn`` and ``pace`` are unused, and a clique event
-    costs its pop and the previous clique's decision unless it opens a
-    batch, a batch-completed event its last clique's decision.  Otherwise
+    the first event.  With ``decide``, each clique is decided from its pop's
+    masks right after its event, ``children_fn`` and ``pace`` are unused,
+    and a clique event costs its pop and the previous clique's decision
+    unless it opens a batch, a batch-completed event its last clique's
+    decision.  Otherwise
     ``children_fn`` takes each batch.  Without ``pace``, its step is read as
     the stack reaches each parent, so a lazy step's work falls on the events
     that wait for it.  With ``pace`` every step runs at its batch end; with
@@ -182,7 +189,10 @@ def step_events(
                     entries.pop()
             if not entries:
                 break
-            mask, index = stack.pop(g, counter)
+            if decide is None:
+                mask, index = stack.pop(g, counter)
+            else:
+                mask, index, near, outside = stack.pop(g, counter, True)
             size += 1
             stats.cliques_emitted += 1
             stats.stack_cliques = stack.pending
@@ -195,7 +205,7 @@ def step_events(
                 batch.append(mask)
                 indices.append(index)
             else:
-                children = decide(g, mask, index, counter)
+                children = decide(g, mask, index, counter, near, outside)
                 if children:
                     held.append(mask)
                     held.append(children)

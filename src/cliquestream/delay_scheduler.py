@@ -22,14 +22,15 @@ root batch // the cliques banked after the root (at least 1).
 
 A "bitset" listing decides each clique with
 :func:`~cliquestream.kernels.filter_children` right after its event, in
-plain and strict mode alike, so a gap is one pop and one parent's test.
+plain and strict mode alike, so a gap is one pop and one parent's test;
+the test reads the ``N(C)`` and outside set its pop's walk found.
 "rect" hands the traversal a lazy spec stream,
 :func:`~cliquestream.kernels.children_rect`, which does a slice's
 batch-level product once and then decides its pairs chunk by chunk.  A
 plain stream reads it as the stack reaches each parent, so a "rect" gap is
 one pop and the chunks up to the next parent with children.
-``run_strict``'s paced stream (:class:`~cliquestream.batch_dfs.Pace`, which
-serves "rect" alone) runs each "rect" step at its batch end, where boot
+``run_strict``'s paced stream (a :class:`~cliquestream.batch_dfs.Pace`,
+built for "rect" alone) runs each "rect" step at its batch end, where boot
 reads it, and after boot yields a children-work event once the units its
 next print waits for are charged: a gap passes tau_delay by less than one
 pop, one "bitset" parent's test or one "rect" chunk's charge, so it stays
@@ -137,7 +138,8 @@ def _listing(g: Graph, kernel: str, capacity, stats, pace: Pace | None) -> Itera
     """:func:`list_mc`'s stream, paced by ``pace``.  The kernel alone picks
     the children step: ``step_events``'s per-parent ``decide``, the
     :func:`~cliquestream.kernels.filter_children` found in ``kernels`` when
-    the listing opens, or its lazy ``children_fn``,
+    the listing opens, handed each pop's ``N(C)`` and outside set, or its
+    lazy ``children_fn``,
     :func:`~cliquestream.kernels.children_rect`, whose factors are built
     with the first batch."""
     if kernel not in KERNELS:
@@ -219,12 +221,12 @@ def run_strict(
     start = time.perf_counter()
     if report is None:
         report = StrictRunReport()
-    pace = Pace()
+    pace = Pace() if kernel == "rect" else None  # a "bitset" step reads no pace
     events = _listing(g, kernel, capacity, report.stats, pace)
     return _paced(g, events, pace, report, start)
 
 
-def _paced(g: Graph, events, pace: Pace, report, start: float) -> Iterator[Emission]:
+def _paced(g: Graph, events, pace: Pace | None, report, start: float) -> Iterator[Emission]:
     """``run_strict``'s pacing loop over an opened event stream, which the
     call opened at ``perf_counter`` reading ``start``."""
     stats = report.stats
@@ -235,7 +237,8 @@ def _paced(g: Graph, events, pace: Pace, report, start: float) -> Iterator[Emiss
     tau = cfg.tau_delay
     overflow = cfg.boot_target + g.n * g.n
     counter = ordinal = top = gap = 0
-    pace.quantum = tau  # children-work events from here on
+    if pace is not None:
+        pace.quantum = tau  # children-work events from here on
     # after an exhausting boot the stream is spent and this loop is empty
     for kind, clique, cost in events:
         counter += cost
@@ -259,7 +262,8 @@ def _paced(g: Graph, events, pace: Pace, report, start: float) -> Iterator[Emiss
             counter = 0
         elif counter >= tau and kind != TRAVERSAL_ENDED:  # the queue is empty
             report.starved_checks += 1
-        pace.quantum = tau - counter  # the units the next print waits for
+        if pace is not None:
+            pace.quantum = tau - counter  # the units the next print waits for
     report.queue_peak = peak
     drain_from = ordinal
     while q:

@@ -31,7 +31,8 @@ by ``Nc.T`` in chunks of at least :data:`CHUNK_ROWS` rows, more if
 on the bool blocks.  A chunk is decided only when the stream's reader needs
 a parent it covers, and each parent's spec leaves as soon as its last chunk
 is decided.  "bitset" runs :func:`filter_children` per parent, folding the
-common neighborhood only as far as each candidate needs.  A child set is
+common neighborhood only as far as each candidate needs, with the masks
+its pop's walk found in a listing.  A child set is
 one int mask either way, bit i - 1 for index i: what
 :func:`filter_children` returns and a :class:`ChildSpec`'s ``children``.
 ``children_naive`` re-derives the test with direct completion calls, one
@@ -195,7 +196,10 @@ def good_table_bitset(g: Graph, cliques) -> list[list[int]]:
     return rows
 
 
-def filter_children(g: Graph, p: int, index: int, counter: OpCounter | None = None) -> int:
+def filter_children(
+    g: Graph, p: int, index: int, counter: OpCounter | None = None,
+    near: int | None = None, outside: int = 0,
+) -> int:
     """The mask of the candidate indices that no ``j`` disqualifies (bit
     i - 1 for index i).
 
@@ -208,26 +212,27 @@ def filter_children(g: Graph, p: int, index: int, counter: OpCounter | None = No
     root.  ``i`` is rejected when some ``j < i`` outside the good row
     of ``i`` is a neighbor of ``i`` outside ``P`` or a non-member adjacent
     to its own prefix of ``P`` (child- or parent-side reconstruction
-    breaks).  The row's complement is folded lazily as the common
-    neighborhood of ``P_{<i} & N(i)`` until no ``j`` is left.  Charge in
-    words: ``3|P|`` for :func:`prefix_masks`, 4 for the masks, 6 per
-    candidate, 1 per fold.
+    breaks); those non-members lie below ``index``.  The row's complement
+    is folded lazily as the common neighborhood of ``P_{<i} & N(i)`` until
+    no ``j`` is left.  ``near`` and ``outside`` are ``N(P)`` and those
+    non-members, as a listing's pop walk finds them; without them
+    :func:`prefix_masks` does.  Charge in words: ``3|P|`` for those masks,
+    4 for the masks, 6 per candidate, 1 per fold.
     """
     adj = g.adj
     notp = ~p
-    adjacent, near = prefix_masks(g, p)
-    outside = adjacent & notp
+    if near is None:
+        adjacent, near = prefix_masks(g, p)
+        outside = adjacent & notp
     cand = (near if index else g.full_mask) & notp & -(1 << index)
     scanned = cand.bit_count()
     children = folds = 0
     while cand:
         low = cand & -cand
         cand ^= low
-        i = low.bit_length()
-        bel = low - 1
-        ai = adj[i - 1]
-        bad = ((ai & notp) | outside) & bel
-        pig = p & bel & ai
+        ai = adj[low.bit_length() - 1] & (low - 1)  # A_i
+        pig = p & ai
+        bad = (ai ^ pig) | outside
         while bad and pig:
             u = pig & -pig
             pig ^= u

@@ -122,6 +122,40 @@ def prefix_masks(g: Graph, p: int) -> tuple[int, int]:
     return adjacent, near
 
 
+def _child_walk(g: Graph, parent: int, low: int, counter: OpCounter | None = None) -> tuple:
+    """The child ``C`` of the mask ``parent`` at the index ``i`` whose bit
+    is ``low`` (:func:`_lc_bits` of ``(P_{<i} & N(i)) | {i}``, charged the
+    same), ``i``, ``N(C)`` and the outside set (the non-members adjacent to
+    every member below them), from one walk over the members.  That set
+    lies below ``i`` (a ``j`` above it would join the completion of
+    ``C_{<j}``, which is ``C``), so the walk tracks it over the base alone."""
+    adj = g.adj
+    i = low.bit_length()
+    cand = near = adj[i - 1]
+    adjacent = bel = low - 1
+    rest = base = parent & bel & cand
+    while rest:
+        u = rest & -rest
+        rest ^= u
+        nu = adj[u.bit_length() - 1]
+        cand &= nu
+        near |= nu
+        adjacent &= nu | ((u << 1) - 1)
+    s = base | low
+    inserted = 0
+    while cand:
+        v = cand & -cand
+        s |= v
+        nv = adj[v.bit_length() - 1]
+        cand &= nv
+        near |= nv
+        inserted += 1
+    if counter is not None:
+        counter.ops += inserted + (inserted + base.bit_count() + 1) * ((g.n + 63) >> 6)
+    # every base member stays in adjacent, so this leaves the non-members
+    return s, i, near, adjacent ^ base
+
+
 def clique_index(g: Graph, c: VertexSet, counter: OpCounter | None = None) -> int | None:
     """Index of the maximal clique ``c``: the greatest ``i`` whose prefix
     ``C_{<i}`` does not complete back to ``C``; ``None`` for the root.  The

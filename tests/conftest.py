@@ -120,7 +120,8 @@ def watch_children_steps(monkeypatch, watch):
     listing, watched before its step, whose plain batch is read into lists
     first, so the watched listing keeps each batch until its step ends; and
     the ``decide`` of a "bitset" listing, whose parents are watched once the
-    batch's last one is decided, before the batch completes."""
+    batch's last one is decided, before the batch completes (the masks its
+    pop's walk hands ``decide`` pass through unwatched)."""
     real = cs.delay_scheduler.step_events
 
     def step_events(g, root_clique, children_fn, capacity, stats, counter, pace, decide):
@@ -133,10 +134,10 @@ def watch_children_steps(monkeypatch, watch):
             return real(g, root_clique, watched, capacity, stats, counter, pace, None)
         decided = ([], [])
 
-        def watched_decide(g, p, index, counter):
+        def watched_decide(g, p, index, counter, near, outside):
             decided[0].append(p)
             decided[1].append(index)
-            return decide(g, p, index, counter)
+            return decide(g, p, index, counter, near, outside)
 
         def events():
             for event in real(g, root_clique, None, capacity, stats, counter, pace, watched_decide):

@@ -268,9 +268,34 @@ class TestPace:
                 assert kinds[k + 1] == cs.BATCH_COMPLETED and events[k + 1].cost == 0
 
 
+def sparse_with_isolated(n: int) -> cs.Graph:
+    """gnp(n, 1.5 / n) at seed n, which has isolated vertices for the n
+    used here."""
+    g = cs.Graph.gnp(n, 1.5 / n, seed=n)
+    assert 0 in g.adj
+    return g
+
+
 class TestCarriedIndex:
     """The traversal hands each popped clique's index to the children step,
-    so nothing recomputes it; it must equal the definitional index."""
+    so nothing recomputes it; it must equal the definitional index.  A
+    clique's outside set (the non-members adjacent to every member below
+    them) lies below that index and is empty for the root, which is what
+    lets a "bitset" pop walk only the members below it."""
+
+    @staticmethod
+    def runs():
+        graphs = list(random_graphs(6, seed0=2100, n_hi=12))
+        graphs += [cs.Graph.complete_multipartite_triples(12), bridged_cliques_graph()]
+        # past one word, with isolated vertices, so the root has children
+        # outside N(root)
+        graphs += [sparse_with_isolated(65), sparse_with_isolated(130)]
+        graphs.append(cs.Graph.complete_multipartite_triples(15))
+        runs = [(g, cap) for g in graphs for cap in (1, 7, g.n * g.n)]
+        # indices past the oracle's n = 24, checked against the definition
+        # alone; one capacity each keeps them cheap
+        runs += [(cs.Graph.gnp(40, 0.5, seed=40), 7), (cs.Graph.gnp(100, 0.07, seed=100), 7)]
+        return runs
 
     @pytest.mark.parametrize("kernel", ["bitset", "rect"])
     def test_popped_index_is_clique_index(self, kernel, monkeypatch):
@@ -281,6 +306,8 @@ class TestCarriedIndex:
             # traversal revisit cliques and never end
             for c, i in zip(cliques, indices):
                 assert (cs.rs_tree.clique_index(g, cs.VertexSet(c)) or 0) == i
+                outside = cs.rs_tree.prefix_masks(g, c)[0] & ~c
+                assert outside < 1 << (i - 1) if i else outside == 0
                 # the candidate cut keeps every child children_naive finds
                 assert cs.kernels.filter_children(g, c, i) == (
                     cs.kernels.children_naive(g, c, i).children
@@ -290,20 +317,40 @@ class TestCarriedIndex:
             seen.extend(reversed(cliques) if kernel == "rect" else cliques)
 
         watch_children_steps(monkeypatch, checked)
-        graphs = list(random_graphs(6, seed0=2100, n_hi=12))
-        graphs += [cs.Graph.complete_multipartite_triples(12), bridged_cliques_graph()]
-        runs = [(g, cap) for g in graphs for cap in (1, 7, g.n * g.n)]
-        # indices past the oracle's n = 24, checked against the definition
-        # alone; one capacity each keeps them cheap
-        runs += [
-            (cs.Graph.gnp(40, 0.5, seed=40), 7),
-            (cs.Graph.gnp(100, 0.07, seed=100), 7),
-            (cs.Graph.complete_multipartite_triples(15), 7),
-        ]
-        for g, cap in runs:
+        for g, cap in self.runs():
             seen.clear()
             assert [c.bits for c in collect_plain(g, kernel=kernel, capacity=cap)] == seen
             assert cs.rs_tree.clique_index(g, cs.VertexSet(seen[0])) is None
+
+    def test_walk_hands_the_test_its_prefix_masks(self, monkeypatch):
+        # each bitset pop's walk finds N(C) and the outside set that
+        # prefix_masks finds over all of C, cut below the carried index, and
+        # its test reads them; the root's are 0
+        real_walk, real_filter = cs.batch_dfs._child_walk, cs.kernels.filter_children
+        walked, tested = [], []
+
+        def walk(g, parent, low, counter):
+            popped = real_walk(g, parent, low, counter)
+            walked.append(popped)
+            return popped
+
+        def filter_children(g, p, index, counter, near, outside):
+            tested.append((p, index, near, outside))
+            return real_filter(g, p, index, counter, near, outside)
+
+        monkeypatch.setattr(cs.batch_dfs, "_child_walk", walk)
+        monkeypatch.setattr(cs.kernels, "filter_children", filter_children)
+        for g, cap in self.runs():
+            walked.clear()
+            tested.clear()
+            cliques = [c.bits for c in collect_plain(g, capacity=cap)]
+            assert tested[0] == (cliques[0], 0, 0, 0)
+            assert tested[1:] == walked and [p for p, *_ in tested] == cliques
+            for p, index, near, outside in walked:
+                adjacent, want_near = cs.rs_tree.prefix_masks(g, p)
+                assert index > 0 and near == want_near
+                assert outside == adjacent & ~p & ((1 << (index - 1)) - 1)
+                assert outside == adjacent & ~p
 
     def test_stack_records_popped_index(self, bridged):
         stack = BacktrackStack()
@@ -329,16 +376,18 @@ class TestOnDemandChildren:
     @staticmethod
     def logged(monkeypatch):
         """Log every children test as ("test", child mask, units), every
-        pop's completion as ("pop", None, units) and the "rect" factors as
-        ("factors", None, units), in the order they run.  A "rect" spec's
-        units are those charged while the stream produced it."""
+        pop's completion ("rect"'s, or "bitset"'s walk) as ("pop", None,
+        units) and the "rect" factors as ("factors", None, units), in the
+        order they run.  A "rect" spec's units are those charged while the
+        stream produced it."""
         log = []
         real_filter, real_completion = cs.kernels.filter_children, cs.batch_dfs._lc_bits
+        real_walk = cs.batch_dfs._child_walk
         real_rect, real_factors = cs.kernels.children_rect, cs.delay_scheduler.graph_factors
 
-        def filter_children(g, p, index, counter):
+        def filter_children(g, p, index, counter, near, outside):
             before = counter.ops
-            children = real_filter(g, p, index, counter)
+            children = real_filter(g, p, index, counter, near, outside)
             log.append(("test", children, counter.ops - before))
             return children
 
@@ -365,10 +414,17 @@ class TestOnDemandChildren:
             log.append(("pop", None, counter.ops - before))
             return mask
 
+        def walk(g, parent, low, counter):
+            before = counter.ops
+            popped = real_walk(g, parent, low, counter)
+            log.append(("pop", None, counter.ops - before))
+            return popped
+
         monkeypatch.setattr(cs.kernels, "filter_children", filter_children)
         monkeypatch.setattr(cs.kernels, "children_rect", children_rect)
         monkeypatch.setattr(cs.delay_scheduler, "graph_factors", graph_factors)
         monkeypatch.setattr(cs.batch_dfs, "_lc_bits", completion)
+        monkeypatch.setattr(cs.batch_dfs, "_child_walk", walk)
         return log
 
     @pytest.mark.parametrize("name", ON_DEMAND_GRAPHS)

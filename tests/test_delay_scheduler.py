@@ -84,9 +84,9 @@ class TestListMc:
         real = cs.kernels.filter_children
         parents = []
 
-        def counted(g, p, index, counter=None):
+        def counted(g, p, index, counter=None, *masks):
             parents.append(p)
-            return real(g, p, index, counter)
+            return real(g, p, index, counter, *masks)
 
         monkeypatch.setattr(cs.kernels, "filter_children", counted)
         for capacity in (1, 7, g.n * g.n):

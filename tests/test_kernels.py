@@ -618,6 +618,9 @@ class TestCandidateCut:
             assert cs.kernels.filter_children(g, p, index) == (
                 cs.kernels.children_naive(g, p, index).children
             )
+            # the outside set lies below the index, so no candidate cuts it
+            outside = prefix_masks(g, p)[0] & ~p
+            assert outside < 1 << (index - 1) if index else outside == 0
 
     def test_units_per_clique_do_not_grow_with_n(self):
         # deterministic work units, not wall time: before the cut, every
