@@ -7,9 +7,10 @@ lines, ``c`` comments), or generator specs passed straight to ``--input``:
 vertex count or edge probability the :class:`Graph` constructors refuse
 is refused with their message (after the line number, for files).  Files
 are read in bulk: the text is checked and its ASCII decimal ids read in a
-few bytes and numpy calls, and one rows helper packs the adjacency a block
-of rows at a time; the line-by-line rules run only to name the first line
-of a refused file.  A leading UTF-8 byte-order mark is dropped.
+few bytes and numpy calls, and :class:`Graph`'s pairs builder packs the
+adjacency a block of rows at a time; the line-by-line rules run only to
+name the first line of a refused file.  A leading UTF-8 byte-order mark
+is dropped.
 
 Cliques stream to stdout one per line as ascending 1-based vertex ids;
 diagnostics go to stderr.  A reader that closes stdout early (``| head``)
@@ -79,7 +80,6 @@ _INDENT = re.compile(rb"\n +")
 _EDGE_COMMENT = re.compile(rb"#[^\n]*")
 _DIMACS_COMMENT = re.compile(rb"\nc[^\n]*")
 _E_AS_SPACE = bytes.maketrans(b"e", b" ")
-_BLOCK_BITS = 1 << 16  # bool cells of one block of rows before it is packed
 
 
 def _check_count(n: int, lineno: int) -> None:
@@ -134,41 +134,13 @@ def _numbers(data: bytes, count: int):
 
 
 def _graph(n: int, pairs, report: IngestReport | None) -> Graph:
-    """The graph on ``1..n`` of the edges ``pairs`` (an int64 array of id
-    pairs, ids in range), with its self-loops and repeats counted in ``report``.
-
-    The rows are packed a block of rows, at most :data:`_BLOCK_BITS` cells,
-    at a time, and only the blocks that hold an edge are made, so no n x n
-    or n x n/8 buffer is.  The repeats are the edges given less the
-    distinct ones the rows hold.
-    """
+    """The graph of the int64 id pairs ``pairs``, its self-loops and repeats in ``report``."""
     loop = pairs[:, 0] == pairs[:, 1]
     loops = int(np.count_nonzero(loop))
-    if loops:
-        pairs = pairs[~loop]
-    width = -(-n // 8) * 8
-    rows = max(1, _BLOCK_BITS // width)  # per block
-    # cell u * width + v of the packed rows for each pair (u, v), and v * width + u
-    cells = (pairs @ np.array([[width, 1], [1, width]])).ravel() - (width + 1)
-    if n > rows:  # more than one block: sorted, each block's cells are a run
-        cells.sort()
-    adj = [0] * n
-    step = width // 8
-    lo = 0
-    while lo < len(cells):  # the cells of the next block of rows that holds an edge
-        first = int(cells[lo]) // width // rows * rows
-        hi = int(cells.searchsorted((first + rows) * width)) if n > rows else len(cells)
-        bits = np.zeros(min(rows, n - first) * width, bool)
-        bits[cells[lo:hi] - first * width] = True
-        packed = np.packbits(bits, bitorder="little").tobytes()
-        adj[first : first + len(packed) // step] = [
-            int.from_bytes(packed[i : i + step], "little") for i in range(0, len(packed), step)
-        ]
-        lo = hi
-    g = Graph._normalized(n, tuple(adj))
+    g = Graph._from_pairs(n, pairs[~loop] if loops else pairs)
     if report is not None:
         report.self_loops_dropped += loops
-        report.duplicates_dropped += len(pairs) - g.m
+        report.duplicates_dropped += len(pairs) - loops - g.m
     return g
 
 

@@ -17,13 +17,18 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import index
 from typing import Iterable, Iterator
+
+import numpy as np
 
 # bytes one graph-sized allocation may take; a larger one is refused before
 # it is made: the adjacency rows (n^2 bits, n <= 92,681), and in kernels
 # "rect"'s factors and the reference's M_G
 BUDGET_BYTES = 1 << 30
 _REVERSED_BYTE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))  # bits 0-7 as 7-0
+_BLOCK_BITS = 1 << 16  # bool cells of one block of rows before it is packed
 
 
 def vbit(v: int) -> int:
@@ -154,22 +159,46 @@ class Graph:
         return g
 
     @classmethod
+    def _from_pairs(cls, n: int, pairs: np.ndarray) -> "Graph":
+        """Graph on ``1..n`` of the int64 id pairs ``pairs``, ids in range and
+        no self-loop (not checked again).  The rows are packed a block of
+        rows, at most :data:`_BLOCK_BITS` cells, at a time, and only the
+        blocks that hold an edge are made, so no n x n or n x n/8 buffer is."""
+        width = -(-n // 8) * 8
+        rows = max(1, _BLOCK_BITS // width)  # per block
+        # cell u * width + v of the packed rows for each pair (u, v), and v * width + u
+        cells = (pairs @ np.array([[width, 1], [1, width]])).ravel() - (width + 1)
+        if n > rows:  # more than one block: sorted, each block's cells are a run
+            cells.sort()
+        adj = [0] * n
+        step = width // 8
+        lo = 0
+        while lo < len(cells):  # the cells of the next block of rows that holds an edge
+            first = int(cells[lo]) // width // rows * rows
+            hi = int(cells.searchsorted((first + rows) * width)) if n > rows else len(cells)
+            bits = np.zeros(min(rows, n - first) * width, bool)
+            bits[cells[lo:hi] - first * width] = True
+            packed = np.packbits(bits, bitorder="little").tobytes()
+            adj[first : first + len(packed) // step] = [
+                int.from_bytes(packed[i : i + step], "little") for i in range(0, len(packed), step)
+            ]
+            lo = hi
+        return cls._normalized(n, tuple(adj))
+
+    @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         """Build a graph, normalizing away self-loops, duplicates and flips.
 
         Construction is idempotent under duplicated or orientation-flipped
-        edges.  Vertices outside ``1..n`` raise ``ValueError``.
+        edges.  Ids outside ``1..n`` raise ``ValueError``, non-integer ids ``TypeError``.
         """
         check_vertex_count(n)
-        adj = [0] * n
-        for u, v in edges:
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise ValueError(f"edge ({u}, {v}) outside vertex range 1..{n}")
-            if u == v:
-                continue
-            adj[u - 1] |= 1 << (v - 1)
-            adj[v - 1] |= 1 << (u - 1)
-        return cls._normalized(n, tuple(adj))
+        ids = [i for u, v in edges for i in (index(u), index(v))]
+        if ids and not (min(ids) >= 1 and max(ids) <= n):
+            k = next(k for k, i in enumerate(ids) if not 1 <= i <= n) & -2
+            raise ValueError(f"edge ({ids[k]}, {ids[k + 1]}) outside vertex range 1..{n}")
+        pairs = np.array(ids, np.int64).reshape(-1, 2)
+        return cls._from_pairs(n, pairs[pairs[:, 0] != pairs[:, 1]])
 
     @classmethod
     def complete(cls, n: int) -> "Graph":
@@ -185,13 +214,8 @@ class Graph:
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"edge probability must be in [0, 1], got {p}")
         rng = random.Random(seed)
-        edges = [
-            (u, v)
-            for u in range(1, n + 1)
-            for v in range(u + 1, n + 1)
-            if rng.random() < p
-        ]
-        return cls.from_edges(n, edges)
+        edges = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1) if rng.random() < p]
+        return cls._from_pairs(n, np.fromiter(chain.from_iterable(edges), np.int64).reshape(-1, 2))
 
     @classmethod
     def complete_multipartite_triples(cls, n: int) -> "Graph":

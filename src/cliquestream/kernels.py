@@ -32,22 +32,22 @@ on the bool blocks.  A chunk is decided only when the stream's reader needs
 a parent it covers, and each parent's spec leaves as soon as its last chunk
 is decided.  "bitset" runs :func:`filter_children` per parent, folding the
 common neighborhood only as far as each candidate needs, with the masks
-its pop's walk found in a listing.  A child set is
-one int mask either way, bit i - 1 for index i: what
-:func:`filter_children` returns and a :class:`ChildSpec`'s ``children``.
-``children_naive`` re-derives the test with direct completion calls, one
-parent at a time, as the differential reference.  Only indices above the
-parent's own index are candidates.  The traversal knows that index (a
-child popped from ``(P, i)`` has index ``i``, the root 0) and passes
-it in; :func:`children_batch` recomputes it with :func:`clique_index` for
-callers that hand in arbitrary batches.  A non-root parent tests only its
-neighbors ``N(P)``, so cost follows degree.
+its pop's walk found in a listing.  A child set is one int mask either
+way, bit i - 1 for index i: what :func:`filter_children` returns and a
+:class:`ChildSpec`'s ``children``.  ``children_naive`` re-derives the
+test with direct completion calls, one parent at a time, as the
+differential reference.  Only indices above the parent's own index are
+candidates.  The traversal knows that index (a child popped from ``(P,
+i)`` has index ``i``, the root 0) and passes it in; :func:`children_batch`
+recomputes it for arbitrary batches.  Both kernels test only neighbors
+``N(P)``, the root's too, so cost follows degree; one helper,
+:func:`root_far_children`, adds the root's children outside ``N(root)``.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import pairwise
 from typing import Iterator
@@ -196,6 +196,24 @@ def good_table_bitset(g: Graph, cliques) -> list[list[int]]:
     return rows
 
 
+def root_far_children(g: Graph, p: int, near: int) -> tuple[int, int]:
+    """The root ``p``'s children outside ``near``, its ``N(P)``, as one mask,
+    and how many candidates lie there.  Such an ``i`` has an empty ``P &
+    A_i`` and the root no outside set, so it is a child iff it has no lower
+    neighbor: read off one pass over the rows, or off its own row if few."""
+    far = rest = g.full_mask & ~(p | near)
+    count = far.bit_count()
+    if 2 * count > g.n:
+        return far & sum(1 << v for v, row in enumerate(g.adj) if not row & (1 << v) - 1), count
+    children = 0
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        if not g.adj[low.bit_length() - 1] & (low - 1):
+            children |= low
+    return children, count
+
+
 def filter_children(
     g: Graph, p: int, index: int, counter: OpCounter | None = None,
     near: int | None = None, outside: int = 0,
@@ -204,29 +222,31 @@ def filter_children(
     i - 1 for index i).
 
     Candidates are the non-members of ``p`` above ``index``, the parent's
-    own index (0 for the root), and for a non-root parent only its
-    neighbors ``N(P)``, at most |P| times the maximum degree.  The cut is
-    exact: ``P`` completes ``P_{<i}`` for ``i`` above its index, so when
-    ``P_{<i} & N(i)`` is empty (as for every ``i`` outside ``N(P)``), the
-    backward check completes it to the root and fails unless ``P`` is the
-    root.  ``i`` is rejected when some ``j < i`` outside the good row
-    of ``i`` is a neighbor of ``i`` outside ``P`` or a non-member adjacent
-    to its own prefix of ``P`` (child- or parent-side reconstruction
-    breaks); those non-members lie below ``index``.  The row's complement
-    is folded lazily as the common neighborhood of ``P_{<i} & N(i)`` until
-    no ``j`` is left.  ``near`` and ``outside`` are ``N(P)`` and those
-    non-members, as a listing's pop walk finds them; without them
-    :func:`prefix_masks` does.  Charge in words: ``3|P|`` for those masks,
-    4 for the masks, 6 per candidate, 1 per fold.
+    own index (0 for the root), and the loop tests only its neighbors
+    ``N(P)``, at most |P| times the maximum degree.  The cut is exact:
+    ``P`` completes ``P_{<i}`` for ``i`` above its index, so when ``P_{<i}
+    & N(i)`` is empty (as for every ``i`` outside ``N(P)``), the backward
+    check completes it to the root and fails unless ``P`` is the root,
+    whose children there :func:`root_far_children` adds.  ``i`` is rejected
+    when some ``j < i`` outside the good row of ``i`` is a neighbor of ``i``
+    outside ``P`` or a non-member adjacent to its own prefix of ``P``
+    (child- or parent-side reconstruction breaks); those non-members lie
+    below ``index``.  The row's complement is folded lazily as the common
+    neighborhood of ``P_{<i} & N(i)`` until no ``j`` is left.  ``near`` and
+    ``outside`` are ``N(P)`` and those non-members from a listing's pop
+    walk, else (and at the root) from :func:`prefix_masks`.  Charge in
+    words: ``3|P|`` for those masks, 4 for the masks, 6 per candidate, far
+    ones included, 1 per fold.
     """
     adj = g.adj
     notp = ~p
-    if near is None:
+    if near is None or not index:
         adjacent, near = prefix_masks(g, p)
         outside = adjacent & notp
-    cand = (near if index else g.full_mask) & notp & -(1 << index)
-    scanned = cand.bit_count()
-    children = folds = 0
+    cand = near & notp & -(1 << index)
+    children, scanned = (0, 0) if index else root_far_children(g, p, near)
+    scanned += cand.bit_count()
+    folds = 0
     while cand:
         low = cand & -cand
         cand ^= low
@@ -247,19 +267,14 @@ def filter_children(
 
 
 def _rect_slice(g: Graph, part: list[int], index: np.ndarray, factors: Factors):
-    """The batch-level work of one slice.  Returns the rows of ``M_B`` and
+    """The batch-level work of one slice: the rows of ``M_B`` and
     ``outside_P`` (the non-members adjacent to every member below them) in
-    one byte a vertex, 1 for a member and 2 for a vertex outside ``P``; the
-    flat pairs ``k * n + i - 1`` left for the product, 2 bytes each where
-    they fit (4 otherwise); and the candidates decided here, the root's rows
-    outside ``N(root)``: how many, and the flat pairs accepted among them.
-    A suspended stream keeps the first two, n bytes a parent and 2 or 4 a
-    pair."""
+    one byte a vertex, 1 for a member and 2 for a vertex outside ``P``, and
+    the flat pairs ``k * n + i - 1`` inside ``N(P)``, 2 bytes each where they
+    fit (4 otherwise).  A suspended stream keeps both, n bytes a parent."""
     n = g.n
-    a_rows, _, near_op = factors
     mb = _mask_rows(part, n)
-    product = matmul.multiply_boolean_threshold(mb, near_op)
-    near = product[:, :n]
+    product = matmul.multiply_boolean_threshold(mb, factors[2])
     # U's diagonal marks every member, so these are the non-members adjacent
     # to every member below them
     outside = ~product[:, n:]
@@ -268,18 +283,9 @@ def _rect_slice(g: Graph, part: list[int], index: np.ndarray, factors: Factors):
     stairs = np.ndarray((n + 1, n), bool, np.arange(2 * n) >= n, strides=(1, 1))
     cand = stairs[n - index]
     cand &= ~mb  # column i - 1 is vertex i: the non-members above the index
-    cand &= near | (index == 0)[:, None]  # the root tests every non-member
-    pairs = np.flatnonzero(cand & near)
-    pairs = pairs.astype(np.uint16 if len(part) * n <= 1 << 16 else np.uint32)
-    # a root candidate outside N(root) has an empty P & A_i and good row, so
-    # it is accepted iff A_i is empty and no vertex below it is outside P
-    root, i = np.nonzero(cand & ~near)
-    kept = mb.view(np.uint8) | outside.view(np.uint8) << 1, pairs
-    if not len(i):
-        return *kept, 0, []
-    first = np.where(outside.any(axis=1), outside.argmax(axis=1), n)[root]
-    accepted = (root * n + i)[~a_rows.any(axis=1)[i] & (i <= first)]
-    return *kept, len(i), accepted.tolist()
+    cand &= product[:, :n]  # inside N(P)
+    pairs = np.flatnonzero(cand).astype(np.uint16 if len(part) * n <= 1 << 16 else np.uint32)
+    return mb.view(np.uint8) | outside.view(np.uint8) << 1, pairs
 
 
 def _decide(pairs: np.ndarray, n: int, factors: Factors, sides: np.ndarray) -> list[int]:
@@ -323,12 +329,15 @@ def children_rect(
     size = max(1, RECT_ROWS_BYTES // (32 * n))
     for lo in range(0, len(cliques), size):
         part = cliques if size >= len(cliques) else cliques[lo : lo + size]
-        sides, pairs, decided, roots = _rect_slice(
-            g, part, np.fromiter(carried, np.intp, len(part)), factors
-        )
+        index = np.fromiter(carried, np.intp, len(part))
+        sides, pairs = _rect_slice(g, part, index, factors)
+        roots = {}  # the root rows' children outside N(root), by row
+        scanned = 0  # those candidates are charged with the slice
+        for k in np.flatnonzero(index == 0).tolist():
+            roots[k], count = root_far_children(g, part[k], prefix_masks(g, part[k])[1])
+            scanned += count
         found: list[int] = []  # the flat pairs accepted and not yet released, ascending
         total, done, released = len(pairs), 0, 0
-        scanned = decided
         while True:
             if done < total:  # every parent below the next undecided pair's is decided
                 last = int(pairs[done]) // n
@@ -338,10 +347,6 @@ def children_rect(
                 members = sum(map(int.bit_count, part[released:last]))
                 counter.ops += ((5 + n * n) * (last - released) + 3 * members + 6 * scanned) * w
             if last > released:
-                if roots:  # the root rows' children outside N(root), decided with the slice
-                    cut = bisect_left(roots, last * n)
-                    found = sorted(found + roots[:cut])
-                    del roots[:cut]
                 # the released parents' child masks, read in bulk: found holds k * n + i - 1
                 # for each accepted i of parent k
                 group, a = [], 0
@@ -350,6 +355,8 @@ def children_rect(
                     group.append(sum(1 << (f - k * n) for f in found[a:z]) if z > a else 0)
                     a = z
                 del found[:a]
+                for k in [k for k in roots if k < last]:
+                    group[k - released] |= roots.pop(k)
                 for k, children in enumerate(group, released):
                     spec = _new(ChildSpec)  # ChildSpec(part[k], children) without its call
                     _set_parent(spec, part[k])
@@ -397,19 +404,17 @@ def children_batch(
     kernel: str = "bitset",
     counter: OpCounter | None = None,
     indices=None,
-    factors: Factors | None = None,
 ) -> list[ChildSpec]:
     """One ChildSpec per batch element, in batch order.
 
     ``kernel`` picks how good pairs are decided: "rect" goes through the
     Boolean product, "bitset" through the lazy candidate test of
     :func:`filter_children`.  Both agree extensionally with
-    :func:`children_naive`.  ``indices`` holds each clique's own
-    index (0 for the root) when the caller knows it, one per clique (a list
-    of another length is refused); without it, each index
-    is recomputed with :func:`clique_index`.  "rect" builds (and charges)
-    :func:`graph_factors` unless ``factors`` passes them in, and reads
-    :func:`children_rect` to its end.
+    :func:`children_naive`.  ``indices`` holds each clique's own index (0
+    for the root) when the caller knows it, one per clique (a list of
+    another length is refused); without it, each index is recomputed with
+    :func:`clique_index`.  "rect" builds (and charges) :func:`graph_factors`
+    and reads :func:`children_rect` to its end.
     """
     _check_batch(cliques)
     if indices is None:
@@ -420,6 +425,4 @@ def children_batch(
         return [ChildSpec(p, filter_children(g, p, i, counter)) for p, i in zip(cliques, indices)]
     if kernel != "rect":
         raise ValueError(f"unknown kernel {kernel!r}")
-    if factors is None:
-        factors = graph_factors(g, counter)
-    return list(children_rect(g, cliques, indices, factors, counter))
+    return list(children_rect(g, cliques, indices, graph_factors(g, counter), counter))

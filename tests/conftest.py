@@ -39,6 +39,14 @@ def graphs(draw, max_n=14):
     return cs.Graph.from_edges(n, [e for e, keep in zip(pairs, picks) if keep])
 
 
+def sparse_with_isolated(n: int) -> cs.Graph:
+    """gnp(n, 1.5 / n) at seed n, which has isolated vertices for the n
+    used here."""
+    g = cs.Graph.gnp(n, 1.5 / n, seed=n)
+    assert 0 in g.adj
+    return g
+
+
 def path_graph(n: int) -> cs.Graph:
     return cs.Graph.from_edges(n, [(i, i + 1) for i in range(1, n)])
 

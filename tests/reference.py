@@ -6,7 +6,8 @@ cross-checked by exhaustive subset scan, completions pick the lexicographic
 maximum over the enumerated clique set, indices re-run the definitional
 descending scan, good pairs evaluate the literal existential quantifier,
 the lexicographic sort reverses bit strings, the ``--verify`` verdict
-compares whole sets, and the graph files are read line by line.  Nothing
+compares whole sets, and edge lists and graph files are read one pair or
+line at a time.  Nothing
 is shared with the production code paths beyond the graph type, the
 ``ChildSpec`` record and the CLI's ingestion records, so agreement is
 meaningful evidence.
@@ -46,6 +47,21 @@ def to_edge_list(g: Graph) -> str:
     lines = [f"n {g.n}"]
     lines.extend(f"{u} {v}" for u, v in g.edges())
     return "\n".join(lines) + "\n"
+
+
+def from_edges(n: int, edges) -> Graph:
+    """``Graph.from_edges`` one pair at a time: each pair's bits set in
+    both rows, self-loops skipped, the rows validated by ``Graph``."""
+    check_vertex_count(n)
+    adj = [0] * n
+    for u, v in edges:
+        if not (1 <= u <= n and 1 <= v <= n):
+            raise ValueError(f"edge ({u}, {v}) outside vertex range 1..{n}")
+        if u == v:
+            continue
+        adj[u - 1] |= 1 << (v - 1)
+        adj[v - 1] |= 1 << (u - 1)
+    return Graph(n, tuple(adj))
 
 
 def _check_count(n: int, lineno: int) -> None:

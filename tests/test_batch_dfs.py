@@ -17,6 +17,7 @@ from conftest import (
     graphs,
     oracle_bits,
     random_graphs,
+    sparse_with_isolated,
     watch_children_steps,
 )
 
@@ -266,14 +267,6 @@ class TestPace:
         for k, kind in enumerate(kinds):
             if kind == CHILDREN_WORK:
                 assert kinds[k + 1] == cs.BATCH_COMPLETED and events[k + 1].cost == 0
-
-
-def sparse_with_isolated(n: int) -> cs.Graph:
-    """gnp(n, 1.5 / n) at seed n, which has isolated vertices for the n
-    used here."""
-    g = cs.Graph.gnp(n, 1.5 / n, seed=n)
-    assert 0 in g.adj
-    return g
 
 
 class TestCarriedIndex:

@@ -133,7 +133,7 @@ DOCUMENTS = st.one_of(
 
 class TestOnePassIngestion:
     """Both parsers give the same rows and report counts as
-    ``Graph.from_edges`` on the pairs the file holds, with self-loops,
+    ``reference.from_edges`` on the pairs the file holds, with self-loops,
     repeats either way round, comments, an ``n`` header or not, and DIMACS
     edge counts that are off."""
 
@@ -178,7 +178,7 @@ class TestOnePassIngestion:
             text, n, pairs, declared = self.document(rng, fmt)
             report = cli.IngestReport()
             g = parse(text, report)
-            want = cs.Graph.from_edges(n, pairs)
+            want = reference.from_edges(n, pairs)
             loops = sum(u == v for u, v in pairs)
             assert (g.n, g.adj, g.m) == (want.n, want.adj, want.m)
             assert report.self_loops_dropped == loops
@@ -338,11 +338,14 @@ class TestBulkReaderMatchesLineReader:
     def test_past_one_block_of_rows(self, monkeypatch):
         """Rows packed a block of rows at a time: two blocks at n = 300, one
         row a block, and blocks only where an edge is."""
-        graphs = [cs.Graph.gnp(300, 0.05, seed=1), cs.Graph.from_edges(5000, [(1, 4999), (70, 71)])]
+        graphs = [
+            cs.Graph.gnp(300, 0.05, seed=1),
+            reference.from_edges(5000, [(1, 4999), (70, 71)]),
+        ]
         for g in graphs:
             for text, fmt in ((cli.to_dimacs(g), "dimacs"), (reference.to_edge_list(g), "edges")):
                 self.check(fmt, text)
-        monkeypatch.setattr(cli, "_BLOCK_BITS", 1)
+        monkeypatch.setattr(cs.graph, "_BLOCK_BITS", 1)
         for g in [*graphs, *random_graphs(5, seed0=3100)]:
             assert cli.parse_dimacs(cli.to_dimacs(g)) == g
             flipped = "".join(f"{v} {u}\n" for u, v in g.edges())

@@ -1,6 +1,8 @@
 import random
+import re
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import cliquestream as cs
@@ -142,6 +144,50 @@ class TestConstruction:
     def test_out_of_range_edge_rejected(self):
         with pytest.raises(ValueError):
             cs.Graph.from_edges(3, [(1, 4)])
+
+    def test_numpy_ids_build_the_graph_of_list_ids(self):
+        # numpy ids were once shifted as numpy ints: vertex 1's row came out
+        # empty, 70's held np.int64(1), m read 1 and validate() overflowed
+        pairs = [(1, 70), (2, 3), (70, 99), (5, 5), (3, 2)]
+        want = reference.from_edges(100, pairs)
+        assert want.m == 3 and cs.Graph.from_edges(100, pairs) == want
+        for edges in (
+            np.array(pairs),
+            np.array(pairs, np.int32),
+            np.array(pairs, np.uint64),
+            [(np.int64(u), np.int16(v)) for u, v in pairs],
+        ):
+            g = cs.Graph.from_edges(100, edges)
+            assert g == want and all(type(row) is int for row in g.adj)
+            g.validate()
+
+    @pytest.mark.parametrize("bad", [2.0, 2.5, np.float64(2.0), "2", None])
+    def test_non_integer_ids_refused(self, bad):
+        # never truncated, never parsed
+        for edges in ([(1, 3), (bad, 3)], [(1, 3), (3, bad)]):
+            with pytest.raises(TypeError):
+                cs.Graph.from_edges(3, edges)
+        with pytest.raises(TypeError):
+            cs.Graph.from_edges(3, np.array([(1.0, 2.0)]))
+
+    @pytest.mark.parametrize(
+        "edges, shown",
+        [
+            ([(1, 2), (3, 4), (0, 1)], "(3, 4)"),
+            (np.array([[1, 2], [0, 3]]), "(0, 3)"),
+            ([(2, 1), (1, 2**70)], f"(1, {2**70})"),
+            ([(-(2**63) - 1, 1)], f"({-(2**63) - 1}, 1)"),
+        ],
+    )
+    def test_out_of_range_message(self, edges, shown):
+        message = f"edge {shown} outside vertex range 1..3"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            cs.Graph.from_edges(3, edges)
+
+    def test_pairs_of_another_length_refused(self):
+        for edges in ([(1, 2, 3)], [(1, 2), (3,)], [(1, 2, 3), (1,)]):
+            with pytest.raises(ValueError):
+                cs.Graph.from_edges(3, edges)
 
     @pytest.mark.parametrize("n", [0, -2])
     def test_every_constructor_refuses_no_vertices(self, n):

@@ -26,6 +26,7 @@ from conftest import (
     index_of,
     oracle_masks,
     random_graphs,
+    sparse_with_isolated,
     watch_children_steps,
 )
 
@@ -199,7 +200,8 @@ class TestRectBlocks:
                 assert cs.kernels.good_table_rectangular(g, batch) == (
                     cs.kernels.good_table_bitset(g, batch)
                 )
-                rect = cs.kernels.children_batch(g, batch, kernel="rect", factors=factors)
+                indices = [index_of(g, p) for p in batch]
+                rect = list(cs.kernels.children_rect(g, batch, indices, factors))
                 assert rect == cs.kernels.children_batch(g, batch, kernel="bitset")
 
     def test_only_needed_rows_are_multiplied(self, monkeypatch):
@@ -227,7 +229,7 @@ class TestRectBlocks:
             monkeypatch.setattr(cs.kernels, "CHUNK_ROWS", rows)
             products.clear()
             counter = cs.OpCounter()
-            got = cs.kernels.children_batch(g, batch, "rect", counter, indices, factors)
+            got = list(cs.kernels.children_rect(g, batch, indices, factors, counter))
             assert sum(products) == need < len(batch) * g.n
             assert max(products) <= rows
             assert counter.ops == rect_charge(g, batch, indices)  # the full product is priced
@@ -250,9 +252,7 @@ class TestRectBlocks:
 
         monkeypatch.setattr(cs.matmul, "multiply_boolean_threshold", counted)
         counter = cs.OpCounter()
-        got = cs.kernels.children_batch(
-            g, [r], kernel="rect", counter=counter, indices=[0], factors=factors
-        )
+        got = list(cs.kernels.children_rect(g, [r], [0], factors, counter))
         _, near = prefix_masks(g, r)
         assert sum(rows) == (near & ~r).bit_count() < g.n - r.bit_count()
         assert got == want and counter.ops == rect_charge(g, [r], [0])
@@ -271,8 +271,9 @@ class TestRectBlocks:
         g = cs.Graph.gnp(70, 0.1, seed=5)
         batch = oracle_masks(g, limit=70)[:10]
         factors = cs.kernels.graph_factors(g)
+        indices = [index_of(g, p) for p in batch]
         whole = cs.OpCounter()
-        want = cs.kernels.children_batch(g, batch, "rect", whole, factors=factors)
+        want = list(cs.kernels.children_rect(g, batch, indices, factors, whole))
         monkeypatch.setattr(cs.kernels, "RECT_ROWS_BYTES", parents * 32 * g.n)
         slices = []
         real = cs.matmul.multiply_boolean_threshold
@@ -284,7 +285,7 @@ class TestRectBlocks:
 
         monkeypatch.setattr(cs.matmul, "multiply_boolean_threshold", counted)
         sliced = cs.OpCounter()
-        assert cs.kernels.children_batch(g, batch, "rect", sliced, factors=factors) == want
+        assert list(cs.kernels.children_rect(g, batch, indices, factors, sliced)) == want
         assert sliced.ops == whole.ops
         assert max(slices) == max(1, parents) and sum(slices) == len(batch)
 
@@ -356,14 +357,14 @@ class TestBatchStep:
                             naive[p] = cs.kernels.children_naive(g, p, index)
                     bitset = cs.kernels.children_batch(g, batch, "bitset", None, indices)
                     counter = cs.OpCounter()
-                    rect = cs.kernels.children_batch(g, batch, "rect", counter, indices, factors)
+                    rect = list(cs.kernels.children_rect(g, batch, indices, factors, counter))
                     assert rect == bitset == [naive[p] for p in batch]
                     assert counter.ops == rect_charge(g, batch, indices)
                     sliced = cs.OpCounter()
                     with monkeypatch.context() as m:
                         m.setattr(cs.kernels, "RECT_ROWS_BYTES", 32 * n)  # one parent each
-                        assert rect == cs.kernels.children_batch(
-                            g, batch, "rect", sliced, indices, factors
+                        assert rect == list(
+                            cs.kernels.children_rect(g, batch, indices, factors, sliced)
                         )
                     assert sliced.ops == counter.ops
                     if indices[0] == 0:
@@ -379,7 +380,7 @@ class TestBatchStep:
         factors = cs.kernels.graph_factors(g)
         tracemalloc.start()
         try:
-            cs.kernels.children_batch(g, batch, "rect", None, indices, factors)
+            list(cs.kernels.children_rect(g, batch, indices, factors))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -422,7 +423,7 @@ class TestRectStream:
                             naive[p] = cs.kernels.children_naive(g, p, index)
                     want = [naive[p] for p in batch]
                     charge = rect_charge(g, batch, indices)
-                    listed = cs.kernels.children_batch(g, batch, "rect", None, indices, factors)
+                    listed = cs.kernels.children_batch(g, batch, "rect", None, indices)
                     assert listed == want
                     # strict mode hands lists in batch order
                     specs, charges = self.read(g, batch, indices, factors)
@@ -496,6 +497,76 @@ class TestRectStream:
         assert next(stream, None) is None
 
 
+# graphs whose root has candidates outside N(root) on more than half the
+# vertices, on fewer (dense-64: 21 of 64) or none, and the folds bitset
+# makes at their root
+ROOT_GRAPHS = [
+    pytest.param(lambda: cs.Graph.gnp(130, 0), 0, id="edgeless"),
+    pytest.param(lambda: cs.Graph.gnp(64, 0.25, seed=3), 49, id="dense-64"),
+    pytest.param(lambda: cs.Graph.from_edges(40, [(1, v) for v in range(2, 41)]), 0, id="star"),
+    pytest.param(lambda: sparse_with_isolated(65), 1, id="sparse-65"),
+    pytest.param(lambda: sparse_with_isolated(130), 0, id="sparse-130"),
+]
+
+
+class TestRootRule:
+    """The root's children outside N(root) come from one helper that both
+    kernels call: the far vertices with no lower neighbor.  Each kernel's
+    own test sees only N(root), and every far candidate is still priced."""
+
+    @pytest.mark.parametrize("build, folds", ROOT_GRAPHS)
+    def test_root_children_and_units_on_both_kernels(self, build, folds):
+        g = build()
+        r = cs.rs_tree.root(g).bits
+        want = cs.kernels.children_naive(g, r, 0)
+        _, near = prefix_masks(g, r)
+        lone = [v for v in range(1, g.n + 1) if not g.adj[v - 1] & below_mask(v)]
+        far = [v for v in want.indices if not near >> (v - 1) & 1]
+        assert far == [v for v in lone if not (r | near) >> (v - 1) & 1]
+        w = cs.rs_tree.words(g.n)
+        # 6 words for each of the n - |P| candidates, near or far
+        priced = (3 * r.bit_count() + 4 + 6 * (g.n - r.bit_count())) * w
+        bitset = cs.OpCounter()
+        assert cs.kernels.children_batch(g, [r], "bitset", bitset, [0]) == [want]
+        assert bitset.ops == priced + folds * w
+        # as a listing's pop hands the root over: no masks
+        assert cs.kernels.filter_children(g, r, 0, None, 0, 0) == want.children
+        rect = cs.OpCounter()
+        factors = cs.kernels.graph_factors(g)
+        assert list(cs.kernels.children_rect(g, [r], [0], factors, rect)) == [want]
+        assert rect.ops == priced + (1 + g.n * g.n) * w == rect_charge(g, [r], [0])
+
+    @pytest.mark.parametrize("build, folds", ROOT_GRAPHS)
+    def test_root_inside_an_arbitrary_rect_batch(self, build, folds, monkeypatch):
+        g = build()
+        r = cs.rs_tree.root(g).bits
+        others = [p for p in oracle_masks(g, limit=g.n) if p != r]
+        random.Random(g.n).shuffle(others)
+        batch = [*others[:5], r, *others[5:9]]
+        want = [cs.kernels.children_naive(g, p, index_of(g, p)) for p in batch]
+        assert cs.kernels.children_batch(g, batch, kernel="rect") == want
+        # one parent a slice and one pair a chunk: the root's far children
+        # join its spec whichever release carries it
+        monkeypatch.setattr(cs.kernels, "RECT_ROWS_BYTES", 32 * g.n)
+        monkeypatch.setattr(cs.kernels, "CHUNK_ROWS", 1)
+        monkeypatch.setattr(cs.kernels, "BLOCK_BYTES", 1)
+        assert cs.kernels.children_batch(g, batch, kernel="rect") == want
+
+    def test_bitset_reads_only_the_rows_of_near_candidates(self):
+        # an edgeless root {1} has no neighbor: its test reads its own row
+        # alone, and the far children come from one pass over the rows
+        class Rows(tuple):
+            reads = 0
+
+            def __getitem__(self, k):
+                Rows.reads += 1
+                return tuple.__getitem__(self, k)
+
+        g = cs.Graph._normalized(130, Rows(cs.Graph.gnp(130, 0).adj))
+        assert cs.kernels.filter_children(g, 1, 0) == g.full_mask ^ 1
+        assert Rows.reads == 1
+
+
 class TestAdjacentToOwnPrefix:
     def test_matches_definition(self):
         rng = random.Random(1700)
@@ -550,7 +621,7 @@ class TestFilterChildren:
                 index = index_of(g, p)
                 lazy, rows = counter_lazy.ops, counter_rows.ops
                 cs.kernels.children_batch(g, [p], "bitset", counter_lazy, [index])
-                cs.kernels.children_batch(g, [p], "rect", counter_rows, [index], factors)
+                list(cs.kernels.children_rect(g, [p], [index], factors, counter_rows))
                 assert 0 < counter_lazy.ops - lazy < counter_rows.ops - rows
         assert 0 < counter_lazy.ops < counter_rows.ops
 
@@ -781,7 +852,8 @@ print(__debug__, refused)
         for g in random_graphs(10, seed0=1660, n_hi=12):
             batch = oracle_masks(g)
             factors = cs.kernels.graph_factors(g)
-            assert cs.kernels.children_batch(g, batch, kernel="rect", factors=factors) == (
+            indices = [index_of(g, p) for p in batch]
+            assert list(cs.kernels.children_rect(g, batch, indices, factors)) == (
                 cs.kernels.children_batch(g, batch, kernel="rect")
             )
             graph_units = cs.OpCounter()
