@@ -39,9 +39,10 @@ print("Boolean product == naive product > 0")
 # thresholded M_B @ M_G above, as the paper states it; the listing never
 # builds M_G: it stacks the rows P & A_i that each parent tests into one
 # tall operand and multiplies it by Nc.T (converted to float32 once per
-# listing) in chunks.  (The third factor, [N | U], serves the children step
-# below.)
-a_rows, nc_t, _ = kernels.graph_factors(g)
+# listing) in chunks.  Each parent's candidates are the non-members of its
+# neighbourhood N(P) above its index; a listing reads N(P) off the walk
+# that popped the parent, and the children step below derives it itself.
+a_rows, nc_t = kernels.graph_factors(g)
 non_adj_t = nc_t.matrix.astype(bool)
 n = g.n
 for i in range(n):

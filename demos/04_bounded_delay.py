@@ -1,11 +1,11 @@
 """Smoothing the output stream with the bounded-delay scheduler.
 
 Plain enumeration reads each children step as the stack reaches its
-parents.  "bitset" tests one parent at a time, so a gap is at most one run
-of childless parents' tests plus one pop.  "rect" does a batch's product
-with ``[N | U]`` once, then decides its candidate pairs chunk by chunk, so
-a gap holds one pop and the chunks up to the next parent with children;
-on a small graph one chunk covers a whole batch.  Strict mode banks
+parents.  "bitset" tests each parent right after its pop, so a gap is one
+pop plus one parent's test.  "rect" stacks a batch's candidate pairs once,
+then decides them chunk by chunk, so a gap holds one pop and the chunks up
+to the next parent with children; on a small graph one chunk covers a
+whole batch.  Strict mode banks
 cliques in a FIFO queue during a bootstrapping phase and afterwards
 releases one clique per tau_delay work units, turning the output into a
 steady drip with a provable worst-case gap.

@@ -6,13 +6,15 @@ expanded cliques: a parent's mask beside its child indices as one int mask
 Each outer iteration pops up to ``capacity`` cliques (each pop expands the
 top entry's lowest index into a clique via lexicographic completion and
 emits it) and stacks the batch's non-empty child masks at its end, the last
-parent's on top.  A per-parent ``decide`` ("bitset") tests each clique right
-after its event, from the masks its pop's walk found, and holds its pair
-until then; a batch ``children_fn`` ("rect") takes the batch at its end,
+parent's on top.  Each pop's one walk over the clique's members also finds
+its ``N(C)`` and outside set, the masks both kernels' tests read.  A
+per-parent ``decide`` ("bitset") tests each clique right after its event
+and holds its pair until the batch ends; a batch ``children_fn`` ("rect")
+takes the batch's masks, indices, ``N(C)`` and outside sets at its end,
 and a plain traversal stacks that step as one source, read as the stack
-reaches each parent.  A clique popped from
-``(P, i)`` has reverse-search index ``i`` by definition (the root has 0), so
-``pop`` returns that index with the clique and no index is recomputed.
+reaches each parent.  A clique popped from ``(P, i)`` has reverse-search
+index ``i`` by definition (the root has 0), so ``pop`` returns that index
+with the clique and no index is recomputed.
 
 The traversal is exposed as a resumable event stream (:func:`step_events`) of
 :class:`StepEvent` named tuples ``(kind, clique, cost)``.  The stack, the
@@ -29,23 +31,23 @@ given (graph, kernel, capacity), paced or not.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .graph import Graph, VertexSet
+from .graph import Graph, VertexSet, iter_bits
 from .kernels import ChildSpec
-from .rs_tree import OpCounter, _child_walk, _lc_bits
+from .rs_tree import OpCounter, _child_walk
 
 CLIQUE_COLLECTED = "clique-collected"
 BATCH_COMPLETED = "batch-completed"
 TRAVERSAL_ENDED = "traversal-ended"
 CHILDREN_WORK = "children-work"
 
-# children_fn(masks, indices) -> their specs in order, any iterable, lazy in a listing; indices[k]
-# is masks[k]'s index (0: root); lists in batch order if paced, else last-first draining iterators
-ChildrenFn = Callable[[Iterable[int], Iterable[int]], Iterable[ChildSpec]]
+# children_fn(masks, indices, nears, outsides) -> the specs of masks in order, any iterable, lazy
+# in a listing; four tuples, element k for masks[k] (index 0: root), in batch order if paced,
+# else last parent first
+ChildrenFn = Callable[[tuple, tuple, tuple, tuple], Iterable[ChildSpec]]
 # decide(g, mask, index, counter, near, outside) -> the clique's child mask, bit i - 1 for index
-# i; near is N(C) (0: root), outside the non-members adjacent to every member below them
+# i; near is N(C), outside the non-members adjacent to every member below them (0: root)
 Decide = Callable[[Graph, int, int, OpCounter, int, int], int]
 
 _new = object.__new__
@@ -109,11 +111,13 @@ class BacktrackStack:
             self._entries += parent, children
             self.pending += children.bit_count()
 
-    def pop(self, g: Graph, counter: OpCounter | None = None, masks: bool = False) -> tuple:
+    def pop(self, g: Graph, counter: OpCounter | None = None) -> tuple:
         """Expand and remove the top entry's lowest child index; returns the
-        clique's mask with its index (0 for the seeded root), and with
-        ``masks`` its ``N(C)`` and outside set from the same walk
-        (:func:`~cliquestream.rs_tree._child_walk`; 0 and 0 for the root)."""
+        clique's mask, its index, its ``N(C)`` and its outside set from one
+        walk over its members (:func:`~cliquestream.rs_tree._child_walk`).
+        The seeded root needs no walk: it returns index 0, no outside set
+        and an ``N(C)`` of 0, which :func:`step_events` fills in after the
+        root's event."""
         entries = self._entries
         if not entries:
             raise IndexError("pop from an empty backtracking stack")
@@ -123,13 +127,10 @@ class BacktrackStack:
         if low == children:
             del entries[-2:]
             if not low:
-                return (parent, 0, 0, 0) if masks else (parent, 0)
+                return parent, 0, 0, 0
         else:
             entries[-1] = children ^ low
-        if masks:
-            return _child_walk(g, parent, low, counter)
-        i = low.bit_length()
-        return _lc_bits(g, (parent & (low - 1) & g.adj[i - 1]) | low, counter), i
+        return _child_walk(g, parent, low, counter)
 
 
 def step_events(
@@ -172,8 +173,7 @@ def step_events(
     stats.max_stack_cliques = max(stats.max_stack_cliques, stack.pending)
     charged = 0
     while True:
-        batch: list[int] = []
-        indices: list[int] = []
+        batch: list[tuple] = []  # children_fn's popped cliques: mask, index, near, outside
         held: list[int] = []  # decide's non-empty pairs, flat: parent mask, child mask
         size = held_cliques = 0
         while size < capacity:
@@ -189,10 +189,7 @@ def step_events(
                     entries.pop()
             if not entries:
                 break
-            if decide is None:
-                mask, index = stack.pop(g, counter)
-            else:
-                mask, index, near, outside = stack.pop(g, counter, True)
+            mask, index, near, outside = stack.pop(g, counter)
             size += 1
             stats.cliques_emitted += 1
             stats.stack_cliques = stack.pending
@@ -201,9 +198,11 @@ def step_events(
             clique = _new(VertexSet)  # a clique mask is never negative: skip the check
             _set_bits(clique, mask)
             yield _tuple_new(StepEvent, (CLIQUE_COLLECTED, clique, cost))
+            if not index:  # the root's N(C), found after its event so that its output need not wait
+                for v in iter_bits(mask):
+                    near |= g.adj[v - 1]
             if decide is None:
-                batch.append(mask)
-                indices.append(index)
+                batch.append((mask, index, near, outside))
             else:
                 children = decide(g, mask, index, counter, near, outside)
                 if children:
@@ -217,12 +216,12 @@ def step_events(
         if decide is not None:  # batch order, the last parent on top
             entries += held
             stack.pending += held_cliques
-        elif pace is None:  # the batch last parent first, each mask dropped once read
-            specs = children_fn(map(list.pop, repeat(batch, size)), reversed(indices))
+        elif pace is None:  # the batch last parent first
+            specs = children_fn(*zip(*reversed(batch)))
             entries.append(iter(specs))  # a source, read as the stack reaches it
         else:
             quantum = pace.quantum
-            for spec in children_fn(batch, indices):
+            for spec in children_fn(*zip(*batch)):
                 stack.push(spec.parent, spec.children)
                 if quantum > 0 and counter.ops - charged >= quantum:
                     cost, charged = counter.ops - charged, counter.ops

@@ -20,13 +20,13 @@ boot_target = 1 + the root's children count, and with c =
 :data:`CALIBRATION_MARGIN`, tau_delay = c * the units charged after the
 root batch // the cliques banked after the root (at least 1).
 
-A "bitset" listing decides each clique with
+Both kernels read each clique's ``N(C)`` and outside set from the walk
+its pop made.  A "bitset" listing decides each clique with
 :func:`~cliquestream.kernels.filter_children` right after its event, in
-plain and strict mode alike, so a gap is one pop and one parent's test;
-the test reads the ``N(C)`` and outside set its pop's walk found.
+plain and strict mode alike, so a gap is one pop and one parent's test.
 "rect" hands the traversal a lazy spec stream,
-:func:`~cliquestream.kernels.children_rect`, which does a slice's
-batch-level product once and then decides its pairs chunk by chunk.  A
+:func:`~cliquestream.kernels.children_rect`, which stacks a slice's
+candidate pairs once and then decides them chunk by chunk.  A
 plain stream reads it as the stack reaches each parent, so a "rect" gap is
 one pop and the chunks up to the next parent with children.
 ``run_strict``'s paced stream (a :class:`~cliquestream.batch_dfs.Pace`,
@@ -44,7 +44,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from . import kernels
 from .batch_dfs import (
@@ -138,10 +138,10 @@ def _listing(g: Graph, kernel: str, capacity, stats, pace: Pace | None) -> Itera
     """:func:`list_mc`'s stream, paced by ``pace``.  The kernel alone picks
     the children step: ``step_events``'s per-parent ``decide``, the
     :func:`~cliquestream.kernels.filter_children` found in ``kernels`` when
-    the listing opens, handed each pop's ``N(C)`` and outside set, or its
-    lazy ``children_fn``,
+    the listing opens, or its lazy ``children_fn``,
     :func:`~cliquestream.kernels.children_rect`, whose factors are built
-    with the first batch."""
+    with the first batch; both are handed each pop's ``N(C)`` and outside
+    set."""
     if kernel not in KERNELS:
         raise ValueError(f"unknown kernel {kernel!r}")
     cap = capacity if capacity is not None else g.n * g.n
@@ -156,11 +156,11 @@ def _listing(g: Graph, kernel: str, capacity, stats, pace: Pace | None) -> Itera
         return step_events(g, root_clique, None, cap, stats, counter, pace, decide)
     factors = None
 
-    def children_fn(masks: Iterable[int], indices: Iterable[int]):
+    def children_fn(masks: tuple, indices: tuple, nears: tuple, outsides: tuple):
         nonlocal factors
         if factors is None:
             factors = graph_factors(g, counter)
-        return kernels.children_rect(g, masks, indices, factors, counter)
+        return kernels.children_rect(g, masks, indices, factors, counter, nears, outsides)
 
     return step_events(g, root_clique, children_fn, cap, stats, counter, pace, None)
 

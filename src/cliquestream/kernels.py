@@ -15,27 +15,27 @@ graph and batch alone: :func:`good_table_rectangular` reads its rows off
 n x n matrix whose row j is the characteristic vector of ``V \\ N(j)``,
 column block i of ``M_G`` is ``diag(A_i) @ Nc.T``, so block i of the
 product is ``(M_B & A_i) @ Nc.T`` (``A_i`` masking every row of ``M_B``),
-the same multiply-adds.  A traversal builds the factors once
+the same multiply-adds.  A traversal builds the two factors once
 (:func:`graph_factors`, after :func:`check_factors` has refused an n past
-:data:`BUDGET_BYTES`) and never ``M_G``.
+:data:`BUDGET_BYTES`), never ``M_G``, and ``Nc.T`` is the right operand of
+every product it makes.
 
 "rect" decides a batch's children in numpy as a lazy stream
 (:func:`children_rect`), in slices that fit :data:`RECT_ROWS_BYTES`
-(memory follows n, not the batch capacity): one product of ``M_B`` with
-the n x 2n factor ``[N | U]`` (``U[u, j]`` set for ``u <= j`` and ``u !~
-j``; a vertex is not its own neighbor) gives every parent's ``N(P)`` and
-the vertices adjacent to every member below them; then the candidate pairs
-(parent, i) inside ``N(P)`` are stacked as rows ``P & A_i`` and multiplied
-by ``Nc.T`` in chunks of at least :data:`CHUNK_ROWS` rows, more if
+(memory follows n, not the batch capacity): the candidate pairs (parent,
+i) inside ``N(P)`` are stacked as rows ``P & A_i`` and multiplied by
+``Nc.T`` in chunks of at least :data:`CHUNK_ROWS` rows, more if
 :data:`BLOCK_BYTES` allows, and the test of :func:`filter_children` runs
 on the bool blocks.  A chunk is decided only when the stream's reader needs
 a parent it covers, and each parent's spec leaves as soon as its last chunk
 is decided.  "bitset" runs :func:`filter_children` per parent, folding the
-common neighborhood only as far as each candidate needs, with the masks
-its pop's walk found in a listing.  A child set is one int mask either
-way, bit i - 1 for index i: what :func:`filter_children` returns and a
-:class:`ChildSpec`'s ``children``.  ``children_naive`` re-derives the
-test with direct completion calls, one parent at a time, as the
+common neighborhood only as far as each candidate needs.  Both read each
+parent's ``N(P)`` and outside set (the non-members adjacent to every
+member below them) from its pop's walk in a listing, and from
+:func:`prefix_masks` for an arbitrary batch.  A child set is one int mask
+either way, bit i - 1 for index i: what :func:`filter_children` returns
+and a :class:`ChildSpec`'s ``children``.  ``children_naive`` re-derives
+the test with direct completion calls, one parent at a time, as the
 differential reference.  Only indices above the parent's own index are
 candidates.  The traversal knows that index (a child popped from ``(P,
 i)`` has index ``i``, the root 0) and passes it in; :func:`children_batch`
@@ -49,7 +49,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import pairwise
+from itertools import chain, pairwise, repeat
 from typing import Iterator
 
 import numpy as np
@@ -74,11 +74,12 @@ BLOCK_BYTES = 1 << 16
 # rows a product chunk holds at least: every sgemm call streams the whole
 # 4 n^2-byte float32 Nc.T, so a thinner chunk pays that stream for few rows
 CHUNK_ROWS = 64
-# bytes one slice of a "rect" batch may take, at most 32 n per parent: its
-# M_B row, the [N | U] product and the coordinates of its candidate pairs
+# bytes one slice of a "rect" batch may take, at most 16 n per parent: its
+# member, outside and candidate rows, its side bytes, and the coordinates of
+# its candidate pairs (at most n, 8 bytes each before they narrow to 2 or 4)
 RECT_ROWS_BYTES = 1 << 24
 
-Factors = tuple[np.ndarray, matmul.BinaryOperand, matmul.BinaryOperand]
+Factors = tuple[np.ndarray, matmul.BinaryOperand]
 
 
 @dataclass(frozen=True, slots=True)
@@ -105,7 +106,8 @@ _set_children = ChildSpec.children.__set__
 def _mask_rows(masks, n: int) -> np.ndarray:
     """Bool matrix whose row k is the characteristic vector of masks[k]."""
     width = (n + 7) // 8
-    raw = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), np.uint8)
+    joined = b"".join(map(int.to_bytes, masks, repeat(width), repeat("little")))
+    raw = np.frombuffer(joined, np.uint8)
     bits = np.unpackbits(raw.reshape(-1, width), axis=1, count=n, bitorder="little")
     return bits.view(bool)
 
@@ -119,13 +121,13 @@ def _check_batch(cliques) -> None:
 
 
 def check_factors(n: int) -> None:
-    """Refuse an n whose :func:`graph_factors` (14 n^2 bytes: ``A`` and
-    ``Nc`` as bool, ``[N | U]`` and ``Nc.T`` as float32) would pass
-    :data:`BUDGET_BYTES` (n >= 8,758).  Nothing is allocated."""
-    if 14 * n * n > BUDGET_BYTES:
+    """Refuse an n whose :func:`graph_factors` (6 n^2 bytes: ``A`` and
+    ``Nc`` as bool, ``Nc.T`` as float32) would pass :data:`BUDGET_BYTES`
+    (n >= 13,378).  Nothing is allocated."""
+    if 6 * n * n > BUDGET_BYTES:
         raise ValueError(
             f"rect's graph factors at n = {n} pass {BUDGET_BYTES >> 30} GiB "
-            f"(n <= {math.isqrt(BUDGET_BYTES // 14)}): use --kernel bitset"
+            f"(n <= {math.isqrt(BUDGET_BYTES // 6)}): use --kernel bitset"
         )
 
 
@@ -136,19 +138,17 @@ def _graph_rows(g: Graph) -> tuple[np.ndarray, np.ndarray]:
 
 
 def graph_factors(g: Graph, counter: OpCounter | None = None) -> Factors:
-    """``A``, whose row i is the characteristic vector of ``A_i``; ``Nc.T``,
-    whose column j is that of ``V \\ N(j)``; and ``[N | U]``, the adjacency
-    matrix beside ``U[u, j] = u <= j and u !~ j``.  The last two are converted
-    once for the product, ``[N | U]`` first, so the peak is 14 n^2 bytes.
-    Refused by :func:`check_factors` before anything is allocated.  Charged
-    ``n * n * 2 * words(n)``."""
+    """``A``, whose row i is the characteristic vector of ``A_i``, and
+    ``Nc.T``, whose column j is that of ``V \\ N(j)``, converted once for
+    the product, so the peak is 6 n^2 bytes.  Refused by
+    :func:`check_factors` before anything is allocated.  Charged ``n * n *
+    2 * words(n)``."""
     n = g.n
     check_factors(n)
     a_rows, non_adj = _graph_rows(g)
-    near_op = matmul.BinaryOperand(np.hstack((~non_adj, np.triu(non_adj))))
     if counter is not None:
         counter.ops += n * n * 2 * words(n)
-    return a_rows, matmul.BinaryOperand(non_adj.T), near_op
+    return a_rows, matmul.BinaryOperand(non_adj.T)
 
 
 def build_batch_matrices(g: Graph, cliques) -> tuple[np.ndarray, np.ndarray]:
@@ -233,14 +233,14 @@ def filter_children(
     (child- or parent-side reconstruction breaks); those non-members lie
     below ``index``.  The row's complement is folded lazily as the common
     neighborhood of ``P_{<i} & N(i)`` until no ``j`` is left.  ``near`` and
-    ``outside`` are ``N(P)`` and those non-members from a listing's pop
-    walk, else (and at the root) from :func:`prefix_masks`.  Charge in
+    ``outside`` are ``N(P)`` and those non-members from a listing's pop,
+    else from :func:`prefix_masks`.  Charge in
     words: ``3|P|`` for those masks, 4 for the masks, 6 per candidate, far
     ones included, 1 per fold.
     """
     adj = g.adj
     notp = ~p
-    if near is None or not index:
+    if near is None:
         adjacent, near = prefix_masks(g, p)
         outside = adjacent & notp
     cand = near & notp & -(1 << index)
@@ -266,26 +266,18 @@ def filter_children(
     return children
 
 
-def _rect_slice(g: Graph, part: list[int], index: np.ndarray, factors: Factors):
-    """The batch-level work of one slice: the rows of ``M_B`` and
-    ``outside_P`` (the non-members adjacent to every member below them) in
-    one byte a vertex, 1 for a member and 2 for a vertex outside ``P``, and
-    the flat pairs ``k * n + i - 1`` inside ``N(P)``, 2 bytes each where they
-    fit (4 otherwise).  A suspended stream keeps both, n bytes a parent."""
-    n = g.n
-    mb = _mask_rows(part, n)
-    product = matmul.multiply_boolean_threshold(mb, factors[2])
-    # U's diagonal marks every member, so these are the non-members adjacent
-    # to every member below them
-    outside = ~product[:, n:]
-    # row k of this view of n Falses then n Trues marks the columns >= n - k
-    # (comparing columns with index[:, None] would allocate broadcast buffers)
-    stairs = np.ndarray((n + 1, n), bool, np.arange(2 * n) >= n, strides=(1, 1))
-    cand = stairs[n - index]
-    cand &= ~mb  # column i - 1 is vertex i: the non-members above the index
-    cand &= product[:, :n]  # inside N(P)
-    pairs = np.flatnonzero(cand).astype(np.uint16 if len(part) * n <= 1 << 16 else np.uint32)
-    return mb.view(np.uint8) | outside.view(np.uint8) << 1, pairs
+def _rect_slice(g: Graph, part, index, near, outside):
+    """The batch-level work of one slice, from its parents' masks, indices,
+    ``N(P)`` and outside sets: the rows of ``M_B`` and ``outside_P`` in one
+    byte a vertex, 1 for a member and 2 for a vertex outside ``P``, and the
+    flat pairs ``k * n + i - 1`` of the non-members inside ``N(P)`` above
+    the index, 2 bytes each where they fit (4 otherwise).  A suspended
+    stream keeps both, n bytes a parent."""
+    n, m = g.n, len(part)
+    cand = (c & ~p & -(1 << i) for p, i, c in zip(part, index, near))
+    rows = _mask_rows(chain(part, outside, cand), n)  # the three row blocks from one byte join
+    pairs = np.flatnonzero(rows[2 * m :]).astype(np.uint16 if m * n <= 1 << 16 else np.uint32)
+    return rows[:m].view(np.uint8) | rows[m : 2 * m].view(np.uint8) << 1, pairs
 
 
 def _decide(pairs: np.ndarray, n: int, factors: Factors, sides: np.ndarray) -> list[int]:
@@ -293,7 +285,7 @@ def _decide(pairs: np.ndarray, n: int, factors: Factors, sides: np.ndarray) -> l
     ~P | outside_P & V_{<i})`` minus the good row, read off the product of
     the rows ``P & A_i`` with ``Nc.T``, must be empty.  ``sides`` is
     :func:`_rect_slice`'s byte rows."""
-    a_rows, non_adj_t, _ = factors
+    a_rows, non_adj_t = factors
     p, i = np.divmod(pairs, n, dtype=np.intp)
     side = np.take(sides, p, axis=0)  # np.take gathers rows faster than sides[p]
     left = np.take(a_rows, i, axis=0)
@@ -308,11 +300,14 @@ def _decide(pairs: np.ndarray, n: int, factors: Factors, sides: np.ndarray) -> l
 
 
 def children_rect(
-    g: Graph, masks, indices, factors: Factors, counter: OpCounter | None = None
+    g: Graph, masks, indices, factors: Factors, counter: OpCounter | None = None,
+    nears=None, outsides=None,
 ) -> Iterator[ChildSpec]:
     """Lazy "rect" children stream: one ChildSpec per parent of ``masks``
-    (``indices[k]`` their indices), in the order handed in, each read once.
-    Each slice of ``RECT_ROWS_BYTES // (32 n)`` parents does its batch-level
+    (``indices[k]`` their indices, both sequences), in the order handed in,
+    each read once.  ``nears`` and ``outsides`` are their ``N(P)`` and
+    outside sets from a listing's pops, else from :func:`prefix_masks`.
+    Each slice of ``RECT_ROWS_BYTES // (16 n)`` parents does its batch-level
     work once (:func:`_rect_slice`), then decides its pairs in chunks of
     :data:`CHUNK_ROWS` rows, more if :data:`BLOCK_BYTES` allows
     (:func:`_decide`), only as the stream is read.  After the batch-level
@@ -323,19 +318,19 @@ def children_rect(
     product, whatever its slices and chunks."""
     n = g.n
     w = words(n)
-    cliques = masks if type(masks) is list else list(masks)
-    carried = iter(indices)
+    if nears is None:
+        found = [prefix_masks(g, p) for p in masks]
+        nears = [near for _, near in found]
+        outsides = [adjacent & ~p for p, (adjacent, _) in zip(masks, found)]
     step = max(CHUNK_ROWS, BLOCK_BYTES // (12 * n))
-    size = max(1, RECT_ROWS_BYTES // (32 * n))
-    for lo in range(0, len(cliques), size):
-        part = cliques if size >= len(cliques) else cliques[lo : lo + size]
-        index = np.fromiter(carried, np.intp, len(part))
-        sides, pairs = _rect_slice(g, part, index, factors)
-        roots = {}  # the root rows' children outside N(root), by row
-        scanned = 0  # those candidates are charged with the slice
-        for k in np.flatnonzero(index == 0).tolist():
-            roots[k], count = root_far_children(g, part[k], prefix_masks(g, part[k])[1])
-            scanned += count
+    size = max(1, RECT_ROWS_BYTES // (16 * n))
+    for lo in range(0, len(masks), size):
+        hi = lo + size
+        part, index, near = masks[lo:hi], indices[lo:hi], nears[lo:hi]
+        sides, pairs = _rect_slice(g, part, index, near, outsides[lo:hi])
+        # the root rows' children outside N(root), and the candidates there, by row
+        roots = {k: root_far_children(g, part[k], near[k]) for k, i in enumerate(index) if not i}
+        scanned = sum(count for _, count in roots.values())  # charged with the slice
         found: list[int] = []  # the flat pairs accepted and not yet released, ascending
         total, done, released = len(pairs), 0, 0
         while True:
@@ -356,7 +351,7 @@ def children_rect(
                     a = z
                 del found[:a]
                 for k in [k for k in roots if k < last]:
-                    group[k - released] |= roots.pop(k)
+                    group[k - released] |= roots.pop(k)[0]
                 for k, children in enumerate(group, released):
                     spec = _new(ChildSpec)  # ChildSpec(part[k], children) without its call
                     _set_parent(spec, part[k])

@@ -125,18 +125,16 @@ def watch_children_steps(monkeypatch, watch):
     decided: last parent first in a plain "rect" step, batch order
     otherwise.  It wraps what ``delay_scheduler.step_events`` is handed, so
     it sees both kernels and both modes: the ``children_fn`` of a "rect"
-    listing, watched before its step, whose plain batch is read into lists
-    first, so the watched listing keeps each batch until its step ends; and
-    the ``decide`` of a "bitset" listing, whose parents are watched once the
-    batch's last one is decided, before the batch completes (the masks its
-    pop's walk hands ``decide`` pass through unwatched)."""
+    listing, watched before its step; and the ``decide`` of a "bitset"
+    listing, whose parents are watched once the batch's last one is
+    decided, before the batch completes (the masks each pop's walk hands
+    either kernel pass through unwatched)."""
     real = cs.delay_scheduler.step_events
 
     def step_events(g, root_clique, children_fn, capacity, stats, counter, pace, decide):
-        def watched(masks, indices):
-            masks, indices = list(masks), list(indices)
-            watch(g, masks, indices)
-            return children_fn(masks, indices)
+        def watched(masks, indices, nears, outsides):
+            watch(g, list(masks), list(indices))
+            return children_fn(masks, indices, nears, outsides)
 
         if decide is None:
             return real(g, root_clique, watched, capacity, stats, counter, pace, None)

@@ -285,7 +285,7 @@ def test_strict_delay_bound_is_real(name):
     assert ok, f"strict delay bound on {name}"
 
 
-# strict "rect" builds 14 n^2 bytes of factors, 56 MB at n = 2,000: that graph stays bitset-only
+# strict "rect" builds 6 n^2 bytes of factors, 24 MB at n = 2,000: that graph stays bitset-only
 STRICT_RECT_FAMILIES = [name for name in STRICT_FAMILIES if name != "gnp(2000,10/n)"]
 
 
@@ -299,8 +299,8 @@ def test_strict_rect_gaps_follow_its_chunks(name, monkeypatch):
     charges = []  # the counter's growth at each rect spec: a chunk's charge on its first
     real_rect = cs.kernels.children_rect
 
-    def children_rect(g, masks, indices, factors, counter):
-        stream = real_rect(g, masks, indices, factors, counter)
+    def children_rect(g, masks, indices, factors, counter, nears, outsides):
+        stream = real_rect(g, masks, indices, factors, counter, nears, outsides)
         while True:
             before = counter.ops
             spec = next(stream, None)

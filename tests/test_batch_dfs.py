@@ -42,20 +42,21 @@ class TestPopFromTop:
     def test_consumes_first_index_and_keeps_spec(self, bridged):
         stack = BacktrackStack()
         stack.push(K5_SIDE.bits, cs.VertexSet.of(6, 7, 8).bits)
-        assert stack.pop(bridged) == (BRIDGE_16.bits, 6)
+        assert stack.pop(bridged)[:2] == (BRIDGE_16.bits, 6)
         assert stack.pending == 2
         assert stack.pop(bridged)[1] == 7
 
     def test_removes_spec_when_list_empties(self, bridged):
         stack = BacktrackStack()
         stack.push(BRIDGE_16.bits, cs.VertexSet.of(7).bits)
-        assert stack.pop(bridged) == (TRIANGLE.bits, 7)
+        assert stack.pop(bridged)[:2] == (TRIANGLE.bits, 7)
         assert_empty(stack, bridged)
 
     def test_seeded_root_pops_to_empty(self, bridged):
         stack = BacktrackStack()
         stack.seed(K5_SIDE.bits)
-        assert stack.pop(bridged) == (K5_SIDE.bits, 0)
+        # no walk: step_events finds the root's N(C) after its event
+        assert stack.pop(bridged) == (K5_SIDE.bits, 0, 0, 0)
         assert_empty(stack, bridged)
 
     def test_empty_stack_raises(self, bridged):
@@ -173,8 +174,8 @@ class TestSinkDriver:
     def test_batch_dfs_delivers_via_sink(self, bridged):
         seen = []
 
-        def children_fn(cliques, indices):
-            # a plain step hands in its batch as iterators, last parent first
+        def children_fn(cliques, indices, nears, outsides):
+            # a plain step hands in its batch as tuples, last parent first
             return cs.kernels.children_batch(bridged, list(cliques), indices=list(indices))
 
         stats = cs.TraversalStats()
@@ -194,7 +195,7 @@ class TestSinkDriver:
         counter = cs.OpCounter()
         steps, parents = [], []
 
-        def children_fn(masks, indices):
+        def children_fn(masks, indices, nears, outsides):
             masks = list(masks)
             steps.append(masks)
             specs = cs.kernels.children_batch(
@@ -219,7 +220,7 @@ class TestSinkDriver:
 
     def test_capacity_must_be_positive(self, bridged):
         with pytest.raises(ValueError):
-            list(cs.step_events(bridged, cs.rs_tree.root(bridged), lambda b, i: [], 0))
+            list(cs.step_events(bridged, cs.rs_tree.root(bridged), lambda *batch: [], 0))
 
 
 class TestPace:
@@ -230,10 +231,10 @@ class TestPace:
     def stream(g, quantum, lazy):
         counter = cs.OpCounter()
 
-        def children_fn(cliques, indices):
+        def children_fn(cliques, indices, nears, outsides):
             specs = (
-                cs.ChildSpec(p, cs.kernels.filter_children(g, p, i, counter))
-                for p, i in zip(cliques, indices)
+                cs.ChildSpec(p, cs.kernels.filter_children(g, p, i, counter, near, outside))
+                for p, i, near, outside in zip(cliques, indices, nears, outsides)
             )
             return specs if lazy else list(specs)
 
@@ -315,11 +316,14 @@ class TestCarriedIndex:
             assert [c.bits for c in collect_plain(g, kernel=kernel, capacity=cap)] == seen
             assert cs.rs_tree.clique_index(g, cs.VertexSet(seen[0])) is None
 
-    def test_walk_hands_the_test_its_prefix_masks(self, monkeypatch):
-        # each bitset pop's walk finds N(C) and the outside set that
-        # prefix_masks finds over all of C, cut below the carried index, and
-        # its test reads them; the root's are 0
+    @pytest.mark.parametrize("kernel", ["bitset", "rect"])
+    def test_walk_hands_the_test_its_prefix_masks(self, kernel, monkeypatch):
+        # each pop's walk finds N(C) and the outside set that prefix_masks
+        # finds over all of C, cut below the carried index, and either
+        # kernel's test reads them; the root's test reads prefix_masks'
+        # N(C) and no outside set
         real_walk, real_filter = cs.batch_dfs._child_walk, cs.kernels.filter_children
+        real_rect = cs.kernels.children_rect
         walked, tested = [], []
 
         def walk(g, parent, low, counter):
@@ -331,13 +335,20 @@ class TestCarriedIndex:
             tested.append((p, index, near, outside))
             return real_filter(g, p, index, counter, near, outside)
 
+        def children_rect(g, masks, indices, factors, counter, nears, outsides):
+            # a plain step takes its batch last parent first
+            tested.extend(reversed(list(zip(masks, indices, nears, outsides))))
+            return real_rect(g, masks, indices, factors, counter, nears, outsides)
+
         monkeypatch.setattr(cs.batch_dfs, "_child_walk", walk)
         monkeypatch.setattr(cs.kernels, "filter_children", filter_children)
+        monkeypatch.setattr(cs.kernels, "children_rect", children_rect)
         for g, cap in self.runs():
             walked.clear()
             tested.clear()
-            cliques = [c.bits for c in collect_plain(g, capacity=cap)]
-            assert tested[0] == (cliques[0], 0, 0, 0)
+            cliques = [c.bits for c in collect_plain(g, kernel=kernel, capacity=cap)]
+            root_near = cs.rs_tree.prefix_masks(g, cliques[0])[1]
+            assert tested[0] == (cliques[0], 0, root_near, 0)
             assert tested[1:] == walked and [p for p, *_ in tested] == cliques
             for p, index, near, outside in walked:
                 adjacent, want_near = cs.rs_tree.prefix_masks(g, p)
@@ -348,10 +359,10 @@ class TestCarriedIndex:
     def test_stack_records_popped_index(self, bridged):
         stack = BacktrackStack()
         stack.seed(K5_SIDE.bits)
-        assert stack.pop(bridged) == (K5_SIDE.bits, 0)
+        assert stack.pop(bridged)[:2] == (K5_SIDE.bits, 0)
         stack.push(K5_SIDE.bits, cs.VertexSet.of(6, 7).bits)
-        assert stack.pop(bridged) == (BRIDGE_16.bits, 6)
-        assert stack.pop(bridged) == (BRIDGE_27.bits, 7)
+        assert stack.pop(bridged)[:2] == (BRIDGE_16.bits, 6)
+        assert stack.pop(bridged)[:2] == (BRIDGE_27.bits, 7)
 
 
 ON_DEMAND_GRAPHS = {
@@ -369,13 +380,11 @@ class TestOnDemandChildren:
     @staticmethod
     def logged(monkeypatch):
         """Log every children test as ("test", child mask, units), every
-        pop's completion ("rect"'s, or "bitset"'s walk) as ("pop", None,
-        units) and the "rect" factors as ("factors", None, units), in the
-        order they run.  A "rect" spec's units are those charged while the
-        stream produced it."""
+        pop's walk as ("pop", None, units) and the "rect" factors as
+        ("factors", None, units), in the order they run.  A "rect" spec's
+        units are those charged while the stream produced it."""
         log = []
-        real_filter, real_completion = cs.kernels.filter_children, cs.batch_dfs._lc_bits
-        real_walk = cs.batch_dfs._child_walk
+        real_filter, real_walk = cs.kernels.filter_children, cs.batch_dfs._child_walk
         real_rect, real_factors = cs.kernels.children_rect, cs.delay_scheduler.graph_factors
 
         def filter_children(g, p, index, counter, near, outside):
@@ -384,8 +393,8 @@ class TestOnDemandChildren:
             log.append(("test", children, counter.ops - before))
             return children
 
-        def children_rect(g, masks, indices, factors, counter):
-            stream = real_rect(g, masks, indices, factors, counter)
+        def children_rect(g, masks, indices, factors, counter, nears, outsides):
+            stream = real_rect(g, masks, indices, factors, counter, nears, outsides)
             while True:
                 before = counter.ops
                 spec = next(stream, None)
@@ -401,12 +410,6 @@ class TestOnDemandChildren:
             log.append(("factors", None, counter.ops - before))
             return factors
 
-        def completion(g, kbits, counter):
-            before = counter.ops
-            mask = real_completion(g, kbits, counter)
-            log.append(("pop", None, counter.ops - before))
-            return mask
-
         def walk(g, parent, low, counter):
             before = counter.ops
             popped = real_walk(g, parent, low, counter)
@@ -416,7 +419,6 @@ class TestOnDemandChildren:
         monkeypatch.setattr(cs.kernels, "filter_children", filter_children)
         monkeypatch.setattr(cs.kernels, "children_rect", children_rect)
         monkeypatch.setattr(cs.delay_scheduler, "graph_factors", graph_factors)
-        monkeypatch.setattr(cs.batch_dfs, "_lc_bits", completion)
         monkeypatch.setattr(cs.batch_dfs, "_child_walk", walk)
         return log
 

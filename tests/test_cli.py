@@ -592,7 +592,7 @@ class TestRun:
         rc, out, _ = run_cli(input="gnp:200:0.5", kernel="rect", first=3)
         assert rc == 0 and len(out.splitlines()) == 3
         # an explicit M_G at n = 1100 would take 1.2 GiB; rect builds only
-        # its n x n and n x 2n factors
+        # its two n x n factors
         rc, out, err = run_cli(input="complete:1100", kernel="rect", verify=True)
         assert rc == 0 and err == "VERIFY PASS: all 1 cliques match the oracle\n"
         assert out == " ".join(map(str, range(1, 1101))) + "\n"
@@ -694,13 +694,13 @@ class TestRefusals:
             raise AssertionError("root built for a refused run")
 
         monkeypatch.setattr(cs.delay_scheduler, "root", no_root)
-        # rect's graph factors at n = 8,758 would pass their 1 GiB budget
+        # rect's graph factors at n = 13,378 would pass their 1 GiB budget
         wide = tmp_path / "wide.edges"
-        wide.write_text("n 8758\n")
+        wide.write_text("n 13378\n")
         for kw, message in (
             ({"kernel": "fft"}, "unknown kernel 'fft'"),
             ({"capacity": 0}, "batch capacity must be at least 1"),
-            ({"input": str(wide), "kernel": "rect"}, "(n <= 8757): use --kernel bitset"),
+            ({"input": str(wide), "kernel": "rect"}, "(n <= 13377): use --kernel bitset"),
         ):
             kw = {"input": "complete:3", "mode": mode} | kw
             assert message in refusal_line(tmp_path, **kw)

@@ -311,7 +311,7 @@ class TestRunStrict:
             (cs.Graph.complete(3), {"kernel": "naive"}, "unknown kernel"),
             (cs.Graph.complete(3), {"capacity": 0}, "capacity"),
             # rect's graph factors would pass their 1 GiB budget
-            (cs.Graph.from_edges(8758, []), {"kernel": "rect"}, "--kernel bitset"),
+            (cs.Graph.from_edges(13378, []), {"kernel": "rect"}, "--kernel bitset"),
         ],
     )
     def test_refused_at_the_call(self, monkeypatch, g, kw, message):

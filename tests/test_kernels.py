@@ -5,7 +5,6 @@ import random
 import subprocess
 import sys
 import tracemalloc
-from itertools import repeat
 from pathlib import Path
 
 import pytest
@@ -23,6 +22,7 @@ from conftest import (
     BRIDGED_CLIQUES,
     K5_SIDE,
     TRIANGLE,
+    collect_plain,
     index_of,
     oracle_masks,
     random_graphs,
@@ -175,7 +175,7 @@ class TestRectBlocks:
             cliques = oracle_masks(g, limit=n)
             batch = rng.sample(cliques, min(len(cliques), 9))
             mb, mg = cs.kernels.build_batch_matrices(g, batch)
-            a_rows, nc_t, _ = cs.kernels.graph_factors(g)
+            a_rows, nc_t = cs.kernels.graph_factors(g)
             non_adj_t = nc_t.matrix.astype(bool)
             product = matmul.multiply_boolean_threshold(mb, mg)
             for i in range(n):
@@ -264,30 +264,49 @@ class TestRectBlocks:
         assert len(listed) == len(set(listed))
         assert set(listed) == {c.bits for c in oracle.all_maximal_cliques(g, limit=130)}
 
-    # 0: one parent's 32 n bytes pass the budget, so every slice holds one
+    # 0: one parent's 16 n bytes pass the budget, so every slice holds one
     # parent
     @pytest.mark.parametrize("parents", [0, 1, 3])
     def test_slices_match_one_product(self, parents, monkeypatch):
+        # slices change neither the specs nor their charge, and the one
+        # product of a "rect" listing is that of the rows P & A_i with Nc.T
         g = cs.Graph.gnp(70, 0.1, seed=5)
         batch = oracle_masks(g, limit=70)[:10]
         factors = cs.kernels.graph_factors(g)
         indices = [index_of(g, p) for p in batch]
         whole = cs.OpCounter()
         want = list(cs.kernels.children_rect(g, batch, indices, factors, whole))
-        monkeypatch.setattr(cs.kernels, "RECT_ROWS_BYTES", parents * 32 * g.n)
-        slices = []
-        real = cs.matmul.multiply_boolean_threshold
+        monkeypatch.setattr(cs.kernels, "RECT_ROWS_BYTES", parents * 16 * g.n)
+        slices, rights, built = [], [], []
+        real_slice, real_product = cs.kernels._rect_slice, cs.matmul.multiply_boolean_threshold
+        real_factors = cs.delay_scheduler.graph_factors
 
-        def counted(a, b):
-            if b is factors[2]:  # one [N | U] product per slice
-                slices.append(a.shape[0])
-            return real(a, b)
+        def sliced_rows(g, part, *masks):
+            slices.append(len(part))
+            return real_slice(g, part, *masks)
 
-        monkeypatch.setattr(cs.matmul, "multiply_boolean_threshold", counted)
+        def product(a, b):
+            rights.append(b)
+            return real_product(a, b)
+
+        def graph_factors(g, counter):
+            built.append(real_factors(g, counter))
+            return built[-1]
+
+        monkeypatch.setattr(cs.kernels, "_rect_slice", sliced_rows)
+        monkeypatch.setattr(cs.matmul, "multiply_boolean_threshold", product)
+        monkeypatch.setattr(cs.delay_scheduler, "graph_factors", graph_factors)
         sliced = cs.OpCounter()
         assert list(cs.kernels.children_rect(g, batch, indices, factors, sliced)) == want
         assert sliced.ops == whole.ops
         assert max(slices) == max(1, parents) and sum(slices) == len(batch)
+        assert rights and all(b is factors[1] for b in rights)
+        for capacity in (7, g.n * g.n):
+            rights.clear()
+            built.clear()
+            listed = [c.bits for c in collect_plain(g, kernel="rect", capacity=capacity)]
+            assert set(listed) == set(oracle_masks(g, limit=70))
+            assert len(built) == 1 and rights and all(b is built[0][1] for b in rights)
 
     def test_default_capacity_past_old_row_budget(self):
         # n^2 parents of n = 110 have rows past RECT_ROWS_BYTES
@@ -301,7 +320,7 @@ class TestRectBlocks:
 
     def test_lists_past_the_size_of_an_n_cubed_graph_matrix(self, monkeypatch):
         # at n = 1100 an explicit M_G would take 1.2 GiB; the listing builds
-        # only its n x n and n x 2n factors
+        # only its two n x n factors
         def not_built(*args, **kwargs):
             raise AssertionError("the explicit graph matrix was built")
 
@@ -362,7 +381,7 @@ class TestBatchStep:
                     assert counter.ops == rect_charge(g, batch, indices)
                     sliced = cs.OpCounter()
                     with monkeypatch.context() as m:
-                        m.setattr(cs.kernels, "RECT_ROWS_BYTES", 32 * n)  # one parent each
+                        m.setattr(cs.kernels, "RECT_ROWS_BYTES", 16 * n)  # one parent each
                         assert rect == list(
                             cs.kernels.children_rect(g, batch, indices, factors, sliced)
                         )
@@ -385,8 +404,8 @@ class TestBatchStep:
         finally:
             tracemalloc.stop()
         rows = max(cs.kernels.CHUNK_ROWS, cs.kernels.BLOCK_BYTES // (12 * n))
-        # a chunk's 12 n bytes per row beside the slice's 32 n per parent
-        assert peak < 12 * n * rows + 32 * n * len(batch)
+        # a chunk's 12 n bytes per row beside the slice's 16 n per parent
+        assert peak < 12 * n * rows + 16 * n * len(batch)
 
 
 class TestRectStream:
@@ -428,15 +447,44 @@ class TestRectStream:
                     # strict mode hands lists in batch order
                     specs, charges = self.read(g, batch, indices, factors)
                     assert specs == want and sum(charges) == charge
-                    # plain mode hands iterators last parent first, each read once
-                    last_first = map(list.pop, repeat(list(batch), len(batch)))
-                    specs, charges = self.read(g, last_first, reversed(indices), factors)
+                    # plain mode hands tuples last parent first
+                    last_first = tuple(batch[::-1]), tuple(indices[::-1])
+                    specs, charges = self.read(g, *last_first, factors)
                     assert specs == want[::-1] and sum(charges) == charge
                     # three parents a slice
                     with monkeypatch.context() as m:
-                        m.setattr(cs.kernels, "RECT_ROWS_BYTES", 3 * 32 * n)
+                        m.setattr(cs.kernels, "RECT_ROWS_BYTES", 3 * 16 * n)
                         specs, charges = self.read(g, batch, indices, factors)
                     assert specs == want and sum(charges) == charge
+
+    @pytest.mark.parametrize("n", [30, 65, 130])
+    def test_popped_masks_match_the_fallback_and_naive(self, n, monkeypatch):
+        # a listing hands each step the N(P) and outside sets its pops found;
+        # the stream must equal the one that derives them with prefix_masks,
+        # spec for spec and unit for unit
+        g = sparse_with_isolated(n)
+        factors = cs.kernels.graph_factors(g)
+        real = cs.kernels.children_rect
+        steps, naive = [], {}
+
+        def recorded(g, masks, indices, factors, counter, nears, outsides):
+            steps.append((masks, indices, nears, outsides))
+            return real(g, masks, indices, factors, counter, nears, outsides)
+
+        monkeypatch.setattr(cs.kernels, "children_rect", recorded)
+        for capacity in (1, 7, n * n):
+            steps.clear()
+            collect_plain(g, kernel="rect", capacity=capacity)
+            assert steps[0][:2] == ((cs.rs_tree.root(g).bits,), (0,))  # the root's step
+            for masks, indices, nears, outsides in steps:
+                for p, index in zip(masks, indices):
+                    if p not in naive:
+                        naive[p] = cs.kernels.children_naive(g, p, index)
+                popped, fallback = cs.OpCounter(), cs.OpCounter()
+                specs = list(real(g, masks, indices, factors, popped, nears, outsides))
+                assert specs == list(real(g, masks, indices, factors, fallback))
+                assert specs == [naive[p] for p in masks]
+                assert popped.ops == fallback.ops == rect_charge(g, masks, indices)
 
     def test_root_batches_and_slices(self, monkeypatch):
         # roots beside other parents, in every slice, with children outside N(root)
@@ -450,7 +498,7 @@ class TestRectStream:
         assert any(not near >> (i - 1) & 1 for i in want[0].indices)
         factors = cs.kernels.graph_factors(g)
         for parents in (1, 2, 3, len(batch)):
-            monkeypatch.setattr(cs.kernels, "RECT_ROWS_BYTES", parents * 32 * g.n)
+            monkeypatch.setattr(cs.kernels, "RECT_ROWS_BYTES", parents * 16 * g.n)
             for rows in (1, cs.kernels.CHUNK_ROWS):
                 monkeypatch.setattr(cs.kernels, "CHUNK_ROWS", rows)
                 monkeypatch.setattr(cs.kernels, "BLOCK_BYTES", 1)
@@ -529,8 +577,8 @@ class TestRootRule:
         bitset = cs.OpCounter()
         assert cs.kernels.children_batch(g, [r], "bitset", bitset, [0]) == [want]
         assert bitset.ops == priced + folds * w
-        # as a listing's pop hands the root over: no masks
-        assert cs.kernels.filter_children(g, r, 0, None, 0, 0) == want.children
+        # as a listing's pop hands the root over: its N(root), no outside set
+        assert cs.kernels.filter_children(g, r, 0, None, near, 0) == want.children
         rect = cs.OpCounter()
         factors = cs.kernels.graph_factors(g)
         assert list(cs.kernels.children_rect(g, [r], [0], factors, rect)) == [want]
@@ -547,7 +595,7 @@ class TestRootRule:
         assert cs.kernels.children_batch(g, batch, kernel="rect") == want
         # one parent a slice and one pair a chunk: the root's far children
         # join its spec whichever release carries it
-        monkeypatch.setattr(cs.kernels, "RECT_ROWS_BYTES", 32 * g.n)
+        monkeypatch.setattr(cs.kernels, "RECT_ROWS_BYTES", 16 * g.n)
         monkeypatch.setattr(cs.kernels, "CHUNK_ROWS", 1)
         monkeypatch.setattr(cs.kernels, "BLOCK_BYTES", 1)
         assert cs.kernels.children_batch(g, batch, kernel="rect") == want
@@ -824,15 +872,15 @@ print(__debug__, refused)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert 14 * n * n <= peak < 14 * n * n + (1 << 16)
+        assert 6 * n * n <= peak < 6 * n * n + (1 << 16)
 
     def test_factors_over_the_budget_refused_before_listing(self, monkeypatch):
         def no_root(*args, **kwargs):
             raise AssertionError("root built")
 
         monkeypatch.setattr(cs.delay_scheduler, "root", no_root)
-        largest = math.isqrt(cs.graph.BUDGET_BYTES // 14)
-        assert largest == 8757
+        largest = math.isqrt(cs.graph.BUDGET_BYTES // 6)
+        assert largest == 13377
         with pytest.raises(AssertionError, match="root built"):
             cs.list_mc(cs.Graph.from_edges(largest, []), kernel="rect")
         g = cs.Graph.from_edges(largest + 1, [])
