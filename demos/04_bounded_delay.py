@@ -8,7 +8,9 @@ to the next parent with children; on a small graph one chunk covers a
 whole batch.  Strict mode banks
 cliques in a FIFO queue during a bootstrapping phase and afterwards
 releases one clique per tau_delay work units, turning the output into a
-steady drip with a provable worst-case gap.
+steady drip whose worst-case gap holds while the queue never starves.
+Past boot a print is also forced once the queue passes a reserve of
+CALIBRATION_MARGIN * boot_target masks, so the queue follows the stack.
 """
 
 import cliquestream as cs
@@ -50,7 +52,8 @@ print(f"first output after {report.first_output_units} of "
 # the report keeps the largest gap as one running max, not a list of gaps
 print(f"gap max={report.max_gap_units} = {report.max_gap_units / cfg.tau_delay:.2f} "
       f"tau_delay; queue peaked at {report.queue_peak} "
-      f"<= {cfg.boot_target + g.n * g.n + 1}")
+      f"<= max(boot banked, reserve) + 1 = "
+      f"{max(report.boot_collected, ds.CALIBRATION_MARGIN * cfg.boot_target) + 1}")
 print(f"queue never starved after boot: {report.starved_checks == 0}")
 
 # The printed sequence is exactly the collection order (FIFO fairness).

@@ -22,8 +22,9 @@ batch's child masks at its end, and a plain "rect" listing a parent's
 children when the stack reaches it).  In plain
 mode memory grows with the traversal stack, not with the output.
 ``--mode strict`` also queues the collected cliques not yet printed, at
-one deque slot and one int mask each (48 bytes at n = 100), and on random
-graphs the queue holds most of the output (about 0.8 on gnp(100, .07)).
+one deque slot and one int mask each (48 bytes at n = 100), and a print
+is forced past 2 boot_target of them ("rect": or its batch's cliques, if
+more), so the queue follows the stack too.
 ``--verify`` draws the oracle's masks one per printed line and the rest after
 the last, and alone keeps masks: the printed ones, and those drawn before their print.
 Bad input, ``--first`` below 1, what the listing refuses at the call and

@@ -6,8 +6,8 @@ through a FIFO queue of clique masks, each print wrapping one
 ``VertexSet``: a bootstrapping phase first banks ``boot_target`` cliques
 without printing anything, then the listing phase dequeues one clique
 whenever at least ``tau_delay`` work units accrued since the last print
-(or the queue overflows ``boot_target + n^2``), and a final drain empties
-the queue once the traversal ends.  ``list_mc`` is a listing's one gate:
+(or the queue passes its hold, see :func:`run_strict`), and a final drain
+empties the queue once the traversal ends.  ``list_mc`` is a listing's one gate:
 ``run_strict`` and the CLI open their streams through it, so all three
 refuse bad arguments with ``ValueError`` at the call.
 
@@ -34,7 +34,8 @@ built for "rect" alone) runs each "rect" step at its batch end, where boot
 reads it, and after boot yields a children-work event once the units its
 next print waits for are charged: a gap passes tau_delay by less than one
 pop, one "bitset" parent's test or one "rect" chunk's charge, so it stays
-within tau_delay + the largest event.
+within tau_delay + the largest event while the queue never starves, which
+is measured (``starved_checks``), not proven.
 :func:`~cliquestream.kernels.children_batch`, a whole step's specs as a
 list, stays importable here for callers that wrap it by name.
 """
@@ -48,6 +49,7 @@ from typing import Iterator, NamedTuple
 
 from . import kernels
 from .batch_dfs import (
+    BATCH_COMPLETED,
     CLIQUE_COLLECTED,
     TRAVERSAL_ENDED,
     Pace,
@@ -212,8 +214,11 @@ def run_strict(
     """Boot, then print one queued clique per tau_delay work units.
 
     Yields every maximal clique exactly once, in queue-insertion (i.e.
-    collection) order.  The queue never exceeds boot_target + n^2 + 1
-    entries thanks to the forced-drain guard, and nothing is printed
+    collection) order.  A print is forced past a hold of c * boot_target
+    masks (c = :data:`CALIBRATION_MARGIN`), or on "rect" of its open batch's
+    cliques if more, which its children step prints from: the queue holds
+    at most max(boot_collected, c * boot_target, a batch) + 1, and a batch
+    at most ``capacity`` and ``stats.max_stack_cliques``.  Nothing is printed
     before boot returns.  The run's own boot calibrates it;
     ``report.config`` is set before the first emission.  What
     :func:`list_mc` refuses raises ``ValueError`` at this call.
@@ -223,10 +228,10 @@ def run_strict(
         report = StrictRunReport()
     pace = Pace() if kernel == "rect" else None  # a "bitset" step reads no pace
     events = _listing(g, kernel, capacity, report.stats, pace)
-    return _paced(g, events, pace, report, start)
+    return _paced(events, pace, report, start)
 
 
-def _paced(g: Graph, events, pace: Pace | None, report, start: float) -> Iterator[Emission]:
+def _paced(events, pace: Pace | None, report, start: float) -> Iterator[Emission]:
     """``run_strict``'s pacing loop over an opened event stream, which the
     call opened at ``perf_counter`` reading ``start``."""
     stats = report.stats
@@ -235,8 +240,8 @@ def _paced(g: Graph, events, pace: Pace | None, report, start: float) -> Iterato
     report.config = cfg
     report.boot_collected = report.queue_peak = peak = len(q)
     tau = cfg.tau_delay
-    overflow = cfg.boot_target + g.n * g.n
-    counter = ordinal = top = gap = 0
+    reserve = CALIBRATION_MARGIN * cfg.boot_target
+    counter = ordinal = top = gap = banked = 0
     if pace is not None:
         pace.quantum = tau  # children-work events from here on
     # after an exhausting boot the stream is spent and this loop is empty
@@ -248,7 +253,11 @@ def _paced(g: Graph, events, pace: Pace | None, report, start: float) -> Iterato
             q.append(clique.bits)
             if len(q) > peak:
                 peak = len(q)
-        if (counter >= tau and q) or len(q) > overflow:
+            if pace is not None:
+                banked += 1
+        elif kind == BATCH_COMPLETED:
+            banked = 0
+        if (counter >= tau and q) or (len(q) > reserve and len(q) > banked):
             ordinal += 1
             if ordinal == 1:
                 report.first_output_units = stats.total_cost

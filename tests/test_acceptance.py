@@ -262,9 +262,10 @@ STRICT_FAMILIES = {
 
 @pytest.mark.parametrize("name", list(STRICT_FAMILIES))
 def test_strict_delay_bound_is_real(name):
-    """Calibrated strict mode on bitset: the queue never starves, every gap is
-    at most 3 tau, tau is at most 5x the run's mean units per clique, and the
-    first print comes within the first half of the work."""
+    """Calibrated strict mode on bitset: the queue never starves and holds at
+    most max(boot's bank, the reserve c * boot_target) + 1 masks, every gap
+    is at most 3 tau, tau is at most 5x the run's mean units per clique, and
+    the first print comes within the first half of the work."""
     g = STRICT_FAMILIES[name]()
     ok = True
     gap = tau_share = first_share = 0.0
@@ -276,7 +277,9 @@ def test_strict_delay_bound_is_real(name):
         gap = max(gap, max(e.cost_units for e in emissions) / tau)
         tau_share = max(tau_share, tau * len(emissions) / total)
         first_share = max(first_share, rep.first_output_units / total)
+        reserve = ds.CALIBRATION_MARGIN * rep.config.boot_target
         ok = ok and rep.starved_checks == 0
+        ok = ok and rep.queue_peak <= max(rep.boot_collected, reserve) + 1
     ok = ok and gap <= 3 and tau_share <= 5 and first_share <= 0.5
     print(
         f"[strict delay] {name}: {'PASS' if ok else 'FAIL'} (max gap {gap:.2f} tau, "
@@ -291,10 +294,11 @@ STRICT_RECT_FAMILIES = [name for name in STRICT_FAMILIES if name != "gnp(2000,10
 
 @pytest.mark.parametrize("name", STRICT_RECT_FAMILIES)
 def test_strict_rect_gaps_follow_its_chunks(name, monkeypatch):
-    """Strict mode on rect, at capacity 7 and the default n^2: every gap is at
-    most tau + the largest event after boot, and a children-work event
+    """Strict mode on rect, at capacities 1, 2, 7, n and the default n^2: every gap is
+    at most tau + the largest event after boot, a children-work event
     passes the units its print waited for by less than the one chunk charge
-    that ended it."""
+    that ended it, and the queue holds at most max(boot's bank, the reserve
+    c * boot_target, a batch) + 1 masks."""
     g = STRICT_FAMILIES[name]()
     charges = []  # the counter's growth at each rect spec: a chunk's charge on its first
     real_rect = cs.kernels.children_rect
@@ -320,7 +324,7 @@ def test_strict_rect_gaps_follow_its_chunks(name, monkeypatch):
 
     monkeypatch.setattr(cs.kernels, "children_rect", children_rect)
     monkeypatch.setattr(ds, "step_events", step_events)
-    for capacity in (7, g.n * g.n):
+    for capacity in sorted({1, 2, 7, g.n, g.n * g.n}):
         charges.clear()
         works.clear()
         rep = ds.StrictRunReport()
@@ -328,6 +332,9 @@ def test_strict_rect_gaps_follow_its_chunks(name, monkeypatch):
         tau = rep.config.tau_delay
         assert rep.starved_checks == 0 and len(emissions) == rep.stats.cliques_emitted
         assert max(e.cost_units for e in emissions) <= tau + rep.max_event_cost
+        batch = min(capacity, rep.stats.max_stack_cliques)
+        reserve = ds.CALIBRATION_MARGIN * rep.config.boot_target
+        assert rep.queue_peak <= max(rep.boot_collected, reserve, batch) + 1, capacity
         # the pace asks for at most tau units; the chunk that passes it ends the event
         assert works and all(0 < chunk and cost - chunk < tau for cost, chunk in works)
 

@@ -202,6 +202,38 @@ class TestRunStrict:
             assert report.queue_peak <= limit
             assert all(e.queue_size <= limit for e in emissions)
 
+    def test_queue_falls_back_to_the_reserve(self):
+        # at capacity 7 boot banks the root and a batch of 7 against a
+        # reserve of c * boot_target = 4; a tau the run never reaches leaves
+        # every print before the drain a forced one, and each batch end takes
+        # one off the queue
+        g = cs.Graph.complete_multipartite_triples(15)
+        cfg = ds.DelayConfig(tau_delay=10**9, boot_target=2)
+        emissions, report = strict_run(g, cfg=cfg, capacity=7)
+        reserve = ds.CALIBRATION_MARGIN * cfg.boot_target
+        assert report.boot_collected == 8 and report.starved_checks == 0
+        plain = collect_plain(g, capacity=7)
+        assert [e.clique.bits for e in emissions] == [c.bits for c in plain]
+        paced = [e.queue_size for e in emissions[: report.emitted - report.drained]]
+        assert report.queue_peak == report.boot_collected + 1
+        assert all(a >= b for a, b in zip(paced, paced[1:])) and paced[-1] == reserve
+        assert report.drained == reserve
+
+    def test_rect_holds_its_batch_for_its_children_step(self):
+        # a K2 beside gnp(60, .3) leaves the root four children, a reserve of
+        # 10 masks, and a batch at capacity n^2 whose children step costs more
+        # than 10 tau: held to the reserve alone, the queue starves there
+        base = cs.Graph.gnp(60, 0.3, seed=1)
+        g = cs.Graph.from_edges(62, [(1, 2)] + [(u + 2, v + 2) for u, v in base.edges()])
+        emissions, report = strict_run(g, kernel="rect")
+        cfg = report.config
+        reserve = ds.CALIBRATION_MARGIN * cfg.boot_target
+        assert cfg.boot_target == 5 and report.starved_checks == 0
+        assert reserve + 1 < report.queue_peak <= report.stats.max_stack_cliques + 1
+        assert report.max_gap_units <= cfg.tau_delay + report.max_event_cost
+        plain = collect_plain(g, kernel="rect")
+        assert [e.clique.bits for e in emissions] == [c.bits for c in plain]
+
     def test_boot_exhaustion_drains_everything(self):
         g = cs.Graph.complete(5)
         cfg = ds.DelayConfig(tau_delay=10, boot_target=50)

@@ -28,7 +28,7 @@ COST_SHA256 = {
 ORDER_SHA256 = "1d7672e827f4fd0f821524884ee11baf180e43393fbfe1f64594bba65e450df8"
 # sha256 over the calibrated config and every run_strict emission on
 # gnp(40,.5) with the bitset kernel and default calibration
-STRICT_SHA256 = "dc8c74a7edaa722b1c289e64170707a8af38c3110277a82888ffe04376f6184c"
+STRICT_SHA256 = "e82c5c10a6c9af51b3f061f52ac0062861a07738044b3698b4ab28e91992553b"
 
 
 def events_digest(kernels, field) -> str:
