@@ -458,7 +458,7 @@ def run(cfg: RunConfig, out=None, err=None) -> int:
         g = load_graph(cfg, report)
         emissions = _emissions(g, cfg, stats)
         # opened last, so no refusal leaves a trace file behind
-        trace = open(cfg.trace, "w", encoding="utf-8") if cfg.trace else None
+        trace = open(cfg.trace, "wb") if cfg.trace else None
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=err)
         return 2
@@ -468,7 +468,7 @@ def run(cfg: RunConfig, out=None, err=None) -> int:
     count = drawn = 0
     try:
         if trace is not None:
-            trace.write(f"{TRACE_SCHEMA}\n{TRACE_HEADER}\n")
+            trace.write(f"{TRACE_SCHEMA}\n{TRACE_HEADER}\n".encode())
         for warning in report.warnings:
             print(f"warning: {warning}", file=err)
         if report.self_loops_dropped or report.duplicates_dropped:
@@ -488,7 +488,7 @@ def run(cfg: RunConfig, out=None, err=None) -> int:
                     if bits not in emitted:
                         unprinted.add(bits)
             if trace is not None:
-                trace.write(f"{count},{cost},{queue_size},{stack_cliques}\n")
+                trace.write(b"%d,%d,%d,%d\n" % (count, cost, queue_size, stack_cliques))
             if cfg.first is not None and count >= cfg.first:
                 break
     finally:

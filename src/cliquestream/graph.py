@@ -129,15 +129,17 @@ class Graph:
     ``adj[v-1]`` is the neighborhood bitmask of vertex ``v``.  The adjacency
     is symmetric and has no self-loops; the constructor refuses rows that
     break this (:meth:`validate`).  The classmethods build rows that hold it
-    by construction and skip that pass.  The edge count ``m`` and
-    ``full_mask`` are derived from the rows.  Every constructor refuses an
-    ``n`` that :func:`check_vertex_count` refuses before it allocates.
+    by construction and skip that pass.  The edge count ``m``, ``full_mask``
+    and ``no_lower``, the vertices with no lower neighbor, are derived from
+    the rows.  Every constructor refuses an ``n`` that
+    :func:`check_vertex_count` refuses before it allocates.
     """
 
     n: int
     adj: tuple[int, ...]
     m: int = field(init=False)
     full_mask: int = field(init=False, repr=False)
+    no_lower: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         check_vertex_count(self.n)
@@ -147,6 +149,8 @@ class Graph:
     def _derive(self) -> None:
         object.__setattr__(self, "m", sum(row.bit_count() for row in self.adj) // 2)
         object.__setattr__(self, "full_mask", (1 << self.n) - 1)
+        lonely = (1 << v for v, row in enumerate(self.adj) if not row & (1 << v) - 1)
+        object.__setattr__(self, "no_lower", sum(lonely))
 
     @classmethod
     def _normalized(cls, n: int, adj: tuple[int, ...]) -> "Graph":

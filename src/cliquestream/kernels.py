@@ -41,7 +41,8 @@ candidates.  The traversal knows that index (a child popped from ``(P,
 i)`` has index ``i``, the root 0) and passes it in; :func:`children_batch`
 recomputes it for arbitrary batches.  Both kernels test only neighbors
 ``N(P)``, the root's too, so cost follows degree; one helper,
-:func:`root_far_children`, adds the root's children outside ``N(root)``.
+:func:`root_far_children`, adds the root's children outside ``N(root)`` in
+one mask operation, charged words(n) when any candidate lies there.
 """
 
 from __future__ import annotations
@@ -196,22 +197,15 @@ def good_table_bitset(g: Graph, cliques) -> list[list[int]]:
     return rows
 
 
-def root_far_children(g: Graph, p: int, near: int) -> tuple[int, int]:
-    """The root ``p``'s children outside ``near``, its ``N(P)``, as one mask,
-    and how many candidates lie there.  Such an ``i`` has an empty ``P &
-    A_i`` and the root no outside set, so it is a child iff it has no lower
-    neighbor: read off one pass over the rows, or off its own row if few."""
-    far = rest = g.full_mask & ~(p | near)
-    count = far.bit_count()
-    if 2 * count > g.n:
-        return far & sum(1 << v for v, row in enumerate(g.adj) if not row & (1 << v) - 1), count
-    children = 0
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        if not g.adj[low.bit_length() - 1] & (low - 1):
-            children |= low
-    return children, count
+def root_far_children(g: Graph, p: int, near: int, counter: OpCounter | None = None) -> int:
+    """The root ``p``'s children outside ``near``, its ``N(P)``, as one mask.
+    Such an ``i`` has an empty ``P & A_i`` and the root no outside set, so it
+    is a child iff it has no lower neighbor: one mask operation with
+    ``g.no_lower``, charged words(n) when any candidate lies outside."""
+    far = g.full_mask & ~(p | near)
+    if far and counter is not None:
+        counter.ops += words(g.n)
+    return far & g.no_lower
 
 
 def filter_children(
@@ -234,9 +228,9 @@ def filter_children(
     below ``index``.  The row's complement is folded lazily as the common
     neighborhood of ``P_{<i} & N(i)`` until no ``j`` is left.  ``near`` and
     ``outside`` are ``N(P)`` and those non-members from a listing's pop,
-    else from :func:`prefix_masks`.  Charge in
-    words: ``3|P|`` for those masks, 4 for the masks, 6 per candidate, far
-    ones included, 1 per fold.
+    else from :func:`prefix_masks`.  Charge in words: ``3|P|`` for those
+    masks, 4 for the masks, 6 per candidate inside ``N(P)``, 1 per fold, and
+    1 for the root's far step if any candidate lies outside ``N(root)``.
     """
     adj = g.adj
     notp = ~p
@@ -244,8 +238,8 @@ def filter_children(
         adjacent, near = prefix_masks(g, p)
         outside = adjacent & notp
     cand = near & notp & -(1 << index)
-    children, scanned = (0, 0) if index else root_far_children(g, p, near)
-    scanned += cand.bit_count()
+    children = 0 if index else root_far_children(g, p, near, counter)
+    scanned = cand.bit_count()
     folds = 0
     while cand:
         low = cand & -cand
@@ -313,8 +307,9 @@ def children_rect(
     (:func:`_decide`), only as the stream is read.  After the batch-level
     work and after each chunk, the parents with no pair left undecided are
     released in bulk, and that step is charged in words(n): 6 per candidate
-    it decided, and ``5 + n^2 + 3|P|`` per parent it released.  A batch thus
-    costs :func:`filter_children`'s units without folds plus the full
+    it decided, and ``5 + n^2 + 3|P|`` per parent it released; a root row's
+    far step (:func:`root_far_children`) is charged with its slice.  A batch
+    thus costs :func:`filter_children`'s units without folds plus the full
     product, whatever its slices and chunks."""
     n = g.n
     w = words(n)
@@ -328,11 +323,11 @@ def children_rect(
         hi = lo + size
         part, index, near = masks[lo:hi], indices[lo:hi], nears[lo:hi]
         sides, pairs = _rect_slice(g, part, index, near, outsides[lo:hi])
-        # the root rows' children outside N(root), and the candidates there, by row
-        roots = {k: root_far_children(g, part[k], near[k]) for k, i in enumerate(index) if not i}
-        scanned = sum(count for _, count in roots.values())  # charged with the slice
+        roots = {  # the root rows' children outside N(root), charged with the slice
+            k: root_far_children(g, part[k], near[k], counter) for k, i in enumerate(index) if not i
+        }
         found: list[int] = []  # the flat pairs accepted and not yet released, ascending
-        total, done, released = len(pairs), 0, 0
+        total, done, released, scanned = len(pairs), 0, 0, 0
         while True:
             if done < total:  # every parent below the next undecided pair's is decided
                 last = int(pairs[done]) // n
@@ -351,7 +346,7 @@ def children_rect(
                     a = z
                 del found[:a]
                 for k in [k for k in roots if k < last]:
-                    group[k - released] |= roots.pop(k)[0]
+                    group[k - released] |= roots.pop(k)
                 for k, children in enumerate(group, released):
                     spec = _new(ChildSpec)  # ChildSpec(part[k], children) without its call
                     _set_parent(spec, part[k])

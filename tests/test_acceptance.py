@@ -7,6 +7,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import pairwise
 
 import numpy as np
 import pytest
@@ -286,6 +287,31 @@ def test_strict_delay_bound_is_real(name):
         f"tau {tau_share:.2f}x the mean, first output at {first_share:.2f} of the work)"
     )
     assert ok, f"strict delay bound on {name}"
+
+
+@pytest.mark.parametrize("name", list(STRICT_FAMILIES))
+def test_plain_bitset_gaps_are_bounded(name):
+    """Plain bitset at capacities 1, 2, 7, n and n^2: every gap after the
+    first output, the tail to the listing's end included, is at most 3x the
+    strict tau_delay of the same graph and capacity.  A gap is one pop and
+    one parent's test, and the root's test decides its children outside
+    N(root) with one mask operation, so no gap scans every row."""
+    g = STRICT_FAMILIES[name]()
+    worst = 0.0
+    for capacity in sorted({1, 2, 7, g.n, g.n * g.n}):
+        rep = ds.StrictRunReport()
+        for _ in ds.run_strict(g, capacity=capacity, report=rep):
+            pass
+        marks, units = [], 0  # the units charged up to each output, then to the end
+        for e in cs.list_mc(g, kernel="bitset", capacity=capacity):
+            units += e.cost
+            if e.kind == cs.CLIQUE_COLLECTED:
+                marks.append(units)
+        gap = max(b - a for a, b in pairwise([*marks, units]))
+        worst = max(worst, gap / rep.config.tau_delay)
+    ok = worst <= 3
+    print(f"[plain gap] {name}: {'PASS' if ok else 'FAIL'} (max gap {worst:.2f} strict tau)")
+    assert ok, f"plain bitset gap on {name}"
 
 
 # strict "rect" builds 6 n^2 bytes of factors, 24 MB at n = 2,000: that graph stays bitset-only

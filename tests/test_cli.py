@@ -490,6 +490,27 @@ class TestRun:
         assert len(rows) == 5
         assert [int(r[0]) for r in rows] == [1, 2, 3, 4, 5]
 
+    def test_trace_bytes_are_header_and_rows(self, tmp_path):
+        # each row is "{ordinal},{cost},{queue},{stack}\n", rebuilt here from
+        # the library's own streams, over more rows than one 8 KiB buffer
+        g = cs.Graph.complete_multipartite_triples(21)
+        head = f"{cli.TRACE_SCHEMA}\n{cli.TRACE_HEADER}\n"
+        strict = [
+            (e.cost_units, e.queue_size, e.stack_cliques) for e in cs.run_strict(g, capacity=7)
+        ]
+        stats, cost, plain = cs.TraversalStats(), 0, []
+        for e in cs.list_mc(g, capacity=7, stats=stats):
+            cost += e.cost
+            if e.kind == cs.CLIQUE_COLLECTED:
+                plain.append((cost, 0, stats.stack_cliques))
+                cost = 0
+        for mode, rows in (("strict", strict), ("plain", plain)):
+            trace = tmp_path / f"{mode}.csv"
+            rc, _, _ = run_cli(input="moon-moser:21", mode=mode, capacity=7, trace=str(trace))
+            want = head + "".join(f"{k},{c},{q},{s}\n" for k, (c, q, s) in enumerate(rows, 1))
+            assert rc == 0 and len(rows) == 3**7 and len(want) > 1 << 13
+            assert trace.read_bytes() == want.encode()
+
     def test_generator_inputs(self):
         rc, out, _ = run_cli(input="complete:4")
         assert rc == 0 and out.strip() == "1 2 3 4"

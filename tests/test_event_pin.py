@@ -22,8 +22,8 @@ PIN_GRAPHS = {
 # kernels, then capacities (1, 7, n^2): "cost;" per event for one kernel
 # each, and "kind,mask;" per event over the kernels ("bitset", "rect")
 COST_SHA256 = {
-    "bitset": "70c71c3a2d9a8b05d09244141902775621eb28a49dca587e3a531b992e9d0594",
-    "rect": "155305821429536dfe4fbc316467ed1f4e5f40e31c12dd0b48f9af18e894f645",
+    "bitset": "7702503ad069a62abad2d83048218a1af275794ede80f7f5eff792f2a9606657",
+    "rect": "45f9cd5877227f02b45f4df52b3132505414c4a2d95e4ba04d8b72dae9ff1f14",
 }
 ORDER_SHA256 = "1d7672e827f4fd0f821524884ee11baf180e43393fbfe1f64594bba65e450df8"
 # sha256 over the calibrated config and every run_strict emission on

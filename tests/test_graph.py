@@ -275,6 +275,32 @@ class TestConstruction:
             assert g.m == len(list(g.edges()))
         assert [g.m for g in builds[:4]] == [2, 2, 21, 27]
 
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+    def test_no_lower_is_derived_on_every_path(self, n):
+        # no_lower holds the vertices with no lower neighbor, whichever
+        # constructor built the rows; a third of the vertices stay isolated
+        rng = random.Random(n)
+        live = rng.sample(range(1, n + 1), 2 * n // 3)
+        edges = [tuple(rng.sample(live, 2)) for _ in range(2 * n)] if len(live) > 1 else []
+        listed = cs.Graph.from_edges(n, edges)
+        assert n == 1 or 0 in listed.adj
+        builds = [
+            cs.Graph(n, listed.adj),
+            listed,
+            cs.Graph.from_edges(n, np.array(edges, np.int64).reshape(-1, 2)),
+            *(cs.Graph.gnp(n, p, seed=n) for p in (0, min(1, 10 / n), 0.5, 1)),
+            cs.Graph.complete(n),
+            cs.Graph.complete_multipartite_triples(3 * max(1, n // 3)),
+            cs.cli.parse_dimacs(cs.cli.to_dimacs(listed)),
+            cs.cli.parse_edge_list(reference.to_edge_list(listed)),
+        ]
+        for g in builds:
+            lone = [v for v in range(1, g.n + 1) if g.adj[v - 1] & below_mask(v) == 0]
+            assert list(iter_bits(g.no_lower)) == lone
+        assert builds[-2] == builds[-1] == listed
+        # edgeless: every vertex; gnp at p = 1 and complete: vertex 1 alone
+        assert builds[3].no_lower == g.full_mask and builds[6].no_lower == builds[7].no_lower == 1
+
 
 class TestVertexSet:
     def test_iteration_ascending(self):

@@ -152,13 +152,15 @@ class TestGoodTables:
 
 def rect_charge(g, cliques, indices) -> int:
     """What "rect" charges for a batch: ``(3|P| + 4 + 6 * candidates)``
-    words per parent, as ``filter_children`` with good rows does, plus the
-    full product's ``1 + n^2`` words per parent."""
+    words per parent for its candidates inside ``N(P)``, and one more for a
+    root with candidates outside ``N(root)``, as ``filter_children`` with
+    good rows does, plus the full product's ``1 + n^2`` words per parent."""
     units = 0
     for p, index in zip(cliques, indices):
         _, near = prefix_masks(g, p)
-        cand = (near if index else g.full_mask) & ~p & -(1 << index)
-        units += 3 * p.bit_count() + 4 + 6 * cand.bit_count() + 1 + g.n * g.n
+        cand = near & ~p & -(1 << index)
+        far = index == 0 and (g.full_mask & ~(p | near)) != 0
+        units += 3 * p.bit_count() + 4 + 6 * cand.bit_count() + far + 1 + g.n * g.n
     return units * cs.rs_tree.words(g.n)
 
 
@@ -546,8 +548,8 @@ class TestRectStream:
 
 
 # graphs whose root has candidates outside N(root) on more than half the
-# vertices, on fewer (dense-64: 21 of 64) or none, and the folds bitset
-# makes at their root
+# vertices, on fewer (dense-64: 21 of 64) or none (star), and the folds
+# bitset makes at their root
 ROOT_GRAPHS = [
     pytest.param(lambda: cs.Graph.gnp(130, 0), 0, id="edgeless"),
     pytest.param(lambda: cs.Graph.gnp(64, 0.25, seed=3), 49, id="dense-64"),
@@ -559,8 +561,8 @@ ROOT_GRAPHS = [
 
 class TestRootRule:
     """The root's children outside N(root) come from one helper that both
-    kernels call: the far vertices with no lower neighbor.  Each kernel's
-    own test sees only N(root), and every far candidate is still priced."""
+    kernels call: the far vertices with no lower neighbor, one mask
+    operation.  Each kernel's own test sees only N(root)."""
 
     @pytest.mark.parametrize("build, folds", ROOT_GRAPHS)
     def test_root_children_and_units_on_both_kernels(self, build, folds):
@@ -572,8 +574,10 @@ class TestRootRule:
         far = [v for v in want.indices if not near >> (v - 1) & 1]
         assert far == [v for v in lone if not (r | near) >> (v - 1) & 1]
         w = cs.rs_tree.words(g.n)
-        # 6 words for each of the n - |P| candidates, near or far
-        priced = (3 * r.bit_count() + 4 + 6 * (g.n - r.bit_count())) * w
+        # 6 words for each candidate inside N(root), and one for the far
+        # step when some candidate lies outside it
+        outside = g.n - (r | near).bit_count()
+        priced = (3 * r.bit_count() + 4 + 6 * (near & ~r).bit_count() + (outside > 0)) * w
         bitset = cs.OpCounter()
         assert cs.kernels.children_batch(g, [r], "bitset", bitset, [0]) == [want]
         assert bitset.ops == priced + folds * w
@@ -601,18 +605,30 @@ class TestRootRule:
         assert cs.kernels.children_batch(g, batch, kernel="rect") == want
 
     def test_bitset_reads_only_the_rows_of_near_candidates(self):
-        # an edgeless root {1} has no neighbor: its test reads its own row
-        # alone, and the far children come from one pass over the rows
+        # the root's test reads its members' rows and those of its candidates
+        # inside N(root), and no row for a candidate outside it
         class Rows(tuple):
-            reads = 0
+            read: list[int] = []
 
             def __getitem__(self, k):
-                Rows.reads += 1
+                Rows.read.append(k)
                 return tuple.__getitem__(self, k)
 
-        g = cs.Graph._normalized(130, Rows(cs.Graph.gnp(130, 0).adj))
-        assert cs.kernels.filter_children(g, 1, 0) == g.full_mask ^ 1
-        assert Rows.reads == 1
+            def __iter__(self):  # a pass over the rows reads every one
+                Rows.read.extend(range(len(self)))
+                return tuple.__iter__(self)
+
+        for built in (cs.Graph.gnp(130, 0), sparse_with_isolated(130)):
+            g = cs.Graph._normalized(130, Rows(built.adj))
+            r = cs.rs_tree.root(g).bits
+            _, near = prefix_masks(g, r)
+            want = cs.kernels.children_naive(g, r, 0).children
+            Rows.read.clear()  # the rows read to build the graph and to find the answer
+            assert cs.kernels.filter_children(g, r, 0) == want
+            far = g.full_mask & ~(r | near)
+            assert far.bit_count() > g.n // 2
+            assert Rows.read and not any(far >> k & 1 for k in Rows.read)
+            assert all((r | near) >> k & 1 for k in Rows.read)
 
 
 class TestAdjacentToOwnPrefix:
