@@ -26,14 +26,12 @@ from .delay_scheduler import (
     run_strict,
 )
 from .graph import Graph, VertexSet
-from .kernels import ChildSpec
 from .rs_tree import OpCounter
 
 __all__ = [
     "BATCH_COMPLETED",
     "CLIQUE_COLLECTED",
     "TRAVERSAL_ENDED",
-    "ChildSpec",
     "DelayConfig",
     "Emission",
     "Graph",

@@ -10,9 +10,11 @@ parent's on top.  Each pop's one walk over the clique's members also finds
 its ``N(C)`` and outside set, the masks both kernels' tests read.  A
 per-parent ``decide`` ("bitset") tests each clique right after its event
 and holds its pair until the batch ends; a batch ``children_fn`` ("rect")
-takes the batch's masks, indices, ``N(C)`` and outside sets at its end,
-and a plain traversal stacks that step as one source, read as the stack
-reaches each parent.  A clique popped from ``(P, i)`` has reverse-search
+takes the batch's masks, indices, ``N(C)`` and outside sets at its end
+and returns their child masks in order, which the traversal zips back onto
+the parents (a step of another length raises ``ValueError``); a plain
+traversal stacks that zip as one source, read as the stack reaches each
+parent.  A clique popped from ``(P, i)`` has reverse-search
 index ``i`` by definition (the root has 0), so ``pop`` returns that index
 with the clique and no index is recomputed.
 
@@ -23,9 +25,9 @@ one ``VertexSet`` without its constructor.  One ``OpCounter`` per listing
 takes every charge, and each event costs the counter's growth since the
 previous event.  A consumer that must act while a ``children_fn`` step runs
 sets a :class:`Pace`: once the units since the previous event reach its
-quantum, the step yields a children-work event between two specs.  Indices
-are consumed in ascending order, so emission order is deterministic for a
-given (graph, kernel, capacity), paced or not.
+quantum, the step yields a children-work event between two child masks.
+Indices are consumed in ascending order, so emission order is
+deterministic for a given (graph, kernel, capacity), paced or not.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .graph import Graph, VertexSet, iter_bits
-from .kernels import ChildSpec
 from .rs_tree import OpCounter, _child_walk
 
 CLIQUE_COLLECTED = "clique-collected"
@@ -42,10 +43,10 @@ BATCH_COMPLETED = "batch-completed"
 TRAVERSAL_ENDED = "traversal-ended"
 CHILDREN_WORK = "children-work"
 
-# children_fn(masks, indices, nears, outsides) -> the specs of masks in order, any iterable, lazy
-# in a listing; four tuples, element k for masks[k] (index 0: root), in batch order if paced,
-# else last parent first
-ChildrenFn = Callable[[tuple, tuple, tuple, tuple], Iterable[ChildSpec]]
+# children_fn(masks, indices, nears, outsides) -> the child masks of masks, one each and in order
+# (bit i - 1 for index i), any iterable, lazy in a listing; four tuples, element k for masks[k]
+# (index 0: root), in batch order if paced, else last parent first
+ChildrenFn = Callable[[tuple, tuple, tuple, tuple], Iterable[int]]
 # decide(g, mask, index, counter, near, outside) -> the clique's child mask, bit i - 1 for index
 # i; near is N(C), outside the non-members adjacent to every member below them (0: root)
 Decide = Callable[[Graph, int, int, OpCounter, int, int], int]
@@ -154,12 +155,12 @@ def step_events(
     masks right after its event, ``children_fn`` and ``pace`` are unused,
     and a clique event costs its pop and the previous clique's decision
     unless it opens a batch, a batch-completed event its last clique's
-    decision.  Otherwise
-    ``children_fn`` takes each batch.  Without ``pace``, its step is read as
-    the stack reaches each parent, so a lazy step's work falls on the events
-    that wait for it.  With ``pace`` every step runs at its batch end; with
-    a positive quantum a children-work event follows each spec that brings
-    the units since the previous event to the quantum.
+    decision.  Otherwise ``children_fn`` takes each batch.  Without
+    ``pace``, its step is read as the stack reaches each parent, so a lazy
+    step's work falls on the events that wait for it.  With ``pace`` every
+    step runs at its batch end; with a positive quantum a children-work
+    event follows each child mask that brings the units since the previous
+    event to the quantum.
     """
     if capacity < 1:
         raise ValueError("batch capacity must be at least 1")
@@ -177,11 +178,11 @@ def step_events(
         held: list[int] = []  # decide's non-empty pairs, flat: parent mask, child mask
         size = held_cliques = 0
         while size < capacity:
-            # a lazy source on top is read up to its first non-empty spec, dropped once spent
+            # a lazy source on top is read up to its first parent with children, dropped once spent
             while entries and type(entries[-1]) is not int:
-                for spec in entries[-1]:
-                    if spec.children:
-                        stack.push(spec.parent, spec.children)
+                for parent, children in entries[-1]:
+                    if children:
+                        stack.push(parent, children)
                         if stack.pending > stats.max_stack_cliques:
                             stats.max_stack_cliques = stack.pending
                         break
@@ -216,13 +217,14 @@ def step_events(
         if decide is not None:  # batch order, the last parent on top
             entries += held
             stack.pending += held_cliques
-        elif pace is None:  # the batch last parent first
-            specs = children_fn(*zip(*reversed(batch)))
-            entries.append(iter(specs))  # a source, read as the stack reaches it
-        else:
+        elif pace is None:  # the batch last parent first, a source read as the stack reaches it
+            step = tuple(zip(*reversed(batch)))
+            entries.append(zip(step[0], children_fn(*step), strict=True))
+        else:  # zip(strict=True): a step of another length raises ValueError
+            step = tuple(zip(*batch))
             quantum = pace.quantum
-            for spec in children_fn(*zip(*batch)):
-                stack.push(spec.parent, spec.children)
+            for parent, children in zip(step[0], children_fn(*step), strict=True):
+                stack.push(parent, children)
                 if quantum > 0 and counter.ops - charged >= quantum:
                     cost, charged = counter.ops - charged, counter.ops
                     stats.total_cost += cost

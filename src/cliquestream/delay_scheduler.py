@@ -24,7 +24,7 @@ Both kernels read each clique's ``N(C)`` and outside set from the walk
 its pop made.  A "bitset" listing decides each clique with
 :func:`~cliquestream.kernels.filter_children` right after its event, in
 plain and strict mode alike, so a gap is one pop and one parent's test.
-"rect" hands the traversal a lazy spec stream,
+"rect" hands the traversal a lazy stream of child masks,
 :func:`~cliquestream.kernels.children_rect`, which stacks a slice's
 candidate pairs once and then decides them chunk by chunk.  A
 plain stream reads it as the stack reaches each parent, so a "rect" gap is
@@ -234,14 +234,13 @@ def run_strict(
 def _paced(events, pace: Pace | None, report, start: float) -> Iterator[Emission]:
     """``run_strict``'s pacing loop over an opened event stream, which the
     call opened at ``perf_counter`` reading ``start``."""
-    stats = report.stats
     q: deque[int] = deque()
-    cfg, report.boot_exhausted = calibrate(events, q, stats)
+    cfg, report.boot_exhausted = calibrate(events, q, report.stats)
     report.config = cfg
     report.boot_collected = report.queue_peak = peak = len(q)
     tau = cfg.tau_delay
     reserve = CALIBRATION_MARGIN * cfg.boot_target
-    counter = ordinal = top = gap = banked = 0
+    counter = top = banked = 0
     if pace is not None:
         pace.quantum = tau  # children-work events from here on
     # after an exhausting boot the stream is spent and this loop is empty
@@ -258,33 +257,29 @@ def _paced(events, pace: Pace | None, report, start: float) -> Iterator[Emission
         elif kind == BATCH_COMPLETED:
             banked = 0
         if (counter >= tau and q) or (len(q) > reserve and len(q) > banked):
-            ordinal += 1
-            if ordinal == 1:
-                report.first_output_units = stats.total_cost
-                report.first_output_s = time.perf_counter() - start
-            if counter > gap:
-                gap = report.max_gap_units = counter
-            report.emitted, report.queue_peak = ordinal, peak
-            clique = _new(VertexSet)  # as step_events wraps a clique: no constructor check
-            _set_bits(clique, q.popleft())
-            yield Emission(clique, ordinal, counter, len(q), stats.stack_cliques)
+            report.queue_peak = peak
+            yield _release(report, q, counter, start)
             counter = 0
         elif counter >= tau and kind != TRAVERSAL_ENDED:  # the queue is empty
             report.starved_checks += 1
         if pace is not None:
             pace.quantum = tau - counter  # the units the next print waits for
     report.queue_peak = peak
-    drain_from = ordinal
-    while q:
-        # final drain; the first drained clique inherits the residual counter
-        ordinal += 1
-        if ordinal == 1:
-            report.first_output_units = stats.total_cost
-            report.first_output_s = time.perf_counter() - start
-        if counter > gap:
-            gap = report.max_gap_units = counter
-        report.emitted, report.drained = ordinal, ordinal - drain_from
-        clique = _new(VertexSet)
-        _set_bits(clique, q.popleft())
-        yield Emission(clique, ordinal, counter, len(q), stats.stack_cliques)
+    while q:  # final drain; the first drained clique inherits the residual counter
+        report.drained += 1
+        yield _release(report, q, counter, start)
         counter = 0
+
+
+def _release(report: StrictRunReport, q: deque[int], units: int, start: float) -> Emission:
+    """Release the queue's head as the run's next emission, ``units`` charged
+    since the previous one, and record it on ``report``."""
+    ordinal = report.emitted = report.emitted + 1
+    if ordinal == 1:
+        report.first_output_units = report.stats.total_cost
+        report.first_output_s = time.perf_counter() - start
+    if units > report.max_gap_units:
+        report.max_gap_units = units
+    clique = _new(VertexSet)  # as step_events wraps a clique: no constructor check
+    _set_bits(clique, q.popleft())
+    return Emission(clique, ordinal, units, len(q), report.stats.stack_cliques)

@@ -26,17 +26,18 @@ every product it makes.
 i) inside ``N(P)`` are stacked as rows ``P & A_i`` and multiplied by
 ``Nc.T`` in chunks of at least :data:`CHUNK_ROWS` rows, more if
 :data:`BLOCK_BYTES` allows, and the test of :func:`filter_children` runs
-on the bool blocks.  A chunk is decided only when the stream's reader needs
-a parent it covers, and each parent's spec leaves as soon as its last chunk
-is decided.  "bitset" runs :func:`filter_children` per parent, folding the
-common neighborhood only as far as each candidate needs.  Both read each
-parent's ``N(P)`` and outside set (the non-members adjacent to every
-member below them) from its pop's walk in a listing, and from
-:func:`prefix_masks` for an arbitrary batch.  A child set is one int mask
-either way, bit i - 1 for index i: what :func:`filter_children` returns
-and a :class:`ChildSpec`'s ``children``.  ``children_naive`` re-derives
-the test with direct completion calls, one parent at a time, as the
-differential reference.  Only indices above the parent's own index are
+on the bool blocks.  A chunk is decided only when the stream's reader
+needs a parent it covers, and each parent's child mask leaves as soon as
+its last chunk is decided.  "bitset" runs :func:`filter_children` per
+parent, folding the common neighborhood only as far as each candidate
+needs.  Both read each parent's ``N(P)`` and outside set (the non-members
+adjacent to every member below them) from its pop's walk in a listing, and
+from :func:`prefix_masks` for an arbitrary batch.  A child set is one int
+mask either way, bit i - 1 for index i: what :func:`filter_children`
+returns and :func:`children_rect` yields, and what :func:`children_batch`
+wraps in a :class:`ChildSpec` beside its parent.  ``children_naive``
+re-derives the test with direct completion calls, one parent at a time, as
+the differential reference.  Only indices above the parent's own index are
 candidates.  The traversal knows that index (a child popped from ``(P,
 i)`` has index ``i``, the root 0) and passes it in; :func:`children_batch`
 recomputes it for arbitrary batches.  Both kernels test only neighbors
@@ -48,7 +49,6 @@ one mask operation, charged words(n) when any candidate lies there.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain, pairwise, repeat
 from typing import Iterator
@@ -97,11 +97,6 @@ class ChildSpec:
 
     def __len__(self) -> int:
         return self.children.bit_count()
-
-
-_new = object.__new__
-_set_parent = ChildSpec.parent.__set__
-_set_children = ChildSpec.children.__set__
 
 
 def _mask_rows(masks, n: int) -> np.ndarray:
@@ -296,21 +291,23 @@ def _decide(pairs: np.ndarray, n: int, factors: Factors, sides: np.ndarray) -> l
 def children_rect(
     g: Graph, masks, indices, factors: Factors, counter: OpCounter | None = None,
     nears=None, outsides=None,
-) -> Iterator[ChildSpec]:
-    """Lazy "rect" children stream: one ChildSpec per parent of ``masks``
+) -> Iterator[int]:
+    """Lazy "rect" children stream: one child mask per parent of ``masks``
     (``indices[k]`` their indices, both sequences), in the order handed in,
     each read once.  ``nears`` and ``outsides`` are their ``N(P)`` and
     outside sets from a listing's pops, else from :func:`prefix_masks`.
     Each slice of ``RECT_ROWS_BYTES // (16 n)`` parents does its batch-level
-    work once (:func:`_rect_slice`), then decides its pairs in chunks of
-    :data:`CHUNK_ROWS` rows, more if :data:`BLOCK_BYTES` allows
-    (:func:`_decide`), only as the stream is read.  After the batch-level
-    work and after each chunk, the parents with no pair left undecided are
-    released in bulk, and that step is charged in words(n): 6 per candidate
-    it decided, and ``5 + n^2 + 3|P|`` per parent it released; a root row's
-    far step (:func:`root_far_children`) is charged with its slice.  A batch
-    thus costs :func:`filter_children`'s units without folds plus the full
-    product, whatever its slices and chunks."""
+    work once (:func:`_rect_slice`) and starts each root row's mask with its
+    far children (:func:`root_far_children`, charged with the slice), then
+    decides its pairs in chunks of :data:`CHUNK_ROWS` rows, more if
+    :data:`BLOCK_BYTES` allows (:func:`_decide`), only as the stream is
+    read, ORing each accepted pair into its parent's mask, so between reads
+    it keeps one int a parent beside the slice's rows and pairs.  After the
+    batch-level work and after each chunk, the parents with no pair left
+    undecided are released in bulk, and that step is charged in words(n): 6
+    per candidate it decided, and ``5 + n^2 + 3|P|`` per parent it released.
+    A batch thus costs :func:`filter_children`'s units without folds plus
+    the full product, whatever its slices and chunks."""
     n = g.n
     w = words(n)
     if nears is None:
@@ -323,10 +320,9 @@ def children_rect(
         hi = lo + size
         part, index, near = masks[lo:hi], indices[lo:hi], nears[lo:hi]
         sides, pairs = _rect_slice(g, part, index, near, outsides[lo:hi])
-        roots = {  # the root rows' children outside N(root), charged with the slice
-            k: root_far_children(g, part[k], near[k], counter) for k, i in enumerate(index) if not i
-        }
-        found: list[int] = []  # the flat pairs accepted and not yet released, ascending
+        children = [  # one child mask per parent, bit i - 1 for index i
+            0 if i else root_far_children(g, p, c, counter) for p, i, c in zip(part, index, near)
+        ]
         total, done, released, scanned = len(pairs), 0, 0, 0
         while True:
             if done < total:  # every parent below the next undecided pair's is decided
@@ -336,26 +332,12 @@ def children_rect(
             if counter is not None:
                 members = sum(map(int.bit_count, part[released:last]))
                 counter.ops += ((5 + n * n) * (last - released) + 3 * members + 6 * scanned) * w
-            if last > released:
-                # the released parents' child masks, read in bulk: found holds k * n + i - 1
-                # for each accepted i of parent k
-                group, a = [], 0
-                for k in range(released, last):
-                    z = bisect_left(found, (k + 1) * n, a)
-                    group.append(sum(1 << (f - k * n) for f in found[a:z]) if z > a else 0)
-                    a = z
-                del found[:a]
-                for k in [k for k in roots if k < last]:
-                    group[k - released] |= roots.pop(k)
-                for k, children in enumerate(group, released):
-                    spec = _new(ChildSpec)  # ChildSpec(part[k], children) without its call
-                    _set_parent(spec, part[k])
-                    _set_children(spec, children)
-                    yield spec
-                released = last
+            yield from children[released:last]
+            released = last
             if released == len(part):
                 break
-            found += _decide(pairs[done : done + step], n, factors, sides)
+            for f in _decide(pairs[done : done + step], n, factors, sides):
+                children[f // n] |= 1 << f % n  # f = k * n + i - 1
             scanned = min(step, total - done)
             done += scanned
 
@@ -412,7 +394,9 @@ def children_batch(
     elif len(indices) != len(cliques):
         raise ValueError(f"{len(indices)} indices for a batch of {len(cliques)}")
     if kernel == "bitset":
-        return [ChildSpec(p, filter_children(g, p, i, counter)) for p, i in zip(cliques, indices)]
-    if kernel != "rect":
+        masks = [filter_children(g, p, i, counter) for p, i in zip(cliques, indices)]
+    elif kernel == "rect":
+        masks = children_rect(g, cliques, indices, graph_factors(g, counter), counter)
+    else:
         raise ValueError(f"unknown kernel {kernel!r}")
-    return list(children_rect(g, cliques, indices, graph_factors(g, counter), counter))
+    return list(map(ChildSpec, cliques, masks))

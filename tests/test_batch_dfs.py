@@ -176,7 +176,8 @@ class TestSinkDriver:
 
         def children_fn(cliques, indices, nears, outsides):
             # a plain step hands in its batch as tuples, last parent first
-            return cs.kernels.children_batch(bridged, list(cliques), indices=list(indices))
+            specs = cs.kernels.children_batch(bridged, list(cliques), indices=list(indices))
+            return [spec.children for spec in specs]
 
         stats = cs.TraversalStats()
         root = cs.rs_tree.root(bridged)
@@ -189,7 +190,7 @@ class TestSinkDriver:
 
     @pytest.mark.parametrize("kernel", cs.kernels.KERNELS)
     def test_children_fn_sees_masks_and_events_carry_vertex_sets(self, kernel):
-        # the batch, the stack and the specs carry raw masks; each
+        # the batch, the stack and the children step carry raw masks; each
         # clique-collected event wraps its clique in one VertexSet
         g = cs.Graph.gnp(20, 0.4, seed=6)
         counter = cs.OpCounter()
@@ -202,7 +203,7 @@ class TestSinkDriver:
                 g, masks, kernel=kernel, counter=counter, indices=list(indices)
             )
             parents.extend(spec.parent for spec in specs)
-            return specs
+            return [spec.children for spec in specs]
 
         root = cs.rs_tree.root(g, counter)
         for capacity in (1, 7, g.n * g.n):
@@ -218,6 +219,22 @@ class TestSinkDriver:
             assert [c.bits for c in cliques] == [m for step in steps for m in step[::-1]]
             assert set(passed) == oracle_bits(g)
 
+    @pytest.mark.parametrize("paced", [False, True])
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_children_step_of_the_wrong_length_raises(self, paced, extra):
+        # a step one mask short or one mask long is refused on both schedules,
+        # not read as a shorter listing
+        g = cs.Graph.gnp(20, 0.4, seed=6)
+
+        def children_fn(masks, indices, nears, outsides):
+            specs = cs.kernels.children_batch(g, list(masks), indices=list(indices))
+            children = [spec.children for spec in specs]
+            return children[:-1] if extra < 0 else children + [0]
+
+        pace = Pace() if paced else None
+        with pytest.raises(ValueError):
+            list(cs.step_events(g, cs.rs_tree.root(g), children_fn, 7, pace=pace))
+
     def test_capacity_must_be_positive(self, bridged):
         with pytest.raises(ValueError):
             list(cs.step_events(bridged, cs.rs_tree.root(bridged), lambda *batch: [], 0))
@@ -232,11 +249,11 @@ class TestPace:
         counter = cs.OpCounter()
 
         def children_fn(cliques, indices, nears, outsides):
-            specs = (
-                cs.ChildSpec(p, cs.kernels.filter_children(g, p, i, counter, near, outside))
+            masks = (
+                cs.kernels.filter_children(g, p, i, counter, near, outside)
                 for p, i, near, outside in zip(cliques, indices, nears, outsides)
             )
-            return specs if lazy else list(specs)
+            return masks if lazy else list(masks)
 
         pace = Pace()
         pace.quantum = quantum
@@ -381,7 +398,7 @@ class TestOnDemandChildren:
     def logged(monkeypatch):
         """Log every children test as ("test", child mask, units), every
         pop's walk as ("pop", None, units) and the "rect" factors as
-        ("factors", None, units), in the order they run.  A "rect" spec's
+        ("factors", None, units), in the order they run.  A "rect" mask's
         units are those charged while the stream produced it."""
         log = []
         real_filter, real_walk = cs.kernels.filter_children, cs.batch_dfs._child_walk
@@ -397,12 +414,12 @@ class TestOnDemandChildren:
             stream = real_rect(g, masks, indices, factors, counter, nears, outsides)
             while True:
                 before = counter.ops
-                spec = next(stream, None)
-                assert spec is not None or counter.ops == before
-                if spec is None:
+                children = next(stream, None)
+                assert children is not None or counter.ops == before
+                if children is None:
                     return
-                log.append(("test", spec.children, counter.ops - before))
-                yield spec
+                log.append(("test", children, counter.ops - before))
+                yield children
 
         def graph_factors(g, counter):
             before = counter.ops

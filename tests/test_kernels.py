@@ -204,7 +204,8 @@ class TestRectBlocks:
                 )
                 indices = [index_of(g, p) for p in batch]
                 rect = list(cs.kernels.children_rect(g, batch, indices, factors))
-                assert rect == cs.kernels.children_batch(g, batch, kernel="bitset")
+                bitset = cs.kernels.children_batch(g, batch, kernel="bitset")
+                assert rect == [spec.children for spec in bitset]
 
     def test_only_needed_rows_are_multiplied(self, monkeypatch):
         # a parent's rows are multiplied only for its candidates inside N(P)
@@ -212,7 +213,7 @@ class TestRectBlocks:
         batch = oracle_masks(g, limit=70)[:9]
         indices = [index_of(g, p) for p in batch]
         factors = cs.kernels.graph_factors(g)
-        want = cs.kernels.children_batch(g, batch, "bitset", None, indices)
+        want = [s.children for s in cs.kernels.children_batch(g, batch, "bitset", None, indices)]
         need = 0
         for p, index in zip(batch, indices):
             _, near = prefix_masks(g, p)
@@ -243,7 +244,7 @@ class TestRectBlocks:
         g = cs.Graph.gnp(200, 0.05, seed=13)
         r = cs.rs_tree.root(g).bits
         factors = cs.kernels.graph_factors(g)
-        want = [cs.kernels.children_naive(g, r, 0)]
+        want = [cs.kernels.children_naive(g, r, 0).children]
         rows = []
         real = cs.matmul.multiply_boolean_threshold
 
@@ -375,11 +376,11 @@ class TestBatchStep:
                 for batch, indices in listing_batches(g, capacity, monkeypatch):
                     for p, index in zip(batch, indices):
                         if p not in naive:
-                            naive[p] = cs.kernels.children_naive(g, p, index)
+                            naive[p] = cs.kernels.children_naive(g, p, index).children
                     bitset = cs.kernels.children_batch(g, batch, "bitset", None, indices)
                     counter = cs.OpCounter()
                     rect = list(cs.kernels.children_rect(g, batch, indices, factors, counter))
-                    assert rect == bitset == [naive[p] for p in batch]
+                    assert rect == [s.children for s in bitset] == [naive[p] for p in batch]
                     assert counter.ops == rect_charge(g, batch, indices)
                     sliced = cs.OpCounter()
                     with monkeypatch.context() as m:
@@ -390,7 +391,8 @@ class TestBatchStep:
                     assert sliced.ops == counter.ops
                     if indices[0] == 0:
                         _, near = prefix_masks(g, batch[0])
-                        outside_root += sum(not near >> (i - 1) & 1 for i in rect[0].indices)
+                        root_children = cs.VertexSet(rect[0])
+                        outside_root += sum(not near >> (i - 1) & 1 for i in root_children)
         assert outside_root > 0 or n == 1
 
     def test_step_peak_stays_in_its_budgets(self, monkeypatch):
@@ -411,24 +413,24 @@ class TestBatchStep:
 
 
 class TestRectStream:
-    """``children_rect``, the lazy step a "rect" listing stacks: the specs of
-    ``children_batch`` and ``children_naive`` in the order handed in, a
+    """``children_rect``, the lazy step a "rect" listing stacks: the child
+    masks of ``children_batch`` and ``children_naive`` in the order handed in, a
     batch's charge split over its releases, and chunks decided only as
     parents are read."""
 
     @staticmethod
     def read(g, masks, indices, factors):
-        """The stream's specs, and the counter's growth at each of them."""
+        """The stream's child masks, and the counter's growth at each of them."""
         counter = cs.OpCounter()
         specs, charges = [], []
         stream = cs.kernels.children_rect(g, masks, indices, factors, counter)
         while True:
             before = counter.ops
-            spec = next(stream, None)
-            if spec is None:
-                assert counter.ops == before  # nothing is charged after the last spec
+            children = next(stream, None)
+            if children is None:
+                assert counter.ops == before  # nothing is charged after the last mask
                 return specs, charges
-            specs.append(spec)
+            specs.append(children)
             charges.append(counter.ops - before)
 
     @pytest.mark.parametrize("n", [1, 2, 30, 65])
@@ -441,11 +443,11 @@ class TestRectStream:
                 for batch, indices in listing_batches(g, capacity, monkeypatch):
                     for p, index in zip(batch, indices):
                         if p not in naive:
-                            naive[p] = cs.kernels.children_naive(g, p, index)
+                            naive[p] = cs.kernels.children_naive(g, p, index).children
                     want = [naive[p] for p in batch]
                     charge = rect_charge(g, batch, indices)
                     listed = cs.kernels.children_batch(g, batch, "rect", None, indices)
-                    assert listed == want
+                    assert [(s.parent, s.children) for s in listed] == list(zip(batch, want))
                     # strict mode hands lists in batch order
                     specs, charges = self.read(g, batch, indices, factors)
                     assert specs == want and sum(charges) == charge
@@ -463,7 +465,7 @@ class TestRectStream:
     def test_popped_masks_match_the_fallback_and_naive(self, n, monkeypatch):
         # a listing hands each step the N(P) and outside sets its pops found;
         # the stream must equal the one that derives them with prefix_masks,
-        # spec for spec and unit for unit
+        # mask for mask and unit for unit
         g = sparse_with_isolated(n)
         factors = cs.kernels.graph_factors(g)
         real = cs.kernels.children_rect
@@ -481,7 +483,7 @@ class TestRectStream:
             for masks, indices, nears, outsides in steps:
                 for p, index in zip(masks, indices):
                     if p not in naive:
-                        naive[p] = cs.kernels.children_naive(g, p, index)
+                        naive[p] = cs.kernels.children_naive(g, p, index).children
                 popped, fallback = cs.OpCounter(), cs.OpCounter()
                 specs = list(real(g, masks, indices, factors, popped, nears, outsides))
                 assert specs == list(real(g, masks, indices, factors, fallback))
@@ -495,9 +497,9 @@ class TestRectStream:
         others = [p for p in oracle_masks(g, limit=40) if p != r][:8]
         batch = [r, *others[:4], r, *others[4:]]  # the stream takes what it is handed
         indices = [0 if p == r else index_of(g, p) for p in batch]
-        want = [cs.kernels.children_naive(g, p, i) for p, i in zip(batch, indices)]
+        want = [cs.kernels.children_naive(g, p, i).children for p, i in zip(batch, indices)]
         _, near = prefix_masks(g, r)
-        assert any(not near >> (i - 1) & 1 for i in want[0].indices)
+        assert any(not near >> (i - 1) & 1 for i in cs.VertexSet(want[0]))
         factors = cs.kernels.graph_factors(g)
         for parents in (1, 2, 3, len(batch)):
             monkeypatch.setattr(cs.kernels, "RECT_ROWS_BYTES", parents * 16 * g.n)
@@ -585,7 +587,7 @@ class TestRootRule:
         assert cs.kernels.filter_children(g, r, 0, None, near, 0) == want.children
         rect = cs.OpCounter()
         factors = cs.kernels.graph_factors(g)
-        assert list(cs.kernels.children_rect(g, [r], [0], factors, rect)) == [want]
+        assert list(cs.kernels.children_rect(g, [r], [0], factors, rect)) == [want.children]
         assert rect.ops == priced + (1 + g.n * g.n) * w == rect_charge(g, [r], [0])
 
     @pytest.mark.parametrize("build, folds", ROOT_GRAPHS)
@@ -690,10 +692,10 @@ class TestFilterChildren:
         assert 0 < counter_lazy.ops < counter_rows.ops
 
     def test_spec_behaves_like_a_constructed_one(self, bridged):
-        # rect builds its specs without the dataclass constructor, and bitset
-        # decides a parent as one child mask; every spec's parent is the raw
-        # mask the kernel was given
-        made = cs.ChildSpec(parent=K5, children=0b11100000)
+        # each kernel decides a parent as one child mask, which children_batch
+        # and children_naive wrap; every spec's parent is the raw mask the
+        # kernel was given
+        made = cs.kernels.ChildSpec(parent=K5, children=0b11100000)
         assert made.indices == (6, 7, 8)
         assert cs.kernels.filter_children(bridged, K5, 0) == made.children
         for got in (
@@ -917,9 +919,9 @@ print(__debug__, refused)
             batch = oracle_masks(g)
             factors = cs.kernels.graph_factors(g)
             indices = [index_of(g, p) for p in batch]
-            assert list(cs.kernels.children_rect(g, batch, indices, factors)) == (
-                cs.kernels.children_batch(g, batch, kernel="rect")
-            )
+            assert list(cs.kernels.children_rect(g, batch, indices, factors)) == [
+                spec.children for spec in cs.kernels.children_batch(g, batch, kernel="rect")
+            ]
             graph_units = cs.OpCounter()
             cs.kernels.graph_factors(g, graph_units)
             assert graph_units.ops == g.n * g.n * 2 * cs.rs_tree.words(g.n)
