@@ -5,12 +5,13 @@ header, ``#`` comments), DIMACS files (``p edge N M`` then ``e u v``
 lines, ``c`` comments), or generator specs passed straight to ``--input``:
 ``gnp:N:P`` (seeded by ``--seed``), ``moon-moser:N``, ``complete:N``.  A
 vertex count or edge probability the :class:`Graph` constructors refuse
-is refused with their message (after the line number, for files).  Files
-are read in bulk: the text is checked and its ASCII decimal ids read in a
-few bytes and numpy calls, and :class:`Graph`'s pairs builder packs the
-adjacency a block of rows at a time; the line-by-line rules run only to
-name the first line of a refused file.  A leading UTF-8 byte-order mark
-is dropped.
+is refused with their message (after the line number, for files).  Each
+format has one grammar, its line-by-line rules, which name the first line
+of a refused file.  A plain-ASCII file is read in bulk: the text is checked
+and its ASCII decimal ids read in a few bytes and numpy calls; any other
+file, and any the bulk reader does not take, is read by the line rules.
+:class:`Graph`'s pairs builder packs the adjacency a block of rows at a
+time.  A leading UTF-8 byte-order mark is dropped.
 
 Cliques stream to stdout one per line as ascending 1-based vertex ids;
 diagnostics go to stderr.  A reader that closes stdout early (``| head``)
@@ -37,9 +38,9 @@ import argparse
 import os
 import re
 import sys
+from array import array
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import NoReturn
 
 import numpy as np
 
@@ -63,24 +64,17 @@ class IngestReport:
     warnings: list[str] = field(default_factory=list)
 
 
-# The bulk readers split tokens on b" " and lines on b"\n" alone: each line
-# break of str.splitlines becomes a newline ("\r\n" two, one more blank
-# line) and the other whitespace of str.split a space, past ASCII first
-_WIDE_SPACES = str.maketrans(
-    dict.fromkeys("\x85\u2028\u2029", "\n")
-    | dict.fromkeys("\xa0\u1680\u202f\u205f\u3000", " ")
-    | dict.fromkeys(map(chr, range(0x2000, 0x200B)), " ")
-)
-# and the other ASCII control bytes become DEL, a token byte as they are, so
-# that a byte separates tokens exactly when it is at most b" "
-_CONTROLS = bytes(c for c in range(32) if c not in b"\n\r\x0b\x0c\x1c\x1d\x1e\t\x1f")
-_ASCII_SPACES = bytes.maketrans(
-    b"\r\x0b\x0c\x1c\x1d\x1e\t\x1f" + _CONTROLS, b"\n" * 6 + b"  " + b"\x7f" * len(_CONTROLS)
-)
+# The bulk readers take plain ASCII alone and split tokens on b" " and lines
+# on b"\n": tab becomes a space and each ASCII break of str.splitlines a
+# newline ("\r\n" two, one more blank line), so a comment ends where its
+# line does.  No b"\r" is left, so it marks where a DIMACS "e " was.  Past
+# comments, headers and DIMACS's "e", any byte but digits and separators, a
+# "+" included, leaves the text to the line rules.
+_BREAKS = bytes.maketrans(b"\t\r\x0b\x0c\x1c\x1d\x1e", b" " + b"\n" * 6)
+_DIGITS = b" \n\r0123456789"
 _INDENT = re.compile(rb"\n +")
 _EDGE_COMMENT = re.compile(rb"#[^\n]*")
 _DIMACS_COMMENT = re.compile(rb"\nc[^\n]*")
-_E_AS_SPACE = bytes.maketrans(b"e", b" ")
 
 
 def _check_count(n: int, lineno: int) -> None:
@@ -99,39 +93,30 @@ def _integer(token: str) -> int:
     return int(token)
 
 
-def _normalized(text: str) -> bytes:
-    """``text`` between two newlines as bytes whose only whitespace is b" "
-    and b"\\n", no line indented, split as ``str.split`` and
-    ``str.splitlines`` split it (a ``\\r\\n`` break leaves one more blank line)."""
+def _normalized(text: str) -> bytes | None:
+    """Plain ASCII ``text`` between two newlines as bytes whose only breaks
+    are b"\\n", no line indented, split into the lines of ``str.splitlines``
+    (a ``\\r\\n`` break leaves one more blank line); None for other text."""
     if not text.isascii():
-        text = text.translate(_WIDE_SPACES)
-    data = ("\n" + text + "\n").encode("utf-8", "surrogatepass").translate(_ASCII_SPACES)
+        return None
+    data = ("\n" + text + "\n").encode().translate(_BREAKS)
     return _INDENT.sub(b"\n", data) if b"\n " in data else data
 
 
-def _lines_of(data: bytes, k: int) -> int | None:
-    """The number of lines of normalized ``data`` that hold a token, when
-    each holds exactly ``k``, else None.  A token begins its line when the
-    byte before it is a newline."""
+def _pairs(data: bytes, head: int):
+    """The ids of normalized ``data``, only digits and separators, as int64
+    pairs, when each line holds two ids or none and every id is at least 1,
+    else None; an id past int64 reads as its largest.  A line's first id
+    follows the byte ``head``, its second a space."""
     a = np.frombuffer(data, np.uint8)
     gap = a <= 32
-    heads = a[np.flatnonzero(gap[:-1] > gap[1:])] == 10  # per token
-    lines = int(np.count_nonzero(heads))
-    return lines if len(heads) == k * lines and heads[0::k].all() else None
-
-
-def _numbers(data: bytes, count: int):
-    """The ``count`` tokens of normalized ``data``, which holds only
-    separators, digits and ``+``, as int64 numbers, the ones past int64 read
-    as its largest; None when a ``+`` is not the sign of a number."""
-    if b"+" in data and (
-        data.count(b"+") != data.count(b" +") + data.count(b"\n+") or b"+ " in data or b"+\n" in data
-    ):
+    before = a[np.flatnonzero(gap[:-1] > gap[1:])]  # the byte before each id
+    lines = len(before) // 2
+    if len(before) % 2 or (before[0::2] != head).any() or (before[1::2] != 32).any():
         return None
-    if count == 0:  # np.fromstring reads blank text as one 0
-        return np.zeros(0, np.int64)
-    numbers = np.fromstring(data, np.int64, sep=" ")
-    return numbers if len(numbers) == count else None
+    # np.fromstring reads blank text as one 0
+    ids = np.fromstring(data, np.int64, sep=" ") if lines else np.zeros(0, np.int64)
+    return ids.reshape(-1, 2) if len(ids) == 2 * lines and ids.min(initial=1) >= 1 else None
 
 
 def _graph(n: int, pairs, report: IngestReport | None) -> Graph:
@@ -151,15 +136,15 @@ def parse_edge_list(text: str, report: IngestReport | None = None) -> Graph:
     zeros and a ``+`` allowed.  Self-loops and duplicates are dropped and
     counted.  A count the graph cannot hold is refused at its line, before
     the rows are built."""
-    read = _read_edge_list(text)
-    if read is None:
-        _refuse_edge_list(text)
-    return _graph(*read, report)
+    return _graph(*(_read_edge_list(text) or _edge_list_lines(text)), report)
 
 
 def _read_edge_list(text: str):
-    """``(n, id pairs)`` of a well-formed edge list, read in bulk, or None."""
+    """``(n, id pairs)`` of a plain-ASCII edge list the line rules accept,
+    read in bulk, or None."""
     data = _normalized(text)
+    if data is None:
+        return None
     if b"#" in data:
         data = _EDGE_COMMENT.sub(b"", data)
     n = None
@@ -167,35 +152,28 @@ def _read_edge_list(text: str):
     if at >= 0:  # the header, the one line a letter may be on
         end = data.index(b"\n", at)
         word, *count = data[at:end].split()
-        if data[at - 1] != 10 or word != b"n" or len(count) != 1:
+        if data[at - 1] != 10 or word != b"n" or len(count) != 1 or not count[0].isdigit():
             return None
-        try:
-            n = _integer(count[0].decode())
-            check_vertex_count(n)
-        except ValueError:
-            return None
+        n = count[0]
         data = data[:at] + data[end:]
-    if data.translate(None, b" \n+0123456789"):
+    pairs = None if data.translate(None, _DIGITS) else _pairs(data, 10)
+    if pairs is None:
         return None
-    lines = _lines_of(data, 2)
-    ids = None if lines is None else _numbers(data, 2 * lines)
-    if ids is None or ids.min(initial=1) < 1:
+    top = int(pairs.max(initial=0))
+    try:  # int refuses a count of over 4,300 digits
+        n = top if n is None else int(n)
+        check_vertex_count(n)
+    except ValueError:
         return None
-    top = int(ids.max(initial=0))
-    if n is None:
-        try:
-            check_vertex_count(top)
-        except ValueError:
-            return None
-        n = top
-    return (n, ids.reshape(-1, 2)) if top <= n else None
+    return (n, pairs) if top <= n else None
 
 
-def _refuse_edge_list(text: str) -> NoReturn:
-    """Raise the ParseError that names the first line of an edge list the
-    bulk reader refuses, reading it line by line by the same rules."""
+def _edge_list_lines(text: str):
+    """``(n, id pairs)`` of an edge list read line by line, or the
+    ParseError that names its first refused line."""
     declared = None
     max_id = 0
+    pairs = array("q")
     for lineno, raw in enumerate(text.splitlines(), 1):
         parts = raw.split("#", 1)[0].split()
         if not parts:
@@ -232,9 +210,10 @@ def _refuse_edge_list(text: str) -> NoReturn:
         max_id = max(max_id, u, v)
         if declared is None:
             _check_count(max_id, lineno)
+        pairs.extend((u, v))
     if declared is None and max_id == 0:
         raise ParseError("no vertices: empty input without an 'n' header")
-    raise AssertionError("the bulk reader refused an edge list its line rules accept")
+    return declared or max_id, np.frombuffer(pairs, np.int64).reshape(-1, 2)
 
 
 def parse_dimacs(text: str, report: IngestReport | None = None) -> Graph:
@@ -245,49 +224,42 @@ def parse_dimacs(text: str, report: IngestReport | None = None) -> Graph:
     is a warning, not an error; a missing header, a negative ``M``, or an
     ``N`` the graph cannot hold is fatal, the last before the rows are built.
     """
-    read = _read_dimacs(text)
-    if read is None:
-        _refuse_dimacs(text)
-    n, declared_m, pairs = read
+    n, declared_m, pairs = _read_dimacs(text) or _dimacs_lines(text)
     if len(pairs) != declared_m and report is not None:
         report.warnings.append(f"header declares {declared_m} edges but {len(pairs)} were found")
     return _graph(n, pairs, report)
 
 
 def _read_dimacs(text: str):
-    """``(n, declared edge count, id pairs)`` of a well-formed DIMACS text,
-    read in bulk, or None."""
+    """``(n, declared edge count, id pairs)`` of a plain-ASCII DIMACS text
+    the line rules accept, read in bulk, or None."""
     data = _normalized(text)
+    if data is None:
+        return None
     if b"\nc" in data:
         data = _DIMACS_COMMENT.sub(b"", data)
     head, _, body = data.lstrip(b"\n").partition(b"\n")
-    word, *numbers = head.split() or [b""]
-    if word != b"p" or len(numbers) != 3 or numbers[0] != b"edge":
+    head = head.split()
+    if len(head) != 4 or head[:2] != [b"p", b"edge"] or not (head[2] + head[3]).isdigit():
         return None
-    try:
-        n, declared_m = (_integer(x.decode()) for x in numbers[1:])
+    try:  # int refuses a number of over 4,300 digits
+        n, declared_m = int(head[2]), int(head[3])
         check_vertex_count(n)
     except ValueError:
         return None
     body = b"\n" + body
-    edges = body.count(b"e")  # each at the start of its line, before a space
-    if (
-        declared_m < 0
-        or body.translate(None, b" \n+0123456789e")
-        or body.count(b"\ne ") != edges
-        or _lines_of(body, 3) != edges
-    ):
+    ids = body.replace(b"\ne ", b"\r")  # 'e u v' reads as '\ru v', 2 bytes shorter; 'u v' is refused
+    pairs = None if ids.translate(None, _DIGITS) else _pairs(ids, 13)
+    if pairs is None or 2 * len(pairs) != len(body) - len(ids) or pairs.max(initial=1) > n:
         return None
-    ids = _numbers(body.translate(_E_AS_SPACE), 2 * edges)
-    if ids is None or ids.min(initial=1) < 1 or ids.max(initial=1) > n:
-        return None
-    return n, declared_m, ids.reshape(-1, 2)
+    return n, declared_m, pairs
 
 
-def _refuse_dimacs(text: str) -> NoReturn:
-    """Raise the ParseError that names the first line of a DIMACS text the
-    bulk reader refuses, reading it line by line by the same rules."""
+def _dimacs_lines(text: str):
+    """``(n, declared edge count, id pairs)`` of a DIMACS text read line by
+    line, or the ParseError that names its first refused line."""
     n = None
+    pairs = array("q")
     for lineno, raw in enumerate(text.splitlines(), 1):
         parts = raw.split()
         if len(parts) == 3 and parts[0] == "e" and n is not None:
@@ -297,6 +269,7 @@ def _refuse_dimacs(text: str) -> NoReturn:
                 raise ParseError(f"line {lineno}: non-integer vertex id") from None
             if not (1 <= u <= n and 1 <= v <= n):
                 raise ParseError(f"line {lineno}: vertex id outside 1..{n}")
+            pairs.extend((u, v))
             continue
         if not parts or parts[0][0] == "c":
             continue
@@ -320,7 +293,7 @@ def _refuse_dimacs(text: str) -> NoReturn:
         raise ParseError(f"line {lineno}: unrecognized line {raw.strip()!r}")
     if n is None:
         raise ParseError("missing 'p edge N M' header")
-    raise AssertionError("the bulk reader refused a DIMACS text its line rules accept")
+    return n, declared_m, np.frombuffer(pairs, np.int64).reshape(-1, 2)
 
 
 def to_dimacs(g: Graph) -> str:

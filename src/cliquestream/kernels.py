@@ -302,7 +302,8 @@ def children_rect(
     decides its pairs in chunks of :data:`CHUNK_ROWS` rows, more if
     :data:`BLOCK_BYTES` allows (:func:`_decide`), only as the stream is
     read, ORing each accepted pair into its parent's mask, so between reads
-    it keeps one int a parent beside the slice's rows and pairs.  After the
+    it keeps one int a parent not yet released (a released slot holds 0)
+    beside the slice's rows and pairs.  After the
     batch-level work and after each chunk, the parents with no pair left
     undecided are released in bulk, and that step is charged in words(n): 6
     per candidate it decided, and ``5 + n^2 + 3|P|`` per parent it released.
@@ -333,6 +334,7 @@ def children_rect(
                 members = sum(map(int.bit_count, part[released:last]))
                 counter.ops += ((5 + n * n) * (last - released) + 3 * members + 6 * scanned) * w
             yield from children[released:last]
+            children[released:last] = repeat(0, last - released)  # never read again
             released = last
             if released == len(part):
                 break

@@ -354,10 +354,79 @@ class TestBulkReaderMatchesLineReader:
             assert (report.self_loops_dropped, report.duplicates_dropped) == (1, g.m)
 
     def test_whitespace_is_what_str_split_and_splitlines_say(self):
+        """Every ``str.isspace()`` character, as a separator and as a break,
+        gives the outcome of the line readers of ``reference``."""
         for c in map(chr, range(sys.maxunicode + 1)):
             if c.isspace():
-                breaks = len(f"a{c}b".splitlines()) == 2
-                assert cli._normalized(f"a{c}b") == (b"\na\nb\n" if breaks else b"\na b\n"), repr(c)
+                self.check("edges", f"1{c}2\n2 3\n")
+                self.check("edges", f"n 3\n1 2{c}2 3\n")
+                self.check("dimacs", f"p edge 3 2\ne 1{c}2\ne 2 3\n")
+                self.check("dimacs", f"p edge 3 2\ne 1 2{c}e 2 3\n")
+                self.check("edges", f"1 1#{c}1 2\n")  # a comment ends where its line does
+                self.check("dimacs", f"p edge 3 2\nc{c}e 1 2\ne 2 3\n")
+
+    @pytest.mark.parametrize(
+        "fmt, text",
+        [
+            ("edges", "n5 3\n1 2\n"),
+            ("dimacs", "p edge 5 2\ne 1 2\n3 4\n"),
+            ("dimacs", "p edge 5 1\ne \ne 1 2\n"),
+            ("dimacs", "p edge 5 1\ne 1 2\ne\t\n"),
+            ("dimacs", "p edge 5 1\ne \n3 4\n"),
+            ("dimacs", "p edge 5 2\ne 1 2\ne \n3 4\n"),
+            ("edges", "n " + "9" * 5000 + "\n1 2\n"),
+            ("dimacs", "p edge " + "9" * 5000 + " 1\ne 1 2\n"),
+            ("dimacs", "p edge 5 " + "9" * 5000 + "\ne 1 2\n"),
+        ],
+    )
+    def test_lines_the_bulk_readers_leave_to_the_line_rules(self, fmt, text):
+        """A glued header word, a DIMACS ``u v`` line without its ``e``, an
+        ``e`` line with nothing after it (alone or with such a ``u v`` line,
+        whose pair it would stand in for), which a bulk read would take as a
+        header, an id pair and a blank line, and a header number of more
+        digits than ``int`` reads, are refused as the line rules say."""
+        self.check(fmt, text)
+
+    def test_plain_ascii_files_skip_the_line_rules(self, monkeypatch):
+        """The files ``to_dimacs`` and ``reference.to_edge_list`` write, past
+        64 vertices and with isolated vertices, with CRLF breaks, tabs and
+        comments or not, are read in bulk alone; a ``+`` id or a non-ASCII
+        comment leaves a file to the line rules, which read the same graph."""
+        rng = random.Random(4040)
+        files = []
+        for n in (65, 130, 300):
+            g = cs.Graph.gnp(n, 2 / n, seed=rng.randrange(1 << 30))
+            assert not all(g.adj)  # an isolated vertex
+            dimacs, edges = cli.to_dimacs(g), reference.to_edge_list(g)
+            plain = [
+                (cli.parse_dimacs, dimacs),
+                (cli.parse_dimacs, "c a note\r\n" + dimacs.replace(" ", "\t").replace("\n", "\r\n")),
+                (cli.parse_edge_list, edges),
+                (cli.parse_edge_list, "# a note\r\n" + edges.replace(" ", "\t").replace("\n", " # e\r\n")),
+            ]
+            other = [
+                (cli.parse_dimacs, dimacs.replace("\ne ", "\ne +")),
+                (cli.parse_dimacs, "c caf\u00e9\n" + dimacs),
+                (cli.parse_edge_list, edges.replace("\n", "\n+").removesuffix("+")),
+                (cli.parse_edge_list, "# caf\u00e9\n" + edges),
+            ]
+            files.append((g, plain, other))
+
+        def line_rules(text):
+            raise AssertionError("read by the line rules")
+
+        monkeypatch.setattr(cli, "_edge_list_lines", line_rules)
+        monkeypatch.setattr(cli, "_dimacs_lines", line_rules)
+        for g, plain, other in files:
+            for parse, text in plain:
+                assert parse(text) == g
+            for parse, text in other:
+                with pytest.raises(AssertionError, match="line rules"):
+                    parse(text)
+        monkeypatch.undo()
+        for g, _, other in files:
+            for parse, text in other:
+                assert parse(text) == g
 
     @pytest.mark.parametrize("parse, text, message", DIVERGENCES)
     def test_intended_divergences(self, parse, text, message):
