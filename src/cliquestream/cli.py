@@ -20,14 +20,13 @@ deterministic given (graph, kernel, capacity, mode).  ``--trace`` writes
 one CSV row per clique as it is printed: print_ordinal, cost_units,
 queue_size, stack_cliques (the cliques on the stack: "bitset" stacks a
 batch's child masks at its end, and a plain "rect" listing a parent's
-children when the stack reaches it).  In plain
-mode memory grows with the traversal stack, not with the output.
-``--mode strict`` also queues the collected cliques not yet printed, at
-one deque slot and one int mask each (48 bytes at n = 100), and a print
-is forced past 2 boot_target of them ("rect": or its batch's cliques, if
-more), so the queue follows the stack too.
-``--verify`` draws the oracle's masks one per printed line and the rest after
-the last, and alone keeps masks: the printed ones, and those drawn before their print.
+children when the stack reaches it).  Memory follows the traversal stack,
+not the output, in every mode.  ``--mode strict`` also queues the collected
+cliques not yet printed, at one deque slot and one int mask each (48 bytes
+at n = 100), and forces a print past 2 boot_target of them ("rect": or its
+batch's cliques, if more).  ``--verify`` draws the oracle's masks one per
+printed line and the rest after the last, and keeps only fingerprints of
+both sides, no mask but a ``--first`` prefix's.
 Bad input, ``--first`` below 1, what the listing refuses at the call and
 an unopenable ``--trace`` path all exit 2 with nothing on stdout.
 """
@@ -40,7 +39,7 @@ import re
 import sys
 from array import array
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import accumulate
 
 import numpy as np
 
@@ -391,31 +390,38 @@ def _emissions(g: Graph, cfg: RunConfig, stats: TraversalStats):
     return plain()
 
 
-def _verify(
-    g: Graph, emitted: set[int], count: int, prefix_only: bool, err, reference, unprinted, drawn
-) -> bool:
-    """Check the ``count`` printed cliques (distinct masks ``emitted``) against the oracle's
-    numbered masks ``reference``: ``drawn`` drawn so far, of them ``unprinted`` not printed."""
-    matched = drawn - len(unprinted)
-    for drawn, bits in reference:
-        matched += bits in emitted
+def _fold(n: int):
+    """``fold(fp, mask) = fp (r - e(mask)) mod P``, r random: over N masks an order-free
+    fingerprint, shared by another multiset of N with chance <= N/P (Clarke et al. 2003).
+    e is the mask for n <= 126, else its keyed 16-byte BLAKE2b digest (collisions: N^2 2^-128)."""
+    p = 2**127 - 1  # a Mersenne prime
+    r, key = int.from_bytes(os.urandom(16), "little") % p, os.urandom(16)
+    if n <= 126:
+        return lambda fp, bits: fp * (r - bits) % p
+    from hashlib import blake2b  # not at the top: loading OpenSSL costs every start 2 ms
+    digest = lambda bits: blake2b(b"%x" % bits, digest_size=16, key=key).digest()  # noqa: E731
+    return lambda fp, bits: fp * (r - int.from_bytes(digest(bits), "little")) % p
+
+
+def _verify(g: Graph, cfg: RunConfig, emitted: set[int] | None, count: int, err) -> bool:
+    """Print the sets' verdict on ``count`` printed cliques, the distinct masks
+    ``emitted`` (None: a whole run's, listed again), against the oracle's."""
+    if emitted is None:
+        emitted = {clique.bits for clique, *_ in _emissions(g, cfg, TraversalStats())}
+    extras, drawn = set(emitted), 0
+    for drawn, bits in enumerate(oracle.maximal_clique_masks(g, limit=g.n), 1):
+        extras.discard(bits)
     duplicates = count - len(emitted)
-    extra = len(emitted) - matched
-    missing = 0 if prefix_only else drawn - matched
-    # every oracle clique is maximal, so only the extra ones, found in a rebuilt set, need the test
-    extras = emitted - set(oracle.maximal_clique_masks(g, limit=g.n)) if extra else ()
+    missing = 0 if cfg.first else drawn - len(emitted) + len(extras)
+    # every oracle clique is maximal, so only the extra ones need the test
     not_maximal = sum(not rs_tree.is_maximal_clique(g, VertexSet(b)) for b in extras)
-    ok = duplicates == 0 and not_maximal == 0 and extra == 0 and missing == 0
-    scope = f"first {count}" if prefix_only else f"all {drawn}"
+    ok = duplicates == not_maximal == len(extras) == missing == 0
+    scope = f"first {count}" if cfg.first else f"all {drawn}"
     if ok:
         print(f"VERIFY PASS: {scope} cliques match the oracle", file=err)
     else:
-        print(
-            "VERIFY FAIL: "
-            f"missing={missing} extra={extra} duplicates={duplicates} "
-            f"non_maximal={not_maximal}",
-            file=err,
-        )
+        counts = f"missing={missing} extra={len(extras)} duplicates={duplicates}"
+        print(f"VERIFY FAIL: {counts} non_maximal={not_maximal}", file=err)
     return ok
 
 
@@ -435,10 +441,13 @@ def run(cfg: RunConfig, out=None, err=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=err)
         return 2
-    reference = enumerate(oracle.maximal_clique_masks(g, limit=g.n), 1) if cfg.verify else None
-    # under --verify: the printed masks, and the drawn ones not printed yet
-    emitted, unprinted = (set(), set()) if cfg.verify else (None, None)
-    count = drawn = 0
+    # --verify: a whole run folds its masks, and the oracle's, one drawn a line,
+    # as ascending (count, fingerprint) pairs; a --first prefix keeps its masks
+    fold = _fold(g.n) if cfg.verify and not cfg.first else None
+    if fold is not None:
+        reference = enumerate(accumulate(oracle.maximal_clique_masks(g, g.n), fold, initial=1))
+        printed_fp, drawn = 1, next(reference)
+    emitted, count = (set() if cfg.verify and cfg.first else None), 0
     try:
         if trace is not None:
             trace.write(f"{TRACE_SCHEMA}\n{TRACE_HEADER}\n".encode())
@@ -454,12 +463,11 @@ def run(cfg: RunConfig, out=None, err=None) -> int:
         for clique, cost, queue_size, stack_cliques in emissions:
             out.write(_format_clique(clique, labels) + "\n")
             count += 1
-            if reference is not None:
+            if fold is not None:
+                printed_fp = fold(printed_fp, clique.bits)
+                drawn = next(reference, drawn)  # one oracle mask per line
+            elif emitted is not None:
                 emitted.add(clique.bits)
-                unprinted.discard(clique.bits)
-                for drawn, bits in islice(reference, 1):  # one oracle mask per line
-                    if bits not in emitted:
-                        unprinted.add(bits)
             if trace is not None:
                 trace.write(b"%d,%d,%d,%d\n" % (count, cost, queue_size, stack_cliques))
             if cfg.first is not None and count >= cfg.first:
@@ -467,10 +475,10 @@ def run(cfg: RunConfig, out=None, err=None) -> int:
     finally:
         if trace is not None:
             trace.close()
-    ok = reference is None or _verify(
-        g, emitted, count, cfg.first is not None, err, reference, unprinted, drawn
-    )
-    return 0 if ok else 1
+    if fold is not None and max(reference, default=drawn) == (count, printed_fp):  # last pair
+        print(f"VERIFY PASS: all {count} cliques match the oracle", file=err)
+        return 0
+    return 0 if not cfg.verify or _verify(g, cfg, emitted, count, err) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

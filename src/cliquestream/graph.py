@@ -197,6 +197,8 @@ class Graph:
         edges.  Ids outside ``1..n`` raise ``ValueError``, non-integer ids ``TypeError``.
         """
         check_vertex_count(n)
+        if isinstance(edges, np.ndarray):  # Python ints, not one numpy scalar per id
+            edges = edges.tolist()
         ids = [i for u, v in edges for i in (index(u), index(v))]
         if ids and not (min(ids) >= 1 and max(ids) <= n):
             k = next(k for k, i in enumerate(ids) if not 1 <= i <= n) & -2

@@ -284,8 +284,7 @@ def _decide(pairs: np.ndarray, n: int, factors: Factors, sides: np.ndarray) -> l
     bad ^= left  # A_i & ~P, which lies below i
     bad |= side > 1
     bad &= np.invert(good, out=good)
-    # rejected iff the first column left in bad is below i
-    return pairs[~bad.any(axis=1) | (bad.argmax(axis=1) >= i)].tolist()
+    return pairs[~bad.any(axis=1)].tolist()
 
 
 def children_rect(

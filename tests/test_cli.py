@@ -856,23 +856,26 @@ class TestIngestionLines:
 
 
 class TestVerifyHelper:
+    """``cli._verify``, the set check of a ``--first`` prefix and of a whole
+    run whose fingerprints disagree."""
+
     @staticmethod
-    def verify_undrawn(g, emitted, count, err):
-        """``cli._verify`` of a finished listing that drew no reference mask."""
-        reference = enumerate(oracle.maximal_clique_masks(g), 1)
-        return cli._verify(g, emitted, count, False, err, reference, set(), 0)
+    def verify_whole(g, emitted, count, err):
+        """``cli._verify`` of a whole listing that printed ``count`` cliques,
+        the distinct masks ``emitted``."""
+        return cli._verify(g, cli.RunConfig(input=""), emitted, count, err)
 
     def test_fail_reports_counts(self, bridged):
         err = io.StringIO()
         emitted = {cs.VertexSet.of(1, 2, 3, 4, 5).bits}  # everything else missing
-        ok = self.verify_undrawn(bridged, emitted, 1, err)
+        ok = self.verify_whole(bridged, emitted, 1, err)
         assert not ok
         assert "missing=4" in err.getvalue()
 
     def test_duplicates_detected(self, bridged):
         err = io.StringIO()
         full = {c.bits for c in oracle.all_maximal_cliques(bridged)}
-        ok = self.verify_undrawn(bridged, full, len(full) + 1, err)
+        ok = self.verify_whole(bridged, full, len(full) + 1, err)
         assert not ok
         assert "duplicates=1" in err.getvalue()
 
@@ -880,14 +883,15 @@ class TestVerifyHelper:
         err = io.StringIO()
         full = {c.bits for c in oracle.all_maximal_cliques(bridged)}
         emitted = full | {cs.VertexSet.of(1, 2).bits}  # a clique inside K5
-        ok = self.verify_undrawn(bridged, emitted, len(emitted), err)
+        ok = self.verify_whole(bridged, emitted, len(emitted), err)
         assert not ok
         assert "missing=0 extra=1 duplicates=0 non_maximal=1" in err.getvalue()
 
 
 class TestVerifyBesideListing:
-    """``--verify`` draws one oracle mask per printed line and the rest after
-    the last one, and its verdict is the one whole sets give."""
+    """A whole ``--verify`` run draws one oracle mask per printed line and the
+    rest after the last one, a ``--first`` prefix all of them after its last
+    line, and the verdict is the one whole sets give."""
 
     FAULTS = (None, "missing", "duplicate", "non-maximal", "oracle-short", "oracle-sub")
 
@@ -978,10 +982,54 @@ class TestVerifyBesideListing:
                 out, err = Lines(), io.StringIO()
                 cfg = cli.RunConfig(input="moon-moser:12", mode=mode, first=first, verify=True)
                 assert cli.run(cfg, out=out, err=err) == 0 and "VERIFY PASS" in err.getvalue()
-                # line k waits for no draw: k - 1 masks were drawn before it
-                assert out.drawn_at == list(range(lines))
+                # a whole run's line k waits for no draw: k - 1 masks were drawn
+                # before it; a prefix draws nothing before its last line
+                assert out.drawn_at == (list(range(lines)) if first is None else [0] * lines)
                 # the tail finishes the one stream: every mask drawn once, none rebuilt
                 assert calls == [12] and len(drawn) == len(set(drawn)) == total
+
+
+    @pytest.mark.parametrize("spec", ["moon-moser:12", "gnp:200:0.05"])
+    def test_a_count_preserving_fault_fails(self, monkeypatch, spec):
+        # one clique printed twice and another skipped: the counts agree, so
+        # only the fingerprints see it, then the sets name it; past n = 126
+        # the fingerprint folds digests, not masks
+        g = cli.generator_graph(spec, 1)
+        twice, skipped = list(oracle.maximal_clique_masks(g, limit=g.n))[1:3]
+        real_emissions = cli._emissions
+
+        def emissions(g, cfg, stats):
+            for item in real_emissions(g, cfg, stats):
+                if item[0].bits != skipped:
+                    yield item
+                if item[0].bits == twice:
+                    yield item
+
+        monkeypatch.setattr(cli, "_emissions", emissions)
+        rc, out, err = run_cli(input=spec, seed=1, verify=True)
+        assert len(out.splitlines()) == len(list(oracle.maximal_clique_masks(g, limit=g.n)))
+        assert (rc, err) == (1, "VERIFY FAIL: missing=1 extra=0 duplicates=1 non_maximal=0\n")
+
+    @pytest.mark.parametrize("kernel", cs.kernels.KERNELS)
+    def test_memory_follows_the_stack(self, kernel):
+        """A whole run under --verify holds no mask of the output: its peak
+        stays within 64 KiB of the plain run's on Moon-Moser 24 (6,561 lines)."""
+
+        class Sink:
+            def write(self, text):
+                return len(text)
+
+        def peak(verify):
+            cfg = cli.RunConfig(input="moon-moser:24", kernel=kernel, verify=verify)
+            cli.run(cfg, out=Sink(), err=io.StringIO())  # first-call work is not the run's
+            tracemalloc.start()
+            try:
+                assert cli.run(cfg, out=Sink(), err=io.StringIO()) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(True) - peak(False) < 64 << 10
 
 
 class TestMain:

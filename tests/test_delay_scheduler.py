@@ -219,6 +219,18 @@ class TestRunStrict:
         assert all(a >= b for a, b in zip(paced, paced[1:])) and paced[-1] == reserve
         assert report.drained == reserve
 
+    def test_max_gap_counts_the_first_emission(self):
+        # a boot past the whole output (243 cliques) leaves every print to
+        # the drain: the first carries all the run's units, the rest none, so
+        # only the first emission sets max_gap_units
+        g = cs.Graph.complete_multipartite_triples(15)
+        cfg = ds.DelayConfig(tau_delay=10**9, boot_target=150)
+        emissions, report = strict_run(g, cfg=cfg, capacity=7)
+        costs = [e.cost_units for e in emissions]
+        assert report.drained == len(costs) == 243
+        assert costs[0] > 0 and not any(costs[1:])
+        assert report.max_gap_units == costs[0]
+
     def test_rect_holds_its_batch_for_its_children_step(self):
         # a K2 beside gnp(60, .3) leaves the root four children, a reserve of
         # 10 masks, and a batch at capacity n^2 whose children step costs more

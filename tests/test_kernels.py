@@ -461,6 +461,19 @@ class TestRectStream:
                         specs, charges = self.read(g, batch, indices, factors)
                     assert specs == want and sum(charges) == charge
 
+    def test_released_slots_are_zeroed(self):
+        # a released parent's child mask is never read again, so the stream
+        # holds none: after each read, every slot below `released` is 0
+        g = cs.Graph.gnp(60, 0.3, seed=1)
+        masks = [c.bits for c in collect_plain(g)[:300]]
+        indices = [cs.rs_tree.clique_index(g, cs.VertexSet(p)) or 0 for p in masks]
+        stream = cs.kernels.children_rect(g, masks, indices, cs.kernels.graph_factors(g))
+        reads = 0
+        for reads, _ in enumerate(stream, 1):
+            held = stream.gi_frame.f_locals
+            assert not any(held["children"][: held["released"]])
+        assert reads == len(masks) == 300
+
     @pytest.mark.parametrize("n", [30, 65, 130])
     def test_popped_masks_match_the_fallback_and_naive(self, n, monkeypatch):
         # a listing hands each step the N(P) and outside sets its pops found;
