@@ -51,8 +51,10 @@ ChildrenFn = Callable[[tuple, tuple, tuple, tuple], Iterable[int]]
 # i; near is N(C), outside the non-members adjacent to every member below them (0: root)
 Decide = Callable[[Graph, int, int, OpCounter, int, int], int]
 
+# raw constructors of the two per-clique events, StepEvent here and
+# delay_scheduler's Emission: StepEvent(...) would run a Python-level __new__
 _new = object.__new__
-_tuple_new = tuple.__new__  # StepEvent(...) would run a Python-level __new__
+_tuple_new = tuple.__new__
 _set_bits = VertexSet.bits.__set__
 
 

@@ -411,6 +411,8 @@ def _verify(g: Graph, cfg: RunConfig, emitted: set[int] | None, count: int, err)
     extras, drawn = set(emitted), 0
     for drawn, bits in enumerate(oracle.maximal_clique_masks(g, limit=g.n), 1):
         extras.discard(bits)
+        if cfg.first and not extras:  # a prefix is settled once every mask is matched
+            break
     duplicates = count - len(emitted)
     missing = 0 if cfg.first else drawn - len(emitted) + len(extras)
     # every oracle clique is maximal, so only the extra ones need the test

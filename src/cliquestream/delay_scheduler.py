@@ -57,6 +57,7 @@ from .batch_dfs import (
     TraversalStats,
     _new,
     _set_bits,
+    _tuple_new,
     step_events,
 )
 from .graph import Graph, VertexSet
@@ -282,4 +283,4 @@ def _release(report: StrictRunReport, q: deque[int], units: int, start: float) -
         report.max_gap_units = units
     clique = _new(VertexSet)  # as step_events wraps a clique: no constructor check
     _set_bits(clique, q.popleft())
-    return Emission(clique, ordinal, units, len(q), report.stats.stack_cliques)
+    return _tuple_new(Emission, (clique, ordinal, units, len(q), report.stats.stack_cliques))

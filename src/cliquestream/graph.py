@@ -7,8 +7,8 @@ queue carry raw masks; :class:`VertexSet`, the thin immutable wrapper, is
 built where a clique leaves the library (``StepEvent.clique``,
 ``Emission.clique``) and taken by the tree primitives of ``rs_tree``.
 
-A :class:`Graph` derives its edge count from its rows, owns the rules on
-its parameters (``n >= 1``, ``p`` in [0, 1]), and is frozen after
+A :class:`Graph` derives its edge count and lower rows from its rows, owns
+the rules on its parameters (``n >= 1``, ``p`` in [0, 1]), and is frozen after
 construction and safe to share between threads; vertex sets are plain values.
 """
 
@@ -24,8 +24,9 @@ from typing import Iterable, Iterator
 import numpy as np
 
 # bytes one graph-sized allocation may take; a larger one is refused before
-# it is made: the adjacency rows (n^2 bits, n <= 92,681), and in kernels
-# "rect"'s factors and the reference's M_G
+# it is made: the adjacency rows (n^2 bits, n <= 92,681; their lower halves,
+# Graph.lower, take n^2/2 bits more beside them), and in kernels "rect"'s
+# factors and the reference's M_G
 BUDGET_BYTES = 1 << 30
 _REVERSED_BYTE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))  # bits 0-7 as 7-0
 _BLOCK_BITS = 1 << 16  # bool cells of one block of rows before it is packed
@@ -51,7 +52,8 @@ def iter_bits(mask: int) -> Iterator[int]:
 
 def check_vertex_count(n: int) -> None:
     """Refuse, with ``ValueError``, an ``n`` below 1 or one whose adjacency
-    rows would pass :data:`BUDGET_BYTES`.  Nothing is allocated."""
+    rows would pass :data:`BUDGET_BYTES`.  Nothing is allocated.  The budget
+    covers the rows alone: ``Graph.lower`` adds up to half of them again."""
     if n < 1:
         raise ValueError("vertex count must be at least 1")
     if n * n > 8 * BUDGET_BYTES:
@@ -129,8 +131,9 @@ class Graph:
     ``adj[v-1]`` is the neighborhood bitmask of vertex ``v``.  The adjacency
     is symmetric and has no self-loops; the constructor refuses rows that
     break this (:meth:`validate`).  The classmethods build rows that hold it
-    by construction and skip that pass.  The edge count ``m``, ``full_mask``
-    and ``no_lower``, the vertices with no lower neighbor, are derived from
+    by construction and skip that pass.  The edge count ``m``, ``full_mask``,
+    ``lower`` (``lower[v-1]``, the row of ``v`` below ``v``: ``A_v``) and
+    ``no_lower``, the vertices whose ``lower`` row is 0, are derived from
     the rows.  Every constructor refuses an ``n`` that
     :func:`check_vertex_count` refuses before it allocates.
     """
@@ -139,6 +142,7 @@ class Graph:
     adj: tuple[int, ...]
     m: int = field(init=False)
     full_mask: int = field(init=False, repr=False)
+    lower: tuple[int, ...] = field(init=False, repr=False, compare=False)
     no_lower: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -147,10 +151,11 @@ class Graph:
         self.validate()
 
     def _derive(self) -> None:
-        object.__setattr__(self, "m", sum(row.bit_count() for row in self.adj) // 2)
+        lower = tuple(row & (1 << v) - 1 for v, row in enumerate(self.adj))
+        object.__setattr__(self, "m", sum(a.bit_count() for a in lower))  # each edge once
         object.__setattr__(self, "full_mask", (1 << self.n) - 1)
-        lonely = (1 << v for v, row in enumerate(self.adj) if not row & (1 << v) - 1)
-        object.__setattr__(self, "no_lower", sum(lonely))
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "no_lower", sum(1 << v for v, a in enumerate(lower) if not a))
 
     @classmethod
     def _normalized(cls, n: int, adj: tuple[int, ...]) -> "Graph":

@@ -128,9 +128,8 @@ def check_factors(n: int) -> None:
 
 
 def _graph_rows(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """The bool n x n ``A`` and ``Nc``: rows ``A_i`` and ``V \\ N(j)``."""
-    a_rows = _mask_rows((g.adj[i - 1] & below_mask(i) for i in range(1, g.n + 1)), g.n)
-    return a_rows, _mask_rows((g.full_mask & ~a for a in g.adj), g.n)
+    """The bool n x n ``A`` and ``Nc``: rows ``A_i`` (``g.lower``) and ``V \\ N(j)``."""
+    return _mask_rows(g.lower, g.n), _mask_rows((g.full_mask & ~a for a in g.adj), g.n)
 
 
 def graph_factors(g: Graph, counter: OpCounter | None = None) -> Factors:
@@ -227,7 +226,7 @@ def filter_children(
     masks, 4 for the masks, 6 per candidate inside ``N(P)``, 1 per fold, and
     1 for the root's far step if any candidate lies outside ``N(root)``.
     """
-    adj = g.adj
+    adj, lower = g.adj, g.lower
     notp = ~p
     if near is None:
         adjacent, near = prefix_masks(g, p)
@@ -236,19 +235,20 @@ def filter_children(
     children = 0 if index else root_far_children(g, p, near, counter)
     scanned = cand.bit_count()
     folds = 0
-    while cand:
-        low = cand & -cand
-        cand ^= low
-        ai = adj[low.bit_length() - 1] & (low - 1)  # A_i
+    while cand:  # from the top: each decision and its folds are order-free
+        v = cand.bit_length() - 1
+        top = 1 << v
+        cand ^= top
+        ai = lower[v]  # A_i, i = v + 1
         pig = p & ai
         bad = (ai ^ pig) | outside
-        while bad and pig:
+        while bad and pig:  # ascending: the early stop sets the folds charged
             u = pig & -pig
             pig ^= u
             bad &= adj[u.bit_length() - 1]
             folds += 1
         if bad == 0:
-            children |= low
+            children |= top
     if counter is not None:
         # (g.n + 63) >> 6 is words(g.n), inlined on this per-parent path
         counter.ops += (3 * p.bit_count() + 4 + scanned * 6 + folds) * ((g.n + 63) >> 6)

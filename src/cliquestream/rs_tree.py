@@ -132,12 +132,13 @@ def _child_walk(g: Graph, parent: int, low: int, counter: OpCounter | None = Non
     adj = g.adj
     i = low.bit_length()
     cand = near = adj[i - 1]
-    adjacent = bel = low - 1
-    rest = base = parent & bel & cand
-    while rest:
-        u = rest & -rest
+    adjacent = low - 1
+    rest = base = parent & g.lower[i - 1]
+    while rest:  # from the top: the masks below only AND and OR
+        v = rest.bit_length() - 1
+        u = 1 << v
         rest ^= u
-        nu = adj[u.bit_length() - 1]
+        nu = adj[v]
         cand &= nu
         near |= nu
         adjacent &= nu | ((u << 1) - 1)

@@ -261,6 +261,45 @@ def good_pair_oracle(g: Graph, p: VertexSet, i: int, j: int) -> bool:
     return False
 
 
+def filter_children_ascending(
+    g: Graph, p: int, index: int, counter=None, near: int | None = None, outside: int = 0,
+) -> int:
+    """``kernels.filter_children`` scanning its candidates ascending, each
+    ``A_i`` cut from the row ``adj[i-1]``, ``N(P)`` and the outside set
+    (when not given) and the root's far children read off the rows one
+    member or vertex at a time: the scan-order reference for its mask and
+    its charge, 3|P| + 4 words, 6 per candidate, 1 per fold of the common
+    neighborhood (ascending over ``P & A_i``, stopping once no ``j`` is
+    left) and 1 for a root with candidates outside ``N(P)``."""
+    adj, w = g.adj, (g.n + 63) // 64
+    if near is None:
+        near, adjacent = 0, g.full_mask
+        for u in iter_bits(p):
+            near |= adj[u - 1]
+            adjacent &= adj[u - 1] | below_mask(u + 1)
+        outside = adjacent & ~p
+    cand = near & ~p & -(1 << index)
+    children, units = 0, 3 * p.bit_count() + 4 + 6 * cand.bit_count()
+    if index == 0:
+        far = g.full_mask & ~(p | near)
+        units += far != 0
+        children = sum(1 << (v - 1) for v in iter_bits(far) if not adj[v - 1] & below_mask(v))
+    for i in iter_bits(cand):
+        ai = adj[i - 1] & below_mask(i)
+        pig = p & ai
+        bad = (ai ^ pig) | outside
+        for u in iter_bits(pig):
+            if not bad:
+                break
+            bad &= adj[u - 1]
+            units += 1
+        if bad == 0:
+            children |= 1 << (i - 1)
+    if counter is not None:
+        counter.ops += units * w
+    return children
+
+
 def children_oracle(
     g: Graph,
     p: VertexSet,

@@ -985,8 +985,35 @@ class TestVerifyBesideListing:
                 # a whole run's line k waits for no draw: k - 1 masks were drawn
                 # before it; a prefix draws nothing before its last line
                 assert out.drawn_at == (list(range(lines)) if first is None else [0] * lines)
-                # the tail finishes the one stream: every mask drawn once, none rebuilt
-                assert calls == [12] and len(drawn) == len(set(drawn)) == total
+                # one stream, every mask drawn once, none rebuilt: a whole run draws
+                # it all, a prefix's tail stops at the last printed mask it matches
+                assert calls == [12] and len(drawn) == len(set(drawn))
+                text = out.getvalue().splitlines()
+                printed = {sum(1 << int(v) - 1 for v in line.split()) for line in text}
+                assert printed <= set(drawn) and drawn[-1] in printed
+                assert len(drawn) == total or first == 5
+
+    def test_a_prefix_stops_drawing_once_matched(self, monkeypatch):
+        # --first 1 on moon-moser:30 draws the oracle only up to its one
+        # printed mask, not the other 59,048 after it
+        stream, drawn = cli.oracle.maximal_clique_masks, []
+
+        def counted(g, limit):
+            for bits in stream(g, limit):
+                drawn.append(bits)
+                yield bits
+
+        g = cli.generator_graph("moon-moser:30", None)
+        masks = list(stream(g, g.n))
+        monkeypatch.setattr(cli.oracle, "maximal_clique_masks", counted)
+        for mode in ("plain", "strict"):
+            drawn.clear()
+            out, err = io.StringIO(), io.StringIO()
+            cfg = cli.RunConfig(input="moon-moser:30", mode=mode, first=1, verify=True)
+            assert cli.run(cfg, out=out, err=err) == 0
+            assert err.getvalue() == "VERIFY PASS: first 1 cliques match the oracle\n"
+            first = sum(1 << int(v) - 1 for v in out.getvalue().split())
+            assert drawn == masks[: masks.index(first) + 1] and len(drawn) < len(masks)
 
 
     @pytest.mark.parametrize("spec", ["moon-moser:12", "gnp:200:0.05"])

@@ -27,6 +27,29 @@ def prefix(g: cs.Graph, v: int) -> cs.VertexSet:
     return cs.VertexSet(g.adj[v - 1] & below_mask(v))
 
 
+def builds_on_every_path(n: int) -> list[cs.Graph]:
+    """One graph on ``n`` vertices from each constructor and file reader, a
+    third of the vertices isolated.  Items 0-2 and the two files' are one
+    graph (item 1 is ``from_edges`` on repeated pairs, flipped and not);
+    item 3 is edgeless, item 6 gnp at p = 1 and item 7 complete."""
+    rng = random.Random(n)
+    live = rng.sample(range(1, n + 1), 2 * n // 3)
+    edges = [tuple(rng.sample(live, 2)) for _ in range(2 * n)] if len(live) > 1 else []
+    listed = cs.Graph.from_edges(n, edges + edges[::-2])
+    builds = [
+        cs.Graph(n, listed.adj),
+        listed,
+        cs.Graph.from_edges(n, np.array(edges, np.int64).reshape(-1, 2)),
+        *(cs.Graph.gnp(n, p, seed=n) for p in (0, min(1, 10 / n), 0.5, 1)),
+        cs.Graph.complete(n),
+        cs.Graph.complete_multipartite_triples(3 * max(1, n // 3)),
+        cs.cli.parse_dimacs(cs.cli.to_dimacs(listed)),
+        cs.cli.parse_edge_list(reference.to_edge_list(listed)),
+    ]
+    assert builds[0] == listed == builds[2] == builds[-2] == builds[-1]
+    return builds
+
+
 class TestNeighborhood:
     def test_bridged_vertex_6(self, bridged):
         assert cs.VertexSet(bridged.adj[5]) == cs.VertexSet.of(1, 7, 8)
@@ -279,27 +302,23 @@ class TestConstruction:
     def test_no_lower_is_derived_on_every_path(self, n):
         # no_lower holds the vertices with no lower neighbor, whichever
         # constructor built the rows; a third of the vertices stay isolated
-        rng = random.Random(n)
-        live = rng.sample(range(1, n + 1), 2 * n // 3)
-        edges = [tuple(rng.sample(live, 2)) for _ in range(2 * n)] if len(live) > 1 else []
-        listed = cs.Graph.from_edges(n, edges)
-        assert n == 1 or 0 in listed.adj
-        builds = [
-            cs.Graph(n, listed.adj),
-            listed,
-            cs.Graph.from_edges(n, np.array(edges, np.int64).reshape(-1, 2)),
-            *(cs.Graph.gnp(n, p, seed=n) for p in (0, min(1, 10 / n), 0.5, 1)),
-            cs.Graph.complete(n),
-            cs.Graph.complete_multipartite_triples(3 * max(1, n // 3)),
-            cs.cli.parse_dimacs(cs.cli.to_dimacs(listed)),
-            cs.cli.parse_edge_list(reference.to_edge_list(listed)),
-        ]
+        builds = builds_on_every_path(n)
+        assert n == 1 or 0 in builds[1].adj
         for g in builds:
             lone = [v for v in range(1, g.n + 1) if g.adj[v - 1] & below_mask(v) == 0]
             assert list(iter_bits(g.no_lower)) == lone
-        assert builds[-2] == builds[-1] == listed
         # edgeless: every vertex; gnp at p = 1 and complete: vertex 1 alone
         assert builds[3].no_lower == g.full_mask and builds[6].no_lower == builds[7].no_lower == 1
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 130, 300])
+    def test_lower_is_derived_on_every_path(self, n):
+        # lower[v-1] is A_v, the row of v below v, whichever constructor built
+        # the rows, and it is rect's A factor; m is counted from it on every
+        # path (n = 300 packs several blocks of rows)
+        for g in builds_on_every_path(n):
+            assert g.lower == tuple(g.adj[v - 1] & below_mask(v) for v in range(1, g.n + 1))
+            assert (cs.kernels._graph_rows(g)[0] == cs.kernels._mask_rows(g.lower, g.n)).all()
+            assert g.m == len(list(g.edges()))
 
 
 class TestVertexSet:

@@ -8,6 +8,8 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cliquestream as cs
 from cliquestream import matmul, oracle
@@ -635,6 +637,7 @@ class TestRootRule:
 
         for built in (cs.Graph.gnp(130, 0), sparse_with_isolated(130)):
             g = cs.Graph._normalized(130, Rows(built.adj))
+            object.__setattr__(g, "lower", Rows(g.lower))  # the candidates' A_i are read here
             r = cs.rs_tree.root(g).bits
             _, near = prefix_masks(g, r)
             want = cs.kernels.children_naive(g, r, 0).children
@@ -703,6 +706,36 @@ class TestFilterChildren:
                 list(cs.kernels.children_rect(g, [p], [index], factors, counter_rows))
                 assert 0 < counter_lazy.ops - lazy < counter_rows.ops - rows
         assert 0 < counter_lazy.ops < counter_rows.ops
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        n=st.sampled_from([1, 2, 63, 64, 65, 130]),
+        degree=st.floats(0, 24),
+        seed=st.integers(0, 2**32),
+        pick=st.integers(0, 2**32),
+        given_masks=st.booleans(),
+    )
+    def test_top_down_scan_matches_the_ascending_loop(self, n, degree, seed, pick, given_masks):
+        # the candidates are scanned from the top bit and each A_i read from
+        # Graph.lower; the mask and the charge are those of the ascending loop
+        rng = random.Random(seed)
+        live = rng.sample(range(1, n + 1), n - n // 4)  # a quarter stay isolated
+        p = min(1.0, degree / n)
+        edges = [(u, v) for u in live for v in live if u < v and rng.random() < p]
+        g = cs.Graph.from_edges(n, edges)
+        cliques = oracle_masks(g, limit=n)
+        parents = [cliques[0], cliques[pick % len(cliques)]]  # the root, and any clique
+        for parent in parents:
+            index = index_of(g, parent)
+            kw = {}
+            if given_masks:  # as a listing's pop hands them over
+                adjacent, near = prefix_masks(g, parent)
+                kw = {"near": near, "outside": adjacent & ~parent}
+            got, want = cs.OpCounter(), cs.OpCounter()
+            assert cs.kernels.filter_children(g, parent, index, got, **kw) == (
+                reference.filter_children_ascending(g, parent, index, want, **kw)
+            )
+            assert got.ops == want.ops
 
     def test_spec_behaves_like_a_constructed_one(self, bridged):
         # each kernel decides a parent as one child mask, which children_batch
