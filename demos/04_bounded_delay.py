@@ -62,10 +62,10 @@ plain_order = [
 ]
 print("FIFO order preserved:", [e.clique.bits for e in emissions] == plain_order)
 
-# The bitset kernel's children step always runs parent by parent; after
-# boot the scheduler's pace only adds a children-work event once the next
-# print is due, so prints fall inside a batch's children step as well as
-# between pops.  A small capacity gives many batches; the drip is the same.
+# The bitset kernel tests each parent right after its pop, so every event
+# is one pop plus at most one test and prints fall inside a batch as well
+# as between batches.  A small capacity gives many batches; the drip is the
+# same.
 report = ds.StrictRunReport()
 emissions = list(ds.run_strict(g, capacity=8, report=report))
 cfg = report.config

@@ -23,11 +23,11 @@ The traversal is exposed as a resumable event stream (:func:`step_events`) of
 batch and the children steps carry int masks, and each clique event wraps
 one ``VertexSet`` without its constructor.  One ``OpCounter`` per listing
 takes every charge, and each event costs the counter's growth since the
-previous event.  A consumer that must act while a ``children_fn`` step runs
-sets a :class:`Pace`: once the units since the previous event reach its
-quantum, the step yields a children-work event between two child masks.
-Indices are consumed in ascending order, so emission order is
-deterministic for a given (graph, kernel, capacity), paced or not.
+previous event.  A paced stream, for a consumer that must act while a
+``children_fn`` step runs, yields a children-work event after each read of
+the step that charged units.  Indices are consumed in ascending order, so
+emission order is deterministic for a given (graph, kernel, capacity),
+paced or not.
 """
 
 from __future__ import annotations
@@ -45,7 +45,8 @@ CHILDREN_WORK = "children-work"
 
 # children_fn(masks, indices, nears, outsides) -> the child masks of masks, one each and in order
 # (bit i - 1 for index i), any iterable, lazy in a listing; four tuples, element k for masks[k]
-# (index 0: root), in batch order if paced, else last parent first
+# (index 0: root), in batch order if paced (a read that charges ends a children-work event),
+# else last parent first
 ChildrenFn = Callable[[tuple, tuple, tuple, tuple], Iterable[int]]
 # decide(g, mask, index, counter, near, outside) -> the clique's child mask, bit i - 1 for index
 # i; near is N(C), outside the non-members adjacent to every member below them (0: root)
@@ -65,18 +66,6 @@ class StepEvent(NamedTuple):
     kind: str
     clique: VertexSet | None
     cost: int
-
-
-class Pace:
-    """Work units since the stream's previous event at which a children step
-    yields a children-work event; 0 or less asks for none.  Read when a
-    children step starts and after each of its children-work events, so
-    the consumer may change it between events."""
-
-    __slots__ = ("quantum",)
-
-    def __init__(self) -> None:
-        self.quantum = 0
 
 
 @dataclass(slots=True)
@@ -143,7 +132,7 @@ def step_events(
     capacity: int,
     stats: TraversalStats | None = None,
     counter: OpCounter | None = None,
-    pace: Pace | None = None,
+    paced: bool = False,
     decide: Decide | None = None,
 ) -> Iterator[StepEvent]:
     """Resumable event stream of the batch traversal.
@@ -154,15 +143,14 @@ def step_events(
     charge the same one.  Each event costs the counter's growth since the
     previous event, so units already on it (the root's construction) fall on
     the first event.  With ``decide``, each clique is decided from its pop's
-    masks right after its event, ``children_fn`` and ``pace`` are unused,
+    masks right after its event, ``children_fn`` and ``paced`` are unused,
     and a clique event costs its pop and the previous clique's decision
     unless it opens a batch, a batch-completed event its last clique's
-    decision.  Otherwise ``children_fn`` takes each batch.  Without
-    ``pace``, its step is read as the stack reaches each parent, so a lazy
-    step's work falls on the events that wait for it.  With ``pace`` every
-    step runs at its batch end; with a positive quantum a children-work
-    event follows each child mask that brings the units since the previous
-    event to the quantum.
+    decision.  Otherwise ``children_fn`` takes each batch.  Unpaced, its
+    step is read as the stack reaches each parent, so a lazy step's work
+    falls on the events that wait for it.  A paced step runs at its batch
+    end, and a children-work event follows each child mask whose read
+    charged units.
     """
     if capacity < 1:
         raise ValueError("batch capacity must be at least 1")
@@ -219,19 +207,17 @@ def step_events(
         if decide is not None:  # batch order, the last parent on top
             entries += held
             stack.pending += held_cliques
-        elif pace is None:  # the batch last parent first, a source read as the stack reaches it
+        elif not paced:  # the batch last parent first, a source read as the stack reaches it
             step = tuple(zip(*reversed(batch)))
             entries.append(zip(step[0], children_fn(*step), strict=True))
         else:  # zip(strict=True): a step of another length raises ValueError
             step = tuple(zip(*batch))
-            quantum = pace.quantum
             for parent, children in zip(step[0], children_fn(*step), strict=True):
                 stack.push(parent, children)
-                if quantum > 0 and counter.ops - charged >= quantum:
+                if counter.ops > charged:
                     cost, charged = counter.ops - charged, counter.ops
                     stats.total_cost += cost
                     yield StepEvent(CHILDREN_WORK, None, cost)
-                    quantum = pace.quantum
         stats.max_stack_cliques = max(stats.max_stack_cliques, stack.pending)
         stats.stack_cliques = stack.pending
         cost, charged = counter.ops - charged, counter.ops

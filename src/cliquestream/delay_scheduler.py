@@ -29,13 +29,12 @@ plain and strict mode alike, so a gap is one pop and one parent's test.
 candidate pairs once and then decides them chunk by chunk.  A
 plain stream reads it as the stack reaches each parent, so a "rect" gap is
 one pop and the chunks up to the next parent with children.
-``run_strict``'s paced stream (a :class:`~cliquestream.batch_dfs.Pace`,
-built for "rect" alone) runs each "rect" step at its batch end, where boot
-reads it, and after boot yields a children-work event once the units its
-next print waits for are charged: a gap passes tau_delay by less than one
-pop, one "bitset" parent's test or one "rect" chunk's charge, so it stays
-within tau_delay + the largest event while the queue never starves, which
-is measured (``starved_checks``), not proven.
+``run_strict``'s stream is paced on "rect" alone: each "rect" step runs at
+its batch end, where boot reads it, and yields a children-work event after
+each read that charged units, about one a chunk.  A gap passes tau_delay
+by less than one pop, one "bitset" parent's test or one "rect" chunk's
+charge, so it stays within tau_delay + the largest event while the queue
+never starves, which is measured (``starved_checks``), not proven.
 :func:`~cliquestream.kernels.children_batch`, a whole step's specs as a
 list, stays importable here for callers that wrap it by name.
 """
@@ -52,7 +51,6 @@ from .batch_dfs import (
     BATCH_COMPLETED,
     CLIQUE_COLLECTED,
     TRAVERSAL_ENDED,
-    Pace,
     StepEvent,
     TraversalStats,
     _new,
@@ -134,11 +132,11 @@ def list_mc(
     capacity below 1, or a "rect" n whose factors
     :func:`~cliquestream.kernels.check_factors` refuses, raises ValueError
     here, before anything is built."""
-    return _listing(g, kernel, capacity, stats, None)
+    return _listing(g, kernel, capacity, stats, False)
 
 
-def _listing(g: Graph, kernel: str, capacity, stats, pace: Pace | None) -> Iterator[StepEvent]:
-    """:func:`list_mc`'s stream, paced by ``pace``.  The kernel alone picks
+def _listing(g: Graph, kernel: str, capacity, stats, paced: bool) -> Iterator[StepEvent]:
+    """:func:`list_mc`'s stream, paced if ``paced``.  The kernel alone picks
     the children step: ``step_events``'s per-parent ``decide``, the
     :func:`~cliquestream.kernels.filter_children` found in ``kernels`` when
     the listing opens, or its lazy ``children_fn``,
@@ -156,7 +154,7 @@ def _listing(g: Graph, kernel: str, capacity, stats, pace: Pace | None) -> Itera
     root_clique = root(g, counter)
     if kernel == "bitset":
         decide = kernels.filter_children
-        return step_events(g, root_clique, None, cap, stats, counter, pace, decide)
+        return step_events(g, root_clique, None, cap, stats, counter, paced, decide)
     factors = None
 
     def children_fn(masks: tuple, indices: tuple, nears: tuple, outsides: tuple):
@@ -165,7 +163,7 @@ def _listing(g: Graph, kernel: str, capacity, stats, pace: Pace | None) -> Itera
             factors = graph_factors(g, counter)
         return kernels.children_rect(g, masks, indices, factors, counter, nears, outsides)
 
-    return step_events(g, root_clique, children_fn, cap, stats, counter, pace, None)
+    return step_events(g, root_clique, children_fn, cap, stats, counter, paced, None)
 
 
 def calibrate(
@@ -192,16 +190,16 @@ def calibrate(
 
 def boot(events: Iterator[StepEvent], q: deque[int], boot_target: int) -> bool:
     """Bank clique masks into ``q`` until a batch completes with at least
-    ``boot_target`` of them banked.  Prints nothing.  Returns True when the
-    traversal or the stream ended first (the queue then holds every
-    clique).
+    ``boot_target`` of them banked; children-work events pass.  Prints
+    nothing.  Returns True when the traversal or the stream ended first (the
+    queue then holds every clique).
     """
     for event in events:
         if event.kind == CLIQUE_COLLECTED:
             q.append(event.clique.bits)
         elif event.kind == TRAVERSAL_ENDED:
             return True
-        elif len(q) >= boot_target:  # a batch completed
+        elif event.kind == BATCH_COMPLETED and len(q) >= boot_target:
             return False
     return True
 
@@ -217,7 +215,8 @@ def run_strict(
     Yields every maximal clique exactly once, in queue-insertion (i.e.
     collection) order.  A print is forced past a hold of c * boot_target
     masks (c = :data:`CALIBRATION_MARGIN`), or on "rect" of its open batch's
-    cliques if more, which its children step prints from: the queue holds
+    cliques if more, which its children step prints from, as many prints on
+    one event as it takes to come back within that hold: the queue holds
     at most max(boot_collected, c * boot_target, a batch) + 1, and a batch
     at most ``capacity`` and ``stats.max_stack_cliques``.  Nothing is printed
     before boot returns.  The run's own boot calibrates it;
@@ -227,14 +226,15 @@ def run_strict(
     start = time.perf_counter()
     if report is None:
         report = StrictRunReport()
-    pace = Pace() if kernel == "rect" else None  # a "bitset" step reads no pace
-    events = _listing(g, kernel, capacity, report.stats, pace)
-    return _paced(events, pace, report, start)
+    paced = kernel == "rect"  # a "bitset" step is decided parent by parent, paced or not
+    events = _listing(g, kernel, capacity, report.stats, paced)
+    return _paced(events, paced, report, start)
 
 
-def _paced(events, pace: Pace | None, report, start: float) -> Iterator[Emission]:
+def _paced(events, paced: bool, report, start: float) -> Iterator[Emission]:
     """``run_strict``'s pacing loop over an opened event stream, which the
-    call opened at ``perf_counter`` reading ``start``."""
+    call opened at ``perf_counter`` reading ``start``; a ``paced`` stream's
+    open batch holds its banked cliques for its children step."""
     q: deque[int] = deque()
     cfg, report.boot_exhausted = calibrate(events, q, report.stats)
     report.config = cfg
@@ -242,8 +242,6 @@ def _paced(events, pace: Pace | None, report, start: float) -> Iterator[Emission
     tau = cfg.tau_delay
     reserve = CALIBRATION_MARGIN * cfg.boot_target
     counter = top = banked = 0
-    if pace is not None:
-        pace.quantum = tau  # children-work events from here on
     # after an exhausting boot the stream is spent and this loop is empty
     for kind, clique, cost in events:
         counter += cost
@@ -253,18 +251,15 @@ def _paced(events, pace: Pace | None, report, start: float) -> Iterator[Emission
             q.append(clique.bits)
             if len(q) > peak:
                 peak = len(q)
-            if pace is not None:
-                banked += 1
+            banked += paced
         elif kind == BATCH_COMPLETED:
             banked = 0
-        if (counter >= tau and q) or (len(q) > reserve and len(q) > banked):
+        while (counter >= tau and q) or (len(q) > reserve and len(q) > banked):
             report.queue_peak = peak
             yield _release(report, q, counter, start)
             counter = 0
-        elif counter >= tau and kind != TRAVERSAL_ENDED:  # the queue is empty
+        if counter >= tau and not q and kind != TRAVERSAL_ENDED:
             report.starved_checks += 1
-        if pace is not None:
-            pace.quantum = tau - counter  # the units the next print waits for
     report.queue_peak = peak
     while q:  # final drain; the first drained clique inherits the residual counter
         report.drained += 1

@@ -131,13 +131,13 @@ def watch_children_steps(monkeypatch, watch):
     either kernel pass through unwatched)."""
     real = cs.delay_scheduler.step_events
 
-    def step_events(g, root_clique, children_fn, capacity, stats, counter, pace, decide):
+    def step_events(g, root_clique, children_fn, capacity, stats, counter, paced, decide):
         def watched(masks, indices, nears, outsides):
             watch(g, list(masks), list(indices))
             return children_fn(masks, indices, nears, outsides)
 
         if decide is None:
-            return real(g, root_clique, watched, capacity, stats, counter, pace, None)
+            return real(g, root_clique, watched, capacity, stats, counter, paced, None)
         decided = ([], [])
 
         def watched_decide(g, p, index, counter, near, outside):
@@ -146,7 +146,7 @@ def watch_children_steps(monkeypatch, watch):
             return decide(g, p, index, counter, near, outside)
 
         def events():
-            for event in real(g, root_clique, None, capacity, stats, counter, pace, watched_decide):
+            for event in real(g, root_clique, None, capacity, stats, counter, paced, watched_decide):
                 if event.kind == cs.BATCH_COMPLETED:
                     watch(g, *map(list, decided))
                     decided[0].clear()

@@ -273,6 +273,7 @@ def test_strict_delay_bound_is_real(name):
     for capacity in sorted({1, 2, 7, g.n, g.n * g.n}):
         rep = ds.StrictRunReport()
         emissions = list(ds.run_strict(g, capacity=capacity, report=rep))
+        assert rep.max_gap_units == max(e.cost_units for e in emissions)
         tau = rep.config.tau_delay
         total = rep.stats.total_cost
         gap = max(gap, max(e.cost_units for e in emissions) / tau)
@@ -321,10 +322,10 @@ STRICT_RECT_FAMILIES = [name for name in STRICT_FAMILIES if name != "gnp(2000,10
 @pytest.mark.parametrize("name", STRICT_RECT_FAMILIES)
 def test_strict_rect_gaps_follow_its_chunks(name, monkeypatch):
     """Strict mode on rect, at capacities 1, 2, 7, n and the default n^2: every gap is
-    at most tau + the largest event after boot, a children-work event
-    passes the units its print waited for by less than the one chunk charge
-    that ended it, and the queue holds at most max(boot's bank, the reserve
-    c * boot_target, a batch) + 1 masks."""
+    at most tau + the largest event after boot, a children-work event costs
+    the one chunk charge that ended it (the first also the factors', under tau),
+    and the queue holds at most max(boot's bank, the reserve c * boot_target,
+    a batch) + 1 masks."""
     g = STRICT_FAMILIES[name]()
     charges = []  # the counter's growth at each rect spec: a chunk's charge on its first
     real_rect = cs.kernels.children_rect
@@ -358,11 +359,15 @@ def test_strict_rect_gaps_follow_its_chunks(name, monkeypatch):
         tau = rep.config.tau_delay
         assert rep.starved_checks == 0 and len(emissions) == rep.stats.cliques_emitted
         assert max(e.cost_units for e in emissions) <= tau + rep.max_event_cost
+        assert rep.max_gap_units == max(e.cost_units for e in emissions)
         batch = min(capacity, rep.stats.max_stack_cliques)
         reserve = ds.CALIBRATION_MARGIN * rep.config.boot_target
         assert rep.queue_peak <= max(rep.boot_collected, reserve, batch) + 1, capacity
-        # the pace asks for at most tau units; the chunk that passes it ends the event
+        # a children-work event follows each read that charged and costs that read alone;
+        # the factors are built as the root step starts, so the first also carries theirs
         assert works and all(0 < chunk and cost - chunk < tau for cost, chunk in works)
+        assert works[0][0] > works[0][1]
+        assert all(0 < chunk == cost for cost, chunk in works[1:])
 
 
 def test_criterion_8_matmul_differential():

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 import cliquestream as cs
 from cliquestream import oracle
-from cliquestream.batch_dfs import CHILDREN_WORK, BacktrackStack, Pace
+from cliquestream.batch_dfs import CHILDREN_WORK, BacktrackStack
 
 from conftest import (
     BRIDGE_16,
@@ -155,13 +155,9 @@ class TestBounds:
         graphs = [cs.Graph.complete_multipartite_triples(12), *random_graphs(6, seed0=2050)]
         for g in graphs:
             for capacity in (1, 7, g.n * g.n):
-                for quantum in (None, 0, 50):
-                    pace = None
-                    if quantum is not None:
-                        pace = Pace()
-                        pace.quantum = quantum
+                for paced in (False, True):
                     stats = cs.TraversalStats()
-                    for _ in cs.delay_scheduler._listing(g, kernel, capacity, stats, pace):
+                    for _ in cs.delay_scheduler._listing(g, kernel, capacity, stats, paced):
                         assert stats.max_stack_cliques >= stats.stack_cliques
 
     def test_capacity_one_never_undersized(self, bridged):
@@ -231,54 +227,63 @@ class TestSinkDriver:
             children = [spec.children for spec in specs]
             return children[:-1] if extra < 0 else children + [0]
 
-        pace = Pace() if paced else None
         with pytest.raises(ValueError):
-            list(cs.step_events(g, cs.rs_tree.root(g), children_fn, 7, pace=pace))
+            list(cs.step_events(g, cs.rs_tree.root(g), children_fn, 7, paced=paced))
 
     def test_capacity_must_be_positive(self, bridged):
         with pytest.raises(ValueError):
             list(cs.step_events(bridged, cs.rs_tree.root(bridged), lambda *batch: [], 0))
 
 
-class TestPace:
-    """A quantum splits a children step into children-work events; the
-    cliques, their costs and the total stay those of the unpaced stream."""
+class TestChildrenWorkEvents:
+    """A paced stream runs each children step at its batch end and yields a
+    children-work event after each read of the step that charged units; the
+    cliques and the total stay those of the plain stream."""
 
     @staticmethod
-    def stream(g, quantum, lazy):
+    def stream(g, paced, lazy, charged=True):
         counter = cs.OpCounter()
+        ledger = counter if charged else None
 
         def children_fn(cliques, indices, nears, outsides):
             masks = (
-                cs.kernels.filter_children(g, p, i, counter, near, outside)
+                cs.kernels.filter_children(g, p, i, ledger, near, outside)
                 for p, i, near, outside in zip(cliques, indices, nears, outsides)
             )
             return masks if lazy else list(masks)
 
-        pace = Pace()
-        pace.quantum = quantum
         stats = cs.TraversalStats()
         root = cs.rs_tree.root(g, counter)
-        return list(cs.step_events(g, root, children_fn, 7, stats, counter, pace)), stats
+        return list(cs.step_events(g, root, children_fn, 7, stats, counter, paced)), stats
 
-    @pytest.mark.parametrize("quantum", [1, 50, 10**9])
-    def test_work_events_split_the_children_step(self, quantum):
+    def test_each_read_that_charges_ends_a_work_event(self):
         g = cs.Graph.gnp(40, 0.3, seed=4)
-        plain, plain_stats = self.stream(g, 0, True)
-        paced, stats = self.stream(g, quantum, True)
+        plain, plain_stats = self.stream(g, False, True)
+        paced, stats = self.stream(g, True, True)
         work = [e for e in paced if e.kind == CHILDREN_WORK]
-        assert all(e.cost >= quantum for e in work)
         cliques = [e for e in paced if e.kind == cs.CLIQUE_COLLECTED]
-        assert cliques == [e for e in plain if e.kind == cs.CLIQUE_COLLECTED]
+        # every parent's test charges, so each read is its own event and
+        # leaves nothing to its batch end
+        assert len(work) == len(cliques) and all(e.cost > 0 for e in work)
+        assert all(e.cost == 0 for e in paced if e.kind == cs.BATCH_COMPLETED)
+        assert [e.clique for e in cliques] == [
+            e.clique for e in plain if e.kind == cs.CLIQUE_COLLECTED
+        ]
         assert sum(e.cost for e in paced) == stats.total_cost == plain_stats.total_cost
-        if quantum == 1:  # every parent's test charges, so each is its own event
-            assert len(work) == len(cliques)
-        if quantum == 10**9:
-            assert paced == plain
 
-    def test_a_list_step_yields_at_most_one_work_event(self):
+    def test_reads_that_charge_nothing_yield_no_work_event(self):
         g = cs.Graph.gnp(40, 0.3, seed=4)
-        events, stats = self.stream(g, 1, False)
+        events, _ = self.stream(g, True, True, charged=False)
+        paced, _ = self.stream(g, True, True)
+        assert CHILDREN_WORK not in [e.kind for e in events]
+        assert [e.clique for e in events if e.kind == cs.CLIQUE_COLLECTED] == [
+            e.clique for e in paced if e.kind == cs.CLIQUE_COLLECTED
+        ]
+
+    def test_a_list_step_yields_one_work_event(self):
+        # a list step charges all of its units before its first read
+        g = cs.Graph.gnp(40, 0.3, seed=4)
+        events, stats = self.stream(g, True, False)
         kinds = [e.kind for e in events]
         assert kinds.count(CHILDREN_WORK) == stats.batches_total
         # each children-work event is followed by its batch's completion
@@ -507,24 +512,21 @@ class TestOnDemandChildren:
             plain_stats = cs.TraversalStats()
             plain = list(cs.list_mc(g, kernel=kernel, capacity=capacity, stats=plain_stats))
             assert sum(e.cost for e in plain) == plain_stats.total_cost
-            for quantum in (0, 50):
-                pace = Pace()
-                pace.quantum = quantum
-                stats = cs.TraversalStats()
-                paced = list(cs.delay_scheduler._listing(g, kernel, capacity, stats, pace))
-                assert sum(e.cost for e in paced) == stats.total_cost == plain_stats.total_cost
-                work = [e for e in paced if e.kind != CHILDREN_WORK]
-                assert [e[:2] for e in work] == [e[:2] for e in plain]
-                assert paced == plain or kernel == "rect"
-                assert (stats.batches_total, stats.batches_undersized) == (
-                    plain_stats.batches_total,
-                    plain_stats.batches_undersized,
-                )
-                assert all(e.cost >= quantum for e in paced if e.kind == CHILDREN_WORK)
-                run = 0
-                for e in paced:
-                    run = run + 1 if e.kind == CHILDREN_WORK else 0
-                    split = max(split, run)
+            stats = cs.TraversalStats()
+            paced = list(cs.delay_scheduler._listing(g, kernel, capacity, stats, True))
+            assert sum(e.cost for e in paced) == stats.total_cost == plain_stats.total_cost
+            work = [e for e in paced if e.kind != CHILDREN_WORK]
+            assert [e[:2] for e in work] == [e[:2] for e in plain]
+            assert paced == plain or kernel == "rect"
+            assert (stats.batches_total, stats.batches_undersized) == (
+                plain_stats.batches_total,
+                plain_stats.batches_undersized,
+            )
+            assert all(e.cost > 0 for e in paced if e.kind == CHILDREN_WORK)
+            run = 0
+            for e in paced:
+                run = run + 1 if e.kind == CHILDREN_WORK else 0
+                split = max(split, run)
         # rect's steps yield work events between their specs, not only at their
         # end; bitset decides each parent after its pop, paced or not
         assert split > 1 if kernel == "rect" else split == 0

@@ -374,6 +374,10 @@ class TestBulkReaderMatchesLineReader:
             ("dimacs", "p edge 5 1\ne 1 2\ne\t\n"),
             ("dimacs", "p edge 5 1\ne \n3 4\n"),
             ("dimacs", "p edge 5 2\ne 1 2\ne \n3 4\n"),
+            ("dimacs", "p edge 5 1\ne \t \n3 4\n"),
+            ("dimacs", "p edge 3 2\ne  1 2\ne 2 3.5\n"),
+            ("dimacs", "p edge 3 2\ne  1 2\ne 2 1_0\n"),
+            ("dimacs", "p edge 3 2\ne  1 2\ne 2 3x\n"),
             ("edges", "n " + "9" * 5000 + "\n1 2\n"),
             ("dimacs", "p edge " + "9" * 5000 + " 1\ne 1 2\n"),
             ("dimacs", "p edge 5 " + "9" * 5000 + "\ne 1 2\n"),
@@ -383,15 +387,17 @@ class TestBulkReaderMatchesLineReader:
         """A glued header word, a DIMACS ``u v`` line without its ``e``, an
         ``e`` line with nothing after it (alone or with such a ``u v`` line,
         whose pair it would stand in for), which a bulk read would take as a
-        header, an id pair and a blank line, and a header number of more
-        digits than ``int`` reads, are refused as the line rules say."""
+        header, an id pair and a blank line, a header number of more digits
+        than ``int`` reads, and a bad id in a file with an ``e`` followed by
+        two separators, are refused as the line rules say."""
         self.check(fmt, text)
 
     def test_plain_ascii_files_skip_the_line_rules(self, monkeypatch):
         """The files ``to_dimacs`` and ``reference.to_edge_list`` write, past
         64 vertices and with isolated vertices, with CRLF breaks, tabs and
-        comments or not, are read in bulk alone; a ``+`` id or a non-ASCII
-        comment leaves a file to the line rules, which read the same graph."""
+        comments or not, are read in bulk alone; a ``+`` id, a non-ASCII
+        comment or an ``e`` followed by more than one separator leaves a file
+        to the line rules, which read the same graph."""
         rng = random.Random(4040)
         files = []
         for n in (65, 130, 300):
@@ -407,6 +413,8 @@ class TestBulkReaderMatchesLineReader:
             other = [
                 (cli.parse_dimacs, dimacs.replace("\ne ", "\ne +")),
                 (cli.parse_dimacs, "c caf\u00e9\n" + dimacs),
+                (cli.parse_dimacs, dimacs.replace("\ne ", "\ne  ")),
+                (cli.parse_dimacs, dimacs.replace("\ne ", "\ne \t")),
                 (cli.parse_edge_list, edges.replace("\n", "\n+").removesuffix("+")),
                 (cli.parse_edge_list, "# caf\u00e9\n" + edges),
             ]

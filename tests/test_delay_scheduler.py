@@ -6,7 +6,7 @@ import pytest
 
 import cliquestream as cs
 from cliquestream import delay_scheduler as ds
-from cliquestream.batch_dfs import Pace
+from cliquestream.batch_dfs import CHILDREN_WORK
 
 from conftest import BRIDGED_CLIQUES, collect_plain, oracle_bits, random_graphs
 
@@ -104,9 +104,9 @@ class TestListMc:
                 elif e.kind == cs.BATCH_COMPLETED:
                     assert batch == sorted(batch)
                     batch = []
-            # a pace changes nothing on bitset: the paced stream at quantum 0
-            # is the plain one, its units on the same events
-            paced = list(ds._listing(g, "bitset", capacity, None, Pace()))
+            # pacing changes nothing on bitset: the paced stream is the plain
+            # one, its units on the same events
+            paced = list(ds._listing(g, "bitset", capacity, None, True))
             assert events == paced
             assert sum(e.cost for e in events) == sum(e.cost for e in paced)
 
@@ -218,6 +218,20 @@ class TestRunStrict:
         assert report.queue_peak == report.boot_collected + 1
         assert all(a >= b for a, b in zip(paced, paced[1:])) and paced[-1] == reserve
         assert report.drained == reserve
+
+    @pytest.mark.parametrize("kernel", ["bitset", "rect"])
+    def test_a_boot_past_the_reserve_is_worked_off(self, kernel):
+        # at capacity n^2 boot banks 11 masks against a reserve of 4, and a
+        # tau the run never reaches leaves every print to the hold: it
+        # forces prints until the queue is back within the reserve, however
+        # few events collect no clique, so the drain holds at most the reserve
+        g = cs.Graph.complete_multipartite_triples(15)
+        cfg = ds.DelayConfig(tau_delay=10**9, boot_target=2)
+        emissions, report = strict_run(g, cfg=cfg, kernel=kernel)
+        assert report.boot_collected > ds.CALIBRATION_MARGIN * cfg.boot_target + 1
+        assert report.drained <= ds.CALIBRATION_MARGIN * cfg.boot_target
+        plain = collect_plain(g, kernel=kernel)
+        assert [e.clique.bits for e in emissions] == [c.bits for c in plain]
 
     def test_max_gap_counts_the_first_emission(self):
         # a boot past the whole output (243 cliques) leaves every print to
@@ -372,7 +386,7 @@ class TestCalibration:
         for g in random_graphs(6, seed0=2400):
             stats = cs.TraversalStats()
             q = deque()
-            stream = ds._listing(g, "bitset", None, stats, Pace())  # run_strict's stream
+            stream = ds._listing(g, "bitset", None, stats, False)  # run_strict's stream
             cfg, exhausted = ds.calibrate(stream, q, stats)
             assert cfg.tau_delay >= 1
             assert cfg.boot_target >= 1
@@ -381,7 +395,8 @@ class TestCalibration:
 
     @pytest.mark.parametrize("kernel", ["bitset", "rect"])
     def test_formulas_read_the_root_and_its_children_step(self, bridged, kernel):
-        # run_strict's paced stream, which tests each batch at its end
+        # run_strict's stream, paced on rect: each step runs at its batch
+        # end, its reads that charge ending children-work events
         graphs = [
             bridged,
             cs.Graph.from_edges(1, []),
@@ -394,19 +409,23 @@ class TestCalibration:
             root = cs.rs_tree.root(g).bits
             target = 1 + len(cs.kernels.children_naive(g, root, 0))
             for capacity in (1, 7, g.n * g.n):
-                events = list(ds._listing(g, kernel, capacity, None, Pace()))
-                assert [e.kind for e in events[:2]] == [cs.CLIQUE_COLLECTED, cs.BATCH_COMPLETED]
-                # boot stops at the first batch boundary with target banked
+                events = list(ds._listing(g, kernel, capacity, None, kernel == "rect"))
+                first = [e.kind for e in events].index(cs.BATCH_COMPLETED)
+                assert events[0].kind == cs.CLIQUE_COLLECTED
+                assert all(e.kind == CHILDREN_WORK for e in events[1:first])
+                # boot stops at the first batch end with target banked
                 banked = [root]
-                for end, e in enumerate(events[2:], start=2):
+                for end, e in enumerate(events[first + 1 :], start=first + 1):
                     if e.kind == cs.CLIQUE_COLLECTED:
                         banked.append(e.clique.bits)
-                    elif e.kind == cs.TRAVERSAL_ENDED or len(banked) >= target:
+                    elif e.kind == cs.TRAVERSAL_ENDED:
                         break
-                units = sum(e.cost for e in events[2 : end + 1])
+                    elif e.kind == cs.BATCH_COMPLETED and len(banked) >= target:
+                        break
+                units = sum(e.cost for e in events[first + 1 : end + 1])
                 stats = cs.TraversalStats()
                 q = deque()
-                stream = ds._listing(g, kernel, capacity, stats, Pace())
+                stream = ds._listing(g, kernel, capacity, stats, kernel == "rect")
                 cfg, exhausted = ds.calibrate(stream, q, stats)
                 assert type(cfg.tau_delay) is int
                 assert list(q) == banked
