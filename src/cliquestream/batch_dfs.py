@@ -14,7 +14,10 @@ takes the batch's masks, indices, ``N(C)`` and outside sets at its end
 and returns their child masks in order, which the traversal zips back onto
 the parents (a step of another length raises ``ValueError``); a plain
 traversal stacks that zip as one source, read as the stack reaches each
-parent.  A clique popped from ``(P, i)`` has reverse-search
+parent, and keeps no other reference to the step's tuples, so a "rect"
+step, which drops its indices, ``N(C)`` and outside sets once its last
+slice is built, suspends with its parents and what it has left to
+release.  A clique popped from ``(P, i)`` has reverse-search
 index ``i`` by definition (the root has 0), so ``pop`` returns that index
 with the clique and no index is recomputed.
 
@@ -210,6 +213,7 @@ def step_events(
         elif not paced:  # the batch last parent first, a source read as the stack reaches it
             step = tuple(zip(*reversed(batch)))
             entries.append(zip(step[0], children_fn(*step), strict=True))
+            del step  # children_fn and the zip hold what the stack still needs
         else:  # zip(strict=True): a step of another length raises ValueError
             step = tuple(zip(*batch))
             for parent, children in zip(step[0], children_fn(*step), strict=True):
@@ -218,6 +222,7 @@ def step_events(
                     cost, charged = counter.ops - charged, counter.ops
                     stats.total_cost += cost
                     yield StepEvent(CHILDREN_WORK, None, cost)
+            del step
         stats.max_stack_cliques = max(stats.max_stack_cliques, stack.pending)
         stats.stack_cliques = stack.pending
         cost, charged = counter.ops - charged, counter.ops

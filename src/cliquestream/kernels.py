@@ -143,7 +143,7 @@ def graph_factors(g: Graph, counter: OpCounter | None = None) -> Factors:
     a_rows, non_adj = _graph_rows(g)
     if counter is not None:
         counter.ops += n * n * 2 * words(n)
-    return a_rows, matmul.BinaryOperand(non_adj.T)
+    return a_rows, matmul.BinaryOperand(non_adj)  # Nc is symmetric: Nc.T is Nc
 
 
 def build_batch_matrices(g: Graph, cliques) -> tuple[np.ndarray, np.ndarray]:
@@ -302,7 +302,9 @@ def children_rect(
     :data:`BLOCK_BYTES` allows (:func:`_decide`), only as the stream is
     read, ORing each accepted pair into its parent's mask, so between reads
     it keeps one int a parent not yet released (a released slot holds 0)
-    beside the slice's rows and pairs.  After the
+    beside the slice's rows and pairs; once its last slice is built, it
+    drops the indices, ``N(P)`` and outside sets, handed in or derived, and
+    keeps only the parents.  After the
     batch-level work and after each chunk, the parents with no pair left
     undecided are released in bulk, and that step is charged in words(n): 6
     per candidate it decided, and ``5 + n^2 + 3|P|`` per parent it released.
@@ -323,6 +325,8 @@ def children_rect(
         children = [  # one child mask per parent, bit i - 1 for index i
             0 if i else root_far_children(g, p, c, counter) for p, i, c in zip(part, index, near)
         ]
+        if hi >= len(masks):  # the last slice is built: keep only what is left to release
+            indices = nears = outsides = index = near = found = None
         total, done, released, scanned = len(pairs), 0, 0, 0
         while True:
             if done < total:  # every parent below the next undecided pair's is decided

@@ -314,10 +314,13 @@ class TestConstruction:
     def test_lower_is_derived_on_every_path(self, n):
         # lower[v-1] is A_v, the row of v below v, whichever constructor built
         # the rows, and it is rect's A factor; m is counted from it on every
-        # path (n = 300 packs several blocks of rows)
+        # path (n = 300 packs several blocks of rows); Nc is symmetric, so
+        # rect's right operand, converted from its rows, is Nc.T
         for g in builds_on_every_path(n):
             assert g.lower == tuple(g.adj[v - 1] & below_mask(v) for v in range(1, g.n + 1))
-            assert (cs.kernels._graph_rows(g)[0] == cs.kernels._mask_rows(g.lower, g.n)).all()
+            a_rows, non_adj = cs.kernels._graph_rows(g)
+            assert (a_rows == cs.kernels._mask_rows(g.lower, g.n)).all()
+            assert (cs.kernels.graph_factors(g)[1].matrix == non_adj.T).all()
             assert g.m == len(list(g.edges()))
 
 

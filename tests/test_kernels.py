@@ -1,4 +1,6 @@
 import dataclasses
+import gc
+import inspect
 import math
 import os
 import random
@@ -476,7 +478,52 @@ class TestRectStream:
         for reads, _ in enumerate(stream, 1):
             held = stream.gi_frame.f_locals
             assert not any(held["children"][: held["released"]]), reads
+            # one slice, built at the first read: the prefix_masks fallback is dropped too
+            assert held["found"] is held["nears"] is held["outsides"] is None
         assert reads == len(masks) == 300
+
+    @pytest.mark.parametrize("parents", [None, 3], ids=["one-slice", "three-a-slice"])
+    @pytest.mark.parametrize("paced", [False, True], ids=["plain", "paced"])
+    @pytest.mark.parametrize(
+        "g, capacity",
+        [(cs.Graph.complete_multipartite_triples(15), 7), (cs.Graph.gnp(60, 0.3, seed=1), 64)],
+        ids=["moon-moser15", "gnp60"],
+    )
+    def test_built_steps_drop_their_near_and_outside_sets(
+        self, g, capacity, paced, parents, monkeypatch
+    ):
+        # once a step's last slice is built, no generator (the step's own, the
+        # traversal's) refers to the N(P) and outside tuples it was handed,
+        # directly or through a tuple such as the traversal's step
+        if parents is not None:
+            monkeypatch.setattr(cs.kernels, "RECT_ROWS_BYTES", parents * 16 * g.n)
+        size = max(1, cs.kernels.RECT_ROWS_BYTES // (16 * g.n))
+        real = cs.kernels.children_rect
+        steps = []  # per step: its nears and outsides, the reads that build its last slice, reads
+
+        def counted(stream, step):
+            for children in stream:
+                step[3] += 1
+                yield children
+
+        def recorded(g, masks, indices, factors, counter, nears, outsides):
+            step = [nears, outsides, (len(masks) - 1) // size * size + 1, 0]
+            steps.append(step)
+            return counted(real(g, masks, indices, factors, counter, nears, outsides), step)
+
+        monkeypatch.setattr(cs.kernels, "children_rect", recorded)
+        checked, kind = 0, None
+        for event in cs.delay_scheduler._listing(g, "rect", capacity, None, paced):
+            previous, kind = kind, event.kind
+            if cs.BATCH_COMPLETED not in (previous, kind):  # a batch's end and the event after it
+                continue
+            built = [t for step in steps if step[3] >= step[2] for t in step[:2]]
+            ours = {id(step) for step in steps}
+            referrers = [r for r in gc.get_referrers(*built) if id(r) not in ours]
+            holders = referrers + gc.get_referrers(*(r for r in referrers if type(r) is tuple))
+            assert not [r for r in holders if inspect.isgenerator(r) or inspect.isframe(r)]
+            checked += len(built) // 2
+        assert all(step[3] >= step[2] for step in steps) and checked > len(steps)
 
     @pytest.mark.parametrize("n", [30, 65, 130])
     def test_popped_masks_match_the_fallback_and_naive(self, n, monkeypatch):
